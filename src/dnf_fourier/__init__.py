@@ -1,6 +1,6 @@
 """Exact desk-scale Fourier analysis of DNF formulas.
 
-Truth tables, exact dyadic spectra, decision-tree depth, term covers, and
+Truth tables, exact dyadic spectra, full-depth restrictions, term covers, and
 the injective encode/decode counting argument, plus a battery of exactly
 verified combinatorial inequalities over all of them.
 """

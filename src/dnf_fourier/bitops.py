@@ -5,9 +5,7 @@ variable i, and in assignment masks a set bit means the variable is true.
 """
 from __future__ import annotations
 
-import functools
-
-import numpy as np
+from itertools import combinations
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -60,19 +58,12 @@ def pdep(x: int, mask: int) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=4096)
-def pext_array(n: int, mask: int) -> np.ndarray:
-    """pext(x, mask) for every x in [0, 2^n), as a read-only array."""
-    x = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=np.int64)
-    for t, b in enumerate(bit_indices(mask)):
-        out |= ((x >> b) & 1) << t
-    out.setflags(write=False)
-    return out
-
-
-def subsets_up_to(n: int, d_max: int):
+def subsets_up_to(n: int, d_max: int) -> list[int]:
     """All subset masks of [n] with popcount <= d_max, ascending mask order."""
-    for mask in range(1 << n):
-        if mask.bit_count() <= d_max:
-            yield mask
+    masks = [
+        sum(1 << b for b in combo)
+        for d in range(min(d_max, n) + 1)
+        for combo in combinations(range(n), d)
+    ]
+    masks.sort()
+    return masks

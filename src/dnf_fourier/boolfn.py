@@ -135,11 +135,6 @@ class FourierSpectrum:
     def coeff(self, mask: int) -> DyadicRational:
         return DyadicRational(int(self.scaled[mask]), self.n)
 
-    @property
-    def coeffs(self) -> dict[int, DyadicRational]:
-        """Mapping mask -> coefficient, materialized (use coeff() for one)."""
-        return {m: self.coeff(m) for m in range(1 << self.n)}
-
     def nonzero_items(self) -> Iterator[tuple[int, DyadicRational]]:
         for m in np.nonzero(self.scaled)[0]:
             yield int(m), self.coeff(int(m))

@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .bitops import pdep
+from .bitops import pdep, subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
@@ -103,10 +103,8 @@ class FamilyAnalysis:
     def _classify(self) -> None:
         n = self.dnf.n
         full = (1 << n) - 1
-        for s_mask in range(1 << n):
+        for s_mask in subsets_up_to(n, self.d_max):
             d = s_mask.bit_count()
-            if d > self.d_max:
-                continue
             idxs = self.tables.full_depth_sbar_indices(s_mask)
             coeff = self.spec.coeff(s_mask)
             if idxs.size == 0:
@@ -116,15 +114,21 @@ class FamilyAnalysis:
                     )
                 self.unassigned.append(s_mask)
                 continue
-            fixed_mask = full ^ s_mask
             count_by_u: dict[int, int] = {}
             covers_by_u: dict[int, set[tuple[int, ...]]] = {}
-            for idx in idxs:
-                xsbar = pdep(int(idx), fixed_mask)
-                cover = extract_cover(self.dnf, s_mask, xsbar, self.tables)
-                u = cover.union_size
-                count_by_u[u] = count_by_u.get(u, 0) + 1
-                covers_by_u.setdefault(u, set()).add(cover.term_indices)
+            if s_mask == 0:
+                # E_{} holds everywhere and the encoder selects no term, so
+                # every assignment is a witness with the empty cover
+                count_by_u[0] = int(idxs.size)
+                covers_by_u[0] = {()}
+            else:
+                fixed_mask = full ^ s_mask
+                for idx in idxs:
+                    xsbar = pdep(int(idx), fixed_mask)
+                    cover = extract_cover(self.dnf, s_mask, xsbar, self.tables)
+                    u = cover.union_size
+                    count_by_u[u] = count_by_u.get(u, 0) + 1
+                    covers_by_u.setdefault(u, set()).add(cover.term_indices)
             top = max(count_by_u.values())
             assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
             profile = SubsetProfile(

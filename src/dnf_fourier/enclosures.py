@@ -85,20 +85,6 @@ def exp_enclosure(x: Fraction, prec: int = 64) -> RealEnclosure:
         iv.prec = old
 
 
-def pow_enclosure(base: Fraction, exponent: Fraction, prec: int = 64) -> RealEnclosure:
-    """Enclosure of base**exponent for positive rational base."""
-    if base <= 0:
-        raise ValueError("power of a nonpositive base")
-    old = iv.prec
-    try:
-        iv.prec = prec
-        return _interval_to_enclosure(
-            iv.exp(_iv_fraction(exponent) * iv.log(_iv_fraction(base)))
-        )
-    finally:
-        iv.prec = old
-
-
 def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
     """Rigorously decide lhs <= (the real enclosed by make_enclosure(prec)).
 

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitops import bit_indices, mask_to_vars, pdep
+from .bitops import bit_indices, mask_to_vars, pdep, subsets_up_to
 from .dnf import ALIVE, SATISFIED, Dnf
 from .restrictions import RestrictionTables
 
@@ -135,14 +135,13 @@ def _lex_depth_preserving(
     false before true; existence is part of the encoder correctness claim."""
     s_j_bits = bit_indices(s_j_mask)
     m = len(s_j_bits)
-    rest_d = rest_mask.bit_count()
-    dt_full = tables.dt_by_full(rest_mask)
+    full_depth = tables.dt_by_full(rest_mask)
     for cand in range(1 << m):
         bits = 0
         for t, b in enumerate(s_j_bits):
             if (cand >> (m - 1 - t)) & 1:
                 bits |= 1 << b
-        if dt_full[x_dt | bits] == rest_d:
+        if full_depth[x_dt | bits]:
             return bits
     raise EncodingInvariantError("no depth-preserving assignment exists")
 
@@ -170,9 +169,9 @@ def encode(
     if tables is None:
         tables = RestrictionTables(dnf.evaluate())
     d = s_mask.bit_count()
-    if tables.dt_at(s_mask, xsbar_bits) != d:
+    if not tables.full_depth_at(s_mask, xsbar_bits):
         raise EncodePreconditionError(
-            f"restriction depth {tables.dt_at(s_mask, xsbar_bits)} < |S| = {d}"
+            f"restriction lacks full decision-tree depth |S| = {d}"
         )
 
     w = dnf.width()
@@ -188,7 +187,7 @@ def encode(
 
     while s_prime:
         # loop invariant: the remaining free set still needs full depth
-        if tables.dt_at(s_prime, x_dt) != s_prime.bit_count():
+        if not tables.full_depth_at(s_prime, x_dt):
             raise EncodingInvariantError("depth invariant lost between rounds")
         idx, term_vars = _first_open_term(dnf, assigned, x_dt)
         term = dnf.terms[idx]
@@ -303,11 +302,8 @@ def valid_pairs(
     restriction, in (ascending S mask, ascending fixed index) order."""
     if tables is None:
         tables = RestrictionTables(dnf.evaluate())
-    n = dnf.n
-    full = (1 << n) - 1
-    for s_mask in range(1 << n):
-        if s_mask.bit_count() > d_max:
-            continue
+    full = (1 << dnf.n) - 1
+    for s_mask in subsets_up_to(dnf.n, d_max):
         fixed_mask = full ^ s_mask
         for idx in tables.full_depth_sbar_indices(s_mask):
             yield s_mask, pdep(int(idx), fixed_mask)

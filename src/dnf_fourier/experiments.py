@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bitops import subsets_up_to
 from .boolfn import (
     fourier_transform,
     hamming_distance_fraction,
@@ -133,6 +134,10 @@ class ExperimentConfig:
             raise ConfigError("C must be positive")
         if self.d_max is not None and self.d_max > DT_CAP:
             raise ConfigError(f"d_max={self.d_max} exceeds decision-tree cap {DT_CAP}")
+        if self.d_max is not None and self.d_max < 0:
+            raise ConfigError(f"d_max={self.d_max} must be >= 0")
+        if self.u_star is not None and self.u_star < 0:
+            raise ConfigError(f"u_star={self.u_star} must be >= 0")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
@@ -238,7 +243,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
                  "degree_counts"}:
         analysis = FamilyAnalysis(dnf, d_max, tables, spec)
 
-    subsets = [m for m in range(1 << n) if m.bit_count() <= d_max]
+    subsets = subsets_up_to(n, d_max)
 
     if "spectral_basics" in checks:
         total = spec.total_weight()

@@ -1,4 +1,4 @@
-"""Restrictions, exact decision-tree depth, and the evasiveness bound.
+"""Restrictions, the full-depth predicate, and the evasiveness bound.
 
 A restriction keeps a set S of variables free and fixes the rest to a
 partial assignment; the restricted function lives on |S| variables with
@@ -7,10 +7,20 @@ always enumerated in ascending compressed-mask order (bit t of the
 compressed index is the value of the t-th smallest fixed variable), so
 per-assignment results are reproducible.
 
-Decision-tree depth DT(g) is computed exactly by the textbook recursion
-(0 for constants, else 1 + min over query variable of the max over its two
-answers), memoized on the (n, truth table) pair.  The memo is a plain dict:
-safe under the GIL, and per-process when work is farmed out to workers.
+Every consumer of restriction depth asks one question: does f_{S|x} have
+decision-tree depth exactly |S|?  ``RestrictionTables`` answers it for all
+x at once with the full-depth predicate E_S, built bottom-up over S by
+whole-array operations on the truth table viewed as a 2 x ... x 2 tensor:
+
+* E_{} is identically true;
+* E_{i}(x) holds when f(x) != f(x xor e_i);
+* for |S| >= 2, E_S(x) = AND over i in S of (E_{S-i}(x) or E_{S-i}(x xor e_i)).
+
+The last rule holds because a non-constant g has DT(g) = 1 + min over the
+query variable of the larger depth of its two answers, so DT(g) = |S|
+exactly when every query variable leaves one answer at full depth.
+
+The textbook depth recursion (``dt_depth``) stays as the test oracle.
 """
 from __future__ import annotations
 
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bit_indices, pext_array
+from .bitops import bit_indices
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
@@ -29,10 +39,8 @@ from .boolfn import (
 from .dnf import Dnf
 from .dyadic import DyadicRational
 
-#: Exact DT recursion is only run on functions of at most this many variables.
+#: The DT oracle runs on at most this many variables; it also caps d_max.
 DT_CAP = 12
-
-_DT_MEMO: dict[tuple[int, int], int] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,38 +78,43 @@ def _split(table: int, n: int, i: int) -> tuple[int, int]:
     return t0, t1
 
 
-def _dt(n: int, table: int) -> int:
+def _dt(n: int, table: int, memo: dict[tuple[int, int], int]) -> int:
     if table == 0 or table == (1 << (1 << n)) - 1:
         return 0
     key = (n, table)
-    cached = _DT_MEMO.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     best = n
     for i in range(n):
         t0, t1 = _split(table, n, i)
-        depth = 1 + max(_dt(n - 1, t0), _dt(n - 1, t1))
+        depth = 1 + max(_dt(n - 1, t0, memo), _dt(n - 1, t1, memo))
         if depth < best:
             best = depth
             if best == 1:
                 break
-    _DT_MEMO[key] = best
+    memo[key] = best
     return best
 
 
 def dt_depth(g: BooleanFunction, cap: int = DT_CAP) -> int:
-    """Exact decision-tree depth of g (g.n must not exceed the cap)."""
+    """Exact decision-tree depth of g (g.n must not exceed the cap).
+
+    The textbook recursion: 0 for constants, else 1 + min over the query
+    variable of the max over its two answers.  It is the oracle that the
+    full-depth predicate of ``RestrictionTables`` is tested against.
+    """
     if g.n > cap:
         raise CapExceededError(f"decision-tree recursion capped at n={cap}")
-    return _dt(g.n, g.bits)
+    return _dt(g.n, g.bits, {})
 
 
 def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
     """The function of |S| variables obtained by fixing the complement of S.
 
     The free set must be nonempty: the result type represents functions of
-    at least one variable.  (Depth queries for empty free sets go through
-    RestrictionTables, where the answer is always 0.)
+    at least one variable.  (For an empty free set the full-depth predicate
+    of RestrictionTables is identically true.)
     """
     if r.n != f.n:
         raise DimensionMismatchError(f"restriction over n={r.n}, function n={f.n}")
@@ -120,78 +133,91 @@ def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
     return BooleanFunction(len(free), bits)
 
 
-class RestrictionTables:
-    """Batch decision-tree-depth lookups for all restrictions of one function.
+def _drop_bits(x: int, mask: int) -> int:
+    """x with the bits at the positions of mask deleted, higher bits moving
+    down: the compressed index of x over the complement of mask."""
+    while mask:
+        b = mask.bit_length() - 1
+        x = (x & ((1 << b) - 1)) | ((x >> (b + 1)) << b)
+        mask ^= 1 << b
+    return x
 
-    For a free-variable mask S this computes, in one pass over the truth
-    table, the DT depth of every restriction f_{S|x} indexed by the
-    compressed fixed-side assignment, and caches the result.  It is the
-    shared workhorse behind the evasiveness checks, the encoder, and the
-    family classification.
+
+class RestrictionTables:
+    """Full-depth lookups for all restrictions of one function.
+
+    For a free-variable mask S the table E_S says, for every fixed-side
+    assignment x, whether f_{S|x} has decision-tree depth exactly |S| (see
+    the module docstring).  Tables are built from the tables of the
+    subsets S - i and cached per mask; each holds 2^(n-|S|) booleans.  It
+    is the shared workhorse behind the evasiveness checks, the encoder,
+    and the family classification.
     """
 
-    def __init__(self, f: BooleanFunction, dt_cap: int = DT_CAP):
+    def __init__(self, f: BooleanFunction):
         self.f = f
         self.n = f.n
-        self.dt_cap = dt_cap
-        self._arr = f.to_array().reshape((2,) * f.n)
+        self._arr = f.to_array().view(np.bool_).reshape((2,) * f.n)
         self._by_sbar: dict[int, np.ndarray] = {}
         self._by_full: dict[int, np.ndarray] = {}
 
-    def subtables(self, free_mask: int) -> np.ndarray:
-        """Row r = truth table of f restricted to free_mask at compressed
-        fixed assignment r; columns are compressed free assignments."""
+    def _tensor(self, free_mask: int) -> np.ndarray:
+        """E_S as a tensor with singleton axes on S (axis n-1-i is variable i+1)."""
         n = self.n
-        free = bit_indices(free_mask)
-        fixed = bit_indices(((1 << n) - 1) ^ free_mask)
-        axes = [n - 1 - b for b in reversed(fixed)] + [n - 1 - b for b in reversed(free)]
-        return self._arr.transpose(axes).reshape(1 << len(fixed), 1 << len(free))
+        shape = tuple(1 if (free_mask >> (n - 1 - ax)) & 1 else 2 for ax in range(n))
+        return self.dt_by_sbar(free_mask).reshape(shape)
 
     def dt_by_sbar(self, free_mask: int) -> np.ndarray:
-        """DT depth of f_{S|x} for every compressed fixed assignment x."""
+        """Full-depth predicate E_S for every compressed fixed assignment x:
+        a read-only bool array of length 2^(n-|S|), true where f_{S|x} has
+        decision-tree depth exactly |S|."""
         cached = self._by_sbar.get(free_mask)
         if cached is not None:
             return cached
-        d = free_mask.bit_count()
-        if d > self.dt_cap:
-            raise CapExceededError(f"|S|={d} exceeds decision-tree cap {self.dt_cap}")
-        sub = self.subtables(free_mask)
-        packed = np.packbits(sub, axis=1, bitorder="little")
-        keys = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        uniq: dict[int, int] = {}
-        out = np.empty(sub.shape[0], dtype=np.int8)
-        for r, key in enumerate(keys):
-            depth = uniq.get(key)
-            if depth is None:
-                depth = _dt(d, key)
-                uniq[key] = depth
-            out[r] = depth
+        n = self.n
+        free = bit_indices(free_mask)
+        if not free:
+            table = np.ones(self._arr.shape, dtype=np.bool_)
+        elif len(free) == 1:
+            lo, hi = np.split(self._arr, 2, axis=n - 1 - free[0])
+            table = lo != hi
+        else:
+            table = None
+            for i in free:
+                sub = self._tensor(free_mask ^ (1 << i))
+                term = sub.any(axis=n - 1 - i, keepdims=True)
+                table = term if table is None else np.logical_and(table, term, out=table)
+        out = table.reshape(-1)
         out.setflags(write=False)
         self._by_sbar[free_mask] = out
         return out
 
     def dt_by_full(self, free_mask: int) -> np.ndarray:
-        """DT depth of f_{S|x} indexed by a full n-bit assignment x (the
-        values of x on S are ignored)."""
+        """Full-depth predicate E_S indexed by a full n-bit assignment x (the
+        values of x on S are ignored): a read-only bool array of length 2^n."""
         cached = self._by_full.get(free_mask)
         if cached is not None:
             return cached
-        fixed_mask = ((1 << self.n) - 1) ^ free_mask
-        out = self.dt_by_sbar(free_mask)[pext_array(self.n, fixed_mask)]
+        out = np.broadcast_to(self._tensor(free_mask), self._arr.shape).reshape(-1)
         out.setflags(write=False)
         self._by_full[free_mask] = out
         return out
 
-    def dt_at(self, free_mask: int, x: int) -> int:
-        """DT depth of the restriction to free_mask at (the relevant bits of) x."""
-        return int(self.dt_by_full(free_mask)[x])
+    def full_depth_at(self, free_mask: int, x: int) -> bool:
+        """Whether the restriction to free_mask at (the fixed bits of) x has
+        decision-tree depth exactly |S|."""
+        # every encode round asks this once: read the cache directly
+        table = self._by_sbar.get(free_mask)
+        if table is None:
+            table = self.dt_by_sbar(free_mask)
+        return bool(table[_drop_bits(x, free_mask)])
 
     def full_depth_sbar_indices(self, free_mask: int) -> np.ndarray:
         """Compressed fixed assignments where the restriction needs full depth."""
-        return np.nonzero(self.dt_by_sbar(free_mask) == free_mask.bit_count())[0]
+        return np.flatnonzero(self.dt_by_sbar(free_mask))
 
     def full_depth_count(self, free_mask: int) -> int:
-        return int(self.full_depth_sbar_indices(free_mask).size)
+        return int(np.count_nonzero(self.dt_by_sbar(free_mask)))
 
 
 def satisfied_union_table(dnf: Dnf) -> np.ndarray:
@@ -212,8 +238,8 @@ def evasive_bound_check(
     tables: RestrictionTables | None = None,
     spec: FourierSpectrum | None = None,
 ) -> tuple[DyadicRational, DyadicRational, bool]:
-    """Compare |fhat(S)| against the fraction of fixed-side assignments whose
-    restriction requires full decision-tree depth |S|.
+    """Compare |fhat(S)| against the fraction of fixed-side assignments where
+    the full-depth predicate E_S holds (the restriction needs depth |S|).
 
     Returns (lhs, rhs, lhs <= rhs), all exact.
     """

@@ -102,6 +102,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(instances=(), d_max=99)
     with pytest.raises(ConfigError):
+        ExperimentConfig(instances=(), d_max=-1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(instances=(), u_star=-1)
+    with pytest.raises(ConfigError):
         ExperimentConfig(instances=(), checks=("nonsense",))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json("{}")
@@ -162,6 +166,19 @@ def test_cli_verify_exit_codes(tmp_path):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text('{"instances": [], "eps": "7"}')
     assert main(["verify", str(bad_cfg)]) == 2
+
+
+def test_cli_rejects_negative_ranges(tmp_path):
+    for key in ("d_max", "u_star"):
+        cfg_path = tmp_path / f"{key}.json"
+        cfg_path.write_text(json.dumps(
+            {"instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 3}}}],
+             key: -1}
+        ))
+        for command in ("verify", "sweep"):
+            out_path = tmp_path / f"{key}-{command}.json"
+            assert main([command, str(cfg_path), "--out", str(out_path)]) == 2
+            assert not out_path.exists()
 
 
 def test_cli_encdec_and_artifacts(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Restrictions, decision-tree depth, and the evasiveness inequality."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnf_fourier import (
     BooleanFunction,
@@ -85,19 +87,52 @@ def test_dt_depth_at_least_degree():
         assert dt_depth(f) >= fourier_transform(f).degree()
 
 
-def test_restriction_tables_match_single_restrictions():
-    d = random_read_k(6, 4, 3, k=4, seed=21)
-    f = d.evaluate()
+def _check_tables_against_oracle(f, d_max):
+    """E_S from the tables against DT(f_{S|x}) == |S| from the recursion, for
+    every S with |S| <= d_max and every fixed assignment, in both layouts."""
+    n = f.n
+    full = (1 << n) - 1
     tables = RestrictionTables(f)
-    for s_mask in subsets_up_to(6, 3):
-        if s_mask == 0:
-            continue
-        fixed_mask = ((1 << 6) - 1) ^ s_mask
-        arr = tables.dt_by_sbar(s_mask)
-        for idx in range(1 << fixed_mask.bit_count()):
-            bitsfixed = pdep(idx, fixed_mask)
-            g = restrict(f, Restriction(6, s_mask, bitsfixed))
-            assert arr[idx] == dt_depth(g)
+    for s_mask in subsets_up_to(n, d_max):
+        d = s_mask.bit_count()
+        fixed_mask = full ^ s_mask
+        by_sbar = tables.dt_by_sbar(s_mask)
+        by_full = tables.dt_by_full(s_mask)
+        assert by_sbar.dtype == bool and by_sbar.shape == (1 << (n - d),)
+        assert by_full.dtype == bool and by_full.shape == (1 << n,)
+        assert not by_sbar.flags.writeable and not by_full.flags.writeable
+        for idx in range(1 << (n - d)):
+            fixed = pdep(idx, fixed_mask)
+            if d == 0:
+                expected = True  # a single value has depth 0 = |S|
+            else:
+                expected = dt_depth(restrict(f, Restriction(n, s_mask, fixed))) == d
+            assert bool(by_sbar[idx]) == expected, (s_mask, idx)
+            for y in range(1 << d):
+                x = fixed | pdep(y, s_mask)
+                assert by_full[x] == by_sbar[idx], (s_mask, idx, y)
+                assert tables.full_depth_at(s_mask, x) == expected
+        assert tables.full_depth_count(s_mask) == int(by_sbar.sum())
+
+
+def test_restriction_tables_match_single_restrictions():
+    instances = [
+        random_read_k(6, 4, 3, k=4, seed=21),
+        tribes(2, 3),
+        Dnf.from_term_literals(5, [[1, -2, 3], [-1, 4], [-3, -4, -5], [2, 5]]),
+    ]
+    for dnf in instances:
+        _check_tables_against_oracle(dnf.evaluate(), 3)
+    for value in (False, True):
+        _check_tables_against_oracle(BooleanFunction.constant(5, value), 3)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+@settings(max_examples=60, deadline=None)
+def test_full_depth_predicate_matches_oracle_on_random_tables(case):
+    n, bits = case
+    _check_tables_against_oracle(BooleanFunction(n, bits), n)
 
 
 def test_averaging_identity():
