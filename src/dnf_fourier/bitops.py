@@ -32,19 +32,6 @@ def vars_to_mask(variables) -> int:
     return mask
 
 
-def pext(x: int, mask: int) -> int:
-    """Pack the bits of x selected by mask into the low bits, in order."""
-    out = 0
-    t = 0
-    while mask:
-        low = mask & -mask
-        if x & low:
-            out |= 1 << t
-        t += 1
-        mask ^= low
-    return out
-
-
 def pdep(x: int, mask: int) -> int:
     """Scatter the low bits of x into the positions selected by mask."""
     out = 0

@@ -14,17 +14,24 @@ exact arithmetic, every inequality that relates
 A cover of S counted by ``num_covers`` is a set of term indices such that
 every selected term shares a variable with S, the union of their variable
 sets contains S and has size exactly u, and at most |S| terms are used.
+Terms are counted by index, so duplicate terms give distinct covers.
 Covers produced by the encoder satisfy all of these (each selected term
 contains a free variable), so ``num_covers`` dominates the number of
 distinct observed covers, which is what the probability bounds need.
 The empty set has the single empty cover, with union size 0.
+
+``cover_counts_by_union`` counts covers with a dynamic program over
+(term count, union mask) rather than by enumerating term subsets, so its
+cost is bounded by the number of distinct unions, not by the number of
+covers, and it has no cap.  ``FamilyAnalysis.cover_counts`` keeps one
+count per subset for every check that needs it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -42,9 +49,6 @@ from .dyadic import DyadicRational
 from .enclosures import RealEnclosure, decide_le, exp_enclosure, ln_enclosure
 from .encoder import extract_cover
 from .restrictions import DT_CAP, RestrictionTables
-
-#: Soft cap on the number of term subsets a cover enumeration may visit.
-COVER_ENUM_CAP = 10_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +102,16 @@ class FamilyAnalysis:
         self.families: dict[FamilyKey, FamilyStats] = {}
         self.profiles: dict[int, SubsetProfile] = {}
         self.unassigned: list[int] = []  # no full-depth witness; coefficient is 0
+        self._cover_counts: dict[int, dict[int, int]] = {}
         self._classify()
+
+    def cover_counts(self, s_mask: int) -> dict[int, int]:
+        """Covers of S per union size, counted once per subset and kept."""
+        counts = self._cover_counts.get(s_mask)
+        if counts is None:
+            counts = cover_counts_by_union(self.dnf, s_mask)
+            self._cover_counts[s_mask] = counts
+        return counts
 
     def _classify(self) -> None:
         n = self.dnf.n
@@ -145,7 +158,7 @@ class FamilyAnalysis:
             stats.two_norm_sq = stats.two_norm_sq + coeff.square()
             if abs(coeff) > stats.max_abs_coeff:
                 stats.max_abs_coeff = abs(coeff)
-            nc = num_covers(self.dnf, s_mask, assigned_u)
+            nc = self.cover_counts(s_mask).get(assigned_u, 0)
             if nc > stats.max_num_covers:
                 stats.max_num_covers = nc
 
@@ -189,28 +202,30 @@ def classify_families(dnf: Dnf, d_max: int) -> dict[FamilyKey, FamilyStats]:
 # -- cover counting ----------------------------------------------------------
 
 
-def _covering_candidates(dnf: Dnf, s_mask: int) -> list[int]:
-    return [j for j, t in enumerate(dnf.terms) if t.vars_mask & s_mask]
-
-
 def cover_counts_by_union(dnf: Dnf, s_mask: int) -> dict[int, int]:
-    """Number of covers of S per union size, by exhaustive enumeration over
-    term subsets of size at most |S| whose members all meet S."""
+    """Number of covers of S per union size (see the module docstring).
+
+    layers[k] maps a union mask to the number of k-term choices, among the
+    terms seen so far that meet S, with that union.  Each term extends the
+    layers from the top down, so no choice uses a term twice.
+    """
     d = s_mask.bit_count()
-    cands = _covering_candidates(dnf, s_mask)
-    work = sum(comb(len(cands), i) for i in range(min(d, len(cands)) + 1))
-    if work > COVER_ENUM_CAP:
-        raise CapExceededError(f"cover enumeration would visit {work} subsets")
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(d)]
+    for term in dnf.terms:
+        t_mask = term.vars_mask
+        if not t_mask & s_mask:
+            continue
+        for k in range(d - 1, -1, -1):
+            upper = layers[k + 1]
+            for union, ways in layers[k].items():
+                key = union | t_mask
+                upper[key] = upper.get(key, 0) + ways
     counts: dict[int, int] = {}
-    for size in range(min(d, len(cands)) + 1):
-        for combo in combinations(cands, size):
-            union = 0
-            for j in combo:
-                union |= dnf.terms[j].vars_mask
-            if s_mask & ~union:
-                continue
-            u = union.bit_count()
-            counts[u] = counts.get(u, 0) + 1
+    for layer in layers:
+        for union, ways in layer.items():
+            if not s_mask & ~union:
+                u = union.bit_count()
+                counts[u] = counts.get(u, 0) + ways
     return counts
 
 
@@ -334,7 +349,7 @@ def check_abs_fourier_u(
     first_bound = (w * d + 1) * prob
     first = lhs <= first_bound
     distinct = len(profile.covers_by_u.get(u, ()))
-    ncov = num_covers(dnf, s_mask, u)
+    ncov = analysis.cover_counts(s_mask).get(u, 0)
     scale = DyadicRational(1, u - d)
     second_bound_distinct = distinct * scale
     second_bound_ncov = ncov * scale
@@ -383,7 +398,17 @@ def family_cauchy_check(stats: FamilyStats) -> CheckResult:
 # -- cover-count bounds from the read number ----------------------------------
 
 
-def read_cover_count_bound(dnf: Dnf, s_mask: int) -> CheckResult:
+@lru_cache(maxsize=4096)
+def _le_exp(target: Fraction, m: int) -> tuple[bool, RealEnclosure]:
+    """Rigorously decide target <= e^m.  The chain links below depend on
+    the DNF's read, width and the subset's size only, so each is decided
+    once however many subsets ask for it."""
+    return decide_le(target, lambda p: exp_enclosure(Fraction(m), p))
+
+
+def read_cover_count_bound(
+    dnf: Dnf, s_mask: int, counts: dict[int, int] | None = None
+) -> CheckResult:
     """Total covers of S against the read-based budget:
 
       num_covers_total(S)  <=  sum_{i<=d} C(kd, i)  <=  C(kd+d, d)
@@ -391,15 +416,17 @@ def read_cover_count_bound(dnf: Dnf, s_mask: int) -> CheckResult:
 
     The first inequality is the asserted bound; the rest of the chain is
     verified too (the last link rigorously, via an enclosure of e^d).
+    ``counts`` is S's ``cover_counts_by_union``, counted here if not given.
     """
     d = s_mask.bit_count()
     k = dnf.read()
-    count = num_covers_total(dnf, s_mask)
+    if counts is None:
+        counts = cover_counts_by_union(dnf, s_mask)
+    count = sum(counts.values())
     bound = sum(comb(k * d, i) for i in range(d + 1))
     mid = comb(k * d + d, d)
     chain1 = bound <= mid
-    target = Fraction(mid, (k + 1) ** d)
-    chain2, enc = decide_le(target, lambda p: exp_enclosure(Fraction(d), p))
+    chain2, enc = _le_exp(Fraction(mid, (k + 1) ** d), d)
     return CheckResult(
         count,
         bound,
@@ -414,7 +441,9 @@ def read_cover_count_bound(dnf: Dnf, s_mask: int) -> CheckResult:
     )
 
 
-def exact_width_cover_bound(dnf: Dnf, s_mask: int, u: int) -> CheckResult:
+def exact_width_cover_bound(
+    dnf: Dnf, s_mask: int, u: int, counts: dict[int, int] | None = None
+) -> CheckResult:
     """Cover count at union size u for exact-width DNFs.
 
     Requires every term to have exactly w variables.  A union of l such
@@ -424,14 +453,17 @@ def exact_width_cover_bound(dnf: Dnf, s_mask: int, u: int) -> CheckResult:
       num_covers(S, u)  <=  sum_{i <= floor(ku/w)} C(kd, i).
 
     When ku/w is an integer m, the classical chain
-    C(kd, m) <= C(ku, m) <= (ew)^m is verified as well.
+    C(kd, m) <= C(ku, m) <= (ew)^m is verified as well.  ``counts`` is
+    S's ``cover_counts_by_union``, counted here if not given.
     """
     widths = {t.width for t in dnf.terms}
     if len(widths) > 1:
         raise ValueError(f"term widths are not uniform: {sorted(widths)}")
     d = s_mask.bit_count()
     k = dnf.read()
-    count = num_covers(dnf, s_mask, u)
+    if counts is None:
+        counts = cover_counts_by_union(dnf, s_mask)
+    count = counts.get(u, 0)
     if not widths or widths == {0}:
         bound = 1 if u == 0 else 0
         return CheckResult(count, bound, count <= bound, {"degenerate": True})
@@ -446,9 +478,7 @@ def exact_width_cover_bound(dnf: Dnf, s_mask: int, u: int) -> CheckResult:
         left, mid = comb(k * d, m), comb(k * u, m)
         extras["chain_mid"] = mid
         extras["chain_mid_holds"] = left <= mid
-        holds_top, enc = decide_le(
-            Fraction(mid, w**m), lambda p: exp_enclosure(Fraction(m), p)
-        )
+        holds_top, enc = _le_exp(Fraction(mid, w**m), m)
         extras["chain_top_holds"] = holds_top
         extras["e_pow_m"] = enc
     return CheckResult(count, bound, count <= bound, extras)

@@ -51,7 +51,14 @@ from .covers import (
 from .dnf import Dnf, load_dnf
 from .dyadic import DyadicRational
 from .enclosures import floor_scaled_log2
-from .encoder import decode, encode, valid_pairs
+from .encoder import (
+    DecodeError,
+    EncodePreconditionError,
+    EncodingInvariantError,
+    decode,
+    encode,
+    valid_pairs,
+)
 from .generators import GeneratorSpec
 from .restrictions import (
     DT_CAP,
@@ -345,7 +352,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "read_chain" in checks:
         for m in subsets:
-            r = read_cover_count_bound(dnf, m)
+            r = read_cover_count_bound(dnf, m, analysis.cover_counts(m))
             ok = r.holds and r.extras["chain_mid_holds"] and r.extras["chain_top_holds"]
             rows.append(_row("read_cover_chain", {"S_mask": m}, r.lhs, r.bound, ok))
 
@@ -354,8 +361,9 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         if len(widths) == 1 and widths != {0}:
             u_hi = min(w * d_max, n)
             for m in subsets:
+                counts = analysis.cover_counts(m)
                 for u in range(m.bit_count(), u_hi + 1):
-                    r = exact_width_cover_bound(dnf, m, u)
+                    r = exact_width_cover_bound(dnf, m, u, counts)
                     ok = r.holds
                     if "chain_mid_holds" in r.extras:
                         ok = ok and r.extras["chain_mid_holds"] and r.extras["chain_top_holds"]
@@ -398,13 +406,21 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     if "roundtrip" in checks:
         pairs = 0
         ok = True
+        context: dict = {}
         for s_mask, xsbar in valid_pairs(dnf, d_max, tables):
-            enc, _cover = encode(dnf, s_mask, xsbar, tables)
-            if decode(dnf, enc) != (s_mask, xsbar):
+            try:
+                enc, _cover = encode(dnf, s_mask, xsbar, tables)
+                decoded = decode(dnf, enc)
+            except (EncodePreconditionError, EncodingInvariantError, DecodeError) as exc:
+                # an encoder or decoder fault is a failed check, not a usage error
+                context["error"] = f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}"
+                ok = False
+                break
+            if decoded != (s_mask, xsbar):
                 ok = False
                 break
             pairs += 1
-        rows.append(_row("roundtrip", {"pairs": pairs}, pairs, None, ok))
+        rows.append(_row("roundtrip", {"pairs": pairs} | context, pairs, None, ok))
 
     payload = {
         "label": label,
@@ -565,12 +581,10 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
     """Theorem-level quantities, evaluated but never asserted: their "large
     enough width" hypotheses fail at desk scale.  Values are decimal
     approximations of exact family weights against the simplified bounds."""
-    from .covers import num_covers
-
     max_ncov = 0
     for profile in analysis.profiles.values():
-        max_ncov = max(max_ncov, num_covers(analysis.dnf, profile.mask,
-                                            profile.assigned_u))
+        counts = analysis.cover_counts(profile.mask)
+        max_ncov = max(max_ncov, counts.get(profile.assigned_u, 0))
     per_u = []
     for u in range(u_hi + 1):
         weight_at_u = DyadicRational(0)

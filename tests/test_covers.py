@@ -2,12 +2,15 @@
 
 The independent cover oracle enumerates all 2^s term subsets with no
 pruning at all, then filters on the full definition; the production
-counter only ever builds subsets of size at most |S| from terms meeting S.
+counter is a dynamic program over union masks that never lists a cover.
 """
 from fractions import Fraction
 from itertools import chain, combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnf_fourier import (
     Dnf,
@@ -34,7 +37,8 @@ from dnf_fourier.covers import (
     onenorm_width_binom_check,
     pair_count_binom_check,
 )
-from dnf_fourier.generators import SplitMix64, random_read_k
+from dnf_fourier.dnf import Term
+from dnf_fourier.generators import SplitMix64, dense_pool, random_read_k
 
 
 def oracle_cover_counts(dnf: Dnf, s_mask: int) -> dict[int, int]:
@@ -78,6 +82,55 @@ def test_num_covers_matches_oracle_on_corpus(bundles):
             assert cover_counts_by_union(b.dnf, s_mask) == oracle_cover_counts(
                 b.dnf, s_mask
             ), (b.label, s_mask)
+
+
+@st.composite
+def _small_dnfs(draw):
+    """DNFs on n <= 7 variables with at most 8 terms, drawn from a pool of
+    at most 4 distinct terms so that duplicates are common; a term with no
+    variables is the empty term, and the second mask negates literals."""
+    n = draw(st.integers(1, 7))
+    masks = st.integers(0, (1 << n) - 1)
+    pool = [
+        Term(vars_mask & ~neg, vars_mask & neg)
+        for vars_mask, neg in draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=4))
+    ]
+    return Dnf(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
+
+
+@given(_small_dnfs())
+@settings(max_examples=80, deadline=None)
+def test_num_covers_matches_oracle_on_random_dnfs(dnf):
+    for s_mask in subsets_up_to(dnf.n, 4):
+        assert cover_counts_by_union(dnf, s_mask) == oracle_cover_counts(dnf, s_mask), s_mask
+
+
+def _total_covers_by_inclusion_exclusion(dnf: Dnf, s_mask: int) -> int:
+    """Sets of at most |S| terms meeting S whose union contains S, counted by
+    inclusion-exclusion over the set of variables of S the union misses."""
+    d = s_mask.bit_count()
+    cands = [t.vars_mask for t in dnf.terms if t.vars_mask & s_mask]
+    total = 0
+    missed = s_mask
+    while True:
+        avoiding = sum(1 for t in cands if not t & missed)
+        sign = -1 if missed.bit_count() % 2 else 1
+        total += sign * sum(comb(avoiding, i) for i in range(d + 1))
+        if missed == 0:
+            return total
+        missed = (missed - 1) & s_mask
+
+
+@pytest.mark.parametrize("s_mask, total", [(0x3F, 9_212_275), (0xAAA, 14_764_949)])
+def test_total_covers_of_a_dense_pool(s_mask, total):
+    # 60 terms on 12 variables: a cover enumeration would list tens of
+    # millions of term sets here
+    dnf = dense_pool(60, 3, 12, seed=5)
+    d = s_mask.bit_count()
+    meeting = sum(1 for t in dnf.terms if t.vars_mask & s_mask)
+    assert sum(comb(meeting, i) for i in range(d + 1)) > 20_000_000
+    assert _total_covers_by_inclusion_exclusion(dnf, s_mask) == total
+    assert sum(cover_counts_by_union(dnf, s_mask).values()) == total
 
 
 # -- family classification ----------------------------------------------------

@@ -14,7 +14,9 @@ from dnf_fourier import (
     run_verify,
     tribes,
 )
+from dnf_fourier.bitops import subsets_up_to
 from dnf_fourier.cli import main
+from dnf_fourier.encoder import DecodeError, EncodePreconditionError, EncodingInvariantError
 from dnf_fourier.experiments import ConfigError, family_csv, render_json, rows_jsonl
 
 
@@ -232,6 +234,49 @@ def test_cli_verify_exit_one_on_failed_check(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"instances": []}))
     assert cli.main(["verify", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("target, error", [
+    ("decode", DecodeError),
+    ("encode", EncodePreconditionError),
+    ("encode", EncodingInvariantError),
+])
+def test_cli_verify_reports_codec_fault_as_failed_roundtrip(tmp_path, monkeypatch,
+                                                            target, error):
+    import dnf_fourier.experiments as experiments
+
+    def broken(*args, **kwargs):
+        raise error("injected fault")
+
+    monkeypatch.setattr(experiments, target, broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}],
+        "checks": ["spectral_basics", "roundtrip"],
+    }))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(cfg_path), "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["instances"][0]["checks"]
+    row = next(r for r in rows if r["check"] == "roundtrip")
+    assert row["holds"] is False
+    assert row["context"]["error"].startswith(error.__name__)
+    assert all(r["holds"] for r in rows if r["check"] != "roundtrip")
+
+
+def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):
+    from dnf_fourier import covers
+
+    counted = []
+    count = covers.cover_counts_by_union
+
+    def spy(dnf, s_mask):
+        counted.append(s_mask)
+        return count(dnf, s_mask)
+
+    monkeypatch.setattr(covers, "cover_counts_by_union", spy)
+    report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4))
+    assert report["summary"]["ok"]
+    assert sorted(counted) == subsets_up_to(6, 4)
 
 
 def test_sweep_csv_and_report_only_block(tmp_path):
