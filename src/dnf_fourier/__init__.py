@@ -26,10 +26,7 @@ from .covers import (
     check_abs_fourier_u,
     check_onenorm_u,
     check_twonorm_u,
-    classify_families,
     exact_width_cover_bound,
-    num_covers,
-    num_covers_total,
     read_cover_count_bound,
     st_inequality_check,
 )
@@ -95,7 +92,6 @@ __all__ = [
     "check_abs_fourier_u",
     "check_onenorm_u",
     "check_twonorm_u",
-    "classify_families",
     "cover_probability_check",
     "decode",
     "dense_pool",
@@ -107,8 +103,6 @@ __all__ = [
     "fourier_transform",
     "hamming_distance_fraction",
     "min_coeffs_for_eps",
-    "num_covers",
-    "num_covers_total",
     "one_norm_at_degree",
     "random_read_k",
     "read_cover_count_bound",

@@ -71,9 +71,6 @@ class BooleanFunction:
     def value(self, x: int) -> int:
         return (self.bits >> x) & 1
 
-    def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits == (1 << self.size) - 1
-
     def to_array(self) -> np.ndarray:
         """Truth table as a uint8 array of 0/1, index = assignment mask."""
         nbytes = max(1, self.size // 8)

@@ -10,6 +10,8 @@ Subcommands:
   covers       cover counts and read-based bounds for one subset
 
 Exit codes: 0 success, 1 a verified inequality failed, 2 usage or cap errors.
+A verify instance that cannot be loaded is an error entry in the report,
+which is still written, and the exit code is 2.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import sys
 
 from .bitops import vars_to_mask
 from .boolfn import CapExceededError, fourier_transform
-from .covers import num_covers_total, cover_counts_by_union, read_cover_count_bound
+from .covers import cover_counts_by_union, read_cover_count_bound
 from .dnf import ParseError, load_dnf
 from .encoder import decode, encode, valid_pairs
 from .experiments import (
@@ -150,6 +152,11 @@ def _dispatch(args) -> int:
         if args.rows_jsonl:
             with open(args.rows_jsonl, "w", encoding="utf-8") as fh:
                 fh.write(rows_jsonl(report))
+        errors = [i for i in report["instances"] if "error" in i]
+        for inst in errors:
+            print(f"error: {inst['label']}: {inst['error']}", file=sys.stderr)
+        if errors:
+            return USAGE_ERROR
         return 0 if report["summary"]["ok"] else CHECK_FAILURE
 
     if args.command == "sweep":
@@ -175,7 +182,7 @@ def _dispatch(args) -> int:
 
         pairs = 0
         lines = []
-        for s_mask, xsbar in valid_pairs(dnf, args.d_max, tables):
+        for s_mask, xsbar in valid_pairs(tables, args.d_max):
             enc, _ = encode(dnf, s_mask, xsbar, tables)
             if decode(dnf, enc) != (s_mask, xsbar):
                 print(f"ROUNDTRIP FAILED at S={s_mask:#x}, x={xsbar:#x}")
@@ -192,11 +199,11 @@ def _dispatch(args) -> int:
         dnf = load_dnf(args.dnf_file)
         s_mask = _parse_set(args.set)
         counts = cover_counts_by_union(dnf, s_mask)
-        r = read_cover_count_bound(dnf, s_mask)
+        r = read_cover_count_bound(dnf, s_mask, counts)
         print(f"S mask {s_mask:#x}, |S| = {s_mask.bit_count()}")
         for u in sorted(counts):
             print(f"  union size {u}: {counts[u]} covers")
-        print(f"total covers: {num_covers_total(dnf, s_mask)}")
+        print(f"total covers: {r.lhs}")
         print(f"read-based bound: {r.bound} (holds: {r.holds})")
         return 0
 

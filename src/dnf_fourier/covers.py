@@ -11,20 +11,26 @@ exact arithmetic, every inequality that relates
 * the probability of a full-depth restriction with a given union size,
 * and the number of ways S can be covered by terms at all.
 
-A cover of S counted by ``num_covers`` is a set of term indices such that
-every selected term shares a variable with S, the union of their variable
-sets contains S and has size exactly u, and at most |S| terms are used.
-Terms are counted by index, so duplicate terms give distinct covers.
-Covers produced by the encoder satisfy all of these (each selected term
-contains a free variable), so ``num_covers`` dominates the number of
-distinct observed covers, which is what the probability bounds need.
-The empty set has the single empty cover, with union size 0.
+A cover of S with union size u is a set of term indices such that every
+selected term shares a variable with S, the union of their variable sets
+contains S and has size exactly u, and at most |S| terms are used; their
+number is num_covers(S, u).  Terms are counted by index, so duplicate
+terms give distinct covers.  Covers produced by the encoder satisfy all
+of these (each selected term contains a free variable), so num_covers
+dominates the number of distinct observed covers, which is what the
+probability bounds need.  The empty set has the single empty cover, with
+union size 0.
 
-``cover_counts_by_union`` counts covers with a dynamic program over
-(term count, union mask) rather than by enumerating term subsets, so its
-cost is bounded by the number of distinct unions, not by the number of
-covers, and it has no cap.  ``FamilyAnalysis.cover_counts`` keeps one
-count per subset for every check that needs it.
+``cover_counts_by_union`` returns num_covers(S, u) for every u, by a
+dynamic program over (term count, union mask) rather than by enumerating
+term subsets, so its cost is bounded by the number of distinct unions,
+not by the number of covers, and it has no cap.
+``FamilyAnalysis.cover_counts`` keeps one count per subset for every
+check that needs it.
+
+The caller builds an instance's truth table, spectrum, restriction
+tables and family analysis once and passes them in; nothing here builds
+them again.
 """
 from __future__ import annotations
 
@@ -34,15 +40,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
 from .bitops import pdep, subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
     FourierSpectrum,
-    fourier_transform,
-    popcount_table,
+    fourier_transform,  # no caller here, but bench/spans.py wraps this name
+    one_norm_at_degree,
 )
 from .dnf import Dnf
 from .dyadic import DyadicRational
@@ -83,22 +87,20 @@ class SubsetProfile:
 
 
 class FamilyAnalysis:
-    """The family partition of all subsets up to size d_max, plus raw counts."""
+    """The family partition of all subsets up to size d_max, plus raw counts.
+
+    ``tables`` and ``spec`` are the restriction tables and the spectrum of
+    ``dnf``'s truth table."""
 
     def __init__(
-        self,
-        dnf: Dnf,
-        d_max: int,
-        tables: RestrictionTables | None = None,
-        spec: FourierSpectrum | None = None,
+        self, dnf: Dnf, d_max: int, tables: RestrictionTables, spec: FourierSpectrum
     ):
         if d_max > DT_CAP:
             raise CapExceededError(f"d_max={d_max} exceeds decision-tree cap {DT_CAP}")
         self.dnf = dnf
         self.d_max = min(d_max, dnf.n)
-        self.f: BooleanFunction = tables.f if tables is not None else dnf.evaluate()
-        self.tables = tables or RestrictionTables(self.f)
-        self.spec = spec or fourier_transform(self.f)
+        self.tables = tables
+        self.spec = spec
         self.families: dict[FamilyKey, FamilyStats] = {}
         self.profiles: dict[int, SubsetProfile] = {}
         self.unassigned: list[int] = []  # no full-depth witness; coefficient is 0
@@ -189,15 +191,6 @@ class FamilyAnalysis:
                 inside = inside + stats.two_norm_sq
         return self.spec.total_weight() - inside
 
-    def max_union_size(self) -> int:
-        return max((key.u for key in self.families), default=0)
-
-
-def classify_families(dnf: Dnf, d_max: int) -> dict[FamilyKey, FamilyStats]:
-    """Assign every subset of size <= d_max with a full-depth witness to its
-    (d, most-frequent-union-size) family; ties go to the smaller union size."""
-    return FamilyAnalysis(dnf, d_max).families
-
 
 # -- cover counting ----------------------------------------------------------
 
@@ -229,16 +222,6 @@ def cover_counts_by_union(dnf: Dnf, s_mask: int) -> dict[int, int]:
     return counts
 
 
-def num_covers(dnf: Dnf, s_mask: int, u: int) -> int:
-    """Covers of S with union size exactly u (see the module docstring)."""
-    return cover_counts_by_union(dnf, s_mask).get(u, 0)
-
-
-def num_covers_total(dnf: Dnf, s_mask: int) -> int:
-    """Covers of S of any union size."""
-    return sum(cover_counts_by_union(dnf, s_mask).values())
-
-
 # -- check results -----------------------------------------------------------
 
 
@@ -261,51 +244,39 @@ class CheckResult:
 # -- degree-level counting checks --------------------------------------------
 
 
-def onenorm_count_check(
-    dnf: Dnf, d: int, analysis: FamilyAnalysis
-) -> CheckResult:
+def onenorm_count_check(analysis: FamilyAnalysis, d: int) -> CheckResult:
     """1-norm at degree d against the density of full-depth pairs:
     sum of |fhat(S)| over |S|=d  <=  2^-(n-d) * #pairs."""
-    n = dnf.n
-    sel = popcount_table(n) == d
-    lhs = DyadicRational(int(np.sum(np.abs(analysis.spec.scaled[sel]))), n)
+    lhs = one_norm_at_degree(analysis.spec, d)
     pairs = analysis.pair_count_at_degree(d)
-    bound = DyadicRational(pairs, n - d)
+    bound = DyadicRational(pairs, analysis.dnf.n - d)
     return CheckResult(lhs, bound, lhs <= bound, {"pairs": pairs})
 
 
-def onenorm_width_binom_check(
-    dnf: Dnf, d: int, analysis: FamilyAnalysis
-) -> CheckResult:
+def onenorm_width_binom_check(analysis: FamilyAnalysis, d: int) -> CheckResult:
     """1-norm at degree d against the binomial bound C(w*d, d) * 2^(2d)."""
-    n = dnf.n
-    w = dnf.width()
-    sel = popcount_table(n) == d
-    lhs = DyadicRational(int(np.sum(np.abs(analysis.spec.scaled[sel]))), n)
+    w = analysis.dnf.width()
+    lhs = one_norm_at_degree(analysis.spec, d)
     bound = comb(w * d, d) << (2 * d)
     return CheckResult(lhs, DyadicRational(bound), lhs <= DyadicRational(bound))
 
 
-def pair_count_binom_check(
-    dnf: Dnf, d: int, analysis: FamilyAnalysis
-) -> CheckResult:
+def pair_count_binom_check(analysis: FamilyAnalysis, d: int) -> CheckResult:
     """Injectivity consequence: the number of full-depth pairs at degree d
     is at most 2^n * C(w*d, d) * 2^d (x_sat choices * sigma choices * a)."""
-    w = dnf.width()
+    w = analysis.dnf.width()
     count = analysis.pair_count_at_degree(d)
-    bound = comb(w * d, d) << (dnf.n + d)
+    bound = comb(w * d, d) << (analysis.dnf.n + d)
     return CheckResult(count, bound, count <= bound)
 
 
 # -- family-level checks -----------------------------------------------------
 
 
-def family_onenorm_count_check(
-    dnf: Dnf, d: int, u: int, analysis: FamilyAnalysis
-) -> CheckResult:
+def family_onenorm_count_check(analysis: FamilyAnalysis, d: int, u: int) -> CheckResult:
     """Family 1-norm against the pair count at (d, u):
     sum over the family of |fhat| <= (wd+1) * 2^-(n-d) * #pairs(d, u)."""
-    n, w = dnf.n, dnf.width()
+    n, w = analysis.dnf.n, analysis.dnf.width()
     stats = analysis.families.get(FamilyKey(d, u))
     lhs = stats.one_norm if stats else DyadicRational(0)
     pairs = analysis.pair_count(d, u)
@@ -313,32 +284,26 @@ def family_onenorm_count_check(
     return CheckResult(lhs, bound, lhs <= bound, {"pairs": pairs})
 
 
-def check_onenorm_u(
-    dnf: Dnf, d: int, u: int, analysis: FamilyAnalysis | None = None
-) -> CheckResult:
+def check_onenorm_u(analysis: FamilyAnalysis, d: int, u: int) -> CheckResult:
     """Family 1-norm bound: sum of |fhat(S)| over the (d, u) family is at
     most (wd+1) * C(u, d) * 2^(2d)."""
-    analysis = analysis or FamilyAnalysis(dnf, d)
-    w = dnf.width()
+    w = analysis.dnf.width()
     stats = analysis.families.get(FamilyKey(d, u))
     lhs = stats.one_norm if stats else DyadicRational(0)
     bound = DyadicRational((w * d + 1) * comb(u, d) << (2 * d))
     return CheckResult(lhs, bound, lhs <= bound)
 
 
-def check_abs_fourier_u(
-    dnf: Dnf, s_mask: int, analysis: FamilyAnalysis | None = None
-) -> CheckResult:
+def check_abs_fourier_u(analysis: FamilyAnalysis, s_mask: int) -> CheckResult:
     """Per-subset chain at S's own family key (d, u):
 
       |fhat(S)|  <=  (wd+1) * Pr[full depth and union size u],
-      Pr[...]    <=  2^-(u-d) * #distinct covers  <=  2^-(u-d) * num_covers(S).
+      Pr[...]    <=  2^-(u-d) * #distinct covers  <=  2^-(u-d) * num_covers(S, u).
 
     holds is the conjunction; the pieces are in extras.
     """
     d = s_mask.bit_count()
-    analysis = analysis or FamilyAnalysis(dnf, d)
-    n, w = dnf.n, dnf.width()
+    n, w = analysis.dnf.n, analysis.dnf.width()
     profile = analysis.profiles.get(s_mask)
     if profile is None:
         zero = DyadicRational(0)
@@ -370,13 +335,10 @@ def check_abs_fourier_u(
     )
 
 
-def check_twonorm_u(
-    dnf: Dnf, d: int, u: int, analysis: FamilyAnalysis | None = None
-) -> CheckResult:
+def check_twonorm_u(analysis: FamilyAnalysis, d: int, u: int) -> CheckResult:
     """Family weight bound: sum of fhat(S)^2 over the (d, u) family is at
     most (wd+1)^2 * C(u, d) * 2^(3d) * 2^-u * max num_covers."""
-    analysis = analysis or FamilyAnalysis(dnf, d)
-    w = dnf.width()
+    w = analysis.dnf.width()
     stats = analysis.families.get(FamilyKey(d, u))
     if stats is None:
         zero = DyadicRational(0)
@@ -406,22 +368,18 @@ def _le_exp(target: Fraction, m: int) -> tuple[bool, RealEnclosure]:
     return decide_le(target, lambda p: exp_enclosure(Fraction(m), p))
 
 
-def read_cover_count_bound(
-    dnf: Dnf, s_mask: int, counts: dict[int, int] | None = None
-) -> CheckResult:
+def read_cover_count_bound(dnf: Dnf, s_mask: int, counts: dict[int, int]) -> CheckResult:
     """Total covers of S against the read-based budget:
 
-      num_covers_total(S)  <=  sum_{i<=d} C(kd, i)  <=  C(kd+d, d)
-                           <=  (e(k+1))^d.
+      sum_u num_covers(S, u)  <=  sum_{i<=d} C(kd, i)  <=  C(kd+d, d)
+                              <=  (e(k+1))^d.
 
     The first inequality is the asserted bound; the rest of the chain is
     verified too (the last link rigorously, via an enclosure of e^d).
-    ``counts`` is S's ``cover_counts_by_union``, counted here if not given.
+    ``counts`` is S's ``cover_counts_by_union``.
     """
     d = s_mask.bit_count()
     k = dnf.read()
-    if counts is None:
-        counts = cover_counts_by_union(dnf, s_mask)
     count = sum(counts.values())
     bound = sum(comb(k * d, i) for i in range(d + 1))
     mid = comb(k * d + d, d)
@@ -442,7 +400,7 @@ def read_cover_count_bound(
 
 
 def exact_width_cover_bound(
-    dnf: Dnf, s_mask: int, u: int, counts: dict[int, int] | None = None
+    dnf: Dnf, s_mask: int, u: int, counts: dict[int, int]
 ) -> CheckResult:
     """Cover count at union size u for exact-width DNFs.
 
@@ -454,15 +412,13 @@ def exact_width_cover_bound(
 
     When ku/w is an integer m, the classical chain
     C(kd, m) <= C(ku, m) <= (ew)^m is verified as well.  ``counts`` is
-    S's ``cover_counts_by_union``, counted here if not given.
+    S's ``cover_counts_by_union``.
     """
     widths = {t.width for t in dnf.terms}
     if len(widths) > 1:
         raise ValueError(f"term widths are not uniform: {sorted(widths)}")
     d = s_mask.bit_count()
     k = dnf.read()
-    if counts is None:
-        counts = cover_counts_by_union(dnf, s_mask)
     count = counts.get(u, 0)
     if not widths or widths == {0}:
         bound = 1 if u == 0 else 0
@@ -487,13 +443,13 @@ def exact_width_cover_bound(
 # -- satisfied-mass inequality and the set-size budget bound ------------------
 
 
-def st_inequality_check(dnf: Dnf, f: BooleanFunction | None = None) -> CheckResult:
-    """Sum of 2^-|T_j| over all terms against read * ln(1 / (1 - Pr[f])).
+def st_inequality_check(dnf: Dnf, f: BooleanFunction) -> CheckResult:
+    """Sum of 2^-|T_j| over all terms against read * ln(1 / (1 - Pr[f])),
+    where f is ``dnf``'s truth table.
 
     Exact on the left; the right side is enclosed rigorously.  When f is
     constant true the right side is infinite and the check is vacuous.
     """
-    f = f or dnf.evaluate()
     k = dnf.read()
     lhs = DyadicRational(0)
     for t in dnf.terms:

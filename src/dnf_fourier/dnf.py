@@ -164,10 +164,6 @@ class Dnf:
             table |= keys == np.uint32(t.pos_mask)
         return BooleanFunction.from_array(self.n, table)
 
-    def satisfied_terms(self, x: int) -> frozenset[int]:
-        """1-based indices of the terms satisfied by the full assignment x."""
-        return frozenset(i + 1 for i, t in enumerate(self.terms) if t.satisfied_by(x))
-
     def truncate_width(self, w: int) -> "Dnf":
         """Drop every term with more than w literals, preserving order.
 

@@ -141,7 +141,3 @@ class DyadicRational:
 
     def __repr__(self) -> str:
         return f"DyadicRational({self.numerator}, {self.log_denominator})"
-
-
-ZERO = DyadicRational(0)
-ONE = DyadicRational(1)

@@ -147,15 +147,13 @@ def _lex_depth_preserving(
 
 
 def encode(
-    dnf: Dnf,
-    s_mask: int,
-    xsbar_bits: int,
-    tables: RestrictionTables | None = None,
+    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
 ) -> tuple[Encoding, CoverRecord]:
     """Encode the full-depth pair (S, x_Sbar) into (x_sat, sigma, a).
 
     ``xsbar_bits`` is the fixed-side assignment as an n-bit mask (bits at
-    free positions must be zero).  Raises EncodePreconditionError when the
+    free positions must be zero); ``tables`` are the restriction tables of
+    ``dnf``'s truth table.  Raises EncodePreconditionError when the
     restriction does not have decision-tree depth |S|, and
     EncodingInvariantError if any internal correctness invariant fails
     (which would falsify the counting argument).
@@ -166,8 +164,6 @@ def encode(
         raise ValueError(f"mask beyond n={n} variables")
     if xsbar_bits & s_mask:
         raise ValueError("fixed assignment overlaps the free set")
-    if tables is None:
-        tables = RestrictionTables(dnf.evaluate())
     d = s_mask.bit_count()
     if not tables.full_depth_at(s_mask, xsbar_bits):
         raise EncodePreconditionError(
@@ -231,10 +227,7 @@ def encode(
 
 
 def extract_cover(
-    dnf: Dnf,
-    s_mask: int,
-    xsbar_bits: int,
-    tables: RestrictionTables | None = None,
+    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
 ) -> CoverRecord:
     """The cover of (S, x_Sbar): the terms an encode run selects."""
     return encode(dnf, s_mask, xsbar_bits, tables)[1]
@@ -293,17 +286,11 @@ def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
     return s_mask, x & ~s_mask
 
 
-def valid_pairs(
-    dnf: Dnf,
-    d_max: int,
-    tables: RestrictionTables | None = None,
-) -> Iterator[tuple[int, int]]:
+def valid_pairs(tables: RestrictionTables, d_max: int) -> Iterator[tuple[int, int]]:
     """All (S mask, x_Sbar bits) with |S| <= d_max and a full-depth
     restriction, in (ascending S mask, ascending fixed index) order."""
-    if tables is None:
-        tables = RestrictionTables(dnf.evaluate())
-    full = (1 << dnf.n) - 1
-    for s_mask in subsets_up_to(dnf.n, d_max):
+    full = (1 << tables.n) - 1
+    for s_mask in subsets_up_to(tables.n, d_max):
         fixed_mask = full ^ s_mask
         for idx in tables.full_depth_sbar_indices(s_mask):
             yield s_mask, pdep(int(idx), fixed_mask)

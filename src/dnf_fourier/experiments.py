@@ -2,10 +2,12 @@
 
 ``run_verify`` executes the full battery of exact inequality checks on each
 configured instance and collects one report; any failed asserted check makes
-the report (and the CLI) signal failure.  ``run_concentration_sweep``
-measures spectral sparsity and how much weight small-union-size families
-capture, without asserting theorem-level claims whose hypotheses do not
-hold at desk scale (those are emitted as report-only rows).
+the report (and the CLI) signal failure.  An instance that cannot be
+loaded or built is an ``error`` entry with no rows, and the other
+instances still run.  ``run_concentration_sweep`` measures spectral
+sparsity and how much weight small-union-size families capture, without
+asserting theorem-level claims whose hypotheses do not hold at desk scale
+(those are emitted as report-only rows).
 
 Reports are pure functions of the configuration and instance content:
 worker counts and output paths never appear in a report body, results are
@@ -24,6 +26,7 @@ import numpy as np
 
 from .bitops import subsets_up_to
 from .boolfn import (
+    CapExceededError,
     fourier_transform,
     hamming_distance_fraction,
     min_coeffs_for_eps,
@@ -48,7 +51,7 @@ from .covers import (
     read_cover_count_bound,
     st_inequality_check,
 )
-from .dnf import Dnf, load_dnf
+from .dnf import Dnf, ParseError, load_dnf
 from .dyadic import DyadicRational
 from .enclosures import floor_scaled_log2
 from .encoder import (
@@ -59,7 +62,7 @@ from .encoder import (
     encode,
     valid_pairs,
 )
-from .generators import GeneratorSpec
+from .generators import GenerationError, GeneratorSpec
 from .restrictions import (
     DT_CAP,
     RestrictionTables,
@@ -98,10 +101,12 @@ class InstanceSource:
     path: str | None = None
     spec: GeneratorSpec | None = None
 
-    def load(self) -> tuple[str, Dnf]:
-        if self.kind == "file":
-            return self.path, load_dnf(self.path)
-        return self.spec.label(), self.spec.build()
+    @property
+    def label(self) -> str:
+        return self.path if self.kind == "file" else self.spec.label()
+
+    def load(self) -> Dnf:
+        return load_dnf(self.path) if self.kind == "file" else self.spec.build()
 
     def to_dict(self) -> dict:
         if self.kind == "file":
@@ -236,12 +241,18 @@ def effective_d_max(config_d_max: int | None, n: int) -> int:
 
 
 def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
-    """Run the configured checks on one instance and return its report dict."""
+    """Run the configured checks on one instance and return its report dict.
+
+    The instance's truth table, spectrum, restriction tables and family
+    analysis are built here, once, and passed to every check."""
     n = dnf.n
     s, w, k = dnf.metrics()
     f = dnf.evaluate()
     spec = fourier_transform(f)
     tables = RestrictionTables(f)
+    total_weight = spec.total_weight()
+    one_norm = spec.one_norm_total()
+    min_coeffs = min_coeffs_for_eps(spec, config.eps)
     d_max = effective_d_max(config.d_max, n)
     checks = set(config.checks)
     rows: list[dict] = []
@@ -253,9 +264,8 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     subsets = subsets_up_to(n, d_max)
 
     if "spectral_basics" in checks:
-        total = spec.total_weight()
         mean = DyadicRational(f.ones, n)
-        rows.append(_row("parseval", {}, total, mean, total == mean))
+        rows.append(_row("parseval", {}, total_weight, mean, total_weight == mean))
         # evaluating the polynomial at every point (the inverse transform)
         # must reproduce the truth table exactly
         recon = walsh_butterfly(spec.scaled.astype(np.int64))
@@ -263,17 +273,14 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         rows.append(_row("reconstruction", {}, "poly(x)", "f(x)", ok))
 
     if "sparsity" in checks:
-        m_norm = spec.one_norm_total()
-        coeffs_needed = min_coeffs_for_eps(spec, config.eps)
-        m2_over_eps = m_norm.as_fraction() ** 2 / config.eps
-        bound = math.ceil(m2_over_eps)
+        bound = math.ceil(one_norm.as_fraction() ** 2 / config.eps)
         rows.append(
             _row(
                 "sparsity_onenorm",
-                {"eps": str(config.eps), "one_norm": _fmt(m_norm)},
-                coeffs_needed,
+                {"eps": str(config.eps), "one_norm": _fmt(one_norm)},
+                min_coeffs,
                 bound,
-                coeffs_needed <= bound,
+                min_coeffs <= bound,
             )
         )
 
@@ -308,7 +315,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "evasive" in checks:
         for m in subsets:
-            lhs, rhs, ok = evasive_bound_check(f, m, tables, spec)
+            lhs, rhs, ok = evasive_bound_check(tables, m, spec)
             rows.append(_row("evasive", {"S_mask": m}, lhs, rhs, ok))
 
     if "cover_probability" in checks:
@@ -319,34 +326,33 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "degree_counts" in checks:
         for d in range(d_max + 1):
-            r = onenorm_count_check(dnf, d, analysis)
+            r = onenorm_count_check(analysis, d)
             rows.append(_row("onenorm_pair_count", {"d": d}, r.lhs, r.bound, r.holds))
-            r = onenorm_width_binom_check(dnf, d, analysis)
+            r = onenorm_width_binom_check(analysis, d)
             rows.append(_row("onenorm_width_binom", {"d": d}, r.lhs, r.bound, r.holds))
-            r = pair_count_binom_check(dnf, d, analysis)
+            r = pair_count_binom_check(analysis, d)
             rows.append(_row("pair_count_binom", {"d": d}, r.lhs, r.bound, r.holds))
 
     if "families" in checks:
         for key in sorted(analysis.families, key=lambda fk: (fk.d, fk.u)):
             ctx = {"d": key.d, "u": key.u}
-            r = family_onenorm_count_check(dnf, key.d, key.u, analysis)
+            r = family_onenorm_count_check(analysis, key.d, key.u)
             rows.append(_row("family_onenorm_count", ctx, r.lhs, r.bound, r.holds))
-            r = check_onenorm_u(dnf, key.d, key.u, analysis)
+            r = check_onenorm_u(analysis, key.d, key.u)
             rows.append(_row("family_onenorm_binom", ctx, r.lhs, r.bound, r.holds))
-            r = check_twonorm_u(dnf, key.d, key.u, analysis)
+            r = check_twonorm_u(analysis, key.d, key.u)
             rows.append(_row("family_twonorm", ctx, r.lhs, r.bound, r.holds))
             r = family_cauchy_check(analysis.families[key])
             rows.append(_row("family_cauchy", ctx, r.lhs, r.bound, r.holds))
         for m in sorted(analysis.profiles):
-            r = check_abs_fourier_u(dnf, m, analysis)
-            ok = r.holds
+            r = check_abs_fourier_u(analysis, m)
             rows.append(
                 _row(
                     "family_abs_coeff",
                     {"S_mask": m, "u": r.extras.get("u")},
                     r.lhs,
                     r.bound,
-                    ok,
+                    r.holds,
                 )
             )
 
@@ -407,7 +413,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         pairs = 0
         ok = True
         context: dict = {}
-        for s_mask, xsbar in valid_pairs(dnf, d_max, tables):
+        for s_mask, xsbar in valid_pairs(tables, d_max):
             try:
                 enc, _cover = encode(dnf, s_mask, xsbar, tables)
                 decoded = decode(dnf, enc)
@@ -429,10 +435,10 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         "pr_true": _fmt(Fraction(f.ones, 1 << n)),
         "d_max": d_max,
         "eps": str(config.eps),
-        "min_coeffs": min_coeffs_for_eps(spec, config.eps),
+        "min_coeffs": min_coeffs,
         "fourier": {
-            "total_weight": _fmt(spec.total_weight()),
-            "one_norm": _fmt(spec.one_norm_total()),
+            "total_weight": _fmt(total_weight),
+            "one_norm": _fmt(one_norm),
             "degree": spec.degree(),
         },
         "checks": rows,
@@ -481,8 +487,14 @@ def _tail_table(analysis: FamilyAnalysis) -> list[dict]:
 def _verify_task(args: tuple[dict, dict]) -> dict:
     config_dict, source_dict = args
     config = ExperimentConfig.from_json(json.dumps(config_dict))
-    label, dnf = InstanceSource.from_dict(source_dict).load()
-    return verify_instance(dnf, label, config)
+    source = InstanceSource.from_dict(source_dict)
+    try:
+        dnf = source.load()
+    except (ParseError, GenerationError, CapExceededError, FileNotFoundError) as exc:
+        # one unusable instance is an entry in the report; the others still run
+        return {"label": source.label, "error": f"{type(exc).__name__}: {exc}",
+                "checks": [], "failures": 1}
+    return verify_instance(dnf, source.label, config)
 
 
 def _run_tasks(config: ExperimentConfig, task) -> list[dict]:
@@ -523,7 +535,7 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     degree_cut = floor_scaled_log2(three_over_eps, config.c_param * w) if w else 0
     d_max = min(n, degree_cut if degree_cut > 0 else n, DT_CAP,
                 config.d_max if config.d_max is not None else n)
-    analysis = FamilyAnalysis(dnf, d_max)
+    analysis = FamilyAnalysis(dnf, d_max, RestrictionTables(f), spec)
 
     u_hi = min(w * d_max, n) if w else 0
     tail_rows = []
@@ -636,8 +648,8 @@ def _theorem_hypotheses(w: int, k: int) -> dict:
 def _sweep_task(args: tuple[dict, dict]) -> dict:
     config_dict, source_dict = args
     config = ExperimentConfig.from_json(json.dumps(config_dict))
-    label, dnf = InstanceSource.from_dict(source_dict).load()
-    return sweep_instance(dnf, label, config)
+    source = InstanceSource.from_dict(source_dict)
+    return sweep_instance(source.load(), source.label, config)
 
 
 def run_concentration_sweep(config: ExperimentConfig) -> dict:

@@ -34,7 +34,6 @@ from .boolfn import (
     CapExceededError,
     DimensionMismatchError,
     FourierSpectrum,
-    fourier_transform,
 )
 from .dnf import Dnf
 from .dyadic import DyadicRational
@@ -61,10 +60,6 @@ class Restriction:
             raise DimensionMismatchError("free variables beyond n")
         if self.fixed_bits & ~full or self.fixed_bits & self.free_mask:
             raise DimensionMismatchError("fixed assignment overlaps free variables")
-
-    @property
-    def fixed_mask(self) -> int:
-        return ((1 << self.n) - 1) ^ self.free_mask
 
 
 def _split(table: int, n: int, i: int) -> tuple[int, int]:
@@ -233,38 +228,28 @@ def satisfied_union_table(dnf: Dnf) -> np.ndarray:
 
 
 def evasive_bound_check(
-    f: BooleanFunction,
-    s_mask: int,
-    tables: RestrictionTables | None = None,
-    spec: FourierSpectrum | None = None,
+    tables: RestrictionTables, s_mask: int, spec: FourierSpectrum
 ) -> tuple[DyadicRational, DyadicRational, bool]:
     """Compare |fhat(S)| against the fraction of fixed-side assignments where
     the full-depth predicate E_S holds (the restriction needs depth |S|).
 
     Returns (lhs, rhs, lhs <= rhs), all exact.
     """
-    tables = tables or RestrictionTables(f)
-    spec = spec or fourier_transform(f)
     d = s_mask.bit_count()
     lhs = abs(spec.coeff(s_mask))
-    rhs = DyadicRational(tables.full_depth_count(s_mask), f.n - d)
+    rhs = DyadicRational(tables.full_depth_count(s_mask), tables.n - d)
     return lhs, rhs, lhs <= rhs
 
 
 def cover_probability_check(
-    f_dnf: Dnf,
-    s_mask: int,
-    spec: FourierSpectrum | None = None,
-    sat_union: np.ndarray | None = None,
+    f_dnf: Dnf, s_mask: int, spec: FourierSpectrum, sat_union: np.ndarray
 ) -> tuple[DyadicRational, DyadicRational, bool]:
     """Compare |fhat(S)| against 2^|S| times the probability that every
-    variable of S lies in some term satisfied by a uniform input.
+    variable of S lies in some term satisfied by a uniform input
+    (``sat_union`` is ``satisfied_union_table(f_dnf)``).
 
     Returns (lhs, rhs, lhs <= rhs), all exact.
     """
-    spec = spec or fourier_transform(f_dnf.evaluate())
-    if sat_union is None:
-        sat_union = satisfied_union_table(f_dnf)
     d = s_mask.bit_count()
     lhs = abs(spec.coeff(s_mask))
     covered = int(np.count_nonzero((sat_union & s_mask) == s_mask))

@@ -50,16 +50,17 @@ class Bundle:
     analysis: FamilyAnalysis
 
 
+def make_bundle(label: str, dnf: Dnf, d_max: int = CORPUS_D_MAX) -> Bundle:
+    """One instance's context, built once as verify builds it."""
+    f = dnf.evaluate()
+    spec = fourier_transform(f)
+    tables = RestrictionTables(f)
+    return Bundle(label, dnf, f, spec, tables, FamilyAnalysis(dnf, d_max, tables, spec))
+
+
 @functools.lru_cache(maxsize=1)
 def corpus_bundles() -> tuple[Bundle, ...]:
-    bundles = []
-    for label, dnf in corpus_instances():
-        f = dnf.evaluate()
-        spec = fourier_transform(f)
-        tables = RestrictionTables(f)
-        analysis = FamilyAnalysis(dnf, CORPUS_D_MAX, tables, spec)
-        bundles.append(Bundle(label, dnf, f, spec, tables, analysis))
-    return tuple(bundles)
+    return tuple(make_bundle(label, dnf) for label, dnf in corpus_instances())
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from dnf_fourier import (
     FamilyAnalysis,
     GeneratorSpec,
     InstanceSource,
+    RestrictionTables,
     SplitMix64,
     budget_lemma_bound,
     check_abs_fourier_u,
@@ -96,7 +97,7 @@ def test_criterion_2_evasiveness_suite():
     with criterion(2, "evasiveness bound over the corpus", 300):
         for b in corpus_bundles():
             for s_mask in subsets_up_to(b.dnf.n, 4):
-                _, _, holds = evasive_bound_check(b.f, s_mask, b.tables, b.spec)
+                _, _, holds = evasive_bound_check(b.tables, s_mask, b.spec)
                 assert holds, (b.label, s_mask)
 
 
@@ -104,7 +105,7 @@ def test_criterion_3_encode_decode_injectivity():
     with criterion(3, "encode/decode round trip, exhaustive", 600):
         total = 0
         for b in corpus_bundles():
-            for s_mask, xsbar in valid_pairs(b.dnf, 4, b.tables):
+            for s_mask, xsbar in valid_pairs(b.tables, 4):
                 # any internal invariant violation raises and fails the run
                 enc, _ = encode(b.dnf, s_mask, xsbar, b.tables)
                 assert decode(b.dnf, enc) == (s_mask, xsbar), (b.label, s_mask, xsbar)
@@ -117,21 +118,21 @@ def test_criterion_4_counting_bounds():
     with criterion(4, "counting and family bounds", 600):
         for b in corpus_bundles():
             for d in range(4):
-                assert onenorm_count_check(b.dnf, d, b.analysis).holds, (b.label, d)
-                assert onenorm_width_binom_check(b.dnf, d, b.analysis).holds, (b.label, d)
-                assert pair_count_binom_check(b.dnf, d, b.analysis).holds, (b.label, d)
+                assert onenorm_count_check(b.analysis, d).holds, (b.label, d)
+                assert onenorm_width_binom_check(b.analysis, d).holds, (b.label, d)
+                assert pair_count_binom_check(b.analysis, d).holds, (b.label, d)
             for key in b.analysis.families:
                 if key.d > 3:
                     continue
                 ctx = (b.label, key)
-                assert family_onenorm_count_check(b.dnf, key.d, key.u, b.analysis).holds, ctx
-                assert check_onenorm_u(b.dnf, key.d, key.u, b.analysis).holds, ctx
-                assert check_twonorm_u(b.dnf, key.d, key.u, b.analysis).holds, ctx
+                assert family_onenorm_count_check(b.analysis, key.d, key.u).holds, ctx
+                assert check_onenorm_u(b.analysis, key.d, key.u).holds, ctx
+                assert check_twonorm_u(b.analysis, key.d, key.u).holds, ctx
                 assert family_cauchy_check(b.analysis.families[key]).holds, ctx
             for s_mask, profile in b.analysis.profiles.items():
                 if profile.d > 3:
                     continue
-                r = check_abs_fourier_u(b.dnf, s_mask, b.analysis)
+                r = check_abs_fourier_u(b.analysis, s_mask)
                 assert r.holds, (b.label, s_mask)
                 assert r.extras["prob_le_distinct"], (b.label, s_mask)
                 assert r.extras["prob_le_num_covers"], (b.label, s_mask)
@@ -141,10 +142,9 @@ def test_criterion_5_cover_counting():
     with criterion(5, "cover counts vs oracle and read chains", 600):
         for b in corpus_bundles():
             for s_mask in subsets_up_to(b.dnf.n, 4):
-                assert cover_counts_by_union(b.dnf, s_mask) == oracle_cover_counts(
-                    b.dnf, s_mask
-                ), (b.label, s_mask)
-                r = read_cover_count_bound(b.dnf, s_mask)
+                counts = cover_counts_by_union(b.dnf, s_mask)
+                assert counts == oracle_cover_counts(b.dnf, s_mask), (b.label, s_mask)
+                r = read_cover_count_bound(b.dnf, s_mask, counts)
                 assert r.holds and r.extras["chain_mid_holds"] and r.extras[
                     "chain_top_holds"
                 ], (b.label, s_mask)
@@ -157,8 +157,9 @@ def test_criterion_5_cover_counting():
         for dnf in exact_instances:
             w = dnf.width()
             for s_mask in subsets_up_to(dnf.n, 3):
+                counts = cover_counts_by_union(dnf, s_mask)
                 for u in range(s_mask.bit_count(), min(dnf.n, 3 * w) + 1):
-                    r = exact_width_cover_bound(dnf, s_mask, u)
+                    r = exact_width_cover_bound(dnf, s_mask, u, counts)
                     assert r.holds, (dnf.to_json(), s_mask, u)
                     if "chain_mid_holds" in r.extras:
                         assert r.extras["chain_mid_holds"] and r.extras["chain_top_holds"]
@@ -171,7 +172,7 @@ def test_criterion_6_satisfied_mass_inequality():
         for i in range(200):
             k = 1 + i % 3
             dnf = random_read_k(4 + i % 5, 1 + i % 6, 1 + i % 4, k, seed=7000 + i)
-            assert st_inequality_check(dnf).holds, i
+            assert st_inequality_check(dnf, dnf.evaluate()).holds, i
 
 
 def test_criterion_7_budget_lemma():
@@ -195,10 +196,11 @@ def test_criterion_8_concentration_measurement():
         for t in (2, 3, 4):
             dnf = tribes(2, t)
             n, w = dnf.n, dnf.width()
-            spec = fourier_transform(dnf.evaluate())
+            f = dnf.evaluate()
+            spec = fourier_transform(f)
             reported = min_coeffs_for_eps(spec, eps)
             degree_cut = min(n, floor_scaled_log2(Fraction(3) / eps, Fraction(w)))
-            analysis = FamilyAnalysis(dnf, degree_cut)
+            analysis = FamilyAnalysis(dnf, degree_cut, RestrictionTables(f), spec)
             u_hi = min(w * degree_cut, n)
             tails = [analysis.tail_weight(u) for u in range(u_hi + 1)]
             for a, b in zip(tails, tails[1:]):

@@ -20,9 +20,7 @@ from dnf_fourier import (
     check_abs_fourier_u,
     check_onenorm_u,
     check_twonorm_u,
-    classify_families,
     exact_width_cover_bound,
-    num_covers,
     read_cover_count_bound,
     st_inequality_check,
     tribes,
@@ -39,6 +37,8 @@ from dnf_fourier.covers import (
 )
 from dnf_fourier.dnf import Term
 from dnf_fourier.generators import SplitMix64, dense_pool, random_read_k
+
+from conftest import make_bundle
 
 
 def oracle_cover_counts(dnf: Dnf, s_mask: int) -> dict[int, int]:
@@ -68,12 +68,10 @@ def oracle_cover_counts(dnf: Dnf, s_mask: int) -> dict[int, int]:
 
 def test_num_covers_examples():
     pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
-    assert num_covers(pairs, 0b0101, 4) == 1
-    assert num_covers(pairs, 0b0101, 3) == 0
+    assert cover_counts_by_union(pairs, 0b0101) == {4: 1}
     chain2 = Dnf.from_term_literals(2, [[1], [1, 2]])
-    assert num_covers(chain2, 0b01, 1) == 1
-    assert num_covers(chain2, 0b01, 2) == 1
-    assert num_covers(chain2, 0, 0) == 1  # the empty cover
+    assert cover_counts_by_union(chain2, 0b01) == {1: 1, 2: 1}
+    assert cover_counts_by_union(chain2, 0) == {0: 1}  # the empty cover
 
 
 def test_num_covers_matches_oracle_on_corpus(bundles):
@@ -103,6 +101,44 @@ def _small_dnfs(draw):
 def test_num_covers_matches_oracle_on_random_dnfs(dnf):
     for s_mask in subsets_up_to(dnf.n, 4):
         assert cover_counts_by_union(dnf, s_mask) == oracle_cover_counts(dnf, s_mask), s_mask
+
+
+def _relabel(mask: int, perm: list[int]) -> int:
+    """The mask with variable i + 1 moved to variable perm[i] + 1."""
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+@given(_small_dnfs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_relabelling_variables_permutes_spectrum_tables_and_covers(dnf, data):
+    perm = data.draw(st.permutations(range(dnf.n)))
+    image = Dnf(dnf.n, tuple(
+        Term(_relabel(t.pos_mask, perm), _relabel(t.neg_mask, perm)) for t in dnf.terms
+    ))
+    a, b = make_bundle("dnf", dnf), make_bundle("relabelled", image)
+    for s_mask in range(1 << dnf.n):
+        pi_s = _relabel(s_mask, perm)
+        assert b.spec.coeff(pi_s) == a.spec.coeff(s_mask), s_mask
+        assert b.tables.full_depth_count(pi_s) == a.tables.full_depth_count(s_mask), s_mask
+    for s_mask in subsets_up_to(dnf.n, 4):
+        pi_s = _relabel(s_mask, perm)
+        assert b.analysis.cover_counts(pi_s) == a.analysis.cover_counts(s_mask), s_mask
+
+
+@given(_small_dnfs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_negating_a_variable_flips_the_coefficients_that_contain_it(dnf, data):
+    bit = 1 << data.draw(st.integers(0, dnf.n - 1))
+    image = Dnf(dnf.n, tuple(
+        Term(t.pos_mask ^ (bit & t.vars_mask), t.neg_mask ^ (bit & t.vars_mask))
+        for t in dnf.terms
+    ))
+    a, b = make_bundle("dnf", dnf), make_bundle("negated", image)
+    for s_mask in range(1 << dnf.n):
+        sign = -1 if s_mask & bit else 1
+        assert b.spec.coeff(s_mask) == sign * a.spec.coeff(s_mask), s_mask
+    for s_mask in subsets_up_to(dnf.n, 4):
+        assert b.analysis.cover_counts(s_mask) == a.analysis.cover_counts(s_mask), s_mask
 
 
 def _total_covers_by_inclusion_exclusion(dnf: Dnf, s_mask: int) -> int:
@@ -136,19 +172,23 @@ def test_total_covers_of_a_dense_pool(s_mask, total):
 # -- family classification ----------------------------------------------------
 
 
+def _families(dnf, d_max):
+    return make_bundle("", dnf, d_max).analysis.families
+
+
 def test_classify_single_term():
-    fams = classify_families(Dnf.from_term_literals(2, [[1, 2]]), 2)
+    fams = _families(Dnf.from_term_literals(2, [[1, 2]]), 2)
     assert 0b11 in fams[FamilyKey(2, 2)].members
 
 
 def test_classify_disjoint_pairs():
-    fams = classify_families(Dnf.from_term_literals(4, [[1, 2], [3, 4]]), 2)
+    fams = _families(Dnf.from_term_literals(4, [[1, 2], [3, 4]]), 2)
     assert 0b0101 in fams[FamilyKey(2, 4)].members
     assert 0b0011 in fams[FamilyKey(2, 2)].members
 
 
 def test_classify_constant_false():
-    fams = classify_families(Dnf(2, ()), 2)
+    fams = _families(Dnf(2, ()), 2)
     # only the empty set has a (trivially) full-depth witness
     assert set(fams) == {FamilyKey(0, 0)}
     assert all(key.d == 0 for key in fams)
@@ -180,31 +220,31 @@ def test_unassigned_subsets_have_zero_coefficient(bundles):
 
 
 def test_check_onenorm_u_examples():
-    and2 = Dnf.from_term_literals(2, [[1, 2]])
+    and2 = make_bundle("and2", Dnf.from_term_literals(2, [[1, 2]])).analysis
     lhs, bound, holds = check_onenorm_u(and2, 2, 2)
     assert lhs == DyadicRational(1, 2) and bound == DyadicRational(80) and holds
     lhs, bound, holds = check_onenorm_u(and2, 1, 2)
     assert holds  # family (1, 2) holds both coefficients of degree 1
-    t22 = tribes(2, 2)
+    t22 = make_bundle("tribes(2,2)", tribes(2, 2)).analysis
     lhs, bound, holds = check_onenorm_u(t22, 2, 4)
     assert lhs == DyadicRational(1, 2) and holds
 
 
 def test_check_abs_fourier_u_examples():
-    and2 = Dnf.from_term_literals(2, [[1, 2]])
+    and2 = make_bundle("and2", Dnf.from_term_literals(2, [[1, 2]])).analysis
     r = check_abs_fourier_u(and2, 0b11)
     assert r.lhs == DyadicRational(1, 2)
     assert r.extras["prob"] == DyadicRational(1)
     assert r.extras["num_covers"] == 1 and r.holds
 
-    pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
+    pairs = make_bundle("pairs", Dnf.from_term_literals(4, [[1, 2], [3, 4]])).analysis
     r = check_abs_fourier_u(pairs, 0b0101)
     assert r.lhs == DyadicRational(1, 4)
     assert r.extras["u"] == 4
     assert r.extras["prob"] <= DyadicRational(1, 2)  # 2^-(u-d) * numCovers
     assert r.holds
 
-    const = Dnf.from_term_literals(2, [[]])
+    const = make_bundle("const", Dnf.from_term_literals(2, [[]])).analysis
     r = check_abs_fourier_u(const, 0b01)
     assert r.holds and r.lhs == DyadicRational(0)
 
@@ -216,42 +256,50 @@ def test_family_inequalities_on_corpus(bundles):
             if key.d > 3:
                 continue
             ctx = (b.label, key)
-            assert family_onenorm_count_check(b.dnf, key.d, key.u, analysis).holds, ctx
-            assert check_onenorm_u(b.dnf, key.d, key.u, analysis).holds, ctx
-            assert check_twonorm_u(b.dnf, key.d, key.u, analysis).holds, ctx
+            assert family_onenorm_count_check(analysis, key.d, key.u).holds, ctx
+            assert check_onenorm_u(analysis, key.d, key.u).holds, ctx
+            assert check_twonorm_u(analysis, key.d, key.u).holds, ctx
             assert family_cauchy_check(analysis.families[key]).holds, ctx
         for s_mask, profile in analysis.profiles.items():
             if profile.d > 3:
                 continue
-            assert check_abs_fourier_u(b.dnf, s_mask, analysis).holds, (b.label, s_mask)
+            assert check_abs_fourier_u(analysis, s_mask).holds, (b.label, s_mask)
 
 
 def test_degree_counting_inequalities_on_corpus(bundles):
     for b in bundles:
         for d in range(4):
-            assert onenorm_count_check(b.dnf, d, b.analysis).holds, (b.label, d)
-            assert onenorm_width_binom_check(b.dnf, d, b.analysis).holds, (b.label, d)
-            assert pair_count_binom_check(b.dnf, d, b.analysis).holds, (b.label, d)
+            assert onenorm_count_check(b.analysis, d).holds, (b.label, d)
+            assert onenorm_width_binom_check(b.analysis, d).holds, (b.label, d)
+            assert pair_count_binom_check(b.analysis, d).holds, (b.label, d)
 
 
 # -- read-based cover bounds -----------------------------------------------------
 
 
+def _read_bound(dnf, s_mask):
+    return read_cover_count_bound(dnf, s_mask, cover_counts_by_union(dnf, s_mask))
+
+
+def _exact_width_bound(dnf, s_mask, u):
+    return exact_width_cover_bound(dnf, s_mask, u, cover_counts_by_union(dnf, s_mask))
+
+
 def test_read_cover_count_examples():
     pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
-    count, bound, holds = read_cover_count_bound(pairs, 0b0101)
+    count, bound, holds = _read_bound(pairs, 0b0101)
     assert (count, bound, holds) == (1, 4, True)
     chain2 = Dnf.from_term_literals(2, [[1], [1, 2]])
-    count, bound, holds = read_cover_count_bound(chain2, 0b01)
+    count, bound, holds = _read_bound(chain2, 0b01)
     assert (count, bound, holds) == (2, 3, True)
-    count, bound, holds = read_cover_count_bound(chain2, 0)
+    count, bound, holds = _read_bound(chain2, 0)
     assert (count, bound, holds) == (1, 1, True)
 
 
 def test_read_cover_chain_on_corpus(bundles):
     for b in bundles:
         for s_mask in subsets_up_to(b.dnf.n, 4):
-            r = read_cover_count_bound(b.dnf, s_mask)
+            r = read_cover_count_bound(b.dnf, s_mask, b.analysis.cover_counts(s_mask))
             assert r.holds, (b.label, s_mask)
             assert r.extras["chain_mid_holds"], (b.label, s_mask)
             assert r.extras["chain_top_holds"], (b.label, s_mask)
@@ -259,12 +307,12 @@ def test_read_cover_chain_on_corpus(bundles):
 
 def test_exact_width_examples():
     pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
-    count, bound, holds = exact_width_cover_bound(pairs, 0b0101, 4)
+    count, bound, holds = _exact_width_bound(pairs, 0b0101, 4)
     assert (count, bound, holds) == (1, 4, True)
-    count, bound, holds = exact_width_cover_bound(pairs, 0b0101, 5)
+    count, bound, holds = _exact_width_bound(pairs, 0b0101, 5)
     assert count == 0 and holds
     with pytest.raises(ValueError):
-        exact_width_cover_bound(Dnf.from_term_literals(2, [[1], [1, 2]]), 0b01, 1)
+        _exact_width_bound(Dnf.from_term_literals(2, [[1], [1, 2]]), 0b01, 1)
 
 
 def test_exact_width_chain_on_random_instances():
@@ -275,7 +323,7 @@ def test_exact_width_chain_on_random_instances():
         u_hi = min(dnf.n, w * 3)
         for s_mask in subsets_up_to(8, 3):
             for u in range(s_mask.bit_count(), u_hi + 1):
-                r = exact_width_cover_bound(dnf, s_mask, u)
+                r = _exact_width_bound(dnf, s_mask, u)
                 assert r.holds, (i, s_mask, u)
                 if "chain_mid_holds" in r.extras:
                     assert r.extras["chain_mid_holds"] and r.extras["chain_top_holds"]
@@ -286,7 +334,7 @@ def test_exact_width_on_tribes():
         dnf = tribes(w, t)
         for s_mask in subsets_up_to(dnf.n, 3):
             for u in range(s_mask.bit_count(), min(dnf.n, 3 * w) + 1):
-                assert exact_width_cover_bound(dnf, s_mask, u).holds
+                assert _exact_width_bound(dnf, s_mask, u).holds
 
 
 # -- the satisfied-mass inequality -------------------------------------------------
@@ -295,15 +343,15 @@ def test_exact_width_on_tribes():
 def test_st_examples():
     for w in (1, 2, 5):
         single = Dnf.from_term_literals(w, [list(range(1, w + 1))])
-        r = st_inequality_check(single)
+        r = st_inequality_check(single, single.evaluate())
         assert r.lhs == DyadicRational(1, w) and r.holds and not r.extras["vacuous"]
 
     const1 = Dnf.from_term_literals(2, [[]])
-    r = st_inequality_check(const1)
+    r = st_inequality_check(const1, const1.evaluate())
     assert r.holds and r.extras["vacuous"]
 
     t22 = tribes(2, 2)
-    r = st_inequality_check(t22)
+    r = st_inequality_check(t22, t22.evaluate())
     assert r.lhs == DyadicRational(1, 1)
     assert r.extras["pr"] == Fraction(7, 16)
     # ln(16/9) ~ 0.575: the enclosure must be tight around it
@@ -317,7 +365,7 @@ def test_st_on_corpus_and_read_k_instances(bundles):
     for i in range(200):
         k = 1 + i % 3
         dnf = random_read_k(4 + i % 5, 1 + i % 6, 1 + i % 4, k, seed=7000 + i)
-        assert st_inequality_check(dnf).holds, i
+        assert st_inequality_check(dnf, dnf.evaluate()).holds, i
 
 
 # -- the set-size budget bound --------------------------------------------------

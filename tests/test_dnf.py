@@ -54,16 +54,6 @@ def test_contradictory_term_rejected():
         Dnf.from_text("n=2\n1 -1\n")
 
 
-def test_satisfied_terms_examples():
-    d = Dnf.from_term_literals(3, [[1, 2], [3]])
-    assert d.satisfied_terms(0b111) == {1, 2}
-    assert d.satisfied_terms(0b000) == frozenset()
-    comp = Dnf.from_term_literals(1, [[1], [-1]])
-    for x in (0, 1):
-        sat = comp.satisfied_terms(x)
-        assert len(sat) == 1 and sat in ({1}, {2})
-
-
 def test_truncate_width_examples():
     d = Dnf.from_term_literals(4, [[1, 2, 3], [4]])
     t = d.truncate_width(1)

@@ -17,9 +17,13 @@ from dnf_fourier import (
 )
 
 
+def _tables(dnf):
+    return RestrictionTables(dnf.evaluate())
+
+
 def test_two_singletons_golden_trace():
     dnf = Dnf.from_term_literals(2, [[1], [2]])
-    e, cov = encode(dnf, 0b11, 0)
+    e, cov = encode(dnf, 0b11, 0, _tables(dnf))
     assert e.x_sat == 0b11
     assert e.sigma == (1, 2)
     assert e.a == (False, False)
@@ -31,7 +35,7 @@ def test_single_wide_term_golden_trace():
     w = 5
     dnf = Dnf.from_term_literals(w, [list(range(1, w + 1))])
     xsbar = 0b11110  # everything but x1 true
-    e, cov = encode(dnf, 0b00001, xsbar)
+    e, cov = encode(dnf, 0b00001, xsbar, _tables(dnf))
     assert cov.term_indices == (1,) and cov.union_size == w
     assert e.sigma == (1,)  # x1 is the first variable listed in the term
     assert len(e.a) == 1
@@ -40,7 +44,7 @@ def test_single_wide_term_golden_trace():
 
 def test_disjoint_pairs_golden_trace():
     dnf = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
-    e, cov = encode(dnf, 0b0101, 0b1010)
+    e, cov = encode(dnf, 0b0101, 0b1010, _tables(dnf))
     assert cov.term_indices == (1, 2) and cov.union_size == 4
     assert e.sigma == (1, 3)
     assert decode(dnf, e) == (0b0101, 0b1010)
@@ -48,7 +52,7 @@ def test_disjoint_pairs_golden_trace():
 
 def test_empty_set_encodes_trivially():
     dnf = Dnf.from_term_literals(2, [[1], [2]])
-    e, cov = encode(dnf, 0, 0b10)
+    e, cov = encode(dnf, 0, 0b10, _tables(dnf))
     assert e.sigma == () and e.a == ()
     assert cov.term_indices == () and cov.union_size == 0
     assert decode(dnf, e) == (0, 0b10)
@@ -57,14 +61,14 @@ def test_empty_set_encodes_trivially():
 def test_precondition_checked():
     dnf = Dnf.from_term_literals(2, [[1, 2]])
     with pytest.raises(EncodePreconditionError):
-        encode(dnf, 0b01, 0b00)  # x2 false kills the restriction
+        encode(dnf, 0b01, 0b00, _tables(dnf))  # x2 false kills the restriction
 
 
 def test_negated_literals_roundtrip():
     dnf = Dnf.from_term_literals(3, [[-1, 2], [3, -2]])
     tables = RestrictionTables(dnf.evaluate())
     seen = 0
-    for s_mask, xsbar in valid_pairs(dnf, 3, tables):
+    for s_mask, xsbar in valid_pairs(tables, 3):
         e, cov = encode(dnf, s_mask, xsbar, tables)
         assert decode(dnf, e) == (s_mask, xsbar)
         seen += 1
@@ -74,7 +78,7 @@ def test_negated_literals_roundtrip():
 def test_extract_cover_matches_encode():
     dnf = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
     tables = RestrictionTables(dnf.evaluate())
-    for s_mask, xsbar in valid_pairs(dnf, 3, tables):
+    for s_mask, xsbar in valid_pairs(tables, 3):
         assert extract_cover(dnf, s_mask, xsbar, tables) == encode(
             dnf, s_mask, xsbar, tables
         )[1]
@@ -83,7 +87,7 @@ def test_extract_cover_matches_encode():
 def test_cover_record_invariants_on_corpus(bundles):
     for b in bundles[:40]:
         w = b.dnf.width()
-        for s_mask, xsbar in valid_pairs(b.dnf, 3, b.tables):
+        for s_mask, xsbar in valid_pairs(b.tables, 3):
             e, cov = encode(b.dnf, s_mask, xsbar, b.tables)
             d = s_mask.bit_count()
             # the union contains S, uses at most d alive terms meeting S
@@ -102,7 +106,7 @@ def test_cover_record_invariants_on_corpus(bundles):
 
 def test_corrupted_sigma_raises_not_misdecodes():
     dnf = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
-    e, _ = encode(dnf, 0b0101, 0b1010)
+    e, _ = encode(dnf, 0b0101, 0b1010, _tables(dnf))
     # point a sigma entry past any c the decoder can build
     bad = Encoding(e.n, e.x_sat, (1, 40), e.a)
     with pytest.raises(DecodeError):
@@ -111,7 +115,7 @@ def test_corrupted_sigma_raises_not_misdecodes():
 
 def test_corrupted_x_without_satisfied_term_raises():
     dnf = Dnf.from_term_literals(2, [[1, 2]])
-    e, _ = encode(dnf, 0b01, 0b10)
+    e, _ = encode(dnf, 0b01, 0b10, _tables(dnf))
     bad = Encoding(e.n, 0b00, e.sigma, e.a)  # nothing satisfied
     with pytest.raises(DecodeError):
         decode(dnf, bad)
@@ -124,7 +128,7 @@ def test_sigma_a_length_mismatch_rejected():
 
 def test_roundtrip_identity_exhaustive_on_corpus(bundles):
     for b in bundles:
-        for s_mask, xsbar in valid_pairs(b.dnf, 4, b.tables):
+        for s_mask, xsbar in valid_pairs(b.tables, 4):
             e, _ = encode(b.dnf, s_mask, xsbar, b.tables)
             assert decode(b.dnf, e) == (s_mask, xsbar), (b.label, s_mask, xsbar)
 
@@ -168,7 +172,7 @@ def test_roundtrip_on_diverse_shapes():
                 terms.append(Term(pos, neg))
         dnf = Dnf(n, tuple(terms))
         tables = RestrictionTables(dnf.evaluate())
-        for s_mask, xsbar in valid_pairs(dnf, 5, tables):
+        for s_mask, xsbar in valid_pairs(tables, 5):
             enc, _ = encode(dnf, s_mask, xsbar, tables)
             assert decode(dnf, enc) == (s_mask, xsbar)
 
@@ -177,7 +181,7 @@ def test_encodings_distinct_within_degree(bundles):
     # the encoding triple is injective over pairs of the same degree
     for b in bundles[:30]:
         seen: dict[tuple, tuple] = {}
-        for s_mask, xsbar in valid_pairs(b.dnf, 3, b.tables):
+        for s_mask, xsbar in valid_pairs(b.tables, 3):
             e, _ = encode(b.dnf, s_mask, xsbar, b.tables)
             key = (e.x_sat, e.sigma, e.a)
             assert key not in seen, (b.label, seen[key], (s_mask, xsbar))

@@ -279,6 +279,81 @@ def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):
     assert sorted(counted) == subsets_up_to(6, 4)
 
 
+def test_sweep_evaluates_and_transforms_each_instance_once(monkeypatch):
+    from dnf_fourier import boolfn
+    from dnf_fourier.dnf import Dnf
+
+    calls = {"evaluate": 0, "transform": 0}
+    evaluate, butterfly = Dnf.evaluate, boolfn.walsh_butterfly
+
+    def evaluate_spy(self, *args, **kwargs):
+        calls["evaluate"] += 1
+        return evaluate(self, *args, **kwargs)
+
+    def butterfly_spy(a):  # every fourier_transform runs one butterfly
+        calls["transform"] += 1
+        return butterfly(a)
+
+    monkeypatch.setattr(Dnf, "evaluate", evaluate_spy)
+    monkeypatch.setattr(boolfn, "walsh_butterfly", butterfly_spy)
+    run_concentration_sweep(ExperimentConfig(instances=(_tribes_source(2, 3),)))
+    assert calls == {"evaluate": 1, "transform": 1}
+
+
+def test_cli_covers_counts_once(tmp_path, monkeypatch, capsys):
+    import dnf_fourier.cli as cli
+    from dnf_fourier import covers
+
+    dnf_path = tmp_path / "t.dnf"
+    assert main(["gen", "tribes", "--w", "2", "--t", "3", "--out", str(dnf_path)]) == 0
+    counted = []
+    count = covers.cover_counts_by_union
+
+    def spy(dnf, s_mask):
+        counted.append(s_mask)
+        return count(dnf, s_mask)
+
+    monkeypatch.setattr(covers, "cover_counts_by_union", spy)
+    monkeypatch.setattr(cli, "cover_counts_by_union", spy)
+    assert main(["covers", str(dnf_path), "--set", "1,3"]) == 0
+    assert counted == [0b101]
+    assert "total covers: 1" in capsys.readouterr().out
+
+
+def test_unloadable_instance_is_an_error_entry(tmp_path, capsys):
+    too_big = tmp_path / "n25.dnf"
+    too_big.write_text("n=25\n1 2\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}},
+                      {"file": str(too_big)}],
+        "checks": ["read_chain"],
+    }))
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"r{workers}.json"
+        assert main(["verify", str(cfg_path), "--out", str(out), "--workers", workers]) == 2
+        assert "n=25 outside [1, 24]" in capsys.readouterr().err
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    tribes_entry, bad = json.loads(texts[0])["instances"]
+    assert tribes_entry["checks"] and all(
+        r["check"] == "read_cover_chain" and r["holds"] for r in tribes_entry["checks"]
+    )
+    assert bad == {"label": str(too_big), "error": "CapExceededError: n=25 outside [1, 24]",
+                   "checks": [], "failures": 1}
+
+
+def test_readme_library_sketch_runs():
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    head, rest = readme.split("```python\n", 1)
+    # pad with the lines before the block so tracebacks give README line numbers
+    block = "\n" * (head.count("\n") + 1) + rest.split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_sweep_csv_and_report_only_block(tmp_path):
     dnf_path = tmp_path / "t.dnf"
     main(["gen", "tribes", "--w", "2", "--t", "2", "--out", str(dnf_path)])

@@ -20,6 +20,7 @@ from dnf_fourier import (
 )
 from dnf_fourier.bitops import pdep, subsets_up_to
 from dnf_fourier.boolfn import popcount_table
+from dnf_fourier.restrictions import satisfied_union_table
 from dnf_fourier.generators import random_read_k
 
 
@@ -157,36 +158,41 @@ def test_evasive_examples():
     f = Dnf.from_term_literals(2, [[1, 2]]).evaluate()
     spec = fourier_transform(f)
     tables = RestrictionTables(f)
-    lhs, rhs, holds = evasive_bound_check(f, 0b11, tables, spec)
+    lhs, rhs, holds = evasive_bound_check(tables, 0b11, spec)
     assert (lhs, rhs, holds) == (DyadicRational(1, 2), DyadicRational(1), True)
-    lhs, rhs, holds = evasive_bound_check(f, 0b01, tables, spec)
+    lhs, rhs, holds = evasive_bound_check(tables, 0b01, spec)
     assert (lhs, rhs, holds) == (DyadicRational(1, 2), DyadicRational(1, 1), True)
     const = BooleanFunction.constant(3, True)
-    lhs, rhs, holds = evasive_bound_check(const, 0b101)
+    lhs, rhs, holds = evasive_bound_check(
+        RestrictionTables(const), 0b101, fourier_transform(const)
+    )
     assert (lhs, rhs, holds) == (DyadicRational(0), DyadicRational(0), True)
+
+
+def _cover_probability(dnf, s_mask):
+    spec = fourier_transform(dnf.evaluate())
+    return cover_probability_check(dnf, s_mask, spec, satisfied_union_table(dnf))
 
 
 def test_cover_probability_examples():
     d1 = Dnf.from_term_literals(1, [[1]])
-    lhs, rhs, holds = cover_probability_check(d1, 0b1)
+    lhs, rhs, holds = _cover_probability(d1, 0b1)
     assert (lhs, rhs, holds) == (DyadicRational(1, 1), DyadicRational(1), True)
 
     zero = Dnf(3, ())
-    lhs, rhs, holds = cover_probability_check(zero, 0b011)
+    lhs, rhs, holds = _cover_probability(zero, 0b011)
     assert (lhs, rhs, holds) == (DyadicRational(0), DyadicRational(0), True)
 
     pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
-    lhs, rhs, holds = cover_probability_check(pairs, 0b0101)
+    lhs, rhs, holds = _cover_probability(pairs, 0b0101)
     assert (lhs, rhs, holds) == (DyadicRational(1, 4), DyadicRational(1, 2), True)
 
 
 def test_evasive_and_cover_probability_on_corpus(bundles):
     for b in bundles:
-        from dnf_fourier.restrictions import satisfied_union_table
-
         sat_union = satisfied_union_table(b.dnf)
         for s_mask in subsets_up_to(b.dnf.n, 4):
-            _, _, holds = evasive_bound_check(b.f, s_mask, b.tables, b.spec)
+            _, _, holds = evasive_bound_check(b.tables, s_mask, b.spec)
             assert holds, (b.label, s_mask)
             _, _, holds = cover_probability_check(b.dnf, s_mask, b.spec, sat_union)
             assert holds, (b.label, s_mask)
@@ -219,5 +225,5 @@ def test_tribes_evasive_sweep():
         spec = fourier_transform(f)
         tables = RestrictionTables(f)
         for s_mask in subsets_up_to(f.n, 4):
-            _, _, holds = evasive_bound_check(f, s_mask, tables, spec)
+            _, _, holds = evasive_bound_check(tables, s_mask, spec)
             assert holds
