@@ -100,12 +100,14 @@ class BooleanFunction:
 
 @functools.lru_cache(maxsize=32)
 def popcount_table(n: int) -> np.ndarray:
-    """popcount of every mask in [0, 2^n), as a read-only int64 array."""
-    v = np.arange(1 << n, dtype=np.uint32)
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    out = ((v * np.uint32(0x01010101)) >> 24).astype(np.int64)
+    """popcount of every mask in [0, 2^n), as a read-only uint8 array.
+
+    Built by doubling: the masks in [2^i, 2^(i+1)) have one more bit set
+    than the masks in [0, 2^i)."""
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        h = 1 << i
+        np.add(out[:h], 1, out=out[h : 2 * h])
     out.setflags(write=False)
     return out
 
@@ -113,10 +115,12 @@ def popcount_table(n: int) -> np.ndarray:
 class FourierSpectrum:
     """All 2^n Fourier coefficients of one function, exactly.
 
-    ``scaled[mask]`` is ``2^n * fhat(S)`` for the subset with that mask; it
-    is always an integer of magnitude at most 2^n, so int64 holds every
-    intermediate quantity for n <= 24 (sums of squares stay below 2^{2n}
-    by Parseval).
+    ``scaled[mask]`` is ``2^n * fhat(S)`` for the subset with that mask, an
+    integer of magnitude at most 2^n, stored as int64 even though int32
+    would hold each entry: the whole-vector sums are taken in that dtype.
+    For n <= 24 they stay far inside it: the sum of squares is
+    2^n * #{x : f(x) = 1} <= 2^{2n} by Parseval, and the sum of magnitudes
+    is at most 2^{1.5n} by Cauchy-Schwarz.
     """
 
     __slots__ = ("n", "scaled")
@@ -125,6 +129,8 @@ class FourierSpectrum:
         _check_n(n)
         if scaled.shape != (1 << n,):
             raise ValueError("coefficient vector must have length 2^n")
+        if scaled.dtype != np.int64:
+            raise ValueError(f"coefficient vector must be int64, not {scaled.dtype}")
         self.n = n
         self.scaled = scaled
         self.scaled.setflags(write=False)
@@ -171,25 +177,36 @@ class FourierSpectrum:
 
 
 def walsh_butterfly(a: np.ndarray) -> np.ndarray:
-    """The in-place divide-and-conquer transform (n * 2^n work).
+    """The divide-and-conquer Walsh-Hadamard transform, in place (n * 2^n work).
+
+    ``a`` must be a contiguous vector of length 2^n; it is overwritten and
+    returned.  The arithmetic is done in ``a``'s own dtype, so the caller
+    picks one that holds every partial sum: after stage i an entry is a
+    signed sum of 2^i inputs.  Each stage keeps one half-length temporary.
 
     Self-inverse up to the 2^n factor: applying it twice multiplies by 2^n,
     so it both produces spectra and evaluates them back at every point."""
+    if not a.flags.c_contiguous:
+        raise ValueError("walsh_butterfly needs a contiguous array")
     h = 1
     while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        right = a[:, h:].copy()
-        a[:, :h] = left + right
-        a[:, h:] = left - right
-        a = a.reshape(-1)
+        v = a.reshape(-1, 2, h)
+        lo, hi = v[:, 0], v[:, 1]
+        tmp = lo.copy()
+        lo += hi
+        np.subtract(tmp, hi, out=hi)
         h *= 2
     return a
 
 
 def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
-    """Exact spectrum of f, scaled coefficients 2^n * fhat(S) as integers."""
-    return FourierSpectrum(f.n, walsh_butterfly(f.to_array().astype(np.int64)))
+    """Exact spectrum of f, scaled coefficients 2^n * fhat(S) as integers.
+
+    The butterfly runs in int32: on a 0/1 table every partial sum has
+    magnitude at most 2^n <= 2^N_CAP."""
+    assert f.n <= N_CAP and 1 << N_CAP <= np.iinfo(np.int32).max
+    scaled = walsh_butterfly(f.to_array().astype(np.int32))
+    return FourierSpectrum(f.n, scaled.astype(np.int64))
 
 
 def one_norm_at_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
@@ -210,47 +227,66 @@ def weight_above_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
 
 
 def weight_outside_masks(spec: FourierSpectrum, masks) -> DyadicRational:
-    """Sum of fhat(S)^2 over all subsets NOT in the given mask collection."""
-    keep = np.zeros(1 << spec.n, dtype=bool)
-    for m in masks:
-        keep[m] = True
-    vals = spec.scaled[~keep]
-    return DyadicRational(int(np.dot(vals, vals)), 2 * spec.n)
+    """Sum of fhat(S)^2 over all subsets NOT in the given mask collection
+    (a mask listed twice counts once)."""
+    # sort and drop repeats by hand: np.unique would import numpy.ma,
+    # which adds 1.7 MB to the peak RSS of every run
+    kept = np.sort(np.asarray(masks, dtype=np.int64))
+    kept = spec.scaled[kept[np.diff(kept, prepend=-1) != 0]]
+    outside = int(np.dot(spec.scaled, spec.scaled)) - int(np.dot(kept, kept))
+    return DyadicRational(outside, 2 * spec.n)
 
 
-def ranked_masks(spec: FourierSpectrum) -> np.ndarray:
-    """All subset masks ordered by decreasing |coefficient|, ties broken by
-    ascending mask.  This ordering defines which coefficients are "kept"
-    everywhere in the package."""
+def ranked_masks(spec: FourierSpectrum, m: int) -> np.ndarray:
+    """The first m subset masks in order of decreasing |coefficient|, ties
+    broken by ascending mask.  This ordering defines which coefficients
+    are "kept" everywhere in the package.
+
+    Only the m kept masks are sorted: the m-th largest magnitude is found
+    by selection, every mask above it is kept, and the masks at it fill
+    the remaining places in ascending order."""
+    if not 0 <= m <= spec.scaled.size:
+        raise ValueError(f"m={m} outside [0, 2^{spec.n}]")
+    if m == 0:
+        return np.zeros(0, dtype=np.intp)
     absvals = np.abs(spec.scaled)
-    return np.lexsort((np.arange(absvals.size), -absvals))
+    cut = np.partition(absvals, absvals.size - m)[absvals.size - m]
+    above = np.flatnonzero(absvals > cut)
+    at_cut = np.flatnonzero(absvals == cut)[: m - above.size]
+    kept = np.concatenate((above, at_cut))
+    return kept[np.lexsort((kept, -absvals[kept]))]
 
 
 def min_coeffs_for_eps(spec: FourierSpectrum, eps) -> int:
     """Smallest M such that keeping the M largest-magnitude coefficients
     (ties broken by ascending subset mask) discards squared weight <= eps.
+
+    Coefficients of equal magnitude have equal squares, so M depends only
+    on the histogram of magnitudes, not on the order within a tie.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps={eps} outside (0, 1]")
-    order = ranked_masks(spec)
-    squares = np.abs(spec.scaled)[order] ** 2
-    total = int(squares.sum())
+    hist = np.bincount(np.abs(spec.scaled))       # magnitudes are <= 2^n
+    hist[0] = 0                                   # zeros carry no weight
+    mags = np.flatnonzero(hist)[::-1]             # distinct, largest first
+    counts = hist[mags]
+    # squared weight kept by taking whole tie groups from the top; every
+    # partial sum is at most the total, 2^n * ones <= 2^{2n}, so int64 holds it
+    kept = np.cumsum(mags * mags * counts)
+    total = int(kept[-1]) if kept.size else 0
     bound = eps.numerator * (1 << (2 * spec.n))
     if total * eps.denominator <= bound:
         return 0
-    prefix = np.cumsum(squares)
-    # smallest m >= 1 with (total - prefix[m-1]) * eps.den <= eps.num * 4^n;
-    # exact big-int comparisons (eps.denominator may exceed int64)
-    kept_needed = total * eps.denominator - bound
-    lo, hi = 0, prefix.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if int(prefix[mid]) * eps.denominator >= kept_needed:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo + 1
+    # keeping squared weight K suffices iff (total - K) * eps.den <= bound,
+    # i.e. K >= need (K is an integer); exact big-int arithmetic, since
+    # eps.denominator may exceed int64
+    need = -((bound - total * eps.denominator) // eps.denominator)
+    g = int(np.searchsorted(kept, need))          # first group reaching need
+    kept_before = int(kept[g - 1]) if g else 0
+    taken_before = int(counts[:g].sum())
+    square = int(mags[g]) ** 2
+    return taken_before + -((kept_before - need) // square)
 
 
 def hamming_distance_fraction(f: BooleanFunction, g: BooleanFunction) -> DyadicRational:

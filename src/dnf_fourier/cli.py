@@ -10,12 +10,13 @@ Subcommands:
   covers       cover counts and read-based bounds for one subset
 
 Exit codes: 0 success, 1 a verified inequality failed, 2 usage or cap errors.
-A verify instance that cannot be loaded is an error entry in the report,
-which is still written, and the exit code is 2.
+A verify or sweep instance that cannot be loaded is an error entry in the
+report, which is still written, and the exit code is 2.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bitops import vars_to_mask
@@ -152,10 +153,7 @@ def _dispatch(args) -> int:
         if args.rows_jsonl:
             with open(args.rows_jsonl, "w", encoding="utf-8") as fh:
                 fh.write(rows_jsonl(report))
-        errors = [i for i in report["instances"] if "error" in i]
-        for inst in errors:
-            print(f"error: {inst['label']}: {inst['error']}", file=sys.stderr)
-        if errors:
+        if _print_errors(report):
             return USAGE_ERROR
         return 0 if report["summary"]["ok"] else CHECK_FAILURE
 
@@ -173,7 +171,7 @@ def _dispatch(args) -> int:
                 path = os.path.join(args.csv_dir, f"instance_{i:03d}.tail.csv")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(tail_csv(inst))
-        return 0
+        return USAGE_ERROR if _print_errors(report) else 0
 
     if args.command == "encdec-test":
         dnf = load_dnf(args.dnf_file)
@@ -210,11 +208,20 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _print_errors(report: dict) -> bool:
+    """Print the instances that could not be loaded; True if there were any."""
+    errors = [i for i in report["instances"] if "error" in i]
+    for inst in errors:
+        print(f"error: {inst['label']}: {inst['error']}", file=sys.stderr)
+    return bool(errors)
+
+
 def _load_config(args) -> ExperimentConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = ExperimentConfig.from_json(fh.read())
-    if getattr(args, "workers", None):
-        config.workers = args.workers
+    if args.workers is not None:
+        # through the constructor, so the override is validated and clamped
+        config = dataclasses.replace(config, workers=args.workers)
     return config
 
 

@@ -3,9 +3,9 @@
 ``run_verify`` executes the full battery of exact inequality checks on each
 configured instance and collects one report; any failed asserted check makes
 the report (and the CLI) signal failure.  An instance that cannot be
-loaded or built is an ``error`` entry with no rows, and the other
-instances still run.  ``run_concentration_sweep`` measures spectral
-sparsity and how much weight small-union-size families capture, without
+loaded or built is an ``error`` entry with no rows, in a verify or a sweep,
+and the other instances still run.  ``run_concentration_sweep`` measures
+spectral sparsity and how much weight small-union-size families capture, without
 asserting theorem-level claims whose hypotheses do not hold at desk scale
 (those are emitted as report-only rows).
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ import numpy as np
 
 from .bitops import subsets_up_to
 from .boolfn import (
+    BooleanFunction,
     CapExceededError,
     fourier_transform,
     hamming_distance_fraction,
@@ -155,6 +157,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # more workers than instances or CPUs would only sit idle
+        self.workers = max(1, min(self.workers, len(self.instances), os.cpu_count() or 1))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -267,9 +271,13 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         mean = DyadicRational(f.ones, n)
         rows.append(_row("parseval", {}, total_weight, mean, total_weight == mean))
         # evaluating the polynomial at every point (the inverse transform)
-        # must reproduce the truth table exactly
-        recon = walsh_butterfly(spec.scaled.astype(np.int64))
-        ok = bool(np.array_equal(recon, f.to_array().astype(np.int64) << n))
+        # must reproduce the truth table exactly; in int64, since every
+        # partial sum is bounded by sum |scaled| = one_norm * 2^n
+        assert one_norm < DyadicRational(1 << 62, n)
+        recon = walsh_butterfly(spec.scaled.copy())
+        np.subtract(recon, 1 << n, out=recon, where=f.to_array().view(bool))
+        ok = not recon.any()        # poly(x) == 2^n * f(x) at every x
+        del recon                   # 2^n int64s: free them before the next transform
         rows.append(_row("reconstruction", {}, "poly(x)", "f(x)", ok))
 
     if "sparsity" in checks:
@@ -284,22 +292,30 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             )
         )
 
+    # Width truncations are nested, so two with the same number of terms
+    # are the same DNF: evaluate each distinct one once.
+    truncated: dict[int, BooleanFunction] = {}
+
+    def truncated_table(w_cut: int) -> BooleanFunction:
+        g = dnf.truncate_width(w_cut)
+        if len(g.terms) not in truncated:
+            truncated[len(g.terms)] = g.evaluate()
+        return truncated[len(g.terms)]
+
     if "truncation" in checks:
         for w_cut in range(w):
-            g = dnf.truncate_width(w_cut)
-            dist = hamming_distance_fraction(f, g.evaluate())
+            dist = hamming_distance_fraction(f, truncated_table(w_cut))
             bound = dnf.truncation_distance_bound(w_cut)
             rows.append(
                 _row("truncation_distance", {"width": w_cut}, dist, bound, dist <= bound)
             )
 
     if "approx_transfer" in checks and w >= 1:
-        g = dnf.truncate_width(w - 1)
-        g_f = g.evaluate()
+        g_f = truncated_table(w - 1)
         g_spec = fourier_transform(g_f)
         eps1 = hamming_distance_fraction(f, g_f)
         m_keep = min_coeffs_for_eps(g_spec, config.eps)
-        masks = [int(m) for m in ranked_masks(g_spec)[:m_keep]]
+        masks = ranked_masks(g_spec, m_keep)
         eps2 = weight_outside_masks(g_spec, masks)
         lhs = weight_outside_masks(spec, masks)
         bound = 2 * (eps1 + eps2)
@@ -484,7 +500,7 @@ def _tail_table(analysis: FamilyAnalysis) -> list[dict]:
 # -- report assembly ------------------------------------------------------------
 
 
-def _verify_task(args: tuple[dict, dict]) -> dict:
+def _run_instance(args: tuple[dict, dict], instance_fn) -> dict:
     config_dict, source_dict = args
     config = ExperimentConfig.from_json(json.dumps(config_dict))
     source = InstanceSource.from_dict(source_dict)
@@ -494,7 +510,11 @@ def _verify_task(args: tuple[dict, dict]) -> dict:
         # one unusable instance is an entry in the report; the others still run
         return {"label": source.label, "error": f"{type(exc).__name__}: {exc}",
                 "checks": [], "failures": 1}
-    return verify_instance(dnf, source.label, config)
+    return instance_fn(dnf, source.label, config)
+
+
+def _verify_task(args: tuple[dict, dict]) -> dict:
+    return _run_instance(args, verify_instance)
 
 
 def _run_tasks(config: ExperimentConfig, task) -> list[dict]:
@@ -646,10 +666,7 @@ def _theorem_hypotheses(w: int, k: int) -> dict:
 
 
 def _sweep_task(args: tuple[dict, dict]) -> dict:
-    config_dict, source_dict = args
-    config = ExperimentConfig.from_json(json.dumps(config_dict))
-    source = InstanceSource.from_dict(source_dict)
-    return sweep_instance(source.load(), source.label, config)
+    return _run_instance(args, sweep_instance)
 
 
 def run_concentration_sweep(config: ExperimentConfig) -> dict:

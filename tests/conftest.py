@@ -4,7 +4,8 @@ The corpus is 200 seeded random DNFs (n between 4 and 8, up to 6 terms,
 width at most 4, read unconstrained) plus the two smallest tribes
 instances.  Bundles carry the per-instance objects the heavier suites
 share: truth table, spectrum, restriction tables, and the family analysis
-at d_max = 4.
+at d_max = 4.  ``small_dnfs`` is the hypothesis strategy for random DNFs
+with duplicate terms, the empty term and negated literals.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import functools
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import strategies as st
 
 from dnf_fourier import (
     BooleanFunction,
@@ -23,6 +25,7 @@ from dnf_fourier import (
     random_read_k,
     tribes,
 )
+from dnf_fourier.dnf import Term
 
 CORPUS_D_MAX = 4
 
@@ -38,6 +41,20 @@ def corpus_instances() -> list[tuple[str, Dnf]]:
     out.append(("tribes(2,2)", tribes(2, 2)))
     out.append(("tribes(2,3)", tribes(2, 3)))
     return out
+
+
+@st.composite
+def small_dnfs(draw):
+    """DNFs on n <= 7 variables with at most 8 terms, drawn from a pool of
+    at most 4 distinct terms so that duplicates are common; a term with no
+    variables is the empty term, and the second mask negates literals."""
+    n = draw(st.integers(1, 7))
+    masks = st.integers(0, (1 << n) - 1)
+    pool = [
+        Term(vars_mask & ~neg, vars_mask & neg)
+        for vars_mask, neg in draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=4))
+    ]
+    return Dnf(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
 
 
 @dataclass

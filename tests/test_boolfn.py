@@ -3,7 +3,9 @@
 The transform oracle computes each coefficient straight from its defining
 average: 2^-n * sum over all inputs of f(x) * (-1)^|x & S|, as a dense
 character-matrix product, which is quadratic in the table size and shares
-no code with the fast transform.
+no code with the fast transform.  The ranking oracles sort the whole
+spectrum: a full lexsort gives the kept-coefficient order, and prefix sums
+of the sorted squares give the smallest number of coefficients to keep.
 """
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from dnf_fourier import (
     weight_above_degree,
     weight_outside_masks,
 )
-from dnf_fourier.boolfn import popcount_table, ranked_masks
+from dnf_fourier.boolfn import popcount_table, ranked_masks, walsh_butterfly
 from dnf_fourier.generators import SplitMix64
 
 
@@ -39,6 +41,25 @@ def character_matrix(n: int) -> np.ndarray:
 def oracle_scaled_spectrum(f: BooleanFunction) -> np.ndarray:
     """2^n * fhat(S) for every S, from the definition."""
     return character_matrix(f.n) @ f.to_array().astype(np.int64)
+
+
+def oracle_ranked_order(spec: FourierSpectrum) -> np.ndarray:
+    """Every mask by decreasing |coefficient|, ties by ascending mask."""
+    absvals = np.abs(spec.scaled)
+    return np.lexsort((np.arange(absvals.size), -absvals))
+
+
+def oracle_min_coeffs(spec: FourierSpectrum, eps) -> int:
+    """Smallest M whose top-M squares (in the oracle order) leave <= eps."""
+    eps = Fraction(eps)
+    squares = [int(v) ** 2 for v in np.abs(spec.scaled)[oracle_ranked_order(spec)]]
+    left = sum(squares)
+    scale = 1 << (2 * spec.n)
+    for m, sq in enumerate(squares):
+        if Fraction(left, scale) <= eps:
+            return m
+        left -= sq
+    return len(squares)
 
 
 def random_function(rng: SplitMix64, n: int) -> BooleanFunction:
@@ -99,7 +120,10 @@ def test_min_coeffs_examples():
 
 def test_min_coeffs_tie_break_is_ascending_mask():
     and2 = fourier_transform(Dnf.from_term_literals(2, [[1, 2]]).evaluate())
-    assert list(ranked_masks(and2)) == [0, 1, 2, 3]
+    assert list(ranked_masks(and2, 4)) == [0, 1, 2, 3]
+    assert list(ranked_masks(and2, 2)) == [0, 1]
+    with pytest.raises(ValueError):
+        ranked_masks(and2, 5)
 
 
 def test_hamming_examples():
@@ -164,6 +188,95 @@ def test_parseval_exact_n4(bits):
     f = BooleanFunction(4, bits)
     spec = fourier_transform(f)
     assert spec.total_weight() == DyadicRational(f.ones, 4)
+
+
+@st.composite
+def _tables(draw, max_n=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return BooleanFunction(n, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)))
+
+
+@st.composite
+def _tied_spectra(draw, max_n=6):
+    """Coefficient vectors drawn from a few values, so most magnitudes tie."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    values = draw(st.lists(st.integers(min_value=-(1 << n), max_value=1 << n),
+                           min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(values), min_size=1 << n, max_size=1 << n))
+    return FourierSpectrum(n, np.array(picks, dtype=np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@given(f=_tables())
+@settings(max_examples=60, deadline=None)
+def test_butterfly_matches_character_matrix(dtype, f):
+    table = f.to_array().astype(dtype)
+    out = walsh_butterfly(table)
+    assert out is table and out.dtype == dtype     # in place, in the caller's dtype
+    h = character_matrix(f.n)
+    assert np.array_equal(out, h @ f.to_array().astype(np.int64))
+    # applied to the spectrum it evaluates the polynomial: 2^n * f(x)
+    back = walsh_butterfly(out.astype(np.int64))
+    assert np.array_equal(back, f.to_array().astype(np.int64) << f.n)
+
+
+def test_butterfly_rejects_a_strided_view():
+    with pytest.raises(ValueError):
+        walsh_butterfly(np.zeros(16, dtype=np.int64)[::2])
+
+
+def test_popcount_table_values():
+    for n in (1, 5, 12):
+        table = popcount_table(n)
+        assert table.dtype == np.uint8
+        assert table.tolist() == [bin(x).count("1") for x in range(1 << n)]
+
+
+@given(spec=st.one_of(_tied_spectra(), _tables(max_n=8).map(fourier_transform)),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_min_coeffs_matches_sort_oracle(spec, data):
+    k = data.draw(st.integers(min_value=0, max_value=2 * spec.n + 3))
+    num = data.draw(st.integers(min_value=1, max_value=1 << k))
+    eps = data.draw(st.sampled_from([Fraction(num, 1 << k), Fraction(1, 3), Fraction(1),
+                                     Fraction(1, 1 << (2 * spec.n + 3))]))
+    assert min_coeffs_for_eps(spec, eps) == oracle_min_coeffs(spec, eps)
+
+
+def test_min_coeffs_matches_sort_oracle_on_ties_at_the_cut():
+    # magnitudes 4, 2, 2, 2, 1, ...: eps values that land inside the tie group
+    n = 4
+    scaled = np.array([4, -2, 2, -2] + [1] * 12, dtype=np.int64)
+    spec = FourierSpectrum(n, scaled)
+    total = 16 + 12 + 12
+    for left in range(total + 1):
+        eps = Fraction(left, 1 << (2 * n))
+        if eps > 0:
+            assert min_coeffs_for_eps(spec, eps) == oracle_min_coeffs(spec, eps)
+
+
+@given(spec=_tied_spectra())
+@settings(max_examples=100, deadline=None)
+def test_ranked_masks_is_a_prefix_of_the_full_order(spec):
+    order = oracle_ranked_order(spec)
+    for m in range(order.size + 1):
+        assert np.array_equal(ranked_masks(spec, m), order[:m])
+
+
+@given(spec=_tied_spectra(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_weight_outside_masks_with_duplicates(spec, data):
+    size = 1 << spec.n
+    masks = data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=2 * size))
+    outside = sum(int(spec.scaled[m]) ** 2 for m in range(size) if m not in set(masks))
+    expected = DyadicRational(outside, 2 * spec.n)
+    assert weight_outside_masks(spec, masks) == expected
+    assert weight_outside_masks(spec, np.array(masks + masks, dtype=np.int64)) == expected
+
+
+def test_spectrum_must_be_int64():
+    with pytest.raises(ValueError):
+        FourierSpectrum(2, np.zeros(4, dtype=np.int32))
 
 
 # -- concentration facts ------------------------------------------------------
@@ -244,8 +357,8 @@ def test_moderate_scale_stays_exact():
     spec = fourier_transform(f)
     assert spec.total_weight() == DyadicRational(f.ones, 16)
     m = min_coeffs_for_eps(spec, Fraction(1, 8))
-    kept = [int(x) for x in ranked_masks(spec)[:m]]
+    kept = ranked_masks(spec, m)
     assert weight_outside_masks(spec, kept) <= Fraction(1, 8)
     if m > 0:
-        fewer = [int(x) for x in ranked_masks(spec)[: m - 1]]
+        fewer = ranked_masks(spec, m - 1)
         assert weight_outside_masks(spec, fewer) > Fraction(1, 8)

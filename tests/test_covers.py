@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from dnf_fourier import (
     check_onenorm_u,
     check_twonorm_u,
     exact_width_cover_bound,
+    fourier_transform,
     read_cover_count_bound,
     st_inequality_check,
     tribes,
@@ -38,7 +40,7 @@ from dnf_fourier.covers import (
 from dnf_fourier.dnf import Term
 from dnf_fourier.generators import SplitMix64, dense_pool, random_read_k
 
-from conftest import make_bundle
+from conftest import make_bundle, small_dnfs
 
 
 def oracle_cover_counts(dnf: Dnf, s_mask: int) -> dict[int, int]:
@@ -82,25 +84,22 @@ def test_num_covers_matches_oracle_on_corpus(bundles):
             ), (b.label, s_mask)
 
 
-@st.composite
-def _small_dnfs(draw):
-    """DNFs on n <= 7 variables with at most 8 terms, drawn from a pool of
-    at most 4 distinct terms so that duplicates are common; a term with no
-    variables is the empty term, and the second mask negates literals."""
-    n = draw(st.integers(1, 7))
-    masks = st.integers(0, (1 << n) - 1)
-    pool = [
-        Term(vars_mask & ~neg, vars_mask & neg)
-        for vars_mask, neg in draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=4))
-    ]
-    return Dnf(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=8))))
-
-
-@given(_small_dnfs())
+@given(small_dnfs())
 @settings(max_examples=80, deadline=None)
 def test_num_covers_matches_oracle_on_random_dnfs(dnf):
     for s_mask in subsets_up_to(dnf.n, 4):
         assert cover_counts_by_union(dnf, s_mask) == oracle_cover_counts(dnf, s_mask), s_mask
+
+
+@given(small_dnfs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reordering_terms_keeps_table_spectrum_and_covers(dnf, data):
+    image = Dnf(dnf.n, tuple(data.draw(st.permutations(dnf.terms))))
+    f, g = dnf.evaluate(), image.evaluate()
+    assert g == f
+    assert np.array_equal(fourier_transform(g).scaled, fourier_transform(f).scaled)
+    for s_mask in subsets_up_to(dnf.n, 4):
+        assert cover_counts_by_union(image, s_mask) == cover_counts_by_union(dnf, s_mask), s_mask
 
 
 def _relabel(mask: int, perm: list[int]) -> int:
@@ -108,7 +107,7 @@ def _relabel(mask: int, perm: list[int]) -> int:
     return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
 
 
-@given(_small_dnfs(), st.data())
+@given(small_dnfs(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_relabelling_variables_permutes_spectrum_tables_and_covers(dnf, data):
     perm = data.draw(st.permutations(range(dnf.n)))
@@ -125,7 +124,7 @@ def test_relabelling_variables_permutes_spectrum_tables_and_covers(dnf, data):
         assert b.analysis.cover_counts(pi_s) == a.analysis.cover_counts(s_mask), s_mask
 
 
-@given(_small_dnfs(), st.data())
+@given(small_dnfs(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_negating_a_variable_flips_the_coefficients_that_contain_it(dnf, data):
     bit = 1 << data.draw(st.integers(0, dnf.n - 1))

@@ -2,6 +2,7 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from dnf_fourier import (
     CoverRecord,
@@ -15,6 +16,8 @@ from dnf_fourier import (
     extract_cover,
     valid_pairs,
 )
+
+from conftest import small_dnfs
 
 
 def _tables(dnf):
@@ -131,6 +134,16 @@ def test_roundtrip_identity_exhaustive_on_corpus(bundles):
         for s_mask, xsbar in valid_pairs(b.tables, 4):
             e, _ = encode(b.dnf, s_mask, xsbar, b.tables)
             assert decode(b.dnf, e) == (s_mask, xsbar), (b.label, s_mask, xsbar)
+
+
+@given(small_dnfs())
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_on_random_dnfs(dnf):
+    # duplicate terms, the empty term and negated literals all occur here
+    tables = _tables(dnf)
+    for s_mask, xsbar in valid_pairs(tables, 4):
+        enc, _ = encode(dnf, s_mask, xsbar, tables)
+        assert decode(dnf, enc) == (s_mask, xsbar), (s_mask, xsbar)
 
 
 def test_counting_bound_on_corpus(bundles):

@@ -113,6 +113,32 @@ def test_config_validation():
         ExperimentConfig.from_json("{}")
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    from dnf_fourier import experiments
+
+    def config(workers, instances):
+        return ExperimentConfig(instances=(_tribes_source(2, 2),) * instances, workers=workers)
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    assert config(8, 2).workers == 2          # no more than the instances
+    assert config(8, 5).workers == 3          # no more than the CPUs
+    assert config(2, 5).workers == 2          # the request when it is smaller
+    assert config(4, 0).workers == 1          # never below one
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert config(4, 5).workers == 1          # CPU count unknown: one worker
+    with pytest.raises(ConfigError):
+        config(0, 5)
+
+
+def test_cli_workers_override_is_validated(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}]}))
+    assert main(["verify", str(cfg_path), "--out", str(tmp_path / "r.json"),
+                 "--workers", "0"]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_config_json_roundtrip():
     cfg = ExperimentConfig(
         instances=(_tribes_source(2, 2),), eps=Fraction(1, 16), d_max=3
@@ -342,6 +368,64 @@ def test_unloadable_instance_is_an_error_entry(tmp_path, capsys):
     )
     assert bad == {"label": str(too_big), "error": "CapExceededError: n=25 outside [1, 24]",
                    "checks": [], "failures": 1}
+
+
+def test_unloadable_sweep_instance_is_an_error_entry(tmp_path, capsys):
+    too_big = tmp_path / "n25.dnf"
+    too_big.write_text("n=25\n1 2\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}},
+                      {"file": str(too_big)}],
+    }))
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"r{workers}.json"
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--workers", workers]) == 2
+        assert "n=25 outside [1, 24]" in capsys.readouterr().err
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    tribes_entry, bad = json.loads(texts[0])["instances"]
+    assert tribes_entry["tail_table"] and tribes_entry["label"] == "tribes(t=2,w=2,seed=0)"
+    assert bad == {"label": str(too_big), "error": "CapExceededError: n=25 outside [1, 24]",
+                   "checks": [], "failures": 1}
+
+
+def test_verify_evaluates_each_distinct_truncation_once(monkeypatch):
+    from dnf_fourier.dnf import Dnf
+
+    evaluated = []
+    evaluate = Dnf.evaluate
+
+    def spy(self, *args, **kwargs):
+        evaluated.append(len(self.terms))
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dnf, "evaluate", spy)
+    # every term of tribes(2,3) has width 2, so both truncations are empty
+    cfg = ExperimentConfig(instances=(_tribes_source(2, 3),),
+                           checks=("truncation", "approx_transfer"))
+    report = run_verify(cfg)
+    assert report["summary"]["ok"]
+    assert evaluated == [3, 0]
+
+
+def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
+    from dnf_fourier import FourierSpectrum, experiments
+
+    transform = experiments.fourier_transform
+
+    def off_by_one(f):
+        scaled = transform(f).scaled.copy()
+        scaled[3] += 1
+        return FourierSpectrum(f.n, scaled)
+
+    cfg = ExperimentConfig(instances=(_tribes_source(2, 2),), checks=("spectral_basics",))
+    holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
+    assert holds == {"parseval": True, "reconstruction": True}
+    monkeypatch.setattr(experiments, "fourier_transform", off_by_one)
+    holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
+    assert holds["reconstruction"] is False
 
 
 def test_readme_library_sketch_runs():
