@@ -38,6 +38,7 @@ from .encoder import (
     EncodePreconditionError,
     Encoding,
     EncodingInvariantError,
+    EncodingRecord,
     decode,
     encode,
     extract_cover,
@@ -75,6 +76,7 @@ __all__ = [
     "EncodePreconditionError",
     "Encoding",
     "EncodingInvariantError",
+    "EncodingRecord",
     "ExperimentConfig",
     "FamilyAnalysis",
     "FamilyKey",

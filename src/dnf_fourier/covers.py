@@ -28,6 +28,12 @@ not by the number of covers, and it has no cap.
 ``FamilyAnalysis.cover_counts`` keeps one count per subset for every
 check that needs it.
 
+``FamilyAnalysis`` is also the record of the full-depth pairs: it encodes
+each pair with S nonempty once and keeps, per subset, the cover statistics
+and the encodings as an ``EncodingRecord`` (arrays in ``valid_pairs``
+order), which the ``roundtrip`` check of ``verify`` decodes.  An encoder
+fault while it classifies is re-raised with the pair that caused it.
+
 The caller builds an instance's truth table, spectrum, restriction
 tables and family analysis once and passes them in; nothing here builds
 them again.
@@ -40,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .bitops import pdep, subsets_up_to
+from .bitops import pdep_array, subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
@@ -51,7 +57,12 @@ from .boolfn import (
 from .dnf import Dnf
 from .dyadic import DyadicRational
 from .enclosures import RealEnclosure, decide_le, exp_enclosure, ln_enclosure
-from .encoder import extract_cover
+from .encoder import (
+    EncodePreconditionError,
+    EncodingInvariantError,
+    EncodingRecord,
+    extract_cover,
+)
 from .restrictions import DT_CAP, RestrictionTables
 
 
@@ -84,6 +95,7 @@ class SubsetProfile:
     count_by_u: dict[int, int]
     covers_by_u: dict[int, set[tuple[int, ...]]]
     assigned_u: int  # the family key: most frequent u, ties to smallest
+    record: EncodingRecord | None  # the pairs' encodings; None for S = {}
 
 
 class FamilyAnalysis:
@@ -131,23 +143,29 @@ class FamilyAnalysis:
                 continue
             count_by_u: dict[int, int] = {}
             covers_by_u: dict[int, set[tuple[int, ...]]] = {}
+            record = None
             if s_mask == 0:
                 # E_{} holds everywhere and the encoder selects no term, so
                 # every assignment is a witness with the empty cover
                 count_by_u[0] = int(idxs.size)
                 covers_by_u[0] = {()}
             else:
-                fixed_mask = full ^ s_mask
-                for idx in idxs:
-                    xsbar = pdep(int(idx), fixed_mask)
-                    cover = extract_cover(self.dnf, s_mask, xsbar, self.tables)
+                encodings = []
+                for xsbar in pdep_array(idxs, full ^ s_mask).tolist():
+                    try:
+                        enc, cover = extract_cover(self.dnf, s_mask, xsbar, self.tables)
+                    except (EncodePreconditionError, EncodingInvariantError) as exc:
+                        raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
+                    encodings.append(enc)
                     u = cover.union_size
                     count_by_u[u] = count_by_u.get(u, 0) + 1
                     covers_by_u.setdefault(u, set()).add(cover.term_indices)
+                record = EncodingRecord.pack(n, d, encodings)
             top = max(count_by_u.values())
             assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
             profile = SubsetProfile(
-                s_mask, d, coeff, int(idxs.size), count_by_u, covers_by_u, assigned_u
+                s_mask, d, coeff, int(idxs.size), count_by_u, covers_by_u, assigned_u,
+                record,
             )
             self.profiles[s_mask] = profile
             key = FamilyKey(d, assigned_u)

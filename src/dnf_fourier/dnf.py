@@ -19,7 +19,7 @@ Term and term-index conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,10 +114,16 @@ class Term:
 
 @dataclass(frozen=True, slots=True)
 class Dnf:
-    """An ordered disjunction of terms over variables 1..n."""
+    """An ordered disjunction of terms over variables 1..n.
+
+    ``term_masks`` holds each term's (vars_mask, pos_mask), derived once at
+    construction for the encoder's per-pair term scans; like the cached
+    width it is not part of the value (no eq, hash or repr)."""
 
     n: int
     terms: tuple[Term, ...]
+    term_masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_n(self.n)
@@ -125,6 +131,10 @@ class Dnf:
         for i, t in enumerate(self.terms):
             if t.vars_mask & ~full:
                 raise ValueError(f"term {i + 1} uses variables beyond n={self.n}")
+        object.__setattr__(
+            self, "term_masks", tuple((t.vars_mask, t.pos_mask) for t in self.terms)
+        )
+        object.__setattr__(self, "_width", max((t.width for t in self.terms), default=0))
 
     @classmethod
     def from_term_literals(cls, n: int, terms: Sequence[Iterable[int]]) -> "Dnf":
@@ -136,7 +146,7 @@ class Dnf:
         return len(self.terms)
 
     def width(self) -> int:
-        return max((t.width for t in self.terms), default=0)
+        return self._width
 
     def read(self) -> int:
         counts: dict[int, int] = {}

@@ -26,15 +26,25 @@ Determinism choices (part of the data contract, relied on by golden tests):
   qualifying one, taking variables in ascending order with false before
   true;
 * sigma positions are 1-based.
+
+``encode`` is the scalar, per-pair encoder.  In ``verify`` each full-depth
+pair is encoded once: ``FamilyAnalysis`` encodes every pair with S
+nonempty (through ``extract_cover``) and keeps the encodings of each
+subset as an ``EncodingRecord`` of arrays, and the ``roundtrip`` check
+decodes that record; only the pairs with S empty are encoded by the check
+itself.  Every table lookup reads the compressed full-depth tables.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
 from .bitops import bit_indices, mask_to_vars, pdep, subsets_up_to
-from .dnf import ALIVE, SATISFIED, Dnf
+from .dnf import Dnf
 from .restrictions import RestrictionTables
 
 
@@ -109,20 +119,64 @@ class CoverRecord:
             raise ValueError("union mask and union size disagree")
 
 
-def _first_open_term(dnf: Dnf, assigned: int, x: int) -> tuple[int, int]:
-    """Index (0-based) of the first term alive under the partial assignment.
+@dataclass(frozen=True, slots=True, eq=False)  # arrays have no single truth value
+class EncodingRecord:
+    """The encodings of one subset's full-depth pairs, in ``valid_pairs``
+    order, as arrays: no Python object per pair.
+
+    ``x_sat`` is (m,) uint32 (n <= 24); ``sigma`` is (m, d) uint8, since a
+    position indexes c, which holds at most n distinct variables; ``a`` is
+    (m,) uint16 with bit t the t-th truth value (d <= 12).
+    """
+
+    n: int
+    x_sat: np.ndarray
+    sigma: np.ndarray
+    a: np.ndarray
+
+    @classmethod
+    def pack(cls, n: int, d: int, encodings: list[Encoding]) -> "EncodingRecord":
+        m = len(encodings)
+        x_sat = np.fromiter((e.x_sat for e in encodings), dtype=np.uint32, count=m)
+        sigma = np.array([e.sigma for e in encodings], dtype=np.uint8).reshape(m, d)
+        bits = np.array([e.a for e in encodings], dtype=np.uint16).reshape(m, d)
+        a = (bits << np.arange(d, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
+        return cls(n, x_sat, sigma, a)
+
+    def __len__(self) -> int:
+        return len(self.x_sat)
+
+    def encodings(self) -> Iterator[Encoding]:
+        """The ``Encoding`` of each pair, rebuilt in record order."""
+        a_of = _unpacked_truth_values(self.sigma.shape[1])
+        for x_sat, sigma, a in zip(
+            self.x_sat.tolist(), self.sigma.tolist(), self.a.tolist()
+        ):
+            yield Encoding(self.n, x_sat, tuple(sigma), a_of[a])
+
+
+@lru_cache(maxsize=None)
+def _unpacked_truth_values(d: int) -> tuple[tuple[bool, ...], ...]:
+    """Entry v is the d truth values packed into v (bit t is value t)."""
+    return tuple(tuple(bool(v >> t & 1) for t in range(d)) for v in range(1 << d))
+
+
+def _first_open_term(dnf: Dnf, assigned: int, x: int) -> tuple[int, int, int]:
+    """Index (0-based), vars mask and pos mask of the first term alive under
+    the partial assignment x on ``assigned``.
 
     A satisfied term here would mean the restricted function is already
     decided, contradicting the full-depth invariant, so it is fatal.
     """
-    for idx, term in enumerate(dnf.terms):
-        st = term.status(assigned, x)
-        if st == SATISFIED:
+    for idx, (vars_mask, pos_mask) in enumerate(dnf.term_masks):
+        seen = vars_mask & assigned
+        if x & seen != pos_mask & seen:
+            continue  # falsified
+        if seen == vars_mask:
             raise EncodingInvariantError(
                 f"term {idx + 1} already satisfied while free variables remain"
             )
-        if st == ALIVE:
-            return idx, term.vars_mask
+        return idx, vars_mask, pos_mask
     raise EncodingInvariantError("no alive term although the restriction has full depth")
 
 
@@ -132,16 +186,16 @@ def _lex_depth_preserving(
     """Assignment bits on s_j_mask keeping the rest of S at full depth.
 
     Candidates are scanned in lexicographic order: ascending variables,
-    false before true; existence is part of the encoder correctness claim."""
+    false before true; existence is part of the encoder correctness claim.
+    Each candidate is one lookup in the compressed table E_rest."""
     s_j_bits = bit_indices(s_j_mask)
     m = len(s_j_bits)
-    full_depth = tables.dt_by_full(rest_mask)
     for cand in range(1 << m):
         bits = 0
         for t, b in enumerate(s_j_bits):
             if (cand >> (m - 1 - t)) & 1:
                 bits |= 1 << b
-        if full_depth[x_dt | bits]:
+        if tables.full_depth_at(rest_mask, x_dt | bits):
             return bits
     raise EncodingInvariantError("no depth-preserving assignment exists")
 
@@ -185,12 +239,11 @@ def encode(
         # loop invariant: the remaining free set still needs full depth
         if not tables.full_depth_at(s_prime, x_dt):
             raise EncodingInvariantError("depth invariant lost between rounds")
-        idx, term_vars = _first_open_term(dnf, assigned, x_dt)
-        term = dnf.terms[idx]
+        idx, term_vars, term_pos = _first_open_term(dnf, assigned, x_dt)
         s_j = term_vars & s_prime
         if s_j == 0:
             raise EncodingInvariantError("alive term has no free variable")
-        sat_bits = term.pos_mask & s_j
+        sat_bits = term_pos & s_j
         rest = s_prime ^ s_j
         dt_bits = _lex_depth_preserving(tables, rest, x_dt, s_j)
 
@@ -228,9 +281,13 @@ def encode(
 
 def extract_cover(
     dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
-) -> CoverRecord:
-    """The cover of (S, x_Sbar): the terms an encode run selects."""
-    return encode(dnf, s_mask, xsbar_bits, tables)[1]
+) -> tuple[Encoding, CoverRecord]:
+    """``encode``, under the name the family analysis calls it by.
+
+    ``FamilyAnalysis`` encodes each pair with S nonempty once, through this
+    name, and keeps both the encoding and the cover.  The name stays
+    because bench/spans.py counts the analysis's encodes by wrapping it."""
+    return encode(dnf, s_mask, xsbar_bits, tables)
 
 
 def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
@@ -259,13 +316,10 @@ def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
         rounds += 1
         if rounds > d:
             raise DecodeError("no progress after d rounds; not a valid encoding")
-        sat_idx = next(
-            (i for i, t in enumerate(dnf.terms) if t.satisfied_by(x)), None
-        )
-        if sat_idx is None:
+        term_vars = next((v for v, p in dnf.term_masks if x & v == p), None)
+        if term_vars is None:
             raise DecodeError("no satisfied term while variables remain")
-        term = dnf.terms[sat_idx]
-        for v in term.variables():
+        for v in mask_to_vars(term_vars):
             if not (in_c >> (v - 1)) & 1:
                 c.append(v)
                 in_c |= 1 << (v - 1)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitops import subsets_up_to
+from .bitops import pdep_array, subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
@@ -62,7 +62,6 @@ from .encoder import (
     EncodingInvariantError,
     decode,
     encode,
-    valid_pairs,
 )
 from .generators import GenerationError, GeneratorSpec
 from .restrictions import (
@@ -236,6 +235,16 @@ def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) 
     return row
 
 
+#: Checks that read the family analysis.  The roundtrip decodes the
+#: analysis's record of encodings.
+ANALYSIS_CHECKS = frozenset(
+    {"degree_counts", "families", "read_chain", "exact_width_chain", "cover_budget",
+     "roundtrip"}
+)
+#: Checks that read the restriction tables, directly or through the analysis.
+TABLE_CHECKS = ANALYSIS_CHECKS | {"evasive"}
+
+
 def effective_d_max(config_d_max: int | None, n: int) -> int:
     d = 4 if config_d_max is None else config_d_max
     return min(d, n, DT_CAP)
@@ -248,22 +257,29 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     """Run the configured checks on one instance and return its report dict.
 
     The instance's truth table, spectrum, restriction tables and family
-    analysis are built here, once, and passed to every check."""
+    analysis are built here, once, and passed to every check; the tables
+    and the analysis only when a configured check reads them.  An encoder
+    fault while the analysis is built is a failed ``roundtrip`` row, and
+    the checks that need the analysis are left out."""
     n = dnf.n
     s, w, k = dnf.metrics()
     f = dnf.evaluate()
     spec = fourier_transform(f)
-    tables = RestrictionTables(f)
     total_weight = spec.total_weight()
     one_norm = spec.one_norm_total()
     min_coeffs = min_coeffs_for_eps(spec, config.eps)
     d_max = effective_d_max(config.d_max, n)
     checks = set(config.checks)
     rows: list[dict] = []
+    tables = RestrictionTables(f) if checks & TABLE_CHECKS else None
     analysis: FamilyAnalysis | None = None
-    if checks & {"families", "read_chain", "exact_width_chain", "cover_budget",
-                 "degree_counts"}:
-        analysis = FamilyAnalysis(dnf, d_max, tables, spec)
+    analysis_fault: str | None = None
+    if checks & ANALYSIS_CHECKS:
+        try:
+            analysis = FamilyAnalysis(dnf, d_max, tables, spec)
+        except (EncodePreconditionError, EncodingInvariantError) as exc:
+            analysis_fault = f"{type(exc).__name__} {exc}"
+            checks = (checks - ANALYSIS_CHECKS) | {"roundtrip"}
 
     subsets = subsets_up_to(n, d_max)
 
@@ -426,23 +442,12 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             rows.append(_row("cover_budget", ctx, r.lhs, r.bound, r.holds))
 
     if "roundtrip" in checks:
-        pairs = 0
-        ok = True
-        context: dict = {}
-        for s_mask, xsbar in valid_pairs(tables, d_max):
-            try:
-                enc, _cover = encode(dnf, s_mask, xsbar, tables)
-                decoded = decode(dnf, enc)
-            except (EncodePreconditionError, EncodingInvariantError, DecodeError) as exc:
-                # an encoder or decoder fault is a failed check, not a usage error
-                context["error"] = f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}"
-                ok = False
-                break
-            if decoded != (s_mask, xsbar):
-                ok = False
-                break
-            pairs += 1
-        rows.append(_row("roundtrip", {"pairs": pairs} | context, pairs, None, ok))
+        if analysis_fault is None:
+            pairs, context = _roundtrip(dnf, tables, analysis, d_max)
+        else:
+            pairs, context = 0, {"error": analysis_fault}
+        rows.append(_row("roundtrip", {"pairs": pairs} | context, pairs, None,
+                         "error" not in context))
 
     payload = {
         "label": label,
@@ -466,6 +471,45 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         payload["families"] = _family_summary(analysis)
         payload["tail_table"] = _tail_table(analysis)
     return payload
+
+
+def _roundtrip(
+    dnf: Dnf, tables: RestrictionTables, analysis: FamilyAnalysis, d_max: int
+) -> tuple[int, dict]:
+    """Decode every full-depth pair's encoding, in ``valid_pairs`` order, and
+    compare it with the pair.
+
+    Pairs with S nonempty are decoded from the analysis's record; the pairs
+    with S = {}, which the analysis does not encode, are encoded here.
+    Returns the number of pairs that round-tripped before the first
+    failure, and a context with an ``error`` entry if there was one; an
+    encoder or decoder fault is a failure, not a usage error.
+    """
+    n = dnf.n
+    full = (1 << n) - 1
+    pairs = 0
+    for s_mask in subsets_up_to(n, d_max):
+        xsbars = pdep_array(tables.full_depth_sbar_indices(s_mask), full ^ s_mask).tolist()
+        if s_mask == 0:
+            encodings = (encode(dnf, 0, xsbar, tables)[0] for xsbar in xsbars)
+        else:
+            profile = analysis.profiles.get(s_mask)
+            record = None if profile is None else profile.record
+            held = 0 if record is None else len(record)
+            if held != len(xsbars):
+                return pairs, {"error": f"the record of S={s_mask} holds {held} "
+                                        f"encodings for {len(xsbars)} full-depth pairs"}
+            encodings = iter(()) if record is None else record.encodings()
+        for xsbar in xsbars:
+            try:
+                enc = next(encodings)
+                decoded = decode(dnf, enc)
+            except (EncodePreconditionError, EncodingInvariantError, DecodeError) as exc:
+                return pairs, {"error": f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}"}
+            if decoded != (s_mask, xsbar):
+                return pairs, {"error": f"decoded {decoded} at S={s_mask}, x={xsbar}"}
+            pairs += 1
+    return pairs, {}
 
 
 def _family_summary(analysis: FamilyAnalysis) -> list[dict]:

@@ -189,7 +189,11 @@ class RestrictionTables:
 
     def dt_by_full(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S indexed by a full n-bit assignment x (the
-        values of x on S are ignored): a read-only bool array of length 2^n."""
+        values of x on S are ignored): a read-only bool array of length 2^n.
+
+        Each cached table holds 2^n bytes, so production code reads the
+        compressed tables instead; this stays for the tests, and because
+        bench/spans.py wraps the name."""
         cached = self._by_full.get(free_mask)
         if cached is not None:
             return cached

@@ -1,8 +1,10 @@
 """Encoder/decoder: golden traces, round trips, and the counting bound."""
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnf_fourier import (
     CoverRecord,
@@ -17,7 +19,7 @@ from dnf_fourier import (
     valid_pairs,
 )
 
-from conftest import small_dnfs
+from conftest import make_bundle, small_dnfs
 
 
 def _tables(dnf):
@@ -84,7 +86,7 @@ def test_extract_cover_matches_encode():
     for s_mask, xsbar in valid_pairs(tables, 3):
         assert extract_cover(dnf, s_mask, xsbar, tables) == encode(
             dnf, s_mask, xsbar, tables
-        )[1]
+        )
 
 
 def test_cover_record_invariants_on_corpus(bundles):
@@ -199,3 +201,40 @@ def test_encodings_distinct_within_degree(bundles):
             key = (e.x_sat, e.sigma, e.a)
             assert key not in seen, (b.label, seen[key], (s_mask, xsbar))
             seen[key] = (s_mask, xsbar)
+
+
+def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
+    """The analysis's record equals the scalar encoder on every pair of
+    valid_pairs, entry by entry, and decodes back to that sequence."""
+    by_subset: dict[int, list[tuple[int, int]]] = {}
+    for s_mask, xsbar in valid_pairs(tables, analysis.d_max):
+        by_subset.setdefault(s_mask, []).append((s_mask, xsbar))
+    assert set(analysis.profiles) == set(by_subset)
+    for s_mask, pairs in by_subset.items():
+        record = analysis.profiles[s_mask].record
+        if s_mask == 0:
+            assert record is None  # S = {} is recorded without encoding
+            continue
+        assert (record.x_sat.dtype, record.sigma.dtype, record.a.dtype) == (
+            np.uint32, np.uint8, np.uint16)
+        assert record.sigma.shape == (len(pairs), s_mask.bit_count())
+        encodings = [encode(dnf, s, x, tables)[0] for s, x in pairs]
+        assert record.x_sat.tolist() == [e.x_sat for e in encodings]
+        assert record.sigma.tolist() == [list(e.sigma) for e in encodings]
+        assert record.a.tolist() == [
+            sum(v << t for t, v in enumerate(e.a)) for e in encodings
+        ]
+        assert list(record.encodings()) == encodings
+        assert [decode(dnf, e) for e in record.encodings()] == pairs
+
+
+def test_analysis_record_matches_scalar_encoder_on_corpus(bundles):
+    for b in bundles:
+        _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis)
+
+
+@given(small_dnfs(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_analysis_record_matches_scalar_encoder_on_random_dnfs(dnf, d_max):
+    b = make_bundle("random", dnf, d_max)
+    _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis)

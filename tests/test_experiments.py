@@ -289,6 +289,105 @@ def test_cli_verify_reports_codec_fault_as_failed_roundtrip(tmp_path, monkeypatc
     assert all(r["holds"] for r in rows if r["check"] != "roundtrip")
 
 
+@pytest.mark.parametrize("error", [EncodePreconditionError, EncodingInvariantError])
+def test_cli_verify_reports_analysis_encoder_fault_as_failed_roundtrip(tmp_path, monkeypatch,
+                                                                       error):
+    # the family analysis makes the encodings that roundtrip decodes, so an
+    # encoder fault there is a failed roundtrip row too, not a lost report
+    from dnf_fourier import covers
+
+    extract_cover = covers.extract_cover
+
+    def broken_on_n6(dnf, *args):
+        if dnf.n == 6:
+            raise error("injected fault")
+        return extract_cover(dnf, *args)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": t}}}
+                      for t in (2, 3)],
+        "checks": "all",
+    }))
+    clean = tmp_path / "clean.json"
+    assert main(["verify", str(cfg_path), "--out", str(clean)]) == 0
+    monkeypatch.setattr(covers, "extract_cover", broken_on_n6)
+    out = tmp_path / "r.json"
+    assert main(["verify", str(cfg_path), "--out", str(out)]) == 1
+    intact, faulty = json.loads(out.read_text())["instances"]
+    assert intact == json.loads(clean.read_text())["instances"][0]
+    row = next(r for r in faulty["checks"] if r["check"] == "roundtrip")
+    assert row["holds"] is False
+    assert row["context"]["error"].startswith(error.__name__)
+    assert faulty["failures"] == 1
+    assert all(r["holds"] for r in faulty["checks"] if r["check"] != "roundtrip")
+
+
+def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
+    from dnf_fourier import covers
+
+    pack = covers.EncodingRecord.pack
+
+    def short_at_degree_two(n, d, encodings):
+        return pack(n, d, encodings[:-1] if d == 2 else encodings)
+
+    monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(short_at_degree_two))
+    report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 2),),
+                                         checks=("roundtrip",)))
+    (row,) = report["instances"][0]["checks"]
+    assert row["holds"] is False and not report["summary"]["ok"]
+    assert "encodings for" in row["context"]["error"]
+
+
+def _spy_tables(monkeypatch) -> list:
+    """Record every RestrictionTables that verify builds."""
+    import dnf_fourier.experiments as experiments
+
+    built = []
+
+    class SpyTables(experiments.RestrictionTables):
+        def __init__(self, f):
+            super().__init__(f)
+            built.append(self)
+
+    monkeypatch.setattr(experiments, "RestrictionTables", SpyTables)
+    return built
+
+
+def test_verify_encodes_each_full_depth_pair_once(monkeypatch):
+    from dnf_fourier import RestrictionTables, covers, experiments
+    from dnf_fourier.encoder import valid_pairs
+
+    calls = []
+
+    def spy(fn):
+        def wrapper(dnf, s_mask, xsbar, tables):
+            calls.append((s_mask, xsbar))
+            return fn(dnf, s_mask, xsbar, tables)
+        return wrapper
+
+    monkeypatch.setattr(covers, "extract_cover", spy(covers.extract_cover))
+    monkeypatch.setattr(experiments, "encode", spy(experiments.encode))
+    built = _spy_tables(monkeypatch)
+    report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4))
+    assert report["summary"]["ok"]
+    pairs = list(valid_pairs(RestrictionTables(tribes(2, 3).evaluate()), 4))
+    assert sorted(calls) == sorted(pairs)
+    assert len(built) == 1 and not built[0]._by_full  # no 2^n broadcast tables
+
+
+def test_spectral_only_verify_builds_no_restriction_tables(monkeypatch):
+    built = _spy_tables(monkeypatch)
+    spectral = ("spectral_basics", "sparsity", "truncation", "approx_transfer",
+                "cover_probability", "satisfied_mass")
+    report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=0,
+                                         checks=spectral))
+    assert report["summary"]["ok"] and report["summary"]["checks"] > 0
+    assert built == []
+    run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), checks=("evasive",)))
+    assert len(built) == 1
+
+
 def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):
     from dnf_fourier import covers
 
