@@ -40,6 +40,7 @@ from .encoder import (
     EncodingInvariantError,
     EncodingRecord,
     decode,
+    decode_records,
     encode,
     extract_cover,
     valid_pairs,
@@ -96,6 +97,7 @@ __all__ = [
     "check_twonorm_u",
     "cover_probability_check",
     "decode",
+    "decode_records",
     "dense_pool",
     "dt_depth",
     "encode",

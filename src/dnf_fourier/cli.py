@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 a verified inequality failed, 2 usage or cap errors.
 A verify or sweep instance that cannot be loaded is an error entry in the
-report, which is still written, and the exit code is 2.
+report, which is still written, and the exit code is 2.  An encoder fault
+is a failure (exit 1): a failed roundtrip row in verify, a fault entry in
+sweep; the report is still written.
 """
 from __future__ import annotations
 
@@ -82,6 +84,14 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _write_report(report: dict, path: str | None) -> None:
+    if path is None:
+        render_json(report, sys.stdout)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            render_json(report, fh)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dnf-fourier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,7 +151,7 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         config = _load_config(args)
         report = run_verify(config)
-        _write(render_json(report), args.out)
+        _write_report(report, args.out)
         if args.csv_dir:
             import os
 
@@ -160,7 +170,7 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         config = _load_config(args)
         report = run_concentration_sweep(config)
-        _write(render_json(report), args.out)
+        _write_report(report, args.out)
         if args.csv_dir:
             import os
 
@@ -171,7 +181,12 @@ def _dispatch(args) -> int:
                 path = os.path.join(args.csv_dir, f"instance_{i:03d}.tail.csv")
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(tail_csv(inst))
-        return USAGE_ERROR if _print_errors(report) else 0
+        faults = [i for i in report["instances"] if "fault" in i]
+        for inst in faults:
+            print(f"fault: {inst['label']}: {inst['fault']}", file=sys.stderr)
+        if _print_errors(report):
+            return USAGE_ERROR
+        return CHECK_FAILURE if faults else 0
 
     if args.command == "encdec-test":
         dnf = load_dnf(args.dnf_file)

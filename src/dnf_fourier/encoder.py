@@ -30,9 +30,16 @@ Determinism choices (part of the data contract, relied on by golden tests):
 ``encode`` is the scalar, per-pair encoder.  In ``verify`` each full-depth
 pair is encoded once: ``FamilyAnalysis`` encodes every pair with S
 nonempty (through ``extract_cover``) and keeps the encodings of each
-subset as an ``EncodingRecord`` of arrays, and the ``roundtrip`` check
-decodes that record; only the pairs with S empty are encoded by the check
-itself.  Every table lookup reads the compressed full-depth tables.
+subset as an ``EncodingRecord`` of arrays; only the pairs with S empty are
+encoded by the ``roundtrip`` check itself.  Every table lookup reads the
+compressed full-depth tables.
+
+``decode_records`` inverts a whole batch of same-degree encodings with
+numpy, and the ``roundtrip`` check decodes every pair through it: each row
+meets every check of the scalar path, and a row that fails one is reported
+by the index of its ``DecodeError`` message in ``DECODE_ERRORS``.  The
+scalar ``decode`` and ``EncodingRecord.encodings`` are its test oracles,
+as ``encode`` will be for a batched encoder.
 """
 from __future__ import annotations
 
@@ -60,6 +67,22 @@ class DecodeError(ValueError):
     """The triple is not an encoding of any valid pair for this DNF."""
 
 
+#: The messages of the DecodeErrors a triple can fail with.  Entry 0
+#: stands for no error: ``decode_records`` returns an index into this tuple.
+TRUTH_VALUES_BEYOND_D = "truth values beyond the d positions"
+SIGMA_NOT_DISTINCT = "sigma positions must be distinct"
+SIGMA_NOT_1_BASED = "sigma positions are 1-based"
+BITS_BEYOND_N = "assignment has bits beyond n variables"
+NO_PROGRESS = "no progress after d rounds; not a valid encoding"
+NO_SATISFIED_TERM = "no satisfied term while variables remain"
+NO_NEW_VARIABLE = "a round recovered no new variables"
+MORE_THAN_D = "recovered more than d variables"
+DECODE_ERRORS = (
+    None, TRUTH_VALUES_BEYOND_D, SIGMA_NOT_DISTINCT, SIGMA_NOT_1_BASED, BITS_BEYOND_N,
+    NO_PROGRESS, NO_SATISFIED_TERM, NO_NEW_VARIABLE, MORE_THAN_D,
+)
+
+
 @dataclass(frozen=True, slots=True)
 class Encoding:
     """The (x_sat, sigma, a) triple for one full-depth pair.
@@ -79,9 +102,9 @@ class Encoding:
         if len(self.sigma) != len(self.a):
             raise ValueError("sigma and a must have equal length")
         if len(set(self.sigma)) != len(self.sigma):
-            raise ValueError("sigma positions must be distinct")
+            raise ValueError(SIGMA_NOT_DISTINCT)
         if any(p < 1 for p in self.sigma):
-            raise ValueError("sigma positions are 1-based")
+            raise ValueError(SIGMA_NOT_1_BASED)
 
     @property
     def d(self) -> int:
@@ -147,7 +170,8 @@ class EncodingRecord:
         return len(self.x_sat)
 
     def encodings(self) -> Iterator[Encoding]:
-        """The ``Encoding`` of each pair, rebuilt in record order."""
+        """The ``Encoding`` of each pair, rebuilt in record order (for the
+        scalar ``decode``, the oracle of ``decode_records``)."""
         a_of = _unpacked_truth_values(self.sigma.shape[1])
         for x_sat, sigma, a in zip(
             self.x_sat.tolist(), self.sigma.tolist(), self.a.tolist()
@@ -298,12 +322,12 @@ def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
     term while variables remain, a round that makes no progress, index
     bookkeeping running off the end); a foreign but well-formed triple may
     instead decode to some pair, which is why validity is the caller's
-    contract.
+    contract.  This scalar decoder is the test oracle of ``decode_records``.
     """
     if e.n != dnf.n:
         raise DecodeError(f"encoding over n={e.n}, DNF over n={dnf.n}")
     if e.x_sat >> dnf.n:
-        raise DecodeError("assignment has bits beyond n variables")
+        raise DecodeError(BITS_BEYOND_N)
     d = e.d
     x = e.x_sat
     s_mask = 0
@@ -315,10 +339,10 @@ def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
     while found < d:
         rounds += 1
         if rounds > d:
-            raise DecodeError("no progress after d rounds; not a valid encoding")
+            raise DecodeError(NO_PROGRESS)
         term_vars = next((v for v, p in dnf.term_masks if x & v == p), None)
         if term_vars is None:
-            raise DecodeError("no satisfied term while variables remain")
+            raise DecodeError(NO_SATISFIED_TERM)
         for v in mask_to_vars(term_vars):
             if not (in_c >> (v - 1)) & 1:
                 c.append(v)
@@ -329,15 +353,91 @@ def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
             if k <= len(c) and not (s_mask >> (c[k - 1] - 1)) & 1
         ]
         if not s_j_vars:
-            raise DecodeError("a round recovered no new variables")
+            raise DecodeError(NO_NEW_VARIABLE)
         if found + len(s_j_vars) > d:
-            raise DecodeError("recovered more than d variables")
+            raise DecodeError(MORE_THAN_D)
         for t, v in enumerate(s_j_vars):
             bit = 1 << (v - 1)
             x = (x | bit) if e.a[found + t] else (x & ~bit)
             s_mask |= bit
         found += len(s_j_vars)
     return s_mask, x & ~s_mask
+
+
+def decode_records(
+    dnf: Dnf, d: int, x_sat: np.ndarray, sigma: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert ``encode`` on a batch of m encodings of degree d at once.
+
+    The arrays have an ``EncodingRecord``'s layout (``x_sat`` (m,),
+    ``sigma`` (m, d), ``a`` (m,) with bit t the t-th truth value); the rows
+    may come from several subsets of the same degree.  Returns (S masks,
+    x_Sbar bits, code), three (m,) arrays: ``code[i]`` is 0 if row i
+    decoded, and otherwise indexes ``DECODE_ERRORS``, the message of the
+    DecodeError that the scalar path raises for that row.  Each row meets
+    the checks in the order the scalar path does: its truth values fit in
+    d bits (``EncodingRecord.encodings``), its sigma positions are distinct
+    and 1-based (``Encoding``), then ``decode``'s checks, round by round.
+    Arrays whose shapes disagree raise DecodeError for the whole batch.
+    """
+    m = len(x_sat)
+    if sigma.shape != (m, d) or a.shape != (m,):
+        raise DecodeError(f"a record of {m} rows with sigma {sigma.shape} and a {a.shape}")
+    code = np.zeros(m, dtype=np.uint8)
+
+    def fail(rows: np.ndarray, message: str) -> None:
+        code[rows & (code == 0)] = DECODE_ERRORS.index(message)   # the first one stays
+
+    pos = np.sort(sigma, axis=1)           # decode reads sigma in sorted order
+    fail(a.astype(np.uint32) >> d != 0, TRUTH_VALUES_BEYOND_D)
+    fail((np.diff(pos, axis=1) == 0).any(axis=1), SIGMA_NOT_DISTINCT)
+    fail((pos == 0).any(axis=1), SIGMA_NOT_1_BASED)
+    x = x_sat.astype(np.uint32)
+    fail(x >> dnf.n != 0, BITS_BEYOND_N)
+
+    # after the real terms, a sentinel empty term that every x satisfies:
+    # the argmax of a row lands on it exactly when no real term is satisfied
+    term_vars = np.array([v for v, _ in dnf.term_masks] + [0], dtype=np.uint32)
+    term_pos = np.array([p for _, p in dnf.term_masks] + [0], dtype=np.uint32)
+    rows = np.arange(m)
+    c = np.zeros((m, dnf.n), dtype=np.uint8)   # c as 0-based variables
+    len_c = np.zeros(m, dtype=np.uint8)
+    in_c = np.zeros(m, dtype=np.uint32)
+    s_mask = np.zeros(m, dtype=np.uint32)
+    found = np.zeros(m, dtype=np.uint8)
+    for _ in range(d):
+        active = (found < d) & (code == 0)
+        if not active.any():
+            break
+        term = ((x[:, None] & term_vars) == term_pos).argmax(axis=1)
+        no_term = term == len(term_vars) - 1
+        fail(active & no_term, NO_SATISFIED_TERM)
+        active &= ~no_term
+        # the term's variables not yet in c enter c in ascending order
+        new = np.where(active, term_vars[term] & ~in_c, np.uint32(0))
+        for b in bit_indices(int(np.bitwise_or.reduce(new, initial=0))):
+            has = (new >> b & 1).astype(bool)
+            c[has, len_c[has]] = b
+            len_c += has
+        in_c |= new
+        # positions are distinct and sorted, so those inside c are a
+        # prefix, and the first ``found`` of them were recovered before
+        inside = (pos <= len_c[:, None]).sum(axis=1, dtype=np.uint8)
+        fail(active & (inside == found), NO_NEW_VARIABLE)
+        active &= inside > found
+        # this check, and the one after the loop, cannot fire once the
+        # positions are distinct; they stay so that a row meets all of decode's
+        fail(active & (inside > d), MORE_THAN_D)
+        active &= inside <= d
+        for j in range(d):     # the j-th sorted position takes the j-th value
+            take = active & (found <= j) & (j < inside)
+            var = c[rows, np.clip(pos[:, j], 1, dnf.n) - 1]
+            bit = np.where(take, np.uint32(1) << var, np.uint32(0))
+            x = np.where(a >> j & 1 != 0, x | bit, x & ~bit)
+            s_mask |= bit
+        found = np.where(active, inside, found)
+    fail(found < d, NO_PROGRESS)
+    return s_mask, x & ~s_mask, code
 
 
 def valid_pairs(tables: RestrictionTables, d_max: int) -> Iterator[tuple[int, int]]:

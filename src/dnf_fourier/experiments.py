@@ -4,7 +4,9 @@
 configured instance and collects one report; any failed asserted check makes
 the report (and the CLI) signal failure.  An instance that cannot be
 loaded or built is an ``error`` entry with no rows, in a verify or a sweep,
-and the other instances still run.  ``run_concentration_sweep`` measures
+and the other instances still run.  An encoder fault is a failed
+``roundtrip`` row in a verify and a ``fault`` entry in a sweep, and the
+other instances still run too.  ``run_concentration_sweep`` measures
 spectral sparsity and how much weight small-union-size families capture, without
 asserting theorem-level claims whose hypotheses do not hold at desk scale
 (those are emitted as report-only rows).
@@ -22,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TextIO
 
 import numpy as np
 
@@ -57,10 +60,13 @@ from .dnf import Dnf, ParseError, load_dnf
 from .dyadic import DyadicRational
 from .enclosures import floor_scaled_log2
 from .encoder import (
+    DECODE_ERRORS,
     DecodeError,
     EncodePreconditionError,
     EncodingInvariantError,
-    decode,
+    EncodingRecord,
+    decode,  # no caller here, but bench/spans.py wraps this name
+    decode_records,
     encode,
 )
 from .generators import GenerationError, GeneratorSpec
@@ -473,43 +479,100 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     return payload
 
 
+#: Rows per batched decode: one numpy call per subset costs more in call
+#: overhead than it saves, and one call per degree would hold every pair.
+ROUNDTRIP_CHUNK = 4096
+
+
 def _roundtrip(
     dnf: Dnf, tables: RestrictionTables, analysis: FamilyAnalysis, d_max: int
 ) -> tuple[int, dict]:
-    """Decode every full-depth pair's encoding, in ``valid_pairs`` order, and
-    compare it with the pair.
+    """Decode every full-depth pair's encoding and compare it with the pair.
 
     Pairs with S nonempty are decoded from the analysis's record; the pairs
-    with S = {}, which the analysis does not encode, are encoded here.
-    Returns the number of pairs that round-tripped before the first
-    failure, and a context with an ``error`` entry if there was one; an
+    with S = {}, which the analysis does not encode, are encoded here.  The
+    records of each degree are decoded in chunks by ``decode_records``.
+    Returns the number of pairs before the first failure in ``valid_pairs``
+    order, and a context with an ``error`` entry if there was one; an
     encoder or decoder fault is a failure, not a usage error.
     """
     n = dnf.n
     full = (1 << n) - 1
-    pairs = 0
-    for s_mask in subsets_up_to(n, d_max):
-        xsbars = pdep_array(tables.full_depth_sbar_indices(s_mask), full ^ s_mask).tolist()
-        if s_mask == 0:
-            encodings = (encode(dnf, 0, xsbar, tables)[0] for xsbar in xsbars)
+    first: tuple[int, int, str] | None = None   # (S mask, row in S, error)
+
+    def keep(s_mask: int, row: int, error: str) -> None:
+        """Keep the failure that comes first in ``valid_pairs`` order."""
+        nonlocal first
+        if first is None or (s_mask, row) < first[:2]:
+            first = (s_mask, row, error)
+
+    def check(d, chunk) -> None:
+        """Decode one chunk of degree-d rows and keep its first failure."""
+        s_exp, x_exp, row, x_sat, sigma, a = (np.concatenate(col) for col in zip(*chunk))
+        try:
+            s_dec, x_dec, code = decode_records(dnf, d, x_sat, sigma, a)
+        except DecodeError as exc:   # the batch as a whole: blame its first pair
+            bad, error = 0, f"DecodeError at S={s_exp[0]}, x={x_exp[0]}: {exc}"
         else:
+            wrong = np.flatnonzero((code != 0) | (s_dec != s_exp) | (x_dec != x_exp))
+            if wrong.size == 0:
+                return
+            bad = wrong[0]
+            at = f"at S={s_exp[bad]}, x={x_exp[bad]}"
+            error = (f"DecodeError {at}: {DECODE_ERRORS[code[bad]]}" if code[bad] else
+                     f"decoded {(int(s_dec[bad]), int(x_dec[bad]))} {at}")
+        keep(int(s_exp[bad]), int(row[bad]), error)
+
+    # S = {} first: its pairs are every x, encoded by the scalar encoder
+    xsbars = tables.full_depth_sbar_indices(0).astype(np.uint32)
+    for lo in range(0, xsbars.size, ROUNDTRIP_CHUNK):
+        encodings = []
+        for row, xsbar in enumerate(xsbars[lo:lo + ROUNDTRIP_CHUNK].tolist(), lo):
+            try:
+                encodings.append(encode(dnf, 0, xsbar, tables)[0])
+            except (EncodePreconditionError, EncodingInvariantError) as exc:
+                keep(0, row, f"{type(exc).__name__} at S=0, x={xsbar}: {exc}")
+                break
+        if encodings:
+            record = EncodingRecord.pack(n, 0, encodings)
+            k = len(encodings)
+            check(0, [(np.zeros(k, np.uint32), xsbars[lo:lo + k], np.arange(lo, lo + k),
+                       record.x_sat, record.sigma, record.a)])
+        if first is not None:
+            break
+
+    subsets = subsets_up_to(n, d_max)
+    for d in range(1, d_max + 1):
+        chunk, rows = [], 0
+        for s_mask in (m for m in subsets if m.bit_count() == d):
+            idxs = tables.full_depth_sbar_indices(s_mask)
             profile = analysis.profiles.get(s_mask)
             record = None if profile is None else profile.record
             held = 0 if record is None else len(record)
-            if held != len(xsbars):
-                return pairs, {"error": f"the record of S={s_mask} holds {held} "
-                                        f"encodings for {len(xsbars)} full-depth pairs"}
-            encodings = iter(()) if record is None else record.encodings()
-        for xsbar in xsbars:
-            try:
-                enc = next(encodings)
-                decoded = decode(dnf, enc)
-            except (EncodePreconditionError, EncodingInvariantError, DecodeError) as exc:
-                return pairs, {"error": f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}"}
-            if decoded != (s_mask, xsbar):
-                return pairs, {"error": f"decoded {decoded} at S={s_mask}, x={xsbar}"}
-            pairs += 1
-    return pairs, {}
+            if held != idxs.size:
+                keep(s_mask, 0, f"the record of S={s_mask} holds {held} "
+                                f"encodings for {idxs.size} full-depth pairs")
+                continue
+            if record is None:
+                continue
+            xsbars = pdep_array(idxs.astype(np.uint32), full ^ s_mask)
+            for lo in range(0, held, ROUNDTRIP_CHUNK):
+                hi = min(held, lo + ROUNDTRIP_CHUNK)
+                chunk.append((np.full(hi - lo, s_mask, np.uint32), xsbars[lo:hi],
+                              np.arange(lo, hi), record.x_sat[lo:hi],
+                              record.sigma[lo:hi], record.a[lo:hi]))
+                rows += hi - lo
+                if rows >= ROUNDTRIP_CHUNK:
+                    check(d, chunk)
+                    chunk, rows = [], 0
+        if chunk:
+            check(d, chunk)
+
+    if first is None:
+        return sum(tables.full_depth_count(m) for m in subsets), {}
+    s_fail, row, error = first
+    before = sum(tables.full_depth_count(m) for m in subsets if m < s_fail)
+    return before + row, {"error": error}
 
 
 def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
@@ -599,7 +662,11 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     degree_cut = floor_scaled_log2(three_over_eps, config.c_param * w) if w else 0
     d_max = min(n, degree_cut if degree_cut > 0 else n, DT_CAP,
                 config.d_max if config.d_max is not None else n)
-    analysis = FamilyAnalysis(dnf, d_max, RestrictionTables(f), spec)
+    try:
+        analysis = FamilyAnalysis(dnf, d_max, RestrictionTables(f), spec)
+    except (EncodePreconditionError, EncodingInvariantError) as exc:
+        # a failed correctness check, not an input error: the others still run
+        return {"label": label, "fault": f"{type(exc).__name__} {exc}", "failures": 1}
 
     u_hi = min(w * d_max, n) if w else 0
     tail_rows = []
@@ -726,8 +793,11 @@ def run_concentration_sweep(config: ExperimentConfig) -> dict:
 # -- rendering -------------------------------------------------------------------
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def render_json(report: dict, out: TextIO) -> None:
+    """Write the report as indented JSON to the text stream ``out``, piece
+    by piece, so that the whole text is never held in memory."""
+    json.dump(report, out, sort_keys=True, indent=2)
+    out.write("\n")
 
 
 def family_csv(payload: dict) -> str:

@@ -6,6 +6,7 @@ which is also asserted against the stated budget.
 """
 from __future__ import annotations
 
+import io
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -223,6 +224,7 @@ def test_criterion_9_determinism():
                                    {"n": 7, "s": 4, "w": 3, "k": 2}, seed=11),
             ),
         )
-        one = render_json(run_verify(ExperimentConfig(instances=sources, workers=1)))
-        eight = render_json(run_verify(ExperimentConfig(instances=sources, workers=8)))
-        assert one == eight
+        one, eight = io.StringIO(), io.StringIO()
+        render_json(run_verify(ExperimentConfig(instances=sources, workers=1)), one)
+        render_json(run_verify(ExperimentConfig(instances=sources, workers=8)), eight)
+        assert one.getvalue() == eight.getvalue()

@@ -12,12 +12,15 @@ from dnf_fourier import (
     Dnf,
     EncodePreconditionError,
     Encoding,
+    EncodingRecord,
     RestrictionTables,
     decode,
+    decode_records,
     encode,
     extract_cover,
     valid_pairs,
 )
+from dnf_fourier.encoder import DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, TRUTH_VALUES_BEYOND_D
 
 from conftest import make_bundle, small_dnfs
 
@@ -238,3 +241,84 @@ def test_analysis_record_matches_scalar_encoder_on_corpus(bundles):
 def test_analysis_record_matches_scalar_encoder_on_random_dnfs(dnf, d_max):
     b = make_bundle("random", dnf, d_max)
     _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis)
+
+
+def _degree_records(b):
+    """The encodings of every full-depth pair, as one record per degree:
+    the analysis's records, and for S = {} the scalar encoder's."""
+    n = b.dnf.n
+    out = {0: EncodingRecord.pack(n, 0, [
+        encode(b.dnf, 0, x, b.tables)[0] for x in range(1 << n)])}
+    for d in range(1, b.analysis.d_max + 1):
+        records = [p.record for _, p in sorted(b.analysis.profiles.items()) if p.d == d]
+        if records:
+            out[d] = EncodingRecord(n, *(np.concatenate(col) for col in zip(
+                *((r.x_sat, r.sigma, r.a) for r in records))))
+    return out
+
+
+def _assert_batched_decode_matches_scalar(b):
+    for d, record in _degree_records(b).items():
+        s_mask, xsbar, code = decode_records(b.dnf, d, record.x_sat, record.sigma, record.a)
+        assert not code.any(), (b.label, d)
+        assert (s_mask.dtype, xsbar.dtype) == (np.uint32, np.uint32)
+        assert list(zip(s_mask.tolist(), xsbar.tolist())) == [
+            decode(b.dnf, e) for e in record.encodings()], (b.label, d)
+
+
+def test_decode_records_matches_scalar_decode_on_corpus(bundles):
+    for b in bundles:
+        _assert_batched_decode_matches_scalar(b)
+
+
+@given(small_dnfs(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_decode_records_matches_scalar_decode_on_random_dnfs(dnf, d_max):
+    _assert_batched_decode_matches_scalar(make_bundle("random", dnf, d_max))
+
+
+def _scalar_path(dnf, d, x_sat, sigma, a):
+    """One row through the scalar path: unpack the truth values, build the
+    ``Encoding``, ``decode``; the decoded pair or the error's message."""
+    if a >> d:
+        return TRUTH_VALUES_BEYOND_D  # the record's unpacking has no entry
+    try:
+        return decode(dnf, Encoding(dnf.n, x_sat, tuple(sigma),
+                                    tuple(bool(a >> t & 1) for t in range(d))))
+    except ValueError as exc:  # DecodeError, or a rejected sigma
+        return str(exc)
+
+
+def test_decode_records_matches_scalar_path_on_corrupted_rows(bundles):
+    # every row is corrupted in one or two fields, or left alone; each row's
+    # outcome, a pair or the first error met, must be the scalar path's
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for b in bundles[::3]:
+        n = b.dnf.n
+        for d, record in _degree_records(b).items():
+            m = len(record)
+            x_sat, sigma, a = record.x_sat.copy(), record.sigma.copy(), record.a.copy()
+            kind = rng.integers(0, 5, m)
+            x_rows, s_rows = np.isin(kind, (0, 3)), np.isin(kind, (1, 3))
+            x_sat[x_rows] = rng.integers(0, 1 << (n + 1), x_rows.sum())
+            sigma[s_rows] = rng.integers(0, n + 2, (s_rows.sum(), d))
+            a[kind == 2] = rng.integers(0, 1 << (d + 1), (kind == 2).sum())
+            s_mask, xsbar, code = decode_records(b.dnf, d, x_sat, sigma, a)
+            for i in range(m):
+                got = DECODE_ERRORS[code[i]] if code[i] else (int(s_mask[i]), int(xsbar[i]))
+                assert got == _scalar_path(b.dnf, d, int(x_sat[i]), sigma[i].tolist(),
+                                           int(a[i])), (b.label, d, i)
+                outcomes.add(got if code[i] else "pair")
+    # the corpus reaches every error except the two that distinct sigma
+    # positions rule out
+    assert outcomes == set(DECODE_ERRORS[1:]) - {NO_PROGRESS, MORE_THAN_D} | {"pair"}
+
+
+def test_decode_records_rejects_a_record_of_mismatched_shape():
+    dnf = Dnf.from_term_literals(2, [[1], [2]])
+    x_sat, a = np.zeros(2, np.uint32), np.zeros(2, np.uint16)
+    with pytest.raises(DecodeError):
+        decode_records(dnf, 2, x_sat, np.ones((2, 1), np.uint8), a)
+    with pytest.raises(DecodeError):
+        decode_records(dnf, 1, x_sat, np.ones((2, 1), np.uint8), a[:1])

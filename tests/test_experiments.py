@@ -1,7 +1,9 @@
 """Experiment runner: report content, determinism, CLI exit codes."""
+import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dnf_fourier import (
@@ -22,6 +24,12 @@ from dnf_fourier.experiments import ConfigError, family_csv, render_json, rows_j
 
 def _tribes_source(w, t):
     return InstanceSource("generator", spec=GeneratorSpec("tribes", {"w": w, "t": t}))
+
+
+def _rendered(report: dict) -> str:
+    out = io.StringIO()
+    render_json(report, out)
+    return out.getvalue()
 
 
 def test_verify_tribes22_report_values():
@@ -62,11 +70,11 @@ def test_reports_byte_identical_across_worker_counts():
     cfg8 = ExperimentConfig(
         instances=(_tribes_source(2, 2), _tribes_source(2, 3)), workers=8
     )
-    r1 = render_json(run_verify(cfg1))
-    r8 = render_json(run_verify(cfg8))
+    r1 = _rendered(run_verify(cfg1))
+    r8 = _rendered(run_verify(cfg8))
     assert r1 == r8
-    s1 = render_json(run_concentration_sweep(cfg1))
-    s8 = render_json(run_concentration_sweep(cfg8))
+    s1 = _rendered(run_concentration_sweep(cfg1))
+    s8 = _rendered(run_concentration_sweep(cfg8))
     assert s1 == s8
 
 
@@ -263,7 +271,7 @@ def test_cli_verify_exit_one_on_failed_check(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("target, error", [
-    ("decode", DecodeError),
+    ("decode_records", DecodeError),
     ("encode", EncodePreconditionError),
     ("encode", EncodingInvariantError),
 ])
@@ -337,6 +345,182 @@ def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
     (row,) = report["instances"][0]["checks"]
     assert row["holds"] is False and not report["summary"]["ok"]
     assert "encodings for" in row["context"]["error"]
+
+
+def _scalar_roundtrip(dnf, tables, analysis, d_max):
+    """The round trip pair by pair, in ``valid_pairs`` order, through
+    ``record.encodings()`` and the scalar ``decode``: the oracle of
+    ``experiments._roundtrip``."""
+    from dnf_fourier.bitops import pdep_array
+    from dnf_fourier.encoder import decode, encode
+
+    full = (1 << dnf.n) - 1
+    pairs = 0
+    for s_mask in subsets_up_to(dnf.n, d_max):
+        xsbars = pdep_array(tables.full_depth_sbar_indices(s_mask), full ^ s_mask).tolist()
+        if s_mask == 0:
+            encodings = (encode(dnf, 0, xsbar, tables)[0] for xsbar in xsbars)
+        else:
+            profile = analysis.profiles.get(s_mask)
+            record = None if profile is None else profile.record
+            held = 0 if record is None else len(record)
+            if held != len(xsbars):
+                return pairs, {"error": f"the record of S={s_mask} holds {held} "
+                                        f"encodings for {len(xsbars)} full-depth pairs"}
+            encodings = iter(()) if record is None else record.encodings()
+        for xsbar in xsbars:
+            try:
+                decoded = decode(dnf, next(encodings))
+            except (EncodePreconditionError, EncodingInvariantError, DecodeError) as exc:
+                return pairs, {"error": f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}"}
+            if decoded != (s_mask, xsbar):
+                return pairs, {"error": f"decoded {decoded} at S={s_mask}, x={xsbar}"}
+            pairs += 1
+    return pairs, {}
+
+
+def test_roundtrip_matches_the_scalar_path_on_corpus(bundles):
+    from dnf_fourier import experiments
+
+    for b in bundles:
+        expected = _scalar_roundtrip(b.dnf, b.tables, b.analysis, 4)
+        assert expected[1] == {}
+        assert experiments._roundtrip(b.dnf, b.tables, b.analysis, 4) == expected
+
+
+def _corrupt(kind, dnf, f, record) -> bool:
+    """Corrupt one row of the record in place (two for a swap) so that the
+    scalar path's outcome on it changes; False, with the record as it was,
+    if this kind of corruption cannot change it on this record."""
+    from dnf_fourier.encoder import decode
+
+    if kind == "x_beyond_n":
+        record.x_sat[1] |= 1 << dnf.n
+    elif kind == "x_satisfies_no_term":
+        record.x_sat[1] = np.flatnonzero(~f.to_array().view(bool))[0]
+    elif kind == "sigma_past_c":
+        record.sigma[1, -1] = 40
+    elif kind == "swapped_rows":
+        for column in (record.x_sat, record.sigma, record.a):
+            column[[0, 1]] = column[[1, 0]]
+    else:  # flipped_a: a truth value matters only if a later round reads it
+        def outcome(i):
+            try:
+                return decode(dnf, list(record.encodings())[i])
+            except DecodeError as exc:
+                return str(exc)
+
+        for i, t in np.ndindex(len(record), record.sigma.shape[1]):
+            before = outcome(i)
+            record.a[i] ^= 1 << t
+            if outcome(i) != before:
+                return True
+            record.a[i] ^= 1 << t
+        return False
+    return True
+
+
+CORRUPTIONS = ("x_beyond_n", "x_satisfies_no_term", "sigma_past_c", "flipped_a",
+               "swapped_rows")
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@pytest.mark.parametrize("degrees", [(2,), (2, 3)])
+def test_roundtrip_of_a_corrupted_record_matches_the_scalar_path(kind, degrees):
+    # with degrees (2, 3) a degree-2 record of a large S and a degree-3
+    # record of a smaller S are both corrupted: the first failure in
+    # valid_pairs order is the degree-3 one, though degree 2 decodes first
+    from dnf_fourier import experiments
+
+    from conftest import make_bundle
+
+    dnf = GeneratorSpec("random_read_k", {"n": 8, "s": 4, "w": 3, "k": 2}, seed=7).build()
+    b = make_bundle("rk8", dnf)
+    masks = sorted(b.analysis.profiles)
+    targets = []
+    for rank, d in enumerate(degrees):   # the largest S first, then the smallest
+        for s_mask in (masks[::-1] if rank == 0 else masks):
+            record = b.analysis.profiles[s_mask].record
+            if (s_mask.bit_count() == d and len(record) >= 2
+                    and _corrupt(kind, dnf, b.f, record)):
+                targets.append(s_mask)
+                break
+    assert len(targets) == len(degrees) and targets == sorted(targets, reverse=True)
+    expected = _scalar_roundtrip(dnf, b.tables, b.analysis, 4)
+    assert f"at S={targets[-1]}, " in expected[1]["error"]
+    assert experiments._roundtrip(dnf, b.tables, b.analysis, 4) == expected
+
+
+@pytest.mark.parametrize("sigma, message", [((0, 1), "sigma positions are 1-based"),
+                                            ((2, 2), "sigma positions must be distinct")])
+def test_cli_verify_reports_a_bad_sigma_as_failed_roundtrip(tmp_path, monkeypatch,
+                                                            sigma, message):
+    from dnf_fourier import covers
+
+    pack = covers.EncodingRecord.pack
+
+    def corrupt_at_degree_two(n, d, encodings):
+        record = pack(n, d, encodings)
+        if d == 2:
+            record.sigma[0] = sigma
+        return record
+
+    monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(corrupt_at_degree_two))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}],
+        "checks": ["roundtrip"],
+    }))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(cfg_path), "--out", str(out)]) == 1
+    (row,) = json.loads(out.read_text())["instances"][0]["checks"]
+    assert row["holds"] is False
+    assert row["context"]["error"].startswith("DecodeError at S=3, x=0: ")
+    assert row["context"]["error"].endswith(message)
+
+
+def test_sweep_encoder_fault_is_a_fault_entry(tmp_path, monkeypatch, capsys):
+    from dnf_fourier import covers
+
+    extract_cover = covers.extract_cover
+
+    def broken_on_n6(dnf, *args):
+        if dnf.n == 6:
+            raise EncodingInvariantError("injected fault")
+        return extract_cover(dnf, *args)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": t}}}
+                      for t in (2, 3)],
+    }))
+    clean = tmp_path / "clean.json"
+    assert main(["sweep", str(cfg_path), "--out", str(clean)]) == 0
+    monkeypatch.setattr(covers, "extract_cover", broken_on_n6)
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"r{workers}.json"
+        assert main(["sweep", str(cfg_path), "--out", str(out), "--workers", workers]) == 1
+        assert "injected fault" in capsys.readouterr().err
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    intact, faulty = json.loads(texts[0])["instances"]
+    assert intact == json.loads(clean.read_text())["instances"][0]
+    assert faulty == {"label": "tribes(t=3,w=2,seed=0)", "failures": 1,
+                      "fault": "EncodingInvariantError at S=1, x=2: injected fault"}
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_report_on_stdout_equals_the_out_file(tmp_path, capsys, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}],
+    }))
+    out = tmp_path / "r.json"
+    assert main([command, str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([command, str(cfg_path)]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def _spy_tables(monkeypatch) -> list:
@@ -554,10 +738,15 @@ def test_sweep_csv_and_report_only_block(tmp_path):
     assert csv_text.startswith("u_cutoff,weight_outside")
 
 
+def test_render_json_streams_the_indented_report():
+    report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 2),)))
+    assert _rendered(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def test_render_helpers_deterministic():
     cfg = ExperimentConfig(instances=(_tribes_source(2, 2),))
     report = run_verify(cfg)
-    assert render_json(report) == render_json(run_verify(cfg))
+    assert _rendered(report) == _rendered(run_verify(cfg))
     inst = report["instances"][0]
     assert family_csv(inst) == family_csv(run_verify(cfg)["instances"][0])
     assert rows_jsonl(report) == rows_jsonl(run_verify(cfg))
