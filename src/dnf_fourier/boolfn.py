@@ -176,27 +176,84 @@ class FourierSpectrum:
         return cls(n, scaled)
 
 
+#: Entries per cache block of ``walsh_butterfly`` (1 MiB of int64): the low
+#: stages run block by block, the high stages on column slices of this many
+#: entries, and the one scratch buffer holds half a block.
+WHT_BLOCK = 1 << 17
+
+
 def walsh_butterfly(a: np.ndarray) -> np.ndarray:
     """The divide-and-conquer Walsh-Hadamard transform, in place (n * 2^n work).
 
     ``a`` must be a contiguous vector of length 2^n; it is overwritten and
     returned.  The arithmetic is done in ``a``'s own dtype, so the caller
     picks one that holds every partial sum: after stage i an entry is a
-    signed sum of 2^i inputs.  Each stage keeps one half-length temporary.
+    signed sum of 2^i inputs.  Stages run two at a time (radix 4), and every
+    intermediate is a value of the stage it completes.
+
+    The stages that pair entries less than ``WHT_BLOCK`` apart run on one
+    contiguous block at a time; the others pair whole rows of the
+    (2^n / WHT_BLOCK, WHT_BLOCK) matrix and run on a slice of its columns
+    at a time, so each pass stays in cache.  The only temporary is a
+    scratch buffer of ``WHT_BLOCK // 2`` entries (for n <= 34).
 
     Self-inverse up to the 2^n factor: applying it twice multiplies by 2^n,
     so it both produces spectra and evaluates them back at every point."""
     if not a.flags.c_contiguous:
         raise ValueError("walsh_butterfly needs a contiguous array")
-    h = 1
-    while h < a.size:
-        v = a.reshape(-1, 2, h)
-        lo, hi = v[:, 0], v[:, 1]
-        tmp = lo.copy()
-        lo += hi
-        np.subtract(tmp, hi, out=hi)
-        h *= 2
+    size = a.size
+    if size & (size - 1) or size == 0:
+        raise ValueError(f"walsh_butterfly needs a length 2^n, not {size}")
+    flat = a.reshape(-1)
+    block = min(size, WHT_BLOCK)
+    scratch = np.empty(block // 2, dtype=a.dtype)
+    for lo in range(0, size, block):
+        _butterfly_stages(flat[lo : lo + block], scratch)
+    rows = size // block
+    if rows > 1:
+        matrix = flat.reshape(rows, block)
+        width = max(1, WHT_BLOCK // rows)
+        for lo in range(0, block, width):
+            _butterfly_stages(matrix[:, lo : lo + width], scratch)
     return a
+
+
+def _butterfly_stages(v: np.ndarray, scratch: np.ndarray) -> None:
+    """Every butterfly stage along axis 0 of the view ``v`` (length 2^k), in
+    place: radix 4 while two stages remain, then radix 2 if one does."""
+    h = 1
+    while 4 * h <= v.shape[0]:
+        quads = v.reshape(-1, 4, h, *v.shape[1:])
+        if v.ndim == 1 and h == 4:
+            # numpy loops slowly over inner runs of 4: take one strided
+            # column of the quads at a time instead
+            for j in range(h):
+                _radix4(*(quads[:, i, j] for i in range(4)), scratch)
+        else:
+            _radix4(*(quads[:, i] for i in range(4)), scratch)
+        h *= 4
+    if 2 * h <= v.shape[0]:
+        pairs = v.reshape(-1, 2, h, *v.shape[1:])
+        x0, x1 = pairs[:, 0], pairs[:, 1]
+        t = scratch[: x0.size].reshape(x0.shape)
+        np.subtract(x0, x1, out=t)
+        x0 += x1
+        x1[...] = t
+
+
+def _radix4(x0, x1, x2, x3, scratch: np.ndarray) -> None:
+    """Two butterfly stages on four same-shape quarters, in place: the first
+    pairs (x0, x1) and (x2, x3), the second the results two apart."""
+    t = scratch[: x0.size].reshape(x0.shape)
+    np.subtract(x0, x1, out=t)          # t  = y1 = x0 - x1
+    x0 += x1                            # x0 = y0 = x0 + x1
+    np.subtract(x2, x3, out=x1)         # x1 = y3 = x2 - x3
+    x2 += x3                            # x2 = y2 = x2 + x3
+    np.subtract(t, x1, out=x3)          # x3 = y1 - y3
+    np.add(t, x1, out=x1)               # x1 = y1 + y3
+    np.subtract(x0, x2, out=t)          # t  = y0 - y2
+    x0 += x2                            # x0 = y0 + y2
+    x2[...] = t
 
 
 def fourier_transform(f: BooleanFunction) -> FourierSpectrum:

@@ -31,8 +31,10 @@ check that needs it.
 ``FamilyAnalysis`` is also the record of the full-depth pairs: it encodes
 each pair with S nonempty once and keeps, per subset, the cover statistics
 and the encodings as an ``EncodingRecord`` (arrays in ``valid_pairs``
-order), which the ``roundtrip`` check of ``verify`` decodes.  An encoder
-fault while it classifies is re-raised with the pair that caused it.
+order), which the ``roundtrip`` check of ``verify`` decodes.  The record
+of S = {} is written without encoding: x_sat is every assignment, with
+empty sigma and a.  An encoder fault while it classifies is re-raised
+with the pair that caused it.
 
 The caller builds an instance's truth table, spectrum, restriction
 tables and family analysis once and passes them in; nothing here builds
@@ -45,6 +47,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from .bitops import pdep_array, subsets_up_to
 from .boolfn import (
@@ -95,7 +99,7 @@ class SubsetProfile:
     count_by_u: dict[int, int]
     covers_by_u: dict[int, set[tuple[int, ...]]]
     assigned_u: int  # the family key: most frequent u, ties to smallest
-    record: EncodingRecord | None  # the pairs' encodings; None for S = {}
+    record: EncodingRecord  # the pairs' encodings, in valid_pairs order
 
 
 class FamilyAnalysis:
@@ -143,12 +147,16 @@ class FamilyAnalysis:
                 continue
             count_by_u: dict[int, int] = {}
             covers_by_u: dict[int, set[tuple[int, ...]]] = {}
-            record = None
             if s_mask == 0:
                 # E_{} holds everywhere and the encoder selects no term, so
-                # every assignment is a witness with the empty cover
+                # every assignment is a witness with the empty cover, and
+                # its encoding is x_sat = x with empty sigma and a
                 count_by_u[0] = int(idxs.size)
                 covers_by_u[0] = {()}
+                record = EncodingRecord(
+                    n, idxs.astype(np.uint32), np.zeros((idxs.size, 0), np.uint8),
+                    np.zeros(idxs.size, np.uint16),
+                )
             else:
                 encodings = []
                 for xsbar in pdep_array(idxs, full ^ s_mask).tolist():

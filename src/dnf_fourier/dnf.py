@@ -162,17 +162,24 @@ class Dnf:
     # -- semantics -----------------------------------------------------------
 
     def evaluate(self, n_cap: int = N_CAP) -> BooleanFunction:
-        """Truth table: entry x is 1 iff some term is satisfied by x."""
+        """Truth table: entry x is 1 iff some term is satisfied by x.
+
+        The table is a (2,)*n tensor (axis n-1-i is variable i+1), and each
+        term sets its subcube through one strided slice: 2^(n-|T|) writes
+        and no temporary."""
         if self.n > n_cap:
             from .boolfn import CapExceededError
 
             raise CapExceededError(f"n={self.n} exceeds evaluation cap {n_cap}")
-        x = np.arange(1 << self.n, dtype=np.uint32)
-        table = np.zeros(1 << self.n, dtype=bool)
+        n = self.n
+        table = np.zeros((2,) * n, dtype=bool)
         for t in self.terms:
-            keys = x & np.uint32(t.vars_mask)
-            table |= keys == np.uint32(t.pos_mask)
-        return BooleanFunction.from_array(self.n, table)
+            table[tuple(
+                slice(None) if not (t.vars_mask >> (n - 1 - ax)) & 1
+                else (t.pos_mask >> (n - 1 - ax)) & 1
+                for ax in range(n)
+            )] = True
+        return BooleanFunction.from_array(n, table.reshape(-1))
 
     def truncate_width(self, w: int) -> "Dnf":
         """Drop every term with more than w literals, preserving order.

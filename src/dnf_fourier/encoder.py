@@ -28,11 +28,12 @@ Determinism choices (part of the data contract, relied on by golden tests):
 * sigma positions are 1-based.
 
 ``encode`` is the scalar, per-pair encoder.  In ``verify`` each full-depth
-pair is encoded once: ``FamilyAnalysis`` encodes every pair with S
-nonempty (through ``extract_cover``) and keeps the encodings of each
-subset as an ``EncodingRecord`` of arrays; only the pairs with S empty are
-encoded by the ``roundtrip`` check itself.  Every table lookup reads the
-compressed full-depth tables.
+pair with S nonempty is encoded once: ``FamilyAnalysis`` encodes it
+(through ``extract_cover``) and keeps the encodings of each subset as an
+``EncodingRecord`` of arrays.  The pairs with S empty are not encoded at
+all: their encoding is x_sat = x with empty sigma and a, and the analysis
+writes that record directly.  Every table lookup reads the compressed
+full-depth tables.
 
 ``decode_records`` inverts a whole batch of same-degree encodings with
 numpy, and the ``roundtrip`` check decodes every pair through it: each row

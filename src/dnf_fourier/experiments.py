@@ -64,10 +64,9 @@ from .encoder import (
     DecodeError,
     EncodePreconditionError,
     EncodingInvariantError,
-    EncodingRecord,
     decode,  # no caller here, but bench/spans.py wraps this name
     decode_records,
-    encode,
+    encode,  # no caller here either, and bench/spans.py wraps it too
 )
 from .generators import GenerationError, GeneratorSpec
 from .restrictions import (
@@ -489,8 +488,7 @@ def _roundtrip(
 ) -> tuple[int, dict]:
     """Decode every full-depth pair's encoding and compare it with the pair.
 
-    Pairs with S nonempty are decoded from the analysis's record; the pairs
-    with S = {}, which the analysis does not encode, are encoded here.  The
+    Every pair, S = {} included, is decoded from the analysis's record; the
     records of each degree are decoded in chunks by ``decode_records``.
     Returns the number of pairs before the first failure in ``valid_pairs``
     order, and a context with an ``error`` entry if there was one; an
@@ -523,38 +521,20 @@ def _roundtrip(
                      f"decoded {(int(s_dec[bad]), int(x_dec[bad]))} {at}")
         keep(int(s_exp[bad]), int(row[bad]), error)
 
-    # S = {} first: its pairs are every x, encoded by the scalar encoder
-    xsbars = tables.full_depth_sbar_indices(0).astype(np.uint32)
-    for lo in range(0, xsbars.size, ROUNDTRIP_CHUNK):
-        encodings = []
-        for row, xsbar in enumerate(xsbars[lo:lo + ROUNDTRIP_CHUNK].tolist(), lo):
-            try:
-                encodings.append(encode(dnf, 0, xsbar, tables)[0])
-            except (EncodePreconditionError, EncodingInvariantError) as exc:
-                keep(0, row, f"{type(exc).__name__} at S=0, x={xsbar}: {exc}")
-                break
-        if encodings:
-            record = EncodingRecord.pack(n, 0, encodings)
-            k = len(encodings)
-            check(0, [(np.zeros(k, np.uint32), xsbars[lo:lo + k], np.arange(lo, lo + k),
-                       record.x_sat, record.sigma, record.a)])
-        if first is not None:
-            break
-
     subsets = subsets_up_to(n, d_max)
-    for d in range(1, d_max + 1):
+    for d in range(d_max + 1):
         chunk, rows = [], 0
         for s_mask in (m for m in subsets if m.bit_count() == d):
             idxs = tables.full_depth_sbar_indices(s_mask)
             profile = analysis.profiles.get(s_mask)
-            record = None if profile is None else profile.record
-            held = 0 if record is None else len(record)
+            held = 0 if profile is None else len(profile.record)
             if held != idxs.size:
                 keep(s_mask, 0, f"the record of S={s_mask} holds {held} "
                                 f"encodings for {idxs.size} full-depth pairs")
                 continue
-            if record is None:
+            if profile is None:
                 continue
+            record = profile.record
             xsbars = pdep_array(idxs.astype(np.uint32), full ^ s_mask)
             for lo in range(0, held, ROUNDTRIP_CHUNK):
                 hi = min(held, lo + ROUNDTRIP_CHUNK)

@@ -3,7 +3,9 @@
 The transform oracle computes each coefficient straight from its defining
 average: 2^-n * sum over all inputs of f(x) * (-1)^|x & S|, as a dense
 character-matrix product, which is quadratic in the table size and shares
-no code with the fast transform.  The ranking oracles sort the whole
+no code with the fast transform.  The plain radix-2 butterfly, one full
+pass per stage, is the oracle of the cache-blocked radix-4 one at sizes
+the character matrix cannot reach.  The ranking oracles sort the whole
 spectrum: a full lexsort gives the kept-coefficient order, and prefix sums
 of the sorted squares give the smallest number of coefficients to keep.
 """
@@ -27,7 +29,7 @@ from dnf_fourier import (
     weight_above_degree,
     weight_outside_masks,
 )
-from dnf_fourier.boolfn import popcount_table, ranked_masks, walsh_butterfly
+from dnf_fourier.boolfn import WHT_BLOCK, popcount_table, ranked_masks, walsh_butterfly
 from dnf_fourier.generators import SplitMix64
 
 
@@ -41,6 +43,20 @@ def character_matrix(n: int) -> np.ndarray:
 def oracle_scaled_spectrum(f: BooleanFunction) -> np.ndarray:
     """2^n * fhat(S) for every S, from the definition."""
     return character_matrix(f.n) @ f.to_array().astype(np.int64)
+
+
+def oracle_butterfly(a: np.ndarray) -> np.ndarray:
+    """The radix-2 butterfly: one pass over the whole array per stage, with
+    a half-length temporary, in place."""
+    h = 1
+    while h < a.size:
+        v = a.reshape(-1, 2, h)
+        lo, hi = v[:, 0], v[:, 1]
+        tmp = lo.copy()
+        lo += hi
+        np.subtract(tmp, hi, out=hi)
+        h *= 2
+    return a
 
 
 def oracle_ranked_order(spec: FourierSpectrum) -> np.ndarray:
@@ -223,6 +239,28 @@ def test_butterfly_matches_character_matrix(dtype, f):
 def test_butterfly_rejects_a_strided_view():
     with pytest.raises(ValueError):
         walsh_butterfly(np.zeros(16, dtype=np.int64)[::2])
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_blocked_butterfly_matches_the_radix2_oracle(n):
+    # odd and even stage counts, within one block and across the boundary
+    # (n > 17), on values as large as each dtype's partial sums allow
+    assert WHT_BLOCK == 1 << 17
+    rng = np.random.default_rng(n)
+    for dtype, bound in ((np.int32, 1 << (30 - n)), (np.int64, 1 << (62 - n))):
+        a = rng.integers(-bound, bound, 1 << n, dtype=np.int64).astype(dtype)
+        want = oracle_butterfly(a.copy())
+        got = walsh_butterfly(a)
+        assert got is a and got.dtype == dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [0, 3, 12, 3 << 17])
+def test_butterfly_rejects_a_length_not_a_power_of_two(size):
+    a = np.arange(size, dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\^n"):
+        walsh_butterfly(a)
+    assert np.array_equal(a, np.arange(size))    # nothing was written
 
 
 def test_popcount_table_values():

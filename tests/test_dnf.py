@@ -1,7 +1,13 @@
-"""DNF model: evaluation, metrics, truncation, serialization."""
+"""DNF model: evaluation, metrics, truncation, serialization.
+
+The evaluation oracle compares every assignment with each term's masks,
+over a flat index array; ``Dnf.evaluate`` writes each term's subcube
+through a strided slice instead, and must agree with it bit for bit."""
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dnf_fourier import (
     BooleanFunction,
@@ -14,6 +20,38 @@ from dnf_fourier import (
     random_read_k,
 )
 from dnf_fourier.generators import SplitMix64
+
+from conftest import small_dnfs
+
+
+def oracle_evaluate(dnf: Dnf) -> BooleanFunction:
+    """Entry x is 1 iff (x & vars) == pos for some term, by whole-array
+    compares."""
+    x = np.arange(1 << dnf.n, dtype=np.uint32)
+    table = np.zeros(1 << dnf.n, dtype=bool)
+    for t in dnf.terms:
+        keys = x & np.uint32(t.vars_mask)
+        table |= keys == np.uint32(t.pos_mask)
+    return BooleanFunction.from_array(dnf.n, table)
+
+
+@given(small_dnfs())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_matches_the_compare_oracle(dnf):
+    assert dnf.evaluate() == oracle_evaluate(dnf)
+
+
+@pytest.mark.parametrize("dnf", [
+    Dnf(1, ()),
+    Dnf(5, ()),
+    Dnf.from_term_literals(1, [[1]]),
+    Dnf.from_term_literals(1, [[-1]]),
+    Dnf.from_term_literals(1, [[]]),
+    Dnf.from_term_literals(4, [[2, -3], [], [1]]),
+    random_read_k(20, 12, 5, 3, seed=11),
+], ids=["empty-n1", "empty-n5", "x1", "not-x1", "empty-term-n1", "empty-term-n4", "n20"])
+def test_evaluate_matches_the_compare_oracle_at_the_edges(dnf):
+    assert dnf.evaluate() == oracle_evaluate(dnf)
 
 
 def test_evaluate_examples():

@@ -208,16 +208,15 @@ def test_encodings_distinct_within_degree(bundles):
 
 def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
     """The analysis's record equals the scalar encoder on every pair of
-    valid_pairs, entry by entry, and decodes back to that sequence."""
+    valid_pairs, entry by entry, and decodes back to that sequence.  That
+    includes S = {}, whose record the analysis writes without encoding:
+    x_sat is every assignment, with empty sigma and a."""
     by_subset: dict[int, list[tuple[int, int]]] = {}
     for s_mask, xsbar in valid_pairs(tables, analysis.d_max):
         by_subset.setdefault(s_mask, []).append((s_mask, xsbar))
     assert set(analysis.profiles) == set(by_subset)
     for s_mask, pairs in by_subset.items():
         record = analysis.profiles[s_mask].record
-        if s_mask == 0:
-            assert record is None  # S = {} is recorded without encoding
-            continue
         assert (record.x_sat.dtype, record.sigma.dtype, record.a.dtype) == (
             np.uint32, np.uint8, np.uint16)
         assert record.sigma.shape == (len(pairs), s_mask.bit_count())

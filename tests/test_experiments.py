@@ -272,17 +272,19 @@ def test_cli_verify_exit_one_on_failed_check(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("target, error", [
     ("decode_records", DecodeError),
-    ("encode", EncodePreconditionError),
-    ("encode", EncodingInvariantError),
+    ("extract_cover", EncodePreconditionError),
+    ("extract_cover", EncodingInvariantError),
 ])
 def test_cli_verify_reports_codec_fault_as_failed_roundtrip(tmp_path, monkeypatch,
                                                             target, error):
-    import dnf_fourier.experiments as experiments
+    # roundtrip decodes through experiments.decode_records; every encode,
+    # S = {} aside, is the family analysis's, through covers.extract_cover
+    from dnf_fourier import covers, experiments
 
     def broken(*args, **kwargs):
         raise error("injected fault")
 
-    monkeypatch.setattr(experiments, target, broken)
+    monkeypatch.setattr(experiments if target == "decode_records" else covers, target, broken)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}],
@@ -350,28 +352,26 @@ def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
 def _scalar_roundtrip(dnf, tables, analysis, d_max):
     """The round trip pair by pair, in ``valid_pairs`` order, through
     ``record.encodings()`` and the scalar ``decode``: the oracle of
-    ``experiments._roundtrip``."""
+    ``experiments._roundtrip``.  (That the records, S = {} included, equal
+    the scalar ``encode`` is checked in test_encoder.py.)"""
     from dnf_fourier.bitops import pdep_array
-    from dnf_fourier.encoder import decode, encode
+    from dnf_fourier.encoder import decode
 
     full = (1 << dnf.n) - 1
     pairs = 0
     for s_mask in subsets_up_to(dnf.n, d_max):
         xsbars = pdep_array(tables.full_depth_sbar_indices(s_mask), full ^ s_mask).tolist()
-        if s_mask == 0:
-            encodings = (encode(dnf, 0, xsbar, tables)[0] for xsbar in xsbars)
-        else:
-            profile = analysis.profiles.get(s_mask)
-            record = None if profile is None else profile.record
-            held = 0 if record is None else len(record)
-            if held != len(xsbars):
-                return pairs, {"error": f"the record of S={s_mask} holds {held} "
-                                        f"encodings for {len(xsbars)} full-depth pairs"}
-            encodings = iter(()) if record is None else record.encodings()
+        profile = analysis.profiles.get(s_mask)
+        record = None if profile is None else profile.record
+        held = 0 if record is None else len(record)
+        if held != len(xsbars):
+            return pairs, {"error": f"the record of S={s_mask} holds {held} "
+                                    f"encodings for {len(xsbars)} full-depth pairs"}
+        encodings = iter(()) if record is None else record.encodings()
         for xsbar in xsbars:
             try:
                 decoded = decode(dnf, next(encodings))
-            except (EncodePreconditionError, EncodingInvariantError, DecodeError) as exc:
+            except DecodeError as exc:
                 return pairs, {"error": f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}"}
             if decoded != (s_mask, xsbar):
                 return pairs, {"error": f"decoded {decoded} at S={s_mask}, x={xsbar}"}
@@ -430,6 +430,20 @@ def test_roundtrip_of_a_corrupted_record_matches_the_scalar_path(kind, degrees):
     # with degrees (2, 3) a degree-2 record of a large S and a degree-3
     # record of a smaller S are both corrupted: the first failure in
     # valid_pairs order is the degree-3 one, though degree 2 decodes first
+    _check_corrupted_roundtrip(kind, degrees)
+
+
+@pytest.mark.parametrize("kind", ("x_beyond_n", "x_satisfies_no_term", "swapped_rows"))
+@pytest.mark.parametrize("degrees", [(0,), (2, 0)])
+def test_roundtrip_of_a_corrupted_empty_set_record_matches_the_scalar_path(kind, degrees):
+    # the record of S = {} is decoded like any other; it has no sigma or a
+    # to corrupt
+    _check_corrupted_roundtrip(kind, degrees)
+
+
+def _check_corrupted_roundtrip(kind, degrees):
+    """Corrupt a record of each degree, the largest S first, then the
+    smallest, and compare the round trip with the scalar path."""
     from dnf_fourier import experiments
 
     from conftest import make_bundle
@@ -555,7 +569,8 @@ def test_verify_encodes_each_full_depth_pair_once(monkeypatch):
     built = _spy_tables(monkeypatch)
     report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4))
     assert report["summary"]["ok"]
-    pairs = list(valid_pairs(RestrictionTables(tribes(2, 3).evaluate()), 4))
+    # the pairs with S = {} have x_sat = x and empty sigma and a: no encode
+    pairs = [p for p in valid_pairs(RestrictionTables(tribes(2, 3).evaluate()), 4) if p[0]]
     assert sorted(calls) == sorted(pairs)
     assert len(built) == 1 and not built[0]._by_full  # no 2^n broadcast tables
 
