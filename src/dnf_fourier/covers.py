@@ -440,7 +440,7 @@ def exact_width_cover_bound(
     C(kd, m) <= C(ku, m) <= (ew)^m is verified as well.  ``counts`` is
     S's ``cover_counts_by_union``.
     """
-    widths = {t.width for t in dnf.terms}
+    widths = dnf.term_widths
     if len(widths) > 1:
         raise ValueError(f"term widths are not uniform: {sorted(widths)}")
     d = s_mask.bit_count()
@@ -449,7 +449,7 @@ def exact_width_cover_bound(
     if not widths or widths == {0}:
         bound = 1 if u == 0 else 0
         return CheckResult(count, bound, count <= bound, {"degenerate": True})
-    w = widths.pop()
+    (w,) = widths
     l_cap = (k * u) // w
     bound = sum(comb(k * d, i) for i in range(l_cap + 1))
     extras: dict = {"l_cap": l_cap, "read": k, "width": w}

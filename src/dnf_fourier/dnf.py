@@ -117,13 +117,17 @@ class Dnf:
     """An ordered disjunction of terms over variables 1..n.
 
     ``term_masks`` holds each term's (vars_mask, pos_mask), derived once at
-    construction for the encoder's per-pair term scans; like the cached
-    width it is not part of the value (no eq, hash or repr)."""
+    construction for the encoder's per-pair term scans, and
+    ``term_widths`` the set of term widths, which the exact-width checks
+    read per subset; like the cached width and read they are not part of
+    the value (no eq, hash or repr)."""
 
     n: int
     terms: tuple[Term, ...]
     term_masks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    term_widths: frozenset[int] = field(init=False, repr=False, compare=False)
     _width: int = field(init=False, repr=False, compare=False)
+    _read: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_n(self.n)
@@ -134,7 +138,14 @@ class Dnf:
         object.__setattr__(
             self, "term_masks", tuple((t.vars_mask, t.pos_mask) for t in self.terms)
         )
-        object.__setattr__(self, "_width", max((t.width for t in self.terms), default=0))
+        widths = frozenset(t.width for t in self.terms)
+        object.__setattr__(self, "term_widths", widths)
+        object.__setattr__(self, "_width", max(widths, default=0))
+        counts = [0] * self.n
+        for t in self.terms:
+            for v in t.variables():
+                counts[v - 1] += 1
+        object.__setattr__(self, "_read", max(counts, default=0))
 
     @classmethod
     def from_term_literals(cls, n: int, terms: Sequence[Iterable[int]]) -> "Dnf":
@@ -149,11 +160,7 @@ class Dnf:
         return self._width
 
     def read(self) -> int:
-        counts: dict[int, int] = {}
-        for t in self.terms:
-            for v in t.variables():
-                counts[v] = counts.get(v, 0) + 1
-        return max(counts.values(), default=0)
+        return self._read
 
     def metrics(self) -> tuple[int, int, int]:
         """(size, width, read)."""

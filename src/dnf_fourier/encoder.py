@@ -32,8 +32,12 @@ pair with S nonempty is encoded once: ``FamilyAnalysis`` encodes it
 (through ``extract_cover``) and keeps the encodings of each subset as an
 ``EncodingRecord`` of arrays.  The pairs with S empty are not encoded at
 all: their encoding is x_sat = x with empty sigma and a, and the analysis
-writes that record directly.  Every table lookup reads the compressed
-full-depth tables.
+writes that record directly.
+
+Each full-depth question is asked of the tables once per pair: one lookup
+for the precondition, then one per depth-preserving candidate tried.  The
+question at the top of a round is not asked again, since it is the one
+that the previous lookup (or, in round 1, the precondition) answered.
 
 ``decode_records`` inverts a whole batch of same-degree encodings with
 numpy, and the ``roundtrip`` check decodes every pair through it: each row
@@ -205,6 +209,25 @@ def _first_open_term(dnf: Dnf, assigned: int, x: int) -> tuple[int, int, int]:
     raise EncodingInvariantError("no alive term although the restriction has full depth")
 
 
+@lru_cache(maxsize=None)
+def _ascending_bits(mask: int) -> tuple[int, ...]:
+    """``bit_indices(mask)`` as a tuple, computed once per mask."""
+    return tuple(bit_indices(mask))
+
+
+@lru_cache(maxsize=None)
+def _lex_candidates(mask: int) -> tuple[int, ...]:
+    """Every assignment on mask, as bits on its positions, in lexicographic
+    order: ascending variables, false before true (the first variable is
+    the most significant digit of the candidate's rank)."""
+    bits = _ascending_bits(mask)
+    m = len(bits)
+    return tuple(
+        sum(1 << b for t, b in enumerate(bits) if (rank >> (m - 1 - t)) & 1)
+        for rank in range(1 << m)
+    )
+
+
 def _lex_depth_preserving(
     tables: RestrictionTables, rest_mask: int, x_dt: int, s_j_mask: int
 ) -> int:
@@ -213,14 +236,9 @@ def _lex_depth_preserving(
     Candidates are scanned in lexicographic order: ascending variables,
     false before true; existence is part of the encoder correctness claim.
     Each candidate is one lookup in the compressed table E_rest."""
-    s_j_bits = bit_indices(s_j_mask)
-    m = len(s_j_bits)
-    for cand in range(1 << m):
-        bits = 0
-        for t, b in enumerate(s_j_bits):
-            if (cand >> (m - 1 - t)) & 1:
-                bits |= 1 << b
-        if tables.full_depth_at(rest_mask, x_dt | bits):
+    full_depth_at = tables.full_depth_at
+    for bits in _lex_candidates(s_j_mask):
+        if full_depth_at(rest_mask, x_dt | bits):
             return bits
     raise EncodingInvariantError("no depth-preserving assignment exists")
 
@@ -261,8 +279,15 @@ def encode(
     union_of_sj = 0
 
     while s_prime:
-        # loop invariant: the remaining free set still needs full depth
-        if not tables.full_depth_at(s_prime, x_dt):
+        # loop invariant: the remaining free set S' still needs full depth,
+        # E_{S'}(x_dt).  Each question is asked once, so this is carried,
+        # not looked up: in round 1 it is the precondition's answer (same S,
+        # same x), and in a later round it is the lookup that accepted the
+        # previous round's choice, E_{S'}(x_dt | bits) with x_dt as it was
+        # before the round.  Both ask the same question as long as x_dt has
+        # no bits on S' before a round assigns them (full_depth_at ignores
+        # the bits on the free set), which is checked here.
+        if x_dt & s_prime:
             raise EncodingInvariantError("depth invariant lost between rounds")
         idx, term_vars, term_pos = _first_open_term(dnf, assigned, x_dt)
         s_j = term_vars & s_prime
@@ -277,12 +302,12 @@ def encode(
         assigned |= s_j
         s_prime = rest
         union_of_sj |= s_j
-        for b in bit_indices(s_j):
+        for b in _ascending_bits(s_j):
             a.append(bool((dt_bits >> b) & 1))
-        for v in mask_to_vars(term_vars):
-            if not (in_c >> (v - 1)) & 1:
-                c.append(v)
-                in_c |= 1 << (v - 1)
+        for b in _ascending_bits(term_vars):
+            if not (in_c >> b) & 1:
+                c.append(b + 1)
+                in_c |= 1 << b
         if cover and idx + 1 <= cover[-1]:
             raise EncodingInvariantError("cover term indices not increasing")
         cover.append(idx + 1)

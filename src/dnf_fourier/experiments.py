@@ -400,7 +400,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             rows.append(_row("read_cover_chain", {"S_mask": m}, r.lhs, r.bound, ok))
 
     if "exact_width_chain" in checks:
-        widths = {t.width for t in dnf.terms}
+        widths = dnf.term_widths
         if len(widths) == 1 and widths != {0}:
             u_hi = min(w * d_max, n)
             for m in subsets:

@@ -128,16 +128,6 @@ def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
     return BooleanFunction(len(free), bits)
 
 
-def _drop_bits(x: int, mask: int) -> int:
-    """x with the bits at the positions of mask deleted, higher bits moving
-    down: the compressed index of x over the complement of mask."""
-    while mask:
-        b = mask.bit_length() - 1
-        x = (x & ((1 << b) - 1)) | ((x >> (b + 1)) << b)
-        mask ^= 1 << b
-    return x
-
-
 class RestrictionTables:
     """Full-depth lookups for all restrictions of one function.
 
@@ -147,6 +137,11 @@ class RestrictionTables:
     subsets S - i and cached per mask; each holds 2^(n-|S|) booleans.  It
     is the shared workhorse behind the evasiveness checks, the encoder,
     and the family classification.
+
+    The encoder asks for one entry at a time (``full_depth_at``).  For
+    that, each mask it asks about also keeps a ``memoryview`` of its
+    cached table (a view, not a copy) and the bit positions of S, highest
+    first, with which a full assignment is compressed to the table index.
     """
 
     def __init__(self, f: BooleanFunction):
@@ -155,6 +150,7 @@ class RestrictionTables:
         self._arr = f.to_array().view(np.bool_).reshape((2,) * f.n)
         self._by_sbar: dict[int, np.ndarray] = {}
         self._by_full: dict[int, np.ndarray] = {}
+        self._lookup: dict[int, tuple[memoryview, tuple[int, ...]]] = {}
 
     def _tensor(self, free_mask: int) -> np.ndarray:
         """E_S as a tensor with singleton axes on S (axis n-1-i is variable i+1)."""
@@ -205,11 +201,17 @@ class RestrictionTables:
     def full_depth_at(self, free_mask: int, x: int) -> bool:
         """Whether the restriction to free_mask at (the fixed bits of) x has
         decision-tree depth exactly |S|."""
-        # every encode round asks this once: read the cache directly
-        table = self._by_sbar.get(free_mask)
-        if table is None:
-            table = self.dt_by_sbar(free_mask)
-        return bool(table[_drop_bits(x, free_mask)])
+        # the encoder's per-pair hot path (one call per question it asks):
+        # no numpy scalar, the memoryview yields a Python bool
+        entry = self._lookup.get(free_mask)
+        if entry is None:
+            entry = (memoryview(self.dt_by_sbar(free_mask)),
+                     tuple(reversed(bit_indices(free_mask))))
+            self._lookup[free_mask] = entry
+        table, free_desc = entry
+        for b in free_desc:     # delete bit b of x, the higher bits move down
+            x = (x & ((1 << b) - 1)) | ((x >> (b + 1)) << b)
+        return table[x]
 
     def full_depth_sbar_indices(self, free_mask: int) -> np.ndarray:
         """Compressed fixed assignments where the restriction needs full depth."""

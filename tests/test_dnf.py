@@ -146,6 +146,17 @@ def test_read_matches_incidence_matrix():
         assert d.read() == by_columns
 
 
+@given(small_dnfs())
+@settings(max_examples=200, deadline=None)
+def test_cached_read_and_widths_match_a_recount(dnf):
+    """``read()`` and ``term_widths``, computed once per Dnf, against a count
+    from the term masks, on the DNF and on each of its width truncations."""
+    for g in [dnf] + [dnf.truncate_width(w) for w in range(dnf.width() + 1)]:
+        per_variable = [sum(t.vars_mask >> i & 1 for t in g.terms) for i in range(g.n)]
+        assert g.read() == max(per_variable, default=0)
+        assert g.term_widths == {t.vars_mask.bit_count() for t in g.terms}
+
+
 def test_text_roundtrip_with_comments_and_empty_term():
     text = "# a comment\nn=3\n1 -2\n0\n3\n"
     d = Dnf.from_text(text)

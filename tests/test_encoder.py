@@ -1,4 +1,5 @@
 """Encoder/decoder: golden traces, round trips, and the counting bound."""
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -18,9 +19,13 @@ from dnf_fourier import (
     decode_records,
     encode,
     extract_cover,
+    tribes,
     valid_pairs,
 )
-from dnf_fourier.encoder import DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, TRUTH_VALUES_BEYOND_D
+from dnf_fourier.bitops import bit_indices
+from dnf_fourier.encoder import (
+    DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, TRUTH_VALUES_BEYOND_D, _lex_candidates,
+)
 
 from conftest import make_bundle, small_dnfs
 
@@ -204,6 +209,71 @@ def test_encodings_distinct_within_degree(bundles):
             key = (e.x_sat, e.sigma, e.a)
             assert key not in seen, (b.label, seen[key], (s_mask, xsbar))
             seen[key] = (s_mask, xsbar)
+
+
+def test_lex_candidates_match_the_product_order():
+    # ascending variables, false before true: the first variable is the
+    # slowest-changing digit, as in itertools.product
+    for mask in range(1 << 8):
+        bits = bit_indices(mask)
+        if len(bits) > 5:
+            continue
+        expected = tuple(
+            sum(1 << b for b, value in zip(bits, values) if value)
+            for values in product((False, True), repeat=len(bits))
+        )
+        assert _lex_candidates(mask) == expected, mask
+
+
+def _expected_lookups(dnf, s_mask, e, cov):
+    """1 for the precondition, then, in each round, the candidates tried up
+    to the accepted one: its rank in the lexicographic order plus 1.  The
+    round's free block is its cover term's variables still in S, and its
+    truth values in a are the accepted candidate, first variable first."""
+    total, rest, t = 1, s_mask, 0
+    for j in cov.term_indices:
+        s_j = dnf.terms[j - 1].vars_mask & rest
+        rank = 0
+        for value in e.a[t:t + s_j.bit_count()]:
+            rank = 2 * rank + value
+        total += rank + 1
+        t += s_j.bit_count()
+        rest ^= s_j
+    return total
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """The questions (free set, bits off it) put to any RestrictionTables."""
+    questions: list[tuple[int, int]] = []
+    full_depth_at = RestrictionTables.full_depth_at
+
+    def spy(self, free_mask, x):
+        questions.append((free_mask, x & ~free_mask))
+        return full_depth_at(self, free_mask, x)
+
+    monkeypatch.setattr(RestrictionTables, "full_depth_at", spy)
+    return questions
+
+
+def _assert_each_question_asked_once(asked, dnf, tables, d_max):
+    """Every encode of valid_pairs makes exactly the expected lookups, and
+    no two of them ask the same question."""
+    for s_mask, xsbar in valid_pairs(tables, d_max):
+        asked.clear()
+        e, cov = encode(dnf, s_mask, xsbar, tables)
+        assert len(asked) == _expected_lookups(dnf, s_mask, e, cov), (s_mask, xsbar)
+        assert len(set(asked)) == len(asked), (s_mask, xsbar, asked)
+
+
+def test_encode_asks_each_question_once_on_tribes(asked):
+    dnf = tribes(2, 3)
+    _assert_each_question_asked_once(asked, dnf, _tables(dnf), dnf.n)
+
+
+def test_encode_asks_each_question_once_on_corpus(asked, bundles):
+    for b in bundles:
+        _assert_each_question_asked_once(asked, b.dnf, b.tables, b.analysis.d_max)
 
 
 def _assert_record_matches_scalar_encoder(dnf, tables, analysis):

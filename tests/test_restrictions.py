@@ -112,7 +112,10 @@ def _check_tables_against_oracle(f, d_max):
             for y in range(1 << d):
                 x = fixed | pdep(y, s_mask)
                 assert by_full[x] == by_sbar[idx], (s_mask, idx, y)
-                assert tables.full_depth_at(s_mask, x) == expected
+                # a Python bool, whatever the bits of x on S
+                got = tables.full_depth_at(s_mask, x)
+                assert type(got) is bool, (s_mask, x, type(got))
+                assert got == by_sbar[idx] == expected, (s_mask, x)
         assert tables.full_depth_count(s_mask) == int(by_sbar.sum())
 
 
@@ -123,9 +126,9 @@ def test_restriction_tables_match_single_restrictions():
         Dnf.from_term_literals(5, [[1, -2, 3], [-1, 4], [-3, -4, -5], [2, 5]]),
     ]
     for dnf in instances:
-        _check_tables_against_oracle(dnf.evaluate(), 3)
+        _check_tables_against_oracle(dnf.evaluate(), 4)
     for value in (False, True):
-        _check_tables_against_oracle(BooleanFunction.constant(5, value), 3)
+        _check_tables_against_oracle(BooleanFunction.constant(5, value), 4)
 
 
 @given(st.integers(min_value=1, max_value=6).flatmap(
