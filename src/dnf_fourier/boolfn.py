@@ -314,6 +314,10 @@ def ranked_masks(spec: FourierSpectrum, m: int) -> np.ndarray:
     return kept[np.lexsort((kept, -absvals[kept]))]
 
 
+#: Entries of the spectrum per ``np.bincount`` call in ``min_coeffs_for_eps``.
+HIST_CHUNK = 1 << 16
+
+
 def min_coeffs_for_eps(spec: FourierSpectrum, eps) -> int:
     """Smallest M such that keeping the M largest-magnitude coefficients
     (ties broken by ascending subset mask) discards squared weight <= eps.
@@ -324,7 +328,16 @@ def min_coeffs_for_eps(spec: FourierSpectrum, eps) -> int:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps={eps} outside (0, 1]")
-    hist = np.bincount(np.abs(spec.scaled))       # magnitudes are <= 2^n
+    # the histogram of magnitudes (<= 2^n), one chunk at a time so that no
+    # 2^n temporary exists: each chunk's histogram is added into the longer
+    # of it and the running one
+    scaled = spec.scaled
+    hist = np.bincount(np.abs(scaled[:HIST_CHUNK]))
+    for lo in range(HIST_CHUNK, scaled.size, HIST_CHUNK):
+        part = np.bincount(np.abs(scaled[lo:lo + HIST_CHUNK]))
+        if part.size > hist.size:
+            hist, part = part, hist
+        hist[:part.size] += part
     hist[0] = 0                                   # zeros carry no weight
     mags = np.flatnonzero(hist)[::-1]             # distinct, largest first
     counts = hist[mags]

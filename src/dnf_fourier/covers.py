@@ -29,11 +29,13 @@ not by the number of covers, and it has no cap.
 check that needs it.
 
 ``FamilyAnalysis`` is also the record of the full-depth pairs: it encodes
-each pair with S nonempty once and keeps, per subset, the cover statistics
-and the encodings as an ``EncodingRecord`` (arrays in ``valid_pairs``
-order), which the ``roundtrip`` check of ``verify`` decodes.  The record
-of S = {} is written without encoding: x_sat is every assignment, with
-empty sigma and a.  An encoder fault while it classifies is re-raised
+each pair with S nonempty once, through ``extract_cover``, which returns
+the encoder's plain row (no object per pair).  Per subset it keeps the
+cover statistics and packs the rows into an ``EncodingRecord`` (arrays in
+``valid_pairs`` order), which the ``roundtrip`` check of ``verify``
+decodes.  The record of S = {} is written without encoding: x_sat is
+every assignment, with empty sigma and a.  An encoder fault while it
+classifies, or a row that ``EncodingRecord.pack`` rejects, is re-raised
 with the pair that caused it.
 
 The caller builds an instance's truth table, spectrum, restriction
@@ -158,17 +160,22 @@ class FamilyAnalysis:
                     np.zeros(idxs.size, np.uint16),
                 )
             else:
-                encodings = []
-                for xsbar in pdep_array(idxs, full ^ s_mask).tolist():
+                rows = []
+                xsbars = pdep_array(idxs, full ^ s_mask).tolist()
+                for xsbar in xsbars:
                     try:
-                        enc, cover = extract_cover(self.dnf, s_mask, xsbar, self.tables)
+                        x_sat, sigma, a, cover, u = extract_cover(
+                            self.dnf, s_mask, xsbar, self.tables)
                     except (EncodePreconditionError, EncodingInvariantError) as exc:
                         raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
-                    encodings.append(enc)
-                    u = cover.union_size
+                    rows.append((x_sat, sigma, a))   # the cover is kept once, below
                     count_by_u[u] = count_by_u.get(u, 0) + 1
-                    covers_by_u.setdefault(u, set()).add(cover.term_indices)
-                record = EncodingRecord.pack(n, d, encodings)
+                    covers_by_u.setdefault(u, set()).add(cover)
+                try:
+                    record = EncodingRecord.pack(n, d, rows)
+                except EncodingInvariantError as exc:
+                    raise EncodingInvariantError(
+                        f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
             top = max(count_by_u.values())
             assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
             profile = SubsetProfile(

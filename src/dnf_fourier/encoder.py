@@ -27,12 +27,24 @@ Determinism choices (part of the data contract, relied on by golden tests):
   true;
 * sigma positions are 1-based.
 
-``encode`` is the scalar, per-pair encoder.  In ``verify`` each full-depth
-pair with S nonempty is encoded once: ``FamilyAnalysis`` encodes it
-(through ``extract_cover``) and keeps the encodings of each subset as an
-``EncodingRecord`` of arrays.  The pairs with S empty are not encoded at
-all: their encoding is x_sat = x with empty sigma and a, and the analysis
-writes that record directly.
+``encode_row`` is the per-pair encoder's core.  It builds no object per
+pair: it returns a plain row (x_sat, sigma as a list, a packed as bits
+with bit t the t-th truth value, the cover's term indices, the union
+size), and each check of the encoder runs in it, the union-size check as
+one integer compare at the end.  ``encode`` is a thin wrapper that builds
+the validated ``Encoding`` and ``CoverRecord`` from the row.  In
+``verify`` each full-depth pair with S nonempty is encoded once:
+``FamilyAnalysis`` encodes it (through ``extract_cover``, which returns
+the row) and packs the rows of each subset into an ``EncodingRecord`` of
+arrays, which checks the sigma positions of every row at once.  The pairs
+with S empty are not encoded at all: their encoding is x_sat = x with
+empty sigma and a, and the analysis writes that record directly.
+
+Each round scans the terms from the previous round's selected term on,
+that term included: every term before it was falsified in an earlier
+round, and an assigned bit never changes.  The scan from the first term,
+with an object built per pair, stays in the tests as ``oracle_encode``,
+the oracle of the core and of a future batched encoder.
 
 Each full-depth question is asked of the tables once per pair: one lookup
 for the precondition, then one per depth-preserving candidate tried.  The
@@ -43,15 +55,14 @@ that the previous lookup (or, in round 1, the precondition) answered.
 numpy, and the ``roundtrip`` check decodes every pair through it: each row
 meets every check of the scalar path, and a row that fails one is reported
 by the index of its ``DecodeError`` message in ``DECODE_ERRORS``.  The
-scalar ``decode`` and ``EncodingRecord.encodings`` are its test oracles,
-as ``encode`` will be for a batched encoder.
+scalar ``decode`` and ``EncodingRecord.encodings`` are its test oracles.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +76,14 @@ class EncodePreconditionError(ValueError):
 
 
 class EncodingInvariantError(RuntimeError):
-    """An internal encoder invariant failed: a fatal correctness bug."""
+    """An internal encoder invariant failed: a fatal correctness bug.
+
+    ``row`` is the index of the failing pair when a check over a whole
+    record failed (``EncodingRecord.pack``), and None otherwise."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class DecodeError(ValueError):
@@ -86,6 +104,13 @@ DECODE_ERRORS = (
     None, TRUTH_VALUES_BEYOND_D, SIGMA_NOT_DISTINCT, SIGMA_NOT_1_BASED, BITS_BEYOND_N,
     NO_PROGRESS, NO_SATISFIED_TERM, NO_NEW_VARIABLE, MORE_THAN_D,
 )
+
+
+#: One encoded pair as ``encode_row`` returns it: (x_sat, sigma, a, cover
+#: term indices, union size), where sigma lists the 1-based positions in c
+#: in ascending order, a packs the truth values (bit t is the t-th), and
+#: the cover's 1-based term indices strictly increase.
+EncodedRow = tuple[int, list[int], int, tuple[int, ...], int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,12 +188,28 @@ class EncodingRecord:
     a: np.ndarray
 
     @classmethod
-    def pack(cls, n: int, d: int, encodings: list[Encoding]) -> "EncodingRecord":
-        m = len(encodings)
-        x_sat = np.fromiter((e.x_sat for e in encodings), dtype=np.uint32, count=m)
-        sigma = np.array([e.sigma for e in encodings], dtype=np.uint8).reshape(m, d)
-        bits = np.array([e.a for e in encodings], dtype=np.uint16).reshape(m, d)
-        a = (bits << np.arange(d, dtype=np.uint16)).sum(axis=1, dtype=np.uint16)
+    def pack(cls, n: int, d: int, rows: Sequence[Sequence]) -> "EncodingRecord":
+        """The record of pairs of degree d from rows that start with an
+        ``EncodedRow``'s (x_sat, sigma, a).
+
+        Each row's sigma positions must be distinct and 1-based and its
+        truth values must fit in d bits, as ``Encoding`` requires of one
+        pair; the first row that fails raises EncodingInvariantError with
+        its index as ``row``."""
+        m = len(rows)
+        x_sat = np.fromiter((r[0] for r in rows), dtype=np.uint32, count=m)
+        sigma = np.array([r[1] for r in rows], dtype=np.uint8).reshape(m, d)
+        a = np.fromiter((r[2] for r in rows), dtype=np.uint16, count=m)
+        pos = np.sort(sigma, axis=1)
+        checks = (   # in the order Encoding makes them
+            (TRUTH_VALUES_BEYOND_D, a.astype(np.uint32) >> d != 0),
+            (SIGMA_NOT_DISTINCT, (np.diff(pos, axis=1) == 0).any(axis=1)),
+            (SIGMA_NOT_1_BASED, (pos == 0).any(axis=1)),
+        )
+        failing = np.flatnonzero(np.logical_or.reduce([bad for _, bad in checks]))
+        if failing.size:
+            row = int(failing[0])
+            raise EncodingInvariantError(next(msg for msg, bad in checks if bad[row]), row)
         return cls(n, x_sat, sigma, a)
 
     def __len__(self) -> int:
@@ -190,14 +231,20 @@ def _unpacked_truth_values(d: int) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(bool(v >> t & 1) for t in range(d)) for v in range(1 << d))
 
 
-def _first_open_term(dnf: Dnf, assigned: int, x: int) -> tuple[int, int, int]:
-    """Index (0-based), vars mask and pos mask of the first term alive under
-    the partial assignment x on ``assigned``.
+def _first_open_term(
+    dnf: Dnf, assigned: int, x: int, start: int
+) -> tuple[int, int, int]:
+    """Index (0-based), vars mask and pos mask of the first term from index
+    ``start`` on that is alive under the partial assignment x on ``assigned``.
 
-    A satisfied term here would mean the restricted function is already
+    The caller passes the previous round's selected term as ``start``: the
+    terms before it are falsified, since an assigned bit never changes.  A
+    satisfied term here would mean the restricted function is already
     decided, contradicting the full-depth invariant, so it is fatal.
     """
-    for idx, (vars_mask, pos_mask) in enumerate(dnf.term_masks):
+    term_masks = dnf.term_masks
+    for idx in range(start, len(term_masks)):
+        vars_mask, pos_mask = term_masks[idx]
         seen = vars_mask & assigned
         if x & seen != pos_mask & seen:
             continue  # falsified
@@ -228,25 +275,37 @@ def _lex_candidates(mask: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _lex_choices(mask: int) -> tuple[tuple[int, int], ...]:
+    """``_lex_candidates(mask)``, each with its truth values packed, bit t
+    the value of the t-th variable of mask in ascending order."""
+    bits = _ascending_bits(mask)
+    return tuple(
+        (cand, sum(1 << t for t, b in enumerate(bits) if cand >> b & 1))
+        for cand in _lex_candidates(mask)
+    )
+
+
 def _lex_depth_preserving(
     tables: RestrictionTables, rest_mask: int, x_dt: int, s_j_mask: int
-) -> int:
-    """Assignment bits on s_j_mask keeping the rest of S at full depth.
+) -> tuple[int, int]:
+    """Assignment bits on s_j_mask keeping the rest of S at full depth, and
+    their truth values packed in ascending variable order.
 
     Candidates are scanned in lexicographic order: ascending variables,
     false before true; existence is part of the encoder correctness claim.
     Each candidate is one lookup in the compressed table E_rest."""
     full_depth_at = tables.full_depth_at
-    for bits in _lex_candidates(s_j_mask):
+    for bits, values in _lex_choices(s_j_mask):
         if full_depth_at(rest_mask, x_dt | bits):
-            return bits
+            return bits, values
     raise EncodingInvariantError("no depth-preserving assignment exists")
 
 
-def encode(
+def encode_row(
     dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
-) -> tuple[Encoding, CoverRecord]:
-    """Encode the full-depth pair (S, x_Sbar) into (x_sat, sigma, a).
+) -> EncodedRow:
+    """Encode the full-depth pair (S, x_Sbar) into an ``EncodedRow``.
 
     ``xsbar_bits`` is the fixed-side assignment as an n-bit mask (bits at
     free positions must be zero); ``tables`` are the restriction tables of
@@ -267,16 +326,18 @@ def encode(
             f"restriction lacks full decision-tree depth |S| = {d}"
         )
 
-    w = dnf.width()
     s_prime = s_mask
     x_sat = xsbar_bits
     x_dt = xsbar_bits
     assigned = full ^ s_mask
-    a: list[bool] = []
-    c: list[int] = []  # 1-based variables, in discovery order
-    in_c = 0  # mask of variables already in c
+    a = 0  # truth values, bit t the t-th
+    t = 0  # number of truth values so far
+    sigma: list[int] = []  # positions in c of the variables of S
+    len_c = 0  # c, the variables in discovery order, is kept as its length
+    in_c = 0  # and the mask of its variables
     cover: list[int] = []
     union_of_sj = 0
+    idx = 0
 
     while s_prime:
         # loop invariant: the remaining free set S' still needs full depth,
@@ -289,25 +350,34 @@ def encode(
         # the bits on the free set), which is checked here.
         if x_dt & s_prime:
             raise EncodingInvariantError("depth invariant lost between rounds")
-        idx, term_vars, term_pos = _first_open_term(dnf, assigned, x_dt)
+        # the scan resumes at the previous round's term, that term included:
+        # had the round's choice satisfied it, the scan raises here, where a
+        # scan that started after it would go on without noticing
+        idx, term_vars, term_pos = _first_open_term(dnf, assigned, x_dt, idx)
         s_j = term_vars & s_prime
         if s_j == 0:
             raise EncodingInvariantError("alive term has no free variable")
-        sat_bits = term_pos & s_j
         rest = s_prime ^ s_j
-        dt_bits = _lex_depth_preserving(tables, rest, x_dt, s_j)
+        dt_bits, values = _lex_depth_preserving(tables, rest, x_dt, s_j)
 
-        x_sat = (x_sat & ~s_j) | sat_bits
+        x_sat = (x_sat & ~s_j) | (term_pos & s_j)
         x_dt = (x_dt & ~s_j) | dt_bits
         assigned |= s_j
         s_prime = rest
         union_of_sj |= s_j
-        for b in _ascending_bits(s_j):
-            a.append(bool((dt_bits >> b) & 1))
-        for b in _ascending_bits(term_vars):
-            if not (in_c >> b) & 1:
-                c.append(b + 1)
-                in_c |= 1 << b
+        a |= values << t
+        t += s_j.bit_count()
+        # the term's variables not yet in c enter it in ascending order;
+        # those of S add their positions to sigma
+        new = term_vars & ~in_c
+        if new & s_mask:
+            for b in _ascending_bits(new):
+                len_c += 1
+                if s_mask >> b & 1:
+                    sigma.append(len_c)
+        else:
+            len_c += new.bit_count()
+        in_c |= new
         if cover and idx + 1 <= cover[-1]:
             raise EncodingInvariantError("cover term indices not increasing")
         cover.append(idx + 1)
@@ -317,27 +387,39 @@ def encode(
         raise EncodingInvariantError("selected free blocks do not reassemble S")
     if s_mask & ~in_c:
         raise EncodingInvariantError("variable string c misses part of S")
-    if d > 0 and len(c) > w * d:
+    if d > 0 and len_c > dnf.width() * d:
         raise EncodingInvariantError("variable string c longer than width * d")
-    sigma = tuple(k + 1 for k, v in enumerate(c) if (s_mask >> (v - 1)) & 1)
-    if len(sigma) != d or len(a) != d:
+    if len(sigma) != d or t != d:
         raise EncodingInvariantError("sigma or a has wrong length")
+    if in_c.bit_count() != len_c:
+        raise EncodingInvariantError("union mask and union size disagree")
+    return x_sat, sigma, a, tuple(cover), len_c
 
+
+def encode(
+    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
+) -> tuple[Encoding, CoverRecord]:
+    """Encode the full-depth pair (S, x_Sbar) into (x_sat, sigma, a).
+
+    ``encode_row``'s row as the validated ``Encoding`` and ``CoverRecord``
+    (whose union mask is the union of the cover terms' variables); the
+    arguments and the errors are ``encode_row``'s.
+    """
+    x_sat, sigma, a, cover, union_size = encode_row(dnf, s_mask, xsbar_bits, tables)
+    union_mask = 0
+    for j in cover:
+        union_mask |= dnf.term_masks[j - 1][0]
     return (
-        Encoding(n, x_sat, sigma, tuple(a)),
-        CoverRecord(tuple(cover), len(c), in_c),
+        Encoding(dnf.n, x_sat, tuple(sigma), _unpacked_truth_values(len(sigma))[a]),
+        CoverRecord(cover, union_size, union_mask),
     )
 
 
-def extract_cover(
-    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
-) -> tuple[Encoding, CoverRecord]:
-    """``encode``, under the name the family analysis calls it by.
-
-    ``FamilyAnalysis`` encodes each pair with S nonempty once, through this
-    name, and keeps both the encoding and the cover.  The name stays
-    because bench/spans.py counts the analysis's encodes by wrapping it."""
-    return encode(dnf, s_mask, xsbar_bits, tables)
+#: ``encode_row`` under the name the family analysis calls it by: it encodes
+#: each pair with S nonempty once, through this name, and keeps both the
+#: encoding and the cover of the row.  The name stays because
+#: bench/spans.py counts the analysis's encodes by wrapping it.
+extract_cover = encode_row
 
 
 def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:

@@ -75,6 +75,7 @@ from .restrictions import (
     cover_probability_check,
     evasive_bound_check,
     satisfied_union_table,
+    union_superset_counts,
 )
 
 
@@ -356,9 +357,9 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             rows.append(_row("evasive", {"S_mask": m}, lhs, rhs, ok))
 
     if "cover_probability" in checks:
-        sat_union = satisfied_union_table(dnf)
+        covered = union_superset_counts(satisfied_union_table(dnf), n)
         for m in subsets:
-            lhs, rhs, ok = cover_probability_check(dnf, m, spec, sat_union)
+            lhs, rhs, ok = cover_probability_check(dnf, m, spec, covered)
             rows.append(_row("cover_probability", {"S_mask": m}, lhs, rhs, ok))
 
     if "degree_counts" in checks:

@@ -10,6 +10,7 @@ spectrum: a full lexsort gives the kept-coefficient order, and prefix sums
 of the sorted squares give the smallest number of coefficients to keep.
 """
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dnf_fourier import (
     weight_above_degree,
     weight_outside_masks,
 )
+from dnf_fourier import boolfn
 from dnf_fourier.boolfn import WHT_BLOCK, popcount_table, ranked_masks, walsh_butterfly
 from dnf_fourier.generators import SplitMix64
 
@@ -279,6 +281,17 @@ def test_min_coeffs_matches_sort_oracle(spec, data):
     eps = data.draw(st.sampled_from([Fraction(num, 1 << k), Fraction(1, 3), Fraction(1),
                                      Fraction(1, 1 << (2 * spec.n + 3))]))
     assert min_coeffs_for_eps(spec, eps) == oracle_min_coeffs(spec, eps)
+
+
+@given(spec=st.one_of(_tied_spectra(), _tables(max_n=8).map(fourier_transform)),
+       chunk=st.sampled_from([1, 2, 3, 7, 64]), eps=st.sampled_from(
+           [Fraction(1, 64), Fraction(1, 3), Fraction(1), Fraction(1, 1 << 19)]))
+@settings(max_examples=100, deadline=None)
+def test_min_coeffs_matches_sort_oracle_in_small_chunks(spec, chunk, eps):
+    # the magnitude histogram is accumulated chunk by chunk; with chunks this
+    # small the largest magnitude lies in a later chunk than the first
+    with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        assert min_coeffs_for_eps(spec, eps) == oracle_min_coeffs(spec, eps)
 
 
 def test_min_coeffs_matches_sort_oracle_on_ties_at_the_cut():

@@ -1,4 +1,11 @@
-"""Encoder/decoder: golden traces, round trips, and the counting bound."""
+"""Encoder/decoder: golden traces, round trips, and the counting bound.
+
+``oracle_encode`` is the encoder as it was before its lean core: each
+round scans the terms from the first one, and each pair builds its
+``Encoding`` and ``CoverRecord``.  ``encode_row`` (through
+``extract_cover``), ``encode`` and the family analysis are checked
+against it.
+"""
 from itertools import product
 from math import comb
 
@@ -13,6 +20,7 @@ from dnf_fourier import (
     Dnf,
     EncodePreconditionError,
     Encoding,
+    EncodingInvariantError,
     EncodingRecord,
     RestrictionTables,
     decode,
@@ -24,7 +32,8 @@ from dnf_fourier import (
 )
 from dnf_fourier.bitops import bit_indices
 from dnf_fourier.encoder import (
-    DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, TRUTH_VALUES_BEYOND_D, _lex_candidates,
+    DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT,
+    TRUTH_VALUES_BEYOND_D, _lex_candidates, encode_row,
 )
 
 from conftest import make_bundle, small_dnfs
@@ -32,6 +41,101 @@ from conftest import make_bundle, small_dnfs
 
 def _tables(dnf):
     return RestrictionTables(dnf.evaluate())
+
+
+def _oracle_first_open_term(dnf, assigned, x):
+    """Index (0-based), vars mask and pos mask of the first term alive under
+    the partial assignment x on ``assigned``, scanning from the first term."""
+    for idx, (vars_mask, pos_mask) in enumerate(dnf.term_masks):
+        seen = vars_mask & assigned
+        if x & seen != pos_mask & seen:
+            continue  # falsified
+        if seen == vars_mask:
+            raise EncodingInvariantError(
+                f"term {idx + 1} already satisfied while free variables remain"
+            )
+        return idx, vars_mask, pos_mask
+    raise EncodingInvariantError("no alive term although the restriction has full depth")
+
+
+def oracle_encode(dnf, s_mask, xsbar_bits, tables):
+    """The encoder with an object per pair and a scan from the first term in
+    every round: the oracle of ``encode_row`` and of a batched encoder."""
+    n = dnf.n
+    full = (1 << n) - 1
+    if s_mask & ~full or xsbar_bits & ~full:
+        raise ValueError(f"mask beyond n={n} variables")
+    if xsbar_bits & s_mask:
+        raise ValueError("fixed assignment overlaps the free set")
+    d = s_mask.bit_count()
+    if not tables.full_depth_at(s_mask, xsbar_bits):
+        raise EncodePreconditionError(
+            f"restriction lacks full decision-tree depth |S| = {d}"
+        )
+
+    w = dnf.width()
+    s_prime = s_mask
+    x_sat = xsbar_bits
+    x_dt = xsbar_bits
+    assigned = full ^ s_mask
+    a: list[bool] = []
+    c: list[int] = []  # 1-based variables, in discovery order
+    in_c = 0  # mask of variables already in c
+    cover: list[int] = []
+    union_of_sj = 0
+
+    while s_prime:
+        # the remaining free set S' still needs full depth at x_dt: the
+        # precondition's answer in round 1, the accepted lookup after it
+        if x_dt & s_prime:
+            raise EncodingInvariantError("depth invariant lost between rounds")
+        idx, term_vars, term_pos = _oracle_first_open_term(dnf, assigned, x_dt)
+        s_j = term_vars & s_prime
+        if s_j == 0:
+            raise EncodingInvariantError("alive term has no free variable")
+        sat_bits = term_pos & s_j
+        rest = s_prime ^ s_j
+        dt_bits = next(
+            (bits for bits in _lex_candidates(s_j)
+             if tables.full_depth_at(rest, x_dt | bits)), None)
+        if dt_bits is None:
+            raise EncodingInvariantError("no depth-preserving assignment exists")
+
+        x_sat = (x_sat & ~s_j) | sat_bits
+        x_dt = (x_dt & ~s_j) | dt_bits
+        assigned |= s_j
+        s_prime = rest
+        union_of_sj |= s_j
+        for b in bit_indices(s_j):
+            a.append(bool((dt_bits >> b) & 1))
+        for b in bit_indices(term_vars):
+            if not (in_c >> b) & 1:
+                c.append(b + 1)
+                in_c |= 1 << b
+        if cover and idx + 1 <= cover[-1]:
+            raise EncodingInvariantError("cover term indices not increasing")
+        cover.append(idx + 1)
+
+    # final correctness assertions on the run as a whole
+    if union_of_sj != s_mask:
+        raise EncodingInvariantError("selected free blocks do not reassemble S")
+    if s_mask & ~in_c:
+        raise EncodingInvariantError("variable string c misses part of S")
+    if d > 0 and len(c) > w * d:
+        raise EncodingInvariantError("variable string c longer than width * d")
+    sigma = tuple(k + 1 for k, v in enumerate(c) if (s_mask >> (v - 1)) & 1)
+    if len(sigma) != d or len(a) != d:
+        raise EncodingInvariantError("sigma or a has wrong length")
+
+    return (
+        Encoding(n, x_sat, sigma, tuple(a)),
+        CoverRecord(tuple(cover), len(c), in_c),
+    )
+
+
+def _packed(values):
+    """Truth values packed as a record holds them: bit t is the t-th."""
+    return sum(v << t for t, v in enumerate(values))
 
 
 def test_two_singletons_golden_trace():
@@ -92,9 +196,10 @@ def test_extract_cover_matches_encode():
     dnf = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
     tables = RestrictionTables(dnf.evaluate())
     for s_mask, xsbar in valid_pairs(tables, 3):
-        assert extract_cover(dnf, s_mask, xsbar, tables) == encode(
-            dnf, s_mask, xsbar, tables
-        )
+        x_sat, sigma, a, cover, union_size = extract_cover(dnf, s_mask, xsbar, tables)
+        e, cov = encode(dnf, s_mask, xsbar, tables)
+        assert (x_sat, tuple(sigma), a) == (e.x_sat, e.sigma, _packed(e.a))
+        assert (cover, union_size) == (cov.term_indices, cov.union_size)
 
 
 def test_cover_record_invariants_on_corpus(bundles):
@@ -115,6 +220,97 @@ def test_cover_record_invariants_on_corpus(bundles):
             # sigma stays within the union and the width bound
             assert cov.union_size <= w * d
             assert all(p <= cov.union_size for p in e.sigma)
+
+
+class _YesTables:
+    """Stub tables that answer every full-depth question yes, so each round
+    accepts its first candidate: every variable of the block false."""
+
+    def full_depth_at(self, free_mask, x):
+        return True
+
+
+def test_a_choice_that_satisfies_the_selected_term_is_caught():
+    # round 1 selects term 1 (not x1) and the stub accepts x1 false, which
+    # satisfies it.  Round 2's scan resumes at term 1, not after it, and
+    # finds it satisfied while x2 is free; a scan that skipped it would go
+    # on to term 2 and encode without error.  (The cover-index check cannot
+    # fire here: a round assigns every free variable of its term, so the
+    # term it selects is falsified or satisfied afterwards, never alive.)
+    dnf = Dnf.from_term_literals(2, [[-1], [2]])
+    for encoder in (encode_row, oracle_encode):
+        with pytest.raises(EncodingInvariantError, match="^term 1 already satisfied"):
+            encoder(dnf, 0b11, 0, _YesTables())
+
+
+def test_each_round_scans_from_the_previous_rounds_term(monkeypatch, bundles):
+    # round 1 scans from the first term, every later round from the term
+    # the round before it selected
+    from dnf_fourier import encoder
+
+    scans = []
+    first_open_term = encoder._first_open_term
+
+    def spy(dnf, assigned, x, start):
+        found = first_open_term(dnf, assigned, x, start)
+        scans.append((start, found[0]))
+        return found
+
+    monkeypatch.setattr(encoder, "_first_open_term", spy)
+    for b in bundles[::10]:
+        for s_mask, xsbar in valid_pairs(b.tables, 4):
+            scans.clear()
+            cover = encode_row(b.dnf, s_mask, xsbar, b.tables)[3]
+            assert [idx + 1 for _, idx in scans] == list(cover)
+            assert [start for start, _ in scans] == [0, *(j - 1 for j in cover)][:len(cover)]
+
+
+_GOOD_ROW = (0b11, [1, 2], 0b01, (1, 2), 2)
+
+
+@pytest.mark.parametrize("sigma, message", [([0, 2], SIGMA_NOT_1_BASED),
+                                            ([2, 2], SIGMA_NOT_DISTINCT),
+                                            ([2, 0], SIGMA_NOT_1_BASED)])
+def test_pack_rejects_a_bad_sigma_naming_its_row(sigma, message):
+    rows = [_GOOD_ROW, _GOOD_ROW, (0b11, sigma, 0b01, (1, 2), 2), _GOOD_ROW]
+    with pytest.raises(EncodingInvariantError, match=f"^{message}$") as info:
+        EncodingRecord.pack(2, 2, rows)
+    assert info.value.row == 2
+
+
+def test_pack_rejects_truth_values_beyond_d():
+    rows = [_GOOD_ROW, (0b11, [1, 2], 0b100, (1, 2), 2)]
+    with pytest.raises(EncodingInvariantError, match=TRUTH_VALUES_BEYOND_D) as info:
+        EncodingRecord.pack(2, 2, rows)
+    assert info.value.row == 1
+
+
+def test_pack_names_the_first_failing_row_whatever_its_check():
+    rows = [_GOOD_ROW, (0b11, [0, 1], 0b01, (1, 2), 2), (0b11, [1, 1], 0b01, (1, 2), 2)]
+    with pytest.raises(EncodingInvariantError, match=SIGMA_NOT_1_BASED) as info:
+        EncodingRecord.pack(2, 2, rows)
+    assert info.value.row == 1
+
+
+@pytest.mark.parametrize("sigma, message", [([0, 2], SIGMA_NOT_1_BASED),
+                                            ([1, 1], SIGMA_NOT_DISTINCT)])
+def test_analysis_names_the_pair_of_a_row_that_pack_rejects(monkeypatch, sigma, message):
+    from dnf_fourier import FamilyAnalysis, covers, fourier_transform
+
+    dnf = tribes(2, 2)
+    f = dnf.evaluate()
+    tables = RestrictionTables(f)
+    s_mask, xsbar = [pair for pair in valid_pairs(tables, 2) if pair[0] == 0b11][1]
+    extract = covers.extract_cover
+
+    def corrupt_one_pair(dnf, s, x, tables):
+        row = extract(dnf, s, x, tables)
+        return (row[0], sigma, *row[2:]) if (s, x) == (s_mask, xsbar) else row
+
+    monkeypatch.setattr(covers, "extract_cover", corrupt_one_pair)
+    with pytest.raises(EncodingInvariantError,
+                       match=f"^at S={s_mask}, x={xsbar}: {message}$"):
+        FamilyAnalysis(dnf, 2, tables, fourier_transform(f))
 
 
 def test_corrupted_sigma_raises_not_misdecodes():
@@ -277,27 +473,39 @@ def test_encode_asks_each_question_once_on_corpus(asked, bundles):
 
 
 def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
-    """The analysis's record equals the scalar encoder on every pair of
-    valid_pairs, entry by entry, and decodes back to that sequence.  That
-    includes S = {}, whose record the analysis writes without encoding:
-    x_sat is every assignment, with empty sigma and a."""
+    """The analysis's record and cover statistics equal the oracle encoder's
+    on every pair of valid_pairs, entry by entry, and the record decodes
+    back to that sequence.  That includes S = {}, whose record the analysis
+    writes without encoding: x_sat is every assignment, with empty sigma
+    and a.  Per pair, ``extract_cover``'s row and ``encode``'s objects
+    equal the oracle's too."""
     by_subset: dict[int, list[tuple[int, int]]] = {}
     for s_mask, xsbar in valid_pairs(tables, analysis.d_max):
         by_subset.setdefault(s_mask, []).append((s_mask, xsbar))
     assert set(analysis.profiles) == set(by_subset)
     for s_mask, pairs in by_subset.items():
-        record = analysis.profiles[s_mask].record
+        profile = analysis.profiles[s_mask]
+        record = profile.record
         assert (record.x_sat.dtype, record.sigma.dtype, record.a.dtype) == (
             np.uint32, np.uint8, np.uint16)
         assert record.sigma.shape == (len(pairs), s_mask.bit_count())
-        encodings = [encode(dnf, s, x, tables)[0] for s, x in pairs]
+        oracle = [oracle_encode(dnf, s, x, tables) for s, x in pairs]
+        encodings = [e for e, _ in oracle]
         assert record.x_sat.tolist() == [e.x_sat for e in encodings]
         assert record.sigma.tolist() == [list(e.sigma) for e in encodings]
-        assert record.a.tolist() == [
-            sum(v << t for t, v in enumerate(e.a)) for e in encodings
-        ]
+        assert record.a.tolist() == [_packed(e.a) for e in encodings]
         assert list(record.encodings()) == encodings
         assert [decode(dnf, e) for e in record.encodings()] == pairs
+        count_by_u: dict[int, int] = {}
+        covers_by_u: dict[int, set] = {}
+        for _, cov in oracle:
+            count_by_u[cov.union_size] = count_by_u.get(cov.union_size, 0) + 1
+            covers_by_u.setdefault(cov.union_size, set()).add(cov.term_indices)
+        assert profile.count_by_u == count_by_u and profile.covers_by_u == covers_by_u
+        for (s, x), (e, cov) in zip(pairs, oracle):
+            assert encode(dnf, s, x, tables) == (e, cov)
+            assert extract_cover(dnf, s, x, tables) == (
+                e.x_sat, list(e.sigma), _packed(e.a), cov.term_indices, cov.union_size)
 
 
 def test_analysis_record_matches_scalar_encoder_on_corpus(bundles):
@@ -317,7 +525,7 @@ def _degree_records(b):
     the analysis's records, and for S = {} the scalar encoder's."""
     n = b.dnf.n
     out = {0: EncodingRecord.pack(n, 0, [
-        encode(b.dnf, 0, x, b.tables)[0] for x in range(1 << n)])}
+        encode_row(b.dnf, 0, x, b.tables) for x in range(1 << n)])}
     for d in range(1, b.analysis.d_max + 1):
         records = [p.record for _, p in sorted(b.analysis.profiles.items()) if p.d == d]
         if records:

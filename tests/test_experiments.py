@@ -338,8 +338,8 @@ def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
 
     pack = covers.EncodingRecord.pack
 
-    def short_at_degree_two(n, d, encodings):
-        return pack(n, d, encodings[:-1] if d == 2 else encodings)
+    def short_at_degree_two(n, d, rows):
+        return pack(n, d, rows[:-1] if d == 2 else rows)
 
     monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(short_at_degree_two))
     report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 2),),
@@ -473,8 +473,8 @@ def test_cli_verify_reports_a_bad_sigma_as_failed_roundtrip(tmp_path, monkeypatc
 
     pack = covers.EncodingRecord.pack
 
-    def corrupt_at_degree_two(n, d, encodings):
-        record = pack(n, d, encodings)
+    def corrupt_at_degree_two(n, d, rows):
+        record = pack(n, d, rows)
         if d == 2:
             record.sigma[0] = sigma
         return record

@@ -1,4 +1,5 @@
 """Restrictions, decision-tree depth, and the evasiveness inequality."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,10 @@ from dnf_fourier import (
 )
 from dnf_fourier.bitops import pdep, subsets_up_to
 from dnf_fourier.boolfn import popcount_table
-from dnf_fourier.restrictions import satisfied_union_table
+from dnf_fourier.restrictions import satisfied_union_table, union_superset_counts
 from dnf_fourier.generators import random_read_k
+
+from conftest import small_dnfs
 
 
 def test_restrict_examples():
@@ -172,9 +175,13 @@ def test_evasive_examples():
     assert (lhs, rhs, holds) == (DyadicRational(0), DyadicRational(0), True)
 
 
+def _covered(dnf):
+    return union_superset_counts(satisfied_union_table(dnf), dnf.n)
+
+
 def _cover_probability(dnf, s_mask):
     spec = fourier_transform(dnf.evaluate())
-    return cover_probability_check(dnf, s_mask, spec, satisfied_union_table(dnf))
+    return cover_probability_check(dnf, s_mask, spec, _covered(dnf))
 
 
 def test_cover_probability_examples():
@@ -193,18 +200,53 @@ def test_cover_probability_examples():
 
 def test_evasive_and_cover_probability_on_corpus(bundles):
     for b in bundles:
-        sat_union = satisfied_union_table(b.dnf)
+        covered = _covered(b.dnf)
         for s_mask in subsets_up_to(b.dnf.n, 4):
             _, _, holds = evasive_bound_check(b.tables, s_mask, b.spec)
             assert holds, (b.label, s_mask)
-            _, _, holds = cover_probability_check(b.dnf, s_mask, b.spec, sat_union)
+            _, _, holds = cover_probability_check(b.dnf, s_mask, b.spec, covered)
             assert holds, (b.label, s_mask)
+
+
+def oracle_union_superset_count(sat_union, s_mask):
+    """The number of x with S inside U(x), by one pass over the table: the
+    per-subset count that ``union_superset_counts`` replaced."""
+    return int(np.count_nonzero((sat_union & s_mask) == s_mask))
+
+
+def oracle_satisfied_union(dnf, x):
+    """U(x), term by term."""
+    union = 0
+    for vars_mask, pos_mask in dnf.term_masks:
+        if x & vars_mask == pos_mask:
+            union |= vars_mask
+    return union
+
+
+def _assert_superset_counts_match_oracle(dnf):
+    sat_union = satisfied_union_table(dnf)
+    assert sat_union.dtype == np.uint32 and not sat_union.flags.writeable
+    assert sat_union.tolist() == [oracle_satisfied_union(dnf, x) for x in range(1 << dnf.n)]
+    counts = union_superset_counts(sat_union, dnf.n)
+    assert counts.dtype == np.int32 and not counts.flags.writeable
+    assert counts.tolist() == [
+        oracle_union_superset_count(sat_union, s) for s in range(1 << dnf.n)]
+
+
+def test_union_superset_counts_match_the_per_subset_count_on_corpus(bundles):
+    # every mask, not only |S| <= d_max: the transform fills the whole table
+    for b in bundles:
+        _assert_superset_counts_match_oracle(b.dnf)
+
+
+@given(small_dnfs())
+@settings(max_examples=100, deadline=None)
+def test_union_superset_counts_match_the_per_subset_count_on_random_dnfs(dnf):
+    _assert_superset_counts_match_oracle(dnf)
 
 
 def test_onenorm_count_identity_small():
     # 1-norm at degree d against the full-depth pair count, full enumeration
-    import numpy as np
-
     for i in range(20):
         dnf = random_read_k(5 + i % 4, 1 + i % 6, 1 + i % 4, k=6, seed=700 + i)
         f = dnf.evaluate()
