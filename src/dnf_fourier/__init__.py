@@ -54,12 +54,9 @@ from .experiments import (
 from .generators import GeneratorSpec, SplitMix64, dense_pool, random_read_k, tribes
 from .restrictions import (
     DT_CAP,
-    Restriction,
     RestrictionTables,
     cover_probability_check,
-    dt_depth,
     evasive_bound_check,
-    restrict,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +84,6 @@ __all__ = [
     "InstanceSource",
     "N_CAP",
     "ParseError",
-    "Restriction",
     "RestrictionTables",
     "SplitMix64",
     "Term",
@@ -99,7 +95,6 @@ __all__ = [
     "decode",
     "decode_records",
     "dense_pool",
-    "dt_depth",
     "encode",
     "evasive_bound_check",
     "exact_width_cover_bound",
@@ -110,7 +105,6 @@ __all__ = [
     "one_norm_at_degree",
     "random_read_k",
     "read_cover_count_bound",
-    "restrict",
     "run_concentration_sweep",
     "run_verify",
     "st_inequality_check",

@@ -299,23 +299,50 @@ def ranked_masks(spec: FourierSpectrum, m: int) -> np.ndarray:
     broken by ascending mask.  This ordering defines which coefficients
     are "kept" everywhere in the package.
 
-    Only the m kept masks are sorted: the m-th largest magnitude is found
-    by selection, every mask above it is kept, and the masks at it fill
-    the remaining places in ascending order."""
+    Only the m kept masks are sorted: the m-th largest magnitude is read
+    off the magnitude histogram, every mask above it is kept, and the
+    masks at it fill the remaining places in ascending order, gathered
+    chunk by chunk."""
     if not 0 <= m <= spec.scaled.size:
         raise ValueError(f"m={m} outside [0, 2^{spec.n}]")
     if m == 0:
         return np.zeros(0, dtype=np.intp)
-    absvals = np.abs(spec.scaled)
-    cut = np.partition(absvals, absvals.size - m)[absvals.size - m]
-    above = np.flatnonzero(absvals > cut)
-    at_cut = np.flatnonzero(absvals == cut)[: m - above.size]
-    kept = np.concatenate((above, at_cut))
-    return kept[np.lexsort((kept, -absvals[kept]))]
+    mags, counts = _magnitude_groups(spec.scaled)
+    at_least = np.cumsum(counts)                  # entry g: #{|coefficient| >= mags[g]}
+    g = int(np.searchsorted(at_least, m))         # the first group reaching m
+    cut = int(mags[g])
+    ties = m - (int(at_least[g - 1]) if g else 0)
+    above, at_cut = [], []
+    for lo in range(0, spec.scaled.size, HIST_CHUNK):
+        part = np.abs(spec.scaled[lo:lo + HIST_CHUNK])
+        above.append(np.flatnonzero(part > cut) + lo)
+        if ties:
+            at_cut.append(np.flatnonzero(part == cut)[:ties] + lo)
+            ties -= at_cut[-1].size
+    kept = np.concatenate(above + at_cut)
+    return kept[np.lexsort((kept, -np.abs(spec.scaled[kept])))]
 
 
-#: Entries of the spectrum per ``np.bincount`` call in ``min_coeffs_for_eps``.
+#: Entries of the spectrum per chunk in ``ranked_masks`` and
+#: ``_magnitude_groups``, so that neither makes a 2^n temporary.
 HIST_CHUNK = 1 << 16
+
+
+def _magnitude_groups(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct magnitudes of the coefficients (at most 2^n), largest
+    first and zero included, and how many coefficients have each.
+
+    They are read off the histogram of magnitudes, accumulated one chunk at
+    a time: each chunk's histogram is added into the longer of it and the
+    running one."""
+    hist = np.zeros(1, dtype=np.intp)
+    for lo in range(0, scaled.size, HIST_CHUNK):
+        part = np.bincount(np.abs(scaled[lo:lo + HIST_CHUNK]))
+        if part.size > hist.size:
+            hist, part = part, hist
+        hist[:part.size] += part
+    mags = np.flatnonzero(hist)[::-1]
+    return mags, hist[mags]
 
 
 def min_coeffs_for_eps(spec: FourierSpectrum, eps) -> int:
@@ -328,19 +355,9 @@ def min_coeffs_for_eps(spec: FourierSpectrum, eps) -> int:
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps={eps} outside (0, 1]")
-    # the histogram of magnitudes (<= 2^n), one chunk at a time so that no
-    # 2^n temporary exists: each chunk's histogram is added into the longer
-    # of it and the running one
-    scaled = spec.scaled
-    hist = np.bincount(np.abs(scaled[:HIST_CHUNK]))
-    for lo in range(HIST_CHUNK, scaled.size, HIST_CHUNK):
-        part = np.bincount(np.abs(scaled[lo:lo + HIST_CHUNK]))
-        if part.size > hist.size:
-            hist, part = part, hist
-        hist[:part.size] += part
-    hist[0] = 0                                   # zeros carry no weight
-    mags = np.flatnonzero(hist)[::-1]             # distinct, largest first
-    counts = hist[mags]
+    mags, counts = _magnitude_groups(spec.scaled)
+    weighty = mags != 0                           # zeros carry no weight
+    mags, counts = mags[weighty], counts[weighty]
     # squared weight kept by taking whole tie groups from the top; every
     # partial sum is at most the total, 2^n * ones <= 2^{2n}, so int64 holds it
     kept = np.cumsum(mags * mags * counts)

@@ -31,12 +31,16 @@ check that needs it.
 ``FamilyAnalysis`` is also the record of the full-depth pairs: it encodes
 each pair with S nonempty once, through ``extract_cover``, which returns
 the encoder's plain row (no object per pair).  Per subset it keeps the
-cover statistics and packs the rows into an ``EncodingRecord`` (arrays in
+cover statistics, the compressed indices of the full-depth assignments
+(uint32) and the rows packed into an ``EncodingRecord`` (arrays in
 ``valid_pairs`` order), which the ``roundtrip`` check of ``verify``
 decodes.  The record of S = {} is written without encoding: x_sat is
 every assignment, with empty sigma and a.  An encoder fault while it
 classifies, or a row that ``EncodingRecord.pack`` rejects, is re-raised
-with the pair that caused it.
+with the pair that caused it.  Once the pairs of a subset with
+|S| = d_max are encoded, its restriction table is released, since an
+encoder round only asks about proper subsets of S; the ``evasive`` and
+``roundtrip`` checks read the counts and indices kept here instead.
 
 The caller builds an instance's truth table, spectrum, restriction
 tables and family analysis once and passes them in; nothing here builds
@@ -98,6 +102,7 @@ class SubsetProfile:
     d: int
     coeff: DyadicRational
     witnesses: int  # number of full-depth fixed-side assignments
+    sbar_indices: np.ndarray  # their compressed indices, uint32, ascending
     count_by_u: dict[int, int]
     covers_by_u: dict[int, set[tuple[int, ...]]]
     assigned_u: int  # the family key: most frequent u, ties to smallest
@@ -134,68 +139,75 @@ class FamilyAnalysis:
         return counts
 
     def _classify(self) -> None:
+        for s_mask in subsets_up_to(self.dnf.n, self.d_max):
+            self._classify_subset(s_mask)
+            if s_mask.bit_count() == self.d_max:
+                # an encoder round asks only about proper subsets of S, so no
+                # later pass reads E_S
+                self.tables.release(s_mask)
+
+    def _classify_subset(self, s_mask: int) -> None:
         n = self.dnf.n
         full = (1 << n) - 1
-        for s_mask in subsets_up_to(n, self.d_max):
-            d = s_mask.bit_count()
-            idxs = self.tables.full_depth_sbar_indices(s_mask)
-            coeff = self.spec.coeff(s_mask)
-            if idxs.size == 0:
-                if coeff.numerator != 0:
-                    raise AssertionError(
-                        f"nonzero coefficient without a full-depth witness: {s_mask:#x}"
-                    )
-                self.unassigned.append(s_mask)
-                continue
-            count_by_u: dict[int, int] = {}
-            covers_by_u: dict[int, set[tuple[int, ...]]] = {}
-            if s_mask == 0:
-                # E_{} holds everywhere and the encoder selects no term, so
-                # every assignment is a witness with the empty cover, and
-                # its encoding is x_sat = x with empty sigma and a
-                count_by_u[0] = int(idxs.size)
-                covers_by_u[0] = {()}
-                record = EncodingRecord(
-                    n, idxs.astype(np.uint32), np.zeros((idxs.size, 0), np.uint8),
-                    np.zeros(idxs.size, np.uint16),
+        d = s_mask.bit_count()
+        idxs = self.tables.full_depth_sbar_indices(s_mask)
+        coeff = self.spec.coeff(s_mask)
+        if idxs.size == 0:
+            if coeff.numerator != 0:
+                raise AssertionError(
+                    f"nonzero coefficient without a full-depth witness: {s_mask:#x}"
                 )
-            else:
-                rows = []
-                xsbars = pdep_array(idxs, full ^ s_mask).tolist()
-                for xsbar in xsbars:
-                    try:
-                        x_sat, sigma, a, cover, u = extract_cover(
-                            self.dnf, s_mask, xsbar, self.tables)
-                    except (EncodePreconditionError, EncodingInvariantError) as exc:
-                        raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
-                    rows.append((x_sat, sigma, a))   # the cover is kept once, below
-                    count_by_u[u] = count_by_u.get(u, 0) + 1
-                    covers_by_u.setdefault(u, set()).add(cover)
-                try:
-                    record = EncodingRecord.pack(n, d, rows)
-                except EncodingInvariantError as exc:
-                    raise EncodingInvariantError(
-                        f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
-            top = max(count_by_u.values())
-            assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
-            profile = SubsetProfile(
-                s_mask, d, coeff, int(idxs.size), count_by_u, covers_by_u, assigned_u,
-                record,
+            self.unassigned.append(s_mask)
+            return
+        count_by_u: dict[int, int] = {}
+        covers_by_u: dict[int, set[tuple[int, ...]]] = {}
+        if s_mask == 0:
+            # E_{} holds everywhere and the encoder selects no term, so
+            # every assignment is a witness with the empty cover, and
+            # its encoding is x_sat = x with empty sigma and a
+            count_by_u[0] = int(idxs.size)
+            covers_by_u[0] = {()}
+            record = EncodingRecord(
+                n, idxs.copy(), np.zeros((idxs.size, 0), np.uint8),
+                np.zeros(idxs.size, np.uint16),
             )
-            self.profiles[s_mask] = profile
-            key = FamilyKey(d, assigned_u)
-            stats = self.families.get(key)
-            if stats is None:
-                stats = FamilyStats(key)
-                self.families[key] = stats
-            stats.members.append(s_mask)
-            stats.one_norm = stats.one_norm + abs(coeff)
-            stats.two_norm_sq = stats.two_norm_sq + coeff.square()
-            if abs(coeff) > stats.max_abs_coeff:
-                stats.max_abs_coeff = abs(coeff)
-            nc = self.cover_counts(s_mask).get(assigned_u, 0)
-            if nc > stats.max_num_covers:
-                stats.max_num_covers = nc
+        else:
+            rows = []
+            xsbars = pdep_array(idxs, full ^ s_mask).tolist()
+            for xsbar in xsbars:
+                try:
+                    x_sat, sigma, a, cover, u = extract_cover(
+                        self.dnf, s_mask, xsbar, self.tables)
+                except (EncodePreconditionError, EncodingInvariantError) as exc:
+                    raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
+                rows.append((x_sat, sigma, a))   # the cover is kept once, below
+                count_by_u[u] = count_by_u.get(u, 0) + 1
+                covers_by_u.setdefault(u, set()).add(cover)
+            try:
+                record = EncodingRecord.pack(n, d, rows)
+            except EncodingInvariantError as exc:
+                raise EncodingInvariantError(
+                    f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
+        top = max(count_by_u.values())
+        assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
+        profile = SubsetProfile(
+            s_mask, d, coeff, int(idxs.size), idxs, count_by_u, covers_by_u,
+            assigned_u, record,
+        )
+        self.profiles[s_mask] = profile
+        key = FamilyKey(d, assigned_u)
+        stats = self.families.get(key)
+        if stats is None:
+            stats = FamilyStats(key)
+            self.families[key] = stats
+        stats.members.append(s_mask)
+        stats.one_norm = stats.one_norm + abs(coeff)
+        stats.two_norm_sq = stats.two_norm_sq + coeff.square()
+        if abs(coeff) > stats.max_abs_coeff:
+            stats.max_abs_coeff = abs(coeff)
+        nc = self.cover_counts(s_mask).get(assigned_u, 0)
+        if nc > stats.max_num_covers:
+            stats.max_num_covers = nc
 
     # -- raw counts ----------------------------------------------------------
 

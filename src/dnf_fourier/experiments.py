@@ -353,7 +353,16 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "evasive" in checks:
         for m in subsets:
-            lhs, rhs, ok = evasive_bound_check(tables, m, spec)
+            # the analysis kept the counts of the tables it released; with
+            # no analysis, nothing reads a top-level table after its count
+            if analysis is not None:
+                profile = analysis.profiles.get(m)
+                witnesses = 0 if profile is None else profile.witnesses
+            else:
+                witnesses = tables.full_depth_count(m)
+                if m.bit_count() == d_max:
+                    tables.release(m)
+            lhs, rhs, ok = evasive_bound_check(witnesses, m, spec)
             rows.append(_row("evasive", {"S_mask": m}, lhs, rhs, ok))
 
     if "cover_probability" in checks:
@@ -449,7 +458,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "roundtrip" in checks:
         if analysis_fault is None:
-            pairs, context = _roundtrip(dnf, tables, analysis, d_max)
+            pairs, context = _roundtrip(dnf, analysis, d_max)
         else:
             pairs, context = 0, {"error": analysis_fault}
         rows.append(_row("roundtrip", {"pairs": pairs} | context, pairs, None,
@@ -484,13 +493,13 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 ROUNDTRIP_CHUNK = 4096
 
 
-def _roundtrip(
-    dnf: Dnf, tables: RestrictionTables, analysis: FamilyAnalysis, d_max: int
-) -> tuple[int, dict]:
+def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis, d_max: int) -> tuple[int, dict]:
     """Decode every full-depth pair's encoding and compare it with the pair.
 
-    Every pair, S = {} included, is decoded from the analysis's record; the
-    records of each degree are decoded in chunks by ``decode_records``.
+    Every pair, S = {} included, is decoded from the analysis's record and
+    compared with the full-depth indices the analysis kept, so no table is
+    read; the records of each degree are decoded in chunks by
+    ``decode_records``.
     Returns the number of pairs before the first failure in ``valid_pairs``
     order, and a context with an ``error`` entry if there was one; an
     encoder or decoder fault is a failure, not a usage error.
@@ -522,21 +531,17 @@ def _roundtrip(
                      f"decoded {(int(s_dec[bad]), int(x_dec[bad]))} {at}")
         keep(int(s_exp[bad]), int(row[bad]), error)
 
-    subsets = subsets_up_to(n, d_max)
+    profiles = sorted(analysis.profiles.items())
     for d in range(d_max + 1):
         chunk, rows = [], 0
-        for s_mask in (m for m in subsets if m.bit_count() == d):
-            idxs = tables.full_depth_sbar_indices(s_mask)
-            profile = analysis.profiles.get(s_mask)
-            held = 0 if profile is None else len(profile.record)
+        for s_mask, profile in ((m, p) for m, p in profiles if p.d == d):
+            record, idxs = profile.record, profile.sbar_indices
+            held = len(record)
             if held != idxs.size:
                 keep(s_mask, 0, f"the record of S={s_mask} holds {held} "
                                 f"encodings for {idxs.size} full-depth pairs")
                 continue
-            if profile is None:
-                continue
-            record = profile.record
-            xsbars = pdep_array(idxs.astype(np.uint32), full ^ s_mask)
+            xsbars = pdep_array(idxs, full ^ s_mask)
             for lo in range(0, held, ROUNDTRIP_CHUNK):
                 hi = min(held, lo + ROUNDTRIP_CHUNK)
                 chunk.append((np.full(hi - lo, s_mask, np.uint32), xsbars[lo:hi],
@@ -550,10 +555,9 @@ def _roundtrip(
             check(d, chunk)
 
     if first is None:
-        return sum(tables.full_depth_count(m) for m in subsets), {}
+        return sum(p.witnesses for _, p in profiles), {}
     s_fail, row, error = first
-    before = sum(tables.full_depth_count(m) for m in subsets if m < s_fail)
-    return before + row, {"error": error}
+    return sum(p.witnesses for m, p in profiles if m < s_fail) + row, {"error": error}
 
 
 def _family_summary(analysis: FamilyAnalysis) -> list[dict]:

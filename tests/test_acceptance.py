@@ -98,7 +98,8 @@ def test_criterion_2_evasiveness_suite():
     with criterion(2, "evasiveness bound over the corpus", 300):
         for b in corpus_bundles():
             for s_mask in subsets_up_to(b.dnf.n, 4):
-                _, _, holds = evasive_bound_check(b.tables, s_mask, b.spec)
+                _, _, holds = evasive_bound_check(
+                    b.tables.full_depth_count(s_mask), s_mask, b.spec)
                 assert holds, (b.label, s_mask)
 
 

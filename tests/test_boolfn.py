@@ -314,6 +314,18 @@ def test_ranked_masks_is_a_prefix_of_the_full_order(spec):
         assert np.array_equal(ranked_masks(spec, m), order[:m])
 
 
+@given(spec=st.one_of(_tied_spectra(), _tables(max_n=8).map(fourier_transform)),
+       chunk=st.sampled_from([1, 2, 3, 7, 64]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_ranked_masks_is_a_prefix_of_the_full_order_in_small_chunks(spec, chunk, data):
+    # the kept masks are gathered chunk by chunk: with chunks this small the
+    # masks at the cut magnitude spread over several chunks
+    order = oracle_ranked_order(spec)
+    m = data.draw(st.integers(min_value=0, max_value=order.size))
+    with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        assert np.array_equal(ranked_masks(spec, m), order[:m])
+
+
 @given(spec=_tied_spectra(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_weight_outside_masks_with_duplicates(spec, data):

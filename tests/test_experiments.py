@@ -385,7 +385,7 @@ def test_roundtrip_matches_the_scalar_path_on_corpus(bundles):
     for b in bundles:
         expected = _scalar_roundtrip(b.dnf, b.tables, b.analysis, 4)
         assert expected[1] == {}
-        assert experiments._roundtrip(b.dnf, b.tables, b.analysis, 4) == expected
+        assert experiments._roundtrip(b.dnf, b.analysis, 4) == expected
 
 
 def _corrupt(kind, dnf, f, record) -> bool:
@@ -462,7 +462,7 @@ def _check_corrupted_roundtrip(kind, degrees):
     assert len(targets) == len(degrees) and targets == sorted(targets, reverse=True)
     expected = _scalar_roundtrip(dnf, b.tables, b.analysis, 4)
     assert f"at S={targets[-1]}, " in expected[1]["error"]
-    assert experiments._roundtrip(dnf, b.tables, b.analysis, 4) == expected
+    assert experiments._roundtrip(dnf, b.analysis, 4) == expected
 
 
 @pytest.mark.parametrize("sigma, message", [((0, 1), "sigma positions are 1-based"),
@@ -585,6 +585,74 @@ def test_spectral_only_verify_builds_no_restriction_tables(monkeypatch):
     assert built == []
     run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), checks=("evasive",)))
     assert len(built) == 1
+
+
+_RK8 = GeneratorSpec("random_read_k", {"n": 8, "s": 6, "w": 3, "k": 2}, seed=5)
+
+
+@pytest.mark.parametrize("mode", ["verify", "evasive", "sweep"])
+def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, mode):
+    # an all-checks verify, an evasive-only verify (no analysis) and a sweep
+    # at d_max 4: every table with |S| <= 4 is built exactly once, and each
+    # table with |S| = 4 is released before the next one is built; after
+    # the analysis, neither the evasive loop nor the round trip builds one
+    from dnf_fourier import experiments, restrictions
+
+    d_max = 4
+    built, held, phases = [], [], []
+    by_sbar = restrictions.RestrictionTables.dt_by_sbar
+
+    def dt_by_sbar(self, free_mask):
+        if free_mask not in self._by_sbar:
+            built.append(free_mask)
+        out = by_sbar(self, free_mask)
+        held.append(sum(1 for m in self._by_sbar if m.bit_count() == d_max))
+        return out
+
+    def at_builds(name):
+        fn = getattr(experiments, name)
+
+        def wrapper(*args):
+            phases.append(len(built))
+            out = fn(*args)
+            phases.append(len(built))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(restrictions.RestrictionTables, "dt_by_sbar", dt_by_sbar)
+    monkeypatch.setattr(experiments, "evasive_bound_check", at_builds("evasive_bound_check"))
+    monkeypatch.setattr(experiments, "_roundtrip", at_builds("_roundtrip"))
+    dnf = _RK8.build()
+    checks = ("evasive",) if mode == "evasive" else experiments.ALL_CHECKS
+    config = ExperimentConfig(instances=(), d_max=d_max, checks=checks)
+    if mode == "sweep":
+        report = experiments.sweep_instance(dnf, "rk8", config)
+        assert report["degree_cutoff"] == d_max and not phases
+    else:
+        report = experiments.verify_instance(dnf, "rk8", config)
+        assert report["failures"] == 0
+        assert len(phases) == 2 * len(subsets_up_to(8, d_max)) + 2 * (mode == "verify")
+    subsets = subsets_up_to(8, d_max)
+    assert sorted(built) == subsets
+    assert max(held) == 1
+    assert phases[0::2] == phases[1::2]     # no call builds a table
+    if mode == "verify":                    # nor does the loop around it
+        assert set(phases) == {len(subsets)}
+
+
+def test_evasive_only_verify_matches_the_all_checks_rows():
+    # without an analysis the evasive loop counts each table itself and
+    # releases the top level; with one it reads the profiles' counts
+    from dnf_fourier.experiments import ALL_CHECKS
+
+    def evasive_rows(checks):
+        report = run_verify(ExperimentConfig(
+            instances=(InstanceSource("generator", spec=_RK8),), d_max=4, checks=checks))
+        return [r for r in report["instances"][0]["checks"] if r["check"] == "evasive"]
+
+    rows = evasive_rows(("evasive",))
+    assert len(rows) == len(subsets_up_to(8, 4))
+    assert rows == evasive_rows(ALL_CHECKS)
 
 
 def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):

@@ -1,4 +1,12 @@
-"""Restrictions, decision-tree depth, and the evasiveness inequality."""
+"""Restrictions, decision-tree depth, and the evasiveness inequality.
+
+The textbook decision-tree recursion (``dt_depth`` over ``restrict``) and
+the unpacked bool builder of the full-depth tables live here, as the
+oracles of ``RestrictionTables``.
+"""
+from dataclasses import dataclass
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,21 +18,141 @@ from dnf_fourier import (
     DimensionMismatchError,
     Dnf,
     DyadicRational,
-    Restriction,
     RestrictionTables,
     cover_probability_check,
-    dt_depth,
     evasive_bound_check,
     fourier_transform,
-    restrict,
     tribes,
 )
-from dnf_fourier.bitops import pdep, subsets_up_to
+from dnf_fourier import restrictions
+from dnf_fourier.bitops import bit_indices, pdep, subsets_up_to
 from dnf_fourier.boolfn import popcount_table
 from dnf_fourier.restrictions import satisfied_union_table, union_superset_counts
 from dnf_fourier.generators import random_read_k
 
-from conftest import small_dnfs
+from conftest import corpus_bundles, small_dnfs
+
+#: The recursion runs on at most this many variables.
+DT_ORACLE_CAP = 12
+
+
+@dataclass(frozen=True, slots=True)
+class Restriction:
+    """Free-variable mask plus values for every fixed variable.
+
+    ``fixed_bits`` holds the assignment of the complement of ``free_mask``
+    (a set bit means true); bits at free positions must be zero.
+    """
+
+    n: int
+    free_mask: int
+    fixed_bits: int
+
+    def __post_init__(self):
+        full = (1 << self.n) - 1
+        if self.free_mask & ~full:
+            raise DimensionMismatchError("free variables beyond n")
+        if self.fixed_bits & ~full or self.fixed_bits & self.free_mask:
+            raise DimensionMismatchError("fixed assignment overlaps free variables")
+
+
+def _split(table: int, n: int, i: int) -> tuple[int, int]:
+    """Tables of the two subfunctions fixing variable i+1 to false / true."""
+    block = 1 << i
+    ones = (1 << block) - 1
+    t0 = t1 = 0
+    for j in range(1 << (n - 1 - i)):
+        t0 |= ((table >> (2 * j * block)) & ones) << (j * block)
+        t1 |= ((table >> ((2 * j + 1) * block)) & ones) << (j * block)
+    return t0, t1
+
+
+def _dt(n: int, table: int, memo: dict[tuple[int, int], int]) -> int:
+    if table == 0 or table == (1 << (1 << n)) - 1:
+        return 0
+    key = (n, table)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    best = n
+    for i in range(n):
+        t0, t1 = _split(table, n, i)
+        depth = 1 + max(_dt(n - 1, t0, memo), _dt(n - 1, t1, memo))
+        if depth < best:
+            best = depth
+            if best == 1:
+                break
+    memo[key] = best
+    return best
+
+
+def dt_depth(g: BooleanFunction, cap: int = DT_ORACLE_CAP, memo=None) -> int:
+    """Exact decision-tree depth of g (g.n must not exceed the cap).
+
+    The textbook recursion: 0 for constants, else 1 + min over the query
+    variable of the max over its two answers.  ``memo`` may be shared
+    between calls."""
+    if g.n > cap:
+        raise CapExceededError(f"decision-tree recursion capped at n={cap}")
+    return _dt(g.n, g.bits, {} if memo is None else memo)
+
+
+def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
+    """The function of |S| variables obtained by fixing the complement of S,
+    the free variables renumbered ascending.
+
+    The free set must be nonempty: the result type represents functions of
+    at least one variable.  (For an empty free set the full-depth predicate
+    is identically true.)
+    """
+    if r.n != f.n:
+        raise DimensionMismatchError(f"restriction over n={r.n}, function n={f.n}")
+    if r.free_mask == 0:
+        raise ValueError("free set is empty; the restriction is a single value")
+    if r.free_mask == (1 << f.n) - 1:
+        return f
+    free = bit_indices(r.free_mask)
+    bits = 0
+    for xs in range(1 << len(free)):
+        x = r.fixed_bits
+        for t, b in enumerate(free):
+            if (xs >> t) & 1:
+                x |= 1 << b
+        bits |= f.value(x) << xs
+    return BooleanFunction(len(free), bits)
+
+
+def oracle_tables(f: BooleanFunction, masks) -> dict[int, np.ndarray]:
+    """E_S for each mask as an unpacked bool array of length 2^(n-|S|): the
+    builder the packed one replaced, on the (2,)*n tensor of the truth
+    table, with the parents' halves ORed elementwise."""
+    n = f.n
+    arr = f.to_array().view(np.bool_).reshape((2,) * n)
+    built: dict[int, np.ndarray] = {}
+
+    def build(free_mask):
+        if free_mask in built:
+            return built[free_mask]
+        free = bit_indices(free_mask)
+        if not free:
+            table = np.ones(1 << n, dtype=np.bool_)
+        elif len(free) == 1:
+            lo, hi = np.split(arr, 2, axis=n - 1 - free[0])
+            table = (lo != hi).reshape(-1)
+        else:
+            table = np.empty(1 << (n - len(free)), dtype=np.bool_)
+            scratch = np.empty_like(table)
+            for t, i in enumerate(free):
+                p = i - t
+                halves = build(free_mask ^ (1 << i)).reshape(-1, 2, 1 << p)
+                dest = table if t == 0 else scratch
+                np.logical_or(halves[:, 0], halves[:, 1], out=dest.reshape(-1, 1 << p))
+                if t:
+                    table &= scratch
+        built[free_mask] = table
+        return table
+
+    return {m: build(m) for m in masks}
 
 
 def test_restrict_examples():
@@ -91,35 +219,51 @@ def test_dt_depth_at_least_degree():
         assert dt_depth(f) >= fourier_transform(f).degree()
 
 
-def _check_tables_against_oracle(f, d_max):
-    """E_S from the tables against DT(f_{S|x}) == |S| from the recursion, for
-    every S with |S| <= d_max and every fixed assignment, in both layouts."""
+def _check_tables_against_oracle(f, d_max, every_x=True):
+    """E_S from the tables against DT(f_{S|x}) == |S| from the recursion and
+    against the bool builder, for every S with |S| <= d_max and every fixed
+    assignment: the packed table and its unused bits, the full-assignment
+    layout, the indices, the count and the lookups (at every x, or with
+    ``every_x`` false at the two x that are all false and all true on S)."""
     n = f.n
     full = (1 << n) - 1
     tables = RestrictionTables(f)
-    for s_mask in subsets_up_to(n, d_max):
+    masks = subsets_up_to(n, d_max)
+    oracle = oracle_tables(f, masks)
+    memo = {}
+    for s_mask in masks:
         d = s_mask.bit_count()
+        size = 1 << (n - d)
         fixed_mask = full ^ s_mask
-        by_sbar = tables.dt_by_sbar(s_mask)
+        packed = tables.dt_by_sbar(s_mask)
         by_full = tables.dt_by_full(s_mask)
-        assert by_sbar.dtype == bool and by_sbar.shape == (1 << (n - d),)
+        assert packed.dtype == np.uint8 and packed.shape == (max(1, size >> 3),)
         assert by_full.dtype == bool and by_full.shape == (1 << n,)
-        assert not by_sbar.flags.writeable and not by_full.flags.writeable
-        for idx in range(1 << (n - d)):
+        assert not packed.flags.writeable and not by_full.flags.writeable
+        bits = np.unpackbits(packed, bitorder="little")
+        assert not bits[size:].any(), s_mask     # the unused bits of a short table
+        assert np.array_equal(bits[:size].view(bool), oracle[s_mask]), s_mask
+        by_sbar, by_full = bits[:size].tolist(), by_full.tolist()
+        expected = []
+        for idx in range(size):
             fixed = pdep(idx, fixed_mask)
             if d == 0:
-                expected = True  # a single value has depth 0 = |S|
+                expected.append(True)  # a single value has depth 0 = |S|
             else:
-                expected = dt_depth(restrict(f, Restriction(n, s_mask, fixed))) == d
-            assert bool(by_sbar[idx]) == expected, (s_mask, idx)
-            for y in range(1 << d):
+                g = restrict(f, Restriction(n, s_mask, fixed))
+                expected.append(dt_depth(g, memo=memo) == d)
+            assert by_sbar[idx] == expected[idx], (s_mask, idx)
+            for y in range(1 << d) if every_x else (0, (1 << d) - 1):
                 x = fixed | pdep(y, s_mask)
                 assert by_full[x] == by_sbar[idx], (s_mask, idx, y)
-                # a Python bool, whatever the bits of x on S
+                # a Python int, whatever the bits of x on S
                 got = tables.full_depth_at(s_mask, x)
-                assert type(got) is bool, (s_mask, x, type(got))
-                assert got == by_sbar[idx] == expected, (s_mask, x)
-        assert tables.full_depth_count(s_mask) == int(by_sbar.sum())
+                assert type(got) is int, (s_mask, x, type(got))
+                assert got == by_sbar[idx] == expected[idx], (s_mask, x)
+        indices = tables.full_depth_sbar_indices(s_mask)
+        assert indices.dtype == np.uint32
+        assert indices.tolist() == np.flatnonzero(expected).tolist(), s_mask
+        assert tables.full_depth_count(s_mask) == sum(expected), s_mask
 
 
 def test_restriction_tables_match_single_restrictions():
@@ -140,6 +284,32 @@ def test_restriction_tables_match_single_restrictions():
 def test_full_depth_predicate_matches_oracle_on_random_tables(case):
     n, bits = case
     _check_tables_against_oracle(BooleanFunction(n, bits), n)
+
+
+def test_packed_tables_match_the_oracles_on_corpus():
+    # n between 4 and 8 at d_max 4: tables of 1 to 256 entries, so fewer
+    # than 8 (n - |S| < 3) and every bit position p < 3 of a parent
+    for b in corpus_bundles():
+        _check_tables_against_oracle(b.f, 4, every_x=False)
+
+
+@given(small_dnfs())
+@settings(max_examples=60, deadline=None)
+def test_packed_tables_match_the_oracles_on_random_dnfs(dnf):
+    _check_tables_against_oracle(dnf.evaluate(), dnf.n)
+
+
+def test_a_released_table_is_dropped_and_built_again_on_request():
+    f = random_read_k(6, 4, 3, k=4, seed=21).evaluate()
+    tables = RestrictionTables(f)
+    s_mask = 0b1011
+    before = tables.dt_by_sbar(s_mask)
+    assert tables.full_depth_at(s_mask, 0) == before[0] & 1
+    tables.release(s_mask)
+    assert s_mask not in tables._by_sbar and s_mask not in tables._lookup
+    assert tables.released == {s_mask}
+    assert 0b0011 in tables._by_sbar        # a parent stays
+    assert np.array_equal(tables.dt_by_sbar(s_mask), before)
 
 
 def test_averaging_identity():
@@ -164,13 +334,13 @@ def test_evasive_examples():
     f = Dnf.from_term_literals(2, [[1, 2]]).evaluate()
     spec = fourier_transform(f)
     tables = RestrictionTables(f)
-    lhs, rhs, holds = evasive_bound_check(tables, 0b11, spec)
+    lhs, rhs, holds = evasive_bound_check(tables.full_depth_count(0b11), 0b11, spec)
     assert (lhs, rhs, holds) == (DyadicRational(1, 2), DyadicRational(1), True)
-    lhs, rhs, holds = evasive_bound_check(tables, 0b01, spec)
+    lhs, rhs, holds = evasive_bound_check(tables.full_depth_count(0b01), 0b01, spec)
     assert (lhs, rhs, holds) == (DyadicRational(1, 2), DyadicRational(1, 1), True)
     const = BooleanFunction.constant(3, True)
     lhs, rhs, holds = evasive_bound_check(
-        RestrictionTables(const), 0b101, fourier_transform(const)
+        RestrictionTables(const).full_depth_count(0b101), 0b101, fourier_transform(const)
     )
     assert (lhs, rhs, holds) == (DyadicRational(0), DyadicRational(0), True)
 
@@ -202,7 +372,8 @@ def test_evasive_and_cover_probability_on_corpus(bundles):
     for b in bundles:
         covered = _covered(b.dnf)
         for s_mask in subsets_up_to(b.dnf.n, 4):
-            _, _, holds = evasive_bound_check(b.tables, s_mask, b.spec)
+            _, _, holds = evasive_bound_check(
+                b.tables.full_depth_count(s_mask), s_mask, b.spec)
             assert holds, (b.label, s_mask)
             _, _, holds = cover_probability_check(b.dnf, s_mask, b.spec, covered)
             assert holds, (b.label, s_mask)
@@ -245,6 +416,15 @@ def test_union_superset_counts_match_the_per_subset_count_on_random_dnfs(dnf):
     _assert_superset_counts_match_oracle(dnf)
 
 
+@given(small_dnfs(), st.sampled_from([1, 2, 3, 7, 64]))
+@settings(max_examples=50, deadline=None)
+def test_union_superset_counts_match_the_per_subset_count_in_small_chunks(dnf, chunk):
+    # the histogram of U is counted chunk by chunk; with chunks this small a
+    # value of U recurs in several of them
+    with mock.patch.object(restrictions, "UNION_CHUNK", chunk):
+        _assert_superset_counts_match_oracle(dnf)
+
+
 def test_onenorm_count_identity_small():
     # 1-norm at degree d against the full-depth pair count, full enumeration
     for i in range(20):
@@ -270,5 +450,5 @@ def test_tribes_evasive_sweep():
         spec = fourier_transform(f)
         tables = RestrictionTables(f)
         for s_mask in subsets_up_to(f.n, 4):
-            _, _, holds = evasive_bound_check(tables, s_mask, spec)
+            _, _, holds = evasive_bound_check(tables.full_depth_count(s_mask), s_mask, spec)
             assert holds
