@@ -35,12 +35,13 @@ cover statistics, the compressed indices of the full-depth assignments
 (uint32) and the rows packed into an ``EncodingRecord`` (arrays in
 ``valid_pairs`` order), which the ``roundtrip`` check of ``verify``
 decodes.  The record of S = {} is written without encoding: x_sat is
-every assignment, with empty sigma and a.  An encoder fault while it
-classifies, or a row that ``EncodingRecord.pack`` rejects, is re-raised
-with the pair that caused it.  Once the pairs of a subset with
-|S| = d_max are encoded, its restriction table is released, since an
-encoder round only asks about proper subsets of S; the ``evasive`` and
-``roundtrip`` checks read the counts and indices kept here instead.
+every assignment (the read-only index array itself), with empty sigma
+and a.  An encoder fault while it classifies, or a row that
+``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
+it.  Once the pairs of a subset with |S| = d_max are encoded, its
+restriction table is released, since an encoder round only asks about
+proper subsets of S; the ``evasive`` and ``roundtrip`` checks read the
+counts and indices kept here instead.
 
 The caller builds an instance's truth table, spectrum, restriction
 tables and family analysis once and passes them in; nothing here builds
@@ -49,6 +50,7 @@ them again.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -159,30 +161,29 @@ class FamilyAnalysis:
                 )
             self.unassigned.append(s_mask)
             return
-        count_by_u: dict[int, int] = {}
-        covers_by_u: dict[int, set[tuple[int, ...]]] = {}
         if s_mask == 0:
             # E_{} holds everywhere and the encoder selects no term, so
-            # every assignment is a witness with the empty cover, and
-            # its encoding is x_sat = x with empty sigma and a
-            count_by_u[0] = int(idxs.size)
-            covers_by_u[0] = {()}
+            # every assignment is a witness with the empty cover, and its
+            # encoding is x_sat = x with empty sigma and a: the record
+            # shares the read-only indices, which are the identity here
+            count_by_u = {0: int(idxs.size)}
+            covers_by_u = {0: {()}}
             record = EncodingRecord(
-                n, idxs.copy(), np.zeros((idxs.size, 0), np.uint8),
-                np.zeros(idxs.size, np.uint16),
+                n, idxs, np.zeros((idxs.size, 0), np.uint8), np.zeros(idxs.size, np.uint16),
             )
         else:
             rows = []
             xsbars = pdep_array(idxs, full ^ s_mask).tolist()
             for xsbar in xsbars:
                 try:
-                    x_sat, sigma, a, cover, u = extract_cover(
-                        self.dnf, s_mask, xsbar, self.tables)
+                    rows.append(extract_cover(self.dnf, s_mask, xsbar, self.tables))
                 except (EncodePreconditionError, EncodingInvariantError) as exc:
                     raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
-                rows.append((x_sat, sigma, a))   # the cover is kept once, below
-                count_by_u[u] = count_by_u.get(u, 0) + 1
-                covers_by_u.setdefault(u, set()).add(cover)
+            # a row is (x_sat, sigma, a, cover, u)
+            count_by_u = dict(Counter(row[4] for row in rows))
+            covers_by_u = {u: set() for u in count_by_u}
+            for u, cover in {(row[4], row[3]) for row in rows}:
+                covers_by_u[u].add(cover)
             try:
                 record = EncodingRecord.pack(n, d, rows)
             except EncodingInvariantError as exc:

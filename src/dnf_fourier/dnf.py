@@ -36,12 +36,6 @@ class ContradictoryTermError(ParseError):
     """A term contains both x_i and its negation."""
 
 
-# Term aliveness under a partial assignment (assigned-variable mask + values).
-FALSIFIED = 0
-SATISFIED = 1
-ALIVE = 2
-
-
 @dataclass(frozen=True, slots=True)
 class Term:
     """A conjunction of literals, stored as positive/negative variable masks."""
@@ -101,15 +95,6 @@ class Term:
 
     def satisfied_by(self, x: int) -> bool:
         return (x & self.pos_mask) == self.pos_mask and (x & self.neg_mask) == 0
-
-    def status(self, assigned_mask: int, x: int) -> int:
-        """FALSIFIED/SATISFIED/ALIVE under the partial assignment x on
-        assigned_mask (values of x outside assigned_mask are ignored)."""
-        seen = self.vars_mask & assigned_mask
-        want = self.pos_mask & seen
-        if (x & seen) != want:
-            return FALSIFIED
-        return SATISFIED if seen == self.vars_mask else ALIVE
 
 
 @dataclass(frozen=True, slots=True)

@@ -46,10 +46,16 @@ round, and an assigned bit never changes.  The scan from the first term,
 with an object built per pair, stays in the tests as ``oracle_encode``,
 the oracle of the core and of a future batched encoder.
 
-Each full-depth question is asked of the tables once per pair: one lookup
-for the precondition, then one per depth-preserving candidate tried.  The
-question at the top of a round is not asked again, since it is the one
-that the previous lookup (or, in round 1, the precondition) answered.
+Each full-depth question is asked of the tables at most once per pair:
+one lookup for the precondition, then one per depth-preserving candidate
+tried.  The question at the top of a round is the one that the previous
+lookup (or, in round 1, the precondition) answered.  The last round,
+whose block is all of the remaining free set, asks nothing: E_{} is
+identically true, so its first candidate, every variable false, is
+taken.  On ``bench/instances/readk16.dnf`` at d_max 4 the 158,288 encodes
+ask 578,404 questions (736,692 with a lookup in the last round).  A round
+fetches its table's entry (``RestrictionTables.full_depth_entry``) once
+and indexes it inline for each candidate.
 
 ``decode_records`` inverts a whole batch of same-degree encodings with
 numpy, and the ``roundtrip`` check decodes every pair through it: each row
@@ -62,6 +68,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -198,7 +205,8 @@ class EncodingRecord:
         its index as ``row``."""
         m = len(rows)
         x_sat = np.fromiter((r[0] for r in rows), dtype=np.uint32, count=m)
-        sigma = np.array([r[1] for r in rows], dtype=np.uint8).reshape(m, d)
+        sigma = np.fromiter(chain.from_iterable(r[1] for r in rows), dtype=np.uint8)
+        sigma = sigma.reshape(m, d)
         a = np.fromiter((r[2] for r in rows), dtype=np.uint16, count=m)
         pos = np.sort(sigma, axis=1)
         checks = (   # in the order Encoding makes them
@@ -231,31 +239,6 @@ def _unpacked_truth_values(d: int) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(bool(v >> t & 1) for t in range(d)) for v in range(1 << d))
 
 
-def _first_open_term(
-    dnf: Dnf, assigned: int, x: int, start: int
-) -> tuple[int, int, int]:
-    """Index (0-based), vars mask and pos mask of the first term from index
-    ``start`` on that is alive under the partial assignment x on ``assigned``.
-
-    The caller passes the previous round's selected term as ``start``: the
-    terms before it are falsified, since an assigned bit never changes.  A
-    satisfied term here would mean the restricted function is already
-    decided, contradicting the full-depth invariant, so it is fatal.
-    """
-    term_masks = dnf.term_masks
-    for idx in range(start, len(term_masks)):
-        vars_mask, pos_mask = term_masks[idx]
-        seen = vars_mask & assigned
-        if x & seen != pos_mask & seen:
-            continue  # falsified
-        if seen == vars_mask:
-            raise EncodingInvariantError(
-                f"term {idx + 1} already satisfied while free variables remain"
-            )
-        return idx, vars_mask, pos_mask
-    raise EncodingInvariantError("no alive term although the restriction has full depth")
-
-
 @lru_cache(maxsize=None)
 def _ascending_bits(mask: int) -> tuple[int, ...]:
     """``bit_indices(mask)`` as a tuple, computed once per mask."""
@@ -263,43 +246,14 @@ def _ascending_bits(mask: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lex_candidates(mask: int) -> tuple[int, ...]:
-    """Every assignment on mask, as bits on its positions, in lexicographic
-    order: ascending variables, false before true (the first variable is
-    the most significant digit of the candidate's rank)."""
-    bits = _ascending_bits(mask)
-    m = len(bits)
-    return tuple(
-        sum(1 << b for t, b in enumerate(bits) if (rank >> (m - 1 - t)) & 1)
-        for rank in range(1 << m)
-    )
-
-
-@lru_cache(maxsize=None)
 def _lex_choices(mask: int) -> tuple[tuple[int, int], ...]:
-    """``_lex_candidates(mask)``, each with its truth values packed, bit t
-    the value of the t-th variable of mask in ascending order."""
-    bits = _ascending_bits(mask)
-    return tuple(
-        (cand, sum(1 << t for t, b in enumerate(bits) if cand >> b & 1))
-        for cand in _lex_candidates(mask)
-    )
-
-
-def _lex_depth_preserving(
-    tables: RestrictionTables, rest_mask: int, x_dt: int, s_j_mask: int
-) -> tuple[int, int]:
-    """Assignment bits on s_j_mask keeping the rest of S at full depth, and
-    their truth values packed in ascending variable order.
-
-    Candidates are scanned in lexicographic order: ascending variables,
-    false before true; existence is part of the encoder correctness claim.
-    Each candidate is one lookup in the compressed table E_rest."""
-    full_depth_at = tables.full_depth_at
-    for bits, values in _lex_choices(s_j_mask):
-        if full_depth_at(rest_mask, x_dt | bits):
-            return bits, values
-    raise EncodingInvariantError("no depth-preserving assignment exists")
+    """Every assignment on mask in lexicographic order (ascending variables,
+    false before true: the first variable is the most significant digit of
+    the rank), as its bits on mask's positions and its truth values packed,
+    bit t the value of the t-th variable."""
+    m = mask.bit_count()
+    packed = (sum((rank >> (m - 1 - t) & 1) << t for t in range(m)) for rank in range(1 << m))
+    return tuple((pdep(v, mask), v) for v in packed)
 
 
 def encode_row(
@@ -326,6 +280,8 @@ def encode_row(
             f"restriction lacks full decision-tree depth |S| = {d}"
         )
 
+    term_masks = dnf.term_masks
+    full_depth_entry = tables.full_depth_entry
     s_prime = s_mask
     x_sat = xsbar_bits
     x_dt = xsbar_bits
@@ -346,22 +302,50 @@ def encode_row(
         # same x), and in a later round it is the lookup that accepted the
         # previous round's choice, E_{S'}(x_dt | bits) with x_dt as it was
         # before the round.  Both ask the same question as long as x_dt has
-        # no bits on S' before a round assigns them (full_depth_at ignores
-        # the bits on the free set), which is checked here.
+        # no bits on S' before a round assigns them (a lookup ignores the
+        # bits on the free set), which is checked here.
         if x_dt & s_prime:
             raise EncodingInvariantError("depth invariant lost between rounds")
-        # the scan resumes at the previous round's term, that term included:
-        # had the round's choice satisfied it, the scan raises here, where a
-        # scan that started after it would go on without noticing
-        idx, term_vars, term_pos = _first_open_term(dnf, assigned, x_dt, idx)
+        # the first alive term, from the previous round's term on, that term
+        # included: the terms before it are falsified (an assigned bit never
+        # changes), and had the round's choice satisfied it, a scan starting
+        # after it would not notice.  A satisfied term means the restriction
+        # is decided, contradicting the full-depth invariant.
+        for idx in range(idx, len(term_masks)):
+            term_vars, term_pos = term_masks[idx]
+            seen = term_vars & assigned
+            if x_dt & seen != term_pos & seen:
+                continue  # falsified
+            if seen == term_vars:
+                raise EncodingInvariantError(
+                    f"term {idx + 1} already satisfied while free variables remain")
+            break
+        else:
+            raise EncodingInvariantError("no alive term although the restriction has full depth")
         s_j = term_vars & s_prime
         if s_j == 0:
             raise EncodingInvariantError("alive term has no free variable")
         rest = s_prime ^ s_j
-        dt_bits, values = _lex_depth_preserving(tables, rest, x_dt, s_j)
+        if rest:
+            # the lexicographically first assignment of the block that keeps
+            # E_rest (its existence is part of the correctness claim)
+            table, plan = full_depth_entry(rest)
+            for dt_bits, values in _lex_choices(s_j):
+                x = x_dt | dt_bits
+                i = 0
+                for shift, mask in plan:
+                    i |= x >> shift & mask
+                if table[i >> 3] >> (i & 7) & 1:
+                    break
+            else:
+                raise EncodingInvariantError("no depth-preserving assignment exists")
+        else:
+            # E_{} is identically true, so the first candidate, every
+            # variable false, keeps it: nothing is asked
+            dt_bits = values = 0
 
         x_sat = (x_sat & ~s_j) | (term_pos & s_j)
-        x_dt = (x_dt & ~s_j) | dt_bits
+        x_dt |= dt_bits
         assigned |= s_j
         s_prime = rest
         union_of_sj |= s_j

@@ -30,6 +30,11 @@ its subset's pairs are encoded (``RestrictionTables.release``): an encoder
 round only asks about proper subsets of S.  At d_max 4 that level holds
 more than half of the table bytes.
 
+The encoder reads single entries.  The index of a full assignment x in
+E_S is x with the bits of S deleted: the OR of (x >> shift) & mask over
+S's compress plan, one (shift, mask) pair per run of fixed variables (at
+most |S| + 1), instead of deleting the bits of S one at a time.
+
 The textbook depth recursion, the oracle of the predicate, is in the tests.
 """
 from __future__ import annotations
@@ -42,6 +47,10 @@ from .bitops import bit_indices
 from .boolfn import BooleanFunction, FourierSpectrum, popcount_table
 from .dnf import Dnf
 from .dyadic import DyadicRational
+
+#: Entries of a table per unpacking in ``full_depth_sbar_indices`` (a
+#: multiple of 8, whole bytes of the packed table).
+INDEX_CHUNK = 1 << 16
 
 #: Largest d_max: the subsets with |S| <= d_max, and with them the tables,
 #: the encodings and the cover counts of a run, grow as C(n, d_max).
@@ -88,10 +97,9 @@ class RestrictionTables:
     the shared workhorse behind the evasiveness checks, the encoder, and
     the family classification.
 
-    The encoder asks for one entry at a time (``full_depth_at``).  For
-    that, each mask it asks about also keeps a ``memoryview`` of its
-    cached table (a view, not a copy) and the bit positions of S, highest
-    first, with which a full assignment is compressed to the table index.
+    For the encoder's single-entry lookups each mask it asks about keeps
+    an entry (``full_depth_entry``): a ``memoryview`` of its cached table
+    (a view, not a copy) and S's compress plan (see the module docstring).
     ``release`` drops both; ``released`` holds the masks it was called on.
     """
 
@@ -101,14 +109,8 @@ class RestrictionTables:
                                        dtype=np.uint8)
         self._by_sbar: dict[int, np.ndarray] = {}
         self._by_full: dict[int, np.ndarray] = {}
-        self._lookup: dict[int, tuple[memoryview, tuple[int, ...]]] = {}
+        self._lookup: dict[int, tuple[memoryview, tuple]] = {}
         self.released: set[int] = set()
-
-    def _unpacked(self, free_mask: int) -> np.ndarray:
-        """E_S as a bool array of length 2^(n-|S|)."""
-        size = 1 << (self.n - free_mask.bit_count())
-        packed = self.dt_by_sbar(free_mask)
-        return np.unpackbits(packed, count=size, bitorder="little").view(np.bool_)
 
     def dt_by_sbar(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S for every compressed fixed assignment x,
@@ -157,33 +159,57 @@ class RestrictionTables:
         if cached is not None:
             return cached
         n = self.n
+        table = np.unpackbits(self.dt_by_sbar(free_mask), count=1 << (n - free_mask.bit_count()),
+                              bitorder="little").view(np.bool_)
         # axis n-1-i of the (2,)*n tensor is variable i+1: singleton on S
         shape = tuple(1 if (free_mask >> (n - 1 - ax)) & 1 else 2 for ax in range(n))
-        out = np.broadcast_to(self._unpacked(free_mask).reshape(shape), (2,) * n)
+        out = np.broadcast_to(table.reshape(shape), (2,) * n)
         out = out.reshape(-1)
         out.setflags(write=False)
         self._by_full[free_mask] = out
         return out
 
+    def full_depth_entry(self, free_mask: int) -> tuple[memoryview, tuple]:
+        """E_S as a ``memoryview`` of its packed table and S's compress plan:
+        entry x of the table is bit i & 7 of byte i >> 3, with i the OR of
+        (x >> shift) & mask over the plan.  Built on first use and kept.
+        Reading the view yields a Python int, not a numpy scalar."""
+        entry = self._lookup.get(free_mask)
+        if entry is None:
+            # one (shift, mask) pair per run of fixed bits low..b-1: the run
+            # moves down by the number of bits of S below it
+            plan, low = [], 0
+            for shift, b in enumerate(bit_indices(free_mask) + [self.n]):
+                if b > low:
+                    plan.append((shift, ((1 << (b - low)) - 1) << (low - shift)))
+                low = b + 1
+            entry = (memoryview(self.dt_by_sbar(free_mask)), tuple(plan))
+            self._lookup[free_mask] = entry
+        return entry
+
     def full_depth_at(self, free_mask: int, x: int) -> int:
         """1 if the restriction to free_mask at (the fixed bits of) x has
         decision-tree depth exactly |S|, else 0."""
-        # the encoder's per-pair hot path (one call per question it asks):
-        # no numpy scalar, the memoryview yields a Python int
-        entry = self._lookup.get(free_mask)
-        if entry is None:
-            entry = (memoryview(self.dt_by_sbar(free_mask)),
-                     tuple(reversed(bit_indices(free_mask))))
-            self._lookup[free_mask] = entry
-        table, free_desc = entry
-        for b in free_desc:     # delete bit b of x, the higher bits move down
-            x = (x & ((1 << b) - 1)) | ((x >> (b + 1)) << b)
-        return table[x >> 3] >> (x & 7) & 1
+        table, plan = self.full_depth_entry(free_mask)
+        i = 0
+        for shift, mask in plan:
+            i |= x >> shift & mask
+        return table[i >> 3] >> (i & 7) & 1
 
     def full_depth_sbar_indices(self, free_mask: int) -> np.ndarray:
         """Compressed fixed assignments where the restriction needs full
-        depth, ascending, as uint32 (n <= 24)."""
-        return np.flatnonzero(self._unpacked(free_mask)).astype(np.uint32)
+        depth, ascending, as a read-only uint32 array (n <= 24).  The table
+        is unpacked ``INDEX_CHUNK`` entries at a time, so no temporary is
+        as large as the result."""
+        packed = self.dt_by_sbar(free_mask)
+        out = np.empty(self.full_depth_count(free_mask), dtype=np.uint32)
+        filled, step = 0, INDEX_CHUNK >> 3
+        for lo in range(0, packed.size, step):   # unused bits are zero
+            hits = np.flatnonzero(np.unpackbits(packed[lo:lo + step], bitorder="little"))
+            np.add(hits, lo << 3, out=out[filled:filled + hits.size], casting="unsafe")
+            filled += hits.size
+        out.setflags(write=False)
+        return out
 
     def full_depth_count(self, free_mask: int) -> int:
         return int(popcount_table(8)[self.dt_by_sbar(free_mask)].sum())

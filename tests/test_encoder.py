@@ -6,6 +6,7 @@ round scans the terms from the first one, and each pair builds its
 ``extract_cover``), ``encode`` and the family analysis are checked
 against it.
 """
+import copy
 from itertools import product
 from math import comb
 
@@ -27,13 +28,14 @@ from dnf_fourier import (
     decode_records,
     encode,
     extract_cover,
+    random_read_k,
     tribes,
     valid_pairs,
 )
 from dnf_fourier.bitops import bit_indices
 from dnf_fourier.encoder import (
     DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT,
-    TRUTH_VALUES_BEYOND_D, _lex_candidates, encode_row,
+    TRUTH_VALUES_BEYOND_D, _lex_choices, encode_row,
 )
 
 from conftest import make_bundle, small_dnfs
@@ -96,7 +98,7 @@ def oracle_encode(dnf, s_mask, xsbar_bits, tables):
         sat_bits = term_pos & s_j
         rest = s_prime ^ s_j
         dt_bits = next(
-            (bits for bits in _lex_candidates(s_j)
+            (bits for bits, _ in _lex_choices(s_j)
              if tables.full_depth_at(rest, x_dt | bits)), None)
         if dt_bits is None:
             raise EncodingInvariantError("no depth-preserving assignment exists")
@@ -202,6 +204,13 @@ def test_extract_cover_matches_encode():
         assert (cover, union_size) == (cov.term_indices, cov.union_size)
 
 
+def _alive(term, assigned_mask, x):
+    """Neither falsified nor satisfied by the partial assignment x on
+    assigned_mask (values of x outside assigned_mask are ignored)."""
+    seen = term.vars_mask & assigned_mask
+    return x & seen == term.pos_mask & seen and seen != term.vars_mask
+
+
 def test_cover_record_invariants_on_corpus(bundles):
     for b in bundles[:40]:
         w = b.dnf.width()
@@ -211,12 +220,10 @@ def test_cover_record_invariants_on_corpus(bundles):
             # the union contains S, uses at most d alive terms meeting S
             assert s_mask & ~cov.union_mask == 0
             assert len(cov.term_indices) <= d
-            from dnf_fourier.dnf import ALIVE
-
             for j in cov.term_indices:
                 term = b.dnf.terms[j - 1]
                 assert term.vars_mask & s_mask
-                assert term.status(((1 << b.dnf.n) - 1) ^ s_mask, xsbar) == ALIVE
+                assert _alive(term, ((1 << b.dnf.n) - 1) ^ s_mask, xsbar)
             # sigma stays within the union and the width bound
             assert cov.union_size <= w * d
             assert all(p <= cov.union_size for p in e.sigma)
@@ -224,10 +231,15 @@ def test_cover_record_invariants_on_corpus(bundles):
 
 class _YesTables:
     """Stub tables that answer every full-depth question yes, so each round
-    accepts its first candidate: every variable of the block false."""
+    accepts its first candidate: every variable of the block false.  A
+    lookup entry is a one-byte table of ones with an empty compress plan,
+    which maps every x to index 0."""
 
     def full_depth_at(self, free_mask, x):
         return True
+
+    def full_depth_entry(self, free_mask):
+        return memoryview(b"\xff"), ()
 
 
 def test_a_choice_that_satisfies_the_selected_term_is_caught():
@@ -243,26 +255,34 @@ def test_a_choice_that_satisfies_the_selected_term_is_caught():
             encoder(dnf, 0b11, 0, _YesTables())
 
 
-def test_each_round_scans_from_the_previous_rounds_term(monkeypatch, bundles):
-    # round 1 scans from the first term, every later round from the term
-    # the round before it selected
-    from dnf_fourier import encoder
+class _RecordingTerms(tuple):
+    """A DNF's term masks that record the index of every term read."""
 
-    scans = []
-    first_open_term = encoder._first_open_term
+    def __new__(cls, masks, reads):
+        obj = super().__new__(cls, masks)
+        obj.reads = reads
+        return obj
 
-    def spy(dnf, assigned, x, start):
-        found = first_open_term(dnf, assigned, x, start)
-        scans.append((start, found[0]))
-        return found
+    def __getitem__(self, idx):
+        self.reads.append(idx)
+        return super().__getitem__(idx)
 
-    monkeypatch.setattr(encoder, "_first_open_term", spy)
+
+def test_each_round_scans_from_the_previous_rounds_term(bundles):
+    # round 1 reads the terms from the first one up to the one it selects,
+    # every later round from the term the round before it selected, that
+    # term included, up to its own
     for b in bundles[::10]:
+        reads = []
+        dnf = copy.copy(b.dnf)
+        object.__setattr__(dnf, "term_masks", _RecordingTerms(b.dnf.term_masks, reads))
         for s_mask, xsbar in valid_pairs(b.tables, 4):
-            scans.clear()
-            cover = encode_row(b.dnf, s_mask, xsbar, b.tables)[3]
-            assert [idx + 1 for _, idx in scans] == list(cover)
-            assert [start for start, _ in scans] == [0, *(j - 1 for j in cover)][:len(cover)]
+            reads.clear()
+            cover = encode_row(dnf, s_mask, xsbar, b.tables)[3]
+            selected = [j - 1 for j in cover]
+            starts = [0, *selected][:len(cover)]
+            assert reads == [idx for start, end in zip(starts, selected)
+                             for idx in range(start, end + 1)], (b.label, s_mask, xsbar)
 
 
 _GOOD_ROW = (0b11, [1, 2], 0b01, (1, 2), 2)
@@ -409,47 +429,108 @@ def test_encodings_distinct_within_degree(bundles):
 
 def test_lex_candidates_match_the_product_order():
     # ascending variables, false before true: the first variable is the
-    # slowest-changing digit, as in itertools.product
+    # slowest-changing digit, as in itertools.product; the truth values are
+    # packed with bit t the value of the t-th variable
     for mask in range(1 << 8):
         bits = bit_indices(mask)
         if len(bits) > 5:
             continue
         expected = tuple(
-            sum(1 << b for b, value in zip(bits, values) if value)
+            (sum(1 << b for b, value in zip(bits, values) if value),
+             sum(value << t for t, value in enumerate(values)))
             for values in product((False, True), repeat=len(bits))
         )
-        assert _lex_candidates(mask) == expected, mask
+        assert _lex_choices(mask) == expected, mask
 
 
 def _expected_lookups(dnf, s_mask, e, cov):
-    """1 for the precondition, then, in each round, the candidates tried up
-    to the accepted one: its rank in the lexicographic order plus 1.  The
-    round's free block is its cover term's variables still in S, and its
-    truth values in a are the accepted candidate, first variable first."""
+    """1 for the precondition, then, in each round that leaves part of S
+    free, the candidates tried up to the accepted one: its rank in the
+    lexicographic order plus 1.  The round's free block is its cover term's
+    variables still in S, and its truth values in a are the accepted
+    candidate, first variable first.  The last round asks nothing and takes
+    the first candidate, every variable false."""
     total, rest, t = 1, s_mask, 0
     for j in cov.term_indices:
         s_j = dnf.terms[j - 1].vars_mask & rest
         rank = 0
         for value in e.a[t:t + s_j.bit_count()]:
             rank = 2 * rank + value
-        total += rank + 1
         t += s_j.bit_count()
         rest ^= s_j
+        if rest:
+            total += rank + 1
+        else:
+            assert rank == 0, (s_mask, e)
     return total
+
+
+class _RecordingByte(int):
+    """A table byte that records the bit of it that is read."""
+
+    def __new__(cls, value, record):
+        obj = super().__new__(cls, value)
+        obj.record = record
+        return obj
+
+    def __rshift__(self, bit):
+        self.record(bit)
+        return int(self) >> bit
+
+
+class _RecordingTable:
+    """A lookup entry's table that records each question read from it as
+    (free set, table index)."""
+
+    def __init__(self, table, free_mask, questions):
+        self.table, self.free_mask, self.questions = table, free_mask, questions
+
+    def __getitem__(self, byte):
+        def record(bit):
+            self.questions.append((self.free_mask, byte << 3 | bit))
+        return _RecordingByte(self.table[byte], record)
 
 
 @pytest.fixture
 def asked(monkeypatch):
-    """The questions (free set, bits off it) put to any RestrictionTables."""
+    """The questions (free set, table index) put to any RestrictionTables,
+    through the lookup entries that the encoder and ``full_depth_at`` read."""
     questions: list[tuple[int, int]] = []
-    full_depth_at = RestrictionTables.full_depth_at
+    full_depth_entry = RestrictionTables.full_depth_entry
 
-    def spy(self, free_mask, x):
-        questions.append((free_mask, x & ~free_mask))
-        return full_depth_at(self, free_mask, x)
+    def spy(self, free_mask):
+        table, plan = full_depth_entry(self, free_mask)
+        return _RecordingTable(table, free_mask, questions), plan
 
-    monkeypatch.setattr(RestrictionTables, "full_depth_at", spy)
+    monkeypatch.setattr(RestrictionTables, "full_depth_entry", spy)
     return questions
+
+
+class _QuestionCount:
+    """Counts the questions a ``_RecordingTable`` records, keeping none."""
+
+    def __init__(self):
+        self.total = 0
+
+    def append(self, question):
+        self.total += 1
+
+
+def test_the_analysis_of_readk16_asks_578404_questions(monkeypatch):
+    # the 158,288 encodes of random_read_k(n=16, s=10, w=3, k=2, seed=3)
+    # (bench/instances/readk16.dnf) at d_max 4: 736,692 questions with a
+    # lookup in each pair's last round, one per encoded pair fewer without
+    count = _QuestionCount()
+    full_depth_entry = RestrictionTables.full_depth_entry
+
+    def spy(self, free_mask):
+        table, plan = full_depth_entry(self, free_mask)
+        return _RecordingTable(table, free_mask, count), plan
+
+    monkeypatch.setattr(RestrictionTables, "full_depth_entry", spy)
+    b = make_bundle("readk16", random_read_k(n=16, s=10, w=3, k=2, seed=3))
+    encoded = sum(p.witnesses for s_mask, p in b.analysis.profiles.items() if s_mask)
+    assert (encoded, count.total) == (158_288, 578_404)
 
 
 def _assert_each_question_asked_once(asked, dnf, tables, d_max):
@@ -489,6 +570,8 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
         assert (record.x_sat.dtype, record.sigma.dtype, record.a.dtype) == (
             np.uint32, np.uint8, np.uint16)
         assert record.sigma.shape == (len(pairs), s_mask.bit_count())
+        if s_mask == 0:   # shared with the indices, not copied
+            assert record.x_sat is profile.sbar_indices and not record.x_sat.flags.writeable
         oracle = [oracle_encode(dnf, s, x, tables) for s, x in pairs]
         encodings = [e for e, _ in oracle]
         assert record.x_sat.tolist() == [e.x_sat for e in encodings]

@@ -1,4 +1,5 @@
 """Experiment runner: report content, determinism, CLI exit codes."""
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -454,7 +455,11 @@ def _check_corrupted_roundtrip(kind, degrees):
     targets = []
     for rank, d in enumerate(degrees):   # the largest S first, then the smallest
         for s_mask in (masks[::-1] if rank == 0 else masks):
-            record = b.analysis.profiles[s_mask].record
+            # the S = {} record shares the read-only full-depth indices, which
+            # the round trip compares against: corrupt a copy of its x_sat
+            profile = b.analysis.profiles[s_mask]
+            record = profile.record = dataclasses.replace(
+                profile.record, x_sat=profile.record.x_sat.copy())
             if (s_mask.bit_count() == d and len(record) >= 2
                     and _corrupt(kind, dnf, b.f, record)):
                 targets.append(s_mask)

@@ -5,6 +5,7 @@ the unpacked bool builder of the full-depth tables live here, as the
 oracles of ``RestrictionTables``.
 """
 from dataclasses import dataclass
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -261,7 +262,7 @@ def _check_tables_against_oracle(f, d_max, every_x=True):
                 assert type(got) is int, (s_mask, x, type(got))
                 assert got == by_sbar[idx] == expected[idx], (s_mask, x)
         indices = tables.full_depth_sbar_indices(s_mask)
-        assert indices.dtype == np.uint32
+        assert indices.dtype == np.uint32 and not indices.flags.writeable
         assert indices.tolist() == np.flatnonzero(expected).tolist(), s_mask
         assert tables.full_depth_count(s_mask) == sum(expected), s_mask
 
@@ -297,6 +298,52 @@ def test_packed_tables_match_the_oracles_on_corpus():
 @settings(max_examples=60, deadline=None)
 def test_packed_tables_match_the_oracles_on_random_dnfs(dnf):
     _check_tables_against_oracle(dnf.evaluate(), dnf.n)
+
+
+@given(small_dnfs(), st.sampled_from([8, 16, 64]))
+@settings(max_examples=40, deadline=None)
+def test_full_depth_indices_match_the_oracles_in_small_chunks(dnf, chunk):
+    # the indices are gathered chunk by chunk; with chunks this small a
+    # table of up to 128 entries spans several
+    with mock.patch.object(restrictions, "INDEX_CHUNK", chunk):
+        _check_tables_against_oracle(dnf.evaluate(), dnf.n, every_x=False)
+
+
+def test_the_empty_set_has_full_depth_at_every_index():
+    # E_{} holds everywhere, whatever f: a function of no free variable has
+    # depth 0 = |S|.  The encoder's last round, whose block is the whole
+    # remaining free set, rests on this and asks no question.  n = 0 has no
+    # BooleanFunction; a stand-in with its one-entry table covers the
+    # formula of the sub-byte tables there.
+    functions = [SimpleNamespace(n=0, bits=value, size=1) for value in (0, 1)]
+    for n in range(1, 6):
+        functions += [BooleanFunction.constant(n, False), BooleanFunction.constant(n, True),
+                      random_read_k(n, 2, min(n, 3), k=2, seed=n).evaluate()]
+    for f in functions:
+        tables = RestrictionTables(f)
+        size = 1 << f.n
+        bits = np.unpackbits(tables.dt_by_sbar(0), bitorder="little")
+        assert bits[:size].all() and not bits[size:].any(), f
+        assert all(tables.full_depth_at(0, x) == 1 for x in range(size)), f
+        assert tables.full_depth_sbar_indices(0).tolist() == list(range(size)), f
+        assert tables.full_depth_count(0) == size, f
+
+
+def test_compress_plan_deletes_the_bits_of_the_free_set():
+    # at most |S| + 1 (shift, mask) pairs, and their OR is x with the bits
+    # of S deleted, the higher bits moved down, at every x
+    for n in range(1, 8):
+        tables = RestrictionTables(BooleanFunction.constant(n, True))
+        for s_mask in range(1 << n):
+            table, plan = tables.full_depth_entry(s_mask)
+            assert isinstance(table, memoryview) and len(plan) <= s_mask.bit_count() + 1
+            fixed = [b for b in range(n) if not s_mask >> b & 1]
+            for x in range(1 << n):
+                index = 0
+                for shift, mask in plan:
+                    index |= x >> shift & mask
+                assert index == sum((x >> b & 1) << t for t, b in enumerate(fixed)), (
+                    n, s_mask, x)
 
 
 def test_a_released_table_is_dropped_and_built_again_on_request():
