@@ -491,11 +491,10 @@ class _RecordingTable:
         return _RecordingByte(self.table[byte], record)
 
 
-@pytest.fixture
-def asked(monkeypatch):
-    """The questions (free set, table index) put to any RestrictionTables,
-    through the lookup entries that the encoder and ``full_depth_at`` read."""
-    questions: list[tuple[int, int]] = []
+def _record_questions(monkeypatch, questions):
+    """Append to ``questions`` each question (free set, table index) put to
+    any RestrictionTables, through the lookup entries that the encoder and
+    ``full_depth_at`` read."""
     full_depth_entry = RestrictionTables.full_depth_entry
 
     def spy(self, free_mask):
@@ -504,6 +503,12 @@ def asked(monkeypatch):
 
     monkeypatch.setattr(RestrictionTables, "full_depth_entry", spy)
     return questions
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """The questions put to any RestrictionTables (see _record_questions)."""
+    return _record_questions(monkeypatch, [])
 
 
 class _QuestionCount:
@@ -520,14 +525,7 @@ def test_the_analysis_of_readk16_asks_578404_questions(monkeypatch):
     # the 158,288 encodes of random_read_k(n=16, s=10, w=3, k=2, seed=3)
     # (bench/instances/readk16.dnf) at d_max 4: 736,692 questions with a
     # lookup in each pair's last round, one per encoded pair fewer without
-    count = _QuestionCount()
-    full_depth_entry = RestrictionTables.full_depth_entry
-
-    def spy(self, free_mask):
-        table, plan = full_depth_entry(self, free_mask)
-        return _RecordingTable(table, free_mask, count), plan
-
-    monkeypatch.setattr(RestrictionTables, "full_depth_entry", spy)
+    count = _record_questions(monkeypatch, _QuestionCount())
     b = make_bundle("readk16", random_read_k(n=16, s=10, w=3, k=2, seed=3))
     encoded = sum(p.witnesses for s_mask, p in b.analysis.profiles.items() if s_mask)
     assert (encoded, count.total) == (158_288, 578_404)
