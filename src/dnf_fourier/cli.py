@@ -6,29 +6,32 @@ Subcommands:
   spectrum     print the exact Fourier spectrum of a DNF file as JSON
   verify       run the exact check battery from a JSON config
   sweep        run the concentration measurements from a JSON config
-  encdec-test  exhaustive encode/decode round trip on one DNF file
+  encdec-test  verify's family analysis and batched round trip on one DNF file
   covers       cover counts and read-based bounds for one subset
 
 Exit codes: 0 success, 1 a verified inequality failed, 2 usage or cap errors.
 A verify or sweep instance that cannot be loaded is an error entry in the
 report, which is still written, and the exit code is 2.  An encoder fault
 is a failure (exit 1): a failed roundtrip row in verify, a fault entry in
-sweep; the report is still written.
+sweep; the report is still written.  In encdec-test it is a
+``ROUNDTRIP FAILED at S=..., x=...`` line naming the first failing pair.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
-from .bitops import vars_to_mask
+from .bitops import pdep, pdep_array, vars_to_mask
 from .boolfn import CapExceededError, fourier_transform
-from .covers import cover_counts_by_union, read_cover_count_bound
+from .covers import FamilyAnalysis, cover_counts_by_union, read_cover_count_bound
 from .dnf import ParseError, load_dnf
-from .encoder import decode, encode, valid_pairs
+from .encoder import EncodePreconditionError, EncodingInvariantError
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    _roundtrip,
     family_csv,
     render_json,
     rows_jsonl,
@@ -36,7 +39,7 @@ from .experiments import (
     run_verify,
 )
 from .generators import GenerationError, GeneratorSpec
-from .restrictions import RestrictionTables
+from .restrictions import DT_CAP, RestrictionTables
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -189,22 +192,34 @@ def _dispatch(args) -> int:
         return CHECK_FAILURE if faults else 0
 
     if args.command == "encdec-test":
+        if not 0 <= args.d_max <= DT_CAP:
+            raise ValueError(f"--d-max={args.d_max} outside [0, {DT_CAP}]")
         dnf = load_dnf(args.dnf_file)
-        tables = RestrictionTables(dnf.evaluate())
-        from .encoder import roundtrip_case_record
-
-        pairs = 0
-        lines = []
-        for s_mask, xsbar in valid_pairs(tables, args.d_max):
-            enc, _ = encode(dnf, s_mask, xsbar, tables)
-            if decode(dnf, enc) != (s_mask, xsbar):
-                print(f"ROUNDTRIP FAILED at S={s_mask:#x}, x={xsbar:#x}")
-                return CHECK_FAILURE
-            if args.corpus_out:
-                lines.append(roundtrip_case_record(args.dnf_file, s_mask, xsbar, enc))
-            pairs += 1
-        if args.corpus_out:
-            _write("\n".join(lines) + ("\n" if lines else ""), args.corpus_out)
+        f = dnf.evaluate()
+        try:
+            analysis = FamilyAnalysis(dnf, args.d_max, RestrictionTables(f), fourier_transform(f))
+        except (EncodePreconditionError, EncodingInvariantError) as exc:
+            # the analysis names the pair: "at S=..., x=...: ..."
+            print(f"ROUNDTRIP FAILED {exc} ({type(exc).__name__})")
+            return CHECK_FAILURE
+        pairs, context = _roundtrip(dnf, analysis, analysis.d_max)
+        full = (1 << dnf.n) - 1
+        if "error" in context:   # the first failing pair follows the `pairs` that passed
+            for s_mask, profile in sorted(analysis.profiles.items()):
+                if pairs < profile.witnesses:
+                    break
+                pairs -= profile.witnesses
+            xsbar = pdep(int(profile.sbar_indices[pairs]), full ^ s_mask)
+            print(f"ROUNDTRIP FAILED at S={s_mask}, x={xsbar}: {context['error']}")
+            return CHECK_FAILURE
+        if args.corpus_out:   # a line per pair, in valid_pairs order, from the records
+            with open(args.corpus_out, "w", encoding="utf-8") as fh:
+                for s_mask, profile in sorted(analysis.profiles.items()):
+                    xsbars = pdep_array(profile.sbar_indices, full ^ s_mask).tolist()
+                    for xsbar, e in zip(xsbars, profile.record.encodings()):
+                        case = {"dnf_ref": args.dnf_file, "S_mask": s_mask,
+                                "xsbar_mask": xsbar, "encoding": e.to_dict()}
+                        fh.write(json.dumps(case, sort_keys=True) + "\n")
         print(f"roundtrip ok on {pairs} full-depth pairs (|S| <= {args.d_max})")
         return 0
 

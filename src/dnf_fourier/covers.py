@@ -33,15 +33,16 @@ each pair with S nonempty once, through ``extract_cover``, which returns
 the encoder's plain row (no object per pair).  Per subset it keeps the
 cover statistics, the compressed indices of the full-depth assignments
 (uint32) and the rows packed into an ``EncodingRecord`` (arrays in
-``valid_pairs`` order), which the ``roundtrip`` check of ``verify``
-decodes.  The record of S = {} is written without encoding: x_sat is
-every assignment (the read-only index array itself), with empty sigma
-and a.  An encoder fault while it classifies, or a row that
-``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
-it.  Once the pairs of a subset with |S| = d_max are encoded, its
-restriction table is released, since an encoder round only asks about
-proper subsets of S; the ``evasive`` and ``roundtrip`` checks read the
-counts and indices kept here instead.
+``valid_pairs`` order), which the ``roundtrip`` check of ``verify`` and
+``dnf-fourier encdec-test`` decode.  The record of S = {} is written
+without encoding: x_sat is every assignment (the read-only index array
+itself), with empty sigma and a read-only broadcast zero as a.  An
+encoder fault while it classifies, or a row that ``EncodingRecord.pack``
+rejects, is re-raised with the pair that caused it.  Once the pairs of
+a subset with |S| = d_max are encoded, its restriction table is
+released, since an encoder round only asks about proper subsets of S;
+the ``evasive`` and ``roundtrip`` checks read the counts and indices
+kept here instead.
 
 The caller builds an instance's truth table, spectrum, restriction
 tables and family analysis once and passes them in; nothing here builds
@@ -165,11 +166,13 @@ class FamilyAnalysis:
             # E_{} holds everywhere and the encoder selects no term, so
             # every assignment is a witness with the empty cover, and its
             # encoding is x_sat = x with empty sigma and a: the record
-            # shares the read-only indices, which are the identity here
+            # shares the read-only indices, which are the identity here,
+            # and its a, all zero, is one zero broadcast to every row
             count_by_u = {0: int(idxs.size)}
             covers_by_u = {0: {()}}
             record = EncodingRecord(
-                n, idxs, np.zeros((idxs.size, 0), np.uint8), np.zeros(idxs.size, np.uint16),
+                n, idxs, np.zeros((idxs.size, 0), np.uint8),
+                np.broadcast_to(np.uint16(0), idxs.shape),
             )
         else:
             rows = []

@@ -93,9 +93,6 @@ class Term:
         """1-based variable indices, ascending."""
         return [abs(lit) for lit in self.literals()]
 
-    def satisfied_by(self, x: int) -> bool:
-        return (x & self.pos_mask) == self.pos_mask and (x & self.neg_mask) == 0
-
 
 @dataclass(frozen=True, slots=True)
 class Dnf:

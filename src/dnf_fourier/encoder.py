@@ -62,10 +62,11 @@ numpy, and the ``roundtrip`` check decodes every pair through it: each row
 meets every check of the scalar path, and a row that fails one is reported
 by the index of its ``DecodeError`` message in ``DECODE_ERRORS``.  The
 scalar ``decode`` and ``EncodingRecord.encodings`` are its test oracles.
+``dnf-fourier encdec-test`` runs ``verify``'s family analysis and batched
+round trip too: it calls neither ``encode`` nor ``decode``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -208,12 +209,7 @@ class EncodingRecord:
         sigma = np.fromiter(chain.from_iterable(r[1] for r in rows), dtype=np.uint8)
         sigma = sigma.reshape(m, d)
         a = np.fromiter((r[2] for r in rows), dtype=np.uint16, count=m)
-        pos = np.sort(sigma, axis=1)
-        checks = (   # in the order Encoding makes them
-            (TRUTH_VALUES_BEYOND_D, a.astype(np.uint32) >> d != 0),
-            (SIGMA_NOT_DISTINCT, (np.diff(pos, axis=1) == 0).any(axis=1)),
-            (SIGMA_NOT_1_BASED, (pos == 0).any(axis=1)),
-        )
+        checks = _row_checks(d, np.sort(sigma, axis=1), a)
         failing = np.flatnonzero(np.logical_or.reduce([bad for _, bad in checks]))
         if failing.size:
             row = int(failing[0])
@@ -231,6 +227,17 @@ class EncodingRecord:
             self.x_sat.tolist(), self.sigma.tolist(), self.a.tolist()
         ):
             yield Encoding(self.n, x_sat, tuple(sigma), a_of[a])
+
+
+def _row_checks(d: int, pos: np.ndarray, a: np.ndarray) -> tuple[tuple[str, np.ndarray], ...]:
+    """``Encoding``'s checks of one pair, in its order, on every row at once as
+    (message, failing rows): ``a`` fits in d bits, and the sigma positions
+    ``pos`` (sorted along each row) are distinct and 1-based."""
+    return (
+        (TRUTH_VALUES_BEYOND_D, a.astype(np.uint32) >> d != 0),
+        (SIGMA_NOT_DISTINCT, (np.diff(pos, axis=1) == 0).any(axis=1)),
+        (SIGMA_NOT_1_BASED, (pos == 0).any(axis=1)),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -481,9 +488,8 @@ def decode_records(
         code[rows & (code == 0)] = DECODE_ERRORS.index(message)   # the first one stays
 
     pos = np.sort(sigma, axis=1)           # decode reads sigma in sorted order
-    fail(a.astype(np.uint32) >> d != 0, TRUTH_VALUES_BEYOND_D)
-    fail((np.diff(pos, axis=1) == 0).any(axis=1), SIGMA_NOT_DISTINCT)
-    fail((pos == 0).any(axis=1), SIGMA_NOT_1_BASED)
+    for message, bad in _row_checks(d, pos, a):
+        fail(bad, message)
     x = x_sat.astype(np.uint32)
     fail(x >> dnf.n != 0, BITS_BEYOND_N)
 
@@ -541,15 +547,3 @@ def valid_pairs(tables: RestrictionTables, d_max: int) -> Iterator[tuple[int, in
         for idx in tables.full_depth_sbar_indices(s_mask):
             yield s_mask, pdep(int(idx), fixed_mask)
 
-
-def roundtrip_case_record(dnf_ref: str, s_mask: int, xsbar_bits: int, e: Encoding) -> str:
-    """One JSON line for a round-trip regression corpus."""
-    return json.dumps(
-        {
-            "dnf_ref": dnf_ref,
-            "S_mask": s_mask,
-            "xsbar_mask": xsbar_bits,
-            "encoding": e.to_dict(),
-        },
-        sort_keys=True,
-    )

@@ -653,17 +653,9 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         # a failed correctness check, not an input error: the others still run
         return {"label": label, "fault": f"{type(exc).__name__} {exc}", "failures": 1}
 
-    u_hi = min(w * d_max, n) if w else 0
-    tail_rows = []
-    capture_u = None
-    for u_cut in range(u_hi + 1):
-        tail = analysis.tail_weight(u_cut)
-        tail_rows.append(
-            {"u_cutoff": u_cut, "weight_outside": _fmt(tail),
-             "weight_outside_approx": _approx(tail)}
-        )
-        if capture_u is None and tail <= eps:
-            capture_u = u_cut
+    tail_rows = _tail_table(analysis)
+    u_hi = len(tail_rows) - 1
+    capture_u = next((u for u in range(u_hi + 1) if analysis.tail_weight(u) <= eps), None)
 
     weight_cuts = []
     for c in config.c_sweep:
@@ -709,10 +701,7 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
     """Theorem-level quantities, evaluated but never asserted: their "large
     enough width" hypotheses fail at desk scale.  Values are decimal
     approximations of exact family weights against the simplified bounds."""
-    max_ncov = 0
-    for profile in analysis.profiles.values():
-        counts = analysis.cover_counts(profile.mask)
-        max_ncov = max(max_ncov, counts.get(profile.assigned_u, 0))
+    max_ncov = max((s.max_num_covers for s in analysis.families.values()), default=0)
     per_u = []
     for u in range(u_hi + 1):
         weight_at_u = DyadicRational(0)

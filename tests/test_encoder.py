@@ -570,6 +570,9 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
         assert record.sigma.shape == (len(pairs), s_mask.bit_count())
         if s_mask == 0:   # shared with the indices, not copied
             assert record.x_sat is profile.sbar_indices and not record.x_sat.flags.writeable
+            # all zero, as one read-only zero broadcast: no buffer of 2^n entries
+            assert record.a.strides == (0,) and not record.a.flags.writeable
+            assert not record.a.flags.owndata
         oracle = [oracle_encode(dnf, s, x, tables) for s, x in pairs]
         encodings = [e for e, _ in oracle]
         assert record.x_sat.tolist() == [e.x_sat for e in encodings]

@@ -21,6 +21,7 @@ from dnf_fourier.bitops import subsets_up_to
 from dnf_fourier.cli import main
 from dnf_fourier.encoder import DecodeError, EncodePreconditionError, EncodingInvariantError
 from dnf_fourier.experiments import ConfigError, family_csv, render_json, rows_jsonl
+from dnf_fourier.restrictions import DT_CAP
 
 
 def _tribes_source(w, t):
@@ -234,6 +235,135 @@ def test_cli_encdec_and_artifacts(tmp_path, capsys):
         case = json.loads(line)
         enc = Encoding.from_dict(dnf.n, case["encoding"])
         assert decode(dnf, enc) == (case["S_mask"], case["xsbar_mask"])
+
+
+def _scalar_encdec(dnf, dnf_ref, d_max) -> tuple[str, str]:
+    """``encdec-test`` pair by pair, in ``valid_pairs`` order, through the
+    scalar ``encode`` and ``decode``: its stdout and its corpus, the oracle
+    of the command's run of the family analysis and the batched round trip."""
+    from dnf_fourier import RestrictionTables
+    from dnf_fourier.encoder import decode, encode, valid_pairs
+
+    tables = RestrictionTables(dnf.evaluate())
+    lines = []
+    for s_mask, xsbar in valid_pairs(tables, d_max):
+        enc, _ = encode(dnf, s_mask, xsbar, tables)
+        assert decode(dnf, enc) == (s_mask, xsbar)
+        lines.append(json.dumps({"dnf_ref": dnf_ref, "S_mask": s_mask, "xsbar_mask": xsbar,
+                                 "encoding": enc.to_dict()}, sort_keys=True) + "\n")
+    return f"roundtrip ok on {len(lines)} full-depth pairs (|S| <= {d_max})\n", "".join(lines)
+
+
+def _encdec_cases():
+    from conftest import corpus_instances
+
+    return [("tribes(2,3)", tribes(2, 3), 4), ("tribes(2,3)", tribes(2, 3), 1)] + [
+        (label, dnf, d_max)
+        for (label, dnf), d_max in zip(corpus_instances()[::40], (4, 0, 2, 4, 3, 4))]
+
+
+@pytest.mark.parametrize("label, dnf, d_max", _encdec_cases())
+def test_encdec_corpus_matches_the_scalar_path(tmp_path, capsys, label, dnf, d_max):
+    dnf_path = tmp_path / "f.dnf"
+    dnf_path.write_text(dnf.to_text())
+    corpus = tmp_path / "cases.jsonl"
+    assert main(["encdec-test", str(dnf_path), "--d-max", str(d_max),
+                 "--corpus-out", str(corpus)]) == 0
+    out, lines = _scalar_encdec(dnf, str(dnf_path), d_max)
+    assert capsys.readouterr().out == out
+    assert corpus.read_text() == lines
+
+
+def test_encdec_calls_no_scalar_codec_and_encodes_each_pair_once(tmp_path, monkeypatch):
+    import sys
+
+    from dnf_fourier import RestrictionTables, covers, encoder
+    from dnf_fourier.encoder import valid_pairs
+
+    scalar, encoded = [], []
+
+    def spy(calls, fn):
+        def wrapper(*args):
+            calls.append(args[1:3])
+            return fn(*args)
+        return wrapper
+
+    # every module of the package that holds the scalar encode or decode by name
+    for module in [m for name, m in sys.modules.items() if name.startswith("dnf_fourier")]:
+        for name in ("encode", "decode"):
+            fn = getattr(encoder, name)
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, spy(scalar, fn))
+    monkeypatch.setattr(covers, "extract_cover", spy(encoded, covers.extract_cover))
+    dnf = _RK8.build()
+    dnf_path = tmp_path / "rk8.dnf"
+    dnf_path.write_text(dnf.to_text())
+    assert main(["encdec-test", str(dnf_path), "--corpus-out",
+                 str(tmp_path / "cases.jsonl")]) == 0
+    assert scalar == []
+    pairs = [p for p in valid_pairs(RestrictionTables(dnf.evaluate()), 4) if p[0]]
+    assert encoded == pairs
+
+
+@pytest.mark.parametrize("fault, line", [
+    (EncodePreconditionError, "at S=1, x=2: injected fault (EncodePreconditionError)"),
+    (EncodingInvariantError, "at S=1, x=2: injected fault (EncodingInvariantError)"),
+    ((3, 0), "at S=3, x=0: DecodeError at S=3, x=0: sigma positions are 1-based"),
+    ((12, 2), "at S=12, x=2: DecodeError at S=12, x=2: sigma positions are 1-based"),
+    ((3, None), "at S=3, x=0: the record of S=3 holds 2 encodings for 3 full-depth pairs"),
+])
+def test_encdec_reports_a_fault_as_a_failed_roundtrip(tmp_path, monkeypatch, capsys,
+                                                      fault, line):
+    # an encoder fault in the analysis, or the record of S corrupted after it
+    # (a bad sigma in one row, or the last row dropped), is a failed round
+    # trip naming the first failing pair: exit 1, no traceback, no corpus
+    import dnf_fourier.cli as cli
+    from dnf_fourier import covers
+
+    roundtrip = cli._roundtrip
+
+    def broken(*args):
+        raise fault("injected fault")
+
+    def corrupt_then_roundtrip(dnf, analysis, d_max):
+        s_mask, row = fault
+        profile = analysis.profiles[s_mask]
+        if row is None:
+            profile.record = dataclasses.replace(
+                profile.record, x_sat=profile.record.x_sat[:-1],
+                sigma=profile.record.sigma[:-1], a=profile.record.a[:-1])
+        else:
+            profile.record.sigma[row] = (0, 1)
+        return roundtrip(dnf, analysis, d_max)
+
+    if isinstance(fault, type):
+        monkeypatch.setattr(covers, "extract_cover", broken)
+    else:
+        monkeypatch.setattr(cli, "_roundtrip", corrupt_then_roundtrip)
+    dnf_path = tmp_path / "t22.dnf"
+    dnf_path.write_text(tribes(2, 2).to_text())
+    corpus = tmp_path / "cases.jsonl"
+    assert main(["encdec-test", str(dnf_path), "--corpus-out", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"ROUNDTRIP FAILED {line}\n"
+    assert captured.err == "" and not corpus.exists()
+
+
+@pytest.mark.parametrize("d_max", [-1, DT_CAP + 1])
+def test_encdec_rejects_a_d_max_out_of_range_before_any_work(tmp_path, monkeypatch, capsys,
+                                                             d_max):
+    import dnf_fourier.cli as cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_dnf", loaded.append)
+    dnf_path = tmp_path / "t22.dnf"
+    dnf_path.write_text(tribes(2, 2).to_text())
+    corpus = tmp_path / "cases.jsonl"
+    assert main(["encdec-test", str(dnf_path), "--d-max", str(d_max),
+                 "--corpus-out", str(corpus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--d-max={d_max} outside [0, {DT_CAP}]" in captured.err
+    assert loaded == [] and not corpus.exists()
 
 
 def test_cli_csv_and_jsonl_outputs(tmp_path):
@@ -456,10 +586,11 @@ def _check_corrupted_roundtrip(kind, degrees):
     for rank, d in enumerate(degrees):   # the largest S first, then the smallest
         for s_mask in (masks[::-1] if rank == 0 else masks):
             # the S = {} record shares the read-only full-depth indices, which
-            # the round trip compares against: corrupt a copy of its x_sat
+            # the round trip compares against, and its a is a read-only
+            # broadcast zero: corrupt copies of its x_sat and a
             profile = b.analysis.profiles[s_mask]
             record = profile.record = dataclasses.replace(
-                profile.record, x_sat=profile.record.x_sat.copy())
+                profile.record, x_sat=profile.record.x_sat.copy(), a=profile.record.a.copy())
             if (s_mask.bit_count() == d and len(record) >= 2
                     and _corrupt(kind, dnf, b.f, record)):
                 targets.append(s_mask)
