@@ -42,9 +42,9 @@ class DimensionMismatchError(ValueError):
     """Two functions or a function and a restriction disagree on n."""
 
 
-def _check_n(n: int, n_cap: int = N_CAP) -> None:
-    if not 1 <= n <= n_cap:
-        raise CapExceededError(f"n={n} outside [1, {n_cap}]")
+def _check_n(n: int) -> None:
+    if not 1 <= n <= N_CAP:
+        raise CapExceededError(f"n={n} outside [1, {N_CAP}]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,7 +23,7 @@ import dataclasses
 import json
 import sys
 
-from .bitops import pdep, pdep_array, vars_to_mask
+from .bitops import vars_to_mask
 from .boolfn import CapExceededError, fourier_transform
 from .covers import FamilyAnalysis, cover_counts_by_union, read_cover_count_bound
 from .dnf import ParseError, load_dnf
@@ -202,23 +202,21 @@ def _dispatch(args) -> int:
             # the analysis names the pair: "at S=..., x=...: ..."
             print(f"ROUNDTRIP FAILED {exc} ({type(exc).__name__})")
             return CHECK_FAILURE
-        pairs, context = _roundtrip(dnf, analysis, analysis.d_max)
-        full = (1 << dnf.n) - 1
-        if "error" in context:   # the first failing pair follows the `pairs` that passed
-            for s_mask, profile in sorted(analysis.profiles.items()):
-                if pairs < profile.witnesses:
-                    break
-                pairs -= profile.witnesses
-            xsbar = pdep(int(profile.sbar_indices[pairs]), full ^ s_mask)
-            print(f"ROUNDTRIP FAILED at S={s_mask}, x={xsbar}: {context['error']}")
+        pairs, failure = _roundtrip(dnf, analysis)
+        if failure is not None:
+            print("ROUNDTRIP FAILED at S={}, x={}: {}".format(*failure))
             return CHECK_FAILURE
         if args.corpus_out:   # a line per pair, in valid_pairs order, from the records
             with open(args.corpus_out, "w", encoding="utf-8") as fh:
                 for s_mask, profile in sorted(analysis.profiles.items()):
-                    xsbars = pdep_array(profile.sbar_indices, full ^ s_mask).tolist()
-                    for xsbar, e in zip(xsbars, profile.record.encodings()):
+                    record, d = profile.record, profile.d
+                    for xsbar, x_sat, sigma, a in zip(
+                            profile.xsbars.tolist(), record.x_sat.tolist(),
+                            record.sigma.tolist(), record.a.tolist()):
+                        encoding = {"x_sat": x_sat, "sigma": sigma,
+                                    "a": [a >> t & 1 for t in range(d)]}
                         case = {"dnf_ref": args.dnf_file, "S_mask": s_mask,
-                                "xsbar_mask": xsbar, "encoding": e.to_dict()}
+                                "xsbar_mask": xsbar, "encoding": encoding}
                         fh.write(json.dumps(case, sort_keys=True) + "\n")
         print(f"roundtrip ok on {pairs} full-depth pairs (|S| <= {args.d_max})")
         return 0

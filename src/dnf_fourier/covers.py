@@ -26,22 +26,26 @@ dynamic program over (term count, union mask) rather than by enumerating
 term subsets, so its cost is bounded by the number of distinct unions,
 not by the number of covers, and it has no cap.
 ``FamilyAnalysis.cover_counts`` keeps one count per subset for every
-check that needs it.
+check that needs it, and counts nothing until a check asks: the round
+trip of ``dnf-fourier encdec-test`` reads no count.
 
 ``FamilyAnalysis`` is also the record of the full-depth pairs: it encodes
 each pair with S nonempty once, through ``extract_cover``, which returns
 the encoder's plain row (no object per pair).  Per subset it keeps the
-cover statistics, the compressed indices of the full-depth assignments
-(uint32) and the rows packed into an ``EncodingRecord`` (arrays in
-``valid_pairs`` order), which the ``roundtrip`` check of ``verify`` and
-``dnf-fourier encdec-test`` decode.  The record of S = {} is written
-without encoding: x_sat is every assignment (the read-only index array
-itself), with empty sigma and a read-only broadcast zero as a.  An
-encoder fault while it classifies, or a row that ``EncodingRecord.pack``
-rejects, is re-raised with the pair that caused it.  Once the pairs of
-a subset with |S| = d_max are encoded, its restriction table is
-released, since an encoder round only asks about proper subsets of S;
-the ``evasive`` and ``roundtrip`` checks read the counts and indices
+cover statistics, the fixed-side assignments x_Sbar of its full-depth
+pairs as n-bit masks (``xsbars``, uint32, read-only, computed once from
+the compressed indices) and the rows packed into an ``EncodingRecord``
+(arrays in ``valid_pairs`` order), which the ``roundtrip`` check of
+``verify`` and ``dnf-fourier encdec-test`` decode and compare with
+``xsbars``.  The record of S = {} is written without encoding: x_sat is
+every assignment (the read-only ``xsbars`` of S = {}, which are its
+compressed indices), with empty sigma and a read-only broadcast zero as
+a.  An encoder fault while it classifies, or a row that
+``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
+it.  Once the pairs of a subset with |S| = d_max are encoded, its
+restriction table is released, since an encoder round only asks about
+proper subsets of S;
+the ``evasive`` and ``roundtrip`` checks read the counts and masks
 kept here instead.
 
 The caller builds an instance's truth table, spectrum, restriction
@@ -94,18 +98,16 @@ class FamilyStats:
     one_norm: DyadicRational = DyadicRational(0)
     two_norm_sq: DyadicRational = DyadicRational(0)
     max_abs_coeff: DyadicRational = DyadicRational(0)
-    max_num_covers: int = 0
 
 
 @dataclass(slots=True)
 class SubsetProfile:
     """Witness statistics for one subset S with at least one full-depth pair."""
 
-    mask: int
     d: int
     coeff: DyadicRational
     witnesses: int  # number of full-depth fixed-side assignments
-    sbar_indices: np.ndarray  # their compressed indices, uint32, ascending
+    xsbars: np.ndarray  # those assignments as n-bit masks, uint32, read-only, ascending
     count_by_u: dict[int, int]
     covers_by_u: dict[int, set[tuple[int, ...]]]
     assigned_u: int  # the family key: most frequent u, ties to smallest
@@ -141,6 +143,11 @@ class FamilyAnalysis:
             self._cover_counts[s_mask] = counts
         return counts
 
+    def max_num_covers(self, key: FamilyKey) -> int:
+        """The largest num_covers(S, u) over the members S of the (d, u)
+        family, from the kept counts."""
+        return max(self.cover_counts(m).get(key.u, 0) for m in self.families[key].members)
+
     def _classify(self) -> None:
         for s_mask in subsets_up_to(self.dnf.n, self.d_max):
             self._classify_subset(s_mask)
@@ -151,7 +158,6 @@ class FamilyAnalysis:
 
     def _classify_subset(self, s_mask: int) -> None:
         n = self.dnf.n
-        full = (1 << n) - 1
         d = s_mask.bit_count()
         idxs = self.tables.full_depth_sbar_indices(s_mask)
         coeff = self.spec.coeff(s_mask)
@@ -165,19 +171,21 @@ class FamilyAnalysis:
         if s_mask == 0:
             # E_{} holds everywhere and the encoder selects no term, so
             # every assignment is a witness with the empty cover, and its
-            # encoding is x_sat = x with empty sigma and a: the record
-            # shares the read-only indices, which are the identity here,
-            # and its a, all zero, is one zero broadcast to every row
+            # encoding is x_sat = x with empty sigma and a: the indices are
+            # the identity here, so they are the masks, and the record
+            # shares them; its a, all zero, is one zero broadcast to every row
+            xsbars = idxs
             count_by_u = {0: int(idxs.size)}
             covers_by_u = {0: {()}}
             record = EncodingRecord(
-                n, idxs, np.zeros((idxs.size, 0), np.uint8),
+                n, xsbars, np.zeros((idxs.size, 0), np.uint8),
                 np.broadcast_to(np.uint16(0), idxs.shape),
             )
         else:
+            xsbars = pdep_array(idxs, ((1 << n) - 1) ^ s_mask)
+            xsbars.setflags(write=False)
             rows = []
-            xsbars = pdep_array(idxs, full ^ s_mask).tolist()
-            for xsbar in xsbars:
+            for xsbar in xsbars.tolist():
                 try:
                     rows.append(extract_cover(self.dnf, s_mask, xsbar, self.tables))
                 except (EncodePreconditionError, EncodingInvariantError) as exc:
@@ -195,8 +203,7 @@ class FamilyAnalysis:
         top = max(count_by_u.values())
         assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
         profile = SubsetProfile(
-            s_mask, d, coeff, int(idxs.size), idxs, count_by_u, covers_by_u,
-            assigned_u, record,
+            d, coeff, int(idxs.size), xsbars, count_by_u, covers_by_u, assigned_u, record,
         )
         self.profiles[s_mask] = profile
         key = FamilyKey(d, assigned_u)
@@ -209,9 +216,6 @@ class FamilyAnalysis:
         stats.two_norm_sq = stats.two_norm_sq + coeff.square()
         if abs(coeff) > stats.max_abs_coeff:
             stats.max_abs_coeff = abs(coeff)
-        nc = self.cover_counts(s_mask).get(assigned_u, 0)
-        if nc > stats.max_num_covers:
-            stats.max_num_covers = nc
 
     # -- raw counts ----------------------------------------------------------
 
@@ -393,10 +397,9 @@ def check_twonorm_u(analysis: FamilyAnalysis, d: int, u: int) -> CheckResult:
         zero = DyadicRational(0)
         return CheckResult(zero, zero, True, {"empty": True})
     lhs = stats.two_norm_sq
-    bound = DyadicRational(
-        (w * d + 1) ** 2 * comb(u, d) * stats.max_num_covers << (3 * d), u
-    )
-    return CheckResult(lhs, bound, lhs <= bound, {"max_num_covers": stats.max_num_covers})
+    max_ncov = analysis.max_num_covers(stats.key)
+    bound = DyadicRational((w * d + 1) ** 2 * comb(u, d) * max_ncov << (3 * d), u)
+    return CheckResult(lhs, bound, lhs <= bound, {"max_num_covers": max_ncov})
 
 
 def family_cauchy_check(stats: FamilyStats) -> CheckResult:
@@ -424,7 +427,8 @@ def read_cover_count_bound(dnf: Dnf, s_mask: int, counts: dict[int, int]) -> Che
                               <=  (e(k+1))^d.
 
     The first inequality is the asserted bound; the rest of the chain is
-    verified too (the last link rigorously, via an enclosure of e^d).
+    verified too (the last link rigorously, via an enclosure of e^d), and
+    holds is the conjunction of every link, each also in extras.
     ``counts`` is S's ``cover_counts_by_union``.
     """
     d = s_mask.bit_count()
@@ -437,7 +441,7 @@ def read_cover_count_bound(dnf: Dnf, s_mask: int, counts: dict[int, int]) -> Che
     return CheckResult(
         count,
         bound,
-        count <= bound,
+        count <= bound and chain1 and chain2,
         {
             "chain_mid": mid,
             "chain_mid_holds": chain1,
@@ -460,8 +464,9 @@ def exact_width_cover_bound(
       num_covers(S, u)  <=  sum_{i <= floor(ku/w)} C(kd, i).
 
     When ku/w is an integer m, the classical chain
-    C(kd, m) <= C(ku, m) <= (ew)^m is verified as well.  ``counts`` is
-    S's ``cover_counts_by_union``.
+    C(kd, m) <= C(ku, m) <= (ew)^m is verified as well, and holds is the
+    conjunction of every link, each also in extras.  ``counts`` is S's
+    ``cover_counts_by_union``.
     """
     widths = dnf.term_widths
     if len(widths) > 1:
@@ -476,6 +481,7 @@ def exact_width_cover_bound(
     l_cap = (k * u) // w
     bound = sum(comb(k * d, i) for i in range(l_cap + 1))
     extras: dict = {"l_cap": l_cap, "read": k, "width": w}
+    holds = count <= bound
     if (k * u) % w == 0:
         # the classical chain at the integer point m = ku/w:
         # C(kd, m) <= C(ku, m) <= (ew)^m, decided via mid / w^m <= e^m
@@ -486,7 +492,8 @@ def exact_width_cover_bound(
         holds_top, enc = _le_exp(Fraction(mid, w**m), m)
         extras["chain_top_holds"] = holds_top
         extras["e_pow_m"] = enc
-    return CheckResult(count, bound, count <= bound, extras)
+        holds = holds and left <= mid and holds_top
+    return CheckResult(count, bound, holds, extras)
 
 
 # -- satisfied-mass inequality and the set-size budget bound ------------------

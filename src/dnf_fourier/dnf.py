@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolfn import N_CAP, BooleanFunction, _check_n
+from .boolfn import BooleanFunction, _check_n
 from .dyadic import DyadicRational
 
 
@@ -93,6 +93,15 @@ class Term:
         """1-based variable indices, ascending."""
         return [abs(lit) for lit in self.literals()]
 
+    def subcube(self, n: int) -> tuple[int | slice, ...]:
+        """The index of the term's satisfying assignments in a (2,)*n
+        tensor over all assignments (axis n-1-i is variable i+1): a strided
+        view of 2^(n-|T|) entries, and no temporary."""
+        return tuple(
+            (self.pos_mask >> i) & 1 if (self.vars_mask >> i) & 1 else slice(None)
+            for i in range(n - 1, -1, -1)
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class Dnf:
@@ -150,25 +159,15 @@ class Dnf:
 
     # -- semantics -----------------------------------------------------------
 
-    def evaluate(self, n_cap: int = N_CAP) -> BooleanFunction:
+    def evaluate(self) -> BooleanFunction:
         """Truth table: entry x is 1 iff some term is satisfied by x.
 
-        The table is a (2,)*n tensor (axis n-1-i is variable i+1), and each
-        term sets its subcube through one strided slice: 2^(n-|T|) writes
-        and no temporary."""
-        if self.n > n_cap:
-            from .boolfn import CapExceededError
-
-            raise CapExceededError(f"n={self.n} exceeds evaluation cap {n_cap}")
-        n = self.n
-        table = np.zeros((2,) * n, dtype=bool)
+        Each term sets its ``subcube`` of the (2,)*n table: 2^(n-|T|)
+        writes and no temporary."""
+        table = np.zeros((2,) * self.n, dtype=bool)
         for t in self.terms:
-            table[tuple(
-                slice(None) if not (t.vars_mask >> (n - 1 - ax)) & 1
-                else (t.pos_mask >> (n - 1 - ax)) & 1
-                for ax in range(n)
-            )] = True
-        return BooleanFunction.from_array(n, table.reshape(-1))
+            table[t.subcube(self.n)] = True
+        return BooleanFunction.from_array(self.n, table.reshape(-1))
 
     def truncate_width(self, w: int) -> "Dnf":
         """Drop every term with more than w literals, preserving order.

@@ -60,10 +60,12 @@ and indexes it inline for each candidate.
 ``decode_records`` inverts a whole batch of same-degree encodings with
 numpy, and the ``roundtrip`` check decodes every pair through it: each row
 meets every check of the scalar path, and a row that fails one is reported
-by the index of its ``DecodeError`` message in ``DECODE_ERRORS``.  The
-scalar ``decode`` and ``EncodingRecord.encodings`` are its test oracles.
+by the index of its ``DecodeError`` message in ``DECODE_ERRORS``.  Its
+test oracle is the scalar ``decode`` of each record row rebuilt as an
+``Encoding`` (the ``encodings`` helper of the tests).
 ``dnf-fourier encdec-test`` runs ``verify``'s family analysis and batched
-round trip too: it calls neither ``encode`` nor ``decode``.
+round trip too, and writes its corpus from the record arrays: it calls
+neither ``encode`` nor ``decode`` and builds no ``Encoding``.
 """
 from __future__ import annotations
 
@@ -218,15 +220,6 @@ class EncodingRecord:
 
     def __len__(self) -> int:
         return len(self.x_sat)
-
-    def encodings(self) -> Iterator[Encoding]:
-        """The ``Encoding`` of each pair, rebuilt in record order (for the
-        scalar ``decode``, the oracle of ``decode_records``)."""
-        a_of = _unpacked_truth_values(self.sigma.shape[1])
-        for x_sat, sigma, a in zip(
-            self.x_sat.tolist(), self.sigma.tolist(), self.a.tolist()
-        ):
-            yield Encoding(self.n, x_sat, tuple(sigma), a_of[a])
 
 
 def _row_checks(d: int, pos: np.ndarray, a: np.ndarray) -> tuple[tuple[str, np.ndarray], ...]:
@@ -475,8 +468,9 @@ def decode_records(
     decoded, and otherwise indexes ``DECODE_ERRORS``, the message of the
     DecodeError that the scalar path raises for that row.  Each row meets
     the checks in the order the scalar path does: its truth values fit in
-    d bits (``EncodingRecord.encodings``), its sigma positions are distinct
-    and 1-based (``Encoding``), then ``decode``'s checks, round by round.
+    d bits (so that a unpacks into d booleans), its sigma positions are
+    distinct and 1-based (``Encoding``), then ``decode``'s checks, round
+    by round.
     Arrays whose shapes disagree raise DecodeError for the whole batch.
     """
     m = len(x_sat)

@@ -28,7 +28,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bitops import pdep_array, subsets_up_to
+from .bitops import subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
@@ -406,8 +406,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     if "read_chain" in checks:
         for m in subsets:
             r = read_cover_count_bound(dnf, m, analysis.cover_counts(m))
-            ok = r.holds and r.extras["chain_mid_holds"] and r.extras["chain_top_holds"]
-            rows.append(_row("read_cover_chain", {"S_mask": m}, r.lhs, r.bound, ok))
+            rows.append(_row("read_cover_chain", {"S_mask": m}, r.lhs, r.bound, r.holds))
 
     if "exact_width_chain" in checks:
         widths = dnf.term_widths
@@ -417,12 +416,8 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
                 counts = analysis.cover_counts(m)
                 for u in range(m.bit_count(), u_hi + 1):
                     r = exact_width_cover_bound(dnf, m, u, counts)
-                    ok = r.holds
-                    if "chain_mid_holds" in r.extras:
-                        ok = ok and r.extras["chain_mid_holds"] and r.extras["chain_top_holds"]
-                    rows.append(
-                        _row("exact_width_chain", {"S_mask": m, "u": u}, r.lhs, r.bound, ok)
-                    )
+                    rows.append(_row("exact_width_chain", {"S_mask": m, "u": u},
+                                     r.lhs, r.bound, r.holds))
 
     if "satisfied_mass" in checks:
         r = st_inequality_check(dnf, f)
@@ -458,11 +453,12 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "roundtrip" in checks:
         if analysis_fault is None:
-            pairs, context = _roundtrip(dnf, analysis, d_max)
+            pairs, failure = _roundtrip(dnf, analysis)
+            error = None if failure is None else failure[2]
         else:
-            pairs, context = 0, {"error": analysis_fault}
-        rows.append(_row("roundtrip", {"pairs": pairs} | context, pairs, None,
-                         "error" not in context))
+            pairs, error = 0, analysis_fault
+        context = {"pairs": pairs} if error is None else {"pairs": pairs, "error": error}
+        rows.append(_row("roundtrip", context, pairs, None, error is None))
 
     payload = {
         "label": label,
@@ -493,26 +489,23 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 ROUNDTRIP_CHUNK = 4096
 
 
-def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis, d_max: int) -> tuple[int, dict]:
+def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis) -> tuple[int, tuple[int, int, str] | None]:
     """Decode every full-depth pair's encoding and compare it with the pair.
 
     Every pair, S = {} included, is decoded from the analysis's record and
-    compared with the full-depth indices the analysis kept, so no table is
-    read; the records of each degree are decoded in chunks by
-    ``decode_records``.
+    compared with the x_Sbar masks the analysis kept, so no table is read;
+    the records of each degree are decoded in chunks by ``decode_records``.
     Returns the number of pairs before the first failure in ``valid_pairs``
-    order, and a context with an ``error`` entry if there was one; an
+    order, and that failure as (S mask, x_Sbar mask, error), or None; an
     encoder or decoder fault is a failure, not a usage error.
     """
-    n = dnf.n
-    full = (1 << n) - 1
-    first: tuple[int, int, str] | None = None   # (S mask, row in S, error)
+    first: tuple[int, int, int, str] | None = None   # (S mask, row in S, x_Sbar, error)
 
-    def keep(s_mask: int, row: int, error: str) -> None:
+    def keep(s_mask: int, row: int, xsbar: int, error: str) -> None:
         """Keep the failure that comes first in ``valid_pairs`` order."""
         nonlocal first
         if first is None or (s_mask, row) < first[:2]:
-            first = (s_mask, row, error)
+            first = (s_mask, row, xsbar, error)
 
     def check(d, chunk) -> None:
         """Decode one chunk of degree-d rows and keep its first failure."""
@@ -529,19 +522,18 @@ def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis, d_max: int) -> tuple[int, dic
             at = f"at S={s_exp[bad]}, x={x_exp[bad]}"
             error = (f"DecodeError {at}: {DECODE_ERRORS[code[bad]]}" if code[bad] else
                      f"decoded {(int(s_dec[bad]), int(x_dec[bad]))} {at}")
-        keep(int(s_exp[bad]), int(row[bad]), error)
+        keep(int(s_exp[bad]), int(row[bad]), int(x_exp[bad]), error)
 
     profiles = sorted(analysis.profiles.items())
-    for d in range(d_max + 1):
+    for d in range(analysis.d_max + 1):
         chunk, rows = [], 0
         for s_mask, profile in ((m, p) for m, p in profiles if p.d == d):
-            record, idxs = profile.record, profile.sbar_indices
+            record, xsbars = profile.record, profile.xsbars
             held = len(record)
-            if held != idxs.size:
-                keep(s_mask, 0, f"the record of S={s_mask} holds {held} "
-                                f"encodings for {idxs.size} full-depth pairs")
+            if held != xsbars.size:
+                keep(s_mask, 0, int(xsbars[0]), f"the record of S={s_mask} holds {held} "
+                                                f"encodings for {xsbars.size} full-depth pairs")
                 continue
-            xsbars = pdep_array(idxs, full ^ s_mask)
             for lo in range(0, held, ROUNDTRIP_CHUNK):
                 hi = min(held, lo + ROUNDTRIP_CHUNK)
                 chunk.append((np.full(hi - lo, s_mask, np.uint32), xsbars[lo:hi],
@@ -555,9 +547,9 @@ def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis, d_max: int) -> tuple[int, dic
             check(d, chunk)
 
     if first is None:
-        return sum(p.witnesses for _, p in profiles), {}
-    s_fail, row, error = first
-    return sum(p.witnesses for m, p in profiles if m < s_fail) + row, {"error": error}
+        return sum(p.witnesses for _, p in profiles), None
+    s_fail, row, xsbar, error = first
+    return sum(p.witnesses for m, p in profiles if m < s_fail) + row, (s_fail, xsbar, error)
 
 
 def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
@@ -572,7 +564,7 @@ def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
                 "one_norm": _fmt(stats.one_norm),
                 "two_norm_sq": _fmt(stats.two_norm_sq),
                 "max_abs_coeff": _fmt(stats.max_abs_coeff),
-                "max_num_covers": stats.max_num_covers,
+                "max_num_covers": analysis.max_num_covers(key),
             }
         )
     return out
@@ -701,7 +693,7 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
     """Theorem-level quantities, evaluated but never asserted: their "large
     enough width" hypotheses fail at desk scale.  Values are decimal
     approximations of exact family weights against the simplified bounds."""
-    max_ncov = max((s.max_num_covers for s in analysis.families.values()), default=0)
+    max_ncov = max(map(analysis.max_num_covers, analysis.families), default=0)
     per_u = []
     for u in range(u_hi + 1):
         weight_at_u = DyadicRational(0)

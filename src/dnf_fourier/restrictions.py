@@ -217,12 +217,12 @@ class RestrictionTables:
 
 def satisfied_union_table(dnf: Dnf) -> np.ndarray:
     """For every full assignment x, the mask U(x) of variables appearing in
-    at least one term satisfied by x, as uint32 (n <= 24)."""
-    x = np.arange(1 << dnf.n, dtype=np.uint32)
+    at least one term satisfied by x, as uint32 (n <= 24).  Each term ORs
+    its mask into its ``subcube`` of the table."""
     union = np.zeros(1 << dnf.n, dtype=np.uint32)
+    cube = union.reshape((2,) * dnf.n)
     for t in dnf.terms:
-        sat = (x & t.vars_mask) == t.pos_mask
-        union[sat] |= t.vars_mask
+        cube[t.subcube(dnf.n)] |= np.uint32(t.vars_mask)
     union.setflags(write=False)
     return union
 

@@ -5,12 +5,15 @@ width at most 4, read unconstrained) plus the two smallest tribes
 instances.  Bundles carry the per-instance objects the heavier suites
 share: truth table, spectrum, restriction tables, and the family analysis
 at d_max = 4.  ``small_dnfs`` is the hypothesis strategy for random DNFs
-with duplicate terms, the empty term and negated literals.
+with duplicate terms, the empty term and negated literals.  ``encodings``
+rebuilds a record's rows as ``Encoding`` objects for the scalar
+``decode``, the oracle of ``decode_records``.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from dnf_fourier import (
     tribes,
 )
 from dnf_fourier.dnf import Term
+from dnf_fourier.encoder import TRUTH_VALUES_BEYOND_D, DecodeError, Encoding, EncodingRecord
 
 CORPUS_D_MAX = 4
 
@@ -41,6 +45,17 @@ def corpus_instances() -> list[tuple[str, Dnf]]:
     out.append(("tribes(2,2)", tribes(2, 2)))
     out.append(("tribes(2,3)", tribes(2, 3)))
     return out
+
+
+def encodings(record: EncodingRecord) -> Iterator[Encoding]:
+    """The ``Encoding`` of each pair of the record, rebuilt in record order
+    (bit t of a is the t-th truth value); a row with truth values beyond
+    its d positions raises DecodeError when it is reached."""
+    d = record.sigma.shape[1]
+    for x_sat, sigma, a in zip(record.x_sat.tolist(), record.sigma.tolist(), record.a.tolist()):
+        if a >> d:
+            raise DecodeError(TRUTH_VALUES_BEYOND_D)
+        yield Encoding(record.n, x_sat, tuple(sigma), tuple(bool(a >> t & 1) for t in range(d)))
 
 
 @st.composite

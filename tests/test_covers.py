@@ -304,6 +304,22 @@ def test_read_cover_chain_on_corpus(bundles):
             assert r.extras["chain_top_holds"], (b.label, s_mask)
 
 
+@pytest.mark.parametrize("link", ["chain_mid_holds", "chain_top_holds"])
+def test_a_failed_chain_link_fails_the_verdict(monkeypatch, link):
+    # holds is the conjunction of every link: a bound that holds with a
+    # broken link in its chain is a failed row
+    from dnf_fourier import covers
+
+    pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
+    assert _read_bound(pairs, 0b0101).holds and _exact_width_bound(pairs, 0b0101, 4).holds
+    if link == "chain_top_holds":
+        monkeypatch.setattr(covers, "_le_exp", lambda target, m: (False, None))
+    else:   # C(kd, i) = 1 for the bound, but the middle term C(4, 2) = 0
+        monkeypatch.setattr(covers, "comb", lambda a, b: 1 if a < 4 else 0)
+    for r in (_read_bound(pairs, 0b0101), _exact_width_bound(pairs, 0b0101, 4)):
+        assert r.extras[link] is False and r.holds is False
+
+
 def test_exact_width_examples():
     pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
     count, bound, holds = _exact_width_bound(pairs, 0b0101, 4)

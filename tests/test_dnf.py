@@ -54,6 +54,16 @@ def test_evaluate_matches_the_compare_oracle_at_the_edges(dnf):
     assert dnf.evaluate() == oracle_evaluate(dnf)
 
 
+@given(small_dnfs())
+@settings(max_examples=100, deadline=None)
+def test_term_subcube_indexes_exactly_its_satisfying_assignments(dnf):
+    every = np.arange(1 << dnf.n).reshape((2,) * dnf.n)
+    for t in dnf.terms:
+        got = np.sort(np.ravel(every[t.subcube(dnf.n)]))
+        want = [x for x in range(1 << dnf.n) if x & t.vars_mask == t.pos_mask]
+        assert got.tolist() == want, (t, dnf.n)
+
+
 def test_evaluate_examples():
     and2 = Dnf.from_term_literals(2, [[1, 2]])
     f = and2.evaluate()

@@ -38,6 +38,7 @@ from dnf_fourier.encoder import (
     TRUTH_VALUES_BEYOND_D, _lex_choices, encode_row,
 )
 
+from conftest import encodings as record_encodings
 from conftest import make_bundle, small_dnfs
 
 
@@ -568,8 +569,12 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
         assert (record.x_sat.dtype, record.sigma.dtype, record.a.dtype) == (
             np.uint32, np.uint8, np.uint16)
         assert record.sigma.shape == (len(pairs), s_mask.bit_count())
-        if s_mask == 0:   # shared with the indices, not copied
-            assert record.x_sat is profile.sbar_indices and not record.x_sat.flags.writeable
+        # the pairs' fixed-side assignments, computed once, as n-bit masks
+        xsbars = profile.xsbars
+        assert xsbars.dtype == np.uint32 and not xsbars.flags.writeable
+        assert xsbars.tolist() == [x for _, x in pairs]
+        if s_mask == 0:   # the masks are the indices, and the record shares them
+            assert record.x_sat is xsbars
             # all zero, as one read-only zero broadcast: no buffer of 2^n entries
             assert record.a.strides == (0,) and not record.a.flags.writeable
             assert not record.a.flags.owndata
@@ -578,8 +583,8 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
         assert record.x_sat.tolist() == [e.x_sat for e in encodings]
         assert record.sigma.tolist() == [list(e.sigma) for e in encodings]
         assert record.a.tolist() == [_packed(e.a) for e in encodings]
-        assert list(record.encodings()) == encodings
-        assert [decode(dnf, e) for e in record.encodings()] == pairs
+        assert list(record_encodings(record)) == encodings
+        assert [decode(dnf, e) for e in record_encodings(record)] == pairs
         count_by_u: dict[int, int] = {}
         covers_by_u: dict[int, set] = {}
         for _, cov in oracle:
@@ -624,7 +629,7 @@ def _assert_batched_decode_matches_scalar(b):
         assert not code.any(), (b.label, d)
         assert (s_mask.dtype, xsbar.dtype) == (np.uint32, np.uint32)
         assert list(zip(s_mask.tolist(), xsbar.tolist())) == [
-            decode(b.dnf, e) for e in record.encodings()], (b.label, d)
+            decode(b.dnf, e) for e in record_encodings(record)], (b.label, d)
 
 
 def test_decode_records_matches_scalar_decode_on_corpus(bundles):

@@ -295,12 +295,23 @@ def test_encdec_calls_no_scalar_codec_and_encodes_each_pair_once(tmp_path, monke
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, spy(scalar, fn))
     monkeypatch.setattr(covers, "extract_cover", spy(encoded, covers.extract_cover))
+    # nothing in the round trip reads a cover count, and the corpus is
+    # written from the record arrays: no Encoding object is built
+    counted, built = [], []
+    monkeypatch.setattr(covers, "cover_counts_by_union", spy(counted, covers.cover_counts_by_union))
+    post_init = encoder.Encoding.__post_init__
+
+    def build_spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(encoder.Encoding, "__post_init__", build_spy)
     dnf = _RK8.build()
     dnf_path = tmp_path / "rk8.dnf"
     dnf_path.write_text(dnf.to_text())
     assert main(["encdec-test", str(dnf_path), "--corpus-out",
                  str(tmp_path / "cases.jsonl")]) == 0
-    assert scalar == []
+    assert scalar == [] and counted == [] and built == []
     pairs = [p for p in valid_pairs(RestrictionTables(dnf.evaluate()), 4) if p[0]]
     assert encoded == pairs
 
@@ -325,7 +336,7 @@ def test_encdec_reports_a_fault_as_a_failed_roundtrip(tmp_path, monkeypatch, cap
     def broken(*args):
         raise fault("injected fault")
 
-    def corrupt_then_roundtrip(dnf, analysis, d_max):
+    def corrupt_then_roundtrip(dnf, analysis):
         s_mask, row = fault
         profile = analysis.profiles[s_mask]
         if row is None:
@@ -334,7 +345,7 @@ def test_encdec_reports_a_fault_as_a_failed_roundtrip(tmp_path, monkeypatch, cap
                 sigma=profile.record.sigma[:-1], a=profile.record.a[:-1])
         else:
             profile.record.sigma[row] = (0, 1)
-        return roundtrip(dnf, analysis, d_max)
+        return roundtrip(dnf, analysis)
 
     if isinstance(fault, type):
         monkeypatch.setattr(covers, "extract_cover", broken)
@@ -480,43 +491,46 @@ def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
     assert "encodings for" in row["context"]["error"]
 
 
-def _scalar_roundtrip(dnf, tables, analysis, d_max):
-    """The round trip pair by pair, in ``valid_pairs`` order, through
-    ``record.encodings()`` and the scalar ``decode``: the oracle of
-    ``experiments._roundtrip``.  (That the records, S = {} included, equal
-    the scalar ``encode`` is checked in test_encoder.py.)"""
+def _scalar_roundtrip(dnf, tables, analysis):
+    """The round trip pair by pair, in ``valid_pairs`` order, through the
+    records rebuilt as ``Encoding`` objects and the scalar ``decode``: the
+    oracle of ``experiments._roundtrip``.  (That the records, S = {}
+    included, equal the scalar ``encode`` is checked in test_encoder.py.)"""
     from dnf_fourier.bitops import pdep_array
     from dnf_fourier.encoder import decode
 
+    from conftest import encodings
+
     full = (1 << dnf.n) - 1
     pairs = 0
-    for s_mask in subsets_up_to(dnf.n, d_max):
+    for s_mask in subsets_up_to(dnf.n, analysis.d_max):
         xsbars = pdep_array(tables.full_depth_sbar_indices(s_mask), full ^ s_mask).tolist()
         profile = analysis.profiles.get(s_mask)
         record = None if profile is None else profile.record
         held = 0 if record is None else len(record)
         if held != len(xsbars):
-            return pairs, {"error": f"the record of S={s_mask} holds {held} "
-                                    f"encodings for {len(xsbars)} full-depth pairs"}
-        encodings = iter(()) if record is None else record.encodings()
+            return pairs, (s_mask, xsbars[0], f"the record of S={s_mask} holds {held} "
+                                              f"encodings for {len(xsbars)} full-depth pairs")
+        rebuilt = iter(()) if record is None else encodings(record)
         for xsbar in xsbars:
             try:
-                decoded = decode(dnf, next(encodings))
+                decoded = decode(dnf, next(rebuilt))
             except DecodeError as exc:
-                return pairs, {"error": f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}"}
+                return pairs, (s_mask, xsbar,
+                               f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}")
             if decoded != (s_mask, xsbar):
-                return pairs, {"error": f"decoded {decoded} at S={s_mask}, x={xsbar}"}
+                return pairs, (s_mask, xsbar, f"decoded {decoded} at S={s_mask}, x={xsbar}")
             pairs += 1
-    return pairs, {}
+    return pairs, None
 
 
 def test_roundtrip_matches_the_scalar_path_on_corpus(bundles):
     from dnf_fourier import experiments
 
     for b in bundles:
-        expected = _scalar_roundtrip(b.dnf, b.tables, b.analysis, 4)
-        assert expected[1] == {}
-        assert experiments._roundtrip(b.dnf, b.analysis, 4) == expected
+        expected = _scalar_roundtrip(b.dnf, b.tables, b.analysis)
+        assert expected[1] is None
+        assert experiments._roundtrip(b.dnf, b.analysis) == expected
 
 
 def _corrupt(kind, dnf, f, record) -> bool:
@@ -535,9 +549,11 @@ def _corrupt(kind, dnf, f, record) -> bool:
         for column in (record.x_sat, record.sigma, record.a):
             column[[0, 1]] = column[[1, 0]]
     else:  # flipped_a: a truth value matters only if a later round reads it
+        from conftest import encodings
+
         def outcome(i):
             try:
-                return decode(dnf, list(record.encodings())[i])
+                return decode(dnf, list(encodings(record))[i])
             except DecodeError as exc:
                 return str(exc)
 
@@ -576,6 +592,7 @@ def _check_corrupted_roundtrip(kind, degrees):
     """Corrupt a record of each degree, the largest S first, then the
     smallest, and compare the round trip with the scalar path."""
     from dnf_fourier import experiments
+    from dnf_fourier.encoder import valid_pairs
 
     from conftest import make_bundle
 
@@ -596,9 +613,12 @@ def _check_corrupted_roundtrip(kind, degrees):
                 targets.append(s_mask)
                 break
     assert len(targets) == len(degrees) and targets == sorted(targets, reverse=True)
-    expected = _scalar_roundtrip(dnf, b.tables, b.analysis, 4)
-    assert f"at S={targets[-1]}, " in expected[1]["error"]
-    assert experiments._roundtrip(dnf, b.analysis, 4) == expected
+    expected = _scalar_roundtrip(dnf, b.tables, b.analysis)
+    assert f"at S={targets[-1]}, " in expected[1][2]
+    pairs, failure = experiments._roundtrip(dnf, b.analysis)
+    assert (pairs, failure) == expected
+    # the failure names the pair that the count of passed pairs points at
+    assert failure[:2] == list(valid_pairs(b.tables, 4))[pairs]
 
 
 @pytest.mark.parametrize("sigma, message", [((0, 1), "sigma positions are 1-based"),
@@ -805,6 +825,27 @@ def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):
     report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4))
     assert report["summary"]["ok"]
     assert sorted(counted) == subsets_up_to(6, 4)
+
+
+def test_sweep_counts_the_covers_of_each_subset_once(monkeypatch):
+    # the sweep reads the largest count of each family, so it counts every
+    # subset with a full-depth pair, and each exactly once
+    from dnf_fourier import covers
+
+    from conftest import make_bundle
+
+    counted = []
+    count = covers.cover_counts_by_union
+
+    def spy(dnf, s_mask):
+        counted.append(s_mask)
+        return count(dnf, s_mask)
+
+    monkeypatch.setattr(covers, "cover_counts_by_union", spy)
+    report = run_concentration_sweep(ExperimentConfig(instances=(_tribes_source(2, 3),)))
+    d_max = report["instances"][0]["degree_cutoff"]
+    assert d_max >= 2
+    assert sorted(counted) == sorted(make_bundle("t23", tribes(2, 3), d_max).analysis.profiles)
 
 
 def test_sweep_evaluates_and_transforms_each_instance_once(monkeypatch):
