@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import numpy as np
-
 
 def bit_indices(mask: int) -> list[int]:
     """0-based positions of the set bits, ascending."""
@@ -44,14 +42,6 @@ def pdep(x: int, mask: int) -> int:
             out |= low
         t += 1
         mask ^= low
-    return out
-
-
-def pdep_array(x: np.ndarray, mask: int) -> np.ndarray:
-    """``pdep`` of every entry of the integer array x."""
-    out = np.zeros_like(x)
-    for t, b in enumerate(bit_indices(mask)):
-        out |= ((x >> t) & 1) << b
     return out
 
 

@@ -224,6 +224,8 @@ def _dispatch(args) -> int:
     if args.command == "covers":
         dnf = load_dnf(args.dnf_file)
         s_mask = _parse_set(args.set)
+        if s_mask >> dnf.n:
+            raise ValueError(f"--set {args.set} names a variable beyond n={dnf.n}")
         counts = cover_counts_by_union(dnf, s_mask)
         r = read_cover_count_bound(dnf, s_mask, counts)
         print(f"S mask {s_mask:#x}, |S| = {s_mask.bit_count()}")

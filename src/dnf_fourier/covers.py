@@ -33,20 +33,18 @@ trip of ``dnf-fourier encdec-test`` reads no count.
 each pair with S nonempty once, through ``extract_cover``, which returns
 the encoder's plain row (no object per pair).  Per subset it keeps the
 cover statistics, the fixed-side assignments x_Sbar of its full-depth
-pairs as n-bit masks (``xsbars``, uint32, read-only, computed once from
-the compressed indices) and the rows packed into an ``EncodingRecord``
-(arrays in ``valid_pairs`` order), which the ``roundtrip`` check of
-``verify`` and ``dnf-fourier encdec-test`` decode and compare with
-``xsbars``.  The record of S = {} is written without encoding: x_sat is
-every assignment (the read-only ``xsbars`` of S = {}, which are its
-compressed indices), with empty sigma and a read-only broadcast zero as
-a.  An encoder fault while it classifies, or a row that
+pairs as n-bit masks (``xsbars``: the tables' ``full_depth_xsbars``, read
+once) and the rows packed into an ``EncodingRecord`` (arrays in
+``valid_pairs`` order), which the ``roundtrip`` check of ``verify`` and
+``dnf-fourier encdec-test`` decode and compare with ``xsbars``.  The
+record of S = {} is written without encoding: x_sat is every assignment
+(the ``xsbars`` of S = {}), with empty sigma and a read-only broadcast
+zero as a.  An encoder fault while it classifies, or a row that
 ``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
 it.  Once the pairs of a subset with |S| = d_max are encoded, its
 restriction table is released, since an encoder round only asks about
-proper subsets of S;
-the ``evasive`` and ``roundtrip`` checks read the counts and masks
-kept here instead.
+proper subsets of S; the tables keep its full-depth count, which the
+``evasive`` check reads.
 
 The caller builds an instance's truth table, spectrum, restriction
 tables and family analysis once and passes them in; nothing here builds
@@ -63,7 +61,7 @@ from math import comb
 
 import numpy as np
 
-from .bitops import pdep_array, subsets_up_to
+from .bitops import subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
@@ -131,7 +129,6 @@ class FamilyAnalysis:
         self.spec = spec
         self.families: dict[FamilyKey, FamilyStats] = {}
         self.profiles: dict[int, SubsetProfile] = {}
-        self.unassigned: list[int] = []  # no full-depth witness; coefficient is 0
         self._cover_counts: dict[int, dict[int, int]] = {}
         self._classify()
 
@@ -159,31 +156,26 @@ class FamilyAnalysis:
     def _classify_subset(self, s_mask: int) -> None:
         n = self.dnf.n
         d = s_mask.bit_count()
-        idxs = self.tables.full_depth_sbar_indices(s_mask)
+        xsbars = self.tables.full_depth_xsbars(s_mask)
         coeff = self.spec.coeff(s_mask)
-        if idxs.size == 0:
+        if xsbars.size == 0:
             if coeff.numerator != 0:
                 raise AssertionError(
                     f"nonzero coefficient without a full-depth witness: {s_mask:#x}"
                 )
-            self.unassigned.append(s_mask)
             return
         if s_mask == 0:
             # E_{} holds everywhere and the encoder selects no term, so
             # every assignment is a witness with the empty cover, and its
-            # encoding is x_sat = x with empty sigma and a: the indices are
-            # the identity here, so they are the masks, and the record
-            # shares them; its a, all zero, is one zero broadcast to every row
-            xsbars = idxs
-            count_by_u = {0: int(idxs.size)}
+            # encoding is x_sat = x with empty sigma and a: x_sat is the
+            # masks, and a is one zero broadcast to every row
+            count_by_u = {0: int(xsbars.size)}
             covers_by_u = {0: {()}}
             record = EncodingRecord(
-                n, xsbars, np.zeros((idxs.size, 0), np.uint8),
-                np.broadcast_to(np.uint16(0), idxs.shape),
+                n, xsbars, np.zeros((xsbars.size, 0), np.uint8),
+                np.broadcast_to(np.uint16(0), xsbars.shape),
             )
         else:
-            xsbars = pdep_array(idxs, ((1 << n) - 1) ^ s_mask)
-            xsbars.setflags(write=False)
             rows = []
             for xsbar in xsbars.tolist():
                 try:
@@ -203,7 +195,7 @@ class FamilyAnalysis:
         top = max(count_by_u.values())
         assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
         profile = SubsetProfile(
-            d, coeff, int(idxs.size), xsbars, count_by_u, covers_by_u, assigned_u, record,
+            d, coeff, int(xsbars.size), xsbars, count_by_u, covers_by_u, assigned_u, record,
         )
         self.profiles[s_mask] = profile
         key = FamilyKey(d, assigned_u)

@@ -53,9 +53,10 @@ lookup (or, in round 1, the precondition) answered.  The last round,
 whose block is all of the remaining free set, asks nothing: E_{} is
 identically true, so its first candidate, every variable false, is
 taken.  On ``bench/instances/readk16.dnf`` at d_max 4 the 158,288 encodes
-ask 578,404 questions (736,692 with a lookup in the last round).  A round
-fetches its table's entry (``RestrictionTables.full_depth_entry``) once
-and indexes it inline for each candidate.
+ask 578,404 questions.  A round fetches its table's entry
+(``RestrictionTables.full_depth_entry``) once and indexes it inline for
+each candidate.  ``valid_pairs`` and the family analysis read each
+subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``.
 
 ``decode_records`` inverts a whole batch of same-degree encodings with
 numpy, and the ``roundtrip`` check decodes every pair through it: each row
@@ -534,10 +535,8 @@ def decode_records(
 
 def valid_pairs(tables: RestrictionTables, d_max: int) -> Iterator[tuple[int, int]]:
     """All (S mask, x_Sbar bits) with |S| <= d_max and a full-depth
-    restriction, in (ascending S mask, ascending fixed index) order."""
-    full = (1 << tables.n) - 1
+    restriction, in (ascending S mask, ascending x_Sbar) order."""
     for s_mask in subsets_up_to(tables.n, d_max):
-        fixed_mask = full ^ s_mask
-        for idx in tables.full_depth_sbar_indices(s_mask):
-            yield s_mask, pdep(int(idx), fixed_mask)
+        for xsbar in tables.full_depth_xsbars(s_mask).tolist():
+            yield s_mask, xsbar
 

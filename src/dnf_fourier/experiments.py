@@ -149,8 +149,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.eps <= 1:
             raise ConfigError(f"eps={self.eps} outside (0, 1]")
-        if self.c_param <= 0:
-            raise ConfigError("C must be positive")
+        if self.c_param <= 0 or min(self.c_sweep, default=1) <= 0:
+            raise ConfigError("C and every C_sweep entry must be positive")
         if self.d_max is not None and self.d_max > DT_CAP:
             raise ConfigError(f"d_max={self.d_max} exceeds decision-tree cap {DT_CAP}")
         if self.d_max is not None and self.d_max < 0:
@@ -171,18 +171,18 @@ class ExperimentConfig:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from exc
-        try:
-            instances = tuple(
-                InstanceSource.from_dict(s) for s in obj["instances"]
-            )
-        except KeyError as exc:
-            raise ConfigError("config needs an 'instances' list") from exc
+        sources = obj.get("instances") if isinstance(obj, dict) else None
+        if not isinstance(sources, list) or not all(isinstance(s, dict) for s in sources):
+            raise ConfigError("a config is a JSON object with an 'instances' list of objects")
+        instances = tuple(InstanceSource.from_dict(s) for s in sources)
         kwargs = {}
         if "eps" in obj:
             kwargs["eps"] = Fraction(obj["eps"])
         if "C" in obj:
             kwargs["c_param"] = Fraction(obj["C"])
         if "C_sweep" in obj:
+            if not isinstance(obj["C_sweep"], list):
+                raise ConfigError("'C_sweep' must be a list")
             kwargs["c_sweep"] = tuple(Fraction(c) for c in obj["C_sweep"])
         if obj.get("d_max") is not None:
             kwargs["d_max"] = int(obj["d_max"])
@@ -190,6 +190,8 @@ class ExperimentConfig:
             kwargs["u_star"] = int(obj["u_star"])
         if "checks" in obj:
             checks = obj["checks"]
+            if checks != "all" and not isinstance(checks, list):
+                raise ConfigError(f"'checks' must be \"all\" or a list, not {checks!r}")
             kwargs["checks"] = ALL_CHECKS if checks == "all" else tuple(checks)
         if "workers" in obj:
             kwargs["workers"] = int(obj["workers"])
@@ -353,16 +355,11 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "evasive" in checks:
         for m in subsets:
-            # the analysis kept the counts of the tables it released; with
-            # no analysis, nothing reads a top-level table after its count
-            if analysis is not None:
-                profile = analysis.profiles.get(m)
-                witnesses = 0 if profile is None else profile.witnesses
-            else:
-                witnesses = tables.full_depth_count(m)
-                if m.bit_count() == d_max:
-                    tables.release(m)
-            lhs, rhs, ok = evasive_bound_check(witnesses, m, spec)
+            # the tables keep each count, also that of a table the analysis
+            # released, and nothing reads a top-level table after its count
+            lhs, rhs, ok = evasive_bound_check(tables.full_depth_count(m), m, spec)
+            if m.bit_count() == d_max:
+                tables.release(m)
             rows.append(_row("evasive", {"S_mask": m}, lhs, rhs, ok))
 
     if "cover_probability" in checks:

@@ -30,10 +30,14 @@ its subset's pairs are encoded (``RestrictionTables.release``): an encoder
 round only asks about proper subsets of S.  At d_max 4 that level holds
 more than half of the table bytes.
 
-The encoder reads single entries.  The index of a full assignment x in
-E_S is x with the bits of S deleted: the OR of (x >> shift) & mask over
-S's compress plan, one (shift, mask) pair per run of fixed variables (at
-most |S| + 1), instead of deleting the bits of S one at a time.
+The tables own every full-depth fact the package reads.  The index of a
+full assignment x in E_S is x with the bits of S deleted: the OR of
+(x >> shift) & mask over S's compress plan, one (shift, mask) pair per
+run of fixed variables (at most |S| + 1), where the encoder reads single
+entries.  Run backwards, the plan turns the indices where E_S holds into
+the x_Sbar masks of the full-depth pairs (``full_depth_xsbars``), which
+the family analysis and ``valid_pairs`` read.  Each count is kept, so the
+``evasive`` check reads it after the analysis released the table.
 
 The textbook depth recursion, the oracle of the predicate, is in the tests.
 """
@@ -48,8 +52,8 @@ from .boolfn import BooleanFunction, FourierSpectrum, popcount_table
 from .dnf import Dnf
 from .dyadic import DyadicRational
 
-#: Entries of a table per unpacking in ``full_depth_sbar_indices`` (a
-#: multiple of 8, whole bytes of the packed table).
+#: Entries of a table per unpacking in ``full_depth_xsbars`` (a multiple
+#: of 8, whole bytes of the packed table).
 INDEX_CHUNK = 1 << 16
 
 #: Largest d_max: the subsets with |S| <= d_max, and with them the tables,
@@ -100,7 +104,7 @@ class RestrictionTables:
     For the encoder's single-entry lookups each mask it asks about keeps
     an entry (``full_depth_entry``): a ``memoryview`` of its cached table
     (a view, not a copy) and S's compress plan (see the module docstring).
-    ``release`` drops both; ``released`` holds the masks it was called on.
+    ``release`` drops both, and keeps S's count.
     """
 
     def __init__(self, f: BooleanFunction):
@@ -110,7 +114,7 @@ class RestrictionTables:
         self._by_sbar: dict[int, np.ndarray] = {}
         self._by_full: dict[int, np.ndarray] = {}
         self._lookup: dict[int, tuple[memoryview, tuple]] = {}
-        self.released: set[int] = set()
+        self._counts: dict[int, int] = {}
 
     def dt_by_sbar(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S for every compressed fixed assignment x,
@@ -143,10 +147,9 @@ class RestrictionTables:
         return table
 
     def release(self, free_mask: int) -> None:
-        """Drop E_S and its lookup view, once nothing will ask about S."""
+        """Drop E_S and its lookup view, not its count, once S is done."""
         self._by_sbar.pop(free_mask, None)
         self._lookup.pop(free_mask, None)
-        self.released.add(free_mask)
 
     def dt_by_full(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S indexed by a full n-bit assignment x (the
@@ -169,6 +172,16 @@ class RestrictionTables:
         self._by_full[free_mask] = out
         return out
 
+    def _plan(self, free_mask: int) -> tuple:
+        """S's compress plan: one (shift, mask) pair per run of fixed bits
+        low..b-1, the run moved down by the number of bits of S below it."""
+        plan, low = [], 0
+        for shift, b in enumerate(bit_indices(free_mask) + [self.n]):
+            if b > low:
+                plan.append((shift, ((1 << (b - low)) - 1) << (low - shift)))
+            low = b + 1
+        return tuple(plan)
+
     def full_depth_entry(self, free_mask: int) -> tuple[memoryview, tuple]:
         """E_S as a ``memoryview`` of its packed table and S's compress plan:
         entry x of the table is bit i & 7 of byte i >> 3, with i the OR of
@@ -176,14 +189,7 @@ class RestrictionTables:
         Reading the view yields a Python int, not a numpy scalar."""
         entry = self._lookup.get(free_mask)
         if entry is None:
-            # one (shift, mask) pair per run of fixed bits low..b-1: the run
-            # moves down by the number of bits of S below it
-            plan, low = [], 0
-            for shift, b in enumerate(bit_indices(free_mask) + [self.n]):
-                if b > low:
-                    plan.append((shift, ((1 << (b - low)) - 1) << (low - shift)))
-                low = b + 1
-            entry = (memoryview(self.dt_by_sbar(free_mask)), tuple(plan))
+            entry = (memoryview(self.dt_by_sbar(free_mask)), self._plan(free_mask))
             self._lookup[free_mask] = entry
         return entry
 
@@ -196,23 +202,34 @@ class RestrictionTables:
             i |= x >> shift & mask
         return table[i >> 3] >> (i & 7) & 1
 
-    def full_depth_sbar_indices(self, free_mask: int) -> np.ndarray:
-        """Compressed fixed assignments where the restriction needs full
-        depth, ascending, as a read-only uint32 array (n <= 24).  The table
-        is unpacked ``INDEX_CHUNK`` entries at a time, so no temporary is
-        as large as the result."""
+    def full_depth_xsbars(self, free_mask: int) -> np.ndarray:
+        """The fixed-side assignments x_Sbar where E_S holds, as n-bit masks,
+        ascending, in a read-only uint32 array (n <= 24): each index i
+        where the table holds, run back through S's compress plan (the OR
+        of (i & mask) << shift), ``INDEX_CHUNK`` entries at a time, so no
+        temporary is as large as the result.  For S = {} the indices are
+        the masks."""
         packed = self.dt_by_sbar(free_mask)
         out = np.empty(self.full_depth_count(free_mask), dtype=np.uint32)
+        plan = self._plan(free_mask) if free_mask else ()
         filled, step = 0, INDEX_CHUNK >> 3
         for lo in range(0, packed.size, step):   # unused bits are zero
-            hits = np.flatnonzero(np.unpackbits(packed[lo:lo + step], bitorder="little"))
-            np.add(hits, lo << 3, out=out[filled:filled + hits.size], casting="unsafe")
-            filled += hits.size
+            index = np.flatnonzero(np.unpackbits(packed[lo:lo + step], bitorder="little"))
+            index += lo << 3
+            if plan:   # the runs are disjoint, so their sum is their OR
+                index = sum((index & mask) << shift for shift, mask in plan)
+            out[filled:filled + index.size] = index
+            filled += index.size
         out.setflags(write=False)
         return out
 
     def full_depth_count(self, free_mask: int) -> int:
-        return int(popcount_table(8)[self.dt_by_sbar(free_mask)].sum())
+        """The number of x_Sbar where E_S holds, kept: it outlives ``release``."""
+        count = self._counts.get(free_mask)
+        if count is None:
+            count = int(popcount_table(8)[self.dt_by_sbar(free_mask)].sum())
+            self._counts[free_mask] = count
+        return count
 
 
 def satisfied_union_table(dnf: Dnf) -> np.ndarray:

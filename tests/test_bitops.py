@@ -14,14 +14,3 @@ def test_subsets_up_to_edge_cases():
     assert subsets_up_to(4, -1) == []
     assert subsets_up_to(3, 7) == list(range(8))
 
-
-
-def test_pdep_array_matches_pdep():
-    import numpy as np
-
-    from dnf_fourier.bitops import pdep, pdep_array
-
-    for mask in (0, 0b1, 0b1011_0110, (1 << 24) - 1 - 0b1001):
-        width = mask.bit_count()
-        xs = np.arange(min(1 << width, 300), dtype=np.int64)
-        assert pdep_array(xs, mask).tolist() == [pdep(int(x), mask) for x in xs], mask

@@ -209,12 +209,6 @@ def test_every_nonzero_coefficient_is_assigned(bundles):
                 assert s_mask in b.analysis.profiles, (b.label, s_mask)
 
 
-def test_unassigned_subsets_have_zero_coefficient(bundles):
-    for b in bundles:
-        for s_mask in b.analysis.unassigned:
-            assert b.spec.coeff(s_mask) == 0
-
-
 # -- family inequalities --------------------------------------------------------
 
 

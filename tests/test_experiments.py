@@ -219,6 +219,79 @@ def test_cli_rejects_negative_ranges(tmp_path):
             assert not out_path.exists()
 
 
+_TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
+
+
+@pytest.mark.parametrize("config, names", [
+    ([_TRIBES22], "JSON object"),
+    ({"instances": {"file": "x.dnf"}}, "'instances'"),
+    ({"instances": [1]}, "'instances'"),
+    ({"instances": [_TRIBES22], "C_sweep": 3}, "'C_sweep'"),
+    ({"instances": [_TRIBES22], "C_sweep": ["1", "0"]}, "C_sweep"),
+    ({"instances": [_TRIBES22], "checks": "evasive"}, "'evasive'"),
+], ids=["not-an-object", "instances-not-a-list", "instance-not-an-object",
+        "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string"])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_malformed_config_is_a_usage_error_before_any_work(
+        tmp_path, monkeypatch, capsys, command, config, names):
+    # exit 2 with an error line that names what is wrong, and no work done
+    from dnf_fourier import covers
+
+    built = []
+    init = covers.FamilyAnalysis.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(covers.FamilyAnalysis, "__init__", spy)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "report.json"
+    assert main([command, str(cfg_path), "--out", str(out_path)]) == 2
+    errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("error: ")]
+    assert errors and names in errors[0]
+    assert built == [] and not out_path.exists()
+
+
+def test_cli_covers_rejects_a_variable_beyond_n(tmp_path, capsys):
+    dnf_path = tmp_path / "t.dnf"
+    assert main(["gen", "tribes", "--w", "2", "--t", "3", "--out", str(dnf_path)]) == 0
+    for subset in ("1,7", "1,40", str(1 << 6)):
+        assert main(["covers", str(dnf_path), "--set", subset]) == 2, subset
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == "", subset
+    assert main(["covers", str(dnf_path), "--set", "1,6"]) == 0
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("verify", "54e504d74eddbf93dc7934757fb70e60777261d489112630d887a65f7318a78f"),
+    ("sweep", "10ff2f0da894d17510af729ceb09d7945229a5da75cb8049cb56c6d47a613515"),
+], ids=["verify", "sweep"])
+def test_report_bytes_are_pinned(tmp_path, command, digest):
+    # The SHA-256 of a whole report on two generator sources at d_max 4, so
+    # any change to a row, a family table or the rendering shows.
+    # satisfied_mass is left out: its bound is an endpoint of an mpmath
+    # interval, and a new mpmath release may move it.
+    import hashlib
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [
+            {"generator": {"family": "random_read_k", "seed": 3,
+                           "params": {"n": 12, "s": 8, "w": 3, "k": 2}}},
+            {"generator": {"family": "tribes", "params": {"w": 2, "t": 3}}},
+        ],
+        "d_max": 4,
+        "checks": ["spectral_basics", "sparsity", "truncation", "approx_transfer",
+                   "evasive", "cover_probability", "degree_counts", "families",
+                   "read_chain", "exact_width_chain", "cover_budget", "roundtrip"],
+    }))
+    out_path = tmp_path / "report.json"
+    assert main([command, str(cfg_path), "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_cli_encdec_and_artifacts(tmp_path, capsys):
     dnf_path = tmp_path / "t.dnf"
     main(["gen", "tribes", "--w", "2", "--t", "2", "--out", str(dnf_path)])
@@ -495,8 +568,10 @@ def _scalar_roundtrip(dnf, tables, analysis):
     """The round trip pair by pair, in ``valid_pairs`` order, through the
     records rebuilt as ``Encoding`` objects and the scalar ``decode``: the
     oracle of ``experiments._roundtrip``.  (That the records, S = {}
-    included, equal the scalar ``encode`` is checked in test_encoder.py.)"""
-    from dnf_fourier.bitops import pdep_array
+    included, equal the scalar ``encode`` is checked in test_encoder.py.)
+    Its x_Sbar masks are the scalar ``pdep`` of the indices where each
+    unpacked table holds."""
+    from dnf_fourier.bitops import pdep
     from dnf_fourier.encoder import decode
 
     from conftest import encodings
@@ -504,7 +579,9 @@ def _scalar_roundtrip(dnf, tables, analysis):
     full = (1 << dnf.n) - 1
     pairs = 0
     for s_mask in subsets_up_to(dnf.n, analysis.d_max):
-        xsbars = pdep_array(tables.full_depth_sbar_indices(s_mask), full ^ s_mask).tolist()
+        bits = np.unpackbits(tables.dt_by_sbar(s_mask), bitorder="little",
+                             count=1 << (dnf.n - s_mask.bit_count()))
+        xsbars = [pdep(int(i), full ^ s_mask) for i in np.flatnonzero(bits)]
         profile = analysis.profiles.get(s_mask)
         record = None if profile is None else profile.record
         held = 0 if record is None else len(record)

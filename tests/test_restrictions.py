@@ -224,8 +224,9 @@ def _check_tables_against_oracle(f, d_max, every_x=True):
     """E_S from the tables against DT(f_{S|x}) == |S| from the recursion and
     against the bool builder, for every S with |S| <= d_max and every fixed
     assignment: the packed table and its unused bits, the full-assignment
-    layout, the indices, the count and the lookups (at every x, or with
-    ``every_x`` false at the two x that are all false and all true on S)."""
+    layout, the x_Sbar masks (against the scalar ``pdep`` of the oracle's
+    indices), the count and the lookups (at every x, or with ``every_x``
+    false at the two x that are all false and all true on S)."""
     n = f.n
     full = (1 << n) - 1
     tables = RestrictionTables(f)
@@ -261,9 +262,9 @@ def _check_tables_against_oracle(f, d_max, every_x=True):
                 got = tables.full_depth_at(s_mask, x)
                 assert type(got) is int, (s_mask, x, type(got))
                 assert got == by_sbar[idx] == expected[idx], (s_mask, x)
-        indices = tables.full_depth_sbar_indices(s_mask)
-        assert indices.dtype == np.uint32 and not indices.flags.writeable
-        assert indices.tolist() == np.flatnonzero(expected).tolist(), s_mask
+        xsbars = tables.full_depth_xsbars(s_mask)
+        assert xsbars.dtype == np.uint32 and not xsbars.flags.writeable
+        assert xsbars.tolist() == [pdep(int(i), fixed_mask) for i in np.flatnonzero(expected)]
         assert tables.full_depth_count(s_mask) == sum(expected), s_mask
 
 
@@ -303,8 +304,8 @@ def test_packed_tables_match_the_oracles_on_random_dnfs(dnf):
 @given(small_dnfs(), st.sampled_from([8, 16, 64]))
 @settings(max_examples=40, deadline=None)
 def test_full_depth_indices_match_the_oracles_in_small_chunks(dnf, chunk):
-    # the indices are gathered chunk by chunk; with chunks this small a
-    # table of up to 128 entries spans several
+    # the x_Sbar masks are gathered chunk by chunk; with chunks this small
+    # a table of up to 128 entries spans several
     with mock.patch.object(restrictions, "INDEX_CHUNK", chunk):
         _check_tables_against_oracle(dnf.evaluate(), dnf.n, every_x=False)
 
@@ -325,8 +326,26 @@ def test_the_empty_set_has_full_depth_at_every_index():
         bits = np.unpackbits(tables.dt_by_sbar(0), bitorder="little")
         assert bits[:size].all() and not bits[size:].any(), f
         assert all(tables.full_depth_at(0, x) == 1 for x in range(size)), f
-        assert tables.full_depth_sbar_indices(0).tolist() == list(range(size)), f
+        assert tables.full_depth_xsbars(0).tolist() == list(range(size)), f
         assert tables.full_depth_count(0) == size, f
+
+
+def test_the_empty_sets_masks_are_its_indices_with_no_plan_pass(monkeypatch):
+    # for S = {} the indices where E_S holds are the x_Sbar masks: they are
+    # returned as unpacked, and the compress plan is not run backwards
+    planned = []
+    plan = RestrictionTables._plan
+
+    def spy(self, free_mask):
+        planned.append(free_mask)
+        return plan(self, free_mask)
+
+    monkeypatch.setattr(RestrictionTables, "_plan", spy)
+    tables = RestrictionTables(random_read_k(10, 5, 3, k=2, seed=4).evaluate())
+    xsbars = tables.full_depth_xsbars(0)
+    assert xsbars.tolist() == list(range(1 << 10)) and planned == []
+    tables.full_depth_xsbars(0b101)
+    assert planned == [0b101]
 
 
 def test_compress_plan_deletes_the_bits_of_the_free_set():
@@ -354,9 +373,22 @@ def test_a_released_table_is_dropped_and_built_again_on_request():
     assert tables.full_depth_at(s_mask, 0) == before[0] & 1
     tables.release(s_mask)
     assert s_mask not in tables._by_sbar and s_mask not in tables._lookup
-    assert tables.released == {s_mask}
     assert 0b0011 in tables._by_sbar        # a parent stays
     assert np.array_equal(tables.dt_by_sbar(s_mask), before)
+
+
+def test_a_released_tables_count_answers_without_the_table(monkeypatch):
+    # the count of a released table is kept, so the evasive check reads it
+    # after the family analysis without building the table again
+    tables = RestrictionTables(random_read_k(6, 4, 3, k=4, seed=21).evaluate())
+    counts = {m: tables.full_depth_count(m) for m in (0b1011, 0b0011)}
+    tables.release(0b1011)
+    tables.release(0b0011)
+    asked = []
+    monkeypatch.setattr(RestrictionTables, "dt_by_sbar",
+                        lambda self, free_mask: asked.append(free_mask))
+    assert {m: tables.full_depth_count(m) for m in counts} == counts
+    assert asked == []
 
 
 def test_averaging_identity():
