@@ -116,11 +116,12 @@ class FourierSpectrum:
     """All 2^n Fourier coefficients of one function, exactly.
 
     ``scaled[mask]`` is ``2^n * fhat(S)`` for the subset with that mask, an
-    integer of magnitude at most 2^n, stored as int64 even though int32
-    would hold each entry: the whole-vector sums are taken in that dtype.
-    For n <= 24 they stay far inside it: the sum of squares is
-    2^n * #{x : f(x) = 1} <= 2^{2n} by Parseval, and the sum of magnitudes
-    is at most 2^{1.5n} by Cauchy-Schwarz.
+    integer of magnitude at most 2^n <= 2^24, stored as int32.  Every sum
+    over the vector is taken in int64, one ``HIST_CHUNK`` slice at a time
+    (``_sum_squares``, ``_sum_magnitudes``): an int32 sum would overflow.
+    For n <= 24 the int64 sums stay far inside their dtype: the sum of
+    squares is 2^n * #{x : f(x) = 1} <= 2^{2n} by Parseval, and the sum of
+    magnitudes is at most 2^{1.5n} by Cauchy-Schwarz.
     """
 
     __slots__ = ("n", "scaled")
@@ -129,8 +130,8 @@ class FourierSpectrum:
         _check_n(n)
         if scaled.shape != (1 << n,):
             raise ValueError("coefficient vector must have length 2^n")
-        if scaled.dtype != np.int64:
-            raise ValueError(f"coefficient vector must be int64, not {scaled.dtype}")
+        if scaled.dtype != np.int32:
+            raise ValueError(f"coefficient vector must be int32, not {scaled.dtype}")
         self.n = n
         self.scaled = scaled
         self.scaled.setflags(write=False)
@@ -143,17 +144,21 @@ class FourierSpectrum:
             yield int(m), self.coeff(int(m))
 
     def total_weight(self) -> DyadicRational:
-        return DyadicRational(int(np.dot(self.scaled, self.scaled)), 2 * self.n)
+        return DyadicRational(_sum_squares(self.scaled), 2 * self.n)
 
     def one_norm_total(self) -> DyadicRational:
-        return DyadicRational(int(np.sum(np.abs(self.scaled))), self.n)
+        return DyadicRational(_sum_magnitudes(self.scaled), self.n)
 
     def degree(self) -> int:
-        """Largest |S| with a nonzero coefficient (0 for the zero function)."""
-        nz = np.nonzero(self.scaled)[0]
-        if len(nz) == 0:
-            return 0
-        return int(popcount_table(self.n)[nz].max())
+        """Largest |S| with a nonzero coefficient (0 for the zero function),
+        read chunk by chunk so that no 2^n index array is made."""
+        sizes = popcount_table(self.n)
+        best = 0
+        for lo in range(0, self.scaled.size, HIST_CHUNK):
+            part = sizes[lo:lo + HIST_CHUNK][self.scaled[lo:lo + HIST_CHUNK] != 0]
+            if part.size:
+                best = max(best, int(part.max()))
+        return best
 
     def to_json(self) -> str:
         """Nonzero coefficients, ascending mask, exact."""
@@ -167,12 +172,15 @@ class FourierSpectrum:
     def from_json(cls, text: str) -> "FourierSpectrum":
         obj = json.loads(text)
         n = int(obj["n"])
-        scaled = np.zeros(1 << n, dtype=np.int64)
+        scaled = np.zeros(1 << n, dtype=np.int32)
         for item in obj["coefficients"]:
             c = DyadicRational(int(item["numerator"]), int(item["log_denominator"]))
             if c.log_denominator > n:
                 raise ValueError("coefficient finer than 2^-n")
-            scaled[int(item["mask"])] = c.numerator << (n - c.log_denominator)
+            value = c.numerator << (n - c.log_denominator)
+            if abs(value) > 1 << n:
+                raise ValueError(f"coefficient {c} has magnitude above 1")
+            scaled[int(item["mask"])] = value
         return cls(n, scaled)
 
 
@@ -262,25 +270,46 @@ def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     The butterfly runs in int32: on a 0/1 table every partial sum has
     magnitude at most 2^n <= 2^N_CAP."""
     assert f.n <= N_CAP and 1 << N_CAP <= np.iinfo(np.int32).max
-    scaled = walsh_butterfly(f.to_array().astype(np.int32))
-    return FourierSpectrum(f.n, scaled.astype(np.int64))
+    return FourierSpectrum(f.n, walsh_butterfly(f.to_array().astype(np.int32)))
+
+
+def _int64_slices(values: np.ndarray, sizes=None) -> Iterator[np.ndarray]:
+    """``values`` one ``HIST_CHUNK`` slice at a time, widened to int64.
+    With ``sizes`` (a predicate on subset sizes, for a vector of length
+    2^n indexed by mask) only the entries whose mask's size it accepts."""
+    if sizes is not None:
+        popcounts = popcount_table(values.size.bit_length() - 1)
+    for lo in range(0, values.size, HIST_CHUNK):
+        part = values[lo:lo + HIST_CHUNK]
+        if sizes is not None:
+            part = part[sizes(popcounts[lo:lo + HIST_CHUNK])]
+        yield part.astype(np.int64)
+
+
+def _sum_squares(values: np.ndarray, sizes=None) -> int:
+    """The sum of squares of an integer vector (of the entries ``sizes``
+    selects, see ``_int64_slices``), exact: each slice's dot is in int64."""
+    return sum(int(np.dot(part, part)) for part in _int64_slices(values, sizes))
+
+
+def _sum_magnitudes(values: np.ndarray, sizes=None) -> int:
+    """The sum of magnitudes of an integer vector (of the entries ``sizes``
+    selects, see ``_int64_slices``), exact: each slice's sum is in int64."""
+    return sum(int(np.abs(part).sum()) for part in _int64_slices(values, sizes))
 
 
 def one_norm_at_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
     """Sum of |fhat(S)| over subsets of size exactly d."""
     if not 0 <= d <= spec.n:
         raise ValueError(f"degree {d} outside [0, {spec.n}]")
-    sel = popcount_table(spec.n) == d
-    return DyadicRational(int(np.sum(np.abs(spec.scaled[sel]))), spec.n)
+    return DyadicRational(_sum_magnitudes(spec.scaled, lambda sz: sz == d), spec.n)
 
 
 def weight_above_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
     """Sum of fhat(S)^2 over subsets of size strictly greater than d."""
     if not 0 <= d <= spec.n:
         raise ValueError(f"degree {d} outside [0, {spec.n}]")
-    sel = popcount_table(spec.n) > d
-    vals = spec.scaled[sel]
-    return DyadicRational(int(np.dot(vals, vals)), 2 * spec.n)
+    return DyadicRational(_sum_squares(spec.scaled, lambda sz: sz > d), 2 * spec.n)
 
 
 def weight_outside_masks(spec: FourierSpectrum, masks) -> DyadicRational:
@@ -290,7 +319,7 @@ def weight_outside_masks(spec: FourierSpectrum, masks) -> DyadicRational:
     # which adds 1.7 MB to the peak RSS of every run
     kept = np.sort(np.asarray(masks, dtype=np.int64))
     kept = spec.scaled[kept[np.diff(kept, prepend=-1) != 0]]
-    outside = int(np.dot(spec.scaled, spec.scaled)) - int(np.dot(kept, kept))
+    outside = _sum_squares(spec.scaled) - _sum_squares(kept)
     return DyadicRational(outside, 2 * spec.n)
 
 
@@ -323,8 +352,9 @@ def ranked_masks(spec: FourierSpectrum, m: int) -> np.ndarray:
     return kept[np.lexsort((kept, -np.abs(spec.scaled[kept])))]
 
 
-#: Entries of the spectrum per chunk in ``ranked_masks`` and
-#: ``_magnitude_groups``, so that neither makes a 2^n temporary.
+#: Entries of the spectrum per chunk in every pass over the whole vector
+#: (the int64 sums, ``degree``, ``ranked_masks`` and ``_magnitude_groups``),
+#: so that none makes a 2^n temporary.
 HIST_CHUNK = 1 << 16
 
 

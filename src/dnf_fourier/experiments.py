@@ -32,6 +32,7 @@ from .bitops import subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
+    FourierSpectrum,
     fourier_transform,
     hamming_distance_fraction,
     min_coeffs_for_eps,
@@ -131,7 +132,13 @@ class InstanceSource:
         if "file" in obj:
             return cls("file", path=str(obj["file"]))
         if "generator" in obj:
-            return cls("generator", spec=GeneratorSpec.from_dict(obj["generator"]))
+            gen = obj["generator"]
+            if not isinstance(gen, dict) or "family" not in gen:
+                raise ConfigError(f"'generator' must be an object with a 'family': {gen!r}")
+            try:
+                return cls("generator", spec=GeneratorSpec.from_dict(gen))
+            except TypeError as exc:
+                raise ConfigError(f"bad 'generator' {gen!r}: {exc}") from exc
         raise ConfigError(f"instance source needs 'file' or 'generator': {obj}")
 
 
@@ -177,24 +184,24 @@ class ExperimentConfig:
         instances = tuple(InstanceSource.from_dict(s) for s in sources)
         kwargs = {}
         if "eps" in obj:
-            kwargs["eps"] = Fraction(obj["eps"])
+            kwargs["eps"] = _scalar("eps", obj["eps"], Fraction)
         if "C" in obj:
-            kwargs["c_param"] = Fraction(obj["C"])
+            kwargs["c_param"] = _scalar("C", obj["C"], Fraction)
         if "C_sweep" in obj:
             if not isinstance(obj["C_sweep"], list):
                 raise ConfigError("'C_sweep' must be a list")
-            kwargs["c_sweep"] = tuple(Fraction(c) for c in obj["C_sweep"])
+            kwargs["c_sweep"] = tuple(_scalar("C_sweep", c, Fraction) for c in obj["C_sweep"])
         if obj.get("d_max") is not None:
-            kwargs["d_max"] = int(obj["d_max"])
+            kwargs["d_max"] = _scalar("d_max", obj["d_max"], int)
         if obj.get("u_star") is not None:
-            kwargs["u_star"] = int(obj["u_star"])
+            kwargs["u_star"] = _scalar("u_star", obj["u_star"], int)
         if "checks" in obj:
             checks = obj["checks"]
             if checks != "all" and not isinstance(checks, list):
                 raise ConfigError(f"'checks' must be \"all\" or a list, not {checks!r}")
             kwargs["checks"] = ALL_CHECKS if checks == "all" else tuple(checks)
         if "workers" in obj:
-            kwargs["workers"] = int(obj["workers"])
+            kwargs["workers"] = _scalar("workers", obj["workers"], int)
         return cls(instances=instances, **kwargs)
 
     def core_dict(self) -> dict:
@@ -209,6 +216,15 @@ class ExperimentConfig:
             "u_star": self.u_star,
             "checks": list(self.checks),
         }
+
+
+def _scalar(key: str, value, convert):
+    """``convert(value)``; a value it cannot take (a list, ``"1/0"``,
+    ``"x"``) is a ``ConfigError`` that names the config field ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {key!r} value {value!r}: {exc}") from exc
 
 
 # -- formatting ---------------------------------------------------------------
@@ -253,6 +269,26 @@ ANALYSIS_CHECKS = frozenset(
 TABLE_CHECKS = ANALYSIS_CHECKS | {"evasive"}
 
 
+def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
+    """Whether the polynomial evaluated at every point (the inverse
+    transform) is 2^n * f(x), exactly, in int64.
+
+    Split on the top variable, H_n = [[H, H], [H, -H]]: poly is H(lo + hi)
+    on the half with x_n = 0 and H(lo - hi) on the other, so one buffer of
+    2^(n-1) int64s serves both halves in turn, and nothing of it outlives
+    the call."""
+    half = spec.scaled.size // 2
+    lo, hi = spec.scaled[:half], spec.scaled[half:]
+    table = f.to_array().view(bool)
+    poly = np.empty(half, dtype=np.int64)
+    for combine, part in ((np.add, table[:half]), (np.subtract, table[half:])):
+        walsh_butterfly(combine(lo, hi, out=poly, dtype=np.int64))
+        np.subtract(poly, 1 << spec.n, out=poly, where=part)
+        if poly.any():
+            return False
+    return True
+
+
 def effective_d_max(config_d_max: int | None, n: int) -> int:
     d = 4 if config_d_max is None else config_d_max
     return min(d, n, DT_CAP)
@@ -294,14 +330,10 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     if "spectral_basics" in checks:
         mean = DyadicRational(f.ones, n)
         rows.append(_row("parseval", {}, total_weight, mean, total_weight == mean))
-        # evaluating the polynomial at every point (the inverse transform)
-        # must reproduce the truth table exactly; in int64, since every
-        # partial sum is bounded by sum |scaled| = one_norm * 2^n
+        # the inverse transform must reproduce the truth table exactly; in
+        # int64, since every partial sum is bounded by sum |scaled| = one_norm * 2^n
         assert one_norm < DyadicRational(1 << 62, n)
-        recon = walsh_butterfly(spec.scaled.copy())
-        np.subtract(recon, 1 << n, out=recon, where=f.to_array().view(bool))
-        ok = not recon.any()        # poly(x) == 2^n * f(x) at every x
-        del recon                   # 2^n int64s: free them before the next transform
+        ok = _reconstructs(spec, f)
         rows.append(_row("reconstruction", {}, "poly(x)", "f(x)", ok))
 
     if "sparsity" in checks:
@@ -341,6 +373,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         m_keep = min_coeffs_for_eps(g_spec, config.eps)
         masks = ranked_masks(g_spec, m_keep)
         eps2 = weight_outside_masks(g_spec, masks)
+        del g_spec                  # 2^n int32s no later check reads
         lhs = weight_outside_masks(spec, masks)
         bound = 2 * (eps1 + eps2)
         rows.append(

@@ -9,6 +9,7 @@ the character matrix cannot reach.  The ranking oracles sort the whole
 spectrum: a full lexsort gives the kept-coefficient order, and prefix sums
 of the sorted squares give the smallest number of coefficients to keep.
 """
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -221,7 +222,7 @@ def _tied_spectra(draw, max_n=6):
     values = draw(st.lists(st.integers(min_value=-(1 << n), max_value=1 << n),
                            min_size=1, max_size=4))
     picks = draw(st.lists(st.sampled_from(values), min_size=1 << n, max_size=1 << n))
-    return FourierSpectrum(n, np.array(picks, dtype=np.int64))
+    return FourierSpectrum(n, np.array(picks, dtype=np.int32))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -297,7 +298,7 @@ def test_min_coeffs_matches_sort_oracle_in_small_chunks(spec, chunk, eps):
 def test_min_coeffs_matches_sort_oracle_on_ties_at_the_cut():
     # magnitudes 4, 2, 2, 2, 1, ...: eps values that land inside the tie group
     n = 4
-    scaled = np.array([4, -2, 2, -2] + [1] * 12, dtype=np.int64)
+    scaled = np.array([4, -2, 2, -2] + [1] * 12, dtype=np.int32)
     spec = FourierSpectrum(n, scaled)
     total = 16 + 12 + 12
     for left in range(total + 1):
@@ -337,9 +338,80 @@ def test_weight_outside_masks_with_duplicates(spec, data):
     assert weight_outside_masks(spec, np.array(masks + masks, dtype=np.int64)) == expected
 
 
-def test_spectrum_must_be_int64():
-    with pytest.raises(ValueError):
-        FourierSpectrum(2, np.zeros(4, dtype=np.int32))
+def test_spectrum_must_be_int32():
+    FourierSpectrum(2, np.zeros(4, dtype=np.int32))
+    with pytest.raises(ValueError, match="int32"):
+        FourierSpectrum(2, np.zeros(4, dtype=np.int64))
+
+
+def oracle_readers(spec: FourierSpectrum, masks) -> dict:
+    """Every whole-spectrum reader as a big-int Python sum over the entries."""
+    values = [int(v) for v in spec.scaled]
+    sizes = [m.bit_count() for m in range(len(values))]
+    n, kept = spec.n, set(masks)
+    return {
+        "total_weight": DyadicRational(sum(v * v for v in values), 2 * n),
+        "one_norm_total": DyadicRational(sum(abs(v) for v in values), n),
+        "one_norm_at_degree": [
+            DyadicRational(sum(abs(v) for v, sz in zip(values, sizes) if sz == d), n)
+            for d in range(n + 1)],
+        "weight_above_degree": [
+            DyadicRational(sum(v * v for v, sz in zip(values, sizes) if sz > d), 2 * n)
+            for d in range(n + 1)],
+        "weight_outside_masks": DyadicRational(
+            sum(v * v for m, v in enumerate(values) if m not in kept), 2 * n),
+        "degree": max((sz for v, sz in zip(values, sizes) if v), default=0),
+    }
+
+
+def readers(spec: FourierSpectrum, masks) -> dict:
+    n = spec.n
+    return {
+        "total_weight": spec.total_weight(),
+        "one_norm_total": spec.one_norm_total(),
+        "one_norm_at_degree": [one_norm_at_degree(spec, d) for d in range(n + 1)],
+        "weight_above_degree": [weight_above_degree(spec, d) for d in range(n + 1)],
+        "weight_outside_masks": weight_outside_masks(spec, masks),
+        "degree": spec.degree(),
+    }
+
+
+@st.composite
+def _extreme_spectra(draw, max_n=6):
+    """Coefficient vectors that reach the bound: entries drawn from
+    {0, +-1, +-2^(n-1), +-2^n}."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    values = [0, 1, -1, 1 << (n - 1), -(1 << (n - 1)), 1 << n, -(1 << n)]
+    picks = draw(st.lists(st.sampled_from(values), min_size=1 << n, max_size=1 << n))
+    return FourierSpectrum(n, np.array(picks, dtype=np.int32))
+
+
+@given(spec=st.one_of(_tied_spectra(), _extreme_spectra(),
+                      _tables(max_n=8).map(fourier_transform)),
+       chunk=st.sampled_from([1, 2, 3, 7, 64, boolfn.HIST_CHUNK]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_int64_sums_match_big_int_sums(spec, chunk, data):
+    # each reader sums int32 entries in int64, one chunk at a time; with
+    # chunks this small a sum spans many of them
+    size = 1 << spec.n
+    masks = data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=size))
+    with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        assert readers(spec, masks) == oracle_readers(spec, masks)
+
+
+def test_int64_sums_of_a_dictator_at_n20():
+    # f(x) = x_1: fhat(0) = 1/2, fhat({1}) = -1/2, so the sum of the squared
+    # scaled coefficients is 2 * 2^38 = 2^39, which an int32 sum would wrap
+    n = 20
+    f = BooleanFunction(n, int.from_bytes(b"\xaa" * ((1 << n) // 8), "little"))
+    spec = fourier_transform(f)
+    assert spec.scaled.dtype == np.int32
+    assert int(spec.scaled[0]) == 1 << (n - 1) and int(spec.scaled[1]) == -(1 << (n - 1))
+    masks = [1, 5, 1 << 19]
+    got, want = readers(spec, masks), oracle_readers(spec, masks)
+    assert got == want
+    assert got["total_weight"] == Fraction(1, 2) and got["one_norm_total"] == 1
+    assert got["weight_outside_masks"] == Fraction(1, 4) and got["degree"] == 1
 
 
 # -- concentration facts ------------------------------------------------------
@@ -399,6 +471,25 @@ def test_spectrum_json_roundtrip():
     spec = fourier_transform(f)
     back = FourierSpectrum.from_json(spec.to_json())
     assert np.array_equal(back.scaled, spec.scaled)
+
+
+@pytest.mark.parametrize("numerator, log_denominator, accepted", [
+    ((1 << 3) + 1, 3, False),    # just over 1
+    (1 << 40, 0, False),         # far beyond what int32 holds
+    (-2, 0, False),              # negative, magnitude 2
+    (1, 0, True),                # exactly 1: scaled 2^n
+    (-1, 0, True),
+], ids=["just-over", "beyond-int32", "negative", "at-one", "at-minus-one"])
+def test_spectrum_json_rejects_a_coefficient_above_one(numerator, log_denominator,
+                                                       accepted):
+    text = json.dumps({"n": 3, "coefficients": [
+        {"mask": 5, "numerator": numerator, "log_denominator": log_denominator}]})
+    if accepted:
+        spec = FourierSpectrum.from_json(text)
+        assert int(spec.scaled[5]) == numerator << 3
+    else:
+        with pytest.raises(ValueError, match="magnitude above 1"):
+            FourierSpectrum.from_json(text)
 
 
 def test_n_cap_enforced():

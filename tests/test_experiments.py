@@ -229,8 +229,14 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
     ({"instances": [_TRIBES22], "C_sweep": 3}, "'C_sweep'"),
     ({"instances": [_TRIBES22], "C_sweep": ["1", "0"]}, "C_sweep"),
     ({"instances": [_TRIBES22], "checks": "evasive"}, "'evasive'"),
+    ({"instances": [], "eps": "1/0"}, "'eps'"),
+    ({"instances": [_TRIBES22], "d_max": [4]}, "'d_max'"),
+    ({"instances": [_TRIBES22], "C_sweep": [[1]]}, "'C_sweep'"),
+    ({"instances": [{"generator": 3}]}, "'generator'"),
 ], ids=["not-an-object", "instances-not-a-list", "instance-not-an-object",
-        "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string"])
+        "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string",
+        "eps-a-zero-denominator", "d_max-a-list", "C_sweep-entry-a-list",
+        "generator-not-an-object"])
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_malformed_config_is_a_usage_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, config, names):
@@ -1046,6 +1052,43 @@ def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
     monkeypatch.setattr(experiments, "fourier_transform", off_by_one)
     holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
     assert holds["reconstruction"] is False
+
+
+@pytest.mark.parametrize("x", [0, 5, 8, 15])
+def test_reconstruction_row_catches_one_wrong_point_in_either_half(monkeypatch, x):
+    # the spectrum of f with one table entry flipped: poly(x) is wrong at x
+    # alone, in the half with x_n = 0 (x < 8) or in the one with x_n = 1
+    from dnf_fourier import BooleanFunction, experiments
+
+    transform = experiments.fourier_transform
+    monkeypatch.setattr(experiments, "fourier_transform",
+                        lambda f: transform(BooleanFunction(f.n, f.bits ^ (1 << x))))
+    cfg = ExperimentConfig(instances=(_tribes_source(2, 2),), checks=("spectral_basics",))
+    holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
+    assert holds["reconstruction"] is False
+
+
+def test_spectral_verify_peak_memory_per_table_entry():
+    # The spectral checks of a verify at n = 20 hold the int32 spectrum, one
+    # more for approx_transfer, the 0/1 table and a half-size int64
+    # reconstruction buffer, but never a 2^n int64 array beside them: the
+    # traced peak stays under 12 bytes per truth-table entry.
+    import tracemalloc
+
+    from dnf_fourier import random_read_k
+    from dnf_fourier.experiments import verify_instance
+
+    dnf = random_read_k(n=20, s=18, w=5, k=5, exact_width=True, seed=7)
+    cfg = ExperimentConfig(instances=(), eps=Fraction(1, 64), d_max=0, checks=(
+        "spectral_basics", "sparsity", "truncation", "approx_transfer", "satisfied_mass"))
+    tracemalloc.start()
+    try:
+        report = verify_instance(dnf, "rk20", cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["failures"] == 0
+    assert peak / (1 << 20) <= 12, f"{peak / (1 << 20):.1f} bytes per entry"
 
 
 def test_readme_library_sketch_runs():
