@@ -24,12 +24,11 @@ import json
 import sys
 
 from .bitops import vars_to_mask
-from .boolfn import CapExceededError, fourier_transform
+from .boolfn import fourier_transform
 from .covers import FamilyAnalysis, cover_counts_by_union, read_cover_count_bound
-from .dnf import ParseError, load_dnf
+from .dnf import load_dnf
 from .encoder import EncodePreconditionError, EncodingInvariantError
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     _roundtrip,
     family_csv,
@@ -38,7 +37,7 @@ from .experiments import (
     run_concentration_sweep,
     run_verify,
 )
-from .generators import GenerationError, GeneratorSpec
+from .generators import GeneratorSpec
 from .restrictions import DT_CAP, RestrictionTables
 
 USAGE_ERROR = 2
@@ -131,8 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, ConfigError, GenerationError, CapExceededError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:   # every input error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

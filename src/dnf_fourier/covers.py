@@ -46,6 +46,13 @@ restriction table is released, since an encoder round only asks about
 proper subsets of S; the tables keep its full-depth count, which the
 ``evasive`` check reads.
 
+``FamilyAnalysis`` takes every sum over (d, u) once, and its readers
+read them: the pairs per (d, u), counted as each subset is classified;
+each family's norms (``FamilyStats``); and, from one ``total_weight`` and
+one pass over the families, the weight of the families per union size u
+(``weight_at_u``) and the weight outside those with u <= c (``tails``),
+for u, c up to ``u_hi = min(w * d_max, n)``, the widest union of a cover.
+
 The caller builds an instance's truth table, spectrum, restriction
 tables and family analysis once and passes them in; nothing here builds
 them again.
@@ -57,7 +64,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +91,9 @@ from .encoder import (
 from .restrictions import DT_CAP, RestrictionTables
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyKey:
+class FamilyKey(NamedTuple):
+    """A family's (d, u); keys sort by d, then u."""
+
     d: int
     u: int
 
@@ -91,7 +102,6 @@ class FamilyKey:
 class FamilyStats:
     """Aggregates over every subset assigned to one (d, u) family."""
 
-    key: FamilyKey
     members: list[int] = field(default_factory=list)
     one_norm: DyadicRational = DyadicRational(0)
     two_norm_sq: DyadicRational = DyadicRational(0)
@@ -103,9 +113,7 @@ class SubsetProfile:
     """Witness statistics for one subset S with at least one full-depth pair."""
 
     d: int
-    coeff: DyadicRational
-    witnesses: int  # number of full-depth fixed-side assignments
-    xsbars: np.ndarray  # those assignments as n-bit masks, uint32, read-only, ascending
+    xsbars: np.ndarray  # its full-depth x_Sbar as n-bit masks, uint32, read-only, ascending
     count_by_u: dict[int, int]
     covers_by_u: dict[int, set[tuple[int, ...]]]
     assigned_u: int  # the family key: most frequent u, ties to smallest
@@ -125,12 +133,19 @@ class FamilyAnalysis:
             raise CapExceededError(f"d_max={d_max} exceeds decision-tree cap {DT_CAP}")
         self.dnf = dnf
         self.d_max = min(d_max, dnf.n)
+        self.u_hi = min(dnf.width() * self.d_max, dnf.n)
         self.tables = tables
         self.spec = spec
         self.families: dict[FamilyKey, FamilyStats] = {}
         self.profiles: dict[int, SubsetProfile] = {}
+        self._pairs: Counter[tuple[int, int]] = Counter()   # pairs per (d, u)
         self._cover_counts: dict[int, dict[int, int]] = {}
         self._classify()
+        self.weight_at_u = [DyadicRational(0)] * (self.u_hi + 1)
+        for (_, u), stats in self.families.items():
+            self.weight_at_u[u] += stats.two_norm_sq
+        # tails[c] = total - weight_at_u[0] - ... - weight_at_u[c]
+        self.tails = list(accumulate(self.weight_at_u, sub, initial=spec.total_weight()))[1:]
 
     def cover_counts(self, s_mask: int) -> dict[int, int]:
         """Covers of S per union size, counted once per subset and kept."""
@@ -192,17 +207,13 @@ class FamilyAnalysis:
             except EncodingInvariantError as exc:
                 raise EncodingInvariantError(
                     f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
+        for u, cnt in count_by_u.items():
+            self._pairs[d, u] += cnt
         top = max(count_by_u.values())
         assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
-        profile = SubsetProfile(
-            d, coeff, int(xsbars.size), xsbars, count_by_u, covers_by_u, assigned_u, record,
-        )
-        self.profiles[s_mask] = profile
-        key = FamilyKey(d, assigned_u)
-        stats = self.families.get(key)
-        if stats is None:
-            stats = FamilyStats(key)
-            self.families[key] = stats
+        self.profiles[s_mask] = SubsetProfile(
+            d, xsbars, count_by_u, covers_by_u, assigned_u, record)
+        stats = self.families.setdefault(FamilyKey(d, assigned_u), FamilyStats())
         stats.members.append(s_mask)
         stats.one_norm = stats.one_norm + abs(coeff)
         stats.two_norm_sq = stats.two_norm_sq + coeff.square()
@@ -214,14 +225,12 @@ class FamilyAnalysis:
     def pair_count(self, d: int, u: int) -> int:
         """Number of full-depth pairs with |S| = d and union size u."""
         self._check_degree(d)
-        return sum(
-            p.count_by_u.get(u, 0) for p in self.profiles.values() if p.d == d
-        )
+        return self._pairs[d, u]
 
     def pair_count_at_degree(self, d: int) -> int:
         """Number of full-depth pairs with |S| = d."""
         self._check_degree(d)
-        return sum(p.witnesses for p in self.profiles.values() if p.d == d)
+        return sum(cnt for (d_pair, _), cnt in self._pairs.items() if d_pair == d)
 
     def _check_degree(self, d: int) -> None:
         if d > self.d_max:
@@ -230,11 +239,9 @@ class FamilyAnalysis:
     def tail_weight(self, u_cutoff: int) -> DyadicRational:
         """Exact Fourier weight outside the union of families with u <= cutoff
         (and d <= d_max)."""
-        inside = DyadicRational(0)
-        for key, stats in self.families.items():
-            if key.u <= u_cutoff:
-                inside = inside + stats.two_norm_sq
-        return self.spec.total_weight() - inside
+        if u_cutoff < 0:
+            raise ValueError(f"u_cutoff={u_cutoff} must be >= 0")
+        return self.tails[min(u_cutoff, self.u_hi)]
 
 
 # -- cover counting ----------------------------------------------------------
@@ -355,7 +362,7 @@ def check_abs_fourier_u(analysis: FamilyAnalysis, s_mask: int) -> CheckResult:
         return CheckResult(zero, zero, True, {"witnesses": 0})
     u = profile.assigned_u
     prob = DyadicRational(profile.count_by_u.get(u, 0), n - d)
-    lhs = abs(profile.coeff)
+    lhs = abs(analysis.spec.coeff(s_mask))
     first_bound = (w * d + 1) * prob
     first = lhs <= first_bound
     distinct = len(profile.covers_by_u.get(u, ()))
@@ -389,7 +396,7 @@ def check_twonorm_u(analysis: FamilyAnalysis, d: int, u: int) -> CheckResult:
         zero = DyadicRational(0)
         return CheckResult(zero, zero, True, {"empty": True})
     lhs = stats.two_norm_sq
-    max_ncov = analysis.max_num_covers(stats.key)
+    max_ncov = analysis.max_num_covers(FamilyKey(d, u))
     bound = DyadicRational((w * d + 1) ** 2 * comb(u, d) * max_ncov << (3 * d), u)
     return CheckResult(lhs, bound, lhs <= bound, {"max_num_covers": max_ncov})
 

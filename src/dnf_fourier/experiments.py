@@ -31,7 +31,6 @@ import numpy as np
 from .bitops import subsets_up_to
 from .boolfn import (
     BooleanFunction,
-    CapExceededError,
     FourierSpectrum,
     fourier_transform,
     hamming_distance_fraction,
@@ -57,7 +56,7 @@ from .covers import (
     read_cover_count_bound,
     st_inequality_check,
 )
-from .dnf import Dnf, ParseError, load_dnf
+from .dnf import Dnf, load_dnf
 from .dyadic import DyadicRational
 from .enclosures import floor_scaled_log2
 from .encoder import (
@@ -69,7 +68,7 @@ from .encoder import (
     decode_records,
     encode,  # no caller here either, and bench/spans.py wraps it too
 )
-from .generators import GenerationError, GeneratorSpec
+from .generators import GeneratorSpec
 from .restrictions import (
     DT_CAP,
     RestrictionTables,
@@ -137,7 +136,7 @@ class InstanceSource:
                 raise ConfigError(f"'generator' must be an object with a 'family': {gen!r}")
             try:
                 return cls("generator", spec=GeneratorSpec.from_dict(gen))
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad 'generator' {gen!r}: {exc}") from exc
         raise ConfigError(f"instance source needs 'file' or 'generator': {obj}")
 
@@ -411,7 +410,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             rows.append(_row("pair_count_binom", {"d": d}, r.lhs, r.bound, r.holds))
 
     if "families" in checks:
-        for key in sorted(analysis.families, key=lambda fk: (fk.d, fk.u)):
+        for key in sorted(analysis.families):
             ctx = {"d": key.d, "u": key.u}
             r = family_onenorm_count_check(analysis, key.d, key.u)
             rows.append(_row("family_onenorm_count", ctx, r.lhs, r.bound, r.holds))
@@ -441,10 +440,9 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     if "exact_width_chain" in checks:
         widths = dnf.term_widths
         if len(widths) == 1 and widths != {0}:
-            u_hi = min(w * d_max, n)
             for m in subsets:
                 counts = analysis.cover_counts(m)
-                for u in range(m.bit_count(), u_hi + 1):
+                for u in range(m.bit_count(), analysis.u_hi + 1):
                     r = exact_width_cover_bound(dnf, m, u, counts)
                     rows.append(_row("exact_width_chain", {"S_mask": m, "u": u},
                                      r.lhs, r.bound, r.holds))
@@ -577,14 +575,14 @@ def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis) -> tuple[int, tuple[int, int,
             check(d, chunk)
 
     if first is None:
-        return sum(p.witnesses for _, p in profiles), None
+        return sum(p.xsbars.size for _, p in profiles), None
     s_fail, row, xsbar, error = first
-    return sum(p.witnesses for m, p in profiles if m < s_fail) + row, (s_fail, xsbar, error)
+    return sum(p.xsbars.size for m, p in profiles if m < s_fail) + row, (s_fail, xsbar, error)
 
 
 def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
     out = []
-    for key in sorted(analysis.families, key=lambda fk: (fk.d, fk.u)):
+    for key in sorted(analysis.families):
         stats = analysis.families[key]
         out.append(
             {
@@ -601,14 +599,9 @@ def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
 
 
 def _tail_table(analysis: FamilyAnalysis) -> list[dict]:
-    w = analysis.dnf.width()
-    u_hi = min(w * analysis.d_max, analysis.dnf.n)
-    out = []
-    for u_cut in range(u_hi + 1):
-        tail = analysis.tail_weight(u_cut)
-        out.append({"u_cutoff": u_cut, "weight_outside": _fmt(tail),
-                    "weight_outside_approx": _approx(tail)})
-    return out
+    return [{"u_cutoff": u_cut, "weight_outside": _fmt(tail),
+             "weight_outside_approx": _approx(tail)}
+            for u_cut, tail in enumerate(analysis.tails)]
 
 
 # -- report assembly ------------------------------------------------------------
@@ -620,8 +613,9 @@ def _run_instance(args: tuple[dict, dict], instance_fn) -> dict:
     source = InstanceSource.from_dict(source_dict)
     try:
         dnf = source.load()
-    except (ParseError, GenerationError, CapExceededError, FileNotFoundError) as exc:
-        # one unusable instance is an entry in the report; the others still run
+    except (ValueError, OSError) as exc:
+        # one unusable instance is an entry in the report; the others still
+        # run.  Every input error of the package is a ValueError.
         return {"label": source.label, "error": f"{type(exc).__name__}: {exc}",
                 "checks": [], "failures": 1}
     return instance_fn(dnf, source.label, config)
@@ -675,9 +669,7 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         # a failed correctness check, not an input error: the others still run
         return {"label": label, "fault": f"{type(exc).__name__} {exc}", "failures": 1}
 
-    tail_rows = _tail_table(analysis)
-    u_hi = len(tail_rows) - 1
-    capture_u = next((u for u in range(u_hi + 1) if analysis.tail_weight(u) <= eps), None)
+    capture_u = next((u for u, tail in enumerate(analysis.tails) if tail <= eps), None)
 
     weight_cuts = []
     for c in config.c_sweep:
@@ -708,28 +700,26 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         "min_coeffs": min_coeffs_for_eps(spec, eps),
         "one_norm": _fmt(spec.one_norm_total()),
         "total_weight": _fmt(spec.total_weight()),
-        "tail_table": tail_rows,
+        "tail_table": _tail_table(analysis),
         "capture_u": capture_u,
         "u_star_formula": None if u_star_formula is None else round(u_star_formula, 6),
         "u_star_override": config.u_star,
         "degree_weight_sweep": weight_cuts,
         "hypotheses": _theorem_hypotheses(w, k),
-        "report_only": _theorem_tails(analysis, config, u_star_formula, u_hi),
+        "report_only": _theorem_tails(analysis, config, u_star_formula),
     }
 
 
 def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
-                   u_star_formula: float | None, u_hi: int) -> dict:
+                   u_star_formula: float | None) -> dict:
     """Theorem-level quantities, evaluated but never asserted: their "large
     enough width" hypotheses fail at desk scale.  Values are decimal
-    approximations of exact family weights against the simplified bounds."""
+    approximations of exact family weights against the simplified bounds.
+    The cutoff u* is the config's ``u_star`` when it is set, and otherwise
+    the floor of ``u_star_formula``; with neither there is no u* block."""
     max_ncov = max(map(analysis.max_num_covers, analysis.families), default=0)
     per_u = []
-    for u in range(u_hi + 1):
-        weight_at_u = DyadicRational(0)
-        for key, stats in analysis.families.items():
-            if key.u == u:
-                weight_at_u = weight_at_u + stats.two_norm_sq
+    for u, weight_at_u in enumerate(analysis.weight_at_u):
         simplified = 2.0 ** (-u / 2) * max_ncov
         per_u.append(
             {
@@ -740,13 +730,12 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
                 "would_hold": bool(float(weight_at_u) <= simplified),
             }
         )
-    tail_beyond_u_star = None
-    if u_star_formula is not None:
+    cutoff = config.u_star
+    if cutoff is None and u_star_formula is not None:
         cutoff = math.floor(u_star_formula)
-        tail = DyadicRational(0)
-        for key, stats in analysis.families.items():
-            if key.u > cutoff:
-                tail = tail + stats.two_norm_sq
+    tail_beyond_u_star = None
+    if cutoff is not None:
+        tail = sum(analysis.weight_at_u[cutoff + 1:], DyadicRational(0))
         tail_beyond_u_star = {
             "u_star_floor": cutoff,
             "family_weight_beyond": _fmt(tail),

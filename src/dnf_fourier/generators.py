@@ -193,7 +193,9 @@ class GeneratorSpec:
                 pool_size=int(self.params["pool_size"]),
                 seed=self.seed,
             )
-        except (KeyError, TypeError) as exc:
+        except GenerationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise GenerationError(
                 f"{self.family} is missing or has a bad parameter: {exc}"
             ) from exc

@@ -112,7 +112,6 @@ class RestrictionTables:
         self._f_packed = np.frombuffer(f.bits.to_bytes(max(1, f.size >> 3), "little"),
                                        dtype=np.uint8)
         self._by_sbar: dict[int, np.ndarray] = {}
-        self._by_full: dict[int, np.ndarray] = {}
         self._lookup: dict[int, tuple[memoryview, tuple]] = {}
         self._counts: dict[int, int] = {}
 
@@ -153,14 +152,11 @@ class RestrictionTables:
 
     def dt_by_full(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S indexed by a full n-bit assignment x (the
-        values of x on S are ignored): a read-only bool array of length 2^n.
+        values of x on S are ignored): a read-only bool array of length 2^n,
+        built on each call and kept nowhere.
 
-        Each cached table holds 2^n bytes, so production code reads the
-        compressed tables instead; this stays for the tests, and because
-        bench/spans.py wraps the name."""
-        cached = self._by_full.get(free_mask)
-        if cached is not None:
-            return cached
+        Production code reads the compressed tables instead; this stays for
+        the tests, and because bench/spans.py wraps the name."""
         n = self.n
         table = np.unpackbits(self.dt_by_sbar(free_mask), count=1 << (n - free_mask.bit_count()),
                               bitorder="little").view(np.bool_)
@@ -169,7 +165,6 @@ class RestrictionTables:
         out = np.broadcast_to(table.reshape(shape), (2,) * n)
         out = out.reshape(-1)
         out.setflags(write=False)
-        self._by_full[free_mask] = out
         return out
 
     def _plan(self, free_mask: int) -> tuple:

@@ -202,6 +202,37 @@ def test_family_key_ranges(bundles):
                 assert key.d <= key.u <= w * key.d, (b.label, key)
 
 
+def test_the_kept_sums_equal_their_definitions(bundles):
+    # the pair counts, weights and tails the analysis keeps, against the
+    # sums they replace: over the profiles, the tables and the families
+    for b in bundles:
+        a, n = b.analysis, b.dnf.n
+        assert a.u_hi == min(b.dnf.width() * a.d_max, n)
+        assert list(a.families) and sorted(a.families) == sorted(
+            a.families, key=lambda key: (key.d, key.u))
+        total = b.spec.total_weight()
+        for c in range(a.u_hi + 2):
+            inside = DyadicRational(0)
+            for key, stats in a.families.items():
+                if key.u <= c:
+                    inside = inside + stats.two_norm_sq
+            assert a.tail_weight(c) == total - inside, (b.label, c)
+        assert a.tails == [a.tail_weight(c) for c in range(a.u_hi + 1)]
+        for u, weight in enumerate(a.weight_at_u):
+            assert weight == sum((stats.two_norm_sq for key, stats in a.families.items()
+                                  if key.u == u), DyadicRational(0)), (b.label, u)
+        for d in range(a.d_max + 1):
+            profiles = [p for p in a.profiles.values() if p.d == d]
+            for u in range(a.u_hi + 2):
+                expected = sum(p.count_by_u.get(u, 0) for p in profiles)
+                assert a.pair_count(d, u) == expected, (b.label, d, u)
+            expected = sum(b.tables.full_depth_count(m)
+                           for m in subsets_up_to(n, d) if m.bit_count() == d)
+            assert a.pair_count_at_degree(d) == expected, (b.label, d)
+    with pytest.raises(ValueError):
+        a.tail_weight(-1)
+
+
 def test_every_nonzero_coefficient_is_assigned(bundles):
     for b in bundles:
         for s_mask in subsets_up_to(b.dnf.n, 4):

@@ -528,7 +528,7 @@ def test_the_analysis_of_readk16_asks_578404_questions(monkeypatch):
     # lookup in each pair's last round, one per encoded pair fewer without
     count = _record_questions(monkeypatch, _QuestionCount())
     b = make_bundle("readk16", random_read_k(n=16, s=10, w=3, k=2, seed=3))
-    encoded = sum(p.witnesses for s_mask, p in b.analysis.profiles.items() if s_mask)
+    encoded = sum(p.xsbars.size for s_mask, p in b.analysis.profiles.items() if s_mask)
     assert (encoded, count.total) == (158_288, 578_404)
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -233,10 +234,11 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
     ({"instances": [_TRIBES22], "d_max": [4]}, "'d_max'"),
     ({"instances": [_TRIBES22], "C_sweep": [[1]]}, "'C_sweep'"),
     ({"instances": [{"generator": 3}]}, "'generator'"),
+    ({"instances": [{"generator": {"family": "tribes", "seed": "x"}}]}, "'generator'"),
 ], ids=["not-an-object", "instances-not-a-list", "instance-not-an-object",
         "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string",
         "eps-a-zero-denominator", "d_max-a-list", "C_sweep-entry-a-list",
-        "generator-not-an-object"])
+        "generator-not-an-object", "generator-seed-not-an-int"])
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_malformed_config_is_a_usage_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, config, names):
@@ -805,13 +807,21 @@ def test_verify_encodes_each_full_depth_pair_once(monkeypatch):
 
     monkeypatch.setattr(covers, "extract_cover", spy(covers.extract_cover))
     monkeypatch.setattr(experiments, "encode", spy(experiments.encode))
+    broadcast = []
+    by_full = RestrictionTables.dt_by_full
+
+    def dt_by_full(self, free_mask):
+        broadcast.append(free_mask)
+        return by_full(self, free_mask)
+
+    monkeypatch.setattr(RestrictionTables, "dt_by_full", dt_by_full)
     built = _spy_tables(monkeypatch)
     report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4))
     assert report["summary"]["ok"]
+    assert len(built) == 1 and broadcast == []  # no 2^n broadcast table
     # the pairs with S = {} have x_sat = x and empty sigma and a: no encode
     pairs = [p for p in valid_pairs(RestrictionTables(tribes(2, 3).evaluate()), 4) if p[0]]
     assert sorted(calls) == sorted(pairs)
-    assert len(built) == 1 and not built[0]._by_full  # no 2^n broadcast tables
 
 
 def test_spectral_only_verify_builds_no_restriction_tables(monkeypatch):
@@ -877,6 +887,38 @@ def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, m
     assert phases[0::2] == phases[1::2]     # no call builds a table
     if mode == "verify":                    # nor does the loop around it
         assert set(phases) == {len(subsets)}
+
+
+@pytest.mark.parametrize("run", [run_verify, run_concentration_sweep],
+                         ids=["verify", "sweep"])
+def test_a_report_sums_the_spectrum_weight_at_most_twice(monkeypatch, run):
+    # once for the report and once for the analysis's tails, not once per
+    # union-size cutoff
+    from dnf_fourier import FourierSpectrum, experiments
+
+    calls = []
+    total_weight = FourierSpectrum.total_weight
+
+    def spy(self):
+        calls.append(self.n)
+        return total_weight(self)
+
+    monkeypatch.setattr(FourierSpectrum, "total_weight", spy)
+    report = run(ExperimentConfig(instances=(InstanceSource("generator", spec=_RK8),),
+                                  d_max=4, checks=experiments.ALL_CHECKS))
+    (entry,) = report["instances"]
+    assert entry["tail_table"] and "error" not in entry and "fault" not in entry
+    assert 1 <= len(calls) <= 2
+
+
+def test_sweep_u_star_sets_the_cutoff():
+    # the config's u_star replaces the floor of the formula (1453 here)
+    cfg = ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4, u_star=2)
+    (entry,) = run_concentration_sweep(cfg)["instances"]
+    beyond = entry["report_only"]["tail_beyond_u_star"]
+    assert entry["u_star_override"] == 2 and math.floor(entry["u_star_formula"]) == 1453
+    assert (beyond["u_star_floor"], beyond["family_weight_beyond"], beyond["would_hold"]) == (
+        2, "263/2^12", False)
 
 
 def test_evasive_only_verify_matches_the_all_checks_rows():
@@ -972,49 +1014,76 @@ def test_cli_covers_counts_once(tmp_path, monkeypatch, capsys):
     assert "total covers: 1" in capsys.readouterr().out
 
 
-def test_unloadable_instance_is_an_error_entry(tmp_path, capsys):
-    too_big = tmp_path / "n25.dnf"
-    too_big.write_text("n=25\n1 2\n")
+_UNLOADABLE = ["n-beyond-the-cap", "variable-beyond-n", "not-utf8", "generator-bad-w",
+               "directory"]
+
+
+def _unloadable(tmp_path, case: str) -> tuple[dict, str, str]:
+    """A source that cannot be loaded, its label and its report error."""
+    if case == "generator-bad-w":
+        gen = {"family": "random_read_k", "params": {"n": 6, "s": 2, "w": "x", "k": 1}}
+        return ({"generator": gen}, GeneratorSpec.from_dict(gen).label(),
+                "GenerationError: random_read_k is missing or has a bad parameter: "
+                "invalid literal for int() with base 10: 'x'")
+    path = tmp_path / case
+    if case == "directory":
+        path.mkdir()
+        return {"file": str(path)}, str(path), f"IsADirectoryError: [Errno 21] Is a directory: '{path}'"
+    text, error = {
+        "n-beyond-the-cap": (b"n=25\n1 2\n", "CapExceededError: n=25 outside [1, 24]"),
+        "variable-beyond-n": (b"n=3\n1 5\n", "ValueError: term 1 uses variables beyond n=3"),
+        "not-utf8": (b"n=3\n1 \xff\n", "UnicodeDecodeError: 'utf-8' codec can't decode "
+                                        "byte 0xff in position 6: invalid start byte"),
+    }[case]
+    path.write_bytes(text)
+    return {"file": str(path)}, str(path), error
+
+
+def _run_with_unloadable(tmp_path, capsys, command, case, checks) -> tuple[dict, dict]:
+    """Run tribes(2,2) and then an unloadable source with one worker and
+    with two: the same report, an ``error:`` line naming the source and
+    exit 2.  Returns the two instance entries, the second checked."""
+    source, label, error = _unloadable(tmp_path, case)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}},
-                      {"file": str(too_big)}],
-        "checks": ["read_chain"],
+        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}, source],
+        **checks,
     }))
     texts = []
     for workers in ("1", "2"):
         out = tmp_path / f"r{workers}.json"
-        assert main(["verify", str(cfg_path), "--out", str(out), "--workers", workers]) == 2
-        assert "n=25 outside [1, 24]" in capsys.readouterr().err
+        assert main([command, str(cfg_path), "--out", str(out), "--workers", workers]) == 2
+        assert f"error: {label}: {error}" in capsys.readouterr().err.splitlines()
         texts.append(out.read_text())
     assert texts[0] == texts[1]
-    tribes_entry, bad = json.loads(texts[0])["instances"]
+    good, bad = json.loads(texts[0])["instances"]
+    assert bad == {"label": label, "error": error, "checks": [], "failures": 1}
+    return good, bad
+
+
+@pytest.mark.parametrize("case", _UNLOADABLE)
+def test_unloadable_instance_is_an_error_entry(tmp_path, capsys, case):
+    tribes_entry, _ = _run_with_unloadable(tmp_path, capsys, "verify", case,
+                                           {"checks": ["read_chain"]})
     assert tribes_entry["checks"] and all(
         r["check"] == "read_cover_chain" and r["holds"] for r in tribes_entry["checks"]
     )
-    assert bad == {"label": str(too_big), "error": "CapExceededError: n=25 outside [1, 24]",
-                   "checks": [], "failures": 1}
 
 
-def test_unloadable_sweep_instance_is_an_error_entry(tmp_path, capsys):
-    too_big = tmp_path / "n25.dnf"
-    too_big.write_text("n=25\n1 2\n")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}},
-                      {"file": str(too_big)}],
-    }))
-    texts = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"r{workers}.json"
-        assert main(["sweep", str(cfg_path), "--out", str(out), "--workers", workers]) == 2
-        assert "n=25 outside [1, 24]" in capsys.readouterr().err
-        texts.append(out.read_text())
-    assert texts[0] == texts[1]
-    tribes_entry, bad = json.loads(texts[0])["instances"]
+@pytest.mark.parametrize("case", _UNLOADABLE)
+def test_unloadable_sweep_instance_is_an_error_entry(tmp_path, capsys, case):
+    tribes_entry, _ = _run_with_unloadable(tmp_path, capsys, "sweep", case, {})
     assert tribes_entry["tail_table"] and tribes_entry["label"] == "tribes(t=2,w=2,seed=0)"
-    assert bad == {"label": str(too_big), "error": "CapExceededError: n=25 outside [1, 24]",
-                   "checks": [], "failures": 1}
+
+
+@pytest.mark.parametrize("args", [["spectrum"], ["encdec-test"], ["covers", "--set", "1"],
+                                  ["verify"], ["sweep"]],
+                         ids=["spectrum", "encdec-test", "covers", "verify", "sweep"])
+def test_cli_a_directory_for_a_file_is_a_usage_error(tmp_path, capsys, args):
+    assert main([args[0], str(tmp_path), *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert captured.out == ""
 
 
 def test_verify_evaluates_each_distinct_truncation_once(monkeypatch):
