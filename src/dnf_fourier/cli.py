@@ -14,13 +14,17 @@ A verify or sweep instance that cannot be loaded is an error entry in the
 report, which is still written, and the exit code is 2.  An encoder fault
 is a failure (exit 1): a failed roundtrip row in verify, a fault entry in
 sweep; the report is still written.  In encdec-test it is a
-``ROUNDTRIP FAILED at S=..., x=...`` line naming the first failing pair.
+``ROUNDTRIP FAILED at S=..., x=...`` line naming the first failing pair,
+and a ``--corpus-out`` path is left as it was: the corpus is written to
+``PATH.partial`` as the pass goes and renamed over the path only if the
+round trip holds.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .bitops import vars_to_mask
@@ -30,7 +34,7 @@ from .dnf import load_dnf
 from .encoder import EncodePreconditionError, EncodingInvariantError
 from .experiments import (
     ExperimentConfig,
-    _roundtrip,
+    RoundTrip,
     family_csv,
     render_json,
     rows_jsonl,
@@ -154,8 +158,6 @@ def _dispatch(args) -> int:
         report = run_verify(config)
         _write_report(report, args.out)
         if args.csv_dir:
-            import os
-
             os.makedirs(args.csv_dir, exist_ok=True)
             for i, inst in enumerate(report["instances"]):
                 path = os.path.join(args.csv_dir, f"instance_{i:03d}.families.csv")
@@ -173,8 +175,6 @@ def _dispatch(args) -> int:
         report = run_concentration_sweep(config)
         _write_report(report, args.out)
         if args.csv_dir:
-            import os
-
             from .experiments import tail_csv
 
             os.makedirs(args.csv_dir, exist_ok=True)
@@ -193,31 +193,20 @@ def _dispatch(args) -> int:
         if not 0 <= args.d_max <= DT_CAP:
             raise ValueError(f"--d-max={args.d_max} outside [0, {DT_CAP}]")
         dnf = load_dnf(args.dnf_file)
-        f = dnf.evaluate()
+        if not args.corpus_out:
+            return _encdec(dnf, args.d_max)
+        # the corpus is written as the pass goes, next to its path, and
+        # takes the path only if the round trip holds
+        partial, status = f"{args.corpus_out}.partial", CHECK_FAILURE
         try:
-            analysis = FamilyAnalysis(dnf, args.d_max, RestrictionTables(f), fourier_transform(f))
-        except (EncodePreconditionError, EncodingInvariantError) as exc:
-            # the analysis names the pair: "at S=..., x=...: ..."
-            print(f"ROUNDTRIP FAILED {exc} ({type(exc).__name__})")
-            return CHECK_FAILURE
-        pairs, failure = _roundtrip(dnf, analysis)
-        if failure is not None:
-            print("ROUNDTRIP FAILED at S={}, x={}: {}".format(*failure))
-            return CHECK_FAILURE
-        if args.corpus_out:   # a line per pair, in valid_pairs order, from the records
-            with open(args.corpus_out, "w", encoding="utf-8") as fh:
-                for s_mask, profile in sorted(analysis.profiles.items()):
-                    record, d = profile.record, profile.d
-                    for xsbar, x_sat, sigma, a in zip(
-                            profile.xsbars.tolist(), record.x_sat.tolist(),
-                            record.sigma.tolist(), record.a.tolist()):
-                        encoding = {"x_sat": x_sat, "sigma": sigma,
-                                    "a": [a >> t & 1 for t in range(d)]}
-                        case = {"dnf_ref": args.dnf_file, "S_mask": s_mask,
-                                "xsbar_mask": xsbar, "encoding": encoding}
-                        fh.write(json.dumps(case, sort_keys=True) + "\n")
-        print(f"roundtrip ok on {pairs} full-depth pairs (|S| <= {args.d_max})")
-        return 0
+            with open(partial, "w", encoding="utf-8") as fh:
+                status = _encdec(dnf, args.d_max, _corpus_writer(fh, args.dnf_file))
+        finally:
+            if status == 0:
+                os.replace(partial, args.corpus_out)
+            elif os.path.exists(partial):
+                os.remove(partial)
+        return status
 
     if args.command == "covers":
         dnf = load_dnf(args.dnf_file)
@@ -234,6 +223,46 @@ def _dispatch(args) -> int:
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _encdec(dnf, d_max: int, write=None) -> int:
+    """Run the family analysis with the round trip, and ``write`` after it,
+    as the consumers of each subset's encodings; print the verdict and
+    return the exit code."""
+    roundtrip = RoundTrip(dnf)
+
+    def consume(s_mask, xsbars, record):
+        roundtrip(s_mask, xsbars, record)
+        if write is not None:
+            write(s_mask, xsbars, record)
+
+    f = dnf.evaluate()
+    try:
+        FamilyAnalysis(dnf, d_max, RestrictionTables(f), fourier_transform(f), consume)
+    except (EncodePreconditionError, EncodingInvariantError) as exc:
+        # the analysis names the pair: "at S=..., x=...: ..."
+        print(f"ROUNDTRIP FAILED {exc} ({type(exc).__name__})")
+        return CHECK_FAILURE
+    pairs, failure = roundtrip.result()
+    if failure is not None:
+        print("ROUNDTRIP FAILED at S={}, x={}: {}".format(*failure))
+        return CHECK_FAILURE
+    print(f"roundtrip ok on {pairs} full-depth pairs (|S| <= {d_max})")
+    return 0
+
+
+def _corpus_writer(fh, dnf_ref: str):
+    """A consumer that writes a line per pair of each subset, in
+    ``valid_pairs`` order, from the record arrays."""
+    def write(s_mask, xsbars, record):
+        d = s_mask.bit_count()
+        for xsbar, x_sat, sigma, a in zip(xsbars.tolist(), record.x_sat.tolist(),
+                                          record.sigma.tolist(), record.a.tolist()):
+            encoding = {"x_sat": x_sat, "sigma": sigma, "a": [a >> t & 1 for t in range(d)]}
+            case = {"dnf_ref": dnf_ref, "S_mask": s_mask, "xsbar_mask": xsbar,
+                    "encoding": encoding}
+            fh.write(json.dumps(case, sort_keys=True) + "\n")
+    return write
 
 
 def _print_errors(report: dict) -> bool:

@@ -29,22 +29,27 @@ not by the number of covers, and it has no cap.
 check that needs it, and counts nothing until a check asks: the round
 trip of ``dnf-fourier encdec-test`` reads no count.
 
-``FamilyAnalysis`` is also the record of the full-depth pairs: it encodes
-each pair with S nonempty once, through ``extract_cover``, which returns
-the encoder's plain row (no object per pair).  Per subset it keeps the
-cover statistics, the fixed-side assignments x_Sbar of its full-depth
-pairs as n-bit masks (``xsbars``: the tables' ``full_depth_xsbars``, read
-once) and the rows packed into an ``EncodingRecord`` (arrays in
-``valid_pairs`` order), which the ``roundtrip`` check of ``verify`` and
-``dnf-fourier encdec-test`` decode and compare with ``xsbars``.  The
-record of S = {} is written without encoding: x_sat is every assignment
-(the ``xsbars`` of S = {}), with empty sigma and a read-only broadcast
-zero as a.  An encoder fault while it classifies, or a row that
-``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
-it.  Once the pairs of a subset with |S| = d_max are encoded, its
-restriction table is released, since an encoder round only asks about
-proper subsets of S; the tables keep its full-depth count, which the
-``evasive`` check reads.
+``FamilyAnalysis`` also encodes the full-depth pairs: each pair with S
+nonempty once, through ``extract_cover``, which returns the encoder's
+plain row (no object per pair).  Per subset it keeps only the cover
+statistics.  The encodings stream: when a caller passes a ``consumer``,
+the pass of each subset S that has a full-depth pair ends by packing
+its rows into an ``EncodingRecord`` (arrays in ``valid_pairs`` order) and
+calling ``consumer(S, xsbars, record)``, with ``xsbars`` the fixed-side
+assignments x_Sbar of S's pairs as n-bit masks (the tables'
+``full_depth_xsbars``, read once).  The analysis keeps neither, so no
+record outlives its subset's pass.  The ``roundtrip`` check of ``verify``
+and ``dnf-fourier encdec-test`` are consumers; ``sweep`` passes none, and
+then no record is packed.  The record of S = {} is written without
+encoding: x_sat is every assignment (the ``xsbars`` of S = {}), with
+empty sigma and a read-only broadcast zero as a.  An encoder fault while
+it classifies, or a row that ``EncodingRecord.pack`` rejects, is
+re-raised with the pair that caused it.  Once the pairs of a subset with
+|S| = d_max are encoded, its restriction table is released, since an
+encoder round only asks about proper subsets of S; every other table is
+released at the end of the pass, since no check reads a table after the
+analysis.  The tables keep each full-depth count, which the ``evasive``
+check reads.
 
 ``FamilyAnalysis`` takes every sum over (d, u) once, and its readers
 read them: the pairs per (d, u), counted as each subset is classified;
@@ -67,7 +72,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import sub
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,21 +118,25 @@ class SubsetProfile:
     """Witness statistics for one subset S with at least one full-depth pair."""
 
     d: int
-    xsbars: np.ndarray  # its full-depth x_Sbar as n-bit masks, uint32, read-only, ascending
     count_by_u: dict[int, int]
     covers_by_u: dict[int, set[tuple[int, ...]]]
     assigned_u: int  # the family key: most frequent u, ties to smallest
-    record: EncodingRecord  # the pairs' encodings, in valid_pairs order
+
+
+#: Takes (S mask, S's x_Sbar masks, S's record) after S's pass.
+RecordConsumer = Callable[[int, np.ndarray, EncodingRecord], None]
 
 
 class FamilyAnalysis:
     """The family partition of all subsets up to size d_max, plus raw counts.
 
     ``tables`` and ``spec`` are the restriction tables and the spectrum of
-    ``dnf``'s truth table."""
+    ``dnf``'s truth table.  ``consumer``, if given, receives each subset's
+    encodings after its pass (see the module docstring)."""
 
     def __init__(
-        self, dnf: Dnf, d_max: int, tables: RestrictionTables, spec: FourierSpectrum
+        self, dnf: Dnf, d_max: int, tables: RestrictionTables, spec: FourierSpectrum,
+        consumer: RecordConsumer | None = None,
     ):
         if d_max > DT_CAP:
             raise CapExceededError(f"d_max={d_max} exceeds decision-tree cap {DT_CAP}")
@@ -140,7 +149,7 @@ class FamilyAnalysis:
         self.profiles: dict[int, SubsetProfile] = {}
         self._pairs: Counter[tuple[int, int]] = Counter()   # pairs per (d, u)
         self._cover_counts: dict[int, dict[int, int]] = {}
-        self._classify()
+        self._classify(consumer)
         self.weight_at_u = [DyadicRational(0)] * (self.u_hi + 1)
         for (_, u), stats in self.families.items():
             self.weight_at_u[u] += stats.two_norm_sq
@@ -160,15 +169,18 @@ class FamilyAnalysis:
         family, from the kept counts."""
         return max(self.cover_counts(m).get(key.u, 0) for m in self.families[key].members)
 
-    def _classify(self) -> None:
-        for s_mask in subsets_up_to(self.dnf.n, self.d_max):
-            self._classify_subset(s_mask)
+    def _classify(self, consumer: RecordConsumer | None) -> None:
+        subsets = subsets_up_to(self.dnf.n, self.d_max)
+        for s_mask in subsets:
+            self._classify_subset(s_mask, consumer)
             if s_mask.bit_count() == self.d_max:
                 # an encoder round asks only about proper subsets of S, so no
                 # later pass reads E_S
                 self.tables.release(s_mask)
+        for s_mask in subsets:   # no check reads a table after the analysis
+            self.tables.release(s_mask)
 
-    def _classify_subset(self, s_mask: int) -> None:
+    def _classify_subset(self, s_mask: int, consumer: RecordConsumer | None) -> None:
         n = self.dnf.n
         d = s_mask.bit_count()
         xsbars = self.tables.full_depth_xsbars(s_mask)
@@ -186,10 +198,10 @@ class FamilyAnalysis:
             # masks, and a is one zero broadcast to every row
             count_by_u = {0: int(xsbars.size)}
             covers_by_u = {0: {()}}
-            record = EncodingRecord(
-                n, xsbars, np.zeros((xsbars.size, 0), np.uint8),
-                np.broadcast_to(np.uint16(0), xsbars.shape),
-            )
+            if consumer is not None:
+                consumer(0, xsbars, EncodingRecord(
+                    n, xsbars, np.zeros((xsbars.size, 0), np.uint8),
+                    np.broadcast_to(np.uint16(0), xsbars.shape)))
         else:
             rows = []
             for xsbar in xsbars.tolist():
@@ -202,17 +214,18 @@ class FamilyAnalysis:
             covers_by_u = {u: set() for u in count_by_u}
             for u, cover in {(row[4], row[3]) for row in rows}:
                 covers_by_u[u].add(cover)
-            try:
-                record = EncodingRecord.pack(n, d, rows)
-            except EncodingInvariantError as exc:
-                raise EncodingInvariantError(
-                    f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
+            if consumer is not None:
+                try:
+                    record = EncodingRecord.pack(n, d, rows)
+                except EncodingInvariantError as exc:
+                    raise EncodingInvariantError(
+                        f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
+                consumer(s_mask, xsbars, record)
         for u, cnt in count_by_u.items():
             self._pairs[d, u] += cnt
         top = max(count_by_u.values())
         assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
-        self.profiles[s_mask] = SubsetProfile(
-            d, xsbars, count_by_u, covers_by_u, assigned_u, record)
+        self.profiles[s_mask] = SubsetProfile(d, count_by_u, covers_by_u, assigned_u)
         stats = self.families.setdefault(FamilyKey(d, assigned_u), FamilyStats())
         stats.members.append(s_mask)
         stats.one_norm = stats.one_norm + abs(coeff)

@@ -35,10 +35,13 @@ one integer compare at the end.  ``encode`` is a thin wrapper that builds
 the validated ``Encoding`` and ``CoverRecord`` from the row.  In
 ``verify`` each full-depth pair with S nonempty is encoded once:
 ``FamilyAnalysis`` encodes it (through ``extract_cover``, which returns
-the row) and packs the rows of each subset into an ``EncodingRecord`` of
-arrays, which checks the sigma positions of every row at once.  The pairs
-with S empty are not encoded at all: their encoding is x_sat = x with
-empty sigma and a, and the analysis writes that record directly.
+the row).  When the analysis has a consumer of the encodings (the
+``roundtrip`` check, ``encdec-test``), it packs the rows of each subset
+into an ``EncodingRecord`` of arrays, which checks the sigma positions of
+every row at once, and hands it over at the end of the subset's pass;
+``sweep`` has none and packs nothing.  The pairs with S empty are not
+encoded at all: their encoding is x_sat = x with empty sigma and a, and
+the analysis writes that record directly.
 
 Each round scans the terms from the previous round's selected term on,
 that term included: every term before it was falsified in an earlier
@@ -59,14 +62,16 @@ each candidate.  ``valid_pairs`` and the family analysis read each
 subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``.
 
 ``decode_records`` inverts a whole batch of same-degree encodings with
-numpy, and the ``roundtrip`` check decodes every pair through it: each row
+numpy, and the ``roundtrip`` check decodes every pair through it, in
+chunks, as the analysis hands over each subset's record: each row
 meets every check of the scalar path, and a row that fails one is reported
 by the index of its ``DecodeError`` message in ``DECODE_ERRORS``.  Its
 test oracle is the scalar ``decode`` of each record row rebuilt as an
 ``Encoding`` (the ``encodings`` helper of the tests).
 ``dnf-fourier encdec-test`` runs ``verify``'s family analysis and batched
-round trip too, and writes its corpus from the record arrays: it calls
-neither ``encode`` nor ``decode`` and builds no ``Encoding``.
+round trip too, and writes its corpus from the record arrays as each
+subset's record arrives: it calls neither ``encode`` nor ``decode`` and
+builds no ``Encoding``.
 """
 from __future__ import annotations
 

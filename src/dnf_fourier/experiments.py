@@ -6,7 +6,10 @@ the report (and the CLI) signal failure.  An instance that cannot be
 loaded or built is an ``error`` entry with no rows, in a verify or a sweep,
 and the other instances still run.  An encoder fault is a failed
 ``roundtrip`` row in a verify and a ``fault`` entry in a sweep, and the
-other instances still run too.  ``run_concentration_sweep`` measures
+other instances still run too.  The ``roundtrip`` check (``RoundTrip``)
+is the family analysis's consumer: it decodes each subset's encodings
+during that subset's pass, so no record outlives it, and a decode fault
+fails only its row.  ``run_concentration_sweep`` measures
 spectral sparsity and how much weight small-union-size families capture, without
 asserting theorem-level claims whose hypotheses do not hold at desk scale
 (those are emitted as report-only rows).
@@ -64,6 +67,7 @@ from .encoder import (
     DecodeError,
     EncodePreconditionError,
     EncodingInvariantError,
+    EncodingRecord,
     decode,  # no caller here, but bench/spans.py wraps this name
     decode_records,
     encode,  # no caller here either, and bench/spans.py wraps it too
@@ -183,24 +187,24 @@ class ExperimentConfig:
         instances = tuple(InstanceSource.from_dict(s) for s in sources)
         kwargs = {}
         if "eps" in obj:
-            kwargs["eps"] = _scalar("eps", obj["eps"], Fraction)
+            kwargs["eps"] = _scalar("eps", obj["eps"])
         if "C" in obj:
-            kwargs["c_param"] = _scalar("C", obj["C"], Fraction)
+            kwargs["c_param"] = _scalar("C", obj["C"])
         if "C_sweep" in obj:
             if not isinstance(obj["C_sweep"], list):
                 raise ConfigError("'C_sweep' must be a list")
-            kwargs["c_sweep"] = tuple(_scalar("C_sweep", c, Fraction) for c in obj["C_sweep"])
+            kwargs["c_sweep"] = tuple(_scalar("C_sweep", c) for c in obj["C_sweep"])
         if obj.get("d_max") is not None:
-            kwargs["d_max"] = _scalar("d_max", obj["d_max"], int)
+            kwargs["d_max"] = _scalar("d_max", obj["d_max"], integral=True)
         if obj.get("u_star") is not None:
-            kwargs["u_star"] = _scalar("u_star", obj["u_star"], int)
+            kwargs["u_star"] = _scalar("u_star", obj["u_star"], integral=True)
         if "checks" in obj:
             checks = obj["checks"]
             if checks != "all" and not isinstance(checks, list):
                 raise ConfigError(f"'checks' must be \"all\" or a list, not {checks!r}")
             kwargs["checks"] = ALL_CHECKS if checks == "all" else tuple(checks)
         if "workers" in obj:
-            kwargs["workers"] = _scalar("workers", obj["workers"], int)
+            kwargs["workers"] = _scalar("workers", obj["workers"], integral=True)
         return cls(instances=instances, **kwargs)
 
     def core_dict(self) -> dict:
@@ -217,13 +221,23 @@ class ExperimentConfig:
         }
 
 
-def _scalar(key: str, value, convert):
-    """``convert(value)``; a value it cannot take (a list, ``"1/0"``,
-    ``"x"``) is a ``ConfigError`` that names the config field ``key``."""
+def _scalar(key: str, value, integral: bool = False):
+    """``value`` as a ``Fraction``, or as an ``int`` if ``integral``.  A
+    number, or a string that ``Fraction`` reads, is taken (``4``, ``4.0``
+    and ``"4"`` alike); a boolean, a list, ``"1/0"``, ``"x"``, or a value
+    with a fractional part where an integer is due, is a ``ConfigError``
+    that names the config field ``key``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"bad {key!r} value {value!r}: a boolean is not a number")
     try:
-        return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        number = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad {key!r} value {value!r}: {exc}") from exc
+    if not integral:
+        return number
+    if number.denominator != 1:
+        raise ConfigError(f"bad {key!r} value {value!r}: not an integer")
+    return int(number)
 
 
 # -- formatting ---------------------------------------------------------------
@@ -259,7 +273,7 @@ def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) 
 
 
 #: Checks that read the family analysis.  The roundtrip decodes the
-#: analysis's record of encodings.
+#: encodings the analysis hands it, one subset at a time.
 ANALYSIS_CHECKS = frozenset(
     {"degree_counts", "families", "read_chain", "exact_width_chain", "cover_budget",
      "roundtrip"}
@@ -301,7 +315,8 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     The instance's truth table, spectrum, restriction tables and family
     analysis are built here, once, and passed to every check; the tables
-    and the analysis only when a configured check reads them.  An encoder
+    and the analysis only when a configured check reads them, and the
+    round trip, when configured, as the analysis's consumer.  An encoder
     fault while the analysis is built is a failed ``roundtrip`` row, and
     the checks that need the analysis are left out."""
     n = dnf.n
@@ -317,9 +332,10 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     tables = RestrictionTables(f) if checks & TABLE_CHECKS else None
     analysis: FamilyAnalysis | None = None
     analysis_fault: str | None = None
+    roundtrip = RoundTrip(dnf) if "roundtrip" in checks else None
     if checks & ANALYSIS_CHECKS:
         try:
-            analysis = FamilyAnalysis(dnf, d_max, tables, spec)
+            analysis = FamilyAnalysis(dnf, d_max, tables, spec, roundtrip)
         except (EncodePreconditionError, EncodingInvariantError) as exc:
             analysis_fault = f"{type(exc).__name__} {exc}"
             checks = (checks - ANALYSIS_CHECKS) | {"roundtrip"}
@@ -481,7 +497,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "roundtrip" in checks:
         if analysis_fault is None:
-            pairs, failure = _roundtrip(dnf, analysis)
+            pairs, failure = roundtrip.result()
             error = None if failure is None else failure[2]
         else:
             pairs, error = 0, analysis_fault
@@ -517,29 +533,59 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 ROUNDTRIP_CHUNK = 4096
 
 
-def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis) -> tuple[int, tuple[int, int, str] | None]:
-    """Decode every full-depth pair's encoding and compare it with the pair.
+class RoundTrip:
+    """The ``roundtrip`` check, fed by the family analysis one subset at a
+    time: decode every full-depth pair's encoding and compare it with the
+    pair.
 
-    Every pair, S = {} included, is decoded from the analysis's record and
-    compared with the x_Sbar masks the analysis kept, so no table is read;
-    the records of each degree are decoded in chunks by ``decode_records``.
-    Returns the number of pairs before the first failure in ``valid_pairs``
-    order, and that failure as (S mask, x_Sbar mask, error), or None; an
-    encoder or decoder fault is a failure, not a usage error.
-    """
-    first: tuple[int, int, int, str] | None = None   # (S mask, row in S, x_Sbar, error)
+    Called as the analysis's consumer with (S mask, S's x_Sbar masks, S's
+    record), S = {} included, so no table is read.  Rows are buffered per
+    degree and a buffer is decoded by ``decode_records`` once it holds
+    ``ROUNDTRIP_CHUNK`` rows, so at most d_max + 1 chunks are held; the
+    rows a buffer keeps after a call are copied, so that no record
+    outlives its subset's pass.  ``result`` decodes what is left."""
 
-    def keep(s_mask: int, row: int, xsbar: int, error: str) -> None:
+    def __init__(self, dnf: Dnf):
+        self.dnf = dnf
+        self._chunks: dict[int, list[tuple[np.ndarray, ...]]] = {}   # per degree
+        self._rows: dict[int, int] = {}
+        self._pairs: list[tuple[int, int]] = []   # (S mask, its pairs), ascending
+        self._first: tuple[int, int, int, str] | None = None   # (S, row in S, x_Sbar, error)
+
+    def _keep(self, s_mask: int, row: int, xsbar: int, error: str) -> None:
         """Keep the failure that comes first in ``valid_pairs`` order."""
-        nonlocal first
-        if first is None or (s_mask, row) < first[:2]:
-            first = (s_mask, row, xsbar, error)
+        if self._first is None or (s_mask, row) < self._first[:2]:
+            self._first = (s_mask, row, xsbar, error)
 
-    def check(d, chunk) -> None:
+    def __call__(self, s_mask: int, xsbars: np.ndarray, record: EncodingRecord) -> None:
+        self._pairs.append((s_mask, xsbars.size))
+        held = len(record)
+        if held != xsbars.size:
+            self._keep(s_mask, 0, int(xsbars[0]), f"the record of S={s_mask} holds {held} "
+                                                  f"encodings for {xsbars.size} full-depth pairs")
+            return
+        d = s_mask.bit_count()
+        chunk = self._chunks.setdefault(d, [])
+        rows = self._rows.get(d, 0)
+        for lo in range(0, held, ROUNDTRIP_CHUNK):
+            hi = min(held, lo + ROUNDTRIP_CHUNK)
+            chunk.append((np.full(hi - lo, s_mask, np.uint32), xsbars[lo:hi],
+                          np.arange(lo, hi), record.x_sat[lo:hi],
+                          record.sigma[lo:hi], record.a[lo:hi]))
+            rows += hi - lo
+            if rows >= ROUNDTRIP_CHUNK:
+                self._check(d, chunk)
+                chunk.clear()
+                rows = 0
+        if rows:   # only the last slice can stay: own it, so that the record can go
+            chunk[-1] = tuple(col.copy() for col in chunk[-1])
+        self._rows[d] = rows
+
+    def _check(self, d: int, chunk: list[tuple[np.ndarray, ...]]) -> None:
         """Decode one chunk of degree-d rows and keep its first failure."""
         s_exp, x_exp, row, x_sat, sigma, a = (np.concatenate(col) for col in zip(*chunk))
         try:
-            s_dec, x_dec, code = decode_records(dnf, d, x_sat, sigma, a)
+            s_dec, x_dec, code = decode_records(self.dnf, d, x_sat, sigma, a)
         except DecodeError as exc:   # the batch as a whole: blame its first pair
             bad, error = 0, f"DecodeError at S={s_exp[0]}, x={x_exp[0]}: {exc}"
         else:
@@ -550,34 +596,21 @@ def _roundtrip(dnf: Dnf, analysis: FamilyAnalysis) -> tuple[int, tuple[int, int,
             at = f"at S={s_exp[bad]}, x={x_exp[bad]}"
             error = (f"DecodeError {at}: {DECODE_ERRORS[code[bad]]}" if code[bad] else
                      f"decoded {(int(s_dec[bad]), int(x_dec[bad]))} {at}")
-        keep(int(s_exp[bad]), int(row[bad]), int(x_exp[bad]), error)
+        self._keep(int(s_exp[bad]), int(row[bad]), int(x_exp[bad]), error)
 
-    profiles = sorted(analysis.profiles.items())
-    for d in range(analysis.d_max + 1):
-        chunk, rows = [], 0
-        for s_mask, profile in ((m, p) for m, p in profiles if p.d == d):
-            record, xsbars = profile.record, profile.xsbars
-            held = len(record)
-            if held != xsbars.size:
-                keep(s_mask, 0, int(xsbars[0]), f"the record of S={s_mask} holds {held} "
-                                                f"encodings for {xsbars.size} full-depth pairs")
-                continue
-            for lo in range(0, held, ROUNDTRIP_CHUNK):
-                hi = min(held, lo + ROUNDTRIP_CHUNK)
-                chunk.append((np.full(hi - lo, s_mask, np.uint32), xsbars[lo:hi],
-                              np.arange(lo, hi), record.x_sat[lo:hi],
-                              record.sigma[lo:hi], record.a[lo:hi]))
-                rows += hi - lo
-                if rows >= ROUNDTRIP_CHUNK:
-                    check(d, chunk)
-                    chunk, rows = [], 0
-        if chunk:
-            check(d, chunk)
-
-    if first is None:
-        return sum(p.xsbars.size for _, p in profiles), None
-    s_fail, row, xsbar, error = first
-    return sum(p.xsbars.size for m, p in profiles if m < s_fail) + row, (s_fail, xsbar, error)
+    def result(self) -> tuple[int, tuple[int, int, str] | None]:
+        """Decode the rows still buffered and return the number of pairs
+        before the first failure in ``valid_pairs`` order, and that failure
+        as (S mask, x_Sbar mask, error), or None; an encoder or decoder
+        fault is a failure, not a usage error."""
+        for d, chunk in sorted(self._chunks.items()):
+            if chunk:
+                self._check(d, chunk)
+        self._chunks.clear()
+        if self._first is None:
+            return sum(size for _, size in self._pairs), None
+        s_fail, row, xsbar, error = self._first
+        return sum(size for m, size in self._pairs if m < s_fail) + row, (s_fail, xsbar, error)
 
 
 def _family_summary(analysis: FamilyAnalysis) -> list[dict]:

@@ -65,7 +65,7 @@ def tribes(w: int, t: int) -> Dnf:
     """t disjoint all-positive terms of width exactly w, on n = w*t variables."""
     n = w * t
     if not 1 <= n <= N_CAP:
-        raise GenerationError(f"tribes({w},{t}) needs n={n} <= {N_CAP}")
+        raise GenerationError(f"tribes({w},{t}) has n=w*t={n} outside [1, {N_CAP}]")
     terms = []
     for i in range(t):
         mask = ((1 << w) - 1) << (i * w)

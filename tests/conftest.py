@@ -3,8 +3,9 @@
 The corpus is 200 seeded random DNFs (n between 4 and 8, up to 6 terms,
 width at most 4, read unconstrained) plus the two smallest tribes
 instances.  Bundles carry the per-instance objects the heavier suites
-share: truth table, spectrum, restriction tables, and the family analysis
-at d_max = 4.  ``small_dnfs`` is the hypothesis strategy for random DNFs
+share: truth table, spectrum, restriction tables, the family analysis at
+d_max = 4, and the records the analysis handed its consumer (``records``:
+S mask to (x_Sbar masks, record)).  ``small_dnfs`` is the hypothesis strategy for random DNFs
 with duplicate terms, the empty term and negated literals.  ``encodings``
 rebuilds a record's rows as ``Encoding`` objects for the scalar
 ``decode``, the oracle of ``decode_records``.
@@ -15,6 +16,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -80,14 +82,22 @@ class Bundle:
     spec: FourierSpectrum
     tables: RestrictionTables
     analysis: FamilyAnalysis
+    records: dict[int, tuple[np.ndarray, EncodingRecord]]
 
 
 def make_bundle(label: str, dnf: Dnf, d_max: int = CORPUS_D_MAX) -> Bundle:
-    """One instance's context, built once as verify builds it."""
+    """One instance's context, built once as verify builds it, with a
+    consumer that keeps every subset's records."""
     f = dnf.evaluate()
     spec = fourier_transform(f)
     tables = RestrictionTables(f)
-    return Bundle(label, dnf, f, spec, tables, FamilyAnalysis(dnf, d_max, tables, spec))
+    records: dict[int, tuple[np.ndarray, EncodingRecord]] = {}
+
+    def keep(s_mask, xsbars, record):
+        records[s_mask] = (xsbars, record)
+
+    analysis = FamilyAnalysis(dnf, d_max, tables, spec, keep)
+    return Bundle(label, dnf, f, spec, tables, analysis, records)
 
 
 @functools.lru_cache(maxsize=1)

@@ -329,9 +329,14 @@ def test_analysis_names_the_pair_of_a_row_that_pack_rejects(monkeypatch, sigma, 
         return (row[0], sigma, *row[2:]) if (s, x) == (s_mask, xsbar) else row
 
     monkeypatch.setattr(covers, "extract_cover", corrupt_one_pair)
+    consumed = []
     with pytest.raises(EncodingInvariantError,
                        match=f"^at S={s_mask}, x={xsbar}: {message}$"):
-        FamilyAnalysis(dnf, 2, tables, fourier_transform(f))
+        FamilyAnalysis(dnf, 2, tables, fourier_transform(f),
+                       lambda s, xsbars, record: consumed.append(s))
+    assert consumed == [m for m in range(s_mask) if tables.full_depth_count(m)]
+    # with no consumer no record is packed, so sigma is never read
+    FamilyAnalysis(dnf, 2, RestrictionTables(f), fourier_transform(f))
 
 
 def test_corrupted_sigma_raises_not_misdecodes():
@@ -528,7 +533,7 @@ def test_the_analysis_of_readk16_asks_578404_questions(monkeypatch):
     # lookup in each pair's last round, one per encoded pair fewer without
     count = _record_questions(monkeypatch, _QuestionCount())
     b = make_bundle("readk16", random_read_k(n=16, s=10, w=3, k=2, seed=3))
-    encoded = sum(p.xsbars.size for s_mask, p in b.analysis.profiles.items() if s_mask)
+    encoded = sum(b.tables.full_depth_count(s_mask) for s_mask in b.analysis.profiles if s_mask)
     assert (encoded, count.total) == (158_288, 578_404)
 
 
@@ -552,8 +557,9 @@ def test_encode_asks_each_question_once_on_corpus(asked, bundles):
         _assert_each_question_asked_once(asked, b.dnf, b.tables, b.analysis.d_max)
 
 
-def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
-    """The analysis's record and cover statistics equal the oracle encoder's
+def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
+    """The records the analysis handed its consumer, and its cover
+    statistics, equal the oracle encoder's
     on every pair of valid_pairs, entry by entry, and the record decodes
     back to that sequence.  That includes S = {}, whose record the analysis
     writes without encoding: x_sat is every assignment, with empty sigma
@@ -562,15 +568,14 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
     by_subset: dict[int, list[tuple[int, int]]] = {}
     for s_mask, xsbar in valid_pairs(tables, analysis.d_max):
         by_subset.setdefault(s_mask, []).append((s_mask, xsbar))
-    assert set(analysis.profiles) == set(by_subset)
+    assert set(analysis.profiles) == set(by_subset) == set(records)
     for s_mask, pairs in by_subset.items():
         profile = analysis.profiles[s_mask]
-        record = profile.record
+        xsbars, record = records[s_mask]
         assert (record.x_sat.dtype, record.sigma.dtype, record.a.dtype) == (
             np.uint32, np.uint8, np.uint16)
         assert record.sigma.shape == (len(pairs), s_mask.bit_count())
         # the pairs' fixed-side assignments, computed once, as n-bit masks
-        xsbars = profile.xsbars
         assert xsbars.dtype == np.uint32 and not xsbars.flags.writeable
         assert xsbars.tolist() == [x for _, x in pairs]
         if s_mask == 0:   # the masks are the indices, and the record shares them
@@ -599,14 +604,14 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis):
 
 def test_analysis_record_matches_scalar_encoder_on_corpus(bundles):
     for b in bundles:
-        _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis)
+        _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis, b.records)
 
 
 @given(small_dnfs(), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_analysis_record_matches_scalar_encoder_on_random_dnfs(dnf, d_max):
     b = make_bundle("random", dnf, d_max)
-    _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis)
+    _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis, b.records)
 
 
 def _degree_records(b):
@@ -616,7 +621,7 @@ def _degree_records(b):
     out = {0: EncodingRecord.pack(n, 0, [
         encode_row(b.dnf, 0, x, b.tables) for x in range(1 << n)])}
     for d in range(1, b.analysis.d_max + 1):
-        records = [p.record for _, p in sorted(b.analysis.profiles.items()) if p.d == d]
+        records = [r for s_mask, (_, r) in sorted(b.records.items()) if s_mask.bit_count() == d]
         if records:
             out[d] = EncodingRecord(n, *(np.concatenate(col) for col in zip(
                 *((r.x_sat, r.sigma, r.a) for r in records))))

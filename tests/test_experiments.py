@@ -21,7 +21,13 @@ from dnf_fourier import (
 from dnf_fourier.bitops import subsets_up_to
 from dnf_fourier.cli import main
 from dnf_fourier.encoder import DecodeError, EncodePreconditionError, EncodingInvariantError
-from dnf_fourier.experiments import ConfigError, family_csv, render_json, rows_jsonl
+from dnf_fourier.experiments import (
+    ConfigError,
+    family_csv,
+    render_json,
+    rows_jsonl,
+    verify_instance,
+)
 from dnf_fourier.restrictions import DT_CAP
 
 
@@ -235,10 +241,23 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
     ({"instances": [_TRIBES22], "C_sweep": [[1]]}, "'C_sweep'"),
     ({"instances": [{"generator": 3}]}, "'generator'"),
     ({"instances": [{"generator": {"family": "tribes", "seed": "x"}}]}, "'generator'"),
+    ({"instances": [_TRIBES22], "d_max": 2.5}, "'d_max'"),
+    ({"instances": [_TRIBES22], "d_max": "2.5"}, "'d_max'"),
+    ({"instances": [_TRIBES22], "d_max": True}, "'d_max'"),
+    ({"instances": [_TRIBES22], "u_star": 2.9}, "'u_star'"),
+    ({"instances": [_TRIBES22], "u_star": False}, "'u_star'"),
+    ({"instances": [_TRIBES22], "workers": 1.5}, "'workers'"),
+    ({"instances": [_TRIBES22], "workers": True}, "'workers'"),
+    ({"instances": [_TRIBES22], "eps": True}, "'eps'"),
+    ({"instances": [_TRIBES22], "C": True}, "'C'"),
+    ({"instances": [_TRIBES22], "C_sweep": [1, True]}, "'C_sweep'"),
 ], ids=["not-an-object", "instances-not-a-list", "instance-not-an-object",
         "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string",
         "eps-a-zero-denominator", "d_max-a-list", "C_sweep-entry-a-list",
-        "generator-not-an-object", "generator-seed-not-an-int"])
+        "generator-not-an-object", "generator-seed-not-an-int", "d_max-not-integral",
+        "d_max-a-non-integral-string", "d_max-a-boolean", "u_star-not-integral",
+        "u_star-a-boolean", "workers-not-integral", "workers-a-boolean", "eps-a-boolean",
+        "C-a-boolean", "C_sweep-entry-a-boolean"])
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_malformed_config_is_a_usage_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, config, names):
@@ -260,6 +279,14 @@ def test_cli_malformed_config_is_a_usage_error_before_any_work(
     errors = [e for e in capsys.readouterr().err.splitlines() if e.startswith("error: ")]
     assert errors and names in errors[0]
     assert built == [] and not out_path.exists()
+
+
+@pytest.mark.parametrize("value", [4, 4.0, "4", "4.0"])
+def test_an_integral_config_value_is_taken_in_any_form(value):
+    cfg = ExperimentConfig.from_json(json.dumps(
+        {"instances": [_TRIBES22], "d_max": value, "u_star": value, "workers": value}))
+    assert (cfg.d_max, cfg.u_star) == (4, 4) and type(cfg.d_max) is type(cfg.u_star) is int
+    assert cfg.workers == 1   # clamped to the one instance
 
 
 def test_cli_covers_rejects_a_variable_beyond_n(tmp_path, capsys):
@@ -406,39 +433,59 @@ def test_encdec_calls_no_scalar_codec_and_encodes_each_pair_once(tmp_path, monke
 ])
 def test_encdec_reports_a_fault_as_a_failed_roundtrip(tmp_path, monkeypatch, capsys,
                                                       fault, line):
-    # an encoder fault in the analysis, or the record of S corrupted after it
-    # (a bad sigma in one row, or the last row dropped), is a failed round
-    # trip naming the first failing pair: exit 1, no traceback, no corpus
+    # an encoder fault in the analysis, or the record of S corrupted on its
+    # way to the round trip (a bad sigma in one row, or the last row
+    # dropped), is a failed round trip naming the first failing pair: exit
+    # 1, no traceback, and the corpus path left as it was.  A corrupted
+    # record fails where the batched oracle fails, with the same pair count
     import dnf_fourier.cli as cli
-    from dnf_fourier import covers
+    from dnf_fourier import covers, experiments
 
-    roundtrip = cli._roundtrip
+    from conftest import make_bundle
 
     def broken(*args):
         raise fault("injected fault")
 
-    def corrupt_then_roundtrip(dnf, analysis):
+    def corrupt(record):
         s_mask, row = fault
-        profile = analysis.profiles[s_mask]
         if row is None:
-            profile.record = dataclasses.replace(
-                profile.record, x_sat=profile.record.x_sat[:-1],
-                sigma=profile.record.sigma[:-1], a=profile.record.a[:-1])
-        else:
-            profile.record.sigma[row] = (0, 1)
-        return roundtrip(dnf, analysis)
+            return dataclasses.replace(record, x_sat=record.x_sat[:-1],
+                                       sigma=record.sigma[:-1], a=record.a[:-1])
+        record.sigma[row] = (0, 1)
+        return record
+
+    results = []
+
+    class CorruptingRoundTrip(experiments.RoundTrip):
+        def __call__(self, s_mask, xsbars, record):
+            if s_mask == fault[0]:
+                record = corrupt(record)
+            super().__call__(s_mask, xsbars, record)
+
+        def result(self):
+            results.append(super().result())
+            return results[-1]
 
     if isinstance(fault, type):
         monkeypatch.setattr(covers, "extract_cover", broken)
     else:
-        monkeypatch.setattr(cli, "_roundtrip", corrupt_then_roundtrip)
+        monkeypatch.setattr(cli, "RoundTrip", CorruptingRoundTrip)
     dnf_path = tmp_path / "t22.dnf"
     dnf_path.write_text(tribes(2, 2).to_text())
     corpus = tmp_path / "cases.jsonl"
+    corpus.write_text("an earlier corpus\n")
     assert main(["encdec-test", str(dnf_path), "--corpus-out", str(corpus)]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"ROUNDTRIP FAILED {line}\n"
-    assert captured.err == "" and not corpus.exists()
+    assert captured.err == "" and corpus.read_text() == "an earlier corpus\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cases.jsonl", "t22.dnf"]
+    if not isinstance(fault, type):
+        b = make_bundle("t22", tribes(2, 2))
+        records = dict(b.records)
+        records[fault[0]] = (records[fault[0]][0], corrupt(records[fault[0]][1]))
+        pairs, failure = _batched_roundtrip(b.dnf, records, b.analysis.d_max)
+        assert results == [(pairs, failure)]
+        assert line == "at S={}, x={}: {}".format(*failure)
 
 
 @pytest.mark.parametrize("d_max", [-1, DT_CAP + 1])
@@ -572,13 +619,13 @@ def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
     assert "encodings for" in row["context"]["error"]
 
 
-def _scalar_roundtrip(dnf, tables, analysis):
+def _scalar_roundtrip(dnf, tables, records, d_max):
     """The round trip pair by pair, in ``valid_pairs`` order, through the
-    records rebuilt as ``Encoding`` objects and the scalar ``decode``: the
-    oracle of ``experiments._roundtrip``.  (That the records, S = {}
-    included, equal the scalar ``encode`` is checked in test_encoder.py.)
-    Its x_Sbar masks are the scalar ``pdep`` of the indices where each
-    unpacked table holds."""
+    records (S mask to (x_Sbar masks, record)) rebuilt as ``Encoding``
+    objects and the scalar ``decode``: the oracle of ``RoundTrip``.  (That
+    the records, S = {} included, equal the scalar ``encode`` is checked
+    in test_encoder.py.)  Its x_Sbar masks are the scalar ``pdep`` of the
+    indices where each unpacked table holds."""
     from dnf_fourier.bitops import pdep
     from dnf_fourier.encoder import decode
 
@@ -586,12 +633,11 @@ def _scalar_roundtrip(dnf, tables, analysis):
 
     full = (1 << dnf.n) - 1
     pairs = 0
-    for s_mask in subsets_up_to(dnf.n, analysis.d_max):
+    for s_mask in subsets_up_to(dnf.n, d_max):
         bits = np.unpackbits(tables.dt_by_sbar(s_mask), bitorder="little",
                              count=1 << (dnf.n - s_mask.bit_count()))
         xsbars = [pdep(int(i), full ^ s_mask) for i in np.flatnonzero(bits)]
-        profile = analysis.profiles.get(s_mask)
-        record = None if profile is None else profile.record
+        record = records[s_mask][1] if s_mask in records else None
         held = 0 if record is None else len(record)
         if held != len(xsbars):
             return pairs, (s_mask, xsbars[0], f"the record of S={s_mask} holds {held} "
@@ -609,13 +655,89 @@ def _scalar_roundtrip(dnf, tables, analysis):
     return pairs, None
 
 
-def test_roundtrip_matches_the_scalar_path_on_corpus(bundles):
-    from dnf_fourier import experiments
+def _batched_roundtrip(dnf, records, d_max):
+    """The round trip over every record at once, degree by degree, in
+    chunks of ``ROUNDTRIP_CHUNK`` rows: the oracle of the streamed
+    ``RoundTrip``, which decodes the same chunks as the records arrive.
+    ``records`` maps an S mask to (x_Sbar masks, record)."""
+    from dnf_fourier.encoder import DECODE_ERRORS, decode_records
+    from dnf_fourier.experiments import ROUNDTRIP_CHUNK
 
+    first = None   # (S mask, row in S, x_Sbar, error)
+
+    def keep(s_mask, row, xsbar, error):
+        nonlocal first
+        if first is None or (s_mask, row) < first[:2]:
+            first = (s_mask, row, xsbar, error)
+
+    def check(d, chunk):
+        s_exp, x_exp, row, x_sat, sigma, a = (np.concatenate(col) for col in zip(*chunk))
+        try:
+            s_dec, x_dec, code = decode_records(dnf, d, x_sat, sigma, a)
+        except DecodeError as exc:
+            bad, error = 0, f"DecodeError at S={s_exp[0]}, x={x_exp[0]}: {exc}"
+        else:
+            wrong = np.flatnonzero((code != 0) | (s_dec != s_exp) | (x_dec != x_exp))
+            if wrong.size == 0:
+                return
+            bad = wrong[0]
+            at = f"at S={s_exp[bad]}, x={x_exp[bad]}"
+            error = (f"DecodeError {at}: {DECODE_ERRORS[code[bad]]}" if code[bad] else
+                     f"decoded {(int(s_dec[bad]), int(x_dec[bad]))} {at}")
+        keep(int(s_exp[bad]), int(row[bad]), int(x_exp[bad]), error)
+
+    ordered = sorted(records.items())
+    for d in range(d_max + 1):
+        chunk, rows = [], 0
+        for s_mask, (xsbars, record) in ordered:
+            if s_mask.bit_count() != d:
+                continue
+            held = len(record)
+            if held != xsbars.size:
+                keep(s_mask, 0, int(xsbars[0]), f"the record of S={s_mask} holds {held} "
+                                                f"encodings for {xsbars.size} full-depth pairs")
+                continue
+            for lo in range(0, held, ROUNDTRIP_CHUNK):
+                hi = min(held, lo + ROUNDTRIP_CHUNK)
+                chunk.append((np.full(hi - lo, s_mask, np.uint32), xsbars[lo:hi],
+                              np.arange(lo, hi), record.x_sat[lo:hi],
+                              record.sigma[lo:hi], record.a[lo:hi]))
+                rows += hi - lo
+                if rows >= ROUNDTRIP_CHUNK:
+                    check(d, chunk)
+                    chunk, rows = [], 0
+        if chunk:
+            check(d, chunk)
+    if first is None:
+        return sum(xsbars.size for xsbars, _ in records.values()), None
+    s_fail, row, xsbar, error = first
+    return (sum(xsbars.size for m, (xsbars, _) in ordered if m < s_fail) + row,
+            (s_fail, xsbar, error))
+
+
+def _streamed_roundtrip(dnf, d_max, corrupted=None):
+    """The production round trip: a ``RoundTrip`` fed by a fresh family
+    analysis, through a consumer that hands it ``corrupted[S]`` in place of
+    the record of each S in ``corrupted``."""
+    from dnf_fourier import FamilyAnalysis, RestrictionTables
+    from dnf_fourier.experiments import RoundTrip
+
+    roundtrip, corrupted = RoundTrip(dnf), corrupted or {}
+
+    def consumer(s_mask, xsbars, record):
+        roundtrip(s_mask, xsbars, corrupted.get(s_mask, record))
+
+    f = dnf.evaluate()
+    FamilyAnalysis(dnf, d_max, RestrictionTables(f), fourier_transform(f), consumer)
+    return roundtrip.result()
+
+
+def test_roundtrip_matches_the_scalar_path_on_corpus(bundles):
     for b in bundles:
-        expected = _scalar_roundtrip(b.dnf, b.tables, b.analysis)
+        expected = _scalar_roundtrip(b.dnf, b.tables, b.records, b.analysis.d_max)
         assert expected[1] is None
-        assert experiments._roundtrip(b.dnf, b.analysis) == expected
+        assert _batched_roundtrip(b.dnf, b.records, b.analysis.d_max) == expected
+        assert _streamed_roundtrip(b.dnf, b.analysis.d_max) == expected
 
 
 def _corrupt(kind, dnf, f, record) -> bool:
@@ -675,32 +797,34 @@ def test_roundtrip_of_a_corrupted_empty_set_record_matches_the_scalar_path(kind,
 
 def _check_corrupted_roundtrip(kind, degrees):
     """Corrupt a record of each degree, the largest S first, then the
-    smallest, and compare the round trip with the scalar path."""
-    from dnf_fourier import experiments
+    smallest, and compare the streamed round trip, which gets the
+    corrupted records through its consumer, with the batched oracle and
+    the scalar path."""
     from dnf_fourier.encoder import valid_pairs
 
     from conftest import make_bundle
 
     dnf = GeneratorSpec("random_read_k", {"n": 8, "s": 4, "w": 3, "k": 2}, seed=7).build()
     b = make_bundle("rk8", dnf)
-    masks = sorted(b.analysis.profiles)
-    targets = []
+    masks = sorted(b.records)
+    records, targets = dict(b.records), []
     for rank, d in enumerate(degrees):   # the largest S first, then the smallest
         for s_mask in (masks[::-1] if rank == 0 else masks):
             # the S = {} record shares the read-only full-depth indices, which
             # the round trip compares against, and its a is a read-only
             # broadcast zero: corrupt copies of its x_sat and a
-            profile = b.analysis.profiles[s_mask]
-            record = profile.record = dataclasses.replace(
-                profile.record, x_sat=profile.record.x_sat.copy(), a=profile.record.a.copy())
+            xsbars, record = records[s_mask]
+            record = dataclasses.replace(record, x_sat=record.x_sat.copy(), a=record.a.copy())
             if (s_mask.bit_count() == d and len(record) >= 2
                     and _corrupt(kind, dnf, b.f, record)):
+                records[s_mask] = (xsbars, record)
                 targets.append(s_mask)
                 break
     assert len(targets) == len(degrees) and targets == sorted(targets, reverse=True)
-    expected = _scalar_roundtrip(dnf, b.tables, b.analysis)
+    expected = _scalar_roundtrip(dnf, b.tables, records, 4)
     assert f"at S={targets[-1]}, " in expected[1][2]
-    pairs, failure = experiments._roundtrip(dnf, b.analysis)
+    assert _batched_roundtrip(dnf, records, 4) == expected
+    pairs, failure = _streamed_roundtrip(dnf, 4, {m: records[m][1] for m in targets})
     assert (pairs, failure) == expected
     # the failure names the pair that the count of passed pairs points at
     assert failure[:2] == list(valid_pairs(b.tables, 4))[pairs]
@@ -858,19 +982,19 @@ def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, m
         held.append(sum(1 for m in self._by_sbar if m.bit_count() == d_max))
         return out
 
-    def at_builds(name):
-        fn = getattr(experiments, name)
+    def at_builds(owner, name):
+        fn = getattr(owner, name)
 
         def wrapper(*args):
             phases.append(len(built))
             out = fn(*args)
             phases.append(len(built))
             return out
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
     monkeypatch.setattr(restrictions.RestrictionTables, "dt_by_sbar", dt_by_sbar)
-    monkeypatch.setattr(experiments, "evasive_bound_check", at_builds("evasive_bound_check"))
-    monkeypatch.setattr(experiments, "_roundtrip", at_builds("_roundtrip"))
+    at_builds(experiments, "evasive_bound_check")
+    at_builds(experiments.RoundTrip, "result")
     dnf = _RK8.build()
     checks = ("evasive",) if mode == "evasive" else experiments.ALL_CHECKS
     config = ExperimentConfig(instances=(), d_max=d_max, checks=checks)
@@ -887,6 +1011,110 @@ def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, m
     assert phases[0::2] == phases[1::2]     # no call builds a table
     if mode == "verify":                    # nor does the loop around it
         assert set(phases) == {len(subsets)}
+
+
+@pytest.mark.parametrize("command", ["verify", "encdec-test"])
+def test_no_record_outlives_its_subsets_pass(tmp_path, monkeypatch, command):
+    # a weak reference to each record the analysis packs, to its arrays and
+    # to its subset's x_Sbar masks: all are gone once the next subset's
+    # pass starts, with the round trip (and encdec-test's corpus writer)
+    # as the consumers
+    import weakref
+
+    from dnf_fourier import RestrictionTables, covers
+    from dnf_fourier.encoder import EncodingRecord
+
+    refs, passes = [], []
+
+    class WeakRecord(EncodingRecord):   # every record of the analysis, S = {} included
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.extend(weakref.ref(obj) for obj in (self, self.sigma, self.a))
+
+    full_depth_xsbars = RestrictionTables.full_depth_xsbars
+
+    def next_pass(self, free_mask):
+        assert all(ref() is None for ref in refs), free_mask
+        passes.append(free_mask)
+        xsbars = full_depth_xsbars(self, free_mask)
+        refs.append(weakref.ref(xsbars))
+        return xsbars
+
+    monkeypatch.setattr(RestrictionTables, "full_depth_xsbars", next_pass)
+    monkeypatch.setattr(covers, "EncodingRecord", WeakRecord)
+    dnf = _RK8.build()
+    if command == "verify":
+        config = ExperimentConfig(instances=(), d_max=4, checks=("roundtrip",))
+        (row,) = verify_instance(dnf, "rk8", config)["checks"]
+        assert row["holds"] and row["context"]["pairs"] > 0
+    else:
+        dnf_path = tmp_path / "rk8.dnf"
+        dnf_path.write_text(dnf.to_text())
+        assert main(["encdec-test", str(dnf_path), "--corpus-out",
+                     str(tmp_path / "cases.jsonl")]) == 0
+    assert passes == subsets_up_to(8, 4)
+    # the masks of every pass, and a record and two of its arrays per pass
+    # with a pair: most passes have one
+    assert len(refs) > 2 * len(passes)
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-roundtrip", "sweep", "encdec-test"])
+def test_only_a_consumer_gets_packed_records(tmp_path, monkeypatch, command):
+    # sweep hands the encodings to no consumer, so it packs none; verify
+    # packs the record of every nonempty subset with a pair, once, only
+    # when roundtrip is configured; so does encdec-test
+    from dnf_fourier import covers, experiments
+
+    from conftest import make_bundle
+
+    dnf = _RK8.build()
+    nonempty = [m for m in make_bundle("rk8", dnf).analysis.profiles if m]
+    packed = []
+    pack = covers.EncodingRecord.pack
+
+    def spy(n, d, rows):
+        packed.append(d)
+        return pack(n, d, rows)
+
+    monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(spy))
+    config = ExperimentConfig(instances=(), d_max=4)
+    if command == "sweep":
+        assert experiments.sweep_instance(dnf, "rk8", config)["degree_cutoff"] == 4
+    elif command == "verify":
+        checks = tuple(c for c in experiments.ALL_CHECKS if c != "roundtrip")
+        config = dataclasses.replace(config, checks=checks)
+        assert experiments.verify_instance(dnf, "rk8", config)["failures"] == 0
+    elif command == "verify-roundtrip":
+        assert experiments.verify_instance(dnf, "rk8", config)["failures"] == 0
+    else:
+        dnf_path = tmp_path / "rk8.dnf"
+        dnf_path.write_text(dnf.to_text())
+        assert main(["encdec-test", str(dnf_path)]) == 0
+    expected = ([m.bit_count() for m in nonempty]
+                if command in ("verify-roundtrip", "encdec-test") else [])
+    assert nonempty and packed == expected
+
+
+@pytest.mark.parametrize("with_roundtrip", [False, True])
+def test_the_analysis_releases_every_table(with_roundtrip):
+    # after the pass no table is held, and the counts the evasive rows read
+    # are kept: reading them builds nothing, and they equal fresh counts
+    from dnf_fourier import FamilyAnalysis, RestrictionTables
+    from dnf_fourier.experiments import RoundTrip
+
+    dnf = _RK8.build()
+    f = dnf.evaluate()
+    tables = RestrictionTables(f)
+    FamilyAnalysis(dnf, 4, tables, fourier_transform(f),
+                   RoundTrip(dnf) if with_roundtrip else None)
+    assert tables._by_sbar == {} and tables._lookup == {}
+    fresh = RestrictionTables(f)
+    for m in subsets_up_to(8, 4):
+        assert tables.full_depth_count(m) == fresh.full_depth_count(m), m
+    assert tables._by_sbar == {}
 
 
 @pytest.mark.parametrize("run", [run_verify, run_concentration_sweep],
@@ -921,9 +1149,10 @@ def test_sweep_u_star_sets_the_cutoff():
         2, "263/2^12", False)
 
 
-def test_evasive_only_verify_matches_the_all_checks_rows():
+def test_evasive_only_verify_matches_the_all_checks_rows(monkeypatch):
     # without an analysis the evasive loop counts each table itself and
-    # releases the top level; with one it reads the profiles' counts
+    # releases the top level; with one it reads the counts the tables kept
+    # after the analysis released every table
     from dnf_fourier.experiments import ALL_CHECKS
 
     def evasive_rows(checks):
@@ -933,7 +1162,10 @@ def test_evasive_only_verify_matches_the_all_checks_rows():
 
     rows = evasive_rows(("evasive",))
     assert len(rows) == len(subsets_up_to(8, 4))
+    built = _spy_tables(monkeypatch)
     assert rows == evasive_rows(ALL_CHECKS)
+    (tables,) = built
+    assert tables._by_sbar == {} and tables._lookup == {}
 
 
 def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):

@@ -47,8 +47,11 @@ def test_tribes_examples():
 
 
 def test_tribes_cap():
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError, match=r"n=w\*t=25 outside \[1, 24\]"):
         tribes(5, 5)
+    # w = 0 gives n = 0, below the range
+    with pytest.raises(GenerationError, match=r"tribes\(0,3\) has n=w\*t=0 outside \[1, 24\]"):
+        tribes(0, 3)
 
 
 def test_random_read_k_contract():
