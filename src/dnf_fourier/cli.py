@@ -41,7 +41,7 @@ from .experiments import (
     run_concentration_sweep,
     run_verify,
 )
-from .generators import GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec
 from .restrictions import DT_CAP, RestrictionTables
 
 USAGE_ERROR = 2
@@ -50,7 +50,7 @@ CHECK_FAILURE = 1
 
 def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a DNF instance")
-    p.add_argument("family", choices=["tribes", "random_read_k", "dense_pool"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--w", type=int, help="width (tribes, random_read_k)")
     p.add_argument("--t", type=int, help="number of tribes terms")
@@ -62,24 +62,6 @@ def _add_gen(sub):
     p.add_argument("--term-width", type=int, help="term width (dense_pool)")
     p.add_argument("--pool-size", type=int, help="variable pool (dense_pool)")
     p.add_argument("--out", help="output path (default: stdout)")
-
-
-def _gen_params(args) -> dict:
-    if args.family == "tribes":
-        return {"w": args.w, "t": args.t}
-    if args.family == "random_read_k":
-        return {
-            "n": args.n,
-            "s": args.s,
-            "w": args.w,
-            "k": args.k,
-            "exact_width": args.exact_width,
-        }
-    return {
-        "n_terms": args.n_terms,
-        "term_width": args.term_width,
-        "pool_size": args.pool_size,
-    }
 
 
 def _write(text: str, path: str | None) -> None:
@@ -141,7 +123,10 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gen":
-        params = {k: v for k, v in _gen_params(args).items() if v is not None}
+        _, names = FAMILIES[args.family]
+        params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+        if args.family == "random_read_k":
+            params["exact_width"] = args.exact_width
         spec = GeneratorSpec(args.family, params, args.seed)
         dnf = spec.build()
         _write(f"# {spec.label()}\n" + dnf.to_text(), args.out)

@@ -21,6 +21,7 @@ strings, so reruns are byte-identical regardless of parallelism.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -72,7 +73,7 @@ from .encoder import (
     decode_records,
     encode,  # no caller here either, and bench/spans.py wraps it too
 )
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, as_int
 from .restrictions import (
     DT_CAP,
     RestrictionTables,
@@ -122,13 +123,8 @@ class InstanceSource:
     def to_dict(self) -> dict:
         if self.kind == "file":
             return {"file": self.path}
-        return {
-            "generator": {
-                "family": self.spec.family,
-                "params": self.spec.params,
-                "seed": self.spec.seed,
-            }
-        }
+        spec = self.spec
+        return {"generator": {"family": spec.family, "params": spec.params, "seed": spec.seed}}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "InstanceSource":
@@ -140,7 +136,7 @@ class InstanceSource:
                 raise ConfigError(f"'generator' must be an object with a 'family': {gen!r}")
             try:
                 return cls("generator", spec=GeneratorSpec.from_dict(gen))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"bad 'generator' {gen!r}: {exc}") from exc
         raise ConfigError(f"instance source needs 'file' or 'generator': {obj}")
 
@@ -222,22 +218,14 @@ class ExperimentConfig:
 
 
 def _scalar(key: str, value, integral: bool = False):
-    """``value`` as a ``Fraction``, or as an ``int`` if ``integral``.  A
-    number, or a string that ``Fraction`` reads, is taken (``4``, ``4.0``
-    and ``"4"`` alike); a boolean, a list, ``"1/0"``, ``"x"``, or a value
-    with a fractional part where an integer is due, is a ``ConfigError``
-    that names the config field ``key``."""
-    if isinstance(value, bool):
-        raise ConfigError(f"bad {key!r} value {value!r}: a boolean is not a number")
-    try:
-        number = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    """``value`` as a ``Fraction``, or as an ``int`` by ``as_int``'s rule if
+    ``integral``.  A number, or a string that ``Fraction`` reads, is taken;
+    a boolean, a list, ``"1/0"`` or ``"x"`` is a ``ConfigError`` that names
+    the config field ``key``."""
+    try:   # a boolean goes to as_int, which rejects it
+        return as_int(value) if integral or isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad {key!r} value {value!r}: {exc}") from exc
-    if not integral:
-        return number
-    if number.denominator != 1:
-        raise ConfigError(f"bad {key!r} value {value!r}: not an integer")
-    return int(number)
 
 
 # -- formatting ---------------------------------------------------------------
@@ -548,29 +536,28 @@ class RoundTrip:
     def __init__(self, dnf: Dnf):
         self.dnf = dnf
         self._chunks: dict[int, list[tuple[np.ndarray, ...]]] = {}   # per degree
-        self._rows: dict[int, int] = {}
-        self._pairs: list[tuple[int, int]] = []   # (S mask, its pairs), ascending
-        self._first: tuple[int, int, int, str] | None = None   # (S, row in S, x_Sbar, error)
+        self.pairs = 0   # pairs handed over so far
+        self._first: tuple[int, int, int, str] | None = None   # (position, S, x_Sbar, error)
 
-    def _keep(self, s_mask: int, row: int, xsbar: int, error: str) -> None:
+    def _keep(self, position: int, s_mask: int, xsbar: int, error: str) -> None:
         """Keep the failure that comes first in ``valid_pairs`` order."""
-        if self._first is None or (s_mask, row) < self._first[:2]:
-            self._first = (s_mask, row, xsbar, error)
+        if self._first is None or position < self._first[0]:
+            self._first = (position, s_mask, xsbar, error)
 
     def __call__(self, s_mask: int, xsbars: np.ndarray, record: EncodingRecord) -> None:
-        self._pairs.append((s_mask, xsbars.size))
-        held = len(record)
+        start, held = self.pairs, len(record)
+        self.pairs += xsbars.size
         if held != xsbars.size:
-            self._keep(s_mask, 0, int(xsbars[0]), f"the record of S={s_mask} holds {held} "
-                                                  f"encodings for {xsbars.size} full-depth pairs")
+            self._keep(start, s_mask, int(xsbars[0]), f"the record of S={s_mask} holds "
+                       f"{held} encodings for {xsbars.size} full-depth pairs")
             return
         d = s_mask.bit_count()
         chunk = self._chunks.setdefault(d, [])
-        rows = self._rows.get(d, 0)
+        rows = sum(col[0].size for col in chunk)
         for lo in range(0, held, ROUNDTRIP_CHUNK):
             hi = min(held, lo + ROUNDTRIP_CHUNK)
             chunk.append((np.full(hi - lo, s_mask, np.uint32), xsbars[lo:hi],
-                          np.arange(lo, hi), record.x_sat[lo:hi],
+                          np.arange(start + lo, start + hi), record.x_sat[lo:hi],
                           record.sigma[lo:hi], record.a[lo:hi]))
             rows += hi - lo
             if rows >= ROUNDTRIP_CHUNK:
@@ -579,11 +566,10 @@ class RoundTrip:
                 rows = 0
         if rows:   # only the last slice can stay: own it, so that the record can go
             chunk[-1] = tuple(col.copy() for col in chunk[-1])
-        self._rows[d] = rows
 
     def _check(self, d: int, chunk: list[tuple[np.ndarray, ...]]) -> None:
         """Decode one chunk of degree-d rows and keep its first failure."""
-        s_exp, x_exp, row, x_sat, sigma, a = (np.concatenate(col) for col in zip(*chunk))
+        s_exp, x_exp, position, x_sat, sigma, a = (np.concatenate(col) for col in zip(*chunk))
         try:
             s_dec, x_dec, code = decode_records(self.dnf, d, x_sat, sigma, a)
         except DecodeError as exc:   # the batch as a whole: blame its first pair
@@ -596,21 +582,21 @@ class RoundTrip:
             at = f"at S={s_exp[bad]}, x={x_exp[bad]}"
             error = (f"DecodeError {at}: {DECODE_ERRORS[code[bad]]}" if code[bad] else
                      f"decoded {(int(s_dec[bad]), int(x_dec[bad]))} {at}")
-        self._keep(int(s_exp[bad]), int(row[bad]), int(x_exp[bad]), error)
+        self._keep(int(position[bad]), int(s_exp[bad]), int(x_exp[bad]), error)
 
     def result(self) -> tuple[int, tuple[int, int, str] | None]:
-        """Decode the rows still buffered and return the number of pairs
-        before the first failure in ``valid_pairs`` order, and that failure
-        as (S mask, x_Sbar mask, error), or None; an encoder or decoder
+        """Decode the rows still buffered and return the first failure's
+        position in ``valid_pairs`` order and the failure as (S mask, x_Sbar
+        mask, error), or the number of pairs and None; an encoder or decoder
         fault is a failure, not a usage error."""
         for d, chunk in sorted(self._chunks.items()):
             if chunk:
                 self._check(d, chunk)
         self._chunks.clear()
         if self._first is None:
-            return sum(size for _, size in self._pairs), None
-        s_fail, row, xsbar, error = self._first
-        return sum(size for m, size in self._pairs if m < s_fail) + row, (s_fail, xsbar, error)
+            return self.pairs, None
+        position, *failure = self._first
+        return position, tuple(failure)
 
 
 def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
@@ -640,10 +626,7 @@ def _tail_table(analysis: FamilyAnalysis) -> list[dict]:
 # -- report assembly ------------------------------------------------------------
 
 
-def _run_instance(args: tuple[dict, dict], instance_fn) -> dict:
-    config_dict, source_dict = args
-    config = ExperimentConfig.from_json(json.dumps(config_dict))
-    source = InstanceSource.from_dict(source_dict)
+def _run_instance(config: ExperimentConfig, instance_fn, source: InstanceSource) -> dict:
     try:
         dnf = source.load()
     except (ValueError, OSError) as exc:
@@ -654,21 +637,16 @@ def _run_instance(args: tuple[dict, dict], instance_fn) -> dict:
     return instance_fn(dnf, source.label, config)
 
 
-def _verify_task(args: tuple[dict, dict]) -> dict:
-    return _run_instance(args, verify_instance)
-
-
-def _run_tasks(config: ExperimentConfig, task) -> list[dict]:
-    core = config.core_dict()
-    args = [(core, s.to_dict()) for s in config.instances]
+def _run_tasks(config: ExperimentConfig, instance_fn) -> list[dict]:
+    task = functools.partial(_run_instance, config, instance_fn)
     if config.workers == 1:
-        return [task(a) for a in args]
+        return [task(s) for s in config.instances]
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(task, args, chunksize=1))
+        return list(pool.map(task, config.instances, chunksize=1))
 
 
 def run_verify(config: ExperimentConfig) -> dict:
-    instances = _run_tasks(config, _verify_task)
+    instances = _run_tasks(config, verify_instance)
     failures = sum(inst["failures"] for inst in instances)
     return {
         "mode": "verify",
@@ -794,12 +772,8 @@ def _theorem_hypotheses(w: int, k: int) -> dict:
     return out
 
 
-def _sweep_task(args: tuple[dict, dict]) -> dict:
-    return _run_instance(args, sweep_instance)
-
-
 def run_concentration_sweep(config: ExperimentConfig) -> dict:
-    instances = _run_tasks(config, _sweep_task)
+    instances = _run_tasks(config, sweep_instance)
     return {
         "mode": "sweep",
         "config": config.core_dict(),

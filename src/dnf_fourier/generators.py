@@ -8,18 +8,22 @@ no runtime default generator is involved anywhere.
 
 Bounded draws use rejection below the largest multiple of the bound, so
 they are unbiased and still deterministic.
+
+``FAMILIES`` is the one table of the families a spec can name; each
+integer of a spec, as of a config, is read by ``as_int``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .boolfn import N_CAP
 from .dnf import Dnf, Term
 
 
 class GenerationError(ValueError):
-    """The requested shape was not produced within the rejection budget."""
+    """A spec with a bad parameter, or a shape not produced within the
+    rejection budget."""
 
 
 _MASK64 = (1 << 64) - 1
@@ -157,7 +161,29 @@ def _validate(dnf: Dnf, s: int, w_max: int, k_max: int | None, w_exact: int | No
         raise GenerationError(f"generated read {read} > {k_max}")
 
 
-_FAMILIES = {"tribes", "random_read_k", "dense_pool"}
+#: Each family's builder and the names of its integer parameters; only
+#: ``random_read_k`` takes ``exact_width``, and all but ``tribes`` a seed.
+FAMILIES = {
+    "tribes": (tribes, ("w", "t")),
+    "random_read_k": (random_read_k, ("n", "s", "w", "k")),
+    "dense_pool": (dense_pool, ("n_terms", "term_width", "pool_size")),
+}
+
+
+def as_int(value) -> int:
+    """``value``, a number or a string that ``Fraction`` reads, as an int:
+    ``4``, ``4.0``, ``"4"`` and ``"4.0"`` alike.  A boolean or a fractional
+    value is a ``ValueError``; a value ``Fraction`` cannot read raises."""
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a number")
+    try:
+        number = Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        int(value)   # raise int()'s own error, which names the value
+        raise
+    if number.denominator != 1:
+        raise ValueError("not an integer")
+    return int(number)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,47 +195,35 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise GenerationError(
-                f"unknown family {self.family!r}; choose from {sorted(_FAMILIES)}"
-            )
+        if self.family not in FAMILIES:
+            raise GenerationError(f"unknown family {self.family!r}; "
+                                  f"choose from {sorted(FAMILIES)}")
 
     def build(self) -> Dnf:
+        builder, names = FAMILIES[self.family]
+        flag = "exact_width" if builder is random_read_k else None
         try:
-            if self.family == "tribes":
-                return tribes(int(self.params["w"]), int(self.params["t"]))
-            if self.family == "random_read_k":
-                return random_read_k(
-                    n=int(self.params["n"]),
-                    s=int(self.params["s"]),
-                    w=int(self.params["w"]),
-                    k=int(self.params["k"]),
-                    exact_width=bool(self.params.get("exact_width", False)),
-                    seed=self.seed,
-                )
-            return dense_pool(
-                n_terms=int(self.params["n_terms"]),
-                term_width=int(self.params["term_width"]),
-                pool_size=int(self.params["pool_size"]),
-                seed=self.seed,
-            )
+            unknown = sorted(set(self.params) - set(names) - {flag})
+            if unknown:
+                raise ValueError(f"unknown parameters {unknown}")
+            kwargs = {name: as_int(self.params[name]) for name in names}
+            if flag:
+                kwargs[flag] = self.params.get(flag, False)
+                if not isinstance(kwargs[flag], bool):
+                    raise TypeError(f"{flag} {kwargs[flag]!r} is not a boolean")
+            if builder is not tribes:
+                kwargs["seed"] = self.seed
+            return builder(**kwargs)
         except GenerationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GenerationError(
-                f"{self.family} is missing or has a bad parameter: {exc}"
-            ) from exc
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            bad = f"{self.family} is missing or has a bad parameter: {exc}"
+            raise GenerationError(bad) from exc
 
     def label(self) -> str:
         inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.family}({inner},seed={self.seed})"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family, "params": self.params, "seed": self.seed},
-            sort_keys=True,
-        )
-
     @classmethod
     def from_dict(cls, obj: dict) -> "GeneratorSpec":
-        return cls(obj["family"], dict(obj.get("params", {})), int(obj.get("seed", 0)))
+        return cls(obj["family"], dict(obj.get("params", {})), as_int(obj.get("seed", 0)))

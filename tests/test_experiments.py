@@ -241,6 +241,9 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
     ({"instances": [_TRIBES22], "C_sweep": [[1]]}, "'C_sweep'"),
     ({"instances": [{"generator": 3}]}, "'generator'"),
     ({"instances": [{"generator": {"family": "tribes", "seed": "x"}}]}, "'generator'"),
+    ({"instances": [{"generator": {"family": "tribes", "seed": True}}]}, "'generator'"),
+    ({"instances": [{"generator": {"family": "tribes", "seed": 2.5}}]}, "'generator'"),
+    ({"instances": [{"generator": {"family": "tribes", "seed": float("inf")}}]}, "'generator'"),
     ({"instances": [_TRIBES22], "d_max": 2.5}, "'d_max'"),
     ({"instances": [_TRIBES22], "d_max": "2.5"}, "'d_max'"),
     ({"instances": [_TRIBES22], "d_max": True}, "'d_max'"),
@@ -254,7 +257,8 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
 ], ids=["not-an-object", "instances-not-a-list", "instance-not-an-object",
         "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string",
         "eps-a-zero-denominator", "d_max-a-list", "C_sweep-entry-a-list",
-        "generator-not-an-object", "generator-seed-not-an-int", "d_max-not-integral",
+        "generator-not-an-object", "generator-seed-not-an-int", "generator-seed-a-boolean",
+        "generator-seed-not-integral", "generator-seed-infinite", "d_max-not-integral",
         "d_max-a-non-integral-string", "d_max-a-boolean", "u_star-not-integral",
         "u_star-a-boolean", "workers-not-integral", "workers-a-boolean", "eps-a-boolean",
         "C-a-boolean", "C_sweep-entry-a-boolean"])
@@ -1246,17 +1250,30 @@ def test_cli_covers_counts_once(tmp_path, monkeypatch, capsys):
     assert "total covers: 1" in capsys.readouterr().out
 
 
-_UNLOADABLE = ["n-beyond-the-cap", "variable-beyond-n", "not-utf8", "generator-bad-w",
-               "directory"]
+#: Generator sources that cannot be built: (family, params, the error's tail).
+_UNBUILDABLE = {
+    "generator-bad-w": ("random_read_k", {"n": 6, "s": 2, "w": "x", "k": 1},
+                        "invalid literal for int() with base 10: 'x'"),
+    "generator-w-a-boolean": ("tribes", {"w": True, "t": 3}, "a boolean is not a number"),
+    "generator-w-not-integral": ("tribes", {"w": 2.5, "t": 3}, "not an integer"),
+    "generator-w-infinite": ("tribes", {"w": float("inf"), "t": 3},
+                             "cannot convert float infinity to integer"),
+    "generator-exact-width-a-string": ("random_read_k",
+                                       {"n": 6, "s": 2, "w": 2, "k": 1, "exact_width": "no"},
+                                       "exact_width 'no' is not a boolean"),
+    "generator-unknown-parameter": ("tribes", {"w": 2, "t": 3, "width": 3},
+                                    "unknown parameters ['width']"),
+}
+_UNLOADABLE = ["n-beyond-the-cap", "variable-beyond-n", "not-utf8", *_UNBUILDABLE, "directory"]
 
 
 def _unloadable(tmp_path, case: str) -> tuple[dict, str, str]:
     """A source that cannot be loaded, its label and its report error."""
-    if case == "generator-bad-w":
-        gen = {"family": "random_read_k", "params": {"n": 6, "s": 2, "w": "x", "k": 1}}
+    if case in _UNBUILDABLE:
+        family, params, error = _UNBUILDABLE[case]
+        gen = {"family": family, "params": params}
         return ({"generator": gen}, GeneratorSpec.from_dict(gen).label(),
-                "GenerationError: random_read_k is missing or has a bad parameter: "
-                "invalid literal for int() with base 10: 'x'")
+                f"GenerationError: {family} is missing or has a bad parameter: {error}")
     path = tmp_path / case
     if case == "directory":
         path.mkdir()

@@ -9,7 +9,8 @@ from dnf_fourier import (
     random_read_k,
     tribes,
 )
-from dnf_fourier.generators import GenerationError
+from dnf_fourier.cli import main
+from dnf_fourier.generators import FAMILIES, GenerationError
 
 
 def test_splitmix_reference_values():
@@ -112,7 +113,28 @@ def test_generator_spec_dispatch_and_label():
     spec = GeneratorSpec("tribes", {"w": 2, "t": 3})
     assert spec.build() == tribes(2, 3)
     assert spec.label() == "tribes(t=3,w=2,seed=0)"
+    # every integer parameter follows the config's integer rule
+    assert GeneratorSpec("tribes", {"w": "2", "t": 3.0}).build() == tribes(2, 3)
     spec2 = GeneratorSpec("random_read_k", {"n": 6, "s": 2, "w": 2, "k": 1}, seed=4)
     assert spec2.build() == random_read_k(6, 2, 2, 1, seed=4)
     with pytest.raises(GenerationError):
         GeneratorSpec("unknown_family")
+
+
+#: A value for every integer parameter of ``FAMILIES``, by name.
+_GEN_VALUES = {"w": 2, "t": 3, "n": 8, "s": 4, "k": 2, "n_terms": 4, "term_width": 2,
+               "pool_size": 6}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gen_has_a_flag_for_every_parameter_of_every_family(capsys, family):
+    # gen FAMILY --NAME VALUE ... writes the label line and the DNF of the
+    # spec those parameters make, so a family added without its flags fails
+    _, names = FAMILIES[family]
+    params = {name: _GEN_VALUES[name] for name in names}
+    flags = [arg for name in names for arg in (f"--{name.replace('_', '-')}", str(params[name]))]
+    if family == "random_read_k":   # gen always passes --exact-width's boolean
+        params["exact_width"] = False
+    assert main(["gen", family, *flags, "--seed", "5"]) == 0
+    spec = GeneratorSpec(family, params, 5)
+    assert capsys.readouterr().out == f"# {spec.label()}\n" + spec.build().to_text()

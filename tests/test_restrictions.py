@@ -19,6 +19,7 @@ from dnf_fourier import (
     DimensionMismatchError,
     Dnf,
     DyadicRational,
+    FourierSpectrum,
     RestrictionTables,
     cover_probability_check,
     evasive_bound_check,
@@ -445,6 +446,32 @@ def test_cover_probability_examples():
     pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
     lhs, rhs, holds = _cover_probability(pairs, 0b0101)
     assert (lhs, rhs, holds) == (DyadicRational(1, 4), DyadicRational(1, 2), True)
+
+
+#: Each restriction-table check of a row kind, called with (n, S, the count
+#: its bound reads, the spectrum): E_S's witnesses for ``evasive``, the
+#: inputs whose satisfied union holds S for ``cover_probability``.
+_BOUNDED_CHECKS = {
+    "evasive": lambda n, s_mask, count, spec: evasive_bound_check(count, s_mask, spec),
+    "cover_probability": lambda n, s_mask, count, spec: cover_probability_check(
+        Dnf(n, ()), s_mask, spec, np.full(1 << n, count, np.int32)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOUNDED_CHECKS))
+@pytest.mark.parametrize("n, s_mask, count", [(4, 0b0101, 3), (6, 0, 17), (5, 0b00111, 3),
+                                              (3, 0b010, 0), (5, 0b11111, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_restriction_check_holds_at_its_bound_and_fails_one_unit_past(kind, n, s_mask, count,
+                                                                      sign):
+    # both bounds are count * 2^|S| / 2^n: |fhat(S)| equal to it holds, and
+    # one unit (2^-n) more fails, on a synthetic int32 spectrum
+    bound = count << s_mask.bit_count()
+    for past, holds in ((0, True), (1, False)):
+        scaled = np.zeros(1 << n, np.int32)
+        scaled[s_mask] = sign * (bound + past)
+        lhs, rhs, ok = _BOUNDED_CHECKS[kind](n, s_mask, count, FourierSpectrum(n, scaled))
+        assert (lhs, rhs, ok) == (DyadicRational(bound + past, n), DyadicRational(bound, n), holds)
 
 
 def test_evasive_and_cover_probability_on_corpus(bundles):
