@@ -112,19 +112,24 @@ def popcount_table(n: int) -> np.ndarray:
     return out
 
 
+#: Entries of the spectrum per block in every pass over the whole vector
+#: (``_profile``, ``_sum_squares`` and the gather of ``ranked_masks``), so
+#: that none makes a 2^n temporary.
+HIST_CHUNK = 1 << 16
+
+
 class FourierSpectrum:
     """All 2^n Fourier coefficients of one function, exactly.
 
     ``scaled[mask]`` is ``2^n * fhat(S)`` for the subset with that mask, an
-    integer of magnitude at most 2^n <= 2^24, stored as int32.  Every sum
-    over the vector is taken in int64, one ``HIST_CHUNK`` slice at a time
-    (``_sum_squares``, ``_sum_magnitudes``): an int32 sum would overflow.
-    For n <= 24 the int64 sums stay far inside their dtype: the sum of
-    squares is 2^n * #{x : f(x) = 1} <= 2^{2n} by Parseval, and the sum of
-    magnitudes is at most 2^{1.5n} by Cauchy-Schwarz.
+    integer of magnitude at most 2^n <= 2^24, stored as int32.  The
+    constructor profiles the vector once (``_profile``): its exact sums of
+    squares and of magnitudes at each subset size, and its magnitude groups.
+    The totals, ``degree``, the per-degree sums, ``min_coeffs_for_eps`` and
+    the cut of ``ranked_masks`` read that profile, not the vector.
     """
 
-    __slots__ = ("n", "scaled")
+    __slots__ = ("n", "scaled", "_square_sums", "_magnitude_sums", "_groups")
 
     def __init__(self, n: int, scaled: np.ndarray):
         _check_n(n)
@@ -135,6 +140,7 @@ class FourierSpectrum:
         self.n = n
         self.scaled = scaled
         self.scaled.setflags(write=False)
+        self._square_sums, self._magnitude_sums, self._groups = _profile(scaled)
 
     def coeff(self, mask: int) -> DyadicRational:
         return DyadicRational(int(self.scaled[mask]), self.n)
@@ -144,21 +150,14 @@ class FourierSpectrum:
             yield int(m), self.coeff(int(m))
 
     def total_weight(self) -> DyadicRational:
-        return DyadicRational(_sum_squares(self.scaled), 2 * self.n)
+        return DyadicRational(sum(self._square_sums), 2 * self.n)
 
     def one_norm_total(self) -> DyadicRational:
-        return DyadicRational(_sum_magnitudes(self.scaled), self.n)
+        return DyadicRational(sum(self._magnitude_sums), self.n)
 
     def degree(self) -> int:
-        """Largest |S| with a nonzero coefficient (0 for the zero function),
-        read chunk by chunk so that no 2^n index array is made."""
-        sizes = popcount_table(self.n)
-        best = 0
-        for lo in range(0, self.scaled.size, HIST_CHUNK):
-            part = sizes[lo:lo + HIST_CHUNK][self.scaled[lo:lo + HIST_CHUNK] != 0]
-            if part.size:
-                best = max(best, int(part.max()))
-        return best
+        """Largest |S| with a nonzero coefficient (0 for the zero function)."""
+        return max((d for d, w in enumerate(self._square_sums) if w), default=0)
 
     def to_json(self) -> str:
         """Nonzero coefficients, ascending mask, exact."""
@@ -173,15 +172,55 @@ class FourierSpectrum:
         obj = json.loads(text)
         n = int(obj["n"])
         scaled = np.zeros(1 << n, dtype=np.int32)
+        seen = set()
         for item in obj["coefficients"]:
+            mask = int(item["mask"])
+            if not 0 <= mask < 1 << n:
+                raise ValueError(f"coefficient mask {mask} outside [0, 2^{n})")
+            if mask in seen:
+                raise ValueError(f"coefficient mask {mask} listed twice")
+            seen.add(mask)
             c = DyadicRational(int(item["numerator"]), int(item["log_denominator"]))
             if c.log_denominator > n:
                 raise ValueError("coefficient finer than 2^-n")
             value = c.numerator << (n - c.log_denominator)
             if abs(value) > 1 << n:
                 raise ValueError(f"coefficient {c} has magnitude above 1")
-            scaled[int(item["mask"])] = value
+            scaled[mask] = value
         return cls(n, scaled)
+
+
+def _profile(scaled: np.ndarray):
+    """One pass over a coefficient vector of length 2^n, indexed by mask: the
+    sums of squares and of magnitudes of its entries at each subset size
+    0..n, as tuples of ints, and its magnitude groups (the distinct
+    magnitudes, largest first and zero included, and how many entries have
+    each).  It reads blocks of 2^b <= ``HIST_CHUNK`` entries.  Entry i of the
+    block at lo has size popcount(lo) + popcount(i), so in the stable order
+    of popcount(i) a block's sums per size are ``reduceat`` segments, none
+    empty.  Each block's histogram of magnitudes is added into the longer of
+    it and the running one.  A block's sums are exact in int64 for a
+    spectrum with n <= 24: by Parseval the sum of squares is
+    2^n * #{x : f(x) = 1} <= 2^{2n} <= 2^48, and the sum of magnitudes is at
+    most 2^{1.5n}; the sums over blocks are Python ints."""
+    n = scaled.size.bit_length() - 1
+    b = min(n, HIST_CHUNK.bit_length() - 1)
+    sizes = popcount_table(b)
+    order = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[order], np.arange(b + 1))
+    square_sums, magnitude_sums = [0] * (n + 1), [0] * (n + 1)
+    hist = np.zeros(1, dtype=np.intp)
+    for lo in range(0, scaled.size, 1 << b):
+        part = np.abs(scaled[lo:lo + (1 << b)][order].astype(np.int64))
+        for sums, values in ((square_sums, part * part), (magnitude_sums, part)):
+            for d, total in enumerate(np.add.reduceat(values, starts).tolist(), lo.bit_count()):
+                sums[d] += total
+        counts = np.bincount(part)
+        if counts.size > hist.size:
+            hist, counts = counts, hist
+        hist[:counts.size] += counts
+    mags = np.flatnonzero(hist)[::-1]
+    return tuple(square_sums), tuple(magnitude_sums), (mags, hist[mags])
 
 
 #: Entries per cache block of ``walsh_butterfly`` (1 MiB of int64): the low
@@ -273,43 +312,26 @@ def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     return FourierSpectrum(f.n, walsh_butterfly(f.to_array().astype(np.int32)))
 
 
-def _int64_slices(values: np.ndarray, sizes=None) -> Iterator[np.ndarray]:
-    """``values`` one ``HIST_CHUNK`` slice at a time, widened to int64.
-    With ``sizes`` (a predicate on subset sizes, for a vector of length
-    2^n indexed by mask) only the entries whose mask's size it accepts."""
-    if sizes is not None:
-        popcounts = popcount_table(values.size.bit_length() - 1)
-    for lo in range(0, values.size, HIST_CHUNK):
-        part = values[lo:lo + HIST_CHUNK]
-        if sizes is not None:
-            part = part[sizes(popcounts[lo:lo + HIST_CHUNK])]
-        yield part.astype(np.int64)
-
-
-def _sum_squares(values: np.ndarray, sizes=None) -> int:
-    """The sum of squares of an integer vector (of the entries ``sizes``
-    selects, see ``_int64_slices``), exact: each slice's dot is in int64."""
-    return sum(int(np.dot(part, part)) for part in _int64_slices(values, sizes))
-
-
-def _sum_magnitudes(values: np.ndarray, sizes=None) -> int:
-    """The sum of magnitudes of an integer vector (of the entries ``sizes``
-    selects, see ``_int64_slices``), exact: each slice's sum is in int64."""
-    return sum(int(np.abs(part).sum()) for part in _int64_slices(values, sizes))
+def _sum_squares(values: np.ndarray) -> int:
+    """The sum of squares of an integer vector, exact: each ``HIST_CHUNK``
+    slice's dot is taken in int64."""
+    parts = (values[lo:lo + HIST_CHUNK].astype(np.int64)
+             for lo in range(0, values.size, HIST_CHUNK))
+    return sum(int(np.dot(part, part)) for part in parts)
 
 
 def one_norm_at_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
     """Sum of |fhat(S)| over subsets of size exactly d."""
     if not 0 <= d <= spec.n:
         raise ValueError(f"degree {d} outside [0, {spec.n}]")
-    return DyadicRational(_sum_magnitudes(spec.scaled, lambda sz: sz == d), spec.n)
+    return DyadicRational(spec._magnitude_sums[d], spec.n)
 
 
 def weight_above_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
     """Sum of fhat(S)^2 over subsets of size strictly greater than d."""
     if not 0 <= d <= spec.n:
         raise ValueError(f"degree {d} outside [0, {spec.n}]")
-    return DyadicRational(_sum_squares(spec.scaled, lambda sz: sz > d), 2 * spec.n)
+    return DyadicRational(sum(spec._square_sums[d + 1:]), 2 * spec.n)
 
 
 def weight_outside_masks(spec: FourierSpectrum, masks) -> DyadicRational:
@@ -319,7 +341,7 @@ def weight_outside_masks(spec: FourierSpectrum, masks) -> DyadicRational:
     # which adds 1.7 MB to the peak RSS of every run
     kept = np.sort(np.asarray(masks, dtype=np.int64))
     kept = spec.scaled[kept[np.diff(kept, prepend=-1) != 0]]
-    outside = _sum_squares(spec.scaled) - _sum_squares(kept)
+    outside = sum(spec._square_sums) - _sum_squares(kept)
     return DyadicRational(outside, 2 * spec.n)
 
 
@@ -329,14 +351,14 @@ def ranked_masks(spec: FourierSpectrum, m: int) -> np.ndarray:
     are "kept" everywhere in the package.
 
     Only the m kept masks are sorted: the m-th largest magnitude is read
-    off the magnitude histogram, every mask above it is kept, and the
-    masks at it fill the remaining places in ascending order, gathered
+    off the spectrum's magnitude groups, every mask above it is kept, and
+    the masks at it fill the remaining places in ascending order, gathered
     chunk by chunk."""
     if not 0 <= m <= spec.scaled.size:
         raise ValueError(f"m={m} outside [0, 2^{spec.n}]")
     if m == 0:
         return np.zeros(0, dtype=np.intp)
-    mags, counts = _magnitude_groups(spec.scaled)
+    mags, counts = spec._groups
     at_least = np.cumsum(counts)                  # entry g: #{|coefficient| >= mags[g]}
     g = int(np.searchsorted(at_least, m))         # the first group reaching m
     cut = int(mags[g])
@@ -352,40 +374,17 @@ def ranked_masks(spec: FourierSpectrum, m: int) -> np.ndarray:
     return kept[np.lexsort((kept, -np.abs(spec.scaled[kept])))]
 
 
-#: Entries of the spectrum per chunk in every pass over the whole vector
-#: (the int64 sums, ``degree``, ``ranked_masks`` and ``_magnitude_groups``),
-#: so that none makes a 2^n temporary.
-HIST_CHUNK = 1 << 16
-
-
-def _magnitude_groups(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct magnitudes of the coefficients (at most 2^n), largest
-    first and zero included, and how many coefficients have each.
-
-    They are read off the histogram of magnitudes, accumulated one chunk at
-    a time: each chunk's histogram is added into the longer of it and the
-    running one."""
-    hist = np.zeros(1, dtype=np.intp)
-    for lo in range(0, scaled.size, HIST_CHUNK):
-        part = np.bincount(np.abs(scaled[lo:lo + HIST_CHUNK]))
-        if part.size > hist.size:
-            hist, part = part, hist
-        hist[:part.size] += part
-    mags = np.flatnonzero(hist)[::-1]
-    return mags, hist[mags]
-
-
 def min_coeffs_for_eps(spec: FourierSpectrum, eps) -> int:
     """Smallest M such that keeping the M largest-magnitude coefficients
     (ties broken by ascending subset mask) discards squared weight <= eps.
 
     Coefficients of equal magnitude have equal squares, so M depends only
-    on the histogram of magnitudes, not on the order within a tie.
+    on the spectrum's magnitude groups, not on the order within a tie.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError(f"eps={eps} outside (0, 1]")
-    mags, counts = _magnitude_groups(spec.scaled)
+    mags, counts = spec._groups
     weighty = mags != 0                           # zeros carry no weight
     mags, counts = mags[weighty], counts[weighty]
     # squared weight kept by taking whole tie groups from the top; every

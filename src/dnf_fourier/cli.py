@@ -40,6 +40,7 @@ from .experiments import (
     rows_jsonl,
     run_concentration_sweep,
     run_verify,
+    tail_csv,
 )
 from .generators import FAMILIES, GeneratorSpec
 from .restrictions import DT_CAP, RestrictionTables
@@ -138,41 +139,28 @@ def _dispatch(args) -> int:
         _write(spec.to_json() + "\n", args.out)
         return 0
 
-    if args.command == "verify":
+    if args.command in ("verify", "sweep"):
         config = _load_config(args)
-        report = run_verify(config)
+        verify = args.command == "verify"
+        report = run_verify(config) if verify else run_concentration_sweep(config)
         _write_report(report, args.out)
         if args.csv_dir:
+            kind, to_csv = ("families", family_csv) if verify else ("tail", tail_csv)
             os.makedirs(args.csv_dir, exist_ok=True)
             for i, inst in enumerate(report["instances"]):
-                path = os.path.join(args.csv_dir, f"instance_{i:03d}.families.csv")
+                path = os.path.join(args.csv_dir, f"instance_{i:03d}.{kind}.csv")
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(family_csv(inst))
-        if args.rows_jsonl:
+                    fh.write(to_csv(inst))
+        if verify and args.rows_jsonl:
             with open(args.rows_jsonl, "w", encoding="utf-8") as fh:
                 fh.write(rows_jsonl(report))
-        if _print_errors(report):
-            return USAGE_ERROR
-        return 0 if report["summary"]["ok"] else CHECK_FAILURE
-
-    if args.command == "sweep":
-        config = _load_config(args)
-        report = run_concentration_sweep(config)
-        _write_report(report, args.out)
-        if args.csv_dir:
-            from .experiments import tail_csv
-
-            os.makedirs(args.csv_dir, exist_ok=True)
-            for i, inst in enumerate(report["instances"]):
-                path = os.path.join(args.csv_dir, f"instance_{i:03d}.tail.csv")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(tail_csv(inst))
+        # a failure is a failed check (verify's summary) or a fault (sweep's entries)
         faults = [i for i in report["instances"] if "fault" in i]
         for inst in faults:
             print(f"fault: {inst['label']}: {inst['fault']}", file=sys.stderr)
         if _print_errors(report):
             return USAGE_ERROR
-        return CHECK_FAILURE if faults else 0
+        return CHECK_FAILURE if faults or not report["summary"].get("ok", True) else 0
 
     if args.command == "encdec-test":
         if not 0 <= args.d_max <= DT_CAP:

@@ -289,9 +289,12 @@ def test_min_coeffs_matches_sort_oracle(spec, data):
            [Fraction(1, 64), Fraction(1, 3), Fraction(1), Fraction(1, 1 << 19)]))
 @settings(max_examples=100, deadline=None)
 def test_min_coeffs_matches_sort_oracle_in_small_chunks(spec, chunk, eps):
-    # the magnitude histogram is accumulated chunk by chunk; with chunks this
-    # small the largest magnitude lies in a later chunk than the first
+    # the profile accumulates the magnitude histogram block by block, in
+    # blocks of 1 to 64 entries (a chunk of 3 gives blocks of 2, and 7 gives
+    # 4); with blocks this small the largest magnitude lies in a later block
+    # than the first
     with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        spec = FourierSpectrum(spec.n, spec.scaled)
         assert min_coeffs_for_eps(spec, eps) == oracle_min_coeffs(spec, eps)
 
 
@@ -319,11 +322,13 @@ def test_ranked_masks_is_a_prefix_of_the_full_order(spec):
        chunk=st.sampled_from([1, 2, 3, 7, 64]), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_ranked_masks_is_a_prefix_of_the_full_order_in_small_chunks(spec, chunk, data):
-    # the kept masks are gathered chunk by chunk: with chunks this small the
-    # masks at the cut magnitude spread over several chunks
+    # the profile's groups are built block by block, and the kept masks are
+    # gathered chunk by chunk: with chunks this small the masks at the cut
+    # magnitude spread over several of each
     order = oracle_ranked_order(spec)
     m = data.draw(st.integers(min_value=0, max_value=order.size))
     with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        spec = FourierSpectrum(spec.n, spec.scaled)
         assert np.array_equal(ranked_masks(spec, m), order[:m])
 
 
@@ -391,12 +396,31 @@ def _extreme_spectra(draw, max_n=6):
        chunk=st.sampled_from([1, 2, 3, 7, 64, boolfn.HIST_CHUNK]), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_int64_sums_match_big_int_sums(spec, chunk, data):
-    # each reader sums int32 entries in int64, one chunk at a time; with
-    # chunks this small a sum spans many of them
+    # the profile sums int32 entries in int64 per subset size, one block of
+    # 2^b <= chunk entries at a time, each block's sizes offset by the
+    # popcount of its start; with blocks this small a sum spans many of them
     size = 1 << spec.n
     masks = data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=size))
     with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        spec = FourierSpectrum(spec.n, spec.scaled)
         assert readers(spec, masks) == oracle_readers(spec, masks)
+
+
+@given(spec=st.one_of(_tied_spectra(), _extreme_spectra(),
+                      _tables(max_n=8).map(fourier_transform)))
+@settings(max_examples=50, deadline=None)
+def test_readers_read_the_profile_not_the_vector(spec):
+    # the constructor profiles the vector once: with the vector swapped for
+    # zeros afterwards, every reader of the profile still gives its values
+    def profiled():
+        return (spec.total_weight(), spec.one_norm_total(), spec.degree(),
+                [one_norm_at_degree(spec, d) for d in range(spec.n + 1)],
+                [weight_above_degree(spec, d) for d in range(spec.n + 1)],
+                [min_coeffs_for_eps(spec, eps) for eps in (Fraction(1, 64), Fraction(1))])
+
+    before = profiled()
+    spec.scaled = np.zeros_like(spec.scaled)
+    assert profiled() == before
 
 
 def test_int64_sums_of_a_dictator_at_n20():
@@ -490,6 +514,19 @@ def test_spectrum_json_rejects_a_coefficient_above_one(numerator, log_denominato
     else:
         with pytest.raises(ValueError, match="magnitude above 1"):
             FourierSpectrum.from_json(text)
+
+
+@pytest.mark.parametrize("masks, error", [
+    ([-1], "mask -1 outside"),            # would write the last coefficient
+    ([4], "mask 4 outside"),              # 2^n: would raise IndexError
+    ([1 << 40], f"mask {1 << 40} outside"),
+    ([2, 1, 2], "mask 2 listed twice"),   # the last entry would win
+])
+def test_spectrum_json_rejects_a_mask_outside_the_cube_or_listed_twice(masks, error):
+    text = json.dumps({"n": 2, "coefficients": [
+        {"mask": m, "numerator": 1, "log_denominator": 2} for m in masks]})
+    with pytest.raises(ValueError, match=error):
+        FourierSpectrum.from_json(text)
 
 
 def test_n_cap_enforced():

@@ -22,6 +22,7 @@ from dnf_fourier.bitops import subsets_up_to
 from dnf_fourier.cli import main
 from dnf_fourier.encoder import DecodeError, EncodePreconditionError, EncodingInvariantError
 from dnf_fourier.experiments import (
+    ALL_CHECKS,
     ConfigError,
     family_csv,
     render_json,
@@ -1141,6 +1142,41 @@ def test_a_report_sums_the_spectrum_weight_at_most_twice(monkeypatch, run):
     (entry,) = report["instances"]
     assert entry["tail_table"] and "error" not in entry and "fault" not in entry
     assert 1 <= len(calls) <= 2
+
+
+#: The benchmark's instances: readk16.dnf and n23.dnf under bench/instances.
+_READK16 = GeneratorSpec("random_read_k", {"n": 16, "s": 10, "w": 3, "k": 2}, seed=3)
+_N23 = GeneratorSpec("random_read_k", {"n": 23, "s": 20, "w": 5, "k": 5, "exact_width": True},
+                     seed=7)
+
+
+@pytest.mark.parametrize("run, spec, config, spectra", [
+    (run_verify, _READK16, {"d_max": 4, "checks": ALL_CHECKS}, 2),
+    (run_concentration_sweep, _READK16, {"d_max": 4}, 1),
+    (run_verify, _N23, {"d_max": 0, "eps": Fraction(1, 64), "checks": (
+        "spectral_basics", "sparsity", "truncation", "approx_transfer", "satisfied_mass")}, 2),
+], ids=["verify-readk16", "sweep-readk16", "spectral-n23"])
+def test_each_spectrum_is_profiled_once(monkeypatch, run, spec, config, spectra):
+    # one pass per spectrum gives every whole-spectrum reader its sums and
+    # groups: no reader rescans a coefficient vector or asks for a popcount
+    # table longer than a block (n=23 spans 128 blocks)
+    from dnf_fourier import FourierSpectrum, boolfn, restrictions
+
+    made, profiled, summed, tables = [], [], [], []
+    init, profile, popcounts = FourierSpectrum.__init__, boolfn._profile, boolfn.popcount_table
+    sum_squares = boolfn._sum_squares
+    monkeypatch.setattr(FourierSpectrum, "__init__",
+                        lambda self, n, scaled: made.append(scaled) or init(self, n, scaled))
+    monkeypatch.setattr(boolfn, "_profile", lambda v: profiled.append(v) or profile(v))
+    monkeypatch.setattr(boolfn, "_sum_squares", lambda v: summed.append(v) or sum_squares(v))
+    for module in (boolfn, restrictions):
+        monkeypatch.setattr(module, "popcount_table", lambda b: tables.append(b) or popcounts(b))
+    report = run(ExperimentConfig(instances=(InstanceSource("generator", spec=spec),), **config))
+    (entry,) = report["instances"]
+    assert "error" not in entry and "fault" not in entry
+    assert len(made) == spectra and all(p is v for p, v in zip(profiled, made, strict=True))
+    assert not any(s is v for s in summed for v in made)
+    assert set(tables) <= {8} | set(range(boolfn.HIST_CHUNK.bit_length()))
 
 
 def test_sweep_u_star_sets_the_cutoff():

@@ -5,6 +5,7 @@ the unpacked bool builder of the full-depth tables live here, as the
 oracles of ``RestrictionTables``.
 """
 from dataclasses import dataclass
+from math import comb
 from types import SimpleNamespace
 from unittest import mock
 
@@ -28,6 +29,11 @@ from dnf_fourier import (
 )
 from dnf_fourier import restrictions
 from dnf_fourier.bitops import bit_indices, pdep, subsets_up_to
+from dnf_fourier.covers import (
+    onenorm_count_check,
+    onenorm_width_binom_check,
+    pair_count_binom_check,
+)
 from dnf_fourier.boolfn import popcount_table
 from dnf_fourier.restrictions import satisfied_union_table, union_superset_counts
 from dnf_fourier.generators import random_read_k
@@ -472,6 +478,58 @@ def test_restriction_check_holds_at_its_bound_and_fails_one_unit_past(kind, n, s
         scaled[s_mask] = sign * (bound + past)
         lhs, rhs, ok = _BOUNDED_CHECKS[kind](n, s_mask, count, FourierSpectrum(n, scaled))
         assert (lhs, rhs, ok) == (DyadicRational(bound + past, n), DyadicRational(bound, n), holds)
+
+
+def _degree_analysis(n, w, d, pairs, one_norm, sign):
+    """A stub of what the degree-level checks read: width w, ``pairs``
+    full-depth pairs at degree d, and a synthetic int32 spectrum whose
+    one-norm at degree d is ``one_norm`` units of 2^-n, split with opposite
+    signs over the first and the last mask of size d.  Every mask of
+    another size carries weight that no check may count."""
+    scaled = np.where(popcount_table(n) == d, 0, 3).astype(np.int32)
+    first, last = (1 << d) - 1, ((1 << d) - 1) << (n - d)
+    half = 0 if first == last else one_norm // 2
+    scaled[last] = -sign * half
+    scaled[first] = sign * (one_norm - half)
+    return SimpleNamespace(spec=FourierSpectrum(n, scaled),
+                           dnf=SimpleNamespace(n=n, width=lambda: w),
+                           pair_count_at_degree={d: pairs}.__getitem__)
+
+
+#: (n, w, d, pairs at degree d) of each degree-level boundary case.
+_DEGREE_CASES = [(4, 1, 0, 3), (5, 2, 2, 7), (3, 3, 3, 1), (4, 1, 1, 0), (6, 2, 3, 5)]
+
+
+@pytest.mark.parametrize("n, w, d, pairs", _DEGREE_CASES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_onenorm_count_check_holds_at_its_bound_and_fails_one_unit_past(n, w, d, pairs, sign):
+    # the bound 2^-(n-d) * pairs is pairs * 2^d units of 2^-n
+    bound = pairs << d
+    for past, holds in ((0, True), (1, False)):
+        analysis = _degree_analysis(n, w, d, pairs, bound + past, sign)
+        assert tuple(onenorm_count_check(analysis, d)) == (
+            DyadicRational(bound + past, n), DyadicRational(bound, n), holds)
+
+
+@pytest.mark.parametrize("n, w, d, pairs", _DEGREE_CASES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_onenorm_width_binom_check_holds_at_its_bound_and_fails_one_unit_past(n, w, d, pairs,
+                                                                             sign):
+    # the bound C(wd, d) * 2^(2d) is C(wd, d) * 2^(2d + n) units of 2^-n
+    bound = comb(w * d, d) << (2 * d + n)
+    for past, holds in ((0, True), (1, False)):
+        analysis = _degree_analysis(n, w, d, pairs, bound + past, sign)
+        assert tuple(onenorm_width_binom_check(analysis, d)) == (
+            DyadicRational(bound + past, n), DyadicRational(bound, n), holds)
+
+
+@pytest.mark.parametrize("n, w, d, pairs", _DEGREE_CASES)
+def test_pair_count_binom_check_holds_at_its_bound_and_fails_one_unit_past(n, w, d, pairs):
+    # the bound 2^n * C(wd, d) * 2^d on the pair count, in units of 1
+    bound = comb(w * d, d) << (n + d)
+    for past, holds in ((0, True), (1, False)):
+        analysis = _degree_analysis(n, w, d, bound + past, 0, 1)
+        assert tuple(pair_count_binom_check(analysis, d)) == (bound + past, bound, holds)
 
 
 def test_evasive_and_cover_probability_on_corpus(bundles):
