@@ -187,7 +187,10 @@ class FourierSpectrum:
             if abs(value) > 1 << n:
                 raise ValueError(f"coefficient {c} has magnitude above 1")
             scaled[mask] = value
-        return cls(n, scaled)
+        spec = cls(n, scaled)
+        if sum(spec._square_sums) != int(scaled[0]) << n:   # Parseval: sum fhat^2 = fhat({})
+            raise ValueError("not the spectrum of a 0/1 function: it fails Parseval")
+        return spec
 
 
 def _profile(scaled: np.ndarray):

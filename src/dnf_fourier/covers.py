@@ -31,25 +31,26 @@ trip of ``dnf-fourier encdec-test`` reads no count.
 
 ``FamilyAnalysis`` also encodes the full-depth pairs: each pair with S
 nonempty once, through ``extract_cover``, which returns the encoder's
-plain row (no object per pair).  Per subset it keeps only the cover
-statistics.  The encodings stream: when a caller passes a ``consumer``,
-the pass of each subset S that has a full-depth pair ends by packing
-its rows into an ``EncodingRecord`` (arrays in ``valid_pairs`` order) and
-calling ``consumer(S, xsbars, record)``, with ``xsbars`` the fixed-side
-assignments x_Sbar of S's pairs as n-bit masks (the tables'
-``full_depth_xsbars``, read once).  The analysis keeps neither, so no
-record outlives its subset's pass.  The ``roundtrip`` check of ``verify``
-and ``dnf-fourier encdec-test`` are consumers; ``sweep`` passes none, and
-then no record is packed.  The record of S = {} is written without
-encoding: x_sat is every assignment (the ``xsbars`` of S = {}), with
-empty sigma and a read-only broadcast zero as a.  An encoder fault while
-it classifies, or a row that ``EncodingRecord.pack`` rejects, is
-re-raised with the pair that caused it.  Once the pairs of a subset with
-|S| = d_max are encoded, its restriction table is released, since an
-encoder round only asks about proper subsets of S; every other table is
-released at the end of the pass, since no check reads a table after the
-analysis.  The tables keep each full-depth count, which the ``evasive``
-check reads.
+plain row (no object per pair).  Per subset it keeps only what the checks
+read: a ``SubsetProfile`` for ``check_abs_fourier_u``, and the distinct
+covers, added to ``covers``, for ``cover_budget``.  The encodings stream:
+when a caller passes a ``consumer``, the pass of each subset S that has a
+full-depth pair ends by packing its rows into an ``EncodingRecord``
+(arrays in ``valid_pairs`` order) and calling ``consumer(S, xsbars,
+record)``, with ``xsbars`` the fixed-side assignments x_Sbar of S's pairs
+as n-bit masks (the tables' ``full_depth_xsbars``, read once).  The
+analysis keeps neither, so no record outlives its subset's pass.  The
+``roundtrip`` check of ``verify`` and ``dnf-fourier encdec-test`` are
+consumers; ``sweep`` passes none, and then no record is packed.  The
+record of S = {} is written without encoding: x_sat is every assignment
+(the ``xsbars`` of S = {}), with empty sigma and a read-only broadcast
+zero as a.  An encoder fault while it classifies, or a row that
+``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
+it.  Once the pairs of a subset with |S| = d_max are encoded, its
+restriction table is released, since an encoder round only asks about
+proper subsets of S; every other table is released at the end of the pass,
+since no check reads a table after the analysis.  The tables keep each
+full-depth count, which the ``evasive`` check reads.
 
 ``FamilyAnalysis`` takes every sum over (d, u) once, and its readers
 read them: the pairs per (d, u), counted as each subset is classified;
@@ -115,12 +116,12 @@ class FamilyStats:
 
 @dataclass(slots=True)
 class SubsetProfile:
-    """Witness statistics for one subset S with at least one full-depth pair."""
+    """What ``check_abs_fourier_u`` reads of a subset S with a full-depth
+    pair: its family's u, and S's full-depth pairs and distinct covers at u."""
 
-    d: int
-    count_by_u: dict[int, int]
-    covers_by_u: dict[int, set[tuple[int, ...]]]
     assigned_u: int  # the family key: most frequent u, ties to smallest
+    witnesses: int
+    distinct_covers: int
 
 
 #: Takes (S mask, S's x_Sbar masks, S's record) after S's pass.
@@ -130,26 +131,27 @@ RecordConsumer = Callable[[int, np.ndarray, EncodingRecord], None]
 class FamilyAnalysis:
     """The family partition of all subsets up to size d_max, plus raw counts.
 
-    ``tables`` and ``spec`` are the restriction tables and the spectrum of
-    ``dnf``'s truth table.  ``consumer``, if given, receives each subset's
-    encodings after its pass (see the module docstring)."""
+    ``tables`` (read by the pass only) and ``spec`` are the restriction
+    tables and the spectrum of ``dnf``'s truth table.  ``consumer``, if
+    given, receives each subset's encodings after its pass (see the
+    module docstring)."""
 
     def __init__(
         self, dnf: Dnf, d_max: int, tables: RestrictionTables, spec: FourierSpectrum,
         consumer: RecordConsumer | None = None,
     ):
-        if d_max > DT_CAP:
-            raise CapExceededError(f"d_max={d_max} exceeds decision-tree cap {DT_CAP}")
+        if not 0 <= d_max <= DT_CAP:
+            raise CapExceededError(f"d_max={d_max} outside [0, {DT_CAP}]")
         self.dnf = dnf
         self.d_max = min(d_max, dnf.n)
         self.u_hi = min(dnf.width() * self.d_max, dnf.n)
-        self.tables = tables
         self.spec = spec
         self.families: dict[FamilyKey, FamilyStats] = {}
         self.profiles: dict[int, SubsetProfile] = {}
+        self.covers: set[tuple[int, ...]] = set()   # every distinct cover
         self._pairs: Counter[tuple[int, int]] = Counter()   # pairs per (d, u)
         self._cover_counts: dict[int, dict[int, int]] = {}
-        self._classify(consumer)
+        self._classify(tables, consumer)
         self.weight_at_u = [DyadicRational(0)] * (self.u_hi + 1)
         for (_, u), stats in self.families.items():
             self.weight_at_u[u] += stats.two_norm_sq
@@ -169,21 +171,22 @@ class FamilyAnalysis:
         family, from the kept counts."""
         return max(self.cover_counts(m).get(key.u, 0) for m in self.families[key].members)
 
-    def _classify(self, consumer: RecordConsumer | None) -> None:
+    def _classify(self, tables: RestrictionTables, consumer: RecordConsumer | None) -> None:
         subsets = subsets_up_to(self.dnf.n, self.d_max)
         for s_mask in subsets:
-            self._classify_subset(s_mask, consumer)
+            self._classify_subset(s_mask, tables, consumer)
             if s_mask.bit_count() == self.d_max:
                 # an encoder round asks only about proper subsets of S, so no
                 # later pass reads E_S
-                self.tables.release(s_mask)
+                tables.release(s_mask)
         for s_mask in subsets:   # no check reads a table after the analysis
-            self.tables.release(s_mask)
+            tables.release(s_mask)
 
-    def _classify_subset(self, s_mask: int, consumer: RecordConsumer | None) -> None:
+    def _classify_subset(self, s_mask: int, tables: RestrictionTables,
+                         consumer: RecordConsumer | None) -> None:
         n = self.dnf.n
         d = s_mask.bit_count()
-        xsbars = self.tables.full_depth_xsbars(s_mask)
+        xsbars = tables.full_depth_xsbars(s_mask)
         coeff = self.spec.coeff(s_mask)
         if xsbars.size == 0:
             if coeff.numerator != 0:
@@ -196,8 +199,8 @@ class FamilyAnalysis:
             # every assignment is a witness with the empty cover, and its
             # encoding is x_sat = x with empty sigma and a: x_sat is the
             # masks, and a is one zero broadcast to every row
-            count_by_u = {0: int(xsbars.size)}
-            covers_by_u = {0: {()}}
+            witnesses = {0: int(xsbars.size)}
+            covers = {(0, ())}
             if consumer is not None:
                 consumer(0, xsbars, EncodingRecord(
                     n, xsbars, np.zeros((xsbars.size, 0), np.uint8),
@@ -206,14 +209,12 @@ class FamilyAnalysis:
             rows = []
             for xsbar in xsbars.tolist():
                 try:
-                    rows.append(extract_cover(self.dnf, s_mask, xsbar, self.tables))
+                    rows.append(extract_cover(self.dnf, s_mask, xsbar, tables))
                 except (EncodePreconditionError, EncodingInvariantError) as exc:
                     raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
             # a row is (x_sat, sigma, a, cover, u)
-            count_by_u = dict(Counter(row[4] for row in rows))
-            covers_by_u = {u: set() for u in count_by_u}
-            for u, cover in {(row[4], row[3]) for row in rows}:
-                covers_by_u[u].add(cover)
+            witnesses = Counter(row[4] for row in rows)
+            covers = {(row[4], row[3]) for row in rows}
             if consumer is not None:
                 try:
                     record = EncodingRecord.pack(n, d, rows)
@@ -221,12 +222,11 @@ class FamilyAnalysis:
                     raise EncodingInvariantError(
                         f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
                 consumer(s_mask, xsbars, record)
-        for u, cnt in count_by_u.items():
-            self._pairs[d, u] += cnt
-        top = max(count_by_u.values())
-        assigned_u = min(u for u, cnt in count_by_u.items() if cnt == top)
-        self.profiles[s_mask] = SubsetProfile(d, count_by_u, covers_by_u, assigned_u)
-        stats = self.families.setdefault(FamilyKey(d, assigned_u), FamilyStats())
+        self._pairs.update({(d, u): cnt for u, cnt in witnesses.items()})
+        u = min(witnesses, key=lambda v: (-witnesses[v], v))
+        self.profiles[s_mask] = SubsetProfile(u, witnesses[u], sum(v == u for v, _ in covers))
+        self.covers.update(cover for _, cover in covers)
+        stats = self.families.setdefault(FamilyKey(d, u), FamilyStats())
         stats.members.append(s_mask)
         stats.one_norm = stats.one_norm + abs(coeff)
         stats.two_norm_sq = stats.two_norm_sq + coeff.square()
@@ -374,11 +374,11 @@ def check_abs_fourier_u(analysis: FamilyAnalysis, s_mask: int) -> CheckResult:
         zero = DyadicRational(0)
         return CheckResult(zero, zero, True, {"witnesses": 0})
     u = profile.assigned_u
-    prob = DyadicRational(profile.count_by_u.get(u, 0), n - d)
+    prob = DyadicRational(profile.witnesses, n - d)
     lhs = abs(analysis.spec.coeff(s_mask))
     first_bound = (w * d + 1) * prob
     first = lhs <= first_bound
-    distinct = len(profile.covers_by_u.get(u, ()))
+    distinct = profile.distinct_covers
     ncov = analysis.cover_counts(s_mask).get(u, 0)
     scale = DyadicRational(1, u - d)
     second_bound_distinct = distinct * scale

@@ -466,11 +466,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         )
 
     if "cover_budget" in checks:
-        seen: set[tuple[int, ...]] = set()
-        for profile in analysis.profiles.values():
-            for covers in profile.covers_by_u.values():
-                seen.update(covers)
-        for cover in sorted(seen):
+        for cover in sorted(analysis.covers):
             sizes = [dnf.terms[j - 1].width for j in cover]
             v = sum(sizes)
             mass = sum(Fraction(1, 2**sz) for sz in sizes)
@@ -671,9 +667,9 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     spec = fourier_transform(f)
     eps = config.eps
     three_over_eps = Fraction(3) / eps
-    degree_cut = floor_scaled_log2(three_over_eps, config.c_param * w) if w else 0
-    d_max = min(n, degree_cut if degree_cut > 0 else n, DT_CAP,
-                config.d_max if config.d_max is not None else n)
+    # a constant (width 0) has no full-depth pair with S nonempty: degree 0 is all there is
+    degree_cut = (floor_scaled_log2(three_over_eps, config.c_param * w) or n) if w else 0
+    d_max = min(n, degree_cut, DT_CAP, config.d_max if config.d_max is not None else n)
     try:
         analysis = FamilyAnalysis(dnf, d_max, RestrictionTables(f), spec)
     except (EncodePreconditionError, EncodingInvariantError) as exc:

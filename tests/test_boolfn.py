@@ -491,29 +491,45 @@ def test_table_json_roundtrip():
 
 
 def test_spectrum_json_roundtrip():
-    f = Dnf.from_term_literals(3, [[1, -2], [3]]).evaluate()
-    spec = fourier_transform(f)
-    back = FourierSpectrum.from_json(spec.to_json())
-    assert np.array_equal(back.scaled, spec.scaled)
+    # every 0/1 function's spectrum reads back as written: the constants
+    # too, and random functions, which pass the Parseval check exactly
+    rng = SplitMix64(5)
+    functions = [Dnf.from_term_literals(3, terms).evaluate()
+                 for terms in ([[1, -2], [3]], [], [[]])]
+    for f in functions + [random_function(rng, n) for n in (1, 4, 9)]:
+        spec = fourier_transform(f)
+        back = FourierSpectrum.from_json(spec.to_json())
+        assert np.array_equal(back.scaled, spec.scaled)
 
 
-@pytest.mark.parametrize("numerator, log_denominator, accepted", [
-    ((1 << 3) + 1, 3, False),    # just over 1
-    (1 << 40, 0, False),         # far beyond what int32 holds
-    (-2, 0, False),              # negative, magnitude 2
-    (1, 0, True),                # exactly 1: scaled 2^n
-    (-1, 0, True),
+@pytest.mark.parametrize("numerator, log_denominator, error", [
+    ((1 << 3) + 1, 3, "magnitude above 1"),    # just over 1
+    (1 << 40, 0, "magnitude above 1"),         # far beyond what int32 holds
+    (-2, 0, "magnitude above 1"),              # negative, magnitude 2
+    (1, 0, None),                # exactly 1: scaled 2^n, the constant 1
+    (-1, 0, "fails Parseval"),   # magnitude 1, but no 0/1 function has mean -1
 ], ids=["just-over", "beyond-int32", "negative", "at-one", "at-minus-one"])
-def test_spectrum_json_rejects_a_coefficient_above_one(numerator, log_denominator,
-                                                       accepted):
+def test_spectrum_json_rejects_a_coefficient_above_one(numerator, log_denominator, error):
+    # the coefficient of S = {}, so that at one it is a 0/1 function's spectrum
     text = json.dumps({"n": 3, "coefficients": [
-        {"mask": 5, "numerator": numerator, "log_denominator": log_denominator}]})
-    if accepted:
+        {"mask": 0, "numerator": numerator, "log_denominator": log_denominator}]})
+    if error is None:
         spec = FourierSpectrum.from_json(text)
-        assert int(spec.scaled[5]) == numerator << 3
+        assert int(spec.scaled[0]) == numerator << 3
     else:
-        with pytest.raises(ValueError, match="magnitude above 1"):
+        with pytest.raises(ValueError, match=error):
             FourierSpectrum.from_json(text)
+
+
+@pytest.mark.parametrize("n, masks", [(2, [0, 1]), (24, range(1 << 16))], ids=["n2", "n24"])
+def test_spectrum_json_rejects_a_vector_that_fails_parseval(n, masks):
+    # coefficient 1 at several masks: each magnitude is admissible, but the
+    # sum of squares exceeds fhat({}) = 1.  At n = 24 the 2^16 squares of
+    # 2^48 would wrap an int64 sum over one slice (weight_outside_masks read
+    # 65536 for an exact 0, and min_coeffs_for_eps read 0 for 65536)
+    with pytest.raises(ValueError, match="not the spectrum of a 0/1 function"):
+        FourierSpectrum.from_json(json.dumps({"n": n, "coefficients": [
+            {"mask": m, "numerator": 1, "log_denominator": 0} for m in masks]}))
 
 
 @pytest.mark.parametrize("masks, error", [

@@ -4,6 +4,7 @@ The independent cover oracle enumerates all 2^s term subsets with no
 pruning at all, then filters on the full definition; the production
 counter is a dynamic program over union masks that never lists a cover.
 """
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
@@ -14,18 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnf_fourier import (
+    DT_CAP,
+    CapExceededError,
     Dnf,
     DyadicRational,
+    FamilyAnalysis,
     FamilyKey,
+    RestrictionTables,
     budget_lemma_bound,
     check_abs_fourier_u,
     check_onenorm_u,
     check_twonorm_u,
+    encode,
     exact_width_cover_bound,
     fourier_transform,
     read_cover_count_bound,
     st_inequality_check,
     tribes,
+    valid_pairs,
 )
 from dnf_fourier.bitops import subsets_up_to
 from dnf_fourier.covers import (
@@ -204,7 +211,8 @@ def test_family_key_ranges(bundles):
 
 def test_the_kept_sums_equal_their_definitions(bundles):
     # the pair counts, weights and tails the analysis keeps, against the
-    # sums they replace: over the profiles, the tables and the families
+    # sums they replace: over the scalar encoder's covers of valid_pairs,
+    # the tables and the families
     for b in bundles:
         a, n = b.analysis, b.dnf.n
         assert a.u_hi == min(b.dnf.width() * a.d_max, n)
@@ -221,16 +229,27 @@ def test_the_kept_sums_equal_their_definitions(bundles):
         for u, weight in enumerate(a.weight_at_u):
             assert weight == sum((stats.two_norm_sq for key, stats in a.families.items()
                                   if key.u == u), DyadicRational(0)), (b.label, u)
+        encoded = Counter(
+            (s_mask.bit_count(), encode(b.dnf, s_mask, xsbar, b.tables)[1].union_size)
+            for s_mask, xsbar in valid_pairs(b.tables, a.d_max))
         for d in range(a.d_max + 1):
-            profiles = [p for p in a.profiles.values() if p.d == d]
             for u in range(a.u_hi + 2):
-                expected = sum(p.count_by_u.get(u, 0) for p in profiles)
-                assert a.pair_count(d, u) == expected, (b.label, d, u)
+                assert a.pair_count(d, u) == encoded[d, u], (b.label, d, u)
             expected = sum(b.tables.full_depth_count(m)
                            for m in subsets_up_to(n, d) if m.bit_count() == d)
             assert a.pair_count_at_degree(d) == expected, (b.label, d)
     with pytest.raises(ValueError):
         a.tail_weight(-1)
+
+
+@pytest.mark.parametrize("d_max", [-1, -7, DT_CAP + 1])
+def test_the_analysis_rejects_a_d_max_outside_0_to_the_cap(d_max):
+    # a negative d_max would build an empty analysis with u_hi = -2, whose
+    # tail_weight(0) raises IndexError
+    dnf = tribes(2, 2)
+    f = dnf.evaluate()
+    with pytest.raises(CapExceededError, match=rf"d_max={d_max} outside \[0, {DT_CAP}\]"):
+        FamilyAnalysis(dnf, d_max, RestrictionTables(f), fourier_transform(f))
 
 
 def test_every_nonzero_coefficient_is_assigned(bundles):
@@ -284,8 +303,8 @@ def test_family_inequalities_on_corpus(bundles):
             assert check_onenorm_u(analysis, key.d, key.u).holds, ctx
             assert check_twonorm_u(analysis, key.d, key.u).holds, ctx
             assert family_cauchy_check(analysis.families[key]).holds, ctx
-        for s_mask, profile in analysis.profiles.items():
-            if profile.d > 3:
+        for s_mask in analysis.profiles:
+            if s_mask.bit_count() > 3:
                 continue
             assert check_abs_fourier_u(analysis, s_mask).holds, (b.label, s_mask)
 
@@ -443,11 +462,9 @@ def test_budget_random_sweep():
 
 def test_budget_on_realized_covers(bundles):
     for b in bundles[:60]:
-        for profile in b.analysis.profiles.values():
-            for covers in profile.covers_by_u.values():
-                for cover in covers:
-                    sizes = [b.dnf.terms[j - 1].width for j in cover]
-                    v = sum(sizes)
-                    mass = sum(Fraction(1, 2**s) for s in sizes)
-                    if v > mass:
-                        assert budget_lemma_bound(sizes, v, mass).holds
+        for cover in b.analysis.covers:
+            sizes = [b.dnf.terms[j - 1].width for j in cover]
+            v = sum(sizes)
+            mass = sum(Fraction(1, 2**s) for s in sizes)
+            if v > mass:
+                assert budget_lemma_bound(sizes, v, mass).holds

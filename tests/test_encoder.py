@@ -33,6 +33,7 @@ from dnf_fourier import (
     valid_pairs,
 )
 from dnf_fourier.bitops import bit_indices
+from dnf_fourier.covers import SubsetProfile
 from dnf_fourier.encoder import (
     DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT,
     TRUTH_VALUES_BEYOND_D, _lex_choices, encode_row,
@@ -558,10 +559,11 @@ def test_encode_asks_each_question_once_on_corpus(asked, bundles):
 
 
 def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
-    """The records the analysis handed its consumer, and its cover
-    statistics, equal the oracle encoder's
-    on every pair of valid_pairs, entry by entry, and the record decodes
-    back to that sequence.  That includes S = {}, whose record the analysis
+    """The records the analysis handed its consumer, each subset's profile
+    (its most frequent union size u, ties to the smallest, and its witnesses
+    and distinct covers at u) and the set of every distinct cover equal the
+    oracle encoder's on every pair of valid_pairs, entry by entry, and the
+    record decodes back to that sequence.  That includes S = {}, whose record the analysis
     writes without encoding: x_sat is every assignment, with empty sigma
     and a.  Per pair, ``extract_cover``'s row and ``encode``'s objects
     equal the oracle's too."""
@@ -569,6 +571,7 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
     for s_mask, xsbar in valid_pairs(tables, analysis.d_max):
         by_subset.setdefault(s_mask, []).append((s_mask, xsbar))
     assert set(analysis.profiles) == set(by_subset) == set(records)
+    every_cover = set()
     for s_mask, pairs in by_subset.items():
         profile = analysis.profiles[s_mask]
         xsbars, record = records[s_mask]
@@ -595,11 +598,14 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
         for _, cov in oracle:
             count_by_u[cov.union_size] = count_by_u.get(cov.union_size, 0) + 1
             covers_by_u.setdefault(cov.union_size, set()).add(cov.term_indices)
-        assert profile.count_by_u == count_by_u and profile.covers_by_u == covers_by_u
+        u = min(u for u, cnt in count_by_u.items() if cnt == max(count_by_u.values()))
+        assert profile == SubsetProfile(u, count_by_u[u], len(covers_by_u[u])), s_mask
+        every_cover.update(*covers_by_u.values())
         for (s, x), (e, cov) in zip(pairs, oracle):
             assert encode(dnf, s, x, tables) == (e, cov)
             assert extract_cover(dnf, s, x, tables) == (
                 e.x_sat, list(e.sigma), _packed(e.a), cov.term_indices, cov.union_size)
+    assert analysis.covers == every_cover
 
 
 def test_analysis_record_matches_scalar_encoder_on_corpus(bundles):

@@ -11,6 +11,7 @@ import pytest
 from dnf_fourier import (
     DyadicRational,
     ExperimentConfig,
+    FourierSpectrum,
     GeneratorSpec,
     InstanceSource,
     fourier_transform,
@@ -190,6 +191,9 @@ def test_cli_gen_spectrum_covers(tmp_path, capsys):
     out = capsys.readouterr().out
     spec = json.loads(out)
     assert spec["n"] == 4
+    # the output is a 0/1 function's spectrum, so it reads back as written
+    back = FourierSpectrum.from_json(out)
+    assert np.array_equal(back.scaled, fourier_transform(tribes(2, 2).evaluate()).scaled)
 
     assert main(["covers", str(dnf_path), "--set", "1,3"]) == 0
     out = capsys.readouterr().out
@@ -1243,6 +1247,32 @@ def test_sweep_counts_the_covers_of_each_subset_once(monkeypatch):
     d_max = report["instances"][0]["degree_cutoff"]
     assert d_max >= 2
     assert sorted(counted) == sorted(make_bundle("t23", tribes(2, 3), d_max).analysis.profiles)
+
+
+@pytest.mark.parametrize("terms", [[], [[]]], ids=["no-term", "empty-term"])
+def test_the_sweep_of_a_constant_analyses_degree_0(monkeypatch, terms):
+    # a width-0 DNF is constant, so no pair with S nonempty has full depth:
+    # the sweep analyses S = {} alone, not every subset up to the cap
+    # (127,858 at n = 17).  An analysis at every degree finds no other
+    # subset either, so degree 0 loses nothing
+    from dnf_fourier import experiments
+    from dnf_fourier.dnf import Dnf
+    from dnf_fourier.restrictions import RestrictionTables
+
+    from conftest import make_bundle
+
+    analysed = []
+    xsbars = RestrictionTables.full_depth_xsbars
+
+    def spy(self, s_mask):
+        analysed.append(s_mask)
+        return xsbars(self, s_mask)
+
+    monkeypatch.setattr(RestrictionTables, "full_depth_xsbars", spy)
+    report = experiments.sweep_instance(Dnf.from_term_literals(17, terms), "const",
+                                        ExperimentConfig(instances=()))
+    assert (report["degree_cutoff"], analysed) == (0, [0])
+    assert list(make_bundle("const", Dnf.from_term_literals(6, terms), 6).analysis.profiles) == [0]
 
 
 def test_sweep_evaluates_and_transforms_each_instance_once(monkeypatch):

@@ -30,6 +30,14 @@ from dnf_fourier import (
 from dnf_fourier import restrictions
 from dnf_fourier.bitops import bit_indices, pdep, subsets_up_to
 from dnf_fourier.covers import (
+    FamilyKey,
+    FamilyStats,
+    SubsetProfile,
+    check_abs_fourier_u,
+    check_onenorm_u,
+    check_twonorm_u,
+    family_cauchy_check,
+    family_onenorm_count_check,
     onenorm_count_check,
     onenorm_width_binom_check,
     pair_count_binom_check,
@@ -530,6 +538,115 @@ def test_pair_count_binom_check_holds_at_its_bound_and_fails_one_unit_past(n, w,
     for past, holds in ((0, True), (1, False)):
         analysis = _degree_analysis(n, w, d, bound + past, 0, 1)
         assert tuple(pair_count_binom_check(analysis, d)) == (bound + past, bound, holds)
+
+
+def _family_analysis(n, w, d, u, stats, count):
+    """A stub of what the family-level checks read: width w, and one (d, u)
+    family with ``stats``, ``count`` full-depth pairs and ``count`` as its
+    largest num_covers."""
+    key = FamilyKey(d, u)
+    return SimpleNamespace(dnf=SimpleNamespace(n=n, width=lambda: w), families={key: stats},
+                           pair_count=lambda *d_u: {key: count}[d_u],
+                           max_num_covers={key: count}.__getitem__)
+
+
+#: (n, w, d, u, count) of each family-level boundary case.
+_FAMILY_CASES = [(4, 1, 0, 0, 3), (5, 2, 2, 3, 7), (3, 3, 3, 3, 1), (4, 1, 1, 1, 0),
+                 (6, 2, 3, 6, 5)]
+
+
+@pytest.mark.parametrize("n, w, d, u, count", _FAMILY_CASES)
+def test_family_onenorm_count_check_holds_at_its_bound_and_fails_one_unit_past(n, w, d, u,
+                                                                              count):
+    # the bound (wd+1) * 2^-(n-d) * pairs is (wd+1) * pairs * 2^d units of 2^-n
+    bound = (w * d + 1) * count << d
+    for past, holds in ((0, True), (1, False)):
+        stats = FamilyStats(one_norm=DyadicRational(bound + past, n))
+        analysis = _family_analysis(n, w, d, u, stats, count)
+        assert tuple(family_onenorm_count_check(analysis, d, u)) == (
+            DyadicRational(bound + past, n), DyadicRational(bound, n), holds)
+
+
+@pytest.mark.parametrize("n, w, d, u, count", _FAMILY_CASES)
+def test_check_onenorm_u_holds_at_its_bound_and_fails_one_unit_past(n, w, d, u, count):
+    # the bound (wd+1) * C(u, d) * 2^(2d) is that many times 2^n units of 2^-n
+    bound = (w * d + 1) * comb(u, d) << (2 * d + n)
+    for past, holds in ((0, True), (1, False)):
+        stats = FamilyStats(one_norm=DyadicRational(bound + past, n))
+        analysis = _family_analysis(n, w, d, u, stats, count)
+        assert tuple(check_onenorm_u(analysis, d, u)) == (
+            DyadicRational(bound + past, n), DyadicRational(bound, n), holds)
+
+
+@pytest.mark.parametrize("n, w, d, u, count", _FAMILY_CASES)
+def test_check_twonorm_u_holds_at_its_bound_and_fails_one_unit_past(n, w, d, u, count):
+    # the bound (wd+1)^2 * C(u, d) * 2^(3d) * 2^-u * max num_covers, in
+    # units of 2^-2n
+    bound = (w * d + 1) ** 2 * comb(u, d) * count << (3 * d + 2 * n - u)
+    for past, holds in ((0, True), (1, False)):
+        stats = FamilyStats(two_norm_sq=DyadicRational(bound + past, 2 * n))
+        analysis = _family_analysis(n, w, d, u, stats, count)
+        assert tuple(check_twonorm_u(analysis, d, u)) == (
+            DyadicRational(bound + past, 2 * n), DyadicRational(bound, 2 * n), holds)
+
+
+@pytest.mark.parametrize("n, w, d, u, count", _FAMILY_CASES)
+def test_family_cauchy_check_holds_at_its_bound_and_fails_one_unit_past(n, w, d, u, count):
+    # a one-norm of count + d + 1 and a peak of u + 1 units of 2^-n bound
+    # the weight by their product in units of 2^-2n
+    bound = (count + d + 1) * (u + 1)
+    for past, holds in ((0, True), (1, False)):
+        stats = FamilyStats(one_norm=DyadicRational(count + d + 1, n),
+                            two_norm_sq=DyadicRational(bound + past, 2 * n),
+                            max_abs_coeff=DyadicRational(u + 1, n))
+        assert tuple(family_cauchy_check(stats)) == (
+            DyadicRational(bound + past, 2 * n), DyadicRational(bound, 2 * n), holds)
+
+
+def _subset_analysis(n, w, s_mask, u, coeff, witnesses, distinct, num_covers):
+    """A stub of what ``check_abs_fourier_u`` reads: width w, the profile of
+    S (its family's u, and S's witnesses and distinct covers at u),
+    num_covers(S, u), and a synthetic int32 spectrum with ``coeff`` units
+    of 2^-n at S."""
+    scaled = np.zeros(1 << n, np.int32)
+    scaled[s_mask] = coeff
+    return SimpleNamespace(spec=FourierSpectrum(n, scaled),
+                           dnf=SimpleNamespace(n=n, width=lambda: w),
+                           profiles={s_mask: SubsetProfile(u, witnesses, distinct)},
+                           cover_counts={s_mask: {u: num_covers}}.__getitem__)
+
+
+@pytest.mark.parametrize("link", ["coefficient", "distinct_covers", "num_covers"])
+@pytest.mark.parametrize("n, w, s_mask, u, count", [
+    (4, 2, 0b0101, 3, 1), (5, 1, 0b00111, 5, 2), (6, 3, 0b000010, 1, 3), (3, 2, 0, 0, 1),
+    (5, 2, 0b11000, 4, 4)])
+def test_check_abs_fourier_u_holds_at_each_link_and_fails_one_unit_past(link, n, w, s_mask,
+                                                                        u, count):
+    # the chain |fhat(S)| <= (wd+1) * prob, prob <= 2^-(u-d) * distinct
+    # covers <= 2^-(u-d) * num_covers, with prob = witnesses * 2^-(n-d).
+    # Each case puts one link at its bound, the others at theirs or inside,
+    # and then moves that link one unit past: 2^-n on the coefficient, one
+    # witness more than the distinct covers allow, one distinct cover more
+    # than num_covers
+    d = s_mask.bit_count()
+    for past in (0, 1):
+        if link == "coefficient":
+            bound = (w * d + 1) * count << d
+            cases = [(sign * (bound + past), count, count, count) for sign in (1, -1)]
+        elif link == "distinct_covers":
+            cases = [(0, (count << (n - u)) + past, count, 2 * count)]
+        else:
+            cases = [(0, count << (n - u), count + past, count)]
+        for coeff, witnesses, distinct, num_covers in cases:
+            r = check_abs_fourier_u(_subset_analysis(n, w, s_mask, u, coeff, witnesses,
+                                                     distinct, num_covers), s_mask)
+            prob = DyadicRational(witnesses, n - d)
+            assert (r.lhs, r.bound, r.extras["prob"]) == (
+                DyadicRational(abs(coeff), n), (w * d + 1) * prob, prob)
+            assert (r.extras["distinct_covers"], r.extras["num_covers"]) == (distinct, num_covers)
+            assert (r.extras["prob_le_distinct"], r.extras["prob_le_num_covers"]) == (
+                link != "distinct_covers" or past == 0, link != "num_covers" or past == 0)
+            assert r.holds == (past == 0)
 
 
 def test_evasive_and_cover_probability_on_corpus(bundles):
