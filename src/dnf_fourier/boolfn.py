@@ -71,15 +71,31 @@ class BooleanFunction:
     def value(self, x: int) -> int:
         return (self.bits >> x) & 1
 
+    def packed(self) -> np.ndarray:
+        """Truth table packed as by ``np.packbits(..., bitorder="little")``:
+        a read-only uint8 array of max(1, 2^n / 8) bytes."""
+        return np.frombuffer(self.bits.to_bytes(max(1, self.size >> 3), "little"),
+                             dtype=np.uint8)
+
     def to_array(self) -> np.ndarray:
         """Truth table as a uint8 array of 0/1, index = assignment mask."""
-        nbytes = max(1, self.size // 8)
-        raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.size]
+        return np.unpackbits(self.packed(), bitorder="little")[: self.size]
+
+    def blocks(self, step: int) -> Iterator[tuple[int, np.ndarray]]:
+        """The truth table as 0/1 uint8 arrays of ``step`` entries (fewer in
+        the last), with the index of each one's first entry: the bits are
+        copied to bytes once, and each block is unpacked alone."""
+        packed = self.packed()
+        for lo in range(0, self.size, step):
+            hi = min(lo + step, self.size)
+            bits = np.unpackbits(packed[lo >> 3:(hi + 7) >> 3], bitorder="little")
+            yield lo, bits[lo & 7:(lo & 7) + hi - lo]
 
     @classmethod
     def from_array(cls, n: int, table: np.ndarray) -> "BooleanFunction":
-        packed = np.packbits(np.asarray(table, dtype=np.uint8), bitorder="little")
+        """The function with entry x ``table[x]``, from a 0/1 integer or a
+        bool vector, packed as it is: a bool table gets no uint8 copy."""
+        packed = np.packbits(np.asarray(table), bitorder="little")
         return cls(n, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
@@ -112,9 +128,10 @@ def popcount_table(n: int) -> np.ndarray:
     return out
 
 
-#: Entries of the spectrum per block in every pass over the whole vector
-#: (``_profile``, ``_sum_squares`` and the gather of ``ranked_masks``), so
-#: that none makes a 2^n temporary.
+#: Entries per block in every pass over a whole 2^n vector (the unpack of
+#: ``fourier_transform``, ``_profile``, ``_sum_squares`` and the gather of
+#: ``ranked_masks``), so that none makes a 2^n temporary; also the cap of
+#: ``_profile``'s magnitude histogram.
 HIST_CHUNK = 1 << 16
 
 
@@ -201,29 +218,38 @@ def _profile(scaled: np.ndarray):
     each).  It reads blocks of 2^b <= ``HIST_CHUNK`` entries.  Entry i of the
     block at lo has size popcount(lo) + popcount(i), so in the stable order
     of popcount(i) a block's sums per size are ``reduceat`` segments, none
-    empty.  Each block's histogram of magnitudes is added into the longer of
-    it and the running one.  A block's sums are exact in int64 for a
-    spectrum with n <= 24: by Parseval the sum of squares is
-    2^n * #{x : f(x) = 1} <= 2^{2n} <= 2^48, and the sum of magnitudes is at
-    most 2^{1.5n}; the sums over blocks are Python ints."""
+    empty.  A block's sums are exact in int64 for a spectrum with n <= 24:
+    by Parseval the sum of squares is 2^n * #{x : f(x) = 1} <= 2^{2n} <=
+    2^48, and the sum of magnitudes is at most 2^{1.5n}; the sums over blocks
+    are Python ints.
+
+    Magnitudes below ``HIST_CHUNK`` are counted in a fixed histogram of
+    ``HIST_CHUNK + 1`` entries, the last of which takes every larger one.
+    The entries at or above the cap are kept and grouped once, after the
+    pass; for the spectrum of a 0/1 function Parseval leaves at most
+    2^{2n} / HIST_CHUNK^2 of them (2^16 at n = 24)."""
     n = scaled.size.bit_length() - 1
     b = min(n, HIST_CHUNK.bit_length() - 1)
     sizes = popcount_table(b)
     order = np.argsort(sizes, kind="stable")
     starts = np.searchsorted(sizes[order], np.arange(b + 1))
     square_sums, magnitude_sums = [0] * (n + 1), [0] * (n + 1)
-    hist = np.zeros(1, dtype=np.intp)
+    hist = np.zeros(HIST_CHUNK + 1, dtype=np.intp)
+    large = []
+    part = np.empty(1 << b, dtype=np.int64)
     for lo in range(0, scaled.size, 1 << b):
-        part = np.abs(scaled[lo:lo + (1 << b)][order].astype(np.int64))
+        part[...] = scaled[lo:lo + (1 << b)][order]
+        np.abs(part, out=part)
         for sums, values in ((square_sums, part * part), (magnitude_sums, part)):
             for d, total in enumerate(np.add.reduceat(values, starts).tolist(), lo.bit_count()):
                 sums[d] += total
-        counts = np.bincount(part)
-        if counts.size > hist.size:
-            hist, counts = counts, hist
-        hist[:counts.size] += counts
-    mags = np.flatnonzero(hist)[::-1]
-    return tuple(square_sums), tuple(magnitude_sums), (mags, hist[mags])
+        large.append(part[part >= HIST_CHUNK])
+        hist += np.bincount(np.minimum(part, HIST_CHUNK, out=part), minlength=HIST_CHUNK + 1)
+    large_mags, large_counts = np.unique(np.concatenate(large), return_counts=True)
+    mags = np.flatnonzero(hist[:HIST_CHUNK])[::-1]
+    groups = (np.concatenate((large_mags[::-1], mags)),
+              np.concatenate((large_counts[::-1], hist[mags])))
+    return tuple(square_sums), tuple(magnitude_sums), groups
 
 
 #: Entries per cache block of ``walsh_butterfly`` (1 MiB of int64): the low
@@ -310,9 +336,14 @@ def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     """Exact spectrum of f, scaled coefficients 2^n * fhat(S) as integers.
 
     The butterfly runs in int32: on a 0/1 table every partial sum has
-    magnitude at most 2^n <= 2^N_CAP."""
+    magnitude at most 2^n <= 2^N_CAP.  The packed table is unpacked into the
+    int32 buffer one ``HIST_CHUNK`` block at a time, so beside its result
+    the transform and the profile hold only buffers of a block or so."""
     assert f.n <= N_CAP and 1 << N_CAP <= np.iinfo(np.int32).max
-    return FourierSpectrum(f.n, walsh_butterfly(f.to_array().astype(np.int32)))
+    scaled = np.empty(f.size, dtype=np.int32)
+    for lo, part in f.blocks(HIST_CHUNK):
+        scaled[lo:lo + part.size] = part
+    return FourierSpectrum(f.n, walsh_butterfly(scaled))
 
 
 def _sum_squares(values: np.ndarray) -> int:

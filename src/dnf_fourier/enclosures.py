@@ -8,13 +8,15 @@ on one side, retrying at doubled precision otherwise.  Since the compared
 quantities are never equal unless both sides are zero (k*ln of a rational
 other than 1 is irrational, as are powers of e), the refinement loop
 terminates.
+
+mpmath is imported on first use, by ``ln_enclosure`` and ``exp_enclosure``:
+``floor_scaled_log2`` is exact big-integer arithmetic, and a run that
+decides nothing else (a sweep) never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import iv
 
 _MAX_PREC = 1 << 14
 
@@ -59,30 +61,30 @@ def _interval_to_enclosure(x) -> RealEnclosure:
     return RealEnclosure(_mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi))
 
 
-def _iv_fraction(q: Fraction):
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+def _iv_enclosure(function: str, q: Fraction, prec: int) -> RealEnclosure:
+    """Enclosure of mpmath's interval ``iv.<function>`` at the rational q,
+    evaluated at ``prec`` bits."""
+    from mpmath import iv
+
+    old = iv.prec
+    try:
+        iv.prec = prec
+        x = iv.mpf(q.numerator) / iv.mpf(q.denominator)
+        return _interval_to_enclosure(getattr(iv, function)(x))
+    finally:
+        iv.prec = old
 
 
 def ln_enclosure(q: Fraction, prec: int = 64) -> RealEnclosure:
     """Enclosure of the natural log of a positive rational."""
     if q <= 0:
         raise ValueError("ln of a nonpositive value")
-    old = iv.prec
-    try:
-        iv.prec = prec
-        return _interval_to_enclosure(iv.log(_iv_fraction(q)))
-    finally:
-        iv.prec = old
+    return _iv_enclosure("log", q, prec)
 
 
 def exp_enclosure(x: Fraction, prec: int = 64) -> RealEnclosure:
     """Enclosure of e**x for rational x."""
-    old = iv.prec
-    try:
-        iv.prec = prec
-        return _interval_to_enclosure(iv.exp(_iv_fraction(x)))
-    finally:
-        iv.prec = old
+    return _iv_enclosure("exp", x, prec)
 
 
 def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:

@@ -25,7 +25,6 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
@@ -274,17 +273,22 @@ def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
     """Whether the polynomial evaluated at every point (the inverse
     transform) is 2^n * f(x), exactly, in int64.
 
-    Split on the top variable, H_n = [[H, H], [H, -H]]: poly is H(lo + hi)
-    on the half with x_n = 0 and H(lo - hi) on the other, so one buffer of
-    2^(n-1) int64s serves both halves in turn, and nothing of it outlives
-    the call."""
-    half = spec.scaled.size // 2
-    lo, hi = spec.scaled[:half], spec.scaled[half:]
-    table = f.to_array().view(bool)
-    poly = np.empty(half, dtype=np.int64)
-    for combine, part in ((np.add, table[:half]), (np.subtract, table[half:])):
-        walsh_butterfly(combine(lo, hi, out=poly, dtype=np.int64))
-        np.subtract(poly, 1 << spec.n, out=poly, where=part)
+    Split on the top two variables (the top one when n = 1),
+    H_n = H_2 (x) H_{n-2}: with q_0..q_3 the four quarters of the spectrum,
+    quarter i of the points is H_{n-2}(sum_j (-1)^|i & j| q_j).  One buffer
+    of 2^(n-2) int64s serves the quarters in turn, each is compared with its
+    own quarter of the table, unpacked alone, and nothing of either
+    outlives the call."""
+    top = min(spec.n, 2)
+    quarters = spec.scaled.reshape(1 << top, -1)
+    poly = np.empty(quarters.shape[1], dtype=np.int64)
+    for i, (_, part) in enumerate(f.blocks(poly.size)):
+        poly[...] = quarters[0]
+        for j in range(1, 1 << top):
+            combine = np.subtract if (i & j).bit_count() & 1 else np.add
+            combine(poly, quarters[j], out=poly)
+        walsh_butterfly(poly)
+        np.subtract(poly, 1 << spec.n, out=poly, where=part.view(bool))
         if poly.any():
             return False
     return True
@@ -310,12 +314,31 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     n = dnf.n
     s, w, k = dnf.metrics()
     f = dnf.evaluate()
+    checks = set(config.checks)
+
+    # Width truncations are nested, so two with the same number of terms
+    # are the same DNF: evaluate each distinct one once.
+    truncated: dict[int, BooleanFunction] = {}
+
+    def truncated_table(w_cut: int) -> BooleanFunction:
+        g = dnf.truncate_width(w_cut)
+        if len(g.terms) not in truncated:
+            truncated[len(g.terms)] = g.evaluate()
+        return truncated[len(g.terms)]
+
+    # approx_transfer's truncation side runs first: its spectrum is read
+    # and dropped before f's is made, so one spectrum is alive at a time
+    if "approx_transfer" in checks and w >= 1:
+        g_spec = fourier_transform(truncated_table(w - 1))
+        m_keep = min_coeffs_for_eps(g_spec, config.eps)
+        masks = ranked_masks(g_spec, m_keep)
+        eps2 = weight_outside_masks(g_spec, masks)
+        del g_spec
     spec = fourier_transform(f)
     total_weight = spec.total_weight()
     one_norm = spec.one_norm_total()
     min_coeffs = min_coeffs_for_eps(spec, config.eps)
     d_max = effective_d_max(config.d_max, n)
-    checks = set(config.checks)
     rows: list[dict] = []
     tables = RestrictionTables(f) if checks & TABLE_CHECKS else None
     analysis: FamilyAnalysis | None = None
@@ -351,16 +374,6 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             )
         )
 
-    # Width truncations are nested, so two with the same number of terms
-    # are the same DNF: evaluate each distinct one once.
-    truncated: dict[int, BooleanFunction] = {}
-
-    def truncated_table(w_cut: int) -> BooleanFunction:
-        g = dnf.truncate_width(w_cut)
-        if len(g.terms) not in truncated:
-            truncated[len(g.terms)] = g.evaluate()
-        return truncated[len(g.terms)]
-
     if "truncation" in checks:
         for w_cut in range(w):
             dist = hamming_distance_fraction(f, truncated_table(w_cut))
@@ -370,13 +383,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             )
 
     if "approx_transfer" in checks and w >= 1:
-        g_f = truncated_table(w - 1)
-        g_spec = fourier_transform(g_f)
-        eps1 = hamming_distance_fraction(f, g_f)
-        m_keep = min_coeffs_for_eps(g_spec, config.eps)
-        masks = ranked_masks(g_spec, m_keep)
-        eps2 = weight_outside_masks(g_spec, masks)
-        del g_spec                  # 2^n int32s no later check reads
+        eps1 = hamming_distance_fraction(f, truncated_table(w - 1))
         lhs = weight_outside_masks(spec, masks)
         bound = 2 * (eps1 + eps2)
         rows.append(
@@ -637,6 +644,9 @@ def _run_tasks(config: ExperimentConfig, instance_fn) -> list[dict]:
     task = functools.partial(_run_instance, config, instance_fn)
     if config.workers == 1:
         return [task(s) for s in config.instances]
+    # imported here: the pool and multiprocessing would add about 1.3 MB
+    # to the RSS of every one-worker run
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(task, config.instances, chunksize=1))
 

@@ -438,6 +438,87 @@ def test_int64_sums_of_a_dictator_at_n20():
     assert got["weight_outside_masks"] == Fraction(1, 4) and got["degree"] == 1
 
 
+def oracle_groups(scaled: np.ndarray):
+    """The distinct magnitudes, largest first, and how many entries have
+    each, by a sort of the whole vector."""
+    mags, counts = np.unique(np.abs(scaled.astype(np.int64)), return_counts=True)
+    return mags[::-1].tolist(), counts[::-1].tolist()
+
+
+def _groups(spec: FourierSpectrum):
+    mags, counts = spec._groups
+    return mags.tolist(), counts.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 4, 17])
+def test_magnitude_groups_of_a_constant_one(n):
+    # scaled[0] = 2^n, at or above the histogram's cap from n = 16 on
+    spec = fourier_transform(BooleanFunction.constant(n, True))
+    assert _groups(spec) == oracle_groups(spec.scaled) == ([1 << n, 0], [1, (1 << n) - 1])
+
+
+@pytest.mark.parametrize("chunk", [4, 16, 64])
+def test_magnitude_groups_around_the_histogram_cap(chunk):
+    # magnitudes just below, at and just above the cap: the first is
+    # counted in the histogram, the other two among the large entries
+    n = 8
+    values = [chunk - 1, -chunk, chunk + 1, -(chunk + 1), 0, 1, chunk, -(chunk - 1)]
+    scaled = np.resize(np.array(values, dtype=np.int32), 1 << n)
+    with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        spec = FourierSpectrum(n, scaled)
+    assert _groups(spec) == oracle_groups(scaled)
+    assert _groups(spec)[0] == [chunk + 1, chunk, chunk - 1, 1, 0]
+
+
+def test_magnitude_groups_with_every_magnitude_at_or_above_the_cap():
+    n, chunk = 6, 8
+    rng = np.random.default_rng(5)
+    scaled = (rng.integers(chunk, (1 << n) + 1, size=1 << n)
+              * rng.choice([-1, 1], size=1 << n)).astype(np.int32)
+    with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        spec = FourierSpectrum(n, scaled)
+    assert _groups(spec) == oracle_groups(scaled)
+    assert sum(_groups(spec)[1]) == 1 << n
+
+
+@given(f=_tables(), step=st.sampled_from([1, 3, 8, 13, 64, 1 << 10]))
+@settings(max_examples=100, deadline=None)
+def test_blocks_unpack_the_table_in_order(f, step):
+    blocks = list(f.blocks(step))
+    assert [lo for lo, _ in blocks] == list(range(0, f.size, step))
+    assert all(part.size == min(step, f.size - lo) for lo, part in blocks)
+    assert np.array_equal(np.concatenate([part for _, part in blocks]), f.to_array())
+
+
+def test_from_array_packs_a_bool_table_and_a_01_table_alike():
+    rng = np.random.default_rng(3)
+    table = rng.integers(0, 2, size=1 << 9).astype(bool)
+    f = BooleanFunction.from_array(9, table)
+    assert f == BooleanFunction.from_array(9, table.astype(np.uint8))
+    assert f == BooleanFunction.from_array(9, table.tolist())
+    assert np.array_equal(f.to_array(), table)
+
+
+def test_transform_peak_memory_is_its_result_and_a_few_blocks():
+    # the table is unpacked into the int32 result one block at a time, and
+    # the profile's histogram is capped at HIST_CHUNK + 1 entries whatever
+    # the largest magnitude (here 2^22 * Pr[f = 1], near 2^22): beside its
+    # 16 MiB result the transform holds buffers of a few blocks
+    import tracemalloc
+
+    from dnf_fourier import random_read_k
+
+    f = random_read_k(n=22, s=18, w=5, k=5, seed=7).evaluate()
+    tracemalloc.start()
+    try:
+        spec = fourier_transform(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(spec._groups[0][0]) > boolfn.HIST_CHUNK
+    assert peak <= 1.2 * spec.scaled.nbytes, f"{peak / spec.scaled.nbytes:.2f}x the result"
+
+
 # -- concentration facts ------------------------------------------------------
 
 

@@ -64,6 +64,24 @@ def test_term_subcube_indexes_exactly_its_satisfying_assignments(dnf):
         assert got.tolist() == want, (t, dnf.n)
 
 
+def test_evaluate_peak_memory_is_the_bool_table_and_its_packing():
+    # the (2,)*n bool table (one byte per entry) is packed as it is: no
+    # uint8 copy of it is made on the way to the packed bits
+    import tracemalloc
+
+    from dnf_fourier import random_read_k
+
+    dnf = random_read_k(n=20, s=18, w=5, k=5, exact_width=True, seed=7)
+    tracemalloc.start()
+    try:
+        f = dnf.evaluate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.ones
+    assert peak / f.size <= 1.5, f"{peak / f.size:.2f} bytes per entry"
+
+
 def test_evaluate_examples():
     and2 = Dnf.from_term_literals(2, [[1, 2]])
     f = and2.evaluate()

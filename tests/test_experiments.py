@@ -1421,21 +1421,41 @@ def test_verify_evaluates_each_distinct_truncation_once(monkeypatch):
 
 
 def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
+    # one wrong coefficient in each quarter of the spectrum (n = 4: masks
+    # 0-3, 4-7, 8-11 and 12-15), which the check splits on
     from dnf_fourier import FourierSpectrum, experiments
 
     transform = experiments.fourier_transform
-
-    def off_by_one(f):
-        scaled = transform(f).scaled.copy()
-        scaled[3] += 1
-        return FourierSpectrum(f.n, scaled)
-
     cfg = ExperimentConfig(instances=(_tribes_source(2, 2),), checks=("spectral_basics",))
     holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
     assert holds == {"parseval": True, "reconstruction": True}
-    monkeypatch.setattr(experiments, "fourier_transform", off_by_one)
-    holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
-    assert holds["reconstruction"] is False
+    for mask in (3, 5, 10, 12):
+        def off_by_one(f, mask=mask):
+            scaled = transform(f).scaled.copy()
+            scaled[mask] += 1
+            return FourierSpectrum(f.n, scaled)
+
+        monkeypatch.setattr(experiments, "fourier_transform", off_by_one)
+        holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
+        assert holds["reconstruction"] is False, mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reconstructs_every_small_function_and_no_wrong_spectrum(n):
+    # every function on n <= 3 variables: its own spectrum reconstructs it,
+    # and the spectrum with any one coefficient off by one does not (n = 1
+    # splits on one variable, n >= 2 on two)
+    from dnf_fourier import BooleanFunction, FourierSpectrum
+    from dnf_fourier.experiments import _reconstructs
+
+    for bits in range(1 << (1 << n)):
+        f = BooleanFunction(n, bits)
+        scaled = fourier_transform(f).scaled
+        assert _reconstructs(FourierSpectrum(n, scaled.copy()), f)
+        for mask in range(1 << n):
+            wrong = scaled.copy()
+            wrong[mask] += 1
+            assert not _reconstructs(FourierSpectrum(n, wrong), f), (bits, mask)
 
 
 @pytest.mark.parametrize("x", [0, 5, 8, 15])
@@ -1452,19 +1472,19 @@ def test_reconstruction_row_catches_one_wrong_point_in_either_half(monkeypatch, 
     assert holds["reconstruction"] is False
 
 
-def test_spectral_verify_peak_memory_per_table_entry():
-    # The spectral checks of a verify at n = 20 hold the int32 spectrum, one
-    # more for approx_transfer, the 0/1 table and a half-size int64
-    # reconstruction buffer, but never a 2^n int64 array beside them: the
-    # traced peak stays under 12 bytes per truth-table entry.
+_SPECTRAL_CHECKS = ("spectral_basics", "sparsity", "truncation", "approx_transfer",
+                    "satisfied_mass")
+
+
+def _spectral_verify_bytes_per_entry(exact_width: bool) -> float:
+    """The traced peak of the five-check spectral verify of an n = 20 DNF,
+    per truth-table entry."""
     import tracemalloc
 
     from dnf_fourier import random_read_k
-    from dnf_fourier.experiments import verify_instance
 
-    dnf = random_read_k(n=20, s=18, w=5, k=5, exact_width=True, seed=7)
-    cfg = ExperimentConfig(instances=(), eps=Fraction(1, 64), d_max=0, checks=(
-        "spectral_basics", "sparsity", "truncation", "approx_transfer", "satisfied_mass"))
+    dnf = random_read_k(n=20, s=18, w=5, k=5, exact_width=exact_width, seed=7)
+    cfg = ExperimentConfig(instances=(), eps=Fraction(1, 64), d_max=0, checks=_SPECTRAL_CHECKS)
     tracemalloc.start()
     try:
         report = verify_instance(dnf, "rk20", cfg)
@@ -1472,7 +1492,101 @@ def test_spectral_verify_peak_memory_per_table_entry():
     finally:
         tracemalloc.stop()
     assert report["failures"] == 0
-    assert peak / (1 << 20) <= 12, f"{peak / (1 << 20):.1f} bytes per entry"
+    return peak / (1 << 20)
+
+
+def test_spectral_verify_peak_memory_per_table_entry():
+    # Every phase of the spectral checks holds one int32 spectrum (4 bytes
+    # per entry) and buffers of at most a quarter of the entries, the
+    # largest the quarter-size int64 reconstruction buffer (2 bytes per
+    # entry): never two spectra, nor a 2^n unpacked table beside one.
+    per_entry = _spectral_verify_bytes_per_entry(exact_width=True)
+    assert per_entry <= 9, f"{per_entry:.1f} bytes per entry"
+
+
+def test_spectral_verify_peak_memory_per_table_entry_mixed_width():
+    # With terms of several widths the truncation is not empty: its
+    # spectrum is ranked and dropped before f's is made, and the kept masks
+    # (8 bytes each) are all that outlives it.
+    per_entry = _spectral_verify_bytes_per_entry(exact_width=False)
+    assert per_entry <= 12, f"{per_entry:.1f} bytes per entry"
+
+
+def test_reconstruction_peak_memory_beside_the_spectrum():
+    # one 2^(n-2) int64 buffer (half the spectrum's bytes) and one quarter
+    # of the table, unpacked, at a time
+    import tracemalloc
+
+    from dnf_fourier import random_read_k
+    from dnf_fourier.experiments import _reconstructs
+
+    f = random_read_k(n=22, s=18, w=5, k=5, seed=7).evaluate()
+    spec = fourier_transform(f)
+    tracemalloc.start()
+    try:
+        ok = _reconstructs(spec, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak <= 0.75 * spec.scaled.nbytes, f"{peak / spec.scaled.nbytes:.2f}x the spectrum"
+
+
+def test_spectral_verify_holds_one_spectrum_at_a_time(monkeypatch):
+    # a weakref to each spectrum's vector: when a transform starts, every
+    # vector made before it is gone (the DNF has terms of widths 2 to 5, so
+    # approx_transfer transforms a truncation that is not empty)
+    import weakref
+
+    from dnf_fourier import experiments, random_read_k
+
+    made, alive_at_start = [], []
+    init, transform = FourierSpectrum.__init__, experiments.fourier_transform
+
+    def spy_init(self, n, scaled):
+        made.append(weakref.ref(scaled))
+        init(self, n, scaled)
+
+    def spy_transform(f):
+        alive_at_start.append(sum(ref() is not None for ref in made))
+        return transform(f)
+
+    monkeypatch.setattr(FourierSpectrum, "__init__", spy_init)
+    monkeypatch.setattr(experiments, "fourier_transform", spy_transform)
+    dnf = random_read_k(n=12, s=10, w=5, k=3, seed=2)
+    assert len({t.width for t in dnf.terms}) > 1
+    cfg = ExperimentConfig(instances=(), eps=Fraction(1, 64), d_max=0, checks=_SPECTRAL_CHECKS)
+    report = verify_instance(dnf, "rk12", cfg)
+    assert report["failures"] == 0 and "approx_transfer" in {r["check"] for r in report["checks"]}
+    assert len(made) == 2 and alive_at_start == [0, 0]
+
+
+def test_sweep_imports_neither_mpmath_nor_the_process_pool():
+    # a sweep decides its cuts with exact Fractions, and one worker needs no
+    # pool: neither module is loaded
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import dnf_fourier.cli\n"
+        "from dnf_fourier import ExperimentConfig, GeneratorSpec, InstanceSource\n"
+        "from dnf_fourier import run_concentration_sweep\n"
+        "spec = GeneratorSpec('tribes', {'w': 2, 't': 3})\n"
+        "cfg = ExperimentConfig(instances=(InstanceSource('generator', spec=spec),), d_max=4)\n"
+        "assert run_concentration_sweep(cfg)['instances'][0]['tail_table']\n"
+        "print(sorted(m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules))\n"
+    )
+    import dnf_fourier
+
+    src = str(Path(dnf_fourier.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "[]\n"
 
 
 def test_readme_library_sketch_runs():
