@@ -131,7 +131,8 @@ def popcount_table(n: int) -> np.ndarray:
 #: Entries per block in every pass over a whole 2^n vector (the unpack of
 #: ``fourier_transform``, ``_profile``, ``_sum_squares`` and the gather of
 #: ``ranked_masks``), so that none makes a 2^n temporary; also the cap of
-#: ``_profile``'s magnitude histogram.
+#: ``_profile``'s magnitude histogram, which has min(HIST_CHUNK, 2^n) + 1
+#: bins.
 HIST_CHUNK = 1 << 16
 
 
@@ -221,41 +222,52 @@ def _profile(scaled: np.ndarray):
     empty.  A block's sums are exact in int64 for a spectrum with n <= 24:
     by Parseval the sum of squares is 2^n * #{x : f(x) = 1} <= 2^{2n} <=
     2^48, and the sum of magnitudes is at most 2^{1.5n}; the sums over blocks
-    are Python ints.
+    are Python ints.  A block that is all zero adds nothing to the sums:
+    its entries go to the histogram's zero bin, and nothing else is done
+    with it.
 
-    Magnitudes below ``HIST_CHUNK`` are counted in a fixed histogram of
-    ``HIST_CHUNK + 1`` entries, the last of which takes every larger one.
-    The entries at or above the cap are kept and grouped once, after the
-    pass; for the spectrum of a 0/1 function Parseval leaves at most
+    Magnitudes below cap = min(HIST_CHUNK, 2^n) are counted in a histogram
+    of cap + 1 bins, the last of which takes every larger one, so a small
+    spectrum gets a small histogram.  The entries at or above the cap are
+    kept and grouped once, after the pass; the spectrum of a 0/1 function
+    has no magnitude above 2^n, and Parseval leaves at most
     2^{2n} / HIST_CHUNK^2 of them (2^16 at n = 24)."""
     n = scaled.size.bit_length() - 1
     b = min(n, HIST_CHUNK.bit_length() - 1)
+    cap = min(HIST_CHUNK, scaled.size)
     sizes = popcount_table(b)
     order = np.argsort(sizes, kind="stable")
     starts = np.searchsorted(sizes[order], np.arange(b + 1))
     square_sums, magnitude_sums = [0] * (n + 1), [0] * (n + 1)
-    hist = np.zeros(HIST_CHUNK + 1, dtype=np.intp)
+    hist = np.zeros(cap + 1, dtype=np.intp)
     large = []
     part = np.empty(1 << b, dtype=np.int64)
     for lo in range(0, scaled.size, 1 << b):
-        part[...] = scaled[lo:lo + (1 << b)][order]
+        block = scaled[lo:lo + (1 << b)]
+        if not block.any():
+            hist[0] += block.size
+            continue
+        part[...] = block[order]
         np.abs(part, out=part)
         for sums, values in ((square_sums, part * part), (magnitude_sums, part)):
             for d, total in enumerate(np.add.reduceat(values, starts).tolist(), lo.bit_count()):
                 sums[d] += total
-        large.append(part[part >= HIST_CHUNK])
-        hist += np.bincount(np.minimum(part, HIST_CHUNK, out=part), minlength=HIST_CHUNK + 1)
-    large_mags, large_counts = np.unique(np.concatenate(large), return_counts=True)
-    mags = np.flatnonzero(hist[:HIST_CHUNK])[::-1]
+        large.append(part[part >= cap])
+        hist += np.bincount(np.minimum(part, cap, out=part), minlength=cap + 1)
+    large = np.concatenate([part[:0], *large])
+    large_mags, large_counts = (np.unique(large, return_counts=True) if large.size
+                                else (large, large))
+    mags = np.flatnonzero(hist[:cap])[::-1]
     groups = (np.concatenate((large_mags[::-1], mags)),
               np.concatenate((large_counts[::-1], hist[mags])))
     return tuple(square_sums), tuple(magnitude_sums), groups
 
 
-#: Entries per cache block of ``walsh_butterfly`` (1 MiB of int64): the low
-#: stages run block by block, the high stages on column slices of this many
-#: entries, and the one scratch buffer holds half a block.
-WHT_BLOCK = 1 << 17
+#: Bytes per cache block of ``walsh_butterfly``, whatever the dtype (2^18
+#: int32 entries, 2^17 int64): the low stages run block by block, the high
+#: stages on column slices of this size, and the one scratch buffer holds
+#: half a block.
+WHT_BLOCK_BYTES = 1 << 20
 
 
 def walsh_butterfly(a: np.ndarray) -> np.ndarray:
@@ -267,11 +279,12 @@ def walsh_butterfly(a: np.ndarray) -> np.ndarray:
     signed sum of 2^i inputs.  Stages run two at a time (radix 4), and every
     intermediate is a value of the stage it completes.
 
-    The stages that pair entries less than ``WHT_BLOCK`` apart run on one
-    contiguous block at a time; the others pair whole rows of the
-    (2^n / WHT_BLOCK, WHT_BLOCK) matrix and run on a slice of its columns
-    at a time, so each pass stays in cache.  The only temporary is a
-    scratch buffer of ``WHT_BLOCK // 2`` entries (for n <= 34).
+    A block is B = ``WHT_BLOCK_BYTES`` / itemsize entries.  The stages that
+    pair entries less than B apart run on one contiguous block at a time;
+    the others pair whole rows of the (2^n / B, B) matrix and run on a
+    slice of its columns at a time, so each pass stays in cache.  The only
+    temporary is a scratch buffer of B / 2 entries (for 2^n <= B^2, so
+    n <= 34 in int64).
 
     Self-inverse up to the 2^n factor: applying it twice multiplies by 2^n,
     so it both produces spectra and evaluates them back at every point."""
@@ -281,14 +294,15 @@ def walsh_butterfly(a: np.ndarray) -> np.ndarray:
     if size & (size - 1) or size == 0:
         raise ValueError(f"walsh_butterfly needs a length 2^n, not {size}")
     flat = a.reshape(-1)
-    block = min(size, WHT_BLOCK)
+    entries = WHT_BLOCK_BYTES // a.itemsize
+    block = min(size, entries)
     scratch = np.empty(block // 2, dtype=a.dtype)
     for lo in range(0, size, block):
         _butterfly_stages(flat[lo : lo + block], scratch)
     rows = size // block
     if rows > 1:
         matrix = flat.reshape(rows, block)
-        width = max(1, WHT_BLOCK // rows)
+        width = max(1, entries // rows)
         for lo in range(0, block, width):
             _butterfly_stages(matrix[:, lo : lo + width], scratch)
     return a
@@ -335,11 +349,18 @@ def _radix4(x0, x1, x2, x3, scratch: np.ndarray) -> None:
 def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     """Exact spectrum of f, scaled coefficients 2^n * fhat(S) as integers.
 
-    The butterfly runs in int32: on a 0/1 table every partial sum has
+    A constant function's spectrum is written directly: every coefficient
+    is zero but scaled[0] = #{x : f(x) = 1}, which is 0 or 2^n.  Otherwise
+    the butterfly runs in int32: on a 0/1 table every partial sum has
     magnitude at most 2^n <= 2^N_CAP.  The packed table is unpacked into the
     int32 buffer one ``HIST_CHUNK`` block at a time, so beside its result
     the transform and the profile hold only buffers of a block or so."""
     assert f.n <= N_CAP and 1 << N_CAP <= np.iinfo(np.int32).max
+    ones = f.ones
+    if ones in (0, f.size):
+        scaled = np.zeros(f.size, dtype=np.int32)
+        scaled[0] = ones
+        return FourierSpectrum(f.n, scaled)
     scaled = np.empty(f.size, dtype=np.int32)
     for lo, part in f.blocks(HIST_CHUNK):
         scaled[lo:lo + part.size] = part

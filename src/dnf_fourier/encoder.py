@@ -291,7 +291,6 @@ def encode_row(
     s_prime = s_mask
     x_sat = xsbar_bits
     x_dt = xsbar_bits
-    assigned = full ^ s_mask
     a = 0  # truth values, bit t the t-th
     t = 0  # number of truth values so far
     sigma: list[int] = []  # positions in c of the variables of S
@@ -312,6 +311,7 @@ def encode_row(
         # bits on the free set), which is checked here.
         if x_dt & s_prime:
             raise EncodingInvariantError("depth invariant lost between rounds")
+        assigned = full ^ s_prime
         # the first alive term, from the previous round's term on, that term
         # included: the terms before it are falsified (an assigned bit never
         # changes), and had the round's choice satisfied it, a scan starting
@@ -352,7 +352,6 @@ def encode_row(
 
         x_sat = (x_sat & ~s_j) | (term_pos & s_j)
         x_dt |= dt_bits
-        assigned |= s_j
         s_prime = rest
         union_of_sj |= s_j
         a |= values << t

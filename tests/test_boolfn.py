@@ -32,7 +32,7 @@ from dnf_fourier import (
     weight_outside_masks,
 )
 from dnf_fourier import boolfn
-from dnf_fourier.boolfn import WHT_BLOCK, popcount_table, ranked_masks, walsh_butterfly
+from dnf_fourier.boolfn import WHT_BLOCK_BYTES, popcount_table, ranked_masks, walsh_butterfly
 from dnf_fourier.generators import SplitMix64
 
 
@@ -246,16 +246,25 @@ def test_butterfly_rejects_a_strided_view():
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_blocked_butterfly_matches_the_radix2_oracle(n):
-    # odd and even stage counts, within one block and across the boundary
-    # (n > 17), on values as large as each dtype's partial sums allow
-    assert WHT_BLOCK == 1 << 17
+    # odd and even stage counts, within one block and across the boundary,
+    # on values as large as each dtype's partial sums allow.  A block is
+    # 1 MiB: 2^18 int32 entries (so n = 19, 20 cross it) and 2^17 int64
+    # entries (n = 18 to 20); every pass of the stages is one block's bytes
+    assert WHT_BLOCK_BYTES == 1 << 20
     rng = np.random.default_rng(n)
     for dtype, bound in ((np.int32, 1 << (30 - n)), (np.int64, 1 << (62 - n))):
         a = rng.integers(-bound, bound, 1 << n, dtype=np.int64).astype(dtype)
         want = oracle_butterfly(a.copy())
-        got = walsh_butterfly(a)
+        with mock.patch.object(boolfn, "_butterfly_stages",
+                               wraps=boolfn._butterfly_stages) as stages:
+            got = walsh_butterfly(a)
         assert got is a and got.dtype == dtype
         assert np.array_equal(got, want)
+        entries = WHT_BLOCK_BYTES // a.itemsize
+        rows = max(1, (1 << n) // entries)
+        shapes = [call.args[0].shape for call in stages.call_args_list]
+        assert shapes[:rows] == [(min(1 << n, entries),)] * rows
+        assert shapes[rows:] == ([(rows, entries // rows)] * rows if rows > 1 else [])
 
 
 @pytest.mark.parametrize("size", [0, 3, 12, 3 << 17])
@@ -450,13 +459,6 @@ def _groups(spec: FourierSpectrum):
     return mags.tolist(), counts.tolist()
 
 
-@pytest.mark.parametrize("n", [1, 4, 17])
-def test_magnitude_groups_of_a_constant_one(n):
-    # scaled[0] = 2^n, at or above the histogram's cap from n = 16 on
-    spec = fourier_transform(BooleanFunction.constant(n, True))
-    assert _groups(spec) == oracle_groups(spec.scaled) == ([1 << n, 0], [1, (1 << n) - 1])
-
-
 @pytest.mark.parametrize("chunk", [4, 16, 64])
 def test_magnitude_groups_around_the_histogram_cap(chunk):
     # magnitudes just below, at and just above the cap: the first is
@@ -479,6 +481,54 @@ def test_magnitude_groups_with_every_magnitude_at_or_above_the_cap():
         spec = FourierSpectrum(n, scaled)
     assert _groups(spec) == oracle_groups(scaled)
     assert sum(_groups(spec)[1]) == 1 << n
+
+
+@pytest.mark.parametrize("n", [1, 4, 17, 19])
+@pytest.mark.parametrize("value", [False, True])
+def test_a_constant_spectrum_is_written_without_a_butterfly(n, value):
+    # every coefficient of a constant is zero but scaled[0] = #{x : f(x) = 1},
+    # 0 or 2^n: the character matrix where it fits, the analytic vector
+    # beyond; no butterfly runs.  For the constant one scaled[0] = 2^n is at
+    # or above the histogram's cap, 2^min(n, 16)
+    f = BooleanFunction.constant(n, value)
+    want = np.zeros(1 << n, dtype=np.int64)
+    want[0] = f.ones
+    if n <= 4:
+        assert np.array_equal(oracle_scaled_spectrum(f), want)
+    with mock.patch.object(boolfn, "walsh_butterfly",
+                           side_effect=AssertionError("a butterfly ran")):
+        spec = fourier_transform(f)
+    assert spec.scaled.dtype == np.int32 and np.array_equal(spec.scaled, want)
+    groups = ([1 << n, 0], [1, (1 << n) - 1]) if value else ([0], [1 << n])
+    assert _groups(spec) == oracle_groups(spec.scaled) == groups
+    assert spec.total_weight() == spec.one_norm_total() == int(value)
+    assert spec.degree() == 0
+
+
+@given(spec=st.one_of(_tied_spectra(), _extreme_spectra(),
+                      _tables(max_n=8).map(fourier_transform)),
+       chunk=st.sampled_from([1, 2, 3, 7, 64]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_profile_with_zero_blocks_matches_the_oracles(spec, chunk, data):
+    # blocks of the profile (2^b <= chunk entries) zeroed at random among
+    # blocks that are not: a zero block adds only to the zero group, and
+    # the sums, the groups and the ranking still equal the big-int sums and
+    # the sorts of the whole vector
+    size = 1 << spec.n
+    block = 1 << min(spec.n, chunk.bit_length() - 1)
+    zeroed = data.draw(st.lists(st.booleans(), min_size=size // block, max_size=size // block))
+    scaled = spec.scaled.copy()
+    for i in np.flatnonzero(zeroed):
+        scaled[i * block:(i + 1) * block] = 0
+    masks = data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=size))
+    eps = data.draw(st.sampled_from([Fraction(1, 64), Fraction(1, 3), Fraction(1)]))
+    m = data.draw(st.integers(min_value=0, max_value=size))
+    with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        spec = FourierSpectrum(spec.n, scaled)
+        assert readers(spec, masks) == oracle_readers(spec, masks)
+        assert _groups(spec) == oracle_groups(scaled)
+        assert min_coeffs_for_eps(spec, eps) == oracle_min_coeffs(spec, eps)
+        assert np.array_equal(ranked_masks(spec, m), oracle_ranked_order(spec)[:m])
 
 
 @given(f=_tables(), step=st.sampled_from([1, 3, 8, 13, 64, 1 << 10]))

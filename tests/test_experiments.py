@@ -1420,6 +1420,28 @@ def test_verify_evaluates_each_distinct_truncation_once(monkeypatch):
     assert evaluated == [3, 0]
 
 
+@pytest.mark.parametrize("terms", [[], [[]]], ids=["no-term", "empty-term"])
+def test_the_verify_of_a_constant_still_reconstructs(monkeypatch, terms):
+    # the transform writes a constant's spectrum with no butterfly, but the
+    # reconstruction check still evaluates it at every point: one int64
+    # butterfly per quarter, and its row holds
+    from dnf_fourier import experiments
+    from dnf_fourier.dnf import Dnf
+
+    ran, butterfly = [], experiments.walsh_butterfly
+
+    def spy(a):
+        ran.append((a.size, a.dtype))
+        return butterfly(a)
+
+    monkeypatch.setattr(experiments, "walsh_butterfly", spy)
+    report = verify_instance(Dnf.from_term_literals(6, terms), "const",
+                             ExperimentConfig(instances=(), checks=ALL_CHECKS))
+    assert report["failures"] == 0
+    assert ran == [(16, np.dtype(np.int64))] * 4
+    assert [r["holds"] for r in report["checks"] if r["check"] == "reconstruction"] == [True]
+
+
 def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
     # one wrong coefficient in each quarter of the spectrum (n = 4: masks
     # 0-3, 4-7, 8-11 and 12-15), which the check splits on
