@@ -269,6 +269,11 @@ def _profile(scaled: np.ndarray):
 #: half a block.
 WHT_BLOCK_BYTES = 1 << 20
 
+#: Shortest vector whose h = 4 radix-4 stage runs one strided column at a
+#: time: below it the column loop's four calls cost more than numpy's slow
+#: inner runs of 4 (the two cross near 2^11 entries on x86-64).
+COLUMN_LOOP_MIN = 1 << 12
+
 
 def walsh_butterfly(a: np.ndarray) -> np.ndarray:
     """The divide-and-conquer Walsh-Hadamard transform, in place (n * 2^n work).
@@ -314,9 +319,9 @@ def _butterfly_stages(v: np.ndarray, scratch: np.ndarray) -> None:
     h = 1
     while 4 * h <= v.shape[0]:
         quads = v.reshape(-1, 4, h, *v.shape[1:])
-        if v.ndim == 1 and h == 4:
-            # numpy loops slowly over inner runs of 4: take one strided
-            # column of the quads at a time instead
+        if v.ndim == 1 and h == 4 and v.shape[0] >= COLUMN_LOOP_MIN:
+            # numpy loops slowly over inner runs of 4: on a long vector take
+            # one strided column of the quads at a time instead
             for j in range(h):
                 _radix4(*(quads[:, i, j] for i in range(4)), scratch)
         else:

@@ -10,6 +10,9 @@ Subcommands:
   covers       cover counts and read-based bounds for one subset
 
 Exit codes: 0 success, 1 a verified inequality failed, 2 usage or cap errors.
+A verify or sweep report is written as it is made; with ``--out PATH`` it
+goes to ``PATH.partial``, which takes the path when the run ends, so a run
+that raises leaves the path as it was.  So does ``--rows-jsonl``.
 A verify or sweep instance that cannot be loaded is an error entry in the
 report, which is still written, and the exit code is 2.  An encoder fault
 is a failure (exit 1): a failed roundtrip row in verify, a fault entry in
@@ -22,6 +25,7 @@ round trip holds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -35,12 +39,10 @@ from .encoder import EncodePreconditionError, EncodingInvariantError
 from .experiments import (
     ExperimentConfig,
     RoundTrip,
-    family_csv,
-    render_json,
-    rows_jsonl,
-    run_concentration_sweep,
-    run_verify,
-    tail_csv,
+    render_json,  # no caller here, but bench/spans.py wraps this name
+    run_concentration_sweep,  # no caller here either, and bench/spans.py wraps it too
+    run_verify,  # the same
+    write_report,
 )
 from .generators import FAMILIES, GeneratorSpec
 from .restrictions import DT_CAP, RestrictionTables
@@ -73,12 +75,20 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    if path is None:
-        render_json(report, sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            render_json(report, fh)
+@contextlib.contextmanager
+def _in_place(path: str):
+    """A file at ``PATH.partial`` that is renamed over ``path`` when the
+    block ends; if the block raises, it is removed and ``path`` is left as
+    it was."""
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+    os.replace(partial, path)
 
 
 def main(argv=None) -> int:
@@ -141,26 +151,22 @@ def _dispatch(args) -> int:
 
     if args.command in ("verify", "sweep"):
         config = _load_config(args)
-        verify = args.command == "verify"
-        report = run_verify(config) if verify else run_concentration_sweep(config)
-        _write_report(report, args.out)
         if args.csv_dir:
-            kind, to_csv = ("families", family_csv) if verify else ("tail", tail_csv)
             os.makedirs(args.csv_dir, exist_ok=True)
-            for i, inst in enumerate(report["instances"]):
-                path = os.path.join(args.csv_dir, f"instance_{i:03d}.{kind}.csv")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(to_csv(inst))
-        if verify and args.rows_jsonl:
-            with open(args.rows_jsonl, "w", encoding="utf-8") as fh:
-                fh.write(rows_jsonl(report))
-        # a failure is a failed check (verify's summary) or a fault (sweep's entries)
-        faults = [i for i in report["instances"] if "fault" in i]
-        for inst in faults:
-            print(f"fault: {inst['label']}: {inst['fault']}", file=sys.stderr)
-        if _print_errors(report):
+        rows = getattr(args, "rows_jsonl", None)
+        with (_in_place(args.out) if args.out else contextlib.nullcontext(sys.stdout)) as out, \
+                (_in_place(rows) if rows else contextlib.nullcontext()) as jsonl:
+            facts = write_report(args.command, config, out, jsonl, args.csv_dir)
+        # a failure is a failed check (verify) or a fault (sweep)
+        for fact in facts:
+            if fact.fault is not None:
+                print(f"fault: {fact.label}: {fact.fault}", file=sys.stderr)
+        errors = [fact for fact in facts if fact.error is not None]
+        for fact in errors:
+            print(f"error: {fact.label}: {fact.error}", file=sys.stderr)
+        if errors:
             return USAGE_ERROR
-        return CHECK_FAILURE if faults or not report["summary"].get("ok", True) else 0
+        return CHECK_FAILURE if any(fact.failures for fact in facts) else 0
 
     if args.command == "encdec-test":
         if not 0 <= args.d_max <= DT_CAP:
@@ -236,14 +242,6 @@ def _corpus_writer(fh, dnf_ref: str):
                     "encoding": encoding}
             fh.write(json.dumps(case, sort_keys=True) + "\n")
     return write
-
-
-def _print_errors(report: dict) -> bool:
-    """Print the instances that could not be loaded; True if there were any."""
-    errors = [i for i in report["instances"] if "error" in i]
-    for inst in errors:
-        print(f"error: {inst['label']}: {inst['error']}", file=sys.stderr)
-    return bool(errors)
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -1,15 +1,18 @@
 """Batch verification and concentration measurements over DNF instances.
 
-``run_verify`` executes the full battery of exact inequality checks on each
-configured instance and collects one report; any failed asserted check makes
-the report (and the CLI) signal failure.  An instance that cannot be
+``write_report`` runs the full battery of exact inequality checks on each
+configured instance (or the concentration measurements) and writes one
+report as it goes: each verify row is written when it is checked, and no
+report is held.  Any failed asserted check makes the report (and the CLI)
+signal failure; ``run_verify`` and ``run_concentration_sweep`` return the
+written report read back as a dict.  An instance that cannot be
 loaded or built is an ``error`` entry with no rows, in a verify or a sweep,
 and the other instances still run.  An encoder fault is a failed
 ``roundtrip`` row in a verify and a ``fault`` entry in a sweep, and the
 other instances still run too.  The ``roundtrip`` check (``RoundTrip``)
 is the family analysis's consumer: it decodes each subset's encodings
 during that subset's pass, so no record outlives it, and a decode fault
-fails only its row.  ``run_concentration_sweep`` measures
+fails only its row.  A sweep measures
 spectral sparsity and how much weight small-union-size families capture, without
 asserting theorem-level claims whose hypotheses do not hold at desk scale
 (those are emitted as report-only rows).
@@ -22,6 +25,7 @@ strings, so reruns are byte-identical regardless of parallelism.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import os
@@ -259,6 +263,123 @@ def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) 
     return row
 
 
+# -- report writing ----------------------------------------------------------------
+#
+# A report is the text of json.dump(report, sort_keys=True, indent=2) plus a
+# newline, written a piece at a time: "config" first, then each instance
+# entry as it is made, then "mode" and the "summary", which sort last.  An
+# entry's "checks" sorts before its other fields, so each of its rows is
+# written when it is checked, and none is held.
+
+
+#: What ``json.dumps(obj, sort_keys=True, indent=2)`` calls, made once:
+#: ``json.dumps`` builds a new encoder on every call.
+_ENCODE = json.JSONEncoder(sort_keys=True, indent=2).encode
+
+
+def _dumps(obj, depth: int) -> str:
+    """``obj`` as ``json.dump(..., sort_keys=True, indent=2)`` writes it at
+    nesting depth ``depth``: JSON strings escape their newlines, so each
+    newline of the text starts a line to pad."""
+    return _ENCODE(obj).replace("\n", "\n" + "  " * depth)
+
+
+#: The rows that ``family_csv`` reads.
+FAMILY_CSV_ROWS = frozenset({"family_onenorm_binom", "family_twonorm"})
+
+
+@dataclass(frozen=True, slots=True)
+class EntryFacts:
+    """What the command line reads of a written entry."""
+
+    label: str
+    error: str | None
+    fault: str | None
+    failures: int
+    rows: int
+
+
+class EntryWriter:
+    """One instance entry of a report, written to ``out`` at the depth of
+    the report's "instances" list, as it is made.
+
+    With ``checks`` the entry opens with its "checks" list, and ``write``
+    renders each row and writes it at once, to ``jsonl`` too if given, as
+    the line {label, check, S_mask?, lhs, rhs, holds}; ``close`` then
+    writes the entry's other fields, which all sort after "checks".
+    Without ``checks`` ``close`` writes the whole entry.  ``csv`` is the
+    (path, renderer) of the entry's CSV, written at ``close``: of the rows
+    it keeps only the ``FAMILY_CSV_ROWS``."""
+
+    def __init__(self, out: TextIO, label: str, checks: bool, jsonl: TextIO | None = None,
+                 csv: tuple | None = None):
+        self.out, self.label, self.jsonl, self.csv = out, label, jsonl, csv
+        self.has_checks = checks
+        self.rows = self.failures = 0
+        self.kept: list[dict] = []
+        if checks:
+            out.write('    {\n      "checks": [')
+
+    def write(self, row: dict) -> None:
+        self.out.write((",\n" if self.rows else "\n") + "        " + _dumps(row, 4))
+        self.rows += 1
+        if not row["holds"] and not row.get("report_only"):
+            self.failures += 1
+        if self.jsonl is not None:
+            line = {"label": self.label, "check": row["check"], "lhs": row["lhs"],
+                    "rhs": row["bound"], "holds": row["holds"]}
+            if "S_mask" in row["context"]:
+                line["S_mask"] = row["context"]["S_mask"]
+            self.jsonl.write(json.dumps(line, sort_keys=True) + "\n")
+        if self.csv is not None and row["check"] in FAMILY_CSV_ROWS:
+            self.kept.append(row)
+
+    def close(self, fields: dict) -> EntryFacts:
+        if self.has_checks:
+            assert min(fields) > "checks", "the rows must come first"
+            self.out.write(("\n      ]," if self.rows else "],") + _dumps(fields, 2)[1:])
+        else:
+            self.out.write("    " + _dumps(fields, 2))
+        if self.csv is not None:
+            path, render = self.csv
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render({**fields, "checks": self.kept}))
+        return EntryFacts(fields["label"], fields.get("error"), fields.get("fault"),
+                          fields.get("failures", 0), self.rows)
+
+
+class ReportWriter:
+    """A report written to ``out`` as it is made: ``entry`` before each
+    instance entry, whose text follows on ``out``, and ``close`` with the
+    summary."""
+
+    def __init__(self, out: TextIO, mode: str, config: dict):
+        self.out, self.mode, self.entries = out, mode, 0
+        out.write('{\n  "config": ' + _dumps(config, 1) + ',\n  "instances": [')
+
+    def entry(self) -> None:
+        self.out.write(",\n" if self.entries else "\n")
+        self.entries += 1
+
+    def close(self, summary: dict) -> None:
+        self.out.write(("\n  ]" if self.entries else "]") + ',\n  "mode": '
+                       + json.dumps(self.mode) + ',\n  "summary": ' + _dumps(summary, 1)
+                       + "\n}\n")
+
+
+def render_json(report: dict, out: TextIO) -> None:
+    """Write a report dict (``run_verify``'s or ``run_concentration_sweep``'s)
+    to the text stream ``out`` through the writers that made its text."""
+    writer = ReportWriter(out, report["mode"], report["config"])
+    for inst in report["instances"]:
+        writer.entry()
+        entry = EntryWriter(out, inst["label"], "checks" in inst)
+        for row in inst.get("checks", ()):
+            entry.write(row)
+        entry.close({key: value for key, value in inst.items() if key != "checks"})
+    writer.close(report["summary"])
+
+
 #: Checks that read the family analysis.  The roundtrip decodes the
 #: encodings the analysis hands it, one subset at a time.
 ANALYSIS_CHECKS = frozenset(
@@ -302,8 +423,11 @@ def effective_d_max(config_d_max: int | None, n: int) -> int:
 # -- the per-instance verify battery -------------------------------------------
 
 
-def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
-    """Run the configured checks on one instance and return its report dict.
+def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig,
+                    entry: EntryWriter) -> EntryFacts:
+    """Run the configured checks on one instance and write its report entry
+    to ``entry``, each row as soon as it is checked; return the entry's
+    facts.
 
     The instance's truth table, spectrum, restriction tables and family
     analysis are built here, once, and passed to every check; the tables
@@ -339,7 +463,6 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     one_norm = spec.one_norm_total()
     min_coeffs = min_coeffs_for_eps(spec, config.eps)
     d_max = effective_d_max(config.d_max, n)
-    rows: list[dict] = []
     tables = RestrictionTables(f) if checks & TABLE_CHECKS else None
     analysis: FamilyAnalysis | None = None
     analysis_fault: str | None = None
@@ -355,16 +478,16 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     if "spectral_basics" in checks:
         mean = DyadicRational(f.ones, n)
-        rows.append(_row("parseval", {}, total_weight, mean, total_weight == mean))
+        entry.write(_row("parseval", {}, total_weight, mean, total_weight == mean))
         # the inverse transform must reproduce the truth table exactly; in
         # int64, since every partial sum is bounded by sum |scaled| = one_norm * 2^n
         assert one_norm < DyadicRational(1 << 62, n)
         ok = _reconstructs(spec, f)
-        rows.append(_row("reconstruction", {}, "poly(x)", "f(x)", ok))
+        entry.write(_row("reconstruction", {}, "poly(x)", "f(x)", ok))
 
     if "sparsity" in checks:
         bound = math.ceil(one_norm.as_fraction() ** 2 / config.eps)
-        rows.append(
+        entry.write(
             _row(
                 "sparsity_onenorm",
                 {"eps": str(config.eps), "one_norm": _fmt(one_norm)},
@@ -378,7 +501,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         for w_cut in range(w):
             dist = hamming_distance_fraction(f, truncated_table(w_cut))
             bound = dnf.truncation_distance_bound(w_cut)
-            rows.append(
+            entry.write(
                 _row("truncation_distance", {"width": w_cut}, dist, bound, dist <= bound)
             )
 
@@ -386,7 +509,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         eps1 = hamming_distance_fraction(f, truncated_table(w - 1))
         lhs = weight_outside_masks(spec, masks)
         bound = 2 * (eps1 + eps2)
-        rows.append(
+        entry.write(
             _row(
                 "approx_transfer",
                 {"kept": m_keep, "eps1": _fmt(eps1), "eps2": _fmt(eps2)},
@@ -403,37 +526,37 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             lhs, rhs, ok = evasive_bound_check(tables.full_depth_count(m), m, spec)
             if m.bit_count() == d_max:
                 tables.release(m)
-            rows.append(_row("evasive", {"S_mask": m}, lhs, rhs, ok))
+            entry.write(_row("evasive", {"S_mask": m}, lhs, rhs, ok))
 
     if "cover_probability" in checks:
         covered = union_superset_counts(satisfied_union_table(dnf), n)
         for m in subsets:
             lhs, rhs, ok = cover_probability_check(dnf, m, spec, covered)
-            rows.append(_row("cover_probability", {"S_mask": m}, lhs, rhs, ok))
+            entry.write(_row("cover_probability", {"S_mask": m}, lhs, rhs, ok))
 
     if "degree_counts" in checks:
         for d in range(d_max + 1):
             r = onenorm_count_check(analysis, d)
-            rows.append(_row("onenorm_pair_count", {"d": d}, r.lhs, r.bound, r.holds))
+            entry.write(_row("onenorm_pair_count", {"d": d}, r.lhs, r.bound, r.holds))
             r = onenorm_width_binom_check(analysis, d)
-            rows.append(_row("onenorm_width_binom", {"d": d}, r.lhs, r.bound, r.holds))
+            entry.write(_row("onenorm_width_binom", {"d": d}, r.lhs, r.bound, r.holds))
             r = pair_count_binom_check(analysis, d)
-            rows.append(_row("pair_count_binom", {"d": d}, r.lhs, r.bound, r.holds))
+            entry.write(_row("pair_count_binom", {"d": d}, r.lhs, r.bound, r.holds))
 
     if "families" in checks:
         for key in sorted(analysis.families):
             ctx = {"d": key.d, "u": key.u}
             r = family_onenorm_count_check(analysis, key.d, key.u)
-            rows.append(_row("family_onenorm_count", ctx, r.lhs, r.bound, r.holds))
+            entry.write(_row("family_onenorm_count", ctx, r.lhs, r.bound, r.holds))
             r = check_onenorm_u(analysis, key.d, key.u)
-            rows.append(_row("family_onenorm_binom", ctx, r.lhs, r.bound, r.holds))
+            entry.write(_row("family_onenorm_binom", ctx, r.lhs, r.bound, r.holds))
             r = check_twonorm_u(analysis, key.d, key.u)
-            rows.append(_row("family_twonorm", ctx, r.lhs, r.bound, r.holds))
+            entry.write(_row("family_twonorm", ctx, r.lhs, r.bound, r.holds))
             r = family_cauchy_check(analysis.families[key])
-            rows.append(_row("family_cauchy", ctx, r.lhs, r.bound, r.holds))
+            entry.write(_row("family_cauchy", ctx, r.lhs, r.bound, r.holds))
         for m in sorted(analysis.profiles):
             r = check_abs_fourier_u(analysis, m)
-            rows.append(
+            entry.write(
                 _row(
                     "family_abs_coeff",
                     {"S_mask": m, "u": r.extras.get("u")},
@@ -446,7 +569,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     if "read_chain" in checks:
         for m in subsets:
             r = read_cover_count_bound(dnf, m, analysis.cover_counts(m))
-            rows.append(_row("read_cover_chain", {"S_mask": m}, r.lhs, r.bound, r.holds))
+            entry.write(_row("read_cover_chain", {"S_mask": m}, r.lhs, r.bound, r.holds))
 
     if "exact_width_chain" in checks:
         widths = dnf.term_widths
@@ -455,13 +578,13 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
                 counts = analysis.cover_counts(m)
                 for u in range(m.bit_count(), analysis.u_hi + 1):
                     r = exact_width_cover_bound(dnf, m, u, counts)
-                    rows.append(_row("exact_width_chain", {"S_mask": m, "u": u},
-                                     r.lhs, r.bound, r.holds))
+                    entry.write(_row("exact_width_chain", {"S_mask": m, "u": u},
+                             r.lhs, r.bound, r.holds))
 
     if "satisfied_mass" in checks:
         r = st_inequality_check(dnf, f)
         bound = None if r.bound is None else r.bound.high
-        rows.append(
+        entry.write(
             _row(
                 "satisfied_mass",
                 {"read": k, "pr_true": _fmt(Fraction(f.ones, 1 << n)),
@@ -481,10 +604,10 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             try:
                 r = budget_lemma_bound(sizes, v, mass)
             except BudgetPreconditionError as exc:
-                rows.append(_row("cover_budget", ctx | {"skipped": str(exc)},
-                                 len(sizes), None, True, report_only=True))
+                entry.write(_row("cover_budget", ctx | {"skipped": str(exc)},
+                         len(sizes), None, True, report_only=True))
                 continue
-            rows.append(_row("cover_budget", ctx, r.lhs, r.bound, r.holds))
+            entry.write(_row("cover_budget", ctx, r.lhs, r.bound, r.holds))
 
     if "roundtrip" in checks:
         if analysis_fault is None:
@@ -493,7 +616,7 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         else:
             pairs, error = 0, analysis_fault
         context = {"pairs": pairs} if error is None else {"pairs": pairs, "error": error}
-        rows.append(_row("roundtrip", context, pairs, None, error is None))
+        entry.write(_row("roundtrip", context, pairs, None, error is None))
 
     payload = {
         "label": label,
@@ -508,15 +631,12 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
             "one_norm": _fmt(one_norm),
             "degree": spec.degree(),
         },
-        "checks": rows,
-        "failures": sum(
-            1 for r in rows if not r["holds"] and not r.get("report_only")
-        ),
+        "failures": entry.failures,
     }
     if analysis is not None:
         payload["families"] = _family_summary(analysis)
         payload["tail_table"] = _tail_table(analysis)
-    return payload
+    return entry.close(payload)
 
 
 #: Rows per batched decode: one numpy call per subset costs more in call
@@ -626,45 +746,91 @@ def _tail_table(analysis: FamilyAnalysis) -> list[dict]:
             for u_cut, tail in enumerate(analysis.tails)]
 
 
-# -- report assembly ------------------------------------------------------------
+# -- running a battery over the instances -------------------------------------------
 
 
-def _run_instance(config: ExperimentConfig, instance_fn, source: InstanceSource) -> dict:
+def write_report(mode: str, config: ExperimentConfig, out: TextIO,
+                 jsonl: TextIO | None = None, csv_dir: str | None = None) -> list[EntryFacts]:
+    """Run ``mode`` ("verify" or "sweep") on every instance of ``config`` and
+    write the report to ``out`` as it goes: each entry when its instance is
+    run, each verify row as soon as it is checked, and the summary last,
+    tallied from the entries.  ``jsonl`` gets a line per verify row and
+    ``csv_dir``, which must exist, a CSV per instance.  Returns the facts of
+    each entry, in instance order.
+
+    With more than one worker, each worker writes its instance's entry and
+    lines into text that it returns, and the texts are written in instance
+    order as they come back."""
+    writer = ReportWriter(out, mode, config.core_dict())
+    write = functools.partial(_write_entry, mode, config, csv_dir)
+    facts = []
+    if config.workers == 1:
+        for index, source in enumerate(config.instances):
+            writer.entry()
+            facts.append(write(index, source, out, jsonl))
+    else:
+        # imported here: the pool and multiprocessing would add about 1.3 MB
+        # to the RSS of every one-worker run
+        from concurrent.futures import ProcessPoolExecutor
+        render = functools.partial(_render_entry, write, jsonl is not None)
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            for text, lines, fact in pool.map(render, range(len(config.instances)),
+                                              config.instances, chunksize=1):
+                writer.entry()
+                out.write(text)
+                if jsonl is not None:
+                    jsonl.write(lines)
+                facts.append(fact)
+    summary = {"instances": len(facts)}
+    if mode == "verify":
+        failures = sum(fact.failures for fact in facts)
+        summary.update(checks=sum(fact.rows for fact in facts), failures=failures,
+                       ok=failures == 0)
+    writer.close(summary)
+    return facts
+
+
+def _write_entry(mode: str, config: ExperimentConfig, csv_dir: str | None, index: int,
+                 source: InstanceSource, out: TextIO, jsonl: TextIO | None) -> EntryFacts:
+    """Load the instance at ``index`` and write its entry."""
+    verify = mode == "verify"
+    csv = None
+    if csv_dir is not None:
+        kind, render = ("families", family_csv) if verify else ("tail", tail_csv)
+        csv = (os.path.join(csv_dir, f"instance_{index:03d}.{kind}.csv"), render)
     try:
         dnf = source.load()
     except (ValueError, OSError) as exc:
         # one unusable instance is an entry in the report; the others still
         # run.  Every input error of the package is a ValueError.
-        return {"label": source.label, "error": f"{type(exc).__name__}: {exc}",
-                "checks": [], "failures": 1}
-    return instance_fn(dnf, source.label, config)
+        entry = EntryWriter(out, source.label, True, jsonl, csv)
+        return entry.close({"label": source.label, "error": f"{type(exc).__name__}: {exc}",
+                            "failures": 1})
+    entry = EntryWriter(out, source.label, verify, jsonl, csv)
+    if verify:
+        return verify_instance(dnf, source.label, config, entry)
+    return entry.close(sweep_instance(dnf, source.label, config))
 
 
-def _run_tasks(config: ExperimentConfig, instance_fn) -> list[dict]:
-    task = functools.partial(_run_instance, config, instance_fn)
-    if config.workers == 1:
-        return [task(s) for s in config.instances]
-    # imported here: the pool and multiprocessing would add about 1.3 MB
-    # to the RSS of every one-worker run
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(task, config.instances, chunksize=1))
+def _render_entry(write, lines: bool, index: int,
+                  source: InstanceSource) -> tuple[str, str, EntryFacts]:
+    """One worker's task: ``write``'s entry for one instance, and its lines
+    if ``lines``, as text."""
+    out, jsonl = io.StringIO(), io.StringIO() if lines else None
+    fact = write(index, source, out, jsonl)
+    return out.getvalue(), jsonl.getvalue() if lines else "", fact
+
+
+def _read_back(mode: str, config: ExperimentConfig) -> dict:
+    out = io.StringIO()
+    write_report(mode, config, out)
+    return json.loads(out.getvalue())
 
 
 def run_verify(config: ExperimentConfig) -> dict:
-    instances = _run_tasks(config, verify_instance)
-    failures = sum(inst["failures"] for inst in instances)
-    return {
-        "mode": "verify",
-        "config": config.core_dict(),
-        "instances": instances,
-        "summary": {
-            "instances": len(instances),
-            "checks": sum(len(i["checks"]) for i in instances),
-            "failures": failures,
-            "ok": failures == 0,
-        },
-    }
+    """The verify report of ``config`` as a dict: the text ``write_report``
+    writes, read back."""
+    return _read_back("verify", config)
 
 
 # -- concentration sweep ---------------------------------------------------------
@@ -677,8 +843,9 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     spec = fourier_transform(f)
     eps = config.eps
     three_over_eps = Fraction(3) / eps
-    # a constant (width 0) has no full-depth pair with S nonempty: degree 0 is all there is
-    degree_cut = (floor_scaled_log2(three_over_eps, config.c_param * w) or n) if w else 0
+    # the cut of C*w*log2(3/eps) may be 0; a constant (width 0) has no
+    # full-depth pair with S nonempty, so degree 0 is all there is
+    degree_cut = floor_scaled_log2(three_over_eps, config.c_param * w) if w else 0
     d_max = min(n, degree_cut, DT_CAP, config.d_max if config.d_max is not None else n)
     try:
         analysis = FamilyAnalysis(dnf, d_max, RestrictionTables(f), spec)
@@ -779,23 +946,9 @@ def _theorem_hypotheses(w: int, k: int) -> dict:
 
 
 def run_concentration_sweep(config: ExperimentConfig) -> dict:
-    instances = _run_tasks(config, sweep_instance)
-    return {
-        "mode": "sweep",
-        "config": config.core_dict(),
-        "instances": instances,
-        "summary": {"instances": len(instances)},
-    }
-
-
-# -- rendering -------------------------------------------------------------------
-
-
-def render_json(report: dict, out: TextIO) -> None:
-    """Write the report as indented JSON to the text stream ``out``, piece
-    by piece, so that the whole text is never held in memory."""
-    json.dump(report, out, sort_keys=True, indent=2)
-    out.write("\n")
+    """The sweep report of ``config`` as a dict: the text ``write_report``
+    writes, read back."""
+    return _read_back("sweep", config)
 
 
 def family_csv(payload: dict) -> str:
@@ -806,7 +959,7 @@ def family_csv(payload: dict) -> str:
     )
     by_key = {}
     for row in payload.get("checks", []):
-        if row["check"] in ("family_onenorm_binom", "family_twonorm"):
+        if row["check"] in FAMILY_CSV_ROWS:
             key = (row["context"]["d"], row["context"]["u"])
             by_key.setdefault(key, {})[row["check"]] = row
     lines = [header]
@@ -843,21 +996,3 @@ def tail_csv(payload: dict) -> str:
             f"{row['u_cutoff']},{row['weight_outside']},{row['weight_outside_approx']}"
         )
     return "\n".join(lines) + "\n"
-
-
-def rows_jsonl(report: dict) -> str:
-    """Per-check rows as JSON lines {label, check, S_mask?, lhs, rhs, holds}."""
-    lines = []
-    for inst in report["instances"]:
-        for row in inst.get("checks", []):
-            obj = {
-                "label": inst["label"],
-                "check": row["check"],
-                "lhs": row["lhs"],
-                "rhs": row["bound"],
-                "holds": row["holds"],
-            }
-            if "S_mask" in row["context"]:
-                obj["S_mask"] = row["context"]["S_mask"]
-            lines.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -206,7 +206,8 @@ class RestrictionTables:
         the masks."""
         packed = self.dt_by_sbar(free_mask)
         out = np.empty(self.full_depth_count(free_mask), dtype=np.uint32)
-        plan = self._plan(free_mask) if free_mask else ()
+        # S's lookup entry keeps the plan for the encoder's questions on S
+        plan = self.full_depth_entry(free_mask)[1] if free_mask else ()
         filled, step = 0, INDEX_CHUNK >> 3
         for lo in range(0, packed.size, step):   # unused bits are zero
             index = np.flatnonzero(np.unpackbits(packed[lo:lo + step], bitorder="little"))

@@ -32,7 +32,13 @@ from dnf_fourier import (
     weight_outside_masks,
 )
 from dnf_fourier import boolfn
-from dnf_fourier.boolfn import WHT_BLOCK_BYTES, popcount_table, ranked_masks, walsh_butterfly
+from dnf_fourier.boolfn import (
+    COLUMN_LOOP_MIN,
+    WHT_BLOCK_BYTES,
+    popcount_table,
+    ranked_masks,
+    walsh_butterfly,
+)
 from dnf_fourier.generators import SplitMix64
 
 
@@ -265,6 +271,20 @@ def test_blocked_butterfly_matches_the_radix2_oracle(n):
         shapes = [call.args[0].shape for call in stages.call_args_list]
         assert shapes[:rows] == [(min(1 << n, entries),)] * rows
         assert shapes[rows:] == ([(rows, entries // rows)] * rows if rows > 1 else [])
+
+
+@pytest.mark.parametrize("n", [2, 4, 11, 12, 13])
+def test_the_column_loop_runs_only_on_long_vectors(n):
+    # the h = 4 stage of a vector shorter than COLUMN_LOOP_MIN is one
+    # radix-4 call (n = 4 makes two calls, not five); from there on it is
+    # one call per strided column, four in place of one
+    assert COLUMN_LOOP_MIN == 1 << 12
+    a = np.random.default_rng(n).integers(-1000, 1000, 1 << n)
+    want = oracle_butterfly(a.copy())
+    with mock.patch.object(boolfn, "_radix4", wraps=boolfn._radix4) as radix4:
+        walsh_butterfly(a)
+    assert np.array_equal(a, want)
+    assert radix4.call_count == n // 2 + (3 if 1 << n >= COLUMN_LOOP_MIN else 0)
 
 
 @pytest.mark.parametrize("size", [0, 3, 12, 3 << 17])

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnf_fourier import (
     DyadicRational,
@@ -25,10 +27,11 @@ from dnf_fourier.encoder import DecodeError, EncodePreconditionError, EncodingIn
 from dnf_fourier.experiments import (
     ALL_CHECKS,
     ConfigError,
+    EntryWriter,
     family_csv,
     render_json,
-    rows_jsonl,
     verify_instance,
+    write_report,
 )
 from dnf_fourier.restrictions import DT_CAP
 
@@ -41,6 +44,13 @@ def _rendered(report: dict) -> str:
     out = io.StringIO()
     render_json(report, out)
     return out.getvalue()
+
+
+def _verify_entry(dnf, label: str, config: ExperimentConfig) -> dict:
+    """``verify_instance``'s entry for ``dnf``, written and read back."""
+    out = io.StringIO()
+    verify_instance(dnf, label, config, EntryWriter(out, label, True))
+    return json.loads(out.getvalue())
 
 
 def test_verify_tribes22_report_values():
@@ -532,21 +542,27 @@ def test_cli_csv_and_jsonl_outputs(tmp_path):
     assert {"label", "check", "lhs", "rhs", "holds"} <= set(first)
 
 
-def test_cli_verify_exit_one_on_failed_check(tmp_path, monkeypatch):
+def test_cli_verify_exit_one_on_failed_check(tmp_path, monkeypatch, capsys):
     # the inequalities are theorems, so a genuine instance cannot fail them;
-    # exercise the exit wiring with a stubbed failing report
-    import dnf_fourier.cli as cli
+    # exercise the exit wiring with an evasive check stubbed to fail on S = {1}
+    from dnf_fourier import experiments
 
-    failing = {
-        "mode": "verify",
-        "config": {},
-        "instances": [],
-        "summary": {"instances": 0, "checks": 1, "failures": 1, "ok": False},
-    }
-    monkeypatch.setattr(cli, "run_verify", lambda config: failing)
+    evasive = experiments.evasive_bound_check
+
+    def failing_on_one(witnesses, s_mask, spec):
+        lhs, rhs, ok = evasive(witnesses, s_mask, spec)
+        return lhs, rhs, ok and s_mask != 1
+
+    monkeypatch.setattr(experiments, "evasive_bound_check", failing_on_one)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"instances": []}))
-    assert cli.main(["verify", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+    cfg_path.write_text(json.dumps({"instances": [_TRIBES22], "checks": ["evasive"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(cfg_path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["summary"] == {"instances": 1, "checks": 16, "failures": 1, "ok": False}
+    assert [r["context"]["S_mask"] for r in report["instances"][0]["checks"]
+            if not r["holds"]] == [1]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("target, error", [
@@ -1011,7 +1027,7 @@ def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, m
         report = experiments.sweep_instance(dnf, "rk8", config)
         assert report["degree_cutoff"] == d_max and not phases
     else:
-        report = experiments.verify_instance(dnf, "rk8", config)
+        report = _verify_entry(dnf, "rk8", config)
         assert report["failures"] == 0
         assert len(phases) == 2 * len(subsets_up_to(8, d_max)) + 2 * (mode == "verify")
     subsets = subsets_up_to(8, d_max)
@@ -1056,7 +1072,7 @@ def test_no_record_outlives_its_subsets_pass(tmp_path, monkeypatch, command):
     dnf = _RK8.build()
     if command == "verify":
         config = ExperimentConfig(instances=(), d_max=4, checks=("roundtrip",))
-        (row,) = verify_instance(dnf, "rk8", config)["checks"]
+        (row,) = _verify_entry(dnf, "rk8", config)["checks"]
         assert row["holds"] and row["context"]["pairs"] > 0
     else:
         dnf_path = tmp_path / "rk8.dnf"
@@ -1095,9 +1111,9 @@ def test_only_a_consumer_gets_packed_records(tmp_path, monkeypatch, command):
     elif command == "verify":
         checks = tuple(c for c in experiments.ALL_CHECKS if c != "roundtrip")
         config = dataclasses.replace(config, checks=checks)
-        assert experiments.verify_instance(dnf, "rk8", config)["failures"] == 0
+        assert _verify_entry(dnf, "rk8", config)["failures"] == 0
     elif command == "verify-roundtrip":
-        assert experiments.verify_instance(dnf, "rk8", config)["failures"] == 0
+        assert _verify_entry(dnf, "rk8", config)["failures"] == 0
     else:
         dnf_path = tmp_path / "rk8.dnf"
         dnf_path.write_text(dnf.to_text())
@@ -1435,8 +1451,8 @@ def test_the_verify_of_a_constant_still_reconstructs(monkeypatch, terms):
         return butterfly(a)
 
     monkeypatch.setattr(experiments, "walsh_butterfly", spy)
-    report = verify_instance(Dnf.from_term_literals(6, terms), "const",
-                             ExperimentConfig(instances=(), checks=ALL_CHECKS))
+    report = _verify_entry(Dnf.from_term_literals(6, terms), "const",
+                           ExperimentConfig(instances=(), checks=ALL_CHECKS))
     assert report["failures"] == 0
     assert ran == [(16, np.dtype(np.int64))] * 4
     assert [r["holds"] for r in report["checks"] if r["check"] == "reconstruction"] == [True]
@@ -1509,7 +1525,7 @@ def _spectral_verify_bytes_per_entry(exact_width: bool) -> float:
     cfg = ExperimentConfig(instances=(), eps=Fraction(1, 64), d_max=0, checks=_SPECTRAL_CHECKS)
     tracemalloc.start()
     try:
-        report = verify_instance(dnf, "rk20", cfg)
+        report = _verify_entry(dnf, "rk20", cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1578,7 +1594,7 @@ def test_spectral_verify_holds_one_spectrum_at_a_time(monkeypatch):
     dnf = random_read_k(n=12, s=10, w=5, k=3, seed=2)
     assert len({t.width for t in dnf.terms}) > 1
     cfg = ExperimentConfig(instances=(), eps=Fraction(1, 64), d_max=0, checks=_SPECTRAL_CHECKS)
-    report = verify_instance(dnf, "rk12", cfg)
+    report = _verify_entry(dnf, "rk12", cfg)
     assert report["failures"] == 0 and "approx_transfer" in {r["check"] for r in report["checks"]}
     assert len(made) == 2 and alive_at_start == [0, 0]
 
@@ -1643,10 +1659,184 @@ def test_render_json_streams_the_indented_report():
     assert _rendered(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def test_render_helpers_deterministic():
+def test_render_helpers_deterministic(tmp_path):
     cfg = ExperimentConfig(instances=(_tribes_source(2, 2),))
     report = run_verify(cfg)
     assert _rendered(report) == _rendered(run_verify(cfg))
     inst = report["instances"][0]
     assert family_csv(inst) == family_csv(run_verify(cfg)["instances"][0])
-    assert rows_jsonl(report) == rows_jsonl(run_verify(cfg))
+    outputs = []
+    for run in ("a", "b"):
+        csv_dir, jsonl = tmp_path / run, io.StringIO()
+        csv_dir.mkdir()
+        write_report("verify", cfg, io.StringIO(), jsonl, str(csv_dir))
+        outputs.append((jsonl.getvalue(), (csv_dir / "instance_000.families.csv").read_text()))
+    assert outputs[0] == outputs[1] and outputs[0][1] == family_csv(inst)
+
+
+def _written(mode: str, config: ExperimentConfig) -> dict:
+    """The report ``write_report`` writes, read back, after checking that
+    its text is ``json.dump`` of itself: sorted keys, indent 2, a final
+    newline."""
+    out = io.StringIO()
+    write_report(mode, config, out)
+    text = out.getvalue()
+    report = json.loads(text)
+    dumped = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # compared here, not by pytest, whose diff of two long texts takes minutes
+    same = text == dumped
+    first = next((i for i, (a, b) in enumerate(zip(text, dumped)) if a != b), len(dumped))
+    assert same, f"the texts part at offset {first}: {text[first - 40:first + 40]!r}"
+    return report
+
+
+@pytest.mark.parametrize("mode", ["verify", "sweep"])
+def test_the_written_report_is_json_dump_of_itself_on_the_corpus(tmp_path, mode):
+    # every eighth corpus instance and the two tribes, then a source that
+    # cannot be loaded: its entry is {"label", "error", "checks": [], ...}
+    from conftest import corpus_bundles
+
+    bundles = corpus_bundles()
+    sources = []
+    for i, b in enumerate(bundles[::8] + bundles[-2:]):
+        path = tmp_path / f"{i}.dnf"
+        path.write_text(b.dnf.to_text())
+        sources.append(InstanceSource("file", path=str(path)))
+    sources.append(InstanceSource("file", path=str(tmp_path / "missing.dnf")))
+    report = _written(mode, ExperimentConfig(instances=tuple(sources), d_max=4,
+                                             checks=ALL_CHECKS))
+    *good, bad = report["instances"]
+    assert bad["checks"] == [] and bad["error"].startswith("FileNotFoundError")
+    assert all("error" not in inst for inst in good)
+    if mode == "verify":
+        rows = [row for inst in good for row in inst["checks"]]
+        assert report["summary"] == {"instances": len(sources), "checks": len(rows),
+                                     "failures": 1, "ok": False}
+        assert any(row.get("report_only") for row in rows)                # cover_budget skips
+        assert any(isinstance(row["context"].get("cover"), list) for row in rows)
+
+
+_GENERATORS = st.one_of(
+    st.builds(lambda w, t: ("tribes", {"w": w, "t": t}), st.integers(1, 3), st.integers(1, 3)),
+    st.builds(lambda n, s, w, k: ("random_read_k", {"n": n, "s": s, "w": w, "k": k}),
+              st.integers(1, 8), st.integers(0, 5), st.integers(1, 4), st.integers(1, 3)),
+    st.builds(lambda m, w, p: ("dense_pool", {"n_terms": m, "term_width": w, "pool_size": p}),
+              st.integers(0, 5), st.integers(1, 3), st.integers(3, 7)),
+)
+
+
+@given(gens=st.lists(st.tuples(_GENERATORS, st.integers(0, 3)), min_size=0, max_size=3),
+       mode=st.sampled_from(["verify", "sweep"]),
+       checks=st.lists(st.sampled_from(ALL_CHECKS), unique=True, max_size=4),
+       d_max=st.integers(0, 4), eps=st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(1)]))
+@settings(max_examples=25, deadline=None)
+def test_the_written_report_is_json_dump_of_itself_on_generated_configs(gens, mode, checks,
+                                                                        d_max, eps):
+    sources = tuple(InstanceSource("generator", spec=GeneratorSpec(family, params, seed))
+                    for (family, params), seed in gens)
+    report = _written(mode, ExperimentConfig(instances=sources, checks=tuple(checks),
+                                             d_max=d_max, eps=eps))
+    assert report["summary"]["instances"] == len(sources)
+
+
+@pytest.mark.parametrize("checks", [(), ("exact_width_chain",)], ids=["none", "exact-width"])
+def test_a_verify_that_writes_no_row(checks):
+    # random_read_k(n=6, s=3, w=3) has terms of two widths and the constant
+    # none, so exact_width_chain has no row to write on either
+    sources = (InstanceSource("generator", spec=GeneratorSpec(
+                   "random_read_k", {"n": 6, "s": 3, "w": 3, "k": 2}, seed=1)),
+               InstanceSource("generator", spec=GeneratorSpec(
+                   "random_read_k", {"n": 4, "s": 0, "w": 1, "k": 1})))
+    report = _written("verify", ExperimentConfig(instances=sources, checks=checks))
+    assert [inst["checks"] for inst in report["instances"]] == [[], []]
+    assert report["summary"] == {"instances": 2, "checks": 0, "failures": 0, "ok": True}
+
+
+def test_a_roundtrip_fault_row_is_written_as_json_dump_writes_it(monkeypatch):
+    from dnf_fourier import experiments
+
+    def broken(*args, **kwargs):
+        raise DecodeError("injected fault")
+
+    monkeypatch.setattr(experiments, "decode_records", broken)
+    report = _written("verify", ExperimentConfig(instances=(_tribes_source(2, 2),),
+                                                 checks=("roundtrip", "cover_budget")))
+    rows = report["instances"][0]["checks"]
+    assert [r["check"] for r in rows if not r["holds"]] == ["roundtrip"]
+    assert rows[-1]["context"]["error"].startswith("DecodeError")
+
+
+def test_rows_are_written_while_the_battery_runs(monkeypatch):
+    # the length of the written text at each evasive check: each row is
+    # out before the next subset is checked
+    from dnf_fourier import experiments
+
+    out, lengths = io.StringIO(), []
+    evasive = experiments.evasive_bound_check
+
+    def spy(*args):
+        lengths.append(len(out.getvalue()))
+        return evasive(*args)
+
+    monkeypatch.setattr(experiments, "evasive_bound_check", spy)
+    config = ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4,
+                              checks=("spectral_basics", "evasive"))
+    write_report("verify", config, out)
+    assert len(lengths) == len(subsets_up_to(6, 4))
+    assert all(a < b for a, b in zip(lengths, lengths[1:]))
+    assert 0 < lengths[0] and lengths[-1] < len(out.getvalue())
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+def test_a_verify_that_raises_leaves_out_and_rows_as_they_were(tmp_path, monkeypatch, existing):
+    from dnf_fourier import experiments
+
+    evasive, calls = experiments.evasive_bound_check, []
+
+    def raises_on_the_fifth(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise RuntimeError("injected")
+        return evasive(*args)
+
+    monkeypatch.setattr(experiments, "evasive_bound_check", raises_on_the_fifth)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"instances": [_TRIBES22], "checks": ["evasive"]}))
+    out, rows = tmp_path / "r.json", tmp_path / "rows.jsonl"
+    if existing:
+        out.write_text("an earlier report\n")
+        rows.write_text("earlier rows\n")
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["verify", str(cfg_path), "--out", str(out), "--rows-jsonl", str(rows)])
+    assert len(calls) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["cfg.json", "r.json", "rows.jsonl"] if existing else ["cfg.json"])
+    if existing:
+        assert (out.read_text(), rows.read_text()) == ("an earlier report\n", "earlier rows\n")
+
+
+def test_verify_plans_each_subset_once(monkeypatch):
+    # full_depth_xsbars keeps S's compress plan in S's lookup entry, which
+    # the encoder's questions on S read: one plan per nonempty subset
+    from dnf_fourier.restrictions import RestrictionTables
+
+    planned, plan = [], RestrictionTables._plan
+    monkeypatch.setattr(RestrictionTables, "_plan",
+                        lambda self, m: planned.append(m) or plan(self, m))
+    report = _verify_entry(_RK8.build(), "rk8", ExperimentConfig(instances=(), d_max=4))
+    assert report["failures"] == 0
+    assert sorted(planned) == sorted(m for m in subsets_up_to(8, 4) if m)
+
+
+def test_a_zero_degree_cut_sweeps_degree_0():
+    # f = x1 at C = 1/10: floor(C * w * log2(3/eps)) = floor(0.458...) = 0,
+    # so S = {} alone is analysed: one tail row, which keeps 1/4 of the
+    # weight 1/2 outside, more than eps = 1/8, so no cutoff captures
+    from dnf_fourier import experiments
+    from dnf_fourier.dnf import Dnf
+
+    config = ExperimentConfig.from_json(json.dumps({"instances": [], "C": "1/10"}))
+    entry = experiments.sweep_instance(Dnf.from_term_literals(14, [[1]]), "x1", config)
+    assert (entry["degree_cutoff"], entry["capture_u"]) == (0, None)
+    assert entry["tail_table"] == [{"u_cutoff": 0, "weight_outside": "1/2^2",
+                                    "weight_outside_approx": 0.25}]
