@@ -91,21 +91,39 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
-ALL_CHECKS = (
-    "spectral_basics",
-    "sparsity",
-    "truncation",
-    "approx_transfer",
-    "evasive",
-    "cover_probability",
-    "degree_counts",
-    "families",
-    "read_chain",
-    "exact_width_chain",
-    "satisfied_mass",
-    "cover_budget",
-    "roundtrip",
-)
+@dataclass(frozen=True, slots=True)
+class CheckKind:
+    """A group of the verify battery: the row kinds it writes, and what it
+    reads beyond the truth table and the spectrum: ``"tables"`` (the
+    restriction tables), ``"analysis"`` (the family analysis, which reads
+    the tables) or None."""
+
+    rows: tuple[str, ...]
+    reads: str | None = None
+
+
+#: Every check group, in the order the battery writes its rows.
+#: ``_Battery`` has one method per group, named after it.
+CHECK_KINDS = {
+    "spectral_basics": CheckKind(("parseval", "reconstruction")),
+    "sparsity": CheckKind(("sparsity_onenorm",)),
+    "truncation": CheckKind(("truncation_distance",)),
+    "approx_transfer": CheckKind(("approx_transfer",)),
+    "evasive": CheckKind(("evasive",), "tables"),
+    "cover_probability": CheckKind(("cover_probability",)),
+    "degree_counts": CheckKind(
+        ("onenorm_pair_count", "onenorm_width_binom", "pair_count_binom"), "analysis"),
+    "families": CheckKind(("family_onenorm_count", "family_onenorm_binom", "family_twonorm",
+                           "family_cauchy", "family_abs_coeff"), "analysis"),
+    "read_chain": CheckKind(("read_cover_chain",), "analysis"),
+    "exact_width_chain": CheckKind(("exact_width_chain",), "analysis"),
+    "satisfied_mass": CheckKind(("satisfied_mass",)),
+    "cover_budget": CheckKind(("cover_budget",), "analysis"),
+    # the round trip decodes the encodings the analysis hands it, one
+    # subset at a time
+    "roundtrip": CheckKind(("roundtrip",), "analysis"),
+}
+ALL_CHECKS = tuple(CHECK_KINDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +184,8 @@ class ExperimentConfig:
             raise ConfigError(f"d_max={self.d_max} must be >= 0")
         if self.u_star is not None and self.u_star < 0:
             raise ConfigError(f"u_star={self.u_star} must be >= 0")
+        if not all(isinstance(c, str) for c in self.checks):
+            raise ConfigError(f"'checks' entries must be strings: {list(self.checks)!r}")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
@@ -380,16 +400,6 @@ def render_json(report: dict, out: TextIO) -> None:
     writer.close(report["summary"])
 
 
-#: Checks that read the family analysis.  The roundtrip decodes the
-#: encodings the analysis hands it, one subset at a time.
-ANALYSIS_CHECKS = frozenset(
-    {"degree_counts", "families", "read_chain", "exact_width_chain", "cover_budget",
-     "roundtrip"}
-)
-#: Checks that read the restriction tables, directly or through the analysis.
-TABLE_CHECKS = ANALYSIS_CHECKS | {"evasive"}
-
-
 def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
     """Whether the polynomial evaluated at every point (the inverse
     transform) is 2^n * f(x), exactly, in int64.
@@ -429,214 +439,198 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig,
     to ``entry``, each row as soon as it is checked; return the entry's
     facts.
 
-    The instance's truth table, spectrum, restriction tables and family
-    analysis are built here, once, and passed to every check; the tables
-    and the analysis only when a configured check reads them, and the
+    The checks run in ``CHECK_KINDS`` order, on what ``_Battery`` builds
+    once for the groups configured."""
+    battery = _Battery(dnf, config)
+    for group in CHECK_KINDS:
+        if group in battery.checks:
+            for row in getattr(battery, group)():
+                entry.write(row)
+    payload = {
+        "label": label,
+        "n": dnf.n,
+        "metrics": {"size": battery.s, "width": battery.w, "read": battery.k},
+        "pr_true": _fmt(Fraction(battery.f.ones, 1 << dnf.n)),
+        "d_max": battery.d_max,
+        "eps": str(config.eps),
+        "min_coeffs": battery.min_coeffs,
+        "fourier": {
+            "total_weight": _fmt(battery.total_weight),
+            "one_norm": _fmt(battery.one_norm),
+            "degree": battery.spec.degree(),
+        },
+        "failures": entry.failures,
+    }
+    if battery.analysis is not None:
+        payload["families"] = _family_summary(battery.analysis)
+        payload["tail_table"] = _tail_table(battery.analysis)
+    return entry.close(payload)
+
+
+class _Battery:
+    """The verify battery on one instance.
+
+    ``__init__`` builds the truth table, the spectrum, the restriction
+    tables and the family analysis once, the tables and the analysis only
+    when a configured group reads them (``CheckKind.reads``), and the
     round trip, when configured, as the analysis's consumer.  An encoder
     fault while the analysis is built is a failed ``roundtrip`` row, and
-    the checks that need the analysis are left out."""
-    n = dnf.n
-    s, w, k = dnf.metrics()
-    f = dnf.evaluate()
-    checks = set(config.checks)
+    the groups that read the analysis are left out.  Each method named
+    after a group yields that group's rows as each is checked; it looks its
+    check functions up in this module when it calls them."""
 
-    # Width truncations are nested, so two with the same number of terms
-    # are the same DNF: evaluate each distinct one once.
-    truncated: dict[int, BooleanFunction] = {}
+    def __init__(self, dnf: Dnf, config: ExperimentConfig):
+        self.dnf, self.eps = dnf, config.eps
+        n = dnf.n
+        self.s, self.w, self.k = dnf.metrics()
+        self.f = f = dnf.evaluate()
+        self.checks = set(config.checks)
+        reads = {CHECK_KINDS[group].reads for group in self.checks}
+        # Width truncations are nested, so two with the same number of terms
+        # are the same DNF: evaluate each distinct one once.
+        self._truncated: dict[int, BooleanFunction] = {}
 
-    def truncated_table(w_cut: int) -> BooleanFunction:
-        g = dnf.truncate_width(w_cut)
-        if len(g.terms) not in truncated:
-            truncated[len(g.terms)] = g.evaluate()
-        return truncated[len(g.terms)]
+        # approx_transfer's truncation side runs first: its spectrum is read
+        # and dropped before f's is made, so one spectrum is alive at a time
+        if "approx_transfer" in self.checks and self.w >= 1:
+            g_spec = fourier_transform(self.truncated_table(self.w - 1))
+            self.m_keep = min_coeffs_for_eps(g_spec, self.eps)
+            self.masks = ranked_masks(g_spec, self.m_keep)
+            self.eps2 = weight_outside_masks(g_spec, self.masks)
+            del g_spec
+        self.spec = spec = fourier_transform(f)
+        self.total_weight = spec.total_weight()
+        self.one_norm = spec.one_norm_total()
+        self.min_coeffs = min_coeffs_for_eps(spec, self.eps)
+        self.d_max = effective_d_max(config.d_max, n)
+        self.tables = RestrictionTables(f) if reads & {"tables", "analysis"} else None
+        self.analysis: FamilyAnalysis | None = None
+        self.fault: str | None = None
+        self.round_trip = RoundTrip(dnf) if "roundtrip" in self.checks else None
+        if "analysis" in reads:
+            try:
+                self.analysis = FamilyAnalysis(dnf, self.d_max, self.tables, spec,
+                                               self.round_trip)
+            except (EncodePreconditionError, EncodingInvariantError) as exc:
+                self.fault = f"{type(exc).__name__} {exc}"
+                self.checks = {group for group in self.checks
+                               if CHECK_KINDS[group].reads != "analysis"} | {"roundtrip"}
+        self.subsets = subsets_up_to(n, self.d_max)
 
-    # approx_transfer's truncation side runs first: its spectrum is read
-    # and dropped before f's is made, so one spectrum is alive at a time
-    if "approx_transfer" in checks and w >= 1:
-        g_spec = fourier_transform(truncated_table(w - 1))
-        m_keep = min_coeffs_for_eps(g_spec, config.eps)
-        masks = ranked_masks(g_spec, m_keep)
-        eps2 = weight_outside_masks(g_spec, masks)
-        del g_spec
-    spec = fourier_transform(f)
-    total_weight = spec.total_weight()
-    one_norm = spec.one_norm_total()
-    min_coeffs = min_coeffs_for_eps(spec, config.eps)
-    d_max = effective_d_max(config.d_max, n)
-    tables = RestrictionTables(f) if checks & TABLE_CHECKS else None
-    analysis: FamilyAnalysis | None = None
-    analysis_fault: str | None = None
-    roundtrip = RoundTrip(dnf) if "roundtrip" in checks else None
-    if checks & ANALYSIS_CHECKS:
-        try:
-            analysis = FamilyAnalysis(dnf, d_max, tables, spec, roundtrip)
-        except (EncodePreconditionError, EncodingInvariantError) as exc:
-            analysis_fault = f"{type(exc).__name__} {exc}"
-            checks = (checks - ANALYSIS_CHECKS) | {"roundtrip"}
+    def truncated_table(self, w_cut: int) -> BooleanFunction:
+        g = self.dnf.truncate_width(w_cut)
+        if len(g.terms) not in self._truncated:
+            self._truncated[len(g.terms)] = g.evaluate()
+        return self._truncated[len(g.terms)]
 
-    subsets = subsets_up_to(n, d_max)
-
-    if "spectral_basics" in checks:
-        mean = DyadicRational(f.ones, n)
-        entry.write(_row("parseval", {}, total_weight, mean, total_weight == mean))
+    def spectral_basics(self):
+        mean = DyadicRational(self.f.ones, self.dnf.n)
+        yield _row("parseval", {}, self.total_weight, mean, self.total_weight == mean)
         # the inverse transform must reproduce the truth table exactly; in
         # int64, since every partial sum is bounded by sum |scaled| = one_norm * 2^n
-        assert one_norm < DyadicRational(1 << 62, n)
-        ok = _reconstructs(spec, f)
-        entry.write(_row("reconstruction", {}, "poly(x)", "f(x)", ok))
+        assert self.one_norm < DyadicRational(1 << 62, self.dnf.n)
+        ok = _reconstructs(self.spec, self.f)
+        yield _row("reconstruction", {}, "poly(x)", "f(x)", ok)
 
-    if "sparsity" in checks:
-        bound = math.ceil(one_norm.as_fraction() ** 2 / config.eps)
-        entry.write(
-            _row(
-                "sparsity_onenorm",
-                {"eps": str(config.eps), "one_norm": _fmt(one_norm)},
-                min_coeffs,
-                bound,
-                min_coeffs <= bound,
-            )
-        )
+    def sparsity(self):
+        bound = math.ceil(self.one_norm.as_fraction() ** 2 / self.eps)
+        context = {"eps": str(self.eps), "one_norm": _fmt(self.one_norm)}
+        yield _row("sparsity_onenorm", context, self.min_coeffs, bound,
+                   self.min_coeffs <= bound)
 
-    if "truncation" in checks:
-        for w_cut in range(w):
-            dist = hamming_distance_fraction(f, truncated_table(w_cut))
-            bound = dnf.truncation_distance_bound(w_cut)
-            entry.write(
-                _row("truncation_distance", {"width": w_cut}, dist, bound, dist <= bound)
-            )
+    def truncation(self):
+        for w_cut in range(self.w):
+            dist = hamming_distance_fraction(self.f, self.truncated_table(w_cut))
+            bound = self.dnf.truncation_distance_bound(w_cut)
+            yield _row("truncation_distance", {"width": w_cut}, dist, bound, dist <= bound)
 
-    if "approx_transfer" in checks and w >= 1:
-        eps1 = hamming_distance_fraction(f, truncated_table(w - 1))
-        lhs = weight_outside_masks(spec, masks)
-        bound = 2 * (eps1 + eps2)
-        entry.write(
-            _row(
-                "approx_transfer",
-                {"kept": m_keep, "eps1": _fmt(eps1), "eps2": _fmt(eps2)},
-                lhs,
-                bound,
-                lhs <= bound,
-            )
-        )
+    def approx_transfer(self):
+        if self.w < 1:
+            return
+        eps1 = hamming_distance_fraction(self.f, self.truncated_table(self.w - 1))
+        lhs = weight_outside_masks(self.spec, self.masks)
+        bound = 2 * (eps1 + self.eps2)
+        context = {"kept": self.m_keep, "eps1": _fmt(eps1), "eps2": _fmt(self.eps2)}
+        yield _row("approx_transfer", context, lhs, bound, lhs <= bound)
 
-    if "evasive" in checks:
-        for m in subsets:
+    def evasive(self):
+        for m in self.subsets:
             # the tables keep each count, also that of a table the analysis
             # released, and nothing reads a top-level table after its count
-            lhs, rhs, ok = evasive_bound_check(tables.full_depth_count(m), m, spec)
-            if m.bit_count() == d_max:
-                tables.release(m)
-            entry.write(_row("evasive", {"S_mask": m}, lhs, rhs, ok))
+            verdict = evasive_bound_check(self.tables.full_depth_count(m), m, self.spec)
+            if m.bit_count() == self.d_max:
+                self.tables.release(m)
+            yield _row("evasive", {"S_mask": m}, *verdict)
 
-    if "cover_probability" in checks:
-        covered = union_superset_counts(satisfied_union_table(dnf), n)
-        for m in subsets:
-            lhs, rhs, ok = cover_probability_check(dnf, m, spec, covered)
-            entry.write(_row("cover_probability", {"S_mask": m}, lhs, rhs, ok))
+    def cover_probability(self):
+        covered = union_superset_counts(satisfied_union_table(self.dnf), self.dnf.n)
+        for m in self.subsets:
+            verdict = cover_probability_check(self.dnf, m, self.spec, covered)
+            yield _row("cover_probability", {"S_mask": m}, *verdict)
 
-    if "degree_counts" in checks:
-        for d in range(d_max + 1):
-            r = onenorm_count_check(analysis, d)
-            entry.write(_row("onenorm_pair_count", {"d": d}, r.lhs, r.bound, r.holds))
-            r = onenorm_width_binom_check(analysis, d)
-            entry.write(_row("onenorm_width_binom", {"d": d}, r.lhs, r.bound, r.holds))
-            r = pair_count_binom_check(analysis, d)
-            entry.write(_row("pair_count_binom", {"d": d}, r.lhs, r.bound, r.holds))
+    def degree_counts(self):
+        for d in range(self.d_max + 1):
+            yield _row("onenorm_pair_count", {"d": d}, *onenorm_count_check(self.analysis, d))
+            yield _row("onenorm_width_binom", {"d": d},
+                       *onenorm_width_binom_check(self.analysis, d))
+            yield _row("pair_count_binom", {"d": d}, *pair_count_binom_check(self.analysis, d))
 
-    if "families" in checks:
+    def families(self):
+        analysis = self.analysis
         for key in sorted(analysis.families):
             ctx = {"d": key.d, "u": key.u}
-            r = family_onenorm_count_check(analysis, key.d, key.u)
-            entry.write(_row("family_onenorm_count", ctx, r.lhs, r.bound, r.holds))
-            r = check_onenorm_u(analysis, key.d, key.u)
-            entry.write(_row("family_onenorm_binom", ctx, r.lhs, r.bound, r.holds))
-            r = check_twonorm_u(analysis, key.d, key.u)
-            entry.write(_row("family_twonorm", ctx, r.lhs, r.bound, r.holds))
-            r = family_cauchy_check(analysis.families[key])
-            entry.write(_row("family_cauchy", ctx, r.lhs, r.bound, r.holds))
+            yield _row("family_onenorm_count", ctx,
+                       *family_onenorm_count_check(analysis, key.d, key.u))
+            yield _row("family_onenorm_binom", ctx, *check_onenorm_u(analysis, key.d, key.u))
+            yield _row("family_twonorm", ctx, *check_twonorm_u(analysis, key.d, key.u))
+            yield _row("family_cauchy", ctx, *family_cauchy_check(analysis.families[key]))
         for m in sorted(analysis.profiles):
             r = check_abs_fourier_u(analysis, m)
-            entry.write(
-                _row(
-                    "family_abs_coeff",
-                    {"S_mask": m, "u": r.extras.get("u")},
-                    r.lhs,
-                    r.bound,
-                    r.holds,
-                )
-            )
+            yield _row("family_abs_coeff", {"S_mask": m, "u": r.extras.get("u")}, *r)
 
-    if "read_chain" in checks:
-        for m in subsets:
-            r = read_cover_count_bound(dnf, m, analysis.cover_counts(m))
-            entry.write(_row("read_cover_chain", {"S_mask": m}, r.lhs, r.bound, r.holds))
+    def read_chain(self):
+        for m in self.subsets:
+            r = read_cover_count_bound(self.dnf, m, self.analysis.cover_counts(m))
+            yield _row("read_cover_chain", {"S_mask": m}, *r)
 
-    if "exact_width_chain" in checks:
-        widths = dnf.term_widths
+    def exact_width_chain(self):
+        widths = self.dnf.term_widths
         if len(widths) == 1 and widths != {0}:
-            for m in subsets:
-                counts = analysis.cover_counts(m)
-                for u in range(m.bit_count(), analysis.u_hi + 1):
-                    r = exact_width_cover_bound(dnf, m, u, counts)
-                    entry.write(_row("exact_width_chain", {"S_mask": m, "u": u},
-                             r.lhs, r.bound, r.holds))
+            for m in self.subsets:
+                counts = self.analysis.cover_counts(m)
+                for u in range(m.bit_count(), self.analysis.u_hi + 1):
+                    r = exact_width_cover_bound(self.dnf, m, u, counts)
+                    yield _row("exact_width_chain", {"S_mask": m, "u": u}, *r)
 
-    if "satisfied_mass" in checks:
-        r = st_inequality_check(dnf, f)
+    def satisfied_mass(self):
+        r = st_inequality_check(self.dnf, self.f)
         bound = None if r.bound is None else r.bound.high
-        entry.write(
-            _row(
-                "satisfied_mass",
-                {"read": k, "pr_true": _fmt(Fraction(f.ones, 1 << n)),
-                 "vacuous": r.extras["vacuous"]},
-                r.lhs,
-                bound,
-                r.holds,
-            )
-        )
+        context = {"read": self.k, "pr_true": _fmt(Fraction(self.f.ones, 1 << self.dnf.n)),
+                   "vacuous": r.extras["vacuous"]}
+        yield _row("satisfied_mass", context, r.lhs, bound, r.holds)
 
-    if "cover_budget" in checks:
-        for cover in sorted(analysis.covers):
-            sizes = [dnf.terms[j - 1].width for j in cover]
+    def cover_budget(self):
+        for cover in sorted(self.analysis.covers):
+            sizes = [self.dnf.terms[j - 1].width for j in cover]
             v = sum(sizes)
             mass = sum(Fraction(1, 2**sz) for sz in sizes)
             ctx = {"cover": list(cover), "v": v, "F": _fmt(mass)}
             try:
                 r = budget_lemma_bound(sizes, v, mass)
             except BudgetPreconditionError as exc:
-                entry.write(_row("cover_budget", ctx | {"skipped": str(exc)},
-                         len(sizes), None, True, report_only=True))
+                yield _row("cover_budget", ctx | {"skipped": str(exc)},
+                           len(sizes), None, True, report_only=True)
                 continue
-            entry.write(_row("cover_budget", ctx, r.lhs, r.bound, r.holds))
+            yield _row("cover_budget", ctx, *r)
 
-    if "roundtrip" in checks:
-        if analysis_fault is None:
-            pairs, failure = roundtrip.result()
+    def roundtrip(self):
+        if self.fault is None:
+            pairs, failure = self.round_trip.result()
             error = None if failure is None else failure[2]
         else:
-            pairs, error = 0, analysis_fault
+            pairs, error = 0, self.fault
         context = {"pairs": pairs} if error is None else {"pairs": pairs, "error": error}
-        entry.write(_row("roundtrip", context, pairs, None, error is None))
-
-    payload = {
-        "label": label,
-        "n": n,
-        "metrics": {"size": s, "width": w, "read": k},
-        "pr_true": _fmt(Fraction(f.ones, 1 << n)),
-        "d_max": d_max,
-        "eps": str(config.eps),
-        "min_coeffs": min_coeffs,
-        "fourier": {
-            "total_weight": _fmt(total_weight),
-            "one_norm": _fmt(one_norm),
-            "degree": spec.degree(),
-        },
-        "failures": entry.failures,
-    }
-    if analysis is not None:
-        payload["families"] = _family_summary(analysis)
-        payload["tail_table"] = _tail_table(analysis)
-    return entry.close(payload)
+        yield _row("roundtrip", context, pairs, None, error is None)
 
 
 #: Rows per batched decode: one numpy call per subset costs more in call

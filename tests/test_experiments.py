@@ -269,6 +269,8 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
     ({"instances": [_TRIBES22], "eps": True}, "'eps'"),
     ({"instances": [_TRIBES22], "C": True}, "'C'"),
     ({"instances": [_TRIBES22], "C_sweep": [1, True]}, "'C_sweep'"),
+    ({"instances": [_TRIBES22], "checks": [["evasive"]]}, "'checks'"),
+    ({"instances": [_TRIBES22], "checks": [1, "x"]}, "'checks'"),
 ], ids=["not-an-object", "instances-not-a-list", "instance-not-an-object",
         "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string",
         "eps-a-zero-denominator", "d_max-a-list", "C_sweep-entry-a-list",
@@ -276,7 +278,8 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
         "generator-seed-not-integral", "generator-seed-infinite", "d_max-not-integral",
         "d_max-a-non-integral-string", "d_max-a-boolean", "u_star-not-integral",
         "u_star-a-boolean", "workers-not-integral", "workers-a-boolean", "eps-a-boolean",
-        "C-a-boolean", "C_sweep-entry-a-boolean"])
+        "C-a-boolean", "C_sweep-entry-a-boolean", "checks-entry-a-list",
+        "checks-entry-not-a-string"])
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 def test_cli_malformed_config_is_a_usage_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, config, names):
