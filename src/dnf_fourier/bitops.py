@@ -1,10 +1,11 @@
-"""Small integer-mask utilities shared across modules.
+"""Small integer and integer-mask utilities shared across modules.
 
 Masks follow the package convention: bit i-1 of a mask stands for
 variable i, and in assignment masks a set bit means the variable is true.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -54,3 +55,19 @@ def subsets_up_to(n: int, d_max: int) -> list[int]:
     ]
     masks.sort()
     return masks
+
+
+def as_int(value) -> int:
+    """``value``, a number or a string that ``Fraction`` reads, as an int:
+    ``4``, ``4.0``, ``"4"`` and ``"4.0"`` alike.  A boolean or a fractional
+    value is a ``ValueError``; a value ``Fraction`` cannot read raises."""
+    if isinstance(value, bool):
+        raise ValueError("a boolean is not a number")
+    try:
+        number = Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        int(value)   # raise int()'s own error, which names the value
+        raise
+    if number.denominator != 1:
+        raise ValueError("not an integer")
+    return int(number)

@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, _check_n
+from .bitops import as_int
+from .boolfn import N_CAP, BooleanFunction, _check_n
 from .dyadic import DyadicRational
 
 
@@ -57,12 +58,15 @@ class Term:
 
         Literals form a set: repeating one is a no-op here (the text and
         JSON parsers are stricter and reject duplicates); a variable with
-        both polarities raises.
+        both polarities raises, and so does one beyond ``N_CAP``, which no
+        DNF has, before its mask bit is made.
         """
         pos = neg = 0
         for lit in literals:
             if lit == 0:
                 raise ParseError("literal 0 is not a variable")
+            if abs(lit) > N_CAP:
+                raise ParseError(f"literal {lit} is beyond the cap n <= {N_CAP}")
             bit = 1 << (abs(lit) - 1)
             if lit > 0:
                 pos |= bit
@@ -233,14 +237,20 @@ class Dnf:
 
     @classmethod
     def from_json(cls, text: str) -> "Dnf":
+        """``{"n": ..., "terms": [[literal, ...], ...]}``: ``n`` and every
+        literal are read by ``as_int``'s rule, and anything else is a
+        ``ParseError``."""
         try:
             obj = json.loads(text)
-            n = int(obj["n"])
+            n = as_int(obj["n"])
             raw_terms = obj["terms"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if not isinstance(raw_terms, list) or not all(isinstance(t, list) for t in raw_terms):
+                raise TypeError("'terms' must be a list of lists of literals")
+            literal_lists = [[as_int(lit) for lit in lits] for lits in raw_terms]
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ParseError(f"bad DNF JSON: {exc}") from exc
         terms = []
-        for lits in raw_terms:
+        for lits in literal_lists:
             term = Term.from_literals(lits)
             if term.width != len(lits):
                 raise ParseError(f"duplicate variable in term {lits!r}")

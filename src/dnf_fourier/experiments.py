@@ -35,7 +35,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .bitops import subsets_up_to
+from .bitops import as_int, subsets_up_to
 from .boolfn import (
     BooleanFunction,
     FourierSpectrum,
@@ -76,9 +76,10 @@ from .encoder import (
     decode_records,
     encode,  # no caller here either, and bench/spans.py wraps it too
 )
-from .generators import GeneratorSpec, as_int
+from .generators import GeneratorSpec
 from .restrictions import (
     DT_CAP,
+    UNION_CHUNK,
     RestrictionTables,
     cover_probability_check,
     evasive_bound_check,
@@ -402,24 +403,39 @@ def render_json(report: dict, out: TextIO) -> None:
 
 def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
     """Whether the polynomial evaluated at every point (the inverse
-    transform) is 2^n * f(x), exactly, in int64.
+    transform) is 2^n * f(x), exactly.
 
-    Split on the top two variables (the top one when n = 1),
-    H_n = H_2 (x) H_{n-2}: with q_0..q_3 the four quarters of the spectrum,
-    quarter i of the points is H_{n-2}(sum_j (-1)^|i & j| q_j).  One buffer
-    of 2^(n-2) int64s serves the quarters in turn, each is compared with its
-    own quarter of the table, unpacked alone, and nothing of either
-    outlives the call."""
-    top = min(spec.n, 2)
-    quarters = spec.scaled.reshape(1 << top, -1)
-    poly = np.empty(quarters.shape[1], dtype=np.int64)
+    Split on the top three variables (all of them when n < 3),
+    H_n = H_3 (x) H_{n-3}: with q_0..q_7 the eighths of the spectrum,
+    eighth i of the points is H_{n-3}(sum_j (-1)^|i & j| q_j).  One buffer
+    of 2^(n-3) entries serves the eighths in turn, each is compared with
+    its own eighth of the table, unpacked alone, and nothing of either
+    outlives the call.
+
+    Every point value V(x) has |V(x)| <= sum |scaled| = one_norm * 2^n.
+    ``scaled`` is read-only and profiled when it is made, so the profile's
+    sum of magnitudes bounds the very vector transformed here.  When that
+    sum plus 2^n is below 2^32 the buffer is int32, whose array arithmetic
+    wraps: it holds V(x) mod 2^32, and V(x) - 2^n * f(x), of magnitude
+    below 2^32, is 0 mod 2^32 only when it is 0.  Otherwise the buffer is
+    int64, where the sum must be below 2^62 and nothing wraps."""
+    n = spec.n
+    one_norm = spec.one_norm_total()
+    if one_norm < DyadicRational((1 << 32) - (1 << n), n):
+        dtype = np.int32
+    else:
+        assert one_norm < DyadicRational(1 << 62, n)
+        dtype = np.int64
+    top = min(n, 3)
+    eighths = spec.scaled.reshape(1 << top, -1)
+    poly = np.empty(eighths.shape[1], dtype=dtype)
     for i, (_, part) in enumerate(f.blocks(poly.size)):
-        poly[...] = quarters[0]
+        poly[...] = eighths[0]
         for j in range(1, 1 << top):
             combine = np.subtract if (i & j).bit_count() & 1 else np.add
-            combine(poly, quarters[j], out=poly)
+            combine(poly, eighths[j], out=poly)
         walsh_butterfly(poly)
-        np.subtract(poly, 1 << spec.n, out=poly, where=part.view(bool))
+        np.subtract(poly, 1 << n, out=poly, where=part.view(bool))
         if poly.any():
             return False
     return True
@@ -526,11 +542,8 @@ class _Battery:
     def spectral_basics(self):
         mean = DyadicRational(self.f.ones, self.dnf.n)
         yield _row("parseval", {}, self.total_weight, mean, self.total_weight == mean)
-        # the inverse transform must reproduce the truth table exactly; in
-        # int64, since every partial sum is bounded by sum |scaled| = one_norm * 2^n
-        assert self.one_norm < DyadicRational(1 << 62, self.dnf.n)
-        ok = _reconstructs(self.spec, self.f)
-        yield _row("reconstruction", {}, "poly(x)", "f(x)", ok)
+        # the inverse transform must reproduce the truth table exactly
+        yield _row("reconstruction", {}, "poly(x)", "f(x)", _reconstructs(self.spec, self.f))
 
     def sparsity(self):
         bound = math.ceil(self.one_norm.as_fraction() ** 2 / self.eps)
@@ -563,7 +576,10 @@ class _Battery:
             yield _row("evasive", {"S_mask": m}, *verdict)
 
     def cover_probability(self):
-        covered = union_superset_counts(satisfied_union_table(self.dnf), self.dnf.n)
+        n = self.dnf.n
+        size = min(UNION_CHUNK, 1 << n)
+        covered = union_superset_counts(
+            (satisfied_union_table(self.dnf, lo, size) for lo in range(0, 1 << n, size)), n)
         for m in self.subsets:
             verdict = cover_probability_check(self.dnf, m, self.spec, covered)
             yield _row("cover_probability", {"S_mask": m}, *verdict)

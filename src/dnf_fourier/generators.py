@@ -15,8 +15,8 @@ integer of a spec, as of a config, is read by ``as_int``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from .bitops import as_int
 from .boolfn import N_CAP
 from .dnf import Dnf, Term
 
@@ -168,22 +168,6 @@ FAMILIES = {
     "random_read_k": (random_read_k, ("n", "s", "w", "k")),
     "dense_pool": (dense_pool, ("n_terms", "term_width", "pool_size")),
 }
-
-
-def as_int(value) -> int:
-    """``value``, a number or a string that ``Fraction`` reads, as an int:
-    ``4``, ``4.0``, ``"4"`` and ``"4.0"`` alike.  A boolean or a fractional
-    value is a ``ValueError``; a value ``Fraction`` cannot read raises."""
-    if isinstance(value, bool):
-        raise ValueError("a boolean is not a number")
-    try:
-        number = Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):
-        int(value)   # raise int()'s own error, which names the value
-        raise
-    if number.denominator != 1:
-        raise ValueError("not an integer")
-    return int(number)
 
 
 @dataclass(frozen=True, slots=True)

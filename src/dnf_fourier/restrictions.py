@@ -44,6 +44,7 @@ The textbook depth recursion, the oracle of the predicate, is in the tests.
 from __future__ import annotations
 
 import functools
+from typing import Iterable
 
 import numpy as np
 
@@ -228,35 +229,42 @@ class RestrictionTables:
         return count
 
 
-def satisfied_union_table(dnf: Dnf) -> np.ndarray:
-    """For every full assignment x, the mask U(x) of variables appearing in
-    at least one term satisfied by x, as uint32 (n <= 24).  Each term ORs
-    its mask into its ``subcube`` of the table."""
-    union = np.zeros(1 << dnf.n, dtype=np.uint32)
-    cube = union.reshape((2,) * dnf.n)
+#: Assignments x per chunk of U, a power of two: the ``cover_probability``
+#: check makes U, and counts it, one chunk at a time.
+UNION_CHUNK = 1 << 16
+
+
+def satisfied_union_table(dnf: Dnf, lo: int, size: int) -> np.ndarray:
+    """For the ``size`` assignments x from ``lo`` (size a power of two, lo
+    a multiple of it), the mask U(x) of variables appearing in at least one term
+    satisfied by x, as uint32 (n <= 24).  The chunk's x share their bits
+    above the low b = log2(size): each term whose literals there agree
+    with lo ORs its mask into its ``subcube`` of the chunk's (2,)*b view."""
+    union = np.zeros(size, dtype=np.uint32)
+    b = size.bit_length() - 1
+    cube = union.reshape((2,) * b)
+    high = -size   # the bits above the low b
     for t in dnf.terms:
-        cube[t.subcube(dnf.n)] |= np.uint32(t.vars_mask)
+        if (lo ^ t.pos_mask) & t.vars_mask & high == 0:
+            cube[t.subcube(b)] |= np.uint32(t.vars_mask)
     union.setflags(write=False)
     return union
 
 
-#: Entries of U per ``np.unique`` call in ``union_superset_counts``.
-UNION_CHUNK = 1 << 16
-
-
-def union_superset_counts(sat_union: np.ndarray, n: int) -> np.ndarray:
+def union_superset_counts(chunks: Iterable[np.ndarray], n: int) -> np.ndarray:
     """Entry S is the number of assignments x with S inside U(x), for every
-    mask S at once (``sat_union`` is ``satisfied_union_table``'s U).
+    mask S at once, from U's ``chunks`` (``satisfied_union_table``'s, which
+    together cover every x once).
 
     The histogram of U, summed over supersets: n in-place additions of one
     half of the (2,)*n tensor into the other (Yates 1937; Bjorklund,
     Husfeldt, Kaski and Koivisto, STOC 2007), the stage structure of
     ``boolfn.walsh_butterfly``.  Every count is at most 2^n, so int32 holds
     it.  U takes few distinct values, so the histogram counts them one
-    chunk at a time, with no temporary the size of the table."""
+    chunk at a time, and U never exists whole."""
     counts = np.zeros(1 << n, dtype=np.int32)
-    for lo in range(0, sat_union.size, UNION_CHUNK):
-        values, times = np.unique(sat_union[lo:lo + UNION_CHUNK], return_counts=True)
+    for chunk in chunks:
+        values, times = np.unique(chunk, return_counts=True)
         counts[values] += times.astype(np.int32)
     for i in range(n):
         halves = counts.reshape(-1, 2, 1 << i)
@@ -284,8 +292,8 @@ def cover_probability_check(
 ) -> tuple[DyadicRational, DyadicRational, bool]:
     """Compare |fhat(S)| against 2^|S| times the probability that every
     variable of S lies in some term satisfied by a uniform input
-    (``superset_counts`` is ``union_superset_counts`` of
-    ``satisfied_union_table(f_dnf)``).
+    (``superset_counts`` is ``union_superset_counts`` of the chunks of
+    ``satisfied_union_table`` on f_dnf).
 
     Returns (lhs, rhs, lhs <= rhs), all exact.
     """

@@ -3,6 +3,7 @@
 The evaluation oracle compares every assignment with each term's masks,
 over a flat index array; ``Dnf.evaluate`` writes each term's subcube
 through a strided slice instead, and must agree with it bit for bit."""
+import json
 from itertools import permutations
 
 import numpy as np
@@ -209,6 +210,28 @@ def test_parse_errors():
         Dnf.from_json('{"n": 2}')
     with pytest.raises(ValueError):
         Dnf.from_term_literals(2, [[3]])  # variable beyond n
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": 3, "terms": [[1.5]]},
+    {"n": 3, "terms": "12"},
+    {"n": 3, "terms": ["12"]},
+    {"n": 3, "terms": [[True, -3]]},
+    {"n": 3.5, "terms": [[1]]},
+    {"n": True, "terms": [[1]]},
+    {"n": 3, "terms": [[1 << 40]]},
+], ids=["literal-fractional", "terms-a-string", "term-a-string", "literal-a-boolean",
+        "n-fractional", "n-a-boolean", "literal-beyond-the-cap"])
+def test_malformed_json_is_a_parse_error(obj):
+    # n and every literal are read as config integers are (as_int), inside
+    # the parser's guard: never a TypeError, nor a value silently truncated
+    with pytest.raises(ParseError):
+        Dnf.from_json(json.dumps(obj))
+
+
+def test_json_integers_are_read_in_any_form():
+    d = Dnf.from_json('{"n": "3.0", "terms": [[1.0, "-2"], []]}')
+    assert d == Dnf.from_term_literals(3, [[1, -2], []])
 
 
 def test_term_literal_order_is_ascending():

@@ -1410,6 +1410,24 @@ def test_unloadable_sweep_instance_is_an_error_entry(tmp_path, capsys, case):
     assert tribes_entry["tail_table"] and tribes_entry["label"] == "tribes(t=2,w=2,seed=0)"
 
 
+def test_a_malformed_json_instance_is_an_error_entry_and_the_next_one_runs(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "terms": [[1.5]]}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instances": [{"file": str(bad)}, {"generator": {"family": "tribes",
+                                                         "params": {"w": 2, "t": 2}}}],
+        "checks": ["spectral_basics"]}))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(cfg_path), "--out", str(out)]) == 2
+    error = "ParseError: bad DNF JSON: not an integer"
+    assert f"error: {bad}: {error}" in capsys.readouterr().err.splitlines()
+    first, second = json.loads(out.read_text())["instances"]
+    assert first == {"label": str(bad), "error": error, "checks": [], "failures": 1}
+    assert second["label"] == "tribes(t=2,w=2,seed=0)" and "error" not in second
+    assert [r["check"] for r in second["checks"]] == ["parseval", "reconstruction"]
+
+
 @pytest.mark.parametrize("args", [["spectrum"], ["encdec-test"], ["covers", "--set", "1"],
                                   ["verify"], ["sweep"]],
                          ids=["spectrum", "encdec-test", "covers", "verify", "sweep"])
@@ -1442,8 +1460,8 @@ def test_verify_evaluates_each_distinct_truncation_once(monkeypatch):
 @pytest.mark.parametrize("terms", [[], [[]]], ids=["no-term", "empty-term"])
 def test_the_verify_of_a_constant_still_reconstructs(monkeypatch, terms):
     # the transform writes a constant's spectrum with no butterfly, but the
-    # reconstruction check still evaluates it at every point: one int64
-    # butterfly per quarter, and its row holds
+    # reconstruction check still evaluates it at every point: one int32
+    # butterfly per eighth, and its row holds
     from dnf_fourier import experiments
     from dnf_fourier.dnf import Dnf
 
@@ -1457,13 +1475,13 @@ def test_the_verify_of_a_constant_still_reconstructs(monkeypatch, terms):
     report = _verify_entry(Dnf.from_term_literals(6, terms), "const",
                            ExperimentConfig(instances=(), checks=ALL_CHECKS))
     assert report["failures"] == 0
-    assert ran == [(16, np.dtype(np.int64))] * 4
+    assert ran == [(8, np.dtype(np.int32))] * 8
     assert [r["holds"] for r in report["checks"] if r["check"] == "reconstruction"] == [True]
 
 
 def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
-    # one wrong coefficient in each quarter of the spectrum (n = 4: masks
-    # 0-3, 4-7, 8-11 and 12-15), which the check splits on
+    # one wrong coefficient in each of four eighths of the spectrum (n = 4:
+    # masks 2-3, 4-5, 10-11 and 12-13), which the check splits on
     from dnf_fourier import FourierSpectrum, experiments
 
     transform = experiments.fourier_transform
@@ -1484,8 +1502,8 @@ def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reconstructs_every_small_function_and_no_wrong_spectrum(n):
     # every function on n <= 3 variables: its own spectrum reconstructs it,
-    # and the spectrum with any one coefficient off by one does not (n = 1
-    # splits on one variable, n >= 2 on two)
+    # and the spectrum with any one coefficient off by one does not (the
+    # check splits on min(n, 3) variables)
     from dnf_fourier import BooleanFunction, FourierSpectrum
     from dnf_fourier.experiments import _reconstructs
 
@@ -1497,6 +1515,19 @@ def test_reconstructs_every_small_function_and_no_wrong_spectrum(n):
             wrong = scaled.copy()
             wrong[mask] += 1
             assert not _reconstructs(FourierSpectrum(n, wrong), f), (bits, mask)
+
+
+def test_reconstruction_is_int64_where_a_residue_mod_2_32_could_hide_an_error():
+    # 2^30 added to every coefficient of an n = 2 spectrum changes the point
+    # values by (2^32, 0, 0, 0), which is 0 mod 2^32: only the bound on the
+    # sum of magnitudes (here 2^32 or more) keeps the check out of int32
+    from dnf_fourier import BooleanFunction
+    from dnf_fourier.experiments import _reconstructs
+
+    for bits in range(16):
+        f = BooleanFunction(2, bits)
+        shifted = fourier_transform(f).scaled + np.int32(1 << 30)
+        assert not _reconstructs(FourierSpectrum(2, shifted), f), bits
 
 
 @pytest.mark.parametrize("x", [0, 5, 8, 15])
@@ -1538,9 +1569,8 @@ def _spectral_verify_bytes_per_entry(exact_width: bool) -> float:
 
 def test_spectral_verify_peak_memory_per_table_entry():
     # Every phase of the spectral checks holds one int32 spectrum (4 bytes
-    # per entry) and buffers of at most a quarter of the entries, the
-    # largest the quarter-size int64 reconstruction buffer (2 bytes per
-    # entry): never two spectra, nor a 2^n unpacked table beside one.
+    # per entry) and buffers of at most a quarter of the entries: never two
+    # spectra, nor a 2^n unpacked table beside one.
     per_entry = _spectral_verify_bytes_per_entry(exact_width=True)
     assert per_entry <= 9, f"{per_entry:.1f} bytes per entry"
 
@@ -1554,8 +1584,8 @@ def test_spectral_verify_peak_memory_per_table_entry_mixed_width():
 
 
 def test_reconstruction_peak_memory_beside_the_spectrum():
-    # one 2^(n-2) int64 buffer (half the spectrum's bytes) and one quarter
-    # of the table, unpacked, at a time
+    # one 2^(n-3) int32 buffer (an eighth of the spectrum's bytes) and one
+    # eighth of the table, unpacked, at a time
     import tracemalloc
 
     from dnf_fourier import random_read_k
@@ -1570,7 +1600,7 @@ def test_reconstruction_peak_memory_beside_the_spectrum():
     finally:
         tracemalloc.stop()
     assert ok
-    assert peak <= 0.75 * spec.scaled.nbytes, f"{peak / spec.scaled.nbytes:.2f}x the spectrum"
+    assert peak <= 0.25 * spec.scaled.nbytes, f"{peak / spec.scaled.nbytes:.2f}x the spectrum"
 
 
 def test_spectral_verify_holds_one_spectrum_at_a_time(monkeypatch):

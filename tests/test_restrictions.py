@@ -2,8 +2,10 @@
 
 The textbook decision-tree recursion (``dt_depth`` over ``restrict``) and
 the unpacked bool builder of the full-depth tables live here, as the
-oracles of ``RestrictionTables``.
+oracles of ``RestrictionTables``; so does the whole-table build of the
+satisfied-union table U, the oracle of its chunks.
 """
+import io
 from dataclasses import dataclass
 from math import comb
 from types import SimpleNamespace
@@ -440,7 +442,7 @@ def test_evasive_examples():
 
 
 def _covered(dnf):
-    return union_superset_counts(satisfied_union_table(dnf), dnf.n)
+    return union_superset_counts([satisfied_union_table(dnf, 0, 1 << dnf.n)], dnf.n)
 
 
 def _cover_probability(dnf, s_mask):
@@ -675,11 +677,25 @@ def oracle_satisfied_union(dnf, x):
     return union
 
 
-def _assert_superset_counts_match_oracle(dnf):
-    sat_union = satisfied_union_table(dnf)
-    assert sat_union.dtype == np.uint32 and not sat_union.flags.writeable
+def oracle_satisfied_union_table(dnf):
+    """U(x) for every x at once, as uint32: each term ORs its mask into its
+    subcube of the whole (2,)*n table, the build that the chunked one
+    replaced."""
+    union = np.zeros(1 << dnf.n, dtype=np.uint32)
+    cube = union.reshape((2,) * dnf.n)
+    for t in dnf.terms:
+        cube[t.subcube(dnf.n)] |= np.uint32(t.vars_mask)
+    return union
+
+
+def _assert_superset_counts_match_oracle(dnf, chunk=restrictions.UNION_CHUNK):
+    size = min(chunk, 1 << dnf.n)
+    sat_union = oracle_satisfied_union_table(dnf)
     assert sat_union.tolist() == [oracle_satisfied_union(dnf, x) for x in range(1 << dnf.n)]
-    counts = union_superset_counts(sat_union, dnf.n)
+    chunks = [satisfied_union_table(dnf, lo, size) for lo in range(0, 1 << dnf.n, size)]
+    assert all(c.dtype == np.uint32 and not c.flags.writeable for c in chunks)
+    assert np.concatenate(chunks).tolist() == sat_union.tolist()
+    counts = union_superset_counts(chunks, dnf.n)
     assert counts.dtype == np.int32 and not counts.flags.writeable
     assert counts.tolist() == [
         oracle_union_superset_count(sat_union, s) for s in range(1 << dnf.n)]
@@ -697,13 +713,44 @@ def test_union_superset_counts_match_the_per_subset_count_on_random_dnfs(dnf):
     _assert_superset_counts_match_oracle(dnf)
 
 
-@given(small_dnfs(), st.sampled_from([1, 2, 3, 7, 64]))
+@given(small_dnfs(), st.sampled_from([1, 2, 4, 8, 64]))
 @settings(max_examples=50, deadline=None)
 def test_union_superset_counts_match_the_per_subset_count_in_small_chunks(dnf, chunk):
-    # the histogram of U is counted chunk by chunk; with chunks this small a
-    # value of U recurs in several of them
-    with mock.patch.object(restrictions, "UNION_CHUNK", chunk):
-        _assert_superset_counts_match_oracle(dnf)
+    # U is made and its histogram counted chunk by chunk; with chunks this
+    # small a term spans several of them, or fixes every bit of one, and a
+    # value of U recurs in several
+    _assert_superset_counts_match_oracle(dnf, chunk)
+
+
+@given(small_dnfs(), st.sampled_from([1, 2, 8]))
+@settings(max_examples=50, deadline=None)
+def test_cover_probability_counts_u_one_chunk_at_a_time(dnf, chunk):
+    # the verify's cover_probability group asks for U one UNION_CHUNK of x
+    # at a time, ascending, and its superset counts are the oracle's
+    from dnf_fourier import ExperimentConfig, experiments
+
+    made, seen = [], []
+    table, counts = experiments.satisfied_union_table, experiments.union_superset_counts
+
+    def spy_table(dnf, lo, size):
+        made.append((lo, size))
+        return table(dnf, lo, size)
+
+    def spy_counts(chunks, n):
+        seen.append(counts(chunks, n))
+        return seen[-1]
+
+    config = ExperimentConfig(instances=(), d_max=0, checks=("cover_probability",))
+    with mock.patch.object(experiments, "UNION_CHUNK", chunk), \
+            mock.patch.object(experiments, "satisfied_union_table", spy_table), \
+            mock.patch.object(experiments, "union_superset_counts", spy_counts):
+        experiments.verify_instance(dnf, "dnf", config, experiments.EntryWriter(
+            io.StringIO(), "dnf", True))
+    size = min(chunk, 1 << dnf.n)
+    assert made == [(lo, size) for lo in range(0, 1 << dnf.n, size)]
+    sat_union = oracle_satisfied_union_table(dnf)
+    assert [c.tolist() for c in seen] == [
+        [oracle_union_superset_count(sat_union, s) for s in range(1 << dnf.n)]]
 
 
 def test_onenorm_count_identity_small():
