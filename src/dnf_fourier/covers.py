@@ -65,7 +65,6 @@ them again.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -542,7 +541,8 @@ def budget_lemma_bound(sizes, v, F) -> CheckResult:
     """Family-size budget: given sets of sizes |A_r| with sum of sizes <= v
     and sum of 2^-|A_r| <= F and v > F, the family has at most
     4v / log2(v/F) members.  The verdict is exact rational arithmetic:
-    l * log2(v/F) <= 4v  iff  (v/F)^(l*b) <= 2^a with 4v = a/b.
+    l * log2(v/F) <= 4v  iff  (v/F)^(l*b) <= 2^a with 4v = a/b.  The bound
+    is the upper end of an enclosure of 4v / log2(v/F).
     """
     sizes = list(sizes)
     v = Fraction(v)
@@ -560,5 +560,14 @@ def budget_lemma_bound(sizes, v, F) -> CheckResult:
     four_v = 4 * v
     a, b = four_v.numerator, four_v.denominator
     holds = (v / F) ** (l * b) <= Fraction(2) ** a
-    approx_bound = float(four_v) / math.log2(float(v / F))
-    return CheckResult(l, approx_bound, holds, {"v": v, "F": F})
+    return CheckResult(l, _budget_high(v, F), holds, {"v": v, "F": F})
+
+
+@lru_cache(maxsize=4096)
+def _budget_high(v: Fraction, F: Fraction) -> Fraction:
+    """4v ln 2 / ln(v/F) rounded up, at the first precision whose enclosure
+    of ln(v/F) lies above 0 (v > F).  Many covers share their (v, F)."""
+    prec = 64
+    while (ln_ratio := ln_enclosure(v / F, prec).low) <= 0:
+        prec *= 2
+    return 4 * v * ln_enclosure(Fraction(2), prec).high / ln_ratio

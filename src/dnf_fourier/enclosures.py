@@ -1,17 +1,10 @@
-"""Rigorous real-number enclosures for the few non-rational bounds.
+"""Rigorous enclosures of the bounds in ln and e^x, the only inexact ones.
 
-Every asserted inequality in this package is exact rational arithmetic,
-except where a bound genuinely involves ln or powers of e.  Those are
-decided through interval arithmetic (mpmath's ``iv`` context) with outward
-rounding: a comparison verdict is only issued once the whole interval lies
-on one side, retrying at doubled precision otherwise.  Since the compared
-quantities are never equal unless both sides are zero (k*ln of a rational
-other than 1 is irrational, as are powers of e), the refinement loop
-terminates.
-
-mpmath is imported on first use, by ``ln_enclosure`` and ``exp_enclosure``:
-``floor_scaled_log2`` is exact big-integer arithmetic, and a run that
-decides nothing else (a sweep) never loads it.
+Each is a series with an explicit remainder, summed in integers scaled by
+2^(prec+guard), each power rounded down and up.  ln(2^j r) = j ln 2 + ln r
+with 1 <= r < 2, each log 2 artanh(z), z <= 1/3, whose tail past z^i/i is
+at most that over 1 - z^2; e^x's tail past x^N/N! is at most that over
+1 - x/(N+1).  Endpoints are multiples of 2^-prec, rounded outward.
 """
 from __future__ import annotations
 
@@ -23,16 +16,6 @@ _MAX_PREC = 1 << 14
 
 class EnclosureUndecidedError(RuntimeError):
     """A comparison stayed undecided at the maximum working precision."""
-
-
-def _mpf_tuple_to_fraction(t) -> Fraction:
-    sign, man, exp, _bc = t
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError("non-finite interval endpoint")
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,50 +33,78 @@ class RealEnclosure:
         return float((self.low + self.high) / 2)
 
     def scale(self, c) -> "RealEnclosure":
-        c = Fraction(c)
-        if c >= 0:
-            return RealEnclosure(self.low * c, self.high * c)
-        return RealEnclosure(self.high * c, self.low * c)
+        return RealEnclosure(*sorted((self.low * Fraction(c), self.high * Fraction(c))))
 
 
-def _interval_to_enclosure(x) -> RealEnclosure:
-    lo, hi = x._mpi_
-    return RealEnclosure(_mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi))
+def _artanh(a: int, b: int, one: int):
+    """Integers around one * artanh(a/b), for 0 <= a/b <= 1/3."""
+    lo = hi = 0
+    p_lo, p_hi = one * a // b, -(-one * a // b)
+    a, b = a * a, b * b
+    i = 1
+    while p_hi > 1:
+        lo += p_lo // i
+        hi -= -p_hi // i
+        p_lo, p_hi = p_lo * a // b, -(-p_hi * a // b)
+        i += 2
+    return lo, hi - -p_hi * b // (i * (b - a))
 
 
-def _iv_enclosure(function: str, q: Fraction, prec: int) -> RealEnclosure:
-    """Enclosure of mpmath's interval ``iv.<function>`` at the rational q,
-    evaluated at ``prec`` bits."""
-    from mpmath import iv
+def _exp(a: int, b: int, one: int):
+    """Integers around one * e^(a/b), for a/b >= 0."""
+    lo = hi = 0
+    t_lo = t_hi = one
+    i = 0
+    while t_hi > 1 or i * b <= 2 * a:
+        lo, hi = lo + t_lo, hi + t_hi
+        i += 1
+        t_lo, t_hi = t_lo * a // (b * i), -(-t_hi * a // (b * i))
+    return lo, hi - -t_hi * (i + 1) * b // ((i + 1) * b - a)
 
-    old = iv.prec
-    try:
-        iv.prec = prec
-        x = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-        return _interval_to_enclosure(getattr(iv, function)(x))
-    finally:
-        iv.prec = old
+
+def _floor_log2(n: int, d: int) -> int:
+    """floor(log2(n/d)) for n >= d > 0."""
+    j = n.bit_length() - d.bit_length()
+    return j - (n < d << j)
+
+
+def _enclosure(lo: int, hi: int, shift: int, prec: int) -> RealEnclosure:
+    u = 1 << prec
+    return RealEnclosure(Fraction(lo >> shift, u), Fraction(-(-hi >> shift), u))
 
 
 def ln_enclosure(q: Fraction, prec: int = 64) -> RealEnclosure:
     """Enclosure of the natural log of a positive rational."""
+    q = Fraction(q)
     if q <= 0:
         raise ValueError("ln of a nonpositive value")
-    return _iv_enclosure("log", q, prec)
+    if q < 1:
+        return ln_enclosure(1 / q, prec).scale(-1)
+    n, d = q.numerator, q.denominator
+    j = _floor_log2(n, d)
+    guard = prec.bit_length() + j.bit_length() + 4
+    one = 1 << (prec + guard)
+    l2_lo, l2_hi = _artanh(1, 3, one)
+    r_lo, r_hi = _artanh(n - (d << j), n + (d << j), one)
+    return _enclosure(j * l2_lo + r_lo, j * l2_hi + r_hi, guard - 1, prec)   # 2 artanh
 
 
 def exp_enclosure(x: Fraction, prec: int = 64) -> RealEnclosure:
     """Enclosure of e**x for rational x."""
-    return _iv_enclosure("exp", x, prec)
+    x = Fraction(x)
+    a, b = abs(x.numerator), x.denominator
+    guard = prec.bit_length() + (a // b).bit_length() + 4
+    lo, hi = _exp(a, b, 1 << (prec + guard))
+    if x < 0:   # e^x = 1 / e^-x
+        one = 1 << (2 * prec + guard)
+        lo, hi, guard = one // hi, -(-one // lo), 0
+    return _enclosure(lo, hi, guard, prec)
 
 
 def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
-    """Rigorously decide lhs <= (the real enclosed by make_enclosure(prec)).
-
-    ``make_enclosure`` is called with increasing precision until the exact
-    rational lhs falls strictly on one side of the interval, or until the
-    endpoints coincide with lhs (an exact hit, e.g. 0 <= ln(1) = 0).
-    """
+    """Rigorously decide lhs <= (the real enclosed by make_enclosure(prec)),
+    doubling prec until lhs is off the interval or at its low end (0 <= ln 1).
+    k ln q (q != 1) and e^m (m != 0) are irrational, so this ends."""
     lhs = Fraction(lhs)
     prec = 64
     while prec <= _MAX_PREC:
@@ -102,8 +113,6 @@ def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
             return True, enc
         if lhs > enc.high:
             return False, enc
-        if enc.low == enc.high == lhs:
-            return True, enc
         prec *= 2
     raise EnclosureUndecidedError(
         f"comparison of {lhs} against [{float(enc.low)}, {float(enc.high)}] undecided"
@@ -111,27 +120,9 @@ def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
 
 
 def floor_scaled_log2(q: Fraction, scale: Fraction) -> int:
-    """floor(scale * log2(q)) for rationals q >= 1, scale > 0, exactly.
-
-    scale*log2(q) >= m  iff  q**scale.numerator >= 2**(m*scale.denominator),
-    which is an exact big-integer comparison, so the floor is found by
-    search with no rounding anywhere.
-    """
+    """floor(scale * log2(q)) for rationals q >= 1, scale > 0, exactly: it
+    is floor(floor(log2(q^p)) / r) for scale = p/r, with no rounding."""
     if q < 1 or scale <= 0:
         raise ValueError("need q >= 1 and scale > 0")
-    p, r = scale.numerator, scale.denominator
-    qp = q**p
-
-    def at_least(m: int) -> bool:
-        return qp >= Fraction(2) ** (m * r)
-
-    m = 0
-    step = 1
-    while at_least(m + step):
-        m += step
-        step *= 2
-    while step > 1:
-        step //= 2
-        if at_least(m + step):
-            m += step
-    return m
+    qp = Fraction(q) ** scale.numerator
+    return _floor_log2(qp.numerator, qp.denominator) // scale.denominator

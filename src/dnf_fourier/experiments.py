@@ -579,9 +579,10 @@ class _Battery:
         n = self.dnf.n
         size = min(UNION_CHUNK, 1 << n)
         covered = union_superset_counts(
-            (satisfied_union_table(self.dnf, lo, size) for lo in range(0, 1 << n, size)), n)
-        for m in self.subsets:
-            verdict = cover_probability_check(self.dnf, m, self.spec, covered)
+            (satisfied_union_table(self.dnf, lo, size) for lo in range(0, 1 << n, size)),
+            self.subsets)
+        for m, count in zip(self.subsets, covered.tolist()):
+            verdict = cover_probability_check(self.dnf, m, self.spec, count)
             yield _row("cover_probability", {"S_mask": m}, *verdict)
 
     def degree_counts(self):
@@ -908,7 +909,8 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
                    u_star_formula: float | None) -> dict:
     """Theorem-level quantities, evaluated but never asserted: their "large
     enough width" hypotheses fail at desk scale.  Values are decimal
-    approximations of exact family weights against the simplified bounds.
+    approximations of exact family weights against the simplified bounds;
+    each ``would_hold`` is exact.
     The cutoff u* is the config's ``u_star`` when it is set, and otherwise
     the floor of ``u_star_formula``; with neither there is no u* block."""
     max_ncov = max(map(analysis.max_num_covers, analysis.families), default=0)
@@ -921,7 +923,8 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
                 "family_weight": _fmt(weight_at_u),
                 "family_weight_approx": _approx(weight_at_u),
                 "simplified_bound_approx": round(simplified, 12),
-                "would_hold": bool(float(weight_at_u) <= simplified),
+                # weight <= 2^(-u/2) M, squared
+                "would_hold": weight_at_u.as_fraction() ** 2 * 2**u <= max_ncov**2,
             }
         )
     cutoff = config.u_star

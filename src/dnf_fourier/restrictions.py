@@ -44,6 +44,7 @@ The textbook depth recursion, the oracle of the predicate, is in the tests.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -233,6 +234,9 @@ class RestrictionTables:
 #: check makes U, and counts it, one chunk at a time.
 UNION_CHUNK = 1 << 16
 
+#: Entries of the (masks x values) temporary of ``union_superset_counts``.
+SUPERSET_BLOCK = 1 << 14
+
 
 def satisfied_union_table(dnf: Dnf, lo: int, size: int) -> np.ndarray:
     """For the ``size`` assignments x from ``lo`` (size a power of two, lo
@@ -251,24 +255,27 @@ def satisfied_union_table(dnf: Dnf, lo: int, size: int) -> np.ndarray:
     return union
 
 
-def union_superset_counts(chunks: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Entry S is the number of assignments x with S inside U(x), for every
-    mask S at once, from U's ``chunks`` (``satisfied_union_table``'s, which
-    together cover every x once).
+def union_superset_counts(chunks: Iterable[np.ndarray], masks) -> np.ndarray:
+    """Entry i is the number of assignments x with masks[i] inside U(x),
+    from U's ``chunks`` (``satisfied_union_table``'s, which together cover
+    every x once).
 
-    The histogram of U, summed over supersets: n in-place additions of one
-    half of the (2,)*n tensor into the other (Yates 1937; Bjorklund,
-    Husfeldt, Kaski and Koivisto, STOC 2007), the stage structure of
-    ``boolfn.walsh_butterfly``.  Every count is at most 2^n, so int32 holds
-    it.  U takes few distinct values, so the histogram counts them one
-    chunk at a time, and U never exists whole."""
-    counts = np.zeros(1 << n, dtype=np.int32)
+    U takes few distinct values (hundreds at n = 24), so its histogram is
+    counted one chunk at a time, and U never exists whole.  A mask's count
+    sums the histogram over the values that hold it, for a block of masks
+    at a time whose (masks x values) temporary has at most SUPERSET_BLOCK
+    entries."""
+    hist = Counter()
     for chunk in chunks:
         values, times = np.unique(chunk, return_counts=True)
-        counts[values] += times.astype(np.int32)
-    for i in range(n):
-        halves = counts.reshape(-1, 2, 1 << i)
-        halves[:, 0, :] += halves[:, 1, :]   # S without i gains S with i
+        hist.update(dict(zip(values.tolist(), times.tolist())))
+    values = np.fromiter(hist, np.uint32, len(hist))
+    times = np.fromiter(hist.values(), np.int64, len(hist))
+    masks = np.asarray(masks, dtype=np.uint32)
+    step = max(1, SUPERSET_BLOCK // max(1, len(hist)))
+    counts = np.empty(len(masks), dtype=np.int64)
+    for lo in range(0, len(masks), step):
+        counts[lo:lo + step] = ((masks[lo:lo + step, None] & ~values) == 0) @ times
     counts.setflags(write=False)
     return counts
 
@@ -288,17 +295,16 @@ def evasive_bound_check(
 
 
 def cover_probability_check(
-    f_dnf: Dnf, s_mask: int, spec: FourierSpectrum, superset_counts: np.ndarray
+    f_dnf: Dnf, s_mask: int, spec: FourierSpectrum, covered: int
 ) -> tuple[DyadicRational, DyadicRational, bool]:
     """Compare |fhat(S)| against 2^|S| times the probability that every
-    variable of S lies in some term satisfied by a uniform input
-    (``superset_counts`` is ``union_superset_counts`` of the chunks of
-    ``satisfied_union_table`` on f_dnf).
+    variable of S lies in some term satisfied by a uniform input; that
+    happens on ``covered`` inputs (S's entry of ``union_superset_counts``
+    of the chunks of ``satisfied_union_table`` on f_dnf).
 
     Returns (lhs, rhs, lhs <= rhs), all exact.
     """
     d = s_mask.bit_count()
     lhs = abs(spec.coeff(s_mask))
-    covered = int(superset_counts[s_mask])
     rhs = DyadicRational(covered << d, f_dnf.n)
     return lhs, rhs, lhs <= rhs

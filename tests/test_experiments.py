@@ -322,14 +322,12 @@ def test_cli_covers_rejects_a_variable_beyond_n(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, digest", [
-    ("verify", "54e504d74eddbf93dc7934757fb70e60777261d489112630d887a65f7318a78f"),
-    ("sweep", "10ff2f0da894d17510af729ceb09d7945229a5da75cb8049cb56c6d47a613515"),
+    ("verify", "7dca654eaa0f0ee52e37aad847100fb125611c024423870b9dfedbad7b373b74"),
+    ("sweep", "ced319b1c3edf87dee01614bb99d9b39a45ab5429553561023b453c08014d89f"),
 ], ids=["verify", "sweep"])
 def test_report_bytes_are_pinned(tmp_path, command, digest):
     # The SHA-256 of a whole report on two generator sources at d_max 4, so
     # any change to a row, a family table or the rendering shows.
-    # satisfied_mass is left out: its bound is an endpoint of an mpmath
-    # interval, and a new mpmath release may move it.
     import hashlib
 
     cfg_path = tmp_path / "cfg.json"
@@ -342,7 +340,8 @@ def test_report_bytes_are_pinned(tmp_path, command, digest):
         "d_max": 4,
         "checks": ["spectral_basics", "sparsity", "truncation", "approx_transfer",
                    "evasive", "cover_probability", "degree_counts", "families",
-                   "read_chain", "exact_width_chain", "cover_budget", "roundtrip"],
+                   "read_chain", "exact_width_chain", "cover_budget", "roundtrip",
+                   "satisfied_mass"],
     }))
     out_path = tmp_path / "report.json"
     assert main([command, str(cfg_path), "--out", str(out_path)]) == 0
@@ -1212,6 +1211,23 @@ def test_sweep_u_star_sets_the_cutoff():
         2, "263/2^12", False)
 
 
+def test_would_hold_per_u_is_decided_exactly():
+    # weight <= 2^(-u/2) * max_num_covers at u = 1 and max_num_covers = 1,
+    # with the weight the multiple of 2^-60 just above 1/sqrt(2): as floats
+    # the two sides are equal, exactly the weight is larger
+    from types import SimpleNamespace
+
+    from dnf_fourier.experiments import _theorem_tails
+
+    weight = DyadicRational(math.isqrt(1 << 119) + 1, 60)
+    assert float(weight) <= 2.0 ** -0.5
+    analysis = SimpleNamespace(families=["one family"], max_num_covers=lambda key: 1,
+                               weight_at_u=[DyadicRational(1), weight])
+    tails = _theorem_tails(analysis, ExperimentConfig(instances=()), None)
+    assert [r["would_hold"] for r in tails["family_weight_vs_simplified_bound"]] == [
+        True, False]
+
+
 def test_evasive_only_verify_matches_the_all_checks_rows(monkeypatch):
     # without an analysis the evasive loop counts each table itself and
     # releases the top level; with one it reads the counts the tables kept
@@ -1633,8 +1649,9 @@ def test_spectral_verify_holds_one_spectrum_at_a_time(monkeypatch):
 
 
 def test_sweep_imports_neither_mpmath_nor_the_process_pool():
-    # a sweep decides its cuts with exact Fractions, and one worker needs no
-    # pool: neither module is loaded
+    # a sweep decides its cuts with exact Fractions, an all-checks verify
+    # decides ln and e^x by rational series, and one worker needs no pool:
+    # neither module is loaded
     import os
     import subprocess
     import sys
@@ -1644,10 +1661,15 @@ def test_sweep_imports_neither_mpmath_nor_the_process_pool():
         "import sys\n"
         "import dnf_fourier.cli\n"
         "from dnf_fourier import ExperimentConfig, GeneratorSpec, InstanceSource\n"
-        "from dnf_fourier import run_concentration_sweep\n"
+        "from dnf_fourier import run_concentration_sweep, run_verify\n"
+        "from dnf_fourier.experiments import ALL_CHECKS\n"
         "spec = GeneratorSpec('tribes', {'w': 2, 't': 3})\n"
         "cfg = ExperimentConfig(instances=(InstanceSource('generator', spec=spec),), d_max=4)\n"
         "assert run_concentration_sweep(cfg)['instances'][0]['tail_table']\n"
+        "cfg = ExperimentConfig(instances=cfg.instances, d_max=4, checks=ALL_CHECKS)\n"
+        "report = run_verify(cfg)\n"
+        "assert report['summary']['ok'] and {'satisfied_mass', 'read_cover_chain'} <= {\n"
+        "    r['check'] for r in report['instances'][0]['checks']}\n"
         "print(sorted(m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules))\n"
     )
     import dnf_fourier

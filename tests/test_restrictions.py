@@ -442,12 +442,14 @@ def test_evasive_examples():
 
 
 def _covered(dnf):
-    return union_superset_counts([satisfied_union_table(dnf, 0, 1 << dnf.n)], dnf.n)
+    """Entry S is the number of x with S inside U(x), for every mask S."""
+    return union_superset_counts([satisfied_union_table(dnf, 0, 1 << dnf.n)],
+                                 range(1 << dnf.n)).tolist()
 
 
 def _cover_probability(dnf, s_mask):
     spec = fourier_transform(dnf.evaluate())
-    return cover_probability_check(dnf, s_mask, spec, _covered(dnf))
+    return cover_probability_check(dnf, s_mask, spec, _covered(dnf)[s_mask])
 
 
 def test_cover_probability_examples():
@@ -470,7 +472,7 @@ def test_cover_probability_examples():
 _BOUNDED_CHECKS = {
     "evasive": lambda n, s_mask, count, spec: evasive_bound_check(count, s_mask, spec),
     "cover_probability": lambda n, s_mask, count, spec: cover_probability_check(
-        Dnf(n, ()), s_mask, spec, np.full(1 << n, count, np.int32)),
+        Dnf(n, ()), s_mask, spec, count),
 }
 
 
@@ -658,7 +660,7 @@ def test_evasive_and_cover_probability_on_corpus(bundles):
             _, _, holds = evasive_bound_check(
                 b.tables.full_depth_count(s_mask), s_mask, b.spec)
             assert holds, (b.label, s_mask)
-            _, _, holds = cover_probability_check(b.dnf, s_mask, b.spec, covered)
+            _, _, holds = cover_probability_check(b.dnf, s_mask, b.spec, covered[s_mask])
             assert holds, (b.label, s_mask)
 
 
@@ -695,16 +697,26 @@ def _assert_superset_counts_match_oracle(dnf, chunk=restrictions.UNION_CHUNK):
     chunks = [satisfied_union_table(dnf, lo, size) for lo in range(0, 1 << dnf.n, size)]
     assert all(c.dtype == np.uint32 and not c.flags.writeable for c in chunks)
     assert np.concatenate(chunks).tolist() == sat_union.tolist()
-    counts = union_superset_counts(chunks, dnf.n)
-    assert counts.dtype == np.int32 and not counts.flags.writeable
-    assert counts.tolist() == [
-        oracle_union_superset_count(sat_union, s) for s in range(1 << dnf.n)]
+    # every mask, in an order that is not ascending: entry i is masks[i]'s
+    masks = [m ^ ((1 << dnf.n) - 1) for m in range(1 << dnf.n)]
+    counts = union_superset_counts(chunks, masks)
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert counts.tolist() == [oracle_union_superset_count(sat_union, s) for s in masks]
 
 
 def test_union_superset_counts_match_the_per_subset_count_on_corpus(bundles):
-    # every mask, not only |S| <= d_max: the transform fills the whole table
+    # every mask, not only |S| <= d_max
     for b in bundles:
         _assert_superset_counts_match_oracle(b.dnf)
+
+
+@given(small_dnfs(), st.sampled_from([1, 2, 8]))
+@settings(max_examples=50, deadline=None)
+def test_union_superset_counts_match_the_per_subset_count_one_mask_per_block(dnf, chunk):
+    # a block of one entry is one mask, against every value of U: the
+    # counts do not depend on how the masks are split into blocks
+    with mock.patch.object(restrictions, "SUPERSET_BLOCK", 1):
+        _assert_superset_counts_match_oracle(dnf, chunk)
 
 
 @given(small_dnfs())
@@ -736,11 +748,12 @@ def test_cover_probability_counts_u_one_chunk_at_a_time(dnf, chunk):
         made.append((lo, size))
         return table(dnf, lo, size)
 
-    def spy_counts(chunks, n):
-        seen.append(counts(chunks, n))
-        return seen[-1]
+    def spy_counts(chunks, masks):
+        seen.append((list(masks), counts(chunks, masks)))
+        return seen[-1][1]
 
-    config = ExperimentConfig(instances=(), d_max=0, checks=("cover_probability",))
+    d_max = min(dnf.n, 3)
+    config = ExperimentConfig(instances=(), d_max=d_max, checks=("cover_probability",))
     with mock.patch.object(experiments, "UNION_CHUNK", chunk), \
             mock.patch.object(experiments, "satisfied_union_table", spy_table), \
             mock.patch.object(experiments, "union_superset_counts", spy_counts):
@@ -749,8 +762,10 @@ def test_cover_probability_counts_u_one_chunk_at_a_time(dnf, chunk):
     size = min(chunk, 1 << dnf.n)
     assert made == [(lo, size) for lo in range(0, 1 << dnf.n, size)]
     sat_union = oracle_satisfied_union_table(dnf)
-    assert [c.tolist() for c in seen] == [
-        [oracle_union_superset_count(sat_union, s) for s in range(1 << dnf.n)]]
+    # the counts of the masks the checks read, |S| <= d_max, and no other
+    masks = subsets_up_to(dnf.n, d_max)
+    assert [(m, c.tolist()) for m, c in seen] == [
+        (masks, [oracle_union_superset_count(sat_union, s) for s in masks])]
 
 
 def test_onenorm_count_identity_small():
