@@ -56,7 +56,8 @@ class BooleanFunction:
 
     def __post_init__(self):
         _check_n(self.n)
-        if not 0 <= self.bits < (1 << (1 << self.n)):
+        # bit_length: a bound of 2^(2^n) would be a 2^n-bit int per table
+        if self.bits < 0 or self.bits.bit_length() > self.size:
             raise ValueError("truth table has bits beyond 2^n entries")
 
     @property

@@ -37,6 +37,7 @@ import numpy as np
 
 from .bitops import as_int, subsets_up_to
 from .boolfn import (
+    HIST_CHUNK,
     BooleanFunction,
     FourierSpectrum,
     fourier_transform,
@@ -150,6 +151,13 @@ class InstanceSource:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "InstanceSource":
+        """The source an instance object names: exactly one of ``file``
+        and ``generator``, and no other key."""
+        unknown = set(obj) - {"file", "generator"}
+        if unknown:
+            raise ConfigError(f"unknown instance keys: {sorted(unknown)}")
+        if "file" in obj and "generator" in obj:
+            raise ConfigError(f"an instance names a 'file' or a 'generator', not both: {obj}")
         if "file" in obj:
             return cls("file", path=str(obj["file"]))
         if "generator" in obj:
@@ -161,6 +169,10 @@ class InstanceSource:
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"bad 'generator' {gen!r}: {exc}") from exc
         raise ConfigError(f"instance source needs 'file' or 'generator': {obj}")
+
+
+#: Every key a config object may have; ``from_json`` rejects any other.
+CONFIG_KEYS = ("instances", "eps", "C", "C_sweep", "d_max", "u_star", "checks", "workers")
 
 
 @dataclass(slots=True)
@@ -204,6 +216,9 @@ class ExperimentConfig:
         sources = obj.get("instances") if isinstance(obj, dict) else None
         if not isinstance(sources, list) or not all(isinstance(s, dict) for s in sources):
             raise ConfigError("a config is a JSON object with an 'instances' list of objects")
+        unknown = set(obj) - set(CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         instances = tuple(InstanceSource.from_dict(s) for s in sources)
         kwargs = {}
         if "eps" in obj:
@@ -405,11 +420,13 @@ def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
     """Whether the polynomial evaluated at every point (the inverse
     transform) is 2^n * f(x), exactly.
 
-    Split on the top three variables (all of them when n < 3),
-    H_n = H_3 (x) H_{n-3}: with q_0..q_7 the eighths of the spectrum,
-    eighth i of the points is H_{n-3}(sum_j (-1)^|i & j| q_j).  One buffer
-    of 2^(n-3) entries serves the eighths in turn, each is compared with
-    its own eighth of the table, unpacked alone, and nothing of either
+    Split on the top five variables (all of them when n < 5),
+    H_n = H_5 (x) H_{n-5}: with q_0..q_31 the 32nds of the spectrum,
+    32nd i of the points is H_{n-5}(sum_j (-1)^|i & j| q_j).  One buffer
+    of 2^(n-5) entries serves the 32 parts in turn.  Each is compared with
+    its own slice of the packed table, one ``HIST_CHUNK`` block at a time:
+    the block is unpacked and scaled by 2^n into a buffer of its own, and
+    subtracted, with no data-dependent branch.  Nothing of either
     outlives the call.
 
     Every point value V(x) has |V(x)| <= sum |scaled| = one_norm * 2^n.
@@ -426,16 +443,22 @@ def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
     else:
         assert one_norm < DyadicRational(1 << 62, n)
         dtype = np.int64
-    top = min(n, 3)
-    eighths = spec.scaled.reshape(1 << top, -1)
-    poly = np.empty(eighths.shape[1], dtype=dtype)
-    for i, (_, part) in enumerate(f.blocks(poly.size)):
-        poly[...] = eighths[0]
+    top = min(n, 5)
+    parts = spec.scaled.reshape(1 << top, -1)
+    poly = np.empty(parts.shape[1], dtype=dtype)
+    step = min(poly.size, HIST_CHUNK)
+    table = f.blocks(step)
+    expected = np.empty(step, dtype=dtype)
+    for i in range(1 << top):
+        poly[...] = parts[0]
         for j in range(1, 1 << top):
             combine = np.subtract if (i & j).bit_count() & 1 else np.add
-            combine(poly, eighths[j], out=poly)
+            combine(poly, parts[j], out=poly)
         walsh_butterfly(poly)
-        np.subtract(poly, 1 << n, out=poly, where=part.view(bool))
+        for lo in range(0, poly.size, step):
+            _, bits = next(table)
+            np.multiply(bits, 1 << n, out=expected, dtype=dtype)
+            np.subtract(poly[lo:lo + step], expected, out=poly[lo:lo + step])
         if poly.any():
             return False
     return True

@@ -143,6 +143,18 @@ def test_min_coeffs_examples():
     assert min_coeffs_for_eps(one, Fraction(1, 2)) == 1
 
 
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_a_table_longer_than_2_to_the_n_bits_is_rejected(n):
+    # the last of the 2^n entries may be set; a bit past it, or a negative
+    # table, is an error
+    full = (1 << (1 << n)) - 1
+    assert BooleanFunction(n, full).ones == 1 << n
+    assert BooleanFunction(n, 1 << ((1 << n) - 1)).value((1 << n) - 1) == 1
+    for bits in (1 << (1 << n), full << 1, -1):
+        with pytest.raises(ValueError, match="beyond 2\\^n entries"):
+            BooleanFunction(n, bits)
+
+
 def test_min_coeffs_tie_break_is_ascending_mask():
     and2 = fourier_transform(Dnf.from_term_literals(2, [[1, 2]]).evaluate())
     assert list(ranked_masks(and2, 4)) == [0, 1, 2, 3]

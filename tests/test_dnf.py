@@ -1,8 +1,10 @@
 """DNF model: evaluation, metrics, truncation, serialization.
 
-The evaluation oracle compares every assignment with each term's masks,
-over a flat index array; ``Dnf.evaluate`` writes each term's subcube
-through a strided slice instead, and must agree with it bit for bit."""
+Two oracles check ``Dnf.evaluate``, which ORs each term's 8-bit pattern
+into its subcube of the packed table.  The compare oracle tests every
+assignment against each term's masks, over a flat index array; the
+bool-tensor oracle sets each term's subcube of the unpacked (2,)*n table,
+one byte per entry, and packs it.  Both must agree with it bit for bit."""
 import json
 from itertools import permutations
 
@@ -36,23 +38,57 @@ def oracle_evaluate(dnf: Dnf) -> BooleanFunction:
     return BooleanFunction.from_array(dnf.n, table)
 
 
+def bool_tensor_evaluate(dnf: Dnf) -> BooleanFunction:
+    """Entry x is 1 iff some term's ``subcube`` of the (2,)*n bool table,
+    which holds 2^n bytes, covers it."""
+    table = np.zeros((2,) * dnf.n, dtype=bool)
+    for t in dnf.terms:
+        table[t.subcube(dnf.n)] = True
+    return BooleanFunction.from_array(dnf.n, table.reshape(-1))
+
+
 @given(small_dnfs())
 @settings(max_examples=200, deadline=None)
 def test_evaluate_matches_the_compare_oracle(dnf):
     assert dnf.evaluate() == oracle_evaluate(dnf)
 
 
+@given(small_dnfs())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_matches_the_bool_tensor_oracle(dnf):
+    assert dnf.evaluate().bits == bool_tensor_evaluate(dnf).bits
+
+
 @pytest.mark.parametrize("dnf", [
     Dnf(1, ()),
-    Dnf(5, ()),
+    Dnf.from_term_literals(1, [[]]),
     Dnf.from_term_literals(1, [[1]]),
     Dnf.from_term_literals(1, [[-1]]),
-    Dnf.from_term_literals(1, [[]]),
+    Dnf.from_term_literals(2, [[1, -2]]),
+    Dnf.from_term_literals(2, [[-1], [2]]),
+    Dnf.from_term_literals(3, [[1, 2, 3]]),
+    Dnf.from_term_literals(3, [[-2], [1, -3]]),
+    Dnf(4, ()),
+    Dnf.from_term_literals(4, [[]]),
+    Dnf.from_term_literals(4, [[1, -3], [2]]),
+    Dnf.from_term_literals(4, [[4]]),
+    Dnf.from_term_literals(4, [[-4], [-4]]),
     Dnf.from_term_literals(4, [[2, -3], [], [1]]),
+    Dnf(5, ()),
+    Dnf.from_term_literals(6, [[4, -6], [5]]),
+    Dnf.from_term_literals(6, [[-1, 2, -3, 4, -5, 6]]),
     random_read_k(20, 12, 5, 3, seed=11),
-], ids=["empty-n1", "empty-n5", "x1", "not-x1", "empty-term-n1", "empty-term-n4", "n20"])
-def test_evaluate_matches_the_compare_oracle_at_the_edges(dnf):
-    assert dnf.evaluate() == oracle_evaluate(dnf)
+], ids=["empty-n1", "empty-term-n1", "x1", "not-x1", "n2", "n2-two-terms", "n3-and",
+        "n3-two-terms", "empty-n4", "empty-term-n4", "low-only-n4", "high-only-n4",
+        "high-only-duplicate-n4", "mixed-n4", "empty-n5", "high-only-n6", "full-width-n6",
+        "n20"])
+def test_evaluate_matches_both_oracles_at_the_edges(dnf):
+    # n = 1 to 4 straddle the 8-entry byte of the packed table; terms only
+    # on variables 1-3 write a pattern into every byte, terms only above 3
+    # write the full byte into their subcube of the byte view
+    f = dnf.evaluate()
+    assert f == oracle_evaluate(dnf)
+    assert f.bits == bool_tensor_evaluate(dnf).bits
 
 
 @given(small_dnfs())
@@ -65,9 +101,10 @@ def test_term_subcube_indexes_exactly_its_satisfying_assignments(dnf):
         assert got.tolist() == want, (t, dnf.n)
 
 
-def test_evaluate_peak_memory_is_the_bool_table_and_its_packing():
-    # the (2,)*n bool table (one byte per entry) is packed as it is: no
-    # uint8 copy of it is made on the way to the packed bits
+def test_evaluate_peak_memory_is_the_packed_table():
+    # the table is written packed (an eighth of a byte per entry), and
+    # only its bytes and the int made from them sit beside it: 3/8 of a
+    # byte per entry, where the (2,)*n bool table alone took a whole byte
     import tracemalloc
 
     from dnf_fourier import random_read_k
@@ -80,7 +117,7 @@ def test_evaluate_peak_memory_is_the_bool_table_and_its_packing():
     finally:
         tracemalloc.stop()
     assert f.ones
-    assert peak / f.size <= 1.5, f"{peak / f.size:.2f} bytes per entry"
+    assert peak / f.size <= 0.45, f"{peak / f.size:.2f} bytes per entry"
 
 
 def test_evaluate_examples():

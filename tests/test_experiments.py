@@ -142,6 +142,52 @@ def test_config_validation():
         ExperimentConfig.from_json("{}")
 
 
+_TRIBES23 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 3}}}
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"instances": [_TRIBES23], "dmax": 1}, "dmax"),
+    ({"instances": [_TRIBES23], "check": ["evasive"]}, "check"),
+    ({"instances": [_TRIBES23], "d_max": 1, "C-sweep": ["1"]}, "C-sweep"),
+    ({"instances": [{"file": "t.dnf", "label": "t"}]}, "label"),
+    ({"instances": [_TRIBES23, {**_TRIBES23, "seed": 3}]}, "seed"),
+    ({"instances": [{"File": "t.dnf"}]}, "File"),
+], ids=["dmax", "check", "C-sweep", "instance-label", "instance-seed", "instance-File"])
+def test_an_unknown_config_key_is_a_config_error_naming_it(config, key):
+    with pytest.raises(ConfigError, match=f"unknown (config|instance) keys: \\['{key}'\\]"):
+        ExperimentConfig.from_json(json.dumps(config))
+
+
+def test_an_instance_with_both_file_and_generator_is_a_config_error():
+    both = {"file": "t.dnf", **_TRIBES23}
+    with pytest.raises(ConfigError, match="not both"):
+        ExperimentConfig.from_json(json.dumps({"instances": [_TRIBES23, both]}))
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_an_unknown_config_key_exits_2_before_any_work(tmp_path, capsys, command):
+    # {"dmax": 1, "check": ["evasive"]} once ran every group at d_max 4
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"instances": [_TRIBES23], "dmax": 1,
+                                    "check": ["evasive"]}))
+    out = tmp_path / "report.json"
+    assert main([command, str(cfg_path), "--out", str(out)]) == 2
+    assert "unknown config keys: ['check', 'dmax']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_readme_config_names_every_config_key():
+    from pathlib import Path
+
+    from dnf_fourier.experiments import CONFIG_KEYS
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A verify/sweep config is JSON:\n\n```json\n", 1)[1].split("```", 1)[0]
+    example = json.loads(block)
+    assert list(example) == list(CONFIG_KEYS)
+    assert ExperimentConfig.from_json(block).core_dict()["d_max"] == 4
+
+
 def test_worker_count_is_clamped(monkeypatch):
     from dnf_fourier import experiments
 
@@ -1477,7 +1523,7 @@ def test_verify_evaluates_each_distinct_truncation_once(monkeypatch):
 def test_the_verify_of_a_constant_still_reconstructs(monkeypatch, terms):
     # the transform writes a constant's spectrum with no butterfly, but the
     # reconstruction check still evaluates it at every point: one int32
-    # butterfly per eighth, and its row holds
+    # butterfly per 32nd, of 2^(6-5) entries, and its row holds
     from dnf_fourier import experiments
     from dnf_fourier.dnf import Dnf
 
@@ -1491,13 +1537,13 @@ def test_the_verify_of_a_constant_still_reconstructs(monkeypatch, terms):
     report = _verify_entry(Dnf.from_term_literals(6, terms), "const",
                            ExperimentConfig(instances=(), checks=ALL_CHECKS))
     assert report["failures"] == 0
-    assert ran == [(8, np.dtype(np.int32))] * 8
+    assert ran == [(2, np.dtype(np.int32))] * 32
     assert [r["holds"] for r in report["checks"] if r["check"] == "reconstruction"] == [True]
 
 
 def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
-    # one wrong coefficient in each of four eighths of the spectrum (n = 4:
-    # masks 2-3, 4-5, 10-11 and 12-13), which the check splits on
+    # one wrong coefficient in each of four parts of the spectrum (n = 4:
+    # the check splits on every variable, so each mask is a part of its own)
     from dnf_fourier import FourierSpectrum, experiments
 
     transform = experiments.fourier_transform
@@ -1515,11 +1561,53 @@ def test_reconstruction_row_catches_a_wrong_coefficient(monkeypatch):
         assert holds["reconstruction"] is False, mask
 
 
+def test_reconstruction_row_catches_a_wrong_coefficient_in_each_32nd(monkeypatch):
+    # n = 8: the check splits on variables 4..8, so part p holds the masks
+    # 8p..8p+7; one coefficient off by one in any of the 32 fails the row
+    from dnf_fourier import Dnf, FourierSpectrum, experiments
+
+    dnf = Dnf.from_term_literals(8, [[1, -4, 7], [2, 5], [-3, 6, -8], [-1, 8]])
+    cfg = ExperimentConfig(instances=(), checks=("spectral_basics",))
+    assert _verify_entry(dnf, "n8", cfg)["failures"] == 0
+    transform = experiments.fourier_transform
+    for part in range(32):
+        mask = 8 * part + part % 8
+
+        def off_by_one(f, mask=mask):
+            scaled = transform(f).scaled.copy()
+            scaled[mask] += 1
+            return FourierSpectrum(f.n, scaled)
+
+        monkeypatch.setattr(experiments, "fourier_transform", off_by_one)
+        holds = {r["check"]: r["holds"] for r in _verify_entry(dnf, "n8", cfg)["checks"]}
+        assert holds["reconstruction"] is False, part
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_reconstruction_splits_on_five_variables_or_all_of_them(monkeypatch, n):
+    # min(n, 5) variables: 2^min(n, 5) butterflies of 2^(n - min(n, 5))
+    # entries, so one entry each when n <= 5
+    from dnf_fourier import experiments, random_read_k
+    from dnf_fourier.experiments import _reconstructs
+
+    ran, butterfly = [], experiments.walsh_butterfly
+
+    def spy(a):
+        ran.append(a.size)
+        return butterfly(a)
+
+    monkeypatch.setattr(experiments, "walsh_butterfly", spy)
+    f = random_read_k(n=n, s=3, w=min(n, 2), k=3, seed=n).evaluate()
+    assert _reconstructs(fourier_transform(f), f)
+    top = min(n, 5)
+    assert ran == [1 << (n - top)] * (1 << top)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reconstructs_every_small_function_and_no_wrong_spectrum(n):
     # every function on n <= 3 variables: its own spectrum reconstructs it,
     # and the spectrum with any one coefficient off by one does not (the
-    # check splits on min(n, 3) variables)
+    # check splits on min(n, 5) variables, here all of them)
     from dnf_fourier import BooleanFunction, FourierSpectrum
     from dnf_fourier.experiments import _reconstructs
 
@@ -1531,6 +1619,19 @@ def test_reconstructs_every_small_function_and_no_wrong_spectrum(n):
             wrong = scaled.copy()
             wrong[mask] += 1
             assert not _reconstructs(FourierSpectrum(n, wrong), f), (bits, mask)
+
+
+def test_reconstruction_catches_one_wrong_point_in_either_block_of_a_part():
+    # n = 22: a part has 2^17 entries, compared in two HIST_CHUNK blocks;
+    # the table with one entry flipped, in the first or the second block of
+    # part 3 or of the last part, is not what the spectrum evaluates to
+    from dnf_fourier import BooleanFunction, random_read_k
+    from dnf_fourier.experiments import _reconstructs
+
+    f = random_read_k(n=22, s=18, w=5, k=5, seed=7).evaluate()
+    spec = fourier_transform(f)
+    for x in (3 << 17, (3 << 17) + (1 << 16) + 5, (1 << 22) - 1):
+        assert not _reconstructs(spec, BooleanFunction(22, f.bits ^ (1 << x))), x
 
 
 def test_reconstruction_is_int64_where_a_residue_mod_2_32_could_hide_an_error():
@@ -1600,8 +1701,10 @@ def test_spectral_verify_peak_memory_per_table_entry_mixed_width():
 
 
 def test_reconstruction_peak_memory_beside_the_spectrum():
-    # one 2^(n-3) int32 buffer (an eighth of the spectrum's bytes) and one
-    # eighth of the table, unpacked, at a time
+    # one 2^(n-5) int32 buffer (a 32nd of the spectrum's bytes), the packed
+    # table (a 32nd), the butterfly's scratch (a 64th here) and one
+    # HIST_CHUNK block of the table, unpacked and scaled into int32 (a
+    # 64th), at a time: 0.104x the spectrum
     import tracemalloc
 
     from dnf_fourier import random_read_k
@@ -1616,7 +1719,7 @@ def test_reconstruction_peak_memory_beside_the_spectrum():
     finally:
         tracemalloc.stop()
     assert ok
-    assert peak <= 0.25 * spec.scaled.nbytes, f"{peak / spec.scaled.nbytes:.2f}x the spectrum"
+    assert peak <= 0.12 * spec.scaled.nbytes, f"{peak / spec.scaled.nbytes:.3f}x the spectrum"
 
 
 def test_spectral_verify_holds_one_spectrum_at_a_time(monkeypatch):
