@@ -82,16 +82,6 @@ class BooleanFunction:
         """Truth table as a uint8 array of 0/1, index = assignment mask."""
         return np.unpackbits(self.packed(), bitorder="little")[: self.size]
 
-    def blocks(self, step: int) -> Iterator[tuple[int, np.ndarray]]:
-        """The truth table as 0/1 uint8 arrays of ``step`` entries (fewer in
-        the last), with the index of each one's first entry: the bits are
-        copied to bytes once, and each block is unpacked alone."""
-        packed = self.packed()
-        for lo in range(0, self.size, step):
-            hi = min(lo + step, self.size)
-            bits = np.unpackbits(packed[lo >> 3:(hi + 7) >> 3], bitorder="little")
-            yield lo, bits[lo & 7:(lo & 7) + hi - lo]
-
     @classmethod
     def from_array(cls, n: int, table: np.ndarray) -> "BooleanFunction":
         """The function with entry x ``table[x]``, from a 0/1 integer or a
@@ -129,7 +119,7 @@ def popcount_table(n: int) -> np.ndarray:
     return out
 
 
-#: Entries per block in every pass over a whole 2^n vector (the unpack of
+#: Entries per block in every pass over a whole 2^n vector (the fill of
 #: ``fourier_transform``, ``_profile``, ``_sum_squares`` and the gather of
 #: ``ranked_masks``), so that none makes a 2^n temporary; also the cap of
 #: ``_profile``'s magnitude histogram, which has min(HIST_CHUNK, 2^n) + 1
@@ -277,13 +267,18 @@ COLUMN_LOOP_MIN = 1 << 12
 
 
 def walsh_butterfly(a: np.ndarray) -> np.ndarray:
-    """The divide-and-conquer Walsh-Hadamard transform, in place (n * 2^n work).
+    """The divide-and-conquer Walsh-Hadamard transform along axis 0, in place.
 
-    ``a`` must be a contiguous vector of length 2^n; it is overwritten and
-    returned.  The arithmetic is done in ``a``'s own dtype, so the caller
-    picks one that holds every partial sum: after stage i an entry is a
-    signed sum of 2^i inputs.  Stages run two at a time (radix 4), and every
-    intermediate is a value of the stage it completes.
+    ``a`` must be contiguous, with 2^n entries in 2^m rows; it is
+    overwritten and returned.  A vector (m = n) is transformed whole
+    (n * 2^n work).  A matrix gets the transform of each of its columns,
+    which is the part of the whole vector's transform that pairs entries
+    a row or more apart: its stages from stride h = 2^(n-m) up (m * 2^n
+    work), for a caller that has done the stages below h itself.  The
+    arithmetic is done in ``a``'s own dtype, so the caller picks one that
+    holds every partial sum: after stage i an entry is a signed sum of 2^i
+    inputs.  Stages run two at a time (radix 4), and every intermediate
+    is a value of the stage it completes.
 
     A block is B = ``WHT_BLOCK_BYTES`` / itemsize entries.  The stages that
     pair entries less than B apart run on one contiguous block at a time;
@@ -292,32 +287,34 @@ def walsh_butterfly(a: np.ndarray) -> np.ndarray:
     temporary is a scratch buffer of B / 2 entries (for 2^n <= B^2, so
     n <= 34 in int64).
 
-    Self-inverse up to the 2^n factor: applying it twice multiplies by 2^n,
-    so it both produces spectra and evaluates them back at every point."""
+    Self-inverse up to the 2^n factor: applying it twice to a vector
+    multiplies it by 2^n, so it both produces spectra and evaluates them
+    back at every point."""
     if not a.flags.c_contiguous:
         raise ValueError("walsh_butterfly needs a contiguous array")
     size = a.size
     if size & (size - 1) or size == 0:
         raise ValueError(f"walsh_butterfly needs a length 2^n, not {size}")
     flat = a.reshape(-1)
+    h = size // a.shape[0] if a.ndim else 1
     entries = WHT_BLOCK_BYTES // a.itemsize
     block = min(size, entries)
     scratch = np.empty(block // 2, dtype=a.dtype)
     for lo in range(0, size, block):
-        _butterfly_stages(flat[lo : lo + block], scratch)
+        _butterfly_stages(flat[lo : lo + block], scratch, h)
     rows = size // block
     if rows > 1:
         matrix = flat.reshape(rows, block)
         width = max(1, entries // rows)
         for lo in range(0, block, width):
-            _butterfly_stages(matrix[:, lo : lo + width], scratch)
+            _butterfly_stages(matrix[:, lo : lo + width], scratch, max(1, h // block))
     return a
 
 
-def _butterfly_stages(v: np.ndarray, scratch: np.ndarray) -> None:
-    """Every butterfly stage along axis 0 of the view ``v`` (length 2^k), in
-    place: radix 4 while two stages remain, then radix 2 if one does."""
-    h = 1
+def _butterfly_stages(v: np.ndarray, scratch: np.ndarray, h: int = 1) -> None:
+    """The butterfly stages from stride ``h`` up along axis 0 of the view
+    ``v`` (length 2^k), in place: radix 4 while two stages remain, then
+    radix 2 if one does."""
     while 4 * h <= v.shape[0]:
         quads = v.reshape(-1, 4, h, *v.shape[1:])
         if v.ndim == 1 and h == 4 and v.shape[0] >= COLUMN_LOOP_MIN:
@@ -352,15 +349,38 @@ def _radix4(x0, x1, x2, x3, scratch: np.ndarray) -> None:
     x2[...] = t
 
 
+def _byte_spectra() -> np.ndarray:
+    """The 8-point transform of every byte of a packed table, as a
+    read-only 256 x 8 int8 array: row b is the spectrum, scaled by 8, of
+    the eight entries whose values are the bits of b (entry i is bit i).
+    Its values lie in [-4, 8]."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         bitorder="little").astype(np.int8)
+    out = walsh_butterfly(np.ascontiguousarray(bits.T)).T.copy()
+    out.setflags(write=False)
+    return out
+
+
+#: ``_byte_spectra()``, made once at import: 2 KiB.
+_BYTE_SPECTRA = _byte_spectra()
+
+
 def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     """Exact spectrum of f, scaled coefficients 2^n * fhat(S) as integers.
 
     A constant function's spectrum is written directly: every coefficient
     is zero but scaled[0] = #{x : f(x) = 1}, which is 0 or 2^n.  Otherwise
     the butterfly runs in int32: on a 0/1 table every partial sum has
-    magnitude at most 2^n <= 2^N_CAP.  The packed table is unpacked into the
-    int32 buffer one ``HIST_CHUNK`` block at a time, so beside its result
-    the transform and the profile hold only buffers of a block or so."""
+    magnitude at most 2^n <= 2^N_CAP.
+
+    For n >= 4 the int32 buffer starts from the 16-point transforms of the
+    table's 16-bit words, filled ``HIST_CHUNK`` entries at a time: with
+    lo and hi the ``_BYTE_SPECTRA`` rows of a word's two bytes, its 16
+    values are lo + hi, then lo - hi (the stage at stride 8).  The packed
+    table is dropped, and the butterfly runs its stages from stride 16 up.
+    For n < 4 the table is unpacked into the buffer and transformed whole.
+    Beside its result the transform and the profile hold only buffers of
+    a block or so."""
     assert f.n <= N_CAP and 1 << N_CAP <= np.iinfo(np.int32).max
     ones = f.ones
     if ones in (0, f.size):
@@ -368,9 +388,23 @@ def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
         scaled[0] = ones
         return FourierSpectrum(f.n, scaled)
     scaled = np.empty(f.size, dtype=np.int32)
-    for lo, part in f.blocks(HIST_CHUNK):
-        scaled[lo:lo + part.size] = part
-    return FourierSpectrum(f.n, walsh_butterfly(scaled))
+    if f.n < 4:
+        scaled[...] = f.to_array()
+        return FourierSpectrum(f.n, walsh_butterfly(scaled))
+    # each row of the table taken as one int64: numpy gathers from a
+    # vector much faster than it gathers 8-byte rows
+    rows = _BYTE_SPECTRA.view(np.int64).reshape(-1)
+    words = f.packed().reshape(-1, 2)
+    sixteens = scaled.reshape(-1, 2, 8)
+    step = max(1, HIST_CHUNK >> 4)
+    for lo in range(0, len(words), step):
+        low = rows[words[lo:lo + step, 0]].view(np.int8).reshape(-1, 8)
+        high = rows[words[lo:lo + step, 1]].view(np.int8).reshape(-1, 8)
+        np.add(low, high, out=sixteens[lo:lo + step, 0])
+        np.subtract(low, high, out=sixteens[lo:lo + step, 1])
+    del words, low, high
+    walsh_butterfly(sixteens.reshape(-1, 16))
+    return FourierSpectrum(f.n, scaled)
 
 
 def _sum_squares(values: np.ndarray) -> int:

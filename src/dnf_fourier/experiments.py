@@ -30,6 +30,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import TextIO
 
@@ -147,7 +148,10 @@ class InstanceSource:
         if self.kind == "file":
             return {"file": self.path}
         spec = self.spec
-        return {"generator": {"family": spec.family, "params": spec.params, "seed": spec.seed}}
+        # a JSON float parameter, read as a Decimal, is echoed as a JSON
+        # float again: the echo prints the parameters as they were given
+        params = {k: float(v) if isinstance(v, Decimal) else v for k, v in spec.params.items()}
+        return {"generator": {"family": spec.family, "params": params, "seed": spec.seed}}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "InstanceSource":
@@ -210,7 +214,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
-            obj = json.loads(text)
+            # a float is read by its decimal text: 0.1 is 1/10
+            obj = json.loads(text, parse_float=Decimal)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from exc
         sources = obj.get("instances") if isinstance(obj, dict) else None
@@ -258,13 +263,15 @@ class ExperimentConfig:
 
 def _scalar(key: str, value, integral: bool = False):
     """``value`` as a ``Fraction``, or as an ``int`` by ``as_int``'s rule if
-    ``integral``.  A number, or a string that ``Fraction`` reads, is taken;
-    a boolean, a list, ``"1/0"`` or ``"x"`` is a ``ConfigError`` that names
+    ``integral``.  A number (a JSON float is a ``Decimal``, exactly the
+    decimal it spells), or a string that ``Fraction`` reads, is taken; a
+    boolean, a list, ``"1/0"`` or ``"x"`` is a ``ConfigError`` that names
     the config field ``key``."""
     try:   # a boolean goes to as_int, which rejects it
         return as_int(value) if integral or isinstance(value, bool) else Fraction(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"bad {key!r} value {value!r}: {exc}") from exc
+        shown = value if isinstance(value, Decimal) else repr(value)
+        raise ConfigError(f"bad {key!r} value {shown}: {exc}") from exc
 
 
 # -- formatting ---------------------------------------------------------------
@@ -422,20 +429,28 @@ def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
 
     Split on the top five variables (all of them when n < 5),
     H_n = H_5 (x) H_{n-5}: with q_0..q_31 the 32nds of the spectrum,
-    32nd i of the points is H_{n-5}(sum_j (-1)^|i & j| q_j).  One buffer
-    of 2^(n-5) entries serves the 32 parts in turn.  Each is compared with
-    its own slice of the packed table, one ``HIST_CHUNK`` block at a time:
-    the block is unpacked and scaled by 2^n into a buffer of its own, and
-    subtracted, with no data-dependent branch.  Nothing of either
-    outlives the call.
+    32nd i of the points is H_{n-5}(c_i), c_i = sum_j (-1)^|i & j| q_j,
+    and it should be 2^n * f_i, with f_i the 32nd i of the table.  Part 0
+    is checked so.  The other parts are visited in Gray-code order: the
+    next part i' = i xor e_k differs from i in one bit, and
+    c_i - c_i' = 2D with D = sum_{j : j_k = 1} (-1)^|i & j| q_j.  So once
+    part i has passed, part i' passes exactly when
+    H_{n-5}(D) = 2^(n-1) * (f_i - f_i'), and each step reads half the
+    parts, not all of them.  One buffer of 2^(n-5) entries serves every
+    part in turn.  Each is compared with its own slices of the packed
+    table, one ``HIST_CHUNK`` block at a time: the block's expected values
+    are unpacked and scaled into a buffer of their own, and subtracted,
+    with no data-dependent branch.  Nothing of either outlives the call.
 
-    Every point value V(x) has |V(x)| <= sum |scaled| = one_norm * 2^n.
+    Every point value V(x) has |V(x)| <= sum |scaled| = one_norm * 2^n,
+    and so has every H(D)(x), a signed sum of fewer coefficients.
     ``scaled`` is read-only and profiled when it is made, so the profile's
     sum of magnitudes bounds the very vector transformed here.  When that
     sum plus 2^n is below 2^32 the buffer is int32, whose array arithmetic
-    wraps: it holds V(x) mod 2^32, and V(x) - 2^n * f(x), of magnitude
-    below 2^32, is 0 mod 2^32 only when it is 0.  Otherwise the buffer is
-    int64, where the sum must be below 2^62 and nothing wraps."""
+    wraps: it holds each value mod 2^32, and V(x) - 2^n * f(x) and
+    H(D)(x) - 2^(n-1) * (f_i - f_i')(x), of magnitude below 2^32, are
+    0 mod 2^32 only when they are 0.  Otherwise the buffer is int64, where
+    the sum must be below 2^62 and nothing wraps."""
     n = spec.n
     one_norm = spec.one_norm_total()
     if one_norm < DyadicRational((1 << 32) - (1 << n), n):
@@ -445,22 +460,47 @@ def _reconstructs(spec: FourierSpectrum, f: BooleanFunction) -> bool:
         dtype = np.int64
     top = min(n, 5)
     parts = spec.scaled.reshape(1 << top, -1)
-    poly = np.empty(parts.shape[1], dtype=dtype)
-    step = min(poly.size, HIST_CHUNK)
-    table = f.blocks(step)
+    size = parts.shape[1]
+    poly = np.empty(size, dtype=dtype)
+    step = min(size, HIST_CHUNK)
+    packed = f.packed()
     expected = np.empty(step, dtype=dtype)
-    for i in range(1 << top):
-        poly[...] = parts[0]
-        for j in range(1, 1 << top):
+
+    def table(i: int, lo: int) -> np.ndarray:
+        """Entries lo..lo+step of the table's part i, as 0/1 uint8."""
+        x = i * size + lo
+        return np.unpackbits(packed[x >> 3:(x + step + 7) >> 3],
+                             bitorder="little")[x & 7:(x & 7) + step]
+
+    def evaluates_to(i: int, js, other: int | None = None) -> bool:
+        """Whether H(sum_{j in js} (-1)^|i & j| q_j), made in ``poly``, is
+        2^n * f_i, or with ``other`` 2^(n-1) * (f_i - f_other)."""
+        first, *rest = js
+        if (i & first).bit_count() & 1:
+            np.negative(parts[first], out=poly)
+        else:
+            poly[...] = parts[first]
+        for j in rest:
             combine = np.subtract if (i & j).bit_count() & 1 else np.add
             combine(poly, parts[j], out=poly)
         walsh_butterfly(poly)
-        for lo in range(0, poly.size, step):
-            _, bits = next(table)
-            np.multiply(bits, 1 << n, out=expected, dtype=dtype)
+        for lo in range(0, size, step):
+            if other is None:
+                np.multiply(table(i, lo), 1 << n, out=expected, dtype=dtype)
+            else:
+                np.subtract(table(i, lo), table(other, lo), out=expected, dtype=dtype)
+                np.multiply(expected, 1 << (n - 1), out=expected)
             np.subtract(poly[lo:lo + step], expected, out=poly[lo:lo + step])
-        if poly.any():
+        return not poly.any()
+
+    if not evaluates_to(0, range(1 << top)):
+        return False
+    i = 0
+    for t in range(1, 1 << top):
+        bit = t & -t                      # step t of the Gray code flips this bit
+        if not evaluates_to(i, [j for j in range(1 << top) if j & bit], i ^ bit):
             return False
+        i ^= bit
     return True
 
 

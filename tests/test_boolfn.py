@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnf_fourier import (
@@ -50,15 +50,24 @@ def character_matrix(n: int) -> np.ndarray:
 
 
 def oracle_scaled_spectrum(f: BooleanFunction) -> np.ndarray:
-    """2^n * fhat(S) for every S, from the definition."""
-    return character_matrix(f.n) @ f.to_array().astype(np.int64)
+    """2^n * fhat(S) for every S, from the definition: the character
+    matrix times the table, 2^8 rows of the matrix at a time (the whole
+    matrix takes 128 MiB at n = 12)."""
+    x = np.arange(f.size)
+    table = f.to_array().astype(np.int64)
+    rows = []
+    for lo in range(0, f.size, 1 << 8):
+        parity = popcount_table(f.n)[x[lo:lo + (1 << 8), None] & x[None, :]] & 1
+        rows.append((1 - 2 * parity.astype(np.int64)) @ table)
+    return np.concatenate(rows)
 
 
-def oracle_butterfly(a: np.ndarray) -> np.ndarray:
+def oracle_butterfly(a: np.ndarray, stop: int | None = None) -> np.ndarray:
     """The radix-2 butterfly: one pass over the whole array per stage, with
-    a half-length temporary, in place."""
+    a half-length temporary, in place; with ``stop`` only the stages at
+    strides below it."""
     h = 1
-    while h < a.size:
+    while h < (stop or a.size):
         v = a.reshape(-1, 2, h)
         lo, hi = v[:, 0], v[:, 1]
         tmp = lo.copy()
@@ -206,6 +215,62 @@ def test_transform_matches_oracle_random():
         assert np.array_equal(fourier_transform(f).scaled, oracle_scaled_spectrum(f))
 
 
+@st.composite
+def _word_tables(draw, max_n=12):
+    """Tables on 1..12 variables (n = 0 is no function: n >= 1) whose
+    16-bit words are all-zero, all-one or drawn at random, so that words
+    of either constant sit beside mixed ones."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    count = max(1, (1 << n) >> 4)
+    words = draw(st.lists(st.sampled_from([0, 0xFFFF]) | st.integers(0, 0xFFFF),
+                          min_size=count, max_size=count))
+    bits = sum(word << (16 * k) for k, word in enumerate(words))
+    return BooleanFunction(n, bits & ((1 << (1 << n)) - 1))
+
+
+#: n = 12 with every third word all-zero, every third all-one and the rest
+#: mixed, drawn besides whatever the strategy draws.
+_WORDS12 = BooleanFunction(12, sum((0, 0xFFFF, k * 0x9E37 & 0xFFFF)[k % 3] << (16 * k)
+                                   for k in range(256)))
+
+
+@given(f=_word_tables(), chunk=st.sampled_from([8, 16, 48, 64, boolfn.HIST_CHUNK]))
+@example(f=_WORDS12, chunk=48)
+@settings(max_examples=40, deadline=None)
+def test_byte_table_transform_matches_the_character_matrix(f, chunk):
+    # from n = 4 the buffer starts from the 16-point transforms of the
+    # table's words, HIST_CHUNK entries at a time; a chunk of 8 to 64
+    # entries (1 to 4 words) makes the fill cross chunk edges
+    with mock.patch.object(boolfn, "HIST_CHUNK", chunk):
+        spec = fourier_transform(f)
+    assert spec.scaled.dtype == np.int32
+    assert np.array_equal(spec.scaled, oracle_scaled_spectrum(f))
+
+
+def test_byte_spectra_are_the_8_point_transforms_of_every_byte():
+    # row b is the character matrix of 3 variables times the bits of b
+    # (bit i is entry i): 2 KiB of int8, in [-4, 8], read-only
+    table = boolfn._BYTE_SPECTRA
+    bits = (np.arange(256)[:, None] >> np.arange(8)[None, :]) & 1
+    assert table.dtype == np.int8 and table.shape == (256, 8) and not table.flags.writeable
+    assert np.array_equal(table, bits @ character_matrix(3).T)
+    assert (table.min(), table.max()) == (-4, 8)
+
+
+@pytest.mark.parametrize("n", [4, 9, 18, 20])
+def test_transform_starts_its_butterfly_at_stride_16(n):
+    # for n >= 4 the stages at strides 1 to 8 are the byte table's, and
+    # every stage the butterfly runs is at stride 16 or more
+    f = random_function(SplitMix64(n), n)
+    with mock.patch.object(boolfn, "_butterfly_stages",
+                           wraps=boolfn._butterfly_stages) as stages:
+        spec = fourier_transform(f)
+    starts = {call.args[2] for call in stages.call_args_list if call.args[0].ndim == 1}
+    assert starts == {16}
+    want = oracle_butterfly(f.to_array().astype(np.int64))
+    assert np.array_equal(spec.scaled, want)
+
+
 def test_parseval_and_reconstruction_random():
     rng = SplitMix64(99)
     for i in range(60):
@@ -283,6 +348,21 @@ def test_blocked_butterfly_matches_the_radix2_oracle(n):
         shapes = [call.args[0].shape for call in stages.call_args_list]
         assert shapes[:rows] == [(min(1 << n, entries),)] * rows
         assert shapes[rows:] == ([(rows, entries // rows)] * rows if rows > 1 else [])
+
+
+@pytest.mark.parametrize("n, width", [(4, 16), (5, 16), (9, 16), (9, 64), (19, 16),
+                                      (20, 1 << 10), (20, 1 << 19)])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_butterfly_of_a_matrix_transforms_its_columns(n, width, dtype):
+    # a (2^n / width, width) matrix gets the stages from stride width up,
+    # within a block and across blocks: after the oracle's stages below
+    # width, the whole transform
+    a = np.random.default_rng(n).integers(-1000, 1000, 1 << n).astype(dtype)
+    want = oracle_butterfly(a.copy())
+    oracle_butterfly(a, stop=width)
+    matrix = a.reshape(-1, width)
+    assert walsh_butterfly(matrix) is matrix
+    assert np.array_equal(a, want)
 
 
 @pytest.mark.parametrize("n", [2, 4, 11, 12, 13])
@@ -563,15 +643,6 @@ def test_a_profile_with_zero_blocks_matches_the_oracles(spec, chunk, data):
         assert np.array_equal(ranked_masks(spec, m), oracle_ranked_order(spec)[:m])
 
 
-@given(f=_tables(), step=st.sampled_from([1, 3, 8, 13, 64, 1 << 10]))
-@settings(max_examples=100, deadline=None)
-def test_blocks_unpack_the_table_in_order(f, step):
-    blocks = list(f.blocks(step))
-    assert [lo for lo, _ in blocks] == list(range(0, f.size, step))
-    assert all(part.size == min(step, f.size - lo) for lo, part in blocks)
-    assert np.array_equal(np.concatenate([part for _, part in blocks]), f.to_array())
-
-
 def test_from_array_packs_a_bool_table_and_a_01_table_alike():
     rng = np.random.default_rng(3)
     table = rng.integers(0, 2, size=1 << 9).astype(bool)
@@ -582,8 +653,8 @@ def test_from_array_packs_a_bool_table_and_a_01_table_alike():
 
 
 def test_transform_peak_memory_is_its_result_and_a_few_blocks():
-    # the table is unpacked into the int32 result one block at a time, and
-    # the profile's histogram is capped at HIST_CHUNK + 1 entries whatever
+    # the int32 result is filled from the byte table one block at a time,
+    # and the profile's histogram is capped at HIST_CHUNK + 1 entries whatever
     # the largest magnitude (here 2^22 * Pr[f = 1], near 2^22): beside its
     # 16 MiB result the transform holds buffers of a few blocks
     import tracemalloc

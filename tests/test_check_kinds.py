@@ -3,11 +3,16 @@ reads, and every row kind it names can fail."""
 import dataclasses
 import functools
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dnf_fourier import (
+    BooleanFunction,
     DyadicRational,
     ExperimentConfig,
     FourierSpectrum,
@@ -209,3 +214,77 @@ def test_the_readme_table_names_every_group_and_row_kind():
                       check.reads or "—",
                       "upper end of an enclosure" if group in enclosed else "exact"]
                      for group, check in CHECK_KINDS.items()]
+
+
+# -- the spectral row kinds at their bounds --------------------------------------
+#
+# Each case builds what its group's ``_Battery`` method reads, with the lhs
+# ``past`` units above the bound (a unit is 2^-n, or 1 for a count), and
+# returns (what it reads, lhs, bound).
+
+
+def _parseval(n, past):
+    # total weight = Pr[f = 1]: an equality, so one unit more fails
+    ones = 3
+    battery = {"dnf": SimpleNamespace(n=n), "f": BooleanFunction(n, (1 << ones) - 1),
+               "total_weight": DyadicRational(ones + past, n)}
+    return battery, DyadicRational(ones + past, n), DyadicRational(ones, n)
+
+
+def _sparsity_onenorm(n, past):
+    # min_coeffs <= ceil(one_norm^2 / eps): (3/2)^2 * 3 = 27/4, so 7
+    battery = {"one_norm": DyadicRational(3 << (n - 1), n), "eps": Fraction(1, 3),
+               "min_coeffs": 7 + past}
+    return battery, 7 + past, 7
+
+
+def _truncation_distance(n, past):
+    # Pr[f != f_0] <= the bound for width 0, here 3 / 2^n
+    bound = DyadicRational(3, n)
+    battery = {"w": 1, "f": BooleanFunction(n, 0),
+               "truncated_table": {0: BooleanFunction(n, (1 << (3 + past)) - 1)}.__getitem__,
+               "dnf": SimpleNamespace(truncation_distance_bound={0: bound}.__getitem__)}
+    return battery, DyadicRational(3 + past, n), bound
+
+
+def _approx_transfer(n, past):
+    # the weight outside the kept masks 0 and 1 <= 2 (eps1 + eps2), with
+    # eps1 = 1 / 2^n (one point) and eps2 = 5 / 2^2n: 2^(n+1) + 10 units of
+    # 2^-2n, and one unit of 2^-n is 2^n of them.  The other masks carry it
+    # as a greedy sum of squares; the kept masks carry 7 each, not counted
+    bound = (2 << n) + 10
+    scaled = np.zeros(1 << n, np.int32)
+    scaled[:2] = 7
+    rest = bound + (past << n)
+    for mask in range(2, 1 << n):
+        scaled[mask] = math.isqrt(rest)
+        rest -= int(scaled[mask]) ** 2
+    assert rest == 0
+    battery = {"w": 1, "f": BooleanFunction(n, 0),
+               "truncated_table": {0: BooleanFunction(n, 1)}.__getitem__,
+               "spec": FourierSpectrum(n, scaled), "masks": np.arange(2), "m_keep": 2,
+               "eps2": DyadicRational(5, 2 * n)}
+    return battery, DyadicRational(bound + (past << n), 2 * n), DyadicRational(bound, 2 * n)
+
+
+_AT_THE_BOUND = {"parseval": _parseval, "sparsity_onenorm": _sparsity_onenorm,
+                 "truncation_distance": _truncation_distance,
+                 "approx_transfer": _approx_transfer}
+
+#: The row kinds of the groups that read neither the tables nor the
+#: analysis, but ``reconstruction`` (a predicate with tests of its own),
+#: ``satisfied_mass`` (the upper end of an enclosure) and
+#: ``cover_probability`` (bounded with ``evasive`` in test_restrictions.py).
+_SPECTRAL_KINDS = [kind for check in CHECK_KINDS.values() if check.reads is None
+                   for kind in check.rows
+                   if kind not in ("reconstruction", "satisfied_mass", "cover_probability")]
+
+
+@pytest.mark.parametrize("kind", _SPECTRAL_KINDS)
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_spectral_check_holds_at_its_bound_and_fails_one_unit_past(kind, n):
+    group = getattr(experiments._Battery, _GROUP_OF[kind])
+    for past, holds in ((0, True), (1, False)):
+        battery, lhs, bound = _AT_THE_BOUND[kind](n, past)   # a kind with no case fails here
+        row = next(row for row in group(SimpleNamespace(**battery)) if row["check"] == kind)
+        assert (row["lhs"], row["bound"], row["holds"]) == (str(lhs), str(bound), holds)

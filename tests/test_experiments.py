@@ -357,6 +357,41 @@ def test_an_integral_config_value_is_taken_in_any_form(value):
     assert cfg.workers == 1   # clamped to the one instance
 
 
+def test_a_float_eps_is_the_decimal_it_spells():
+    # 0.1 is 1/10, not the double nearest it, 3602879701896397/2^55: the
+    # config, the report's echo, each entry and the sparsity bound read 1/10
+    text = '{"instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}], ' \
+           '"eps": 0.1, "checks": ["sparsity"]}'
+    cfg = ExperimentConfig.from_json(text)
+    assert cfg.eps == Fraction(1, 10)
+    report = run_verify(cfg)
+    entry = report["instances"][0]
+    assert report["config"]["eps"] == entry["eps"] == entry["checks"][0]["context"]["eps"] == "1/10"
+
+
+def test_a_float_C_is_the_decimal_it_spells():
+    # C and every C_sweep entry likewise: 0.3 is 3/10 and 2.5 is 5/2, and
+    # the sweep's echo says so
+    text = '{"instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}], ' \
+           '"C": 0.3, "C_sweep": [0.1, 2.5, 4]}'
+    cfg = ExperimentConfig.from_json(text)
+    assert (cfg.c_param, cfg.c_sweep) == (Fraction(3, 10), (Fraction(1, 10), Fraction(5, 2), 4))
+    config = run_concentration_sweep(cfg)["config"]
+    assert (config["C"], config["C_sweep"]) == ("3/10", ["1/10", "5/2", "4"])
+
+
+def test_a_float_generator_parameter_is_echoed_and_labelled_as_given():
+    # an integral float parameter still builds (4.0 is 4), and the label
+    # and the echo print it as the config wrote it
+    text = '{"instances": [{"generator": {"family": "tribes", "params": {"w": 2.0, "t": 2}}}], ' \
+           '"checks": ["spectral_basics"]}'
+    report = run_verify(ExperimentConfig.from_json(text))
+    assert report["config"]["instances"][0]["generator"]["params"] == {"w": 2.0, "t": 2}
+    assert '"w": 2.0' in _rendered(report)
+    assert report["instances"][0]["label"] == "tribes(t=2,w=2.0,seed=0)"
+    assert report["summary"]["ok"]
+
+
 def test_cli_covers_rejects_a_variable_beyond_n(tmp_path, capsys):
     dnf_path = tmp_path / "t.dnf"
     assert main(["gen", "tribes", "--w", "2", "--t", "3", "--out", str(dnf_path)]) == 0
@@ -1621,6 +1656,29 @@ def test_reconstructs_every_small_function_and_no_wrong_spectrum(n):
             assert not _reconstructs(FourierSpectrum(n, wrong), f), (bits, mask)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_reconstruction_fails_on_any_one_coefficient_or_point_changed(n):
+    # part 0 is checked whole and each other part, in Gray-code order,
+    # through its difference with the part before it: a coefficient one
+    # more or one less, anywhere, and one table point flipped, in any of
+    # the 32 parts, each fail the check
+    from dnf_fourier import BooleanFunction, FourierSpectrum, random_read_k
+    from dnf_fourier.experiments import _reconstructs
+
+    f = random_read_k(n=n, s=4, w=3, k=2, seed=n).evaluate()
+    spec = fourier_transform(f)
+    assert _reconstructs(spec, f)
+    for mask in range(1 << n):
+        for delta in (1, -1):
+            wrong = spec.scaled.copy()
+            wrong[mask] += delta
+            assert not _reconstructs(FourierSpectrum(n, wrong), f), (mask, delta)
+    size = 1 << (n - 5)
+    for part in range(32):
+        x = part * size + part % size
+        assert not _reconstructs(spec, BooleanFunction(n, f.bits ^ (1 << x))), part
+
+
 def test_reconstruction_catches_one_wrong_point_in_either_block_of_a_part():
     # n = 22: a part has 2^17 entries, compared in two HIST_CHUNK blocks;
     # the table with one entry flipped, in the first or the second block of
@@ -1703,8 +1761,8 @@ def test_spectral_verify_peak_memory_per_table_entry_mixed_width():
 def test_reconstruction_peak_memory_beside_the_spectrum():
     # one 2^(n-5) int32 buffer (a 32nd of the spectrum's bytes), the packed
     # table (a 32nd), the butterfly's scratch (a 64th here) and one
-    # HIST_CHUNK block of the table, unpacked and scaled into int32 (a
-    # 64th), at a time: 0.104x the spectrum
+    # HIST_CHUNK block of expected values in int32 (a 64th), with the two
+    # unpacked blocks they are made from, at a time: 0.100x the spectrum
     import tracemalloc
 
     from dnf_fourier import random_read_k
