@@ -652,6 +652,30 @@ def test_from_array_packs_a_bool_table_and_a_01_table_alike():
     assert np.array_equal(f.to_array(), table)
 
 
+def test_transform_drops_the_packed_table_before_its_butterfly():
+    # when the butterfly starts, the transform holds its int32 buffer and
+    # no copy of the packed table (2^n / 8 bytes)
+    import tracemalloc
+
+    f = random_function(SplitMix64(5), 20)
+    held = []
+    butterfly = boolfn.walsh_butterfly
+
+    def spy(a):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return butterfly(a)
+
+    with mock.patch.object(boolfn, "walsh_butterfly", spy):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fourier_transform(f)
+        finally:
+            tracemalloc.stop()
+    assert len(held) == 1
+    assert held[0] < (4 << 20) + (f.size >> 4), f"{held[0] - (4 << 20)} bytes beside the buffer"
+
+
 def test_transform_peak_memory_is_its_result_and_a_few_blocks():
     # the int32 result is filled from the byte table one block at a time,
     # and the profile's histogram is capped at HIST_CHUNK + 1 entries whatever
