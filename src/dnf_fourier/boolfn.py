@@ -8,7 +8,8 @@ Conventions used throughout the package:
   (Inputs live in {-1,1} with -1 meaning true; outputs are 0/1 with 1
   meaning true.)
 * A subset S of variables is likewise an n-bit mask, bit i-1 for variable i.
-* A truth table is a 2^n-bit integer: bit x is f(x) for assignment mask x.
+* A truth table is packed: bit x & 7 of byte x >> 3 is f(x) for assignment
+  mask x.
 
 With these conventions the character x^S evaluated at assignment x equals
 (-1)**popcount(x & S), so coefficient S of the spectrum is
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -47,18 +47,35 @@ def _check_n(n: int) -> None:
         raise CapExceededError(f"n={n} outside [1, {N_CAP}]")
 
 
-@dataclass(frozen=True, slots=True)
 class BooleanFunction:
-    """An explicit truth table over n variables (bit x of ``bits`` is f(x))."""
+    """An explicit truth table over n variables, packed as by
+    ``np.packbits(..., bitorder="little")``: max(1, 2^n / 8) bytes, bit
+    x & 7 of byte x >> 3 is f(x), and the unused bits (n < 3) are zero.  It
+    holds a read-only view of the array it is given, not a copy; equality
+    and hashing are on (n, the bytes)."""
 
-    n: int
-    bits: int
+    __slots__ = ("n", "_packed")
 
-    def __post_init__(self):
-        _check_n(self.n)
-        # bit_length: a bound of 2^(2^n) would be a 2^n-bit int per table
-        if self.bits < 0 or self.bits.bit_length() > self.size:
-            raise ValueError("truth table has bits beyond 2^n entries")
+    def __init__(self, n: int, packed: np.ndarray):
+        _check_n(n)
+        table = np.asarray(packed).view()
+        size = max(1, (1 << n) >> 3)
+        if table.dtype != np.uint8 or table.shape != (size,) or n < 3 and table[0] >> (1 << n):
+            raise ValueError(f"a truth table on n={n} is {size} uint8 bytes, with no bits "
+                             "beyond 2^n entries")
+        table.setflags(write=False)
+        self.n, self._packed = n, table
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BooleanFunction):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._packed, other._packed)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._packed.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"BooleanFunction({self.n}, {self._packed!r})"
 
     @property
     def size(self) -> int:
@@ -67,42 +84,49 @@ class BooleanFunction:
     @property
     def ones(self) -> int:
         """Number of satisfying assignments."""
-        return self.bits.bit_count()
+        return count_set_bits(self._packed)
 
     def value(self, x: int) -> int:
-        return (self.bits >> x) & 1
+        if not 0 <= x < self.size:
+            raise IndexError(f"assignment {x} outside [0, 2^{self.n})")
+        return int(self._packed[x >> 3]) >> (x & 7) & 1
 
     def packed(self) -> np.ndarray:
-        """Truth table packed as by ``np.packbits(..., bitorder="little")``:
-        a read-only uint8 array of max(1, 2^n / 8) bytes."""
-        return np.frombuffer(self.bits.to_bytes(max(1, self.size >> 3), "little"),
-                             dtype=np.uint8)
+        """The truth table itself, packed: a read-only uint8 array of
+        max(1, 2^n / 8) bytes."""
+        return self._packed
 
     def to_array(self) -> np.ndarray:
         """Truth table as a uint8 array of 0/1, index = assignment mask."""
-        return np.unpackbits(self.packed(), bitorder="little")[: self.size]
+        return np.unpackbits(self._packed, bitorder="little")[: self.size]
 
     @classmethod
     def from_array(cls, n: int, table: np.ndarray) -> "BooleanFunction":
         """The function with entry x ``table[x]``, from a 0/1 integer or a
         bool vector, packed as it is: a bool table gets no uint8 copy."""
-        packed = np.packbits(np.asarray(table), bitorder="little")
-        return cls(n, int.from_bytes(packed.tobytes(), "little"))
+        return cls(n, np.packbits(np.asarray(table), bitorder="little"))
 
     @classmethod
     def constant(cls, n: int, value: bool) -> "BooleanFunction":
-        return cls(n, ((1 << (1 << n)) - 1) if value else 0)
+        byte = (1 << min(8, 1 << n)) - 1 if value else 0
+        return cls(n, np.full(max(1, (1 << n) >> 3), byte, dtype=np.uint8))
 
     # -- serialization: {"n": ..., "table_hex": ...}, LSB = index 0 ---------
 
     def to_json(self) -> str:
-        digits = max(1, self.size // 4)
-        return json.dumps({"n": self.n, "table_hex": format(self.bits, f"0{digits}x")})
+        # the bytes' hex, last byte first, in max(1, 2^n / 4) digits
+        hexed = self._packed[::-1].tobytes().hex()[-max(1, self.size // 4):]
+        return json.dumps({"n": self.n, "table_hex": hexed})
 
     @classmethod
     def from_json(cls, text: str) -> "BooleanFunction":
         obj = json.loads(text)
-        return cls(int(obj["n"]), int(obj["table_hex"], 16))
+        n, value = int(obj["n"]), int(obj["table_hex"], 16)
+        _check_n(n)
+        if value < 0 or value.bit_length() > 1 << n:
+            raise ValueError("truth table has bits beyond 2^n entries")
+        return cls(n, np.frombuffer(value.to_bytes(max(1, (1 << n) >> 3), "little"),
+                                    dtype=np.uint8))
 
 
 @functools.lru_cache(maxsize=32)
@@ -121,10 +145,26 @@ def popcount_table(n: int) -> np.ndarray:
 
 #: Entries per block in every pass over a whole 2^n vector (the fill of
 #: ``fourier_transform``, ``_profile``, ``_sum_squares`` and the gather of
-#: ``ranked_masks``), so that none makes a 2^n temporary; also the cap of
+#: ``ranked_masks``), so that none makes a 2^n temporary, and bytes per
+#: block of ``count_set_bits`` over a packed table; also the cap of
 #: ``_profile``'s magnitude histogram, which has min(HIST_CHUNK, 2^n) + 1
 #: bins.
 HIST_CHUNK = 1 << 16
+
+
+def count_set_bits(a: np.ndarray, b: np.ndarray | None = None) -> int:
+    """The number of set bits of the packed table ``a``, or of ``a ^ b``,
+    unpacked and counted one block of ``HIST_CHUNK`` bytes at a time, so
+    that no temporary is the table's size.  (Unpacking counts twice as
+    fast as a gather from ``popcount_table(8)``, with a temporary of the
+    same 512 KiB as the gather's index array.)"""
+    total = 0
+    for lo in range(0, a.size, HIST_CHUNK):
+        block = a[lo:lo + HIST_CHUNK]
+        if b is not None:
+            block = block ^ b[lo:lo + HIST_CHUNK]
+        total += int(np.count_nonzero(np.unpackbits(block)))
+    return total
 
 
 class FourierSpectrum:
@@ -376,8 +416,8 @@ def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
     For n >= 4 the int32 buffer starts from the 16-point transforms of the
     table's 16-bit words, filled ``HIST_CHUNK`` entries at a time: with
     lo and hi the ``_BYTE_SPECTRA`` rows of a word's two bytes, its 16
-    values are lo + hi, then lo - hi (the stage at stride 8).  The packed
-    table is dropped, and the butterfly runs its stages from stride 16 up.
+    values are lo + hi, then lo - hi (the stage at stride 8).  The gathers
+    are dropped, and the butterfly runs its stages from stride 16 up.
     For n < 4 the table is unpacked into the buffer and transformed whole.
     Beside its result the transform and the profile hold only buffers of
     a block or so."""
@@ -402,7 +442,7 @@ def fourier_transform(f: BooleanFunction) -> FourierSpectrum:
         high = rows[words[lo:lo + step, 1]].view(np.int8).reshape(-1, 8)
         np.add(low, high, out=sixteens[lo:lo + step, 0])
         np.subtract(low, high, out=sixteens[lo:lo + step, 1])
-    del words, low, high
+    del low, high
     walsh_butterfly(sixteens.reshape(-1, 16))
     return FourierSpectrum(f.n, scaled)
 
@@ -504,4 +544,4 @@ def hamming_distance_fraction(f: BooleanFunction, g: BooleanFunction) -> DyadicR
     """Pr_x[f(x) != g(x)], exactly."""
     if f.n != g.n:
         raise DimensionMismatchError(f"n mismatch: {f.n} vs {g.n}")
-    return DyadicRational((f.bits ^ g.bits).bit_count(), f.n)
+    return DyadicRational(count_set_bits(f.packed(), g.packed()), f.n)

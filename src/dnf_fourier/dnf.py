@@ -166,13 +166,14 @@ class Dnf:
     def evaluate(self) -> BooleanFunction:
         """Truth table: entry x is 1 iff some term is satisfied by x.
 
-        The table is written packed, as ``BooleanFunction.packed`` reads
-        it: max(1, 2^n / 8) zeroed bytes, byte x >> 3 holding entries x to
-        x + 7, viewed as the (2,)*(n-3) tensor over variables 4..n.  Each
-        term ORs one 8-bit pattern, the assignments of variables 1..3 that
-        satisfy its literals on them, into its ``subcube`` of that view:
-        2^(n-3-|T above 3|) byte writes and no 2^n temporary.  For n <= 3
-        the table is one byte and the pattern has only 2^n bits."""
+        The table is written packed, as ``BooleanFunction`` holds it, and
+        handed over with no copy: max(1, 2^n / 8) zeroed bytes, byte x >> 3
+        holding entries x to x + 7, viewed as the (2,)*(n-3) tensor over
+        variables 4..n.  Each term ORs one 8-bit pattern, the assignments of
+        variables 1..3 that satisfy its literals on them, into its
+        ``subcube`` of that view: 2^(n-3-|T above 3|) byte writes and no 2^n
+        temporary.  For n <= 3 the table is one byte and the pattern has
+        only 2^n bits."""
         n, high = self.n, max(0, self.n - 3)
         table = np.zeros(1 << high, dtype=np.uint8)
         cube = table.reshape((2,) * high)
@@ -180,7 +181,7 @@ class Dnf:
             low_vars, low_pos = t.vars_mask & 7, t.pos_mask & 7
             pattern = sum(1 << y for y in range(1 << min(n, 3)) if y & low_vars == low_pos)
             cube[(*t.subcube(n)[:high], ...)] |= pattern
-        return BooleanFunction(n, int.from_bytes(table.tobytes(), "little"))
+        return BooleanFunction(n, table)
 
     def truncate_width(self, w: int) -> "Dnf":
         """Drop every term with more than w literals, preserving order.

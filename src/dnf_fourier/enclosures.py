@@ -119,10 +119,16 @@ def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
     )
 
 
-def floor_scaled_log2(q: Fraction, scale: Fraction) -> int:
-    """floor(scale * log2(q)) for rationals q >= 1, scale > 0, exactly: it
-    is floor(floor(log2(q^p)) / r) for scale = p/r, with no rounding."""
+def floor_scaled_log2(q: Fraction, scale: Fraction, cap: int) -> int:
+    """min(cap, floor(scale * log2(q))) for rationals q >= 1, scale > 0,
+    exactly.  When scale * floor(log2 q), read from bit lengths, is at
+    least the cap, so is the floor, and no power is taken: for q >= 2 that
+    settles every large scale.  Otherwise the floor is
+    floor(floor(log2(q^p)) / r) for scale = p/r, with no rounding."""
+    q = Fraction(q)
     if q < 1 or scale <= 0:
         raise ValueError("need q >= 1 and scale > 0")
-    qp = Fraction(q) ** scale.numerator
-    return _floor_log2(qp.numerator, qp.denominator) // scale.denominator
+    if scale * _floor_log2(q.numerator, q.denominator) >= cap:
+        return cap
+    qp = q ** scale.numerator
+    return min(cap, _floor_log2(qp.numerator, qp.denominator) // scale.denominator)

@@ -286,9 +286,15 @@ def _fmt(value) -> str:
 
 
 def _approx(value) -> float | None:
+    """A report's ``*_approx`` field: ``value`` as a float rounded to 12
+    decimals, the one place a report value becomes a float.  None, a
+    string, and a value beyond a double's range are written as null."""
     if value is None or isinstance(value, str):
         return None
-    return round(float(value), 12)
+    try:
+        return round(float(value), 12)
+    except OverflowError:
+        return None
 
 
 def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) -> dict:
@@ -919,8 +925,8 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
     three_over_eps = Fraction(3) / eps
     # the cut of C*w*log2(3/eps) may be 0; a constant (width 0) has no
     # full-depth pair with S nonempty, so degree 0 is all there is
-    degree_cut = floor_scaled_log2(three_over_eps, config.c_param * w) if w else 0
-    d_max = min(n, degree_cut, DT_CAP, config.d_max if config.d_max is not None else n)
+    cap = min(n, DT_CAP, n if config.d_max is None else config.d_max)
+    d_max = floor_scaled_log2(three_over_eps, config.c_param * w, cap) if w else 0
     try:
         analysis = FamilyAnalysis(dnf, d_max, RestrictionTables(f), spec)
     except (EncodePreconditionError, EncodingInvariantError) as exc:
@@ -931,11 +937,7 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     weight_cuts = []
     for c in config.c_sweep:
-        if w:
-            cut = floor_scaled_log2(three_over_eps, c * w)
-            cut = min(cut, n)
-        else:
-            cut = 0
+        cut = floor_scaled_log2(three_over_eps, c * w, n) if w else 0
         above = weight_above_degree(spec, cut)
         weight_cuts.append(
             {"C": str(c), "degree_cutoff": cut, "weight_above": _fmt(above),
@@ -944,8 +946,11 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
 
     u_star_formula = None
     if w and k >= 1:
+        # log2 of each int apart: 3/eps may be beyond a double's range
+        log2_three_over_eps = (math.log2(three_over_eps.numerator)
+                               - math.log2(three_over_eps.denominator))
         u_star_formula = (
-            100 * float(config.c_param) * w * math.log2(k + 2) * math.log2(float(three_over_eps))
+            100 * float(config.c_param) * w * math.log2(k + 2) * log2_three_over_eps
         )
 
     return {
@@ -963,7 +968,6 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         "u_star_formula": None if u_star_formula is None else round(u_star_formula, 6),
         "u_star_override": config.u_star,
         "degree_weight_sweep": weight_cuts,
-        "hypotheses": _theorem_hypotheses(w, k),
         "report_only": _theorem_tails(analysis, config, u_star_formula),
     }
 
@@ -985,7 +989,7 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
                 "u": u,
                 "family_weight": _fmt(weight_at_u),
                 "family_weight_approx": _approx(weight_at_u),
-                "simplified_bound_approx": round(simplified, 12),
+                "simplified_bound_approx": _approx(simplified),
                 # weight <= 2^(-u/2) M, squared
                 "would_hold": weight_at_u.as_fraction() ** 2 * 2**u <= max_ncov**2,
             }
@@ -1000,7 +1004,7 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
             "u_star_floor": cutoff,
             "family_weight_beyond": _fmt(tail),
             "family_weight_beyond_approx": _approx(tail),
-            "eps_over_3_approx": round(float(config.eps) / 3, 12),
+            "eps_over_3_approx": _approx(config.eps / 3),
             "would_hold": bool(tail.as_fraction() <= config.eps / 3),
         }
     return {
@@ -1008,17 +1012,6 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
         "family_weight_vs_simplified_bound": per_u,
         "tail_beyond_u_star": tail_beyond_u_star,
     }
-
-
-def _theorem_hypotheses(w: int, k: int) -> dict:
-    """Report-only: whether the small-read hypotheses hold at this scale."""
-    out = {"exact_width_regime": None, "small_read_regime": None}
-    if w >= 1:
-        out["exact_width_regime"] = bool(k <= w / (4 * math.log2(math.e * w)))
-    if w >= 3:
-        lw = math.log2(w)
-        out["small_read_regime"] = bool(k <= lw / (16 * math.log2(lw))) if lw > 1 else False
-    return out
 
 
 def run_concentration_sweep(config: ExperimentConfig) -> dict:

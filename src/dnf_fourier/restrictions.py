@@ -50,7 +50,7 @@ from typing import Iterable
 import numpy as np
 
 from .bitops import bit_indices
-from .boolfn import BooleanFunction, FourierSpectrum, popcount_table
+from .boolfn import BooleanFunction, FourierSpectrum, count_set_bits
 from .dnf import Dnf
 from .dyadic import DyadicRational
 
@@ -111,8 +111,7 @@ class RestrictionTables:
 
     def __init__(self, f: BooleanFunction):
         self.n = f.n
-        self._f_packed = np.frombuffer(f.bits.to_bytes(max(1, f.size >> 3), "little"),
-                                       dtype=np.uint8)
+        self._f_packed = f.packed()
         self._by_sbar: dict[int, np.ndarray] = {}
         self._lookup: dict[int, tuple[memoryview, tuple]] = {}
         self._counts: dict[int, int] = {}
@@ -225,7 +224,7 @@ class RestrictionTables:
         """The number of x_Sbar where E_S holds, kept: it outlives ``release``."""
         count = self._counts.get(free_mask)
         if count is None:
-            count = int(popcount_table(8)[self.dt_by_sbar(free_mask)].sum())
+            count = count_set_bits(self.dt_by_sbar(free_mask))
             self._counts[free_mask] = count
         return count
 

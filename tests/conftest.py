@@ -6,7 +6,9 @@ instances.  Bundles carry the per-instance objects the heavier suites
 share: truth table, spectrum, restriction tables, the family analysis at
 d_max = 4, and the records the analysis handed its consumer (``records``:
 S mask to (x_Sbar masks, record)).  ``small_dnfs`` is the hypothesis strategy for random DNFs
-with duplicate terms, the empty term and negated literals.  ``encodings``
+with duplicate terms, the empty term and negated literals.  ``table_of``
+and ``bits_of`` turn a truth table into and out of the int form (bit x is
+f(x)), which the tests keep as an oracle and a shorthand.  ``encodings``
 rebuilds a record's rows as ``Encoding`` objects for the scalar
 ``decode``, the oracle of ``decode_records``.
 """
@@ -47,6 +49,21 @@ def corpus_instances() -> list[tuple[str, Dnf]]:
     out.append(("tribes(2,2)", tribes(2, 2)))
     out.append(("tribes(2,3)", tribes(2, 3)))
     return out
+
+
+def table_of(n: int, bits: int) -> BooleanFunction:
+    """The function on n variables whose entry x is bit x of ``bits``: the
+    int form of a truth table, which the package does not use.  An int of
+    more than 2^n bits gives a table with bits beyond 2^n entries, which
+    the constructor rejects."""
+    size = max(1, (1 << n) >> 3, -(-bits.bit_length() // 8))
+    return BooleanFunction(n, np.frombuffer(bits.to_bytes(size, "little"), dtype=np.uint8))
+
+
+def bits_of(f: BooleanFunction) -> int:
+    """f's truth table in the int form, bit x f(x): the oracle of the packed
+    array that the package holds."""
+    return int.from_bytes(f.packed().tobytes(), "little")
 
 
 def encodings(record: EncodingRecord) -> Iterator[Encoding]:

@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from dnf_fourier import (
-    BooleanFunction,
     DyadicRational,
     ExperimentConfig,
     FamilyAnalysis,
@@ -51,7 +50,7 @@ from dnf_fourier.covers import (
 from dnf_fourier.enclosures import floor_scaled_log2
 from dnf_fourier.experiments import render_json
 
-from conftest import corpus_bundles
+from conftest import corpus_bundles, table_of
 from test_boolfn import character_matrix, random_function
 from test_covers import oracle_cover_counts
 
@@ -76,7 +75,7 @@ def test_criterion_1_fourier_correctness():
             h = character_matrix(n)
             tables = np.arange(1 << (1 << n), dtype=np.int64)
             for bits in tables:
-                f = BooleanFunction(n, int(bits))
+                f = table_of(n, int(bits))
                 spec = fourier_transform(f)
                 arr = f.to_array().astype(np.int64)
                 assert np.array_equal(spec.scaled, h @ arr)
@@ -201,7 +200,7 @@ def test_criterion_8_concentration_measurement():
             f = dnf.evaluate()
             spec = fourier_transform(f)
             reported = min_coeffs_for_eps(spec, eps)
-            degree_cut = min(n, floor_scaled_log2(Fraction(3) / eps, Fraction(w)))
+            degree_cut = floor_scaled_log2(Fraction(3) / eps, Fraction(w), n)
             analysis = FamilyAnalysis(dnf, degree_cut, RestrictionTables(f), spec)
             u_hi = min(w * degree_cut, n)
             tails = [analysis.tail_weight(u) for u in range(u_hi + 1)]

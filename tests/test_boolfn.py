@@ -41,6 +41,8 @@ from dnf_fourier.boolfn import (
 )
 from dnf_fourier.generators import SplitMix64
 
+from conftest import bits_of, table_of
+
 
 def character_matrix(n: int) -> np.ndarray:
     """H[s, x] = (-1)^popcount(s & x)."""
@@ -100,7 +102,7 @@ def random_function(rng: SplitMix64, n: int) -> BooleanFunction:
     bits = 0
     for chunk in range((1 << n) + 63 >> 6):
         bits |= rng.next_u64() << (64 * chunk)
-    return BooleanFunction(n, bits & ((1 << (1 << n)) - 1))
+    return table_of(n, bits & ((1 << (1 << n)) - 1))
 
 
 # -- frozen examples ----------------------------------------------------------
@@ -140,7 +142,7 @@ def test_weight_above_degree_examples():
     and2 = fourier_transform(Dnf.from_term_literals(2, [[1, 2]]).evaluate())
     assert weight_above_degree(and2, 1) == DyadicRational(1, 4)
     assert weight_above_degree(and2, 2) == 0
-    xor = fourier_transform(BooleanFunction(2, 0b0110))
+    xor = fourier_transform(table_of(2, 0b0110))
     assert weight_above_degree(xor, 1) == DyadicRational(1, 2)
 
 
@@ -152,16 +154,29 @@ def test_min_coeffs_examples():
     assert min_coeffs_for_eps(one, Fraction(1, 2)) == 1
 
 
-@pytest.mark.parametrize("n", [1, 3, 20])
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
 def test_a_table_longer_than_2_to_the_n_bits_is_rejected(n):
-    # the last of the 2^n entries may be set; a bit past it, or a negative
-    # table, is an error
+    # the last of the 2^n entries may be set; a bit past it is an error,
+    # whether it is a stray high bit of the one byte (n < 3) or in a byte
+    # past the table, and so is a negative or too long table_hex. A table
+    # too short, of another dtype or not flat is an error too
     full = (1 << (1 << n)) - 1
-    assert BooleanFunction(n, full).ones == 1 << n
-    assert BooleanFunction(n, 1 << ((1 << n) - 1)).value((1 << n) - 1) == 1
-    for bits in (1 << (1 << n), full << 1, -1):
+    assert table_of(n, full).ones == 1 << n
+    assert table_of(n, 1 << ((1 << n) - 1)).value((1 << n) - 1) == 1
+    for x in (-1, 1 << n):
+        with pytest.raises(IndexError):
+            table_of(n, full).value(x)
+    for bits in (1 << (1 << n), full << 1):
         with pytest.raises(ValueError, match="beyond 2\\^n entries"):
-            BooleanFunction(n, bits)
+            table_of(n, bits)
+        with pytest.raises(ValueError, match="beyond 2\\^n entries"):
+            BooleanFunction.from_json(json.dumps({"n": n, "table_hex": format(bits, "x")}))
+    with pytest.raises(ValueError, match="beyond 2\\^n entries"):
+        BooleanFunction.from_json(json.dumps({"n": n, "table_hex": "-1"}))
+    packed = table_of(n, full).packed()
+    for bad in (packed[:-1], packed.astype(np.int16), packed.reshape(1, -1)):
+        with pytest.raises(ValueError, match="uint8 bytes"):
+            BooleanFunction(n, bad)
 
 
 def test_min_coeffs_tie_break_is_ascending_mask():
@@ -183,6 +198,27 @@ def test_hamming_examples():
         hamming_distance_fraction(f, c0)
 
 
+def test_ones_and_hamming_count_the_packed_table_a_block_at_a_time():
+    # both read the packed table one HIST_CHUNK block at a time, so neither
+    # holds a copy of it (2 MiB at n = 24), of f xor g, or the 2^n bytes of
+    # an unpacked table
+    import tracemalloc
+
+    from dnf_fourier import random_read_k
+
+    f, g = (random_read_k(n=24, s=20, w=4, k=3, seed=seed).evaluate() for seed in (1, 2))
+    for count, oracle in ((lambda: f.ones, bits_of(f).bit_count()),
+                          (lambda: hamming_distance_fraction(f, g),
+                           DyadicRational((bits_of(f) ^ bits_of(g)).bit_count(), 24))):
+        tracemalloc.start()
+        try:
+            assert count() == oracle
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < f.size / 16, f"{peak} bytes for a table of {f.size // 8}"
+
+
 # -- oracle agreement ---------------------------------------------------------
 
 
@@ -190,7 +226,7 @@ def test_hamming_examples():
 def test_transform_matches_oracle_exhaustively(n):
     h = character_matrix(n)
     for bits in range(1 << (1 << n)):
-        f = BooleanFunction(n, bits)
+        f = table_of(n, bits)
         fast = fourier_transform(f).scaled
         assert np.array_equal(fast, h @ f.to_array().astype(np.int64))
 
@@ -203,7 +239,7 @@ def test_transform_matches_oracle_exhaustively_n4():
     )
     oracle = h @ tables
     for bits in range(1 << 16):
-        fast = fourier_transform(BooleanFunction(4, bits)).scaled
+        fast = fourier_transform(table_of(4, bits)).scaled
         assert np.array_equal(fast, oracle[:, bits])
 
 
@@ -225,13 +261,13 @@ def _word_tables(draw, max_n=12):
     words = draw(st.lists(st.sampled_from([0, 0xFFFF]) | st.integers(0, 0xFFFF),
                           min_size=count, max_size=count))
     bits = sum(word << (16 * k) for k, word in enumerate(words))
-    return BooleanFunction(n, bits & ((1 << (1 << n)) - 1))
+    return table_of(n, bits & ((1 << (1 << n)) - 1))
 
 
 #: n = 12 with every third word all-zero, every third all-one and the rest
 #: mixed, drawn besides whatever the strategy draws.
-_WORDS12 = BooleanFunction(12, sum((0, 0xFFFF, k * 0x9E37 & 0xFFFF)[k % 3] << (16 * k)
-                                   for k in range(256)))
+_WORDS12 = table_of(12, sum((0, 0xFFFF, k * 0x9E37 & 0xFFFF)[k % 3] << (16 * k)
+                            for k in range(256)))
 
 
 @given(f=_word_tables(), chunk=st.sampled_from([8, 16, 48, 64, boolfn.HIST_CHUNK]))
@@ -287,7 +323,7 @@ def test_parseval_and_reconstruction_random():
 @given(st.integers(min_value=0, max_value=2**16 - 1))
 @settings(max_examples=200)
 def test_parseval_exact_n4(bits):
-    f = BooleanFunction(4, bits)
+    f = table_of(4, bits)
     spec = fourier_transform(f)
     assert spec.total_weight() == DyadicRational(f.ones, 4)
 
@@ -295,7 +331,7 @@ def test_parseval_exact_n4(bits):
 @st.composite
 def _tables(draw, max_n=10):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    return BooleanFunction(n, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)))
+    return table_of(n, draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1)))
 
 
 @st.composite
@@ -548,7 +584,7 @@ def test_int64_sums_of_a_dictator_at_n20():
     # f(x) = x_1: fhat(0) = 1/2, fhat({1}) = -1/2, so the sum of the squared
     # scaled coefficients is 2 * 2^38 = 2^39, which an int32 sum would wrap
     n = 20
-    f = BooleanFunction(n, int.from_bytes(b"\xaa" * ((1 << n) // 8), "little"))
+    f = BooleanFunction(n, np.full((1 << n) // 8, 0xAA, dtype=np.uint8))
     spec = fourier_transform(f)
     assert spec.scaled.dtype == np.int32
     assert int(spec.scaled[0]) == 1 << (n - 1) and int(spec.scaled[1]) == -(1 << (n - 1))
@@ -721,7 +757,7 @@ def test_approximation_transfers_concentration():
         n = 2 + i % 7  # up to 8
         f = random_function(rng, n)
         flips = rng.below(1 << n)
-        g = BooleanFunction(n, f.bits ^ (1 << flips) if rng.coin() else f.bits)
+        g = table_of(n, bits_of(f) ^ (1 << flips) if rng.coin() else bits_of(f))
         family = [m for m in range(1 << n) if rng.coin()]
         fs = fourier_transform(f)
         gs = fourier_transform(g)
@@ -807,9 +843,9 @@ def test_n_cap_enforced():
     from dnf_fourier import CapExceededError
 
     with pytest.raises(CapExceededError):
-        BooleanFunction(25, 0)
+        BooleanFunction(25, np.zeros(1, dtype=np.uint8))
     with pytest.raises(CapExceededError):
-        BooleanFunction(0, 0)
+        BooleanFunction(0, np.zeros(1, dtype=np.uint8))
 
 
 def test_moderate_scale_stays_exact():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from dnf_fourier import (
-    BooleanFunction,
     DyadicRational,
     ExperimentConfig,
     FourierSpectrum,
@@ -24,6 +23,8 @@ from dnf_fourier.covers import CheckResult
 from dnf_fourier.dnf import Dnf
 from dnf_fourier.encoder import DecodeError, EncodingInvariantError
 from dnf_fourier.experiments import CHECK_KINDS
+
+from conftest import table_of
 
 #: The instances the table is checked on, at d_max 4: the read-2 one
 #: writes every row kind.
@@ -226,7 +227,7 @@ def test_the_readme_table_names_every_group_and_row_kind():
 def _parseval(n, past):
     # total weight = Pr[f = 1]: an equality, so one unit more fails
     ones = 3
-    battery = {"dnf": SimpleNamespace(n=n), "f": BooleanFunction(n, (1 << ones) - 1),
+    battery = {"dnf": SimpleNamespace(n=n), "f": table_of(n, (1 << ones) - 1),
                "total_weight": DyadicRational(ones + past, n)}
     return battery, DyadicRational(ones + past, n), DyadicRational(ones, n)
 
@@ -241,8 +242,8 @@ def _sparsity_onenorm(n, past):
 def _truncation_distance(n, past):
     # Pr[f != f_0] <= the bound for width 0, here 3 / 2^n
     bound = DyadicRational(3, n)
-    battery = {"w": 1, "f": BooleanFunction(n, 0),
-               "truncated_table": {0: BooleanFunction(n, (1 << (3 + past)) - 1)}.__getitem__,
+    battery = {"w": 1, "f": table_of(n, 0),
+               "truncated_table": {0: table_of(n, (1 << (3 + past)) - 1)}.__getitem__,
                "dnf": SimpleNamespace(truncation_distance_bound={0: bound}.__getitem__)}
     return battery, DyadicRational(3 + past, n), bound
 
@@ -260,8 +261,8 @@ def _approx_transfer(n, past):
         scaled[mask] = math.isqrt(rest)
         rest -= int(scaled[mask]) ** 2
     assert rest == 0
-    battery = {"w": 1, "f": BooleanFunction(n, 0),
-               "truncated_table": {0: BooleanFunction(n, 1)}.__getitem__,
+    battery = {"w": 1, "f": table_of(n, 0),
+               "truncated_table": {0: table_of(n, 1)}.__getitem__,
                "spec": FourierSpectrum(n, scaled), "masks": np.arange(2), "m_keep": 2,
                "eps2": DyadicRational(5, 2 * n)}
     return battery, DyadicRational(bound + (past << n), 2 * n), DyadicRational(bound, 2 * n)

@@ -188,10 +188,14 @@ def oracle_floor_scaled_log2(q: Fraction, scale: Fraction) -> int:
 
 
 @given(st.fractions(min_value=1, max_value=1 << 40, max_denominator=1 << 20),
-       st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64))
-@example(Fraction(1), Fraction(1))
-@example(Fraction(24), Fraction(3))         # 3/eps at eps = 1/8, w = 3
-@example(Fraction(1 << 12), Fraction(1, 3))   # an exact power: floor lands on it
+       st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=64),
+       st.integers(min_value=0, max_value=64))
+@example(Fraction(1), Fraction(1), 12)
+@example(Fraction(24), Fraction(3), 12)         # 3/eps at eps = 1/8, w = 3
+@example(Fraction(1 << 12), Fraction(1, 3), 12)   # an exact power: floor lands on it
+@example(Fraction(1 << 12), Fraction(1, 3), 4)    # ... and on the cap
+@example(Fraction(9), Fraction(4, 3), 4)        # scale * floor(log2 q) = 4: the cap, no power
+@example(Fraction(9), Fraction(4, 3), 5)        # short of the cap: floor(4/3 log2 9) = 4
 @settings(max_examples=300, deadline=None)
-def test_floor_scaled_log2_matches_the_search(q, scale):
-    assert floor_scaled_log2(q, scale) == oracle_floor_scaled_log2(q, scale)
+def test_floor_scaled_log2_matches_the_search(q, scale, cap):
+    assert floor_scaled_log2(q, scale, cap) == min(cap, oracle_floor_scaled_log2(q, scale))

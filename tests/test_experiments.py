@@ -35,6 +35,8 @@ from dnf_fourier.experiments import (
 )
 from dnf_fourier.restrictions import DT_CAP
 
+from conftest import bits_of, table_of
+
 
 def _tribes_source(w, t):
     return InstanceSource("generator", spec=GeneratorSpec("tribes", {"w": w, "t": t}))
@@ -404,7 +406,7 @@ def test_cli_covers_rejects_a_variable_beyond_n(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, digest", [
     ("verify", "7dca654eaa0f0ee52e37aad847100fb125611c024423870b9dfedbad7b373b74"),
-    ("sweep", "ced319b1c3edf87dee01614bb99d9b39a45ab5429553561023b453c08014d89f"),
+    ("sweep", "b4e43a047fd771289c0c8abffd0cc5da6a9ecad29b855fa1d749a14e2cee3713"),
 ], ids=["verify", "sweep"])
 def test_report_bytes_are_pinned(tmp_path, command, digest):
     # The SHA-256 of a whole report on two generator sources at d_max 4, so
@@ -1262,8 +1264,9 @@ _N23 = GeneratorSpec("random_read_k", {"n": 23, "s": 20, "w": 5, "k": 5, "exact_
 def test_each_spectrum_is_profiled_once(monkeypatch, run, spec, config, spectra):
     # one pass per spectrum gives every whole-spectrum reader its sums and
     # groups: no reader rescans a coefficient vector or asks for a popcount
-    # table longer than a block (n=23 spans 128 blocks)
-    from dnf_fourier import FourierSpectrum, boolfn, restrictions
+    # table longer than a block (n=23 spans 128 blocks). The restriction
+    # tables count their bits through boolfn's count_set_bits
+    from dnf_fourier import FourierSpectrum, boolfn
 
     made, profiled, summed, tables = [], [], [], []
     init, profile, popcounts = FourierSpectrum.__init__, boolfn._profile, boolfn.popcount_table
@@ -1272,8 +1275,7 @@ def test_each_spectrum_is_profiled_once(monkeypatch, run, spec, config, spectra)
                         lambda self, n, scaled: made.append(scaled) or init(self, n, scaled))
     monkeypatch.setattr(boolfn, "_profile", lambda v: profiled.append(v) or profile(v))
     monkeypatch.setattr(boolfn, "_sum_squares", lambda v: summed.append(v) or sum_squares(v))
-    for module in (boolfn, restrictions):
-        monkeypatch.setattr(module, "popcount_table", lambda b: tables.append(b) or popcounts(b))
+    monkeypatch.setattr(boolfn, "popcount_table", lambda b: tables.append(b) or popcounts(b))
     report = run(ExperimentConfig(instances=(InstanceSource("generator", spec=spec),), **config))
     (entry,) = report["instances"]
     assert "error" not in entry and "fault" not in entry
@@ -1643,11 +1645,11 @@ def test_reconstructs_every_small_function_and_no_wrong_spectrum(n):
     # every function on n <= 3 variables: its own spectrum reconstructs it,
     # and the spectrum with any one coefficient off by one does not (the
     # check splits on min(n, 5) variables, here all of them)
-    from dnf_fourier import BooleanFunction, FourierSpectrum
+    from dnf_fourier import FourierSpectrum
     from dnf_fourier.experiments import _reconstructs
 
     for bits in range(1 << (1 << n)):
-        f = BooleanFunction(n, bits)
+        f = table_of(n, bits)
         scaled = fourier_transform(f).scaled
         assert _reconstructs(FourierSpectrum(n, scaled.copy()), f)
         for mask in range(1 << n):
@@ -1662,7 +1664,7 @@ def test_reconstruction_fails_on_any_one_coefficient_or_point_changed(n):
     # through its difference with the part before it: a coefficient one
     # more or one less, anywhere, and one table point flipped, in any of
     # the 32 parts, each fail the check
-    from dnf_fourier import BooleanFunction, FourierSpectrum, random_read_k
+    from dnf_fourier import FourierSpectrum, random_read_k
     from dnf_fourier.experiments import _reconstructs
 
     f = random_read_k(n=n, s=4, w=3, k=2, seed=n).evaluate()
@@ -1676,31 +1678,30 @@ def test_reconstruction_fails_on_any_one_coefficient_or_point_changed(n):
     size = 1 << (n - 5)
     for part in range(32):
         x = part * size + part % size
-        assert not _reconstructs(spec, BooleanFunction(n, f.bits ^ (1 << x))), part
+        assert not _reconstructs(spec, table_of(n, bits_of(f) ^ (1 << x))), part
 
 
 def test_reconstruction_catches_one_wrong_point_in_either_block_of_a_part():
     # n = 22: a part has 2^17 entries, compared in two HIST_CHUNK blocks;
     # the table with one entry flipped, in the first or the second block of
     # part 3 or of the last part, is not what the spectrum evaluates to
-    from dnf_fourier import BooleanFunction, random_read_k
+    from dnf_fourier import random_read_k
     from dnf_fourier.experiments import _reconstructs
 
     f = random_read_k(n=22, s=18, w=5, k=5, seed=7).evaluate()
     spec = fourier_transform(f)
     for x in (3 << 17, (3 << 17) + (1 << 16) + 5, (1 << 22) - 1):
-        assert not _reconstructs(spec, BooleanFunction(22, f.bits ^ (1 << x))), x
+        assert not _reconstructs(spec, table_of(22, bits_of(f) ^ (1 << x))), x
 
 
 def test_reconstruction_is_int64_where_a_residue_mod_2_32_could_hide_an_error():
     # 2^30 added to every coefficient of an n = 2 spectrum changes the point
     # values by (2^32, 0, 0, 0), which is 0 mod 2^32: only the bound on the
     # sum of magnitudes (here 2^32 or more) keeps the check out of int32
-    from dnf_fourier import BooleanFunction
     from dnf_fourier.experiments import _reconstructs
 
     for bits in range(16):
-        f = BooleanFunction(2, bits)
+        f = table_of(2, bits)
         shifted = fourier_transform(f).scaled + np.int32(1 << 30)
         assert not _reconstructs(FourierSpectrum(2, shifted), f), bits
 
@@ -1709,11 +1710,11 @@ def test_reconstruction_is_int64_where_a_residue_mod_2_32_could_hide_an_error():
 def test_reconstruction_row_catches_one_wrong_point_in_either_half(monkeypatch, x):
     # the spectrum of f with one table entry flipped: poly(x) is wrong at x
     # alone, in the half with x_n = 0 (x < 8) or in the one with x_n = 1
-    from dnf_fourier import BooleanFunction, experiments
+    from dnf_fourier import experiments
 
     transform = experiments.fourier_transform
     monkeypatch.setattr(experiments, "fourier_transform",
-                        lambda f: transform(BooleanFunction(f.n, f.bits ^ (1 << x))))
+                        lambda f: transform(table_of(f.n, bits_of(f) ^ (1 << x))))
     cfg = ExperimentConfig(instances=(_tribes_source(2, 2),), checks=("spectral_basics",))
     holds = {r["check"]: r["holds"] for r in run_verify(cfg)["instances"][0]["checks"]}
     assert holds["reconstruction"] is False
@@ -1813,11 +1814,6 @@ def test_sweep_imports_neither_mpmath_nor_the_process_pool():
     # a sweep decides its cuts with exact Fractions, an all-checks verify
     # decides ln and e^x by rational series, and one worker needs no pool:
     # neither module is loaded
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     code = (
         "import sys\n"
         "import dnf_fourier.cli\n"
@@ -1833,14 +1829,24 @@ def test_sweep_imports_neither_mpmath_nor_the_process_pool():
         "    r['check'] for r in report['instances'][0]['checks']}\n"
         "print(sorted(m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules))\n"
     )
+    assert _run_python(code) == "[]\n"
+
+
+def _run_python(code: str, *args: str, timeout: float | None = None) -> str:
+    """The stdout of ``code`` run by a fresh interpreter that imports this
+    package, with ``args`` as its argv; it must exit 0 within ``timeout``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
     import dnf_fourier
 
     src = str(Path(dnf_fourier.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout == "[]\n"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env=env, timeout=timeout).stdout
 
 
 def test_readme_library_sketch_runs():
@@ -2056,3 +2062,79 @@ def test_a_zero_degree_cut_sweeps_degree_0():
     assert (entry["degree_cutoff"], entry["capture_u"]) == (0, None)
     assert entry["tail_table"] == [{"u_cutoff": 0, "weight_outside": "1/2^2",
                                     "weight_outside_approx": 0.25}]
+
+
+_TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("eps", ["1e-400", "1/1" + "0" * 300], ids=["1e-400", "1/10^300"])
+def test_a_tiny_eps_runs_and_writes_null_beyond_a_double(tmp_path, command, eps):
+    # at eps = 10^-400 a bound of the sparsity group, one_norm^2 / eps, is
+    # beyond a double's range: its *_approx field is null beside the exact
+    # value, and the command exits 0. The sweep's label log2(3/eps) is
+    # taken from the ints of 3/eps. At eps = 1/10^300 every value fits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [_TRIBES22], "eps": eps}))
+    out = tmp_path / "r.json"
+    assert main([command, str(cfg), "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["instances"]
+    if command == "verify":
+        (row,) = [r for r in entry["checks"] if r["check"] == "sparsity_onenorm"]
+        bound = Fraction(17, 8) ** 2 / Fraction(eps)
+        assert (row["bound"], row["holds"]) == (str(bound), True)
+        assert row["bound_approx"] == (None if eps == "1e-400" else float(bound))
+    else:
+        decimals = 400 if eps == "1e-400" else 300
+        # 100 C w log2(k + 2) log2(3/eps), with w = 2 and k = 1
+        expected = 100 * 2 * math.log2(3) * (math.log2(3) + decimals * math.log2(10))
+        assert entry["u_star_formula"] == pytest.approx(expected)
+        assert entry["report_only"]["tail_beyond_u_star"]["eps_over_3_approx"] == 0.0
+
+
+@pytest.mark.parametrize("key, value, cuts", [
+    ("C", "1e300", (2, [4, 4, 4])),
+    ("C_sweep", ["1e300"], (2, [4])),
+], ids=["C", "C_sweep"])
+def test_a_huge_C_sweeps_within_a_second(key, value, cuts):
+    # C * w * log2(3/eps) at C = 10^300 is far above the cap (d_max 2 for
+    # the degree cut, n = 4 for a C_sweep cut), which bit lengths show with
+    # no power of 3/eps taken. In a fresh interpreter with a timeout, so
+    # that a sweep that raises 3/eps to C's numerator fails, not hangs
+    code = (
+        "import json, sys, time\n"
+        "from dnf_fourier import ExperimentConfig, run_concentration_sweep\n"
+        "cfg = ExperimentConfig.from_json(sys.argv[1])\n"
+        "start = time.perf_counter()\n"
+        "(entry,) = run_concentration_sweep(cfg)['instances']\n"
+        "cuts = [c['degree_cutoff'] for c in entry['degree_weight_sweep']]\n"
+        "print(json.dumps([time.perf_counter() - start, entry['degree_cutoff'], cuts]))\n"
+    )
+    cfg = json.dumps({"instances": [_TRIBES22], "d_max": 2, key: value})
+    seconds, *got = json.loads(_run_python(code, cfg, timeout=60))
+    assert tuple(got) == cuts
+    assert seconds < 1
+
+
+def test_capture_u_is_the_first_u_whose_tail_is_at_most_eps():
+    # tribes(2,2) at d_max 4 has the tails 63/2^8, 63/2^8, 9/2^8, 9/2^8, 0
+    # at u = 0..4: at eps = 9/2^8, equal to the tail at u = 2, u = 2
+    # captures; one unit (2^-9) lower, only u = 4 does
+    for eps, capture_u in ((Fraction(9, 256), 2), (Fraction(17, 512), 4)):
+        cfg = ExperimentConfig(instances=(_tribes_source(2, 2),), eps=eps, d_max=4)
+        (entry,) = run_concentration_sweep(cfg)["instances"]
+        assert [row["weight_outside"] for row in entry["tail_table"]] == [
+            "63/2^8", "63/2^8", "9/2^8", "9/2^8", "0"]
+        assert entry["capture_u"] == capture_u, eps
+
+
+def test_the_tail_beyond_u_star_holds_at_eps_over_3():
+    # beyond the config's u* = 3 lies the family weight 9/2^8 at u = 4 of
+    # tribes(2,2): it holds at eps = 27/2^8, where it equals eps/3, and
+    # fails one unit (2^-9) lower
+    for eps, holds in ((Fraction(27, 256), True), (Fraction(53, 512), False)):
+        cfg = ExperimentConfig(instances=(_tribes_source(2, 2),), eps=eps, d_max=4, u_star=3)
+        (entry,) = run_concentration_sweep(cfg)["instances"]
+        beyond = entry["report_only"]["tail_beyond_u_star"]
+        assert (beyond["u_star_floor"], beyond["family_weight_beyond"],
+                beyond["would_hold"]) == (3, "9/2^8", holds), eps

@@ -48,7 +48,7 @@ from dnf_fourier.boolfn import popcount_table
 from dnf_fourier.restrictions import satisfied_union_table, union_superset_counts
 from dnf_fourier.generators import random_read_k
 
-from conftest import corpus_bundles, small_dnfs
+from conftest import bits_of, corpus_bundles, small_dnfs, table_of
 
 #: The recursion runs on at most this many variables.
 DT_ORACLE_CAP = 12
@@ -112,7 +112,7 @@ def dt_depth(g: BooleanFunction, cap: int = DT_ORACLE_CAP, memo=None) -> int:
     between calls."""
     if g.n > cap:
         raise CapExceededError(f"decision-tree recursion capped at n={cap}")
-    return _dt(g.n, g.bits, {} if memo is None else memo)
+    return _dt(g.n, bits_of(g), {} if memo is None else memo)
 
 
 def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
@@ -137,7 +137,7 @@ def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
             if (xs >> t) & 1:
                 x |= 1 << b
         bits |= f.value(x) << xs
-    return BooleanFunction(len(free), bits)
+    return table_of(len(free), bits)
 
 
 def oracle_tables(f: BooleanFunction, masks) -> dict[int, np.ndarray]:
@@ -176,13 +176,13 @@ def oracle_tables(f: BooleanFunction, masks) -> dict[int, np.ndarray]:
 def test_restrict_examples():
     f = Dnf.from_term_literals(2, [[1, 2]]).evaluate()
     g = restrict(f, Restriction(2, 0b01, 0b10))  # x2 = true
-    assert g.n == 1 and g.bits == 0b10
+    assert g.n == 1 and bits_of(g) == 0b10
     g0 = restrict(f, Restriction(2, 0b01, 0b00))  # x2 = false
     assert g0 == BooleanFunction.constant(1, False)
 
     pairs = Dnf.from_term_literals(4, [[1, 2], [3, 4]]).evaluate()
     g2 = restrict(pairs, Restriction(4, 0b0101, 0b0010))  # x2 true, x4 false
-    assert g2.n == 2 and g2.bits == 0b1010  # indicator of the first free var
+    assert g2.n == 2 and bits_of(g2) == 0b1010  # indicator of the first free var
 
 
 def test_restrict_validation():
@@ -204,12 +204,12 @@ def test_dt_depth_examples():
         parity_bits = sum(
             (bin(x).count("1") & 1) << x for x in range(1 << m)
         )
-        assert dt_depth(BooleanFunction(m, parity_bits)) == m
+        assert dt_depth(table_of(m, parity_bits)) == m
 
 
 def test_dt_depth_cap():
     with pytest.raises(CapExceededError):
-        dt_depth(BooleanFunction(13, 0), cap=12)
+        dt_depth(table_of(13, 0), cap=12)
 
 
 def test_read_once_dnfs_are_evasive():
@@ -221,14 +221,14 @@ def test_read_once_dnfs_are_evasive():
 
 def test_majority_of_three_is_evasive():
     maj = sum((bin(x).count("1") >= 2) << x for x in range(8))
-    assert dt_depth(BooleanFunction(3, maj)) == 3
+    assert dt_depth(table_of(3, maj)) == 3
 
 
 def test_dt_depth_at_least_degree():
     for bits in range(1 << 16):
         if bits % 37:  # subsample for speed, deterministic
             continue
-        f = BooleanFunction(4, bits)
+        f = table_of(4, bits)
         spec = fourier_transform(f)
         assert dt_depth(f) >= spec.degree()
     for i in range(50):
@@ -302,7 +302,7 @@ def test_restriction_tables_match_single_restrictions():
 @settings(max_examples=60, deadline=None)
 def test_full_depth_predicate_matches_oracle_on_random_tables(case):
     n, bits = case
-    _check_tables_against_oracle(BooleanFunction(n, bits), n)
+    _check_tables_against_oracle(table_of(n, bits), n)
 
 
 def test_packed_tables_match_the_oracles_on_corpus():
@@ -333,7 +333,8 @@ def test_the_empty_set_has_full_depth_at_every_index():
     # remaining free set, rests on this and asks no question.  n = 0 has no
     # BooleanFunction; a stand-in with its one-entry table covers the
     # formula of the sub-byte tables there.
-    functions = [SimpleNamespace(n=0, bits=value, size=1) for value in (0, 1)]
+    functions = [SimpleNamespace(n=0, packed=np.array([value], dtype=np.uint8).view)
+                 for value in (0, 1)]
     for n in range(1, 6):
         functions += [BooleanFunction.constant(n, False), BooleanFunction.constant(n, True),
                       random_read_k(n, 2, min(n, 3), k=2, seed=n).evaluate()]
