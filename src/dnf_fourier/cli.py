@@ -51,6 +51,10 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
+#: The params that ``gen`` takes as flags, in the order of its help.
+_GEN_PARAMS = ("w", "t", "n", "s", "k", "exact_width", "n_terms", "term_width", "pool_size")
+
+
 def _add_gen(sub):
     p = sub.add_parser("gen", help="generate a DNF instance")
     p.add_argument("family", choices=list(FAMILIES))
@@ -60,7 +64,7 @@ def _add_gen(sub):
     p.add_argument("--n", type=int, help="variable count (random_read_k)")
     p.add_argument("--s", type=int, help="term count (random_read_k)")
     p.add_argument("--k", type=int, help="read bound (random_read_k)")
-    p.add_argument("--exact-width", action="store_true")
+    p.add_argument("--exact-width", action="store_true", default=None)
     p.add_argument("--n-terms", type=int, help="term count (dense_pool)")
     p.add_argument("--term-width", type=int, help="term width (dense_pool)")
     p.add_argument("--pool-size", type=int, help="variable pool (dense_pool)")
@@ -135,9 +139,14 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "gen":
         _, names = FAMILIES[args.family]
+        takes = {*names, "exact_width"} if args.family == "random_read_k" else set(names)
+        foreign = [f"--{k.replace('_', '-')}" for k in _GEN_PARAMS
+                   if k not in takes and getattr(args, k) is not None]
+        if foreign:   # a config rejects such a param too
+            raise ValueError(f"gen {args.family} takes no {', '.join(foreign)}")
         params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
         if args.family == "random_read_k":
-            params["exact_width"] = args.exact_width
+            params["exact_width"] = bool(args.exact_width)
         spec = GeneratorSpec(args.family, params, args.seed)
         dnf = spec.build()
         _write(f"# {spec.label()}\n" + dnf.to_text(), args.out)

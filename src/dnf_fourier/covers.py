@@ -46,11 +46,8 @@ record of S = {} is written without encoding: x_sat is every assignment
 (the ``xsbars`` of S = {}), with empty sigma and a read-only broadcast
 zero as a.  An encoder fault while it classifies, or a row that
 ``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
-it.  Once the pairs of a subset with |S| = d_max are encoded, its
-restriction table is released, since an encoder round only asks about
-proper subsets of S; every other table is released at the end of the pass,
-since no check reads a table after the analysis.  The tables keep each
-full-depth count, which the ``evasive`` check reads.
+it.  The analysis walks the subsets in the tables' one pass
+(``RestrictionTables.visit``), which holds and drops the tables.
 
 ``FamilyAnalysis`` takes every sum over (d, u) once, and its readers
 read them: the pairs per (d, u), counted as each subset is classified;
@@ -76,7 +73,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bitops import subsets_up_to
 from .boolfn import (
     BooleanFunction,
     CapExceededError,
@@ -171,15 +167,8 @@ class FamilyAnalysis:
         return max(self.cover_counts(m).get(key.u, 0) for m in self.families[key].members)
 
     def _classify(self, tables: RestrictionTables, consumer: RecordConsumer | None) -> None:
-        subsets = subsets_up_to(self.dnf.n, self.d_max)
-        for s_mask in subsets:
+        for s_mask in tables.visit(self.d_max):
             self._classify_subset(s_mask, tables, consumer)
-            if s_mask.bit_count() == self.d_max:
-                # an encoder round asks only about proper subsets of S, so no
-                # later pass reads E_S
-                tables.release(s_mask)
-        for s_mask in subsets:   # no check reads a table after the analysis
-            tables.release(s_mask)
 
     def _classify_subset(self, s_mask: int, tables: RestrictionTables,
                          consumer: RecordConsumer | None) -> None:

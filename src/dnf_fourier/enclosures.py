@@ -8,6 +8,7 @@ at most that over 1 - z^2; e^x's tail past x^N/N! is at most that over
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,14 +122,25 @@ def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
 
 def floor_scaled_log2(q: Fraction, scale: Fraction, cap: int) -> int:
     """min(cap, floor(scale * log2(q))) for rationals q >= 1, scale > 0,
-    exactly.  When scale * floor(log2 q), read from bit lengths, is at
-    least the cap, so is the floor, and no power is taken: for q >= 2 that
-    settles every large scale.  Otherwise the floor is
-    floor(floor(log2(q^p)) / r) for scale = p/r, with no rounding."""
-    q = Fraction(q)
+    exactly, and with no power of q.  When scale * floor(log2 q), read from
+    bit lengths, is at least the cap, so is the floor.  log2 q is rational
+    only for q = 2^j, whose floor is floor(scale * j); otherwise scale *
+    log2 q is irrational, and scale times the enclosure of ln q / ln 2 is
+    refined, as ``decide_le`` does, until it holds no integer or lies at
+    or above the cap."""
+    q, scale = Fraction(q), Fraction(scale)
     if q < 1 or scale <= 0:
         raise ValueError("need q >= 1 and scale > 0")
-    if scale * _floor_log2(q.numerator, q.denominator) >= cap:
+    j = _floor_log2(q.numerator, q.denominator)
+    if scale * j >= cap:
         return cap
-    qp = q ** scale.numerator
-    return min(cap, _floor_log2(qp.numerator, qp.denominator) // scale.denominator)
+    if q == 1 << j:
+        return min(cap, math.floor(scale * j))
+    prec = 64
+    while prec <= _MAX_PREC:
+        ln_q, ln_2 = ln_enclosure(q, prec), ln_enclosure(Fraction(2), prec)
+        low = math.floor(scale * ln_q.low / ln_2.high)
+        if low >= cap or low == math.floor(scale * ln_q.high / ln_2.low):
+            return min(cap, low)
+        prec *= 2
+    raise EnclosureUndecidedError(f"floor of {scale} log2 {q} undecided")

@@ -59,7 +59,8 @@ taken.  On ``bench/instances/readk16.dnf`` at d_max 4 the 158,288 encodes
 ask 578,404 questions.  A round fetches its table's entry
 (``RestrictionTables.full_depth_entry``) once and indexes it inline for
 each candidate.  ``valid_pairs`` and the family analysis read each
-subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``.
+subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``, in
+the tables' pass (``RestrictionTables.visit``).
 
 ``decode_records`` inverts a whole batch of same-degree encodings with
 numpy, and the ``roundtrip`` check decodes every pair through it, in
@@ -82,7 +83,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitops import bit_indices, mask_to_vars, pdep, subsets_up_to
+from .bitops import bit_indices, mask_to_vars, pdep
 from .dnf import Dnf
 from .restrictions import RestrictionTables
 
@@ -540,7 +541,7 @@ def decode_records(
 def valid_pairs(tables: RestrictionTables, d_max: int) -> Iterator[tuple[int, int]]:
     """All (S mask, x_Sbar bits) with |S| <= d_max and a full-depth
     restriction, in (ascending S mask, ascending x_Sbar) order."""
-    for s_mask in subsets_up_to(tables.n, d_max):
+    for s_mask in tables.visit(d_max):
         for xsbar in tables.full_depth_xsbars(s_mask).tolist():
             yield s_mask, xsbar
 

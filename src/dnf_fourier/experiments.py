@@ -285,16 +285,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _float(value) -> float | None:
+    """``value`` as a float, or None beyond a double's range."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _approx(value) -> float | None:
     """A report's ``*_approx`` field: ``value`` as a float rounded to 12
     decimals, the one place a report value becomes a float.  None, a
-    string, and a value beyond a double's range are written as null."""
-    if value is None or isinstance(value, str):
+    string, and a value beyond a double's range (``_float``) are null."""
+    if value is None or isinstance(value, str) or (value := _float(value)) is None:
         return None
-    try:
-        return round(float(value), 12)
-    except OverflowError:
-        return None
+    return round(value, 12)
 
 
 def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) -> dict:
@@ -636,12 +642,8 @@ class _Battery:
         yield _row("approx_transfer", context, lhs, bound, lhs <= bound)
 
     def evasive(self):
-        for m in self.subsets:
-            # the tables keep each count, also that of a table the analysis
-            # released, and nothing reads a top-level table after its count
+        for m in self.tables.visit(self.d_max):
             verdict = evasive_bound_check(self.tables.full_depth_count(m), m, self.spec)
-            if m.bit_count() == self.d_max:
-                self.tables.release(m)
             yield _row("evasive", {"S_mask": m}, *verdict)
 
     def cover_probability(self):
@@ -944,14 +946,13 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
              "weight_above_approx": _approx(above)}
         )
 
-    u_star_formula = None
-    if w and k >= 1:
-        # log2 of each int apart: 3/eps may be beyond a double's range
+    u_star_formula, c = None, _float(config.c_param)
+    if w and k >= 1 and c is not None:
+        # log2 of each int apart: 3/eps may be beyond a double's range, and
+        # a label beyond it is null, as in _approx
         log2_three_over_eps = (math.log2(three_over_eps.numerator)
                                - math.log2(three_over_eps.denominator))
-        u_star_formula = (
-            100 * float(config.c_param) * w * math.log2(k + 2) * log2_three_over_eps
-        )
+        u_star_formula = _float(100 * c * w * math.log2(k + 2) * log2_three_over_eps)
 
     return {
         "label": label,

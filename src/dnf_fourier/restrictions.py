@@ -25,10 +25,12 @@ x >> 3, and a table of fewer than 8 entries is one byte whose unused bits
 are zero.  A table is built from its packed parents directly: the two
 halves along bit p of a parent's index are a byte reshape for p >= 3 and,
 for p < 3, a 256-entry lookup table that combines the bit pairs inside
-each byte.  The family analysis releases each table with |S| = d_max once
-its subset's pairs are encoded (``RestrictionTables.release``): an encoder
-round only asks about proper subsets of S.  At d_max 4 that level holds
-more than half of the table bytes.
+each byte.  Every reader walks the subsets in one pass,
+``RestrictionTables.visit``: each S with |S| <= d_max, ascending, so its
+parents come first.  E_S with |S| = d_max is dropped once the caller
+moves past S, since an encoder round asks only about proper subsets of
+its own S (at d_max 4 that level holds over half of the table bytes),
+and every table when the pass ends.  Counts stay, for ``evasive``.
 
 The tables own every full-depth fact the package reads.  The index of a
 full assignment x in E_S is x with the bits of S deleted: the OR of
@@ -36,8 +38,7 @@ full assignment x in E_S is x with the bits of S deleted: the OR of
 run of fixed variables (at most |S| + 1), where the encoder reads single
 entries.  Run backwards, the plan turns the indices where E_S holds into
 the x_Sbar masks of the full-depth pairs (``full_depth_xsbars``), which
-the family analysis and ``valid_pairs`` read.  Each count is kept, so the
-``evasive`` check reads it after the analysis released the table.
+the family analysis and ``valid_pairs`` read.
 
 The textbook depth recursion, the oracle of the predicate, is in the tests.
 """
@@ -45,11 +46,11 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitops import bit_indices
+from .bitops import bit_indices, subsets_up_to
 from .boolfn import BooleanFunction, FourierSpectrum, count_set_bits
 from .dnf import Dnf
 from .dyadic import DyadicRational
@@ -103,18 +104,25 @@ class RestrictionTables:
     the shared workhorse behind the evasiveness checks, the encoder, and
     the family classification.
 
-    For the encoder's single-entry lookups each mask it asks about keeps
-    an entry (``full_depth_entry``): a ``memoryview`` of its cached table
-    (a view, not a copy) and S's compress plan (see the module docstring).
-    ``release`` drops both, and keeps S's count.
+    One cache holds a table per mask: ``_by_sbar[S]`` is E_S and, made when
+    the encoder first asks about S (``full_depth_entry``), a ``memoryview``
+    of it (a view, not a copy) with S's compress plan (see the module
+    docstring).  ``release`` drops the entry, and keeps S's count.
     """
 
     def __init__(self, f: BooleanFunction):
         self.n = f.n
         self._f_packed = f.packed()
-        self._by_sbar: dict[int, np.ndarray] = {}
-        self._lookup: dict[int, tuple[memoryview, tuple]] = {}
+        self._by_sbar: dict[int, list] = {}   # S -> [E_S, (view, plan) or None]
         self._counts: dict[int, int] = {}
+
+    def visit(self, d_max: int) -> Iterator[int]:
+        """The subset pass (see the module docstring)."""
+        for s_mask in subsets_up_to(self.n, d_max):
+            yield s_mask
+            if s_mask.bit_count() == d_max:
+                self.release(s_mask)
+        self._by_sbar.clear()
 
     def dt_by_sbar(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S for every compressed fixed assignment x,
@@ -123,7 +131,7 @@ class RestrictionTables:
         again."""
         cached = self._by_sbar.get(free_mask)
         if cached is not None:
-            return cached
+            return cached[0]
         n = self.n
         free = bit_indices(free_mask)
         table = np.empty(max(1, (1 << (n - len(free))) >> 3), dtype=np.uint8)
@@ -143,13 +151,12 @@ class RestrictionTables:
                 if t:
                     table &= scratch
         table.setflags(write=False)
-        self._by_sbar[free_mask] = table
+        self._by_sbar[free_mask] = [table, None]
         return table
 
     def release(self, free_mask: int) -> None:
-        """Drop E_S and its lookup view, not its count, once S is done."""
+        """Drop E_S and its lookup view, not its count."""
         self._by_sbar.pop(free_mask, None)
-        self._lookup.pop(free_mask, None)
 
     def dt_by_full(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S indexed by a full n-bit assignment x (the
@@ -183,11 +190,12 @@ class RestrictionTables:
         entry x of the table is bit i & 7 of byte i >> 3, with i the OR of
         (x >> shift) & mask over the plan.  Built on first use and kept.
         Reading the view yields a Python int, not a numpy scalar."""
-        entry = self._lookup.get(free_mask)
-        if entry is None:
-            entry = (memoryview(self.dt_by_sbar(free_mask)), self._plan(free_mask))
-            self._lookup[free_mask] = entry
-        return entry
+        cached = self._by_sbar.get(free_mask)
+        if cached is None or cached[1] is None:
+            table = self.dt_by_sbar(free_mask)
+            cached = self._by_sbar[free_mask]
+            cached[1] = (memoryview(table), self._plan(free_mask))
+        return cached[1]
 
     def full_depth_at(self, free_mask: int, x: int) -> int:
         """1 if the restriction to free_mask at (the fixed bits of) x has
@@ -207,7 +215,7 @@ class RestrictionTables:
         the masks."""
         packed = self.dt_by_sbar(free_mask)
         out = np.empty(self.full_depth_count(free_mask), dtype=np.uint32)
-        # S's lookup entry keeps the plan for the encoder's questions on S
+        # S's cache entry keeps the plan for the encoder's questions on S
         plan = self.full_depth_entry(free_mask)[1] if free_mask else ()
         filled, step = 0, INDEX_CHUNK >> 3
         for lo in range(0, packed.size, step):   # unused bits are zero
@@ -221,7 +229,7 @@ class RestrictionTables:
         return out
 
     def full_depth_count(self, free_mask: int) -> int:
-        """The number of x_Sbar where E_S holds, kept: it outlives ``release``."""
+        """The number of x_Sbar where E_S holds, kept: it outlives the table."""
         count = self._counts.get(free_mask)
         if count is None:
             count = count_set_bits(self.dt_by_sbar(free_mask))

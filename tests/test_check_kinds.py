@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dnf_fourier import (
     DyadicRational,
@@ -19,8 +21,9 @@ from dnf_fourier import (
     run_verify,
 )
 from dnf_fourier.cli import main
-from dnf_fourier.covers import CheckResult
+from dnf_fourier.covers import CheckResult, budget_lemma_bound
 from dnf_fourier.dnf import Dnf
+from dnf_fourier.enclosures import ln_enclosure
 from dnf_fourier.encoder import DecodeError, EncodingInvariantError
 from dnf_fourier.experiments import CHECK_KINDS
 
@@ -268,24 +271,74 @@ def _approx_transfer(n, past):
     return battery, DyadicRational(bound + (past << n), 2 * n), DyadicRational(bound, 2 * n)
 
 
+def _read_two_pairs(n):
+    """The n terms x_i x_(i+1) around a cycle: width 2, read 2."""
+    return Dnf.from_term_literals(n, [[i, i % n + 1] for i in range(1, n + 1)])
+
+
+def _cover_chain(n, past):
+    # S = {1, 2} and u = 2 on a width-2, read-2 DNF: both chains bound the
+    # covers by the sum over i <= 2 of C(kd, i) = 1 + 4 + 6 = 11, and the
+    # exact-width links hold (C(4, 2) <= C(4, 2) <= (2e)^2), so 11 covers
+    # hold and 12 fail
+    analysis = SimpleNamespace(u_hi=2, cover_counts={0b011: {2: 11 + past}}.__getitem__)
+    battery = {"dnf": _read_two_pairs(n), "subsets": [0b011], "analysis": analysis}
+    return battery, 11 + past, 11
+
+
+def _satisfied_mass(n, past):
+    # Pr[f] = 1/2 at read 1: the bound is ln 2, decided on the 2^-64 grid of
+    # its first enclosure. Terms of the widths of the bits of the lhs make
+    # it the enclosure's low end, which holds, or its high end plus 2^-64,
+    # which fails
+    enc = ln_enclosure(Fraction(2), 64)
+    units = (enc.high * 2**64 + 1 if past else enc.low * 2**64).numerator
+    terms = [SimpleNamespace(width=64 - b) for b in range(64) if units >> b & 1]
+    battery = {"dnf": SimpleNamespace(n=n, terms=terms, read=lambda: 1), "k": 1,
+               "f": table_of(n, (1 << (1 << (n - 1))) - 1)}
+    return battery, DyadicRational(units, 64), enc.high
+
+
 _AT_THE_BOUND = {"parseval": _parseval, "sparsity_onenorm": _sparsity_onenorm,
                  "truncation_distance": _truncation_distance,
-                 "approx_transfer": _approx_transfer}
+                 "approx_transfer": _approx_transfer,
+                 "read_cover_chain": _cover_chain, "exact_width_chain": _cover_chain,
+                 "satisfied_mass": _satisfied_mass}
 
-#: The row kinds of the groups that read neither the tables nor the
-#: analysis, but ``reconstruction`` (a predicate with tests of its own),
-#: ``satisfied_mass`` (the upper end of an enclosure) and
-#: ``cover_probability`` (bounded with ``evasive`` in test_restrictions.py).
-_SPECTRAL_KINDS = [kind for check in CHECK_KINDS.values() if check.reads is None
-                   for kind in check.rows
-                   if kind not in ("reconstruction", "satisfied_mass", "cover_probability")]
+#: The row kinds whose boundary tests are elsewhere, or that have no bound.
+_BOUNDED_ELSEWHERE = {
+    "reconstruction": "a predicate, with tests of its own",
+    "roundtrip": "a predicate: test_experiments.py corrupts records",
+    "evasive": "test_restrictions.py", "cover_probability": "test_restrictions.py",
+    "onenorm_pair_count": "test_restrictions.py", "onenorm_width_binom": "test_restrictions.py",
+    "pair_count_binom": "test_restrictions.py", "family_onenorm_count": "test_restrictions.py",
+    "family_onenorm_binom": "test_restrictions.py", "family_twonorm": "test_restrictions.py",
+    "family_cauchy": "test_restrictions.py", "family_abs_coeff": "test_restrictions.py",
+    "cover_budget": "cannot reach its bound: test_cover_budget_holds_strictly_in_its_hypotheses",
+}
 
 
-@pytest.mark.parametrize("kind", _SPECTRAL_KINDS)
+@pytest.mark.parametrize("kind", [kind for kind in _GROUP_OF if kind not in _BOUNDED_ELSEWHERE])
 @pytest.mark.parametrize("n", [3, 6, 9])
-def test_spectral_check_holds_at_its_bound_and_fails_one_unit_past(kind, n):
+def test_check_holds_at_its_bound_and_fails_one_unit_past(kind, n):
     group = getattr(experiments._Battery, _GROUP_OF[kind])
     for past, holds in ((0, True), (1, False)):
         battery, lhs, bound = _AT_THE_BOUND[kind](n, past)   # a kind with no case fails here
         row = next(row for row in group(SimpleNamespace(**battery)) if row["check"] == kind)
         assert (row["lhs"], row["bound"], row["holds"]) == (str(lhs), str(bound), holds)
+
+
+@given(st.lists(st.integers(0, 16), min_size=1, max_size=12),
+       st.fractions(0, 8, max_denominator=8), st.fractions(0, 8, max_denominator=8))
+@settings(max_examples=200, deadline=None)
+def test_cover_budget_holds_strictly_in_its_hypotheses(sizes, more_v, more_f):
+    # with sum |A_r| <= v and sum 2^-|A_r| <= F, convexity gives
+    # F >= l 2^-(v/l), so l log2(v/F) <= l log2(v/l) + v, below 4v since
+    # log2 m < 3m for m > 0: the verdict holds with room, and no input puts
+    # l at the bound 4v / log2(v/F)
+    v = sum(sizes) + more_v
+    F = sum(Fraction(1, 2**size) for size in sizes) + more_f
+    assume(v > F)
+    r = budget_lemma_bound(sizes, v, F)
+    a, b = (4 * v).numerator, (4 * v).denominator
+    assert r.holds and (v / F) ** (len(sizes) * b) < Fraction(2) ** a

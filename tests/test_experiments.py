@@ -1220,7 +1220,7 @@ def test_the_analysis_releases_every_table(with_roundtrip):
     tables = RestrictionTables(f)
     FamilyAnalysis(dnf, 4, tables, fourier_transform(f),
                    RoundTrip(dnf) if with_roundtrip else None)
-    assert tables._by_sbar == {} and tables._lookup == {}
+    assert tables._by_sbar == {}
     fresh = RestrictionTables(f)
     for m in subsets_up_to(8, 4):
         assert tables.full_depth_count(m) == fresh.full_depth_count(m), m
@@ -1327,7 +1327,7 @@ def test_evasive_only_verify_matches_the_all_checks_rows(monkeypatch):
     built = _spy_tables(monkeypatch)
     assert rows == evasive_rows(ALL_CHECKS)
     (tables,) = built
-    assert tables._by_sbar == {} and tables._lookup == {}
+    assert tables._by_sbar == {}
 
 
 def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):
@@ -2092,6 +2092,19 @@ def test_a_tiny_eps_runs_and_writes_null_beyond_a_double(tmp_path, command, eps)
         assert entry["report_only"]["tail_beyond_u_star"]["eps_over_3_approx"] == 0.0
 
 
+#: A fresh interpreter's sweep of the config in argv[1]: its seconds, its
+#: degree cut and its C_sweep cuts, as JSON.
+_TIMED_CUTS = (
+    "import json, sys, time\n"
+    "from dnf_fourier import ExperimentConfig, run_concentration_sweep\n"
+    "cfg = ExperimentConfig.from_json(sys.argv[1])\n"
+    "start = time.perf_counter()\n"
+    "(entry,) = run_concentration_sweep(cfg)['instances']\n"
+    "cuts = [c['degree_cutoff'] for c in entry['degree_weight_sweep']]\n"
+    "print(json.dumps([time.perf_counter() - start, entry['degree_cutoff'], cuts]))\n"
+)
+
+
 @pytest.mark.parametrize("key, value, cuts", [
     ("C", "1e300", (2, [4, 4, 4])),
     ("C_sweep", ["1e300"], (2, [4])),
@@ -2101,19 +2114,53 @@ def test_a_huge_C_sweeps_within_a_second(key, value, cuts):
     # the degree cut, n = 4 for a C_sweep cut), which bit lengths show with
     # no power of 3/eps taken. In a fresh interpreter with a timeout, so
     # that a sweep that raises 3/eps to C's numerator fails, not hangs
-    code = (
-        "import json, sys, time\n"
-        "from dnf_fourier import ExperimentConfig, run_concentration_sweep\n"
-        "cfg = ExperimentConfig.from_json(sys.argv[1])\n"
-        "start = time.perf_counter()\n"
-        "(entry,) = run_concentration_sweep(cfg)['instances']\n"
-        "cuts = [c['degree_cutoff'] for c in entry['degree_weight_sweep']]\n"
-        "print(json.dumps([time.perf_counter() - start, entry['degree_cutoff'], cuts]))\n"
-    )
     cfg = json.dumps({"instances": [_TRIBES22], "d_max": 2, key: value})
-    seconds, *got = json.loads(_run_python(code, cfg, timeout=60))
+    seconds, *got = json.loads(_run_python(_TIMED_CUTS, cfg, timeout=60))
     assert tuple(got) == cuts
     assert seconds < 1
+
+
+@pytest.mark.parametrize("c", ["1e400", "1e306"])
+@pytest.mark.parametrize("u_star", [None, 3])
+def test_a_C_whose_label_is_beyond_a_double_writes_null(tmp_path, c, u_star):
+    # float(C) overflows at 10^400, and 100 C w log2(k + 2) log2(3/eps) at
+    # 10^306: the label u_star_formula is null, as an *_approx field would
+    # be, and with no u_star set there is no u* block, as for a width-0 DNF
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [_TRIBES22], "C": c, "u_star": u_star}))
+    out = tmp_path / "r.json"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["instances"]
+    assert (entry["C"], entry["u_star_formula"]) == (str(Fraction(c)), None)
+    tail = entry["report_only"]["tail_beyond_u_star"]
+    assert (tail and tail["u_star_floor"]) == u_star
+
+
+_NEAR_ONE = f"{10**300 + 1}/{10**300}"
+
+
+@pytest.mark.parametrize("key, value", [("C", _NEAR_ONE), ("C_sweep", [_NEAR_ONE])],
+                         ids=["C", "C_sweep"])
+def test_a_C_with_a_huge_numerator_and_denominator_sweeps_within_seconds(key, value):
+    # C = (10^300 + 1)/10^300 on tribes(1,8): C * w * log2(3/eps) is just
+    # above log2 24, below the cap n = 8, so bit lengths do not settle it,
+    # and q^p for p = 10^300 + 1 never ends. Each cut is floor(C log2 24),
+    # decided from enclosures of ln 24 / ln 2; the search of
+    # test_enclosures.py would raise 24 to the same power, so the oracle
+    # is mpmath at 4,000 bits
+    import mpmath
+
+    tribes18 = {"generator": {"family": "tribes", "params": {"w": 1, "t": 8}}}
+    cfg = json.dumps({"instances": [tribes18], key: value})
+    seconds, cut, cuts = json.loads(_run_python(_TIMED_CUTS, cfg, timeout=60))
+    config = ExperimentConfig.from_json(cfg)
+    with mpmath.workprec(4000):
+        def oracle(c):
+            return min(8, int(mpmath.floor(mpmath.mpf(c.numerator) / c.denominator
+                                           * mpmath.log(24, 2))))
+        assert (cut, cuts) == (oracle(config.c_param), [oracle(c) for c in config.c_sweep])
+    assert (cut, cuts) == ((4, [4, 8, 8]) if key == "C" else (4, [4]))
+    assert seconds < 10
 
 
 def test_capture_u_is_the_first_u_whose_tail_is_at_most_eps():

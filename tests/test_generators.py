@@ -138,3 +138,26 @@ def test_gen_has_a_flag_for_every_parameter_of_every_family(capsys, family):
     assert main(["gen", family, *flags, "--seed", "5"]) == 0
     spec = GeneratorSpec(family, params, 5)
     assert capsys.readouterr().out == f"# {spec.label()}\n" + spec.build().to_text()
+
+
+def _foreign_flags():
+    return [(family, name) for family, (_, names) in sorted(FAMILIES.items())
+            for name in [*_GEN_VALUES, "exact_width"]
+            if name not in names and (family, name) != ("random_read_k", "exact_width")]
+
+
+@pytest.mark.parametrize("family, name", _foreign_flags())
+def test_gen_rejects_a_flag_its_family_does_not_take(tmp_path, capsys, family, name):
+    # as a config rejects such a param: exit 2, the flag named, nothing
+    # written, even with every flag the family takes given
+    from dnf_fourier import cli
+
+    _, names = FAMILIES[family]
+    flag = f"--{name.replace('_', '-')}"
+    given = [arg for n in names for arg in (f"--{n.replace('_', '-')}", str(_GEN_VALUES[n]))]
+    extra = [flag] if name == "exact_width" else [flag, str(_GEN_VALUES[name])]
+    out = tmp_path / "x.dnf"
+    assert main(["gen", family, *given, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: gen {family} takes no {flag}\n"
+    assert not out.exists()
+    assert set(cli._GEN_PARAMS) == {*_GEN_VALUES, "exact_width"}   # a flag of every param

@@ -390,9 +390,36 @@ def test_a_released_table_is_dropped_and_built_again_on_request():
     before = tables.dt_by_sbar(s_mask)
     assert tables.full_depth_at(s_mask, 0) == before[0] & 1
     tables.release(s_mask)
-    assert s_mask not in tables._by_sbar and s_mask not in tables._lookup
+    assert s_mask not in tables._by_sbar
     assert 0b0011 in tables._by_sbar        # a parent stays
     assert np.array_equal(tables.dt_by_sbar(s_mask), before)
+
+
+@pytest.mark.parametrize("d_max", [0, 2, 3, 6])
+def test_the_pass_drops_each_top_level_table_as_it_moves_on_and_every_table_at_its_end(
+        d_max):
+    # while S is the current subset its table, and its lookup entry, are
+    # held; once the pass moves on, no table with |S| = d_max is held. After
+    # the pass no table is, the counts are those of fresh tables, and a
+    # dropped table is built again equal to the first
+    f = random_read_k(6, 4, 3, k=4, seed=21).evaluate()
+    tables, fresh = RestrictionTables(f), RestrictionTables(f)
+    visited, first = [], {}
+    for s_mask in tables.visit(d_max):
+        assert not any(m.bit_count() == d_max for m in tables._by_sbar), s_mask
+        first[s_mask] = tables.dt_by_sbar(s_mask)
+        tables.full_depth_entry(s_mask)
+        tables.full_depth_count(s_mask)
+        assert s_mask in tables._by_sbar
+        visited.append(s_mask)
+    assert visited == subsets_up_to(6, d_max)
+    assert tables._by_sbar == {}
+    for s_mask in visited:
+        assert tables.full_depth_count(s_mask) == fresh.full_depth_count(s_mask), s_mask
+    assert tables._by_sbar == {}
+    for s_mask in visited:
+        assert np.array_equal(tables.dt_by_sbar(s_mask), first[s_mask]), s_mask
+        assert tables.full_depth_at(s_mask, 0b111111) == fresh.full_depth_at(s_mask, 0b111111)
 
 
 def test_a_released_tables_count_answers_without_the_table(monkeypatch):
