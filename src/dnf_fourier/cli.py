@@ -51,26 +51,6 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-#: The params that ``gen`` takes as flags, in the order of its help.
-_GEN_PARAMS = ("w", "t", "n", "s", "k", "exact_width", "n_terms", "term_width", "pool_size")
-
-
-def _add_gen(sub):
-    p = sub.add_parser("gen", help="generate a DNF instance")
-    p.add_argument("family", choices=list(FAMILIES))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w", type=int, help="width (tribes, random_read_k)")
-    p.add_argument("--t", type=int, help="number of tribes terms")
-    p.add_argument("--n", type=int, help="variable count (random_read_k)")
-    p.add_argument("--s", type=int, help="term count (random_read_k)")
-    p.add_argument("--k", type=int, help="read bound (random_read_k)")
-    p.add_argument("--exact-width", action="store_true", default=None)
-    p.add_argument("--n-terms", type=int, help="term count (dense_pool)")
-    p.add_argument("--term-width", type=int, help="term width (dense_pool)")
-    p.add_argument("--pool-size", type=int, help="variable pool (dense_pool)")
-    p.add_argument("--out", help="output path (default: stdout)")
-
-
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -99,7 +79,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dnf-fourier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_gen(sub)
+    p = sub.add_parser("gen", help="generate a DNF instance")
+    p.add_argument("family", choices=list(FAMILIES))
+    p.add_argument("--seed", type=int, default=0)
+    takers = {}   # each param of a family, with the families that take it
+    for name, family in FAMILIES.items():
+        for param in (*family.ints, *family.bools):
+            takers.setdefault(param, []).append(name)
+    for param, names in takers.items():
+        kind = {"action": "store_true"} if param in FAMILIES[names[0]].bools else {"type": int}
+        p.add_argument(f"--{param.replace('_', '-')}", default=None,
+                       help=f"param of {', '.join(names)}", **kind)
+    p.set_defaults(params=tuple(takers))
+    p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("spectrum", help="exact Fourier spectrum of a DNF file")
     p.add_argument("dnf_file")
@@ -138,18 +130,15 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "gen":
-        _, names = FAMILIES[args.family]
-        takes = {*names, "exact_width"} if args.family == "random_read_k" else set(names)
-        foreign = [f"--{k.replace('_', '-')}" for k in _GEN_PARAMS
-                   if k not in takes and getattr(args, k) is not None]
+        family = FAMILIES[args.family]
+        given = {k: getattr(args, k) for k in args.params if getattr(args, k) is not None}
+        takes = family.ints + family.bools
+        foreign = [f"--{k.replace('_', '-')}" for k in given if k not in takes]
         if foreign:   # a config rejects such a param too
             raise ValueError(f"gen {args.family} takes no {', '.join(foreign)}")
-        params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-        if args.family == "random_read_k":
-            params["exact_width"] = bool(args.exact_width)
-        spec = GeneratorSpec(args.family, params, args.seed)
-        dnf = spec.build()
-        _write(f"# {spec.label()}\n" + dnf.to_text(), args.out)
+        spec = GeneratorSpec(args.family, {**dict.fromkeys(family.bools, False), **given},
+                             args.seed)
+        _write(f"# {spec.label()}\n" + spec.build().to_text(), args.out)
         return 0
 
     if args.command == "spectrum":

@@ -30,9 +30,6 @@ class RealEnclosure:
         if self.low > self.high:
             raise ValueError("empty enclosure")
 
-    def __float__(self) -> float:
-        return float((self.low + self.high) / 2)
-
     def scale(self, c) -> "RealEnclosure":
         return RealEnclosure(*sorted((self.low * Fraction(c), self.high * Fraction(c))))
 
@@ -120,27 +117,38 @@ def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
     )
 
 
-def floor_scaled_log2(q: Fraction, scale: Fraction, cap: int) -> int:
-    """min(cap, floor(scale * log2(q))) for rationals q >= 1, scale > 0,
-    exactly, and with no power of q.  When scale * floor(log2 q), read from
-    bit lengths, is at least the cap, so is the floor.  log2 q is rational
-    only for q = 2^j, whose floor is floor(scale * j); otherwise scale *
-    log2 q is irrational, and scale times the enclosure of ln q / ln 2 is
-    refined, as ``decide_le`` does, until it holds no integer or lies at
-    or above the cap."""
-    q, scale = Fraction(q), Fraction(scale)
-    if q < 1 or scale <= 0:
-        raise ValueError("need q >= 1 and scale > 0")
-    j = _floor_log2(q.numerator, q.denominator)
-    if scale * j >= cap:
+def floor_scaled_log2(q: Fraction, scale: Fraction, cap: int | float, r: Fraction = 2) -> int:
+    """min(cap, floor(scale * log2(q) * log2(r))) for rationals q, r >= 1
+    and scale > 0, exactly, and with no power of q or r; ``cap`` may be
+    ``math.inf``.  When scale * floor(log2 q) * floor(log2 r), read from
+    bit lengths, is at least the cap, so is the floor.  A log2 is rational
+    only for a power of two 2^j, where it is j; the floor of the rest is
+    found by refining scale times the enclosures of ln q / ln 2 (and of
+    ln r / ln 2), as ``decide_le`` does, until they hold no integer or lie
+    at or above the cap.  With one log irrational that ends; with two it
+    is not known to, and past the maximum precision it raises."""
+    q, r, scale = Fraction(q), Fraction(r), Fraction(scale)
+    if min(q, r) < 1 or scale <= 0:
+        raise ValueError("need q, r >= 1 and scale > 0")
+    rational, logs = scale, []   # the rational factor, and each irrational log
+    for x in (q, r):
+        j = _floor_log2(x.numerator, x.denominator)
+        if x == 1 << j:
+            rational *= j
+        else:
+            logs.append((x, j))
+    if rational * math.prod(j for _, j in logs) >= cap:
         return cap
-    if q == 1 << j:
-        return min(cap, math.floor(scale * j))
+    if not logs:
+        return min(cap, math.floor(rational))
     prec = 64
     while prec <= _MAX_PREC:
-        ln_q, ln_2 = ln_enclosure(q, prec), ln_enclosure(Fraction(2), prec)
-        low = math.floor(scale * ln_q.low / ln_2.high)
-        if low >= cap or low == math.floor(scale * ln_q.high / ln_2.low):
-            return min(cap, low)
+        low = high = rational
+        ln_2 = ln_enclosure(Fraction(2), prec)
+        for x, _ in logs:
+            ln_x = ln_enclosure(x, prec)
+            low, high = low * ln_x.low / ln_2.high, high * ln_x.high / ln_2.low
+        if math.floor(low) >= cap or math.floor(low) == math.floor(high):
+            return min(cap, math.floor(low))
         prec *= 2
-    raise EnclosureUndecidedError(f"floor of {scale} log2 {q} undecided")
+    raise EnclosureUndecidedError(f"floor of {scale} log2 {q} log2 {r} undecided")

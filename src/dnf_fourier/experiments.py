@@ -145,13 +145,7 @@ class InstanceSource:
         return load_dnf(self.path) if self.kind == "file" else self.spec.build()
 
     def to_dict(self) -> dict:
-        if self.kind == "file":
-            return {"file": self.path}
-        spec = self.spec
-        # a JSON float parameter, read as a Decimal, is echoed as a JSON
-        # float again: the echo prints the parameters as they were given
-        params = {k: float(v) if isinstance(v, Decimal) else v for k, v in spec.params.items()}
-        return {"generator": {"family": spec.family, "params": params, "seed": spec.seed}}
+        return {"file": self.path} if self.kind == "file" else {"generator": self.spec.to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "InstanceSource":
@@ -173,10 +167,6 @@ class InstanceSource:
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ConfigError(f"bad 'generator' {gen!r}: {exc}") from exc
         raise ConfigError(f"instance source needs 'file' or 'generator': {obj}")
-
-
-#: Every key a config object may have; ``from_json`` rejects any other.
-CONFIG_KEYS = ("instances", "eps", "C", "C_sweep", "d_max", "u_star", "checks", "workers")
 
 
 @dataclass(slots=True)
@@ -215,50 +205,36 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             # a float is read by its decimal text: 0.1 is 1/10
-            obj = json.loads(text, parse_float=Decimal)
+            obj = json.loads(text, parse_float=Decimal, parse_constant=_no_constant)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad config JSON: {exc}") from exc
         sources = obj.get("instances") if isinstance(obj, dict) else None
         if not isinstance(sources, list) or not all(isinstance(s, dict) for s in sources):
             raise ConfigError("a config is a JSON object with an 'instances' list of objects")
-        unknown = set(obj) - set(CONFIG_KEYS)
+        unknown = set(obj) - set(CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        instances = tuple(InstanceSource.from_dict(s) for s in sources)
-        kwargs = {}
-        if "eps" in obj:
-            kwargs["eps"] = _scalar("eps", obj["eps"])
-        if "C" in obj:
-            kwargs["c_param"] = _scalar("C", obj["C"])
-        if "C_sweep" in obj:
-            if not isinstance(obj["C_sweep"], list):
-                raise ConfigError("'C_sweep' must be a list")
-            kwargs["c_sweep"] = tuple(_scalar("C_sweep", c) for c in obj["C_sweep"])
-        if obj.get("d_max") is not None:
-            kwargs["d_max"] = _scalar("d_max", obj["d_max"], integral=True)
-        if obj.get("u_star") is not None:
-            kwargs["u_star"] = _scalar("u_star", obj["u_star"], integral=True)
-        if "checks" in obj:
-            checks = obj["checks"]
-            if checks != "all" and not isinstance(checks, list):
-                raise ConfigError(f"'checks' must be \"all\" or a list, not {checks!r}")
-            kwargs["checks"] = ALL_CHECKS if checks == "all" else tuple(checks)
-        if "workers" in obj:
-            kwargs["workers"] = _scalar("workers", obj["workers"], integral=True)
-        return cls(instances=instances, **kwargs)
+        return cls(**{attr: read(key, obj[key])
+                      for key, (attr, read) in CONFIG_FIELDS.items() if key in obj})
 
     def core_dict(self) -> dict:
         """The part of the configuration a report depends on (no worker
         count, no output paths: reruns must be byte-identical)."""
-        return {
-            "instances": [s.to_dict() for s in self.instances],
-            "eps": str(self.eps),
-            "C": str(self.c_param),
-            "C_sweep": [str(c) for c in self.c_sweep],
-            "d_max": self.d_max,
-            "u_star": self.u_star,
-            "checks": list(self.checks),
-        }
+        return {key: _echo(getattr(self, attr))
+                for key, (attr, _) in CONFIG_FIELDS.items() if key != "workers"}
+
+
+def _no_constant(name: str):
+    raise ConfigError(f"bad config JSON: {name} is not a JSON value")
+
+
+def _echo(value):
+    """A config field as the report's ``config`` echoes it."""
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if isinstance(value, InstanceSource):
+        return value.to_dict()
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def _scalar(key: str, value, integral: bool = False):
@@ -272,6 +248,31 @@ def _scalar(key: str, value, integral: bool = False):
     except (TypeError, ValueError, ArithmeticError) as exc:
         shown = value if isinstance(value, Decimal) else repr(value)
         raise ConfigError(f"bad {key!r} value {shown}: {exc}") from exc
+
+
+def _list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list, not {value!r}")
+    return value
+
+
+def _optional_int(key: str, value) -> int | None:
+    return None if value is None else _scalar(key, value, integral=True)
+
+
+#: Each key a config may have, with the ``ExperimentConfig`` field it sets
+#: and the reader of its JSON value, called with the key; ``from_json``
+#: rejects any other key, and ``core_dict`` echoes each field but ``workers``.
+CONFIG_FIELDS = {
+    "instances": ("instances", lambda key, v: tuple(map(InstanceSource.from_dict, v))),
+    "eps": ("eps", _scalar),
+    "C": ("c_param", _scalar),
+    "C_sweep": ("c_sweep", lambda key, v: tuple(_scalar(key, c) for c in _list(key, v))),
+    "d_max": ("d_max", _optional_int),
+    "u_star": ("u_star", _optional_int),
+    "checks": ("checks", lambda key, v: ALL_CHECKS if v == "all" else tuple(_list(key, v))),
+    "workers": ("workers", functools.partial(_scalar, integral=True)),
+}
 
 
 # -- formatting ---------------------------------------------------------------
@@ -946,13 +947,16 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
              "weight_above_approx": _approx(above)}
         )
 
-    u_star_formula, c = None, _float(config.c_param)
+    u_star_formula, c, u_star = None, _float(config.c_param), config.u_star
     if w and k >= 1 and c is not None:
         # log2 of each int apart: 3/eps may be beyond a double's range, and
         # a label beyond it is null, as in _approx
         log2_three_over_eps = (math.log2(three_over_eps.numerator)
                                - math.log2(three_over_eps.denominator))
         u_star_formula = _float(100 * c * w * math.log2(k + 2) * log2_three_over_eps)
+    if u_star is None and u_star_formula is not None:
+        # the label's floor, decided exactly
+        u_star = floor_scaled_log2(three_over_eps, 100 * config.c_param * w, math.inf, k + 2)
 
     return {
         "label": label,
@@ -969,18 +973,19 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         "u_star_formula": None if u_star_formula is None else round(u_star_formula, 6),
         "u_star_override": config.u_star,
         "degree_weight_sweep": weight_cuts,
-        "report_only": _theorem_tails(analysis, config, u_star_formula),
+        "report_only": _theorem_tails(analysis, config, u_star),
     }
 
 
 def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
-                   u_star_formula: float | None) -> dict:
+                   u_star: int | None) -> dict:
     """Theorem-level quantities, evaluated but never asserted: their "large
     enough width" hypotheses fail at desk scale.  Values are decimal
     approximations of exact family weights against the simplified bounds;
     each ``would_hold`` is exact.
-    The cutoff u* is the config's ``u_star`` when it is set, and otherwise
-    the floor of ``u_star_formula``; with neither there is no u* block."""
+    The cutoff ``u_star`` is the config's ``u_star`` when it is set, and
+    otherwise the exact floor of 100 C w log2(k+2) log2(3/eps) when its
+    label ``u_star_formula`` has a value; with neither there is no u* block."""
     max_ncov = max(map(analysis.max_num_covers, analysis.families), default=0)
     per_u = []
     for u, weight_at_u in enumerate(analysis.weight_at_u):
@@ -995,14 +1000,11 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
                 "would_hold": weight_at_u.as_fraction() ** 2 * 2**u <= max_ncov**2,
             }
         )
-    cutoff = config.u_star
-    if cutoff is None and u_star_formula is not None:
-        cutoff = math.floor(u_star_formula)
     tail_beyond_u_star = None
-    if cutoff is not None:
-        tail = sum(analysis.weight_at_u[cutoff + 1:], DyadicRational(0))
+    if u_star is not None:
+        tail = sum(analysis.weight_at_u[u_star + 1:], DyadicRational(0))
         tail_beyond_u_star = {
-            "u_star_floor": cutoff,
+            "u_star_floor": u_star,
             "family_weight_beyond": _fmt(tail),
             "family_weight_beyond_approx": _approx(tail),
             "eps_over_3_approx": _approx(config.eps / 3),

@@ -9,12 +9,15 @@ no runtime default generator is involved anywhere.
 Bounded draws use rejection below the largest multiple of the bound, so
 they are unbiased and still deterministic.
 
-``FAMILIES`` is the one table of the families a spec can name; each
+``FAMILIES`` declares each family a spec can name, with its params; the
+spec's build, its echo and ``dnf-fourier gen``'s flags all read it.  Each
 integer of a spec, as of a config, is read by ``as_int``.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .bitops import as_int
 from .boolfn import N_CAP
@@ -161,13 +164,28 @@ def _validate(dnf: Dnf, s: int, w_max: int, k_max: int | None, w_exact: int | No
         raise GenerationError(f"generated read {read} > {k_max}")
 
 
-#: Each family's builder and the names of its integer parameters; only
-#: ``random_read_k`` takes ``exact_width``, and all but ``tribes`` a seed.
+#: A family's builder, its integer params, its boolean params (false
+#: unless given) and whether it takes the spec's seed.
+Family = namedtuple("Family", "build ints bools seeded", defaults=((), True))
+
+#: Every family a spec can name.
 FAMILIES = {
-    "tribes": (tribes, ("w", "t")),
-    "random_read_k": (random_read_k, ("n", "s", "w", "k")),
-    "dense_pool": (dense_pool, ("n_terms", "term_width", "pool_size")),
+    "tribes": Family(tribes, ("w", "t"), seeded=False),
+    "random_read_k": Family(random_read_k, ("n", "s", "w", "k"), ("exact_width",)),
+    "dense_pool": Family(dense_pool, ("n_terms", "term_width", "pool_size")),
 }
+
+
+def shown(value):
+    """A param as a spec's echo shows it; its label prints ``str`` of this.
+    A JSON float, read as a ``Decimal``, is a number when its double prints
+    as the same text (``2.0``, ``0.1``), and otherwise that text in a
+    string (``"1E+400"``, ``"2.00000000000000000001"``), so the echo is
+    strict JSON and the label prints the param as it was written."""
+    if isinstance(value, Decimal):
+        number = float(value)
+        return number if repr(number) == str(value) else str(value)
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,20 +202,19 @@ class GeneratorSpec:
                                   f"choose from {sorted(FAMILIES)}")
 
     def build(self) -> Dnf:
-        builder, names = FAMILIES[self.family]
-        flag = "exact_width" if builder is random_read_k else None
+        family = FAMILIES[self.family]
         try:
-            unknown = sorted(set(self.params) - set(names) - {flag})
+            unknown = sorted(set(self.params) - {*family.ints, *family.bools})
             if unknown:
                 raise ValueError(f"unknown parameters {unknown}")
-            kwargs = {name: as_int(self.params[name]) for name in names}
-            if flag:
-                kwargs[flag] = self.params.get(flag, False)
-                if not isinstance(kwargs[flag], bool):
-                    raise TypeError(f"{flag} {kwargs[flag]!r} is not a boolean")
-            if builder is not tribes:
+            kwargs = {name: as_int(self.params[name]) for name in family.ints}
+            for name in family.bools:
+                kwargs[name] = self.params.get(name, False)
+                if not isinstance(kwargs[name], bool):
+                    raise TypeError(f"{name} {kwargs[name]!r} is not a boolean")
+            if family.seeded:
                 kwargs["seed"] = self.seed
-            return builder(**kwargs)
+            return family.build(**kwargs)
         except GenerationError:
             raise
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
@@ -205,8 +222,12 @@ class GeneratorSpec:
             raise GenerationError(bad) from exc
 
     def label(self) -> str:
-        inner = ",".join(f"{k}={self.params[k]}" for k in sorted(self.params))
+        inner = ",".join(f"{k}={shown(self.params[k])}" for k in sorted(self.params))
         return f"{self.family}({inner},seed={self.seed})"
+
+    def to_dict(self) -> dict:
+        params = {k: shown(v) for k, v in self.params.items()}
+        return {"family": self.family, "params": params, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GeneratorSpec":

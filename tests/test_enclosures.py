@@ -8,6 +8,7 @@ corpus, the benchmark's workloads and the n = 20 to 24 rungs decide.
 from __future__ import annotations
 
 import io
+import math
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -199,3 +200,39 @@ def oracle_floor_scaled_log2(q: Fraction, scale: Fraction) -> int:
 @settings(max_examples=300, deadline=None)
 def test_floor_scaled_log2_matches_the_search(q, scale, cap):
     assert floor_scaled_log2(q, scale, cap) == min(cap, oracle_floor_scaled_log2(q, scale))
+
+
+def _oracle_log2(q: Fraction):
+    """log2 q in mpmath at the working precision, exact for a power of two."""
+    j = q.numerator.bit_length() - q.denominator.bit_length()
+    if q == Fraction(2) ** j:
+        return j
+    return mpmath.log(mpmath.mpf(q.numerator) / q.denominator, 2)
+
+
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+       st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=24),
+       st.fractions(min_value=Fraction(1, 1 << 30), max_value=1, max_denominator=1 << 30),
+       st.integers(min_value=0, max_value=24))
+@example(Fraction(1, 3), 3, 2, Fraction(3, 8), 12)   # both logs rational: exactly 600
+@example(Fraction(1), 2, 1, Fraction(1, 8), 4)       # tribes(2,2) at the defaults: 1453
+@example(Fraction(10**300), 2, 1, Fraction(1, 8), 4)   # a label near 10^303
+@settings(max_examples=200, deadline=None)
+def test_the_u_star_floor_and_the_degree_cut_match_mpmath(c, w, k, eps, cap):
+    # the sweep's u* is floor(100 C w log2(k+2) log2(3/eps)), with no cap,
+    # and its degree cut min(cap, floor(C w log2(3/eps))): a product of
+    # two rational logs is exact in Fraction arithmetic, and any other is
+    # irrational, so mpmath at 4,000 bits floors it right
+    three_over_eps = 3 / eps
+    scale = 100 * c * w
+    with mpmath.workprec(4000):
+        logs = _oracle_log2(Fraction(k + 2)), _oracle_log2(three_over_eps)
+        if all(isinstance(log, int) for log in logs):
+            u_star = math.floor(scale * logs[0] * logs[1])
+        else:
+            u_star = int(mpmath.floor(mpmath.mpf(scale.numerator) / scale.denominator
+                                      * logs[0] * logs[1]))
+        cut = min(cap, int(mpmath.floor(mpmath.mpf(c.numerator * w) / c.denominator
+                                        * logs[1])))
+    assert floor_scaled_log2(three_over_eps, scale, math.inf, k + 2) == u_star
+    assert floor_scaled_log2(three_over_eps, c * w, cap) == cut

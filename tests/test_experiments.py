@@ -178,16 +178,35 @@ def test_cli_an_unknown_config_key_exits_2_before_any_work(tmp_path, capsys, com
     assert not out.exists()
 
 
+def _readme_table(readme: str, header: str) -> list[list[str]]:
+    """The rows of the README's table under ``header``, each a list of
+    cells with their backticks stripped."""
+    lines = readme.split(header + "\n|---", 1)[1].split("\n\n", 1)[0].splitlines()[1:]
+    return [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in lines]
+
+
 def test_the_readme_config_names_every_config_key():
+    # the example config, the config table and the family table state the
+    # two declarations: CONFIG_FIELDS and generators.FAMILIES
     from pathlib import Path
 
-    from dnf_fourier.experiments import CONFIG_KEYS
+    from dnf_fourier.experiments import CONFIG_FIELDS
+    from dnf_fourier.generators import FAMILIES
 
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("A verify/sweep config is JSON:\n\n```json\n", 1)[1].split("```", 1)[0]
     example = json.loads(block)
-    assert list(example) == list(CONFIG_KEYS)
+    assert list(example) == list(CONFIG_FIELDS)
     assert ExperimentConfig.from_json(block).core_dict()["d_max"] == 4
+    fields = _readme_table(readme, "| key | field | value |")
+    assert [row[:2] for row in fields] == [[k, attr] for k, (attr, _) in CONFIG_FIELDS.items()]
+
+    def names(cell):
+        return () if cell == "—" else tuple(cell.replace("`", "").split(", "))
+
+    families = _readme_table(readme, "| family | integer params | boolean params | seed |")
+    assert {row[0]: (names(row[1]), names(row[2]), row[3] == "read") for row in families} == {
+        name: (family.ints, family.bools, family.seeded) for name, family in FAMILIES.items()}
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -306,7 +325,12 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
     ({"instances": [{"generator": {"family": "tribes", "seed": "x"}}]}, "'generator'"),
     ({"instances": [{"generator": {"family": "tribes", "seed": True}}]}, "'generator'"),
     ({"instances": [{"generator": {"family": "tribes", "seed": 2.5}}]}, "'generator'"),
-    ({"instances": [{"generator": {"family": "tribes", "seed": float("inf")}}]}, "'generator'"),
+    ({"instances": [{"generator": {"family": "tribes", "seed": float("inf")}}]}, "Infinity"),
+    ({"instances": [{"generator": {"family": "tribes", "params": {"w": float("inf"), "t": 3}}}]},
+     "Infinity"),
+    ({"instances": [{"generator": {"family": "tribes", "params": {"w": float("nan"), "t": 3}}}]},
+     "NaN"),
+    ({"instances": [_TRIBES22], "eps": float("-inf")}, "-Infinity"),
     ({"instances": [_TRIBES22], "d_max": 2.5}, "'d_max'"),
     ({"instances": [_TRIBES22], "d_max": "2.5"}, "'d_max'"),
     ({"instances": [_TRIBES22], "d_max": True}, "'d_max'"),
@@ -323,7 +347,8 @@ _TRIBES22 = {"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}
         "C_sweep-not-a-list", "C_sweep-entry-zero", "checks-a-string",
         "eps-a-zero-denominator", "d_max-a-list", "C_sweep-entry-a-list",
         "generator-not-an-object", "generator-seed-not-an-int", "generator-seed-a-boolean",
-        "generator-seed-not-integral", "generator-seed-infinite", "d_max-not-integral",
+        "generator-seed-not-integral", "generator-seed-infinite", "generator-w-infinite",
+        "generator-w-nan", "eps-minus-infinity", "d_max-not-integral",
         "d_max-a-non-integral-string", "d_max-a-boolean", "u_star-not-integral",
         "u_star-a-boolean", "workers-not-integral", "workers-a-boolean", "eps-a-boolean",
         "C-a-boolean", "C_sweep-entry-a-boolean", "checks-entry-a-list",
@@ -392,6 +417,43 @@ def test_a_float_generator_parameter_is_echoed_and_labelled_as_given():
     assert '"w": 2.0' in _rendered(report)
     assert report["instances"][0]["label"] == "tribes(t=2,w=2.0,seed=0)"
     assert report["summary"]["ok"]
+
+
+def _strict(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("w, shown", [("1e400", "1E+400"),
+                                      ("2.00000000000000000001", "2.00000000000000000001")])
+def test_a_generator_parameter_a_double_cannot_hold_is_echoed_as_its_label_text(
+        tmp_path, command, w, shown):
+    # 1e400 was echoed as Infinity, which is not JSON, and
+    # 2.00000000000000000001 as 2.0; each is now echoed as the text its
+    # label prints, in a string. Neither builds, so the entry is an error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instances": [{"generator": {"family": "tribes", '
+                   '"params": {"w": %s, "t": 1}}}], "checks": ["spectral_basics"]}' % w)
+    out = tmp_path / "r.json"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    report = json.loads(out.read_text(), parse_constant=_strict)
+    assert report["config"]["instances"][0]["generator"]["params"] == {"w": shown, "t": 1}
+    (entry,) = report["instances"]
+    assert entry["label"] == f"tribes(t=1,w={shown},seed=0)" and "error" in entry
+
+
+def test_a_non_json_constant_anywhere_in_a_config_is_a_usage_error(tmp_path, capsys):
+    # NaN, Infinity and -Infinity are not JSON: exit 2 before any work,
+    # and no report
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"instances": [{"generator": {"family": "tribes", '
+                       '"params": {"w": %s, "t": 1}}}]}' % constant)
+        out = tmp_path / "r.json"
+        assert main(["verify", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad config JSON: {constant} is not a JSON value\n")
+        assert not out.exists()
 
 
 def test_cli_covers_rejects_a_variable_beyond_n(tmp_path, capsys):
@@ -1294,6 +1356,22 @@ def test_sweep_u_star_sets_the_cutoff():
         2, "263/2^12", False)
 
 
+def test_the_u_star_floor_is_the_exact_floor_of_the_formula(tmp_path):
+    # width 3 and read 2 at C = 1/3 and eps = 3/8: 100 (1/3) 3 log2 4 log2 8
+    # is exactly 600, while the float product is 599.9999999999999, whose
+    # floor was the cutoff
+    dnf = tmp_path / "w3k2.dnf"
+    dnf.write_text("n=4\n1 2 3\n1 -2 4\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"file": str(dnf)}], "C": "1/3", "eps": "3/8"}))
+    out = tmp_path / "r.json"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())["instances"]
+    assert entry["metrics"] == {"size": 2, "width": 3, "read": 2}
+    assert entry["u_star_formula"] == 600.0
+    assert entry["report_only"]["tail_beyond_u_star"]["u_star_floor"] == 600
+
+
 def test_would_hold_per_u_is_decided_exactly():
     # weight <= 2^(-u/2) * max_num_covers at u = 1 and max_num_covers = 1,
     # with the weight the multiple of 2^-60 just above 1/sqrt(2): as floats
@@ -1440,8 +1518,6 @@ _UNBUILDABLE = {
                         "invalid literal for int() with base 10: 'x'"),
     "generator-w-a-boolean": ("tribes", {"w": True, "t": 3}, "a boolean is not a number"),
     "generator-w-not-integral": ("tribes", {"w": 2.5, "t": 3}, "not an integer"),
-    "generator-w-infinite": ("tribes", {"w": float("inf"), "t": 3},
-                             "cannot convert float infinity to integer"),
     "generator-exact-width-a-string": ("random_read_k",
                                        {"n": 6, "s": 2, "w": 2, "k": 1, "exact_width": "no"},
                                        "exact_width 'no' is not a boolean"),

@@ -124,40 +124,45 @@ def test_generator_spec_dispatch_and_label():
 #: A value for every integer parameter of ``FAMILIES``, by name.
 _GEN_VALUES = {"w": 2, "t": 3, "n": 8, "s": 4, "k": 2, "n_terms": 4, "term_width": 2,
                "pool_size": 6}
+#: Every boolean parameter of ``FAMILIES``.
+_GEN_BOOLS = {name for family in FAMILIES.values() for name in family.bools}
+
+
+def _flags(names) -> list[str]:
+    """gen's flags that give each of ``names`` its value: a boolean's flag
+    takes none."""
+    flags = []
+    for name in names:
+        flags.append(f"--{name.replace('_', '-')}")
+        if name not in _GEN_BOOLS:
+            flags.append(str(_GEN_VALUES[name]))
+    return flags
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_gen_has_a_flag_for_every_parameter_of_every_family(capsys, family):
     # gen FAMILY --NAME VALUE ... writes the label line and the DNF of the
-    # spec those parameters make, so a family added without its flags fails
-    _, names = FAMILIES[family]
-    params = {name: _GEN_VALUES[name] for name in names}
-    flags = [arg for name in names for arg in (f"--{name.replace('_', '-')}", str(params[name]))]
-    if family == "random_read_k":   # gen always passes --exact-width's boolean
-        params["exact_width"] = False
-    assert main(["gen", family, *flags, "--seed", "5"]) == 0
-    spec = GeneratorSpec(family, params, 5)
-    assert capsys.readouterr().out == f"# {spec.label()}\n" + spec.build().to_text()
+    # spec those parameters make, so a family added without its flags
+    # fails; gen passes each boolean parameter, false unless its flag is given
+    ints, bools = FAMILIES[family].ints, FAMILIES[family].bools
+    for given in (False, True) if bools else (False,):
+        params = {**{name: _GEN_VALUES[name] for name in ints}, **dict.fromkeys(bools, given)}
+        assert main(["gen", family, *_flags(ints + bools * given), "--seed", "5"]) == 0
+        spec = GeneratorSpec(family, params, 5)
+        assert capsys.readouterr().out == f"# {spec.label()}\n" + spec.build().to_text()
 
 
 def _foreign_flags():
-    return [(family, name) for family, (_, names) in sorted(FAMILIES.items())
-            for name in [*_GEN_VALUES, "exact_width"]
-            if name not in names and (family, name) != ("random_read_k", "exact_width")]
+    return [(family, name) for family, spec in sorted(FAMILIES.items())
+            for name in [*_GEN_VALUES, *sorted(_GEN_BOOLS)] if name not in spec.ints + spec.bools]
 
 
 @pytest.mark.parametrize("family, name", _foreign_flags())
 def test_gen_rejects_a_flag_its_family_does_not_take(tmp_path, capsys, family, name):
     # as a config rejects such a param: exit 2, the flag named, nothing
     # written, even with every flag the family takes given
-    from dnf_fourier import cli
-
-    _, names = FAMILIES[family]
-    flag = f"--{name.replace('_', '-')}"
-    given = [arg for n in names for arg in (f"--{n.replace('_', '-')}", str(_GEN_VALUES[n]))]
-    extra = [flag] if name == "exact_width" else [flag, str(_GEN_VALUES[name])]
     out = tmp_path / "x.dnf"
-    assert main(["gen", family, *given, *extra, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: gen {family} takes no {flag}\n"
+    assert main(["gen", family, *_flags(FAMILIES[family].ints), *_flags([name]),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: gen {family} takes no --{name.replace('_', '-')}\n"
     assert not out.exists()
-    assert set(cli._GEN_PARAMS) == {*_GEN_VALUES, "exact_width"}   # a flag of every param
