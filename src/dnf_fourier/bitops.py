@@ -19,11 +19,6 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def mask_to_vars(mask: int) -> list[int]:
-    """1-based variable indices of a subset mask, ascending."""
-    return [b + 1 for b in bit_indices(mask)]
-
-
 def vars_to_mask(variables) -> int:
     mask = 0
     for v in variables:

@@ -35,7 +35,7 @@ from .bitops import vars_to_mask
 from .boolfn import fourier_transform
 from .covers import FamilyAnalysis, cover_counts_by_union, read_cover_count_bound
 from .dnf import load_dnf
-from .encoder import EncodePreconditionError, EncodingInvariantError
+from .encoder import EncodePreconditionError, EncodingInvariantError, encoding_json
 from .experiments import (
     ExperimentConfig,
     RoundTrip,
@@ -187,9 +187,7 @@ def _dispatch(args) -> int:
 
     if args.command == "covers":
         dnf = load_dnf(args.dnf_file)
-        s_mask = _parse_set(args.set)
-        if s_mask >> dnf.n:
-            raise ValueError(f"--set {args.set} names a variable beyond n={dnf.n}")
+        s_mask = _parse_set(args.set, dnf.n)
         counts = cover_counts_by_union(dnf, s_mask)
         r = read_cover_count_bound(dnf, s_mask, counts)
         print(f"S mask {s_mask:#x}, |S| = {s_mask.bit_count()}")
@@ -232,12 +230,10 @@ def _corpus_writer(fh, dnf_ref: str):
     """A consumer that writes a line per pair of each subset, in
     ``valid_pairs`` order, from the record arrays."""
     def write(s_mask, xsbars, record):
-        d = s_mask.bit_count()
         for xsbar, x_sat, sigma, a in zip(xsbars.tolist(), record.x_sat.tolist(),
                                           record.sigma.tolist(), record.a.tolist()):
-            encoding = {"x_sat": x_sat, "sigma": sigma, "a": [a >> t & 1 for t in range(d)]}
             case = {"dnf_ref": dnf_ref, "S_mask": s_mask, "xsbar_mask": xsbar,
-                    "encoding": encoding}
+                    "encoding": encoding_json(x_sat, sigma, a)}
             fh.write(json.dumps(case, sort_keys=True) + "\n")
     return write
 
@@ -251,13 +247,20 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _parse_set(text: str) -> int:
+def _parse_set(text: str, n: int) -> int:
+    """The subset mask that ``--set`` names; a variable beyond n is
+    rejected before any bit is built for it."""
     if "," in text:
-        return vars_to_mask(int(v) for v in text.split(","))
-    value = int(text, 0)
-    if value < 0:
-        raise ValueError("subset mask must be nonnegative")
-    return value
+        variables = [int(v) for v in text.split(",")]
+        if max(variables) <= n:
+            return vars_to_mask(variables)
+    else:
+        mask = int(text, 0)
+        if mask < 0:
+            raise ValueError("subset mask must be nonnegative")
+        if not mask >> n:
+            return mask
+    raise ValueError(f"--set {text} names a variable beyond n={n}")
 
 
 if __name__ == "__main__":

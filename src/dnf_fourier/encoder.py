@@ -32,7 +32,8 @@ pair: it returns a plain row (x_sat, sigma as a list, a packed as bits
 with bit t the t-th truth value, the cover's term indices, the union
 size), and each check of the encoder runs in it, the union-size check as
 one integer compare at the end.  ``encode`` is a thin wrapper that builds
-the validated ``Encoding`` and ``CoverRecord`` from the row.  In
+the ``Encoding``, which is the row's (x_sat, sigma, a) as one row of an
+``EncodingRecord``, and the ``CoverRecord``.  In
 ``verify`` each full-depth pair with S nonempty is encoded once:
 ``FamilyAnalysis`` encodes it (through ``extract_cover``, which returns
 the row).  When the analysis has a consumer of the encodings (the
@@ -62,17 +63,18 @@ each candidate.  ``valid_pairs`` and the family analysis read each
 subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``, in
 the tables' pass (``RestrictionTables.visit``).
 
-``decode_records`` inverts a whole batch of same-degree encodings with
-numpy, and the ``roundtrip`` check decodes every pair through it, in
-chunks, as the analysis hands over each subset's record: each row
-meets every check of the scalar path, and a row that fails one is reported
-by the index of its ``DecodeError`` message in ``DECODE_ERRORS``.  Its
-test oracle is the scalar ``decode`` of each record row rebuilt as an
-``Encoding`` (the ``encodings`` helper of the tests).
+``decode_records`` is the one decoder.  It inverts a whole batch of
+same-degree encodings with numpy, and the ``roundtrip`` check decodes
+every pair through it, in chunks, as the analysis hands over each
+subset's record: a row that fails a check is reported by the index of
+its ``DecodeError`` message in ``DECODE_ERRORS``.  ``decode`` is one
+``Encoding`` through it, as a one-row batch.  The scalar round loop stays
+in the tests as ``oracle_decode``, the oracle of both.
 ``dnf-fourier encdec-test`` runs ``verify``'s family analysis and batched
 round trip too, and writes its corpus from the record arrays as each
-subset's record arrives: it calls neither ``encode`` nor ``decode`` and
-builds no ``Encoding``.
+subset's record arrives, each line's ``encoding`` object by
+``encoding_json``, the codec that ``Encoding`` uses too: it calls neither
+``encode`` nor ``decode`` and builds no ``Encoding``.
 """
 from __future__ import annotations
 
@@ -83,7 +85,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitops import bit_indices, mask_to_vars, pdep
+from .bitops import bit_indices, pdep
 from .dnf import Dnf
 from .restrictions import RestrictionTables
 
@@ -132,22 +134,25 @@ EncodedRow = tuple[int, list[int], int, tuple[int, ...], int]
 
 @dataclass(frozen=True, slots=True)
 class Encoding:
-    """The (x_sat, sigma, a) triple for one full-depth pair.
+    """The (x_sat, sigma, a) triple for one full-depth pair: one row of an
+    ``EncodingRecord``.
 
-    ``x_sat`` is a full n-bit assignment mask; ``sigma`` is a sorted tuple
-    of 1-based positions into the encoder's variable string c; ``a`` is a
-    tuple of booleans (True = the variable is set true) with
-    len(sigma) == len(a) == |S|.
+    ``x_sat`` is a full n-bit assignment mask; ``sigma`` is a tuple of
+    1-based positions into the encoder's variable string c (ascending, as
+    the encoder writes it); ``a`` packs the len(sigma) = |S| truth values,
+    bit t the t-th (set: the variable is true).  The constructor rejects
+    what ``EncodingRecord.pack`` rejects of a row, with the same message.
     """
 
     n: int
     x_sat: int
     sigma: tuple[int, ...]
-    a: tuple[bool, ...]
+    a: int
 
     def __post_init__(self):
-        if len(self.sigma) != len(self.a):
-            raise ValueError("sigma and a must have equal length")
+        # _row_checks on one row, in its order
+        if self.a >> len(self.sigma):
+            raise ValueError(TRUTH_VALUES_BEYOND_D)
         if len(set(self.sigma)) != len(self.sigma):
             raise ValueError(SIGMA_NOT_DISTINCT)
         if any(p < 1 for p in self.sigma):
@@ -158,20 +163,21 @@ class Encoding:
         return len(self.sigma)
 
     def to_dict(self) -> dict:
-        return {
-            "x_sat": self.x_sat,
-            "sigma": list(self.sigma),
-            "a": [1 if v else 0 for v in self.a],
-        }
+        return encoding_json(self.x_sat, self.sigma, self.a)
 
     @classmethod
     def from_dict(cls, n: int, obj: dict) -> "Encoding":
-        return cls(
-            n,
-            int(obj["x_sat"]),
-            tuple(int(p) for p in obj["sigma"]),
-            tuple(bool(v) for v in obj["a"]),
-        )
+        """The encoding that ``encoding_json`` wrote as ``obj``."""
+        sigma, values = tuple(int(p) for p in obj["sigma"]), obj["a"]
+        if len(values) != len(sigma):
+            raise ValueError(f"{len(values)} truth values for {len(sigma)} sigma positions")
+        return cls(n, int(obj["x_sat"]), sigma, sum(bool(v) << t for t, v in enumerate(values)))
+
+
+def encoding_json(x_sat: int, sigma: Sequence[int], a: int) -> dict:
+    """The JSON object of one encoding, as a corpus line holds it: the
+    truth values unpacked into a list of len(sigma) 0/1 values."""
+    return {"x_sat": x_sat, "sigma": list(sigma), "a": [a >> t & 1 for t in range(len(sigma))]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,16 +240,10 @@ def _row_checks(d: int, pos: np.ndarray, a: np.ndarray) -> tuple[tuple[str, np.n
     (message, failing rows): ``a`` fits in d bits, and the sigma positions
     ``pos`` (sorted along each row) are distinct and 1-based."""
     return (
-        (TRUTH_VALUES_BEYOND_D, a.astype(np.uint32) >> d != 0),
+        (TRUTH_VALUES_BEYOND_D, a.astype(np.int64) >> d != 0),
         (SIGMA_NOT_DISTINCT, (np.diff(pos, axis=1) == 0).any(axis=1)),
-        (SIGMA_NOT_1_BASED, (pos == 0).any(axis=1)),
+        (SIGMA_NOT_1_BASED, (pos < 1).any(axis=1)),
     )
-
-
-@lru_cache(maxsize=None)
-def _unpacked_truth_values(d: int) -> tuple[tuple[bool, ...], ...]:
-    """Entry v is the d truth values packed into v (bit t is value t)."""
-    return tuple(tuple(bool(v >> t & 1) for t in range(d)) for v in range(1 << d))
 
 
 @lru_cache(maxsize=None)
@@ -391,7 +391,7 @@ def encode(
 ) -> tuple[Encoding, CoverRecord]:
     """Encode the full-depth pair (S, x_Sbar) into (x_sat, sigma, a).
 
-    ``encode_row``'s row as the validated ``Encoding`` and ``CoverRecord``
+    ``encode_row``'s row as the ``Encoding`` and the ``CoverRecord``
     (whose union mask is the union of the cover terms' variables); the
     arguments and the errors are ``encode_row``'s.
     """
@@ -400,7 +400,7 @@ def encode(
     for j in cover:
         union_mask |= dnf.term_masks[j - 1][0]
     return (
-        Encoding(dnf.n, x_sat, tuple(sigma), _unpacked_truth_values(len(sigma))[a]),
+        Encoding(dnf.n, x_sat, tuple(sigma), a),
         CoverRecord(cover, union_size, union_mask),
     )
 
@@ -420,46 +420,21 @@ def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
     term while variables remain, a round that makes no progress, index
     bookkeeping running off the end); a foreign but well-formed triple may
     instead decode to some pair, which is why validity is the caller's
-    contract.  This scalar decoder is the test oracle of ``decode_records``.
+    contract.  The triple is decoded as a one-row ``decode_records``, in
+    int64 arrays, so that any d, any position and any ``a`` that fit in
+    int64 pass unchanged (one that does not raises OverflowError); one
+    call costs about 0.3 ms.
     """
     if e.n != dnf.n:
         raise DecodeError(f"encoding over n={e.n}, DNF over n={dnf.n}")
-    if e.x_sat >> dnf.n:
+    if e.x_sat >> dnf.n:   # before the cast, which a huge x_sat would not survive
         raise DecodeError(BITS_BEYOND_N)
-    d = e.d
-    x = e.x_sat
-    s_mask = 0
-    c: list[int] = []
-    in_c = 0
-    sigma = set(e.sigma)
-    found = 0
-    rounds = 0
-    while found < d:
-        rounds += 1
-        if rounds > d:
-            raise DecodeError(NO_PROGRESS)
-        term_vars = next((v for v, p in dnf.term_masks if x & v == p), None)
-        if term_vars is None:
-            raise DecodeError(NO_SATISFIED_TERM)
-        for v in mask_to_vars(term_vars):
-            if not (in_c >> (v - 1)) & 1:
-                c.append(v)
-                in_c |= 1 << (v - 1)
-        s_j_vars = [
-            c[k - 1]
-            for k in sorted(sigma)
-            if k <= len(c) and not (s_mask >> (c[k - 1] - 1)) & 1
-        ]
-        if not s_j_vars:
-            raise DecodeError(NO_NEW_VARIABLE)
-        if found + len(s_j_vars) > d:
-            raise DecodeError(MORE_THAN_D)
-        for t, v in enumerate(s_j_vars):
-            bit = 1 << (v - 1)
-            x = (x | bit) if e.a[found + t] else (x & ~bit)
-            s_mask |= bit
-        found += len(s_j_vars)
-    return s_mask, x & ~s_mask
+    s_mask, xsbar, code = decode_records(
+        dnf, e.d, np.array([e.x_sat], np.int64), np.array([e.sigma], np.int64),
+        np.array([e.a], np.int64))
+    if code[0]:
+        raise DecodeError(DECODE_ERRORS[code[0]])
+    return int(s_mask[0]), int(xsbar[0])
 
 
 def decode_records(
@@ -472,11 +447,10 @@ def decode_records(
     may come from several subsets of the same degree.  Returns (S masks,
     x_Sbar bits, code), three (m,) arrays: ``code[i]`` is 0 if row i
     decoded, and otherwise indexes ``DECODE_ERRORS``, the message of the
-    DecodeError that the scalar path raises for that row.  Each row meets
-    the checks in the order the scalar path does: its truth values fit in
-    d bits (so that a unpacks into d booleans), its sigma positions are
-    distinct and 1-based (``Encoding``), then ``decode``'s checks, round
-    by round.
+    first check that the row fails.  Each row meets the checks in this
+    order: its truth values fit in d bits and its sigma positions are
+    distinct and 1-based (``Encoding``'s checks), x_sat has no bit beyond
+    n, then the checks of each round.
     Arrays whose shapes disagree raise DecodeError for the whole batch.
     """
     m = len(x_sat)
@@ -487,7 +461,7 @@ def decode_records(
     def fail(rows: np.ndarray, message: str) -> None:
         code[rows & (code == 0)] = DECODE_ERRORS.index(message)   # the first one stays
 
-    pos = np.sort(sigma, axis=1)           # decode reads sigma in sorted order
+    pos = np.sort(sigma, axis=1)           # sigma is read in sorted order
     for message, bad in _row_checks(d, pos, a):
         fail(bad, message)
     x = x_sat.astype(np.uint32)
@@ -524,7 +498,8 @@ def decode_records(
         fail(active & (inside == found), NO_NEW_VARIABLE)
         active &= inside > found
         # this check, and the one after the loop, cannot fire once the
-        # positions are distinct; they stay so that a row meets all of decode's
+        # positions are distinct; they stay as the checks of the oracle's
+        # round loop (``oracle_decode`` in the tests)
         fail(active & (inside > d), MORE_THAN_D)
         active &= inside <= d
         for j in range(d):     # the j-th sorted position takes the j-th value

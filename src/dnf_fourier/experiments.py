@@ -244,7 +244,9 @@ def _scalar(key: str, value, integral: bool = False):
     boolean, a list, ``"1/0"`` or ``"x"`` is a ``ConfigError`` that names
     the config field ``key``."""
     try:   # a boolean goes to as_int, which rejects it
-        return as_int(value) if integral or isinstance(value, bool) else Fraction(value)
+        number = as_int(value) if integral or isinstance(value, bool) else Fraction(value)
+        str(number)   # a report must be able to write it (sys.get_int_max_str_digits)
+        return number
     except (TypeError, ValueError, ArithmeticError) as exc:
         shown = value if isinstance(value, Decimal) else repr(value)
         raise ConfigError(f"bad {key!r} value {shown}: {exc}") from exc
@@ -278,14 +280,6 @@ CONFIG_FIELDS = {
 # -- formatting ---------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, DyadicRational):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    return str(value)
-
-
 def _float(value) -> float | None:
     """``value`` as a float, or None beyond a double's range."""
     try:
@@ -308,9 +302,9 @@ def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) 
     row = {
         "check": check,
         "context": context,
-        "lhs": _fmt(lhs),
+        "lhs": str(lhs),
         "lhs_approx": _approx(lhs),
-        "bound": _fmt(bound) if bound is not None else None,
+        "bound": str(bound) if bound is not None else None,
         "bound_approx": _approx(bound),
         "holds": bool(holds),
     }
@@ -542,13 +536,13 @@ def verify_instance(dnf: Dnf, label: str, config: ExperimentConfig,
         "label": label,
         "n": dnf.n,
         "metrics": {"size": battery.s, "width": battery.w, "read": battery.k},
-        "pr_true": _fmt(Fraction(battery.f.ones, 1 << dnf.n)),
+        "pr_true": str(Fraction(battery.f.ones, 1 << dnf.n)),
         "d_max": battery.d_max,
         "eps": str(config.eps),
         "min_coeffs": battery.min_coeffs,
         "fourier": {
-            "total_weight": _fmt(battery.total_weight),
-            "one_norm": _fmt(battery.one_norm),
+            "total_weight": str(battery.total_weight),
+            "one_norm": str(battery.one_norm),
             "degree": battery.spec.degree(),
         },
         "failures": entry.failures,
@@ -623,7 +617,7 @@ class _Battery:
 
     def sparsity(self):
         bound = math.ceil(self.one_norm.as_fraction() ** 2 / self.eps)
-        context = {"eps": str(self.eps), "one_norm": _fmt(self.one_norm)}
+        context = {"eps": str(self.eps), "one_norm": str(self.one_norm)}
         yield _row("sparsity_onenorm", context, self.min_coeffs, bound,
                    self.min_coeffs <= bound)
 
@@ -639,7 +633,7 @@ class _Battery:
         eps1 = hamming_distance_fraction(self.f, self.truncated_table(self.w - 1))
         lhs = weight_outside_masks(self.spec, self.masks)
         bound = 2 * (eps1 + self.eps2)
-        context = {"kept": self.m_keep, "eps1": _fmt(eps1), "eps2": _fmt(self.eps2)}
+        context = {"kept": self.m_keep, "eps1": str(eps1), "eps2": str(self.eps2)}
         yield _row("approx_transfer", context, lhs, bound, lhs <= bound)
 
     def evasive(self):
@@ -694,7 +688,7 @@ class _Battery:
     def satisfied_mass(self):
         r = st_inequality_check(self.dnf, self.f)
         bound = None if r.bound is None else r.bound.high
-        context = {"read": self.k, "pr_true": _fmt(Fraction(self.f.ones, 1 << self.dnf.n)),
+        context = {"read": self.k, "pr_true": str(Fraction(self.f.ones, 1 << self.dnf.n)),
                    "vacuous": r.extras["vacuous"]}
         yield _row("satisfied_mass", context, r.lhs, bound, r.holds)
 
@@ -703,7 +697,7 @@ class _Battery:
             sizes = [self.dnf.terms[j - 1].width for j in cover]
             v = sum(sizes)
             mass = sum(Fraction(1, 2**sz) for sz in sizes)
-            ctx = {"cover": list(cover), "v": v, "F": _fmt(mass)}
+            ctx = {"cover": list(cover), "v": v, "F": str(mass)}
             try:
                 r = budget_lemma_bound(sizes, v, mass)
             except BudgetPreconditionError as exc:
@@ -814,9 +808,9 @@ def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
                 "d": key.d,
                 "u": key.u,
                 "count": len(stats.members),
-                "one_norm": _fmt(stats.one_norm),
-                "two_norm_sq": _fmt(stats.two_norm_sq),
-                "max_abs_coeff": _fmt(stats.max_abs_coeff),
+                "one_norm": str(stats.one_norm),
+                "two_norm_sq": str(stats.two_norm_sq),
+                "max_abs_coeff": str(stats.max_abs_coeff),
                 "max_num_covers": analysis.max_num_covers(key),
             }
         )
@@ -824,7 +818,7 @@ def _family_summary(analysis: FamilyAnalysis) -> list[dict]:
 
 
 def _tail_table(analysis: FamilyAnalysis) -> list[dict]:
-    return [{"u_cutoff": u_cut, "weight_outside": _fmt(tail),
+    return [{"u_cutoff": u_cut, "weight_outside": str(tail),
              "weight_outside_approx": _approx(tail)}
             for u_cut, tail in enumerate(analysis.tails)]
 
@@ -943,7 +937,7 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         cut = floor_scaled_log2(three_over_eps, c * w, n) if w else 0
         above = weight_above_degree(spec, cut)
         weight_cuts.append(
-            {"C": str(c), "degree_cutoff": cut, "weight_above": _fmt(above),
+            {"C": str(c), "degree_cutoff": cut, "weight_above": str(above),
              "weight_above_approx": _approx(above)}
         )
 
@@ -966,8 +960,8 @@ def sweep_instance(dnf: Dnf, label: str, config: ExperimentConfig) -> dict:
         "C": str(config.c_param),
         "degree_cutoff": d_max,
         "min_coeffs": min_coeffs_for_eps(spec, eps),
-        "one_norm": _fmt(spec.one_norm_total()),
-        "total_weight": _fmt(spec.total_weight()),
+        "one_norm": str(spec.one_norm_total()),
+        "total_weight": str(spec.total_weight()),
         "tail_table": _tail_table(analysis),
         "capture_u": capture_u,
         "u_star_formula": None if u_star_formula is None else round(u_star_formula, 6),
@@ -993,7 +987,7 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
         per_u.append(
             {
                 "u": u,
-                "family_weight": _fmt(weight_at_u),
+                "family_weight": str(weight_at_u),
                 "family_weight_approx": _approx(weight_at_u),
                 "simplified_bound_approx": _approx(simplified),
                 # weight <= 2^(-u/2) M, squared
@@ -1005,7 +999,7 @@ def _theorem_tails(analysis: FamilyAnalysis, config: ExperimentConfig,
         tail = sum(analysis.weight_at_u[u_star + 1:], DyadicRational(0))
         tail_beyond_u_star = {
             "u_star_floor": u_star,
-            "family_weight_beyond": _fmt(tail),
+            "family_weight_beyond": str(tail),
             "family_weight_beyond_approx": _approx(tail),
             "eps_over_3_approx": _approx(config.eps / 3),
             "would_hold": bool(tail.as_fraction() <= config.eps / 3),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .bitops import as_int
-from .boolfn import N_CAP
+from .boolfn import N_CAP, _check_n
 from .dnf import Dnf, Term
 
 
@@ -98,6 +98,12 @@ def random_read_k(
     """
     if not (n >= 1 and s >= 0 and w >= 1 and k >= 1):
         raise GenerationError("need n, w, k >= 1 and s >= 0")
+    _check_n(n)   # before the occupancy counters, one per variable
+    # a term fills at least one of the n*k variable slots (w with
+    # exact_width, from w distinct variables): a shape beyond them would
+    # spend the whole budget
+    if s * (w if exact_width else 1) > n * k or (exact_width and s and w > n):
+        raise GenerationError(f"no read-{k} instance with n={n}, s={s}, w={w} exists")
     rng = SplitMix64(seed)
     for _ in range(budget):
         occupancy = [0] * (n + 1)
@@ -200,6 +206,10 @@ class GeneratorSpec:
         if self.family not in FAMILIES:
             raise GenerationError(f"unknown family {self.family!r}; "
                                   f"choose from {sorted(FAMILIES)}")
+        # SplitMix64 reads the seed mod 2^64: another seed would build the
+        # DNF of its residue under its own label
+        if not 0 <= self.seed <= _MASK64:
+            raise GenerationError("seed outside [0, 2^64)")
 
     def build(self) -> Dnf:
         family = FAMILIES[self.family]

@@ -9,8 +9,8 @@ S mask to (x_Sbar masks, record)).  ``small_dnfs`` is the hypothesis strategy fo
 with duplicate terms, the empty term and negated literals.  ``table_of``
 and ``bits_of`` turn a truth table into and out of the int form (bit x is
 f(x)), which the tests keep as an oracle and a shorthand.  ``encodings``
-rebuilds a record's rows as ``Encoding`` objects for the scalar
-``decode``, the oracle of ``decode_records``.
+rebuilds a record's rows as ``Encoding`` objects for ``oracle_decode``
+(in test_encoder.py), the oracle of ``decode_records``.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from dnf_fourier import (
     tribes,
 )
 from dnf_fourier.dnf import Term
-from dnf_fourier.encoder import TRUTH_VALUES_BEYOND_D, DecodeError, Encoding, EncodingRecord
+from dnf_fourier.encoder import DecodeError, Encoding, EncodingRecord
 
 CORPUS_D_MAX = 4
 
@@ -67,14 +67,15 @@ def bits_of(f: BooleanFunction) -> int:
 
 
 def encodings(record: EncodingRecord) -> Iterator[Encoding]:
-    """The ``Encoding`` of each pair of the record, rebuilt in record order
-    (bit t of a is the t-th truth value); a row with truth values beyond
-    its d positions raises DecodeError when it is reached."""
-    d = record.sigma.shape[1]
+    """The ``Encoding`` of each pair of the record, in record order; a row
+    that the constructor rejects raises DecodeError with the constructor's
+    message when it is reached, as ``decode_records`` reports it."""
     for x_sat, sigma, a in zip(record.x_sat.tolist(), record.sigma.tolist(), record.a.tolist()):
-        if a >> d:
-            raise DecodeError(TRUTH_VALUES_BEYOND_D)
-        yield Encoding(record.n, x_sat, tuple(sigma), tuple(bool(a >> t & 1) for t in range(d)))
+        try:
+            e = Encoding(record.n, x_sat, tuple(sigma), a)
+        except ValueError as exc:
+            raise DecodeError(str(exc)) from exc
+        yield e
 
 
 @st.composite

@@ -7,6 +7,9 @@ of the config's own keys given junk values.  It then runs one subcommand
 through ``cli.main``.  No exception may escape, the exit code is 0 or 2,
 a written report or spectrum is strict JSON, and a first instance that
 cannot be loaded leaves the second instance's entry in the report.
+A second property runs ``gen`` with sizes within the caps or far beyond
+them, then ``covers --set`` as a mask or a list of variables: each exits
+0 or 2 at once, with nothing allocated for a size beyond the cap.
 """
 from __future__ import annotations
 
@@ -129,3 +132,40 @@ def test_the_command_line_survives_mutated_inputs(tmp_path_factory, data):
         assert second["label"] == "tribes(t=2,w=1,seed=0)"
         assert "error" not in second and "fault" not in second
         assert (status == 2) == ("error" in first)
+
+
+#: A size small and within the caps, or beyond them by any amount.
+_SIZES = st.one_of(st.integers(min_value=-1, max_value=8),
+                   st.integers(min_value=25, max_value=10**15))
+#: The number of terms (``s``, ``n_terms``), which no cap bounds: each term
+#: is drawn, so it stays small.
+_TERMS = st.integers(min_value=-1, max_value=50)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_gen_and_covers_survive_any_size(tmp_path_factory, data):
+    # gen with each param of a family drawn, then covers on the DNF it
+    # wrote (or on tribes(2,2)) with --set as a mask or a list of variables
+    tmp = tmp_path_factory.mktemp("fuzz-sizes")
+    dnf_path = tmp / "g.dnf"
+    family = data.draw(st.sampled_from(list(FAMILIES)), label="family")
+    argv = ["gen", family, "--out", str(dnf_path)]
+    for name in FAMILIES[family].ints:
+        size = data.draw(_TERMS if name in ("s", "n_terms") else _SIZES, label=name)
+        argv += [f"--{name.replace('_', '-')}", str(size)]
+    for name in FAMILIES[family].bools:
+        if data.draw(st.booleans(), label=name):
+            argv.append(f"--{name.replace('_', '-')}")
+    if data.draw(st.booleans(), label="seeded"):
+        argv += ["--seed", str(data.draw(st.integers(min_value=-1, max_value=1 << 64)))]
+    subset = data.draw(st.one_of(
+        st.integers(min_value=-1, max_value=10**15).map(str),
+        st.lists(st.one_of(st.integers(min_value=-1, max_value=9), _SIZES), min_size=2,
+                 max_size=4).map(lambda vs: ",".join(map(str, vs)))), label="--set")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2)
+        if not dnf_path.exists():
+            main(["gen", "tribes", "--w", "2", "--t", "2", "--out", str(dnf_path)])
+        # "--set=" takes a list that starts with a minus sign as a value
+        assert main(["covers", str(dnf_path), f"--set={subset}"]) in (0, 2)

@@ -4,7 +4,10 @@
 round scans the terms from the first one, and each pair builds its
 ``Encoding`` and ``CoverRecord``.  ``encode_row`` (through
 ``extract_cover``), ``encode`` and the family analysis are checked
-against it.
+against it.  ``oracle_decode`` is the decoder as a scalar round loop on
+one ``Encoding``: ``decode_records``, and ``decode`` (a one-row
+``decode_records``), are checked against it, and the round trips of the
+encoder use it, at a small fraction of ``decode``'s cost per call.
 """
 import copy
 from itertools import product
@@ -35,8 +38,9 @@ from dnf_fourier import (
 from dnf_fourier.bitops import bit_indices
 from dnf_fourier.covers import SubsetProfile
 from dnf_fourier.encoder import (
-    DECODE_ERRORS, MORE_THAN_D, NO_PROGRESS, SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT,
-    TRUTH_VALUES_BEYOND_D, _lex_choices, encode_row,
+    BITS_BEYOND_N, DECODE_ERRORS, MORE_THAN_D, NO_NEW_VARIABLE, NO_PROGRESS, NO_SATISFIED_TERM,
+    SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, _lex_choices, _row_checks,
+    encode_row,
 )
 
 from conftest import encodings as record_encodings
@@ -132,14 +136,53 @@ def oracle_encode(dnf, s_mask, xsbar_bits, tables):
         raise EncodingInvariantError("sigma or a has wrong length")
 
     return (
-        Encoding(n, x_sat, sigma, tuple(a)),
+        Encoding(n, x_sat, sigma, sum(v << t for t, v in enumerate(a))),
         CoverRecord(tuple(cover), len(c), in_c),
     )
 
 
-def _packed(values):
-    """Truth values packed as a record holds them: bit t is the t-th."""
-    return sum(v << t for t, v in enumerate(values))
+def oracle_decode(dnf, e):
+    """The decoder as a scalar round loop: recover (S mask, x_Sbar bits)
+    from the ``Encoding`` e, or raise the DecodeError of the first check
+    it fails.  The oracle of ``decode`` and ``decode_records``."""
+    if e.n != dnf.n:
+        raise DecodeError(f"encoding over n={e.n}, DNF over n={dnf.n}")
+    if e.x_sat >> dnf.n:
+        raise DecodeError(BITS_BEYOND_N)
+    d = e.d
+    x = e.x_sat
+    s_mask = 0
+    c: list[int] = []
+    in_c = 0
+    sigma = sorted(e.sigma)
+    found = 0
+    rounds = 0
+    while found < d:
+        rounds += 1
+        if rounds > d:
+            raise DecodeError(NO_PROGRESS)
+        term_vars = next((v for v, p in dnf.term_masks if x & v == p), None)
+        if term_vars is None:
+            raise DecodeError(NO_SATISFIED_TERM)
+        for b in bit_indices(term_vars):
+            if not (in_c >> b) & 1:
+                c.append(b + 1)
+                in_c |= 1 << b
+        s_j_vars = [
+            c[k - 1]
+            for k in sigma
+            if k <= len(c) and not (s_mask >> (c[k - 1] - 1)) & 1
+        ]
+        if not s_j_vars:
+            raise DecodeError(NO_NEW_VARIABLE)
+        if found + len(s_j_vars) > d:
+            raise DecodeError(MORE_THAN_D)
+        for t, v in enumerate(s_j_vars):
+            bit = 1 << (v - 1)
+            x = (x | bit) if e.a >> (found + t) & 1 else (x & ~bit)
+            s_mask |= bit
+        found += len(s_j_vars)
+    return s_mask, x & ~s_mask
 
 
 def test_two_singletons_golden_trace():
@@ -147,7 +190,7 @@ def test_two_singletons_golden_trace():
     e, cov = encode(dnf, 0b11, 0, _tables(dnf))
     assert e.x_sat == 0b11
     assert e.sigma == (1, 2)
-    assert e.a == (False, False)
+    assert e.a == 0
     assert cov == CoverRecord((1, 2), 2, 0b11)
     assert decode(dnf, e) == (0b11, 0)
 
@@ -159,7 +202,7 @@ def test_single_wide_term_golden_trace():
     e, cov = encode(dnf, 0b00001, xsbar, _tables(dnf))
     assert cov.term_indices == (1,) and cov.union_size == w
     assert e.sigma == (1,)  # x1 is the first variable listed in the term
-    assert len(e.a) == 1
+    assert e.a == 0  # x1 false keeps the term undecided
     assert decode(dnf, e) == (0b00001, xsbar)
 
 
@@ -174,7 +217,7 @@ def test_disjoint_pairs_golden_trace():
 def test_empty_set_encodes_trivially():
     dnf = Dnf.from_term_literals(2, [[1], [2]])
     e, cov = encode(dnf, 0, 0b10, _tables(dnf))
-    assert e.sigma == () and e.a == ()
+    assert e.sigma == () and e.a == 0
     assert cov.term_indices == () and cov.union_size == 0
     assert decode(dnf, e) == (0, 0b10)
 
@@ -191,7 +234,7 @@ def test_negated_literals_roundtrip():
     seen = 0
     for s_mask, xsbar in valid_pairs(tables, 3):
         e, cov = encode(dnf, s_mask, xsbar, tables)
-        assert decode(dnf, e) == (s_mask, xsbar)
+        assert decode(dnf, e) == oracle_decode(dnf, e) == (s_mask, xsbar)
         seen += 1
     assert seen > 0
 
@@ -202,7 +245,7 @@ def test_extract_cover_matches_encode():
     for s_mask, xsbar in valid_pairs(tables, 3):
         x_sat, sigma, a, cover, union_size = extract_cover(dnf, s_mask, xsbar, tables)
         e, cov = encode(dnf, s_mask, xsbar, tables)
-        assert (x_sat, tuple(sigma), a) == (e.x_sat, e.sigma, _packed(e.a))
+        assert (x_sat, tuple(sigma), a) == (e.x_sat, e.sigma, e.a)
         assert (cover, union_size) == (cov.term_indices, cov.union_size)
 
 
@@ -357,16 +400,52 @@ def test_corrupted_x_without_satisfied_term_raises():
         decode(dnf, bad)
 
 
-def test_sigma_a_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Encoding(2, 0, (1, 2), (True,))
+def test_truth_values_beyond_sigma_rejected():
+    Encoding(2, 0, (1, 2), 0b11)
+    with pytest.raises(ValueError, match=f"^{TRUTH_VALUES_BEYOND_D}$"):
+        Encoding(2, 0, (1, 2), 0b100)
+    with pytest.raises(ValueError, match=f"^{TRUTH_VALUES_BEYOND_D}$"):
+        Encoding(2, 0, (1, 2), -1)
+
+
+def test_from_dict_reads_what_to_dict_writes():
+    e = Encoding(4, 0b1010, (3, 1), 0b10)
+    assert e.to_dict() == {"x_sat": 0b1010, "sigma": [3, 1], "a": [0, 1]}
+    assert Encoding.from_dict(4, e.to_dict()) == e
+    with pytest.raises(ValueError, match="^1 truth values for 2 sigma positions$"):
+        Encoding.from_dict(4, {"x_sat": 0, "sigma": [1, 2], "a": [1]})
+
+
+@given(st.integers(0, 5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.integers(-2, 6), min_size=d, max_size=d),
+    st.integers(-1, (1 << (d + 1)) - 1))))
+@settings(max_examples=100, deadline=None)
+def test_the_constructor_rejects_what_a_record_rejects(row):
+    # the same message, the first check failed, for every row; pack reads
+    # the row in its record's dtypes, which hold no negative value
+    d, sigma, a = row
+    try:
+        Encoding(3, 0, tuple(sigma), a)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    pos = np.sort(np.array(sigma, np.int64).reshape(1, d), axis=1)
+    assert expected == next(
+        (msg for msg, bad in _row_checks(d, pos, np.array([a], np.int64)) if bad[0]), None)
+    if min(sigma, default=0) >= 0 and a >= 0:
+        try:
+            EncodingRecord.pack(3, d, [(0, sigma, a)])
+            packed = None
+        except EncodingInvariantError as exc:
+            packed = str(exc)
+        assert packed == expected
 
 
 def test_roundtrip_identity_exhaustive_on_corpus(bundles):
     for b in bundles:
         for s_mask, xsbar in valid_pairs(b.tables, 4):
             e, _ = encode(b.dnf, s_mask, xsbar, b.tables)
-            assert decode(b.dnf, e) == (s_mask, xsbar), (b.label, s_mask, xsbar)
+            assert oracle_decode(b.dnf, e) == (s_mask, xsbar), (b.label, s_mask, xsbar)
 
 
 @given(small_dnfs())
@@ -376,7 +455,7 @@ def test_roundtrip_on_random_dnfs(dnf):
     tables = _tables(dnf)
     for s_mask, xsbar in valid_pairs(tables, 4):
         enc, _ = encode(dnf, s_mask, xsbar, tables)
-        assert decode(dnf, enc) == (s_mask, xsbar), (s_mask, xsbar)
+        assert oracle_decode(dnf, enc) == (s_mask, xsbar), (s_mask, xsbar)
 
 
 def test_counting_bound_on_corpus(bundles):
@@ -420,7 +499,7 @@ def test_roundtrip_on_diverse_shapes():
         tables = RestrictionTables(dnf.evaluate())
         for s_mask, xsbar in valid_pairs(tables, 5):
             enc, _ = encode(dnf, s_mask, xsbar, tables)
-            assert decode(dnf, enc) == (s_mask, xsbar)
+            assert oracle_decode(dnf, enc) == (s_mask, xsbar)
 
 
 def test_encodings_distinct_within_degree(bundles):
@@ -461,8 +540,8 @@ def _expected_lookups(dnf, s_mask, e, cov):
     for j in cov.term_indices:
         s_j = dnf.terms[j - 1].vars_mask & rest
         rank = 0
-        for value in e.a[t:t + s_j.bit_count()]:
-            rank = 2 * rank + value
+        for value in range(t, t + s_j.bit_count()):
+            rank = 2 * rank + (e.a >> value & 1)
         t += s_j.bit_count()
         rest ^= s_j
         if rest:
@@ -590,9 +669,9 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
         encodings = [e for e, _ in oracle]
         assert record.x_sat.tolist() == [e.x_sat for e in encodings]
         assert record.sigma.tolist() == [list(e.sigma) for e in encodings]
-        assert record.a.tolist() == [_packed(e.a) for e in encodings]
+        assert record.a.tolist() == [e.a for e in encodings]
         assert list(record_encodings(record)) == encodings
-        assert [decode(dnf, e) for e in record_encodings(record)] == pairs
+        assert [oracle_decode(dnf, e) for e in encodings] == pairs
         count_by_u: dict[int, int] = {}
         covers_by_u: dict[int, set] = {}
         for _, cov in oracle:
@@ -604,7 +683,7 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
         for (s, x), (e, cov) in zip(pairs, oracle):
             assert encode(dnf, s, x, tables) == (e, cov)
             assert extract_cover(dnf, s, x, tables) == (
-                e.x_sat, list(e.sigma), _packed(e.a), cov.term_indices, cov.union_size)
+                e.x_sat, list(e.sigma), e.a, cov.term_indices, cov.union_size)
     assert analysis.covers == every_cover
 
 
@@ -640,7 +719,7 @@ def _assert_batched_decode_matches_scalar(b):
         assert not code.any(), (b.label, d)
         assert (s_mask.dtype, xsbar.dtype) == (np.uint32, np.uint32)
         assert list(zip(s_mask.tolist(), xsbar.tolist())) == [
-            decode(b.dnf, e) for e in record_encodings(record)], (b.label, d)
+            oracle_decode(b.dnf, e) for e in record_encodings(record)], (b.label, d)
 
 
 def test_decode_records_matches_scalar_decode_on_corpus(bundles):
@@ -654,15 +733,12 @@ def test_decode_records_matches_scalar_decode_on_random_dnfs(dnf, d_max):
     _assert_batched_decode_matches_scalar(make_bundle("random", dnf, d_max))
 
 
-def _scalar_path(dnf, d, x_sat, sigma, a):
-    """One row through the scalar path: unpack the truth values, build the
-    ``Encoding``, ``decode``; the decoded pair or the error's message."""
-    if a >> d:
-        return TRUTH_VALUES_BEYOND_D  # the record's unpacking has no entry
+def _scalar_path(dnf, x_sat, sigma, a):
+    """One row through the scalar path: build the ``Encoding``, then
+    ``oracle_decode``; the decoded pair or the error's message."""
     try:
-        return decode(dnf, Encoding(dnf.n, x_sat, tuple(sigma),
-                                    tuple(bool(a >> t & 1) for t in range(d))))
-    except ValueError as exc:  # DecodeError, or a rejected sigma
+        return oracle_decode(dnf, Encoding(dnf.n, x_sat, tuple(sigma), a))
+    except ValueError as exc:  # DecodeError, or a row the constructor rejects
         return str(exc)
 
 
@@ -684,7 +760,7 @@ def test_decode_records_matches_scalar_path_on_corrupted_rows(bundles):
             s_mask, xsbar, code = decode_records(b.dnf, d, x_sat, sigma, a)
             for i in range(m):
                 got = DECODE_ERRORS[code[i]] if code[i] else (int(s_mask[i]), int(xsbar[i]))
-                assert got == _scalar_path(b.dnf, d, int(x_sat[i]), sigma[i].tolist(),
+                assert got == _scalar_path(b.dnf, int(x_sat[i]), sigma[i].tolist(),
                                            int(a[i])), (b.label, d, i)
                 outcomes.add(got if code[i] else "pair")
     # the corpus reaches every error except the two that distinct sigma
@@ -699,3 +775,42 @@ def test_decode_records_rejects_a_record_of_mismatched_shape():
         decode_records(dnf, 2, x_sat, np.ones((2, 1), np.uint8), a)
     with pytest.raises(DecodeError):
         decode_records(dnf, 1, x_sat, np.ones((2, 1), np.uint8), a[:1])
+
+
+@st.composite
+def _dnf_and_encoding(draw):
+    """A small DNF and an ``Encoding`` that the constructor accepts: the
+    encoding of one of its full-depth pairs with each field kept or
+    redrawn, or every field drawn.  Drawn fields reach d beyond n,
+    positions beyond n (up to 2^62), x_sat negative or at least 2^32, and
+    now and then an n that is not the DNF's."""
+    dnf = draw(small_dnfs())
+    n = dnf.n
+    tables = _tables(dnf)
+    pairs = list(valid_pairs(tables, n))
+    e = encode(dnf, *draw(st.sampled_from(pairs)), tables)[0] if pairs else None
+    keep = draw(st.sets(st.sampled_from(["x_sat", "sigma", "a"]))) if e else set()
+    x_sat = e.x_sat if "x_sat" in keep else draw(st.one_of(
+        st.integers(-2, (1 << (n + 1)) - 1), st.integers(1 << 32, 1 << 70)))
+    if "sigma" in keep:
+        sigma = e.sigma
+    else:
+        d = draw(st.integers(0, n + 3))
+        positions = st.one_of(st.integers(1, n + 2), st.integers(1, 1 << 62))
+        sigma = tuple(draw(st.lists(positions, min_size=d, max_size=d, unique=True)))
+    a = e.a if "a" in keep and "sigma" in keep else draw(st.integers(0, (1 << len(sigma)) - 1))
+    return dnf, Encoding(n + draw(st.sampled_from([0] * 9 + [1])), x_sat, sigma, a)
+
+
+def _outcome(decoder, dnf, e):
+    try:
+        return decoder(dnf, e)
+    except DecodeError as exc:
+        return str(exc)
+
+
+@given(_dnf_and_encoding())
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_the_oracle_on_every_encoding(case):
+    dnf, e = case
+    assert _outcome(decode, dnf, e) == _outcome(oracle_decode, dnf, e)

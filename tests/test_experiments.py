@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -456,10 +457,45 @@ def test_a_non_json_constant_anywhere_in_a_config_is_a_usage_error(tmp_path, cap
         assert not out.exists()
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python writes an int of any length")
+@pytest.mark.parametrize("key, value", [
+    ("u_star", "1e5000"), ("d_max", "1e5000"), ("eps", '"1e-5000"'), ("C", '"1e5000"'),
+    ("C_sweep", '["1", "1e-5000"]'), ("workers", "1e5000"), ("seed", "1e5000"),
+])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_a_config_number_no_report_can_write_is_a_usage_error_naming_it(
+        tmp_path, capsys, command, key, value):
+    # an int of more digits than str() writes (4300 by default): exit 2
+    # before any work, with an error that names the key, and no report
+    gen = '{"family": "tribes", "params": {"w": 2, "t": 2}%s}' % (
+        f', "seed": {value}' if key == "seed" else "")
+    field = "" if key == "seed" else f', "{key}": {value}'
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instances": [{"generator": %s}]%s}' % (gen, field))
+    out = tmp_path / "r.json"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and (f"'{key}'" in err or f"{key} outside" in err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_a_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
+    # SplitMix64 reads a seed mod 2^64, so such a seed would build the DNF
+    # of its residue under its own label
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"generator": {
+        "family": "random_read_k", "params": {"n": 5, "s": 2, "w": 2, "k": 2}, "seed": seed}}]}))
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.endswith(": seed outside [0, 2^64)\n")
+
+
 def test_cli_covers_rejects_a_variable_beyond_n(tmp_path, capsys):
     dnf_path = tmp_path / "t.dnf"
     assert main(["gen", "tribes", "--w", "2", "--t", "3", "--out", str(dnf_path)]) == 0
-    for subset in ("1,7", "1,40", str(1 << 6)):
+    # a variable of 10^15 is rejected before its bit is built
+    for subset in ("1,7", "1,40", str(1 << 6), f"1,{10**15}", f"{10**15},1"):
         assert main(["covers", str(dnf_path), "--set", subset]) == 2, subset
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == "", subset
@@ -513,16 +549,19 @@ def test_cli_encdec_and_artifacts(tmp_path, capsys):
 
 def _scalar_encdec(dnf, dnf_ref, d_max) -> tuple[str, str]:
     """``encdec-test`` pair by pair, in ``valid_pairs`` order, through the
-    scalar ``encode`` and ``decode``: its stdout and its corpus, the oracle
-    of the command's run of the family analysis and the batched round trip."""
+    scalar ``encode`` and ``oracle_decode``: its stdout and its corpus, the
+    oracle of the command's run of the family analysis and the batched
+    round trip."""
     from dnf_fourier import RestrictionTables
-    from dnf_fourier.encoder import decode, encode, valid_pairs
+    from dnf_fourier.encoder import encode, valid_pairs
+
+    from test_encoder import oracle_decode
 
     tables = RestrictionTables(dnf.evaluate())
     lines = []
     for s_mask, xsbar in valid_pairs(tables, d_max):
         enc, _ = encode(dnf, s_mask, xsbar, tables)
-        assert decode(dnf, enc) == (s_mask, xsbar)
+        assert oracle_decode(dnf, enc) == (s_mask, xsbar)
         lines.append(json.dumps({"dnf_ref": dnf_ref, "S_mask": s_mask, "xsbar_mask": xsbar,
                                  "encoding": enc.to_dict()}, sort_keys=True) + "\n")
     return f"roundtrip ok on {len(lines)} full-depth pairs (|S| <= {d_max})\n", "".join(lines)
@@ -562,7 +601,7 @@ def test_encdec_calls_no_scalar_codec_and_encodes_each_pair_once(tmp_path, monke
             return fn(*args)
         return wrapper
 
-    # every module of the package that holds the scalar encode or decode by name
+    # every module of the package that holds the per-pair encode or decode by name
     for module in [m for name, m in sys.modules.items() if name.startswith("dnf_fourier")]:
         for name in ("encode", "decode"):
             fn = getattr(encoder, name)
@@ -794,14 +833,14 @@ def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
 def _scalar_roundtrip(dnf, tables, records, d_max):
     """The round trip pair by pair, in ``valid_pairs`` order, through the
     records (S mask to (x_Sbar masks, record)) rebuilt as ``Encoding``
-    objects and the scalar ``decode``: the oracle of ``RoundTrip``.  (That
+    objects and ``oracle_decode``: the oracle of ``RoundTrip``.  (That
     the records, S = {} included, equal the scalar ``encode`` is checked
     in test_encoder.py.)  Its x_Sbar masks are the scalar ``pdep`` of the
     indices where each unpacked table holds."""
     from dnf_fourier.bitops import pdep
-    from dnf_fourier.encoder import decode
 
     from conftest import encodings
+    from test_encoder import oracle_decode
 
     full = (1 << dnf.n) - 1
     pairs = 0
@@ -817,7 +856,7 @@ def _scalar_roundtrip(dnf, tables, records, d_max):
         rebuilt = iter(()) if record is None else encodings(record)
         for xsbar in xsbars:
             try:
-                decoded = decode(dnf, next(rebuilt))
+                decoded = oracle_decode(dnf, next(rebuilt))
             except DecodeError as exc:
                 return pairs, (s_mask, xsbar,
                                f"{type(exc).__name__} at S={s_mask}, x={xsbar}: {exc}")
@@ -916,7 +955,7 @@ def _corrupt(kind, dnf, f, record) -> bool:
     """Corrupt one row of the record in place (two for a swap) so that the
     scalar path's outcome on it changes; False, with the record as it was,
     if this kind of corruption cannot change it on this record."""
-    from dnf_fourier.encoder import decode
+    from test_encoder import oracle_decode
 
     if kind == "x_beyond_n":
         record.x_sat[1] |= 1 << dnf.n
@@ -932,7 +971,7 @@ def _corrupt(kind, dnf, f, record) -> bool:
 
         def outcome(i):
             try:
-                return decode(dnf, list(encodings(record))[i])
+                return oracle_decode(dnf, list(encodings(record))[i])
             except DecodeError as exc:
                 return str(exc)
 
@@ -1523,6 +1562,9 @@ _UNBUILDABLE = {
                                        "exact_width 'no' is not a boolean"),
     "generator-unknown-parameter": ("tribes", {"w": 2, "t": 3, "width": 3},
                                     "unknown parameters ['width']"),
+    # rejected before the generator allocates anything per variable
+    "generator-n-10^15": ("random_read_k", {"n": 10**15, "s": 3, "w": 2, "k": 2},
+                          "n=1000000000000000 outside [1, 24]"),
 }
 _UNLOADABLE = ["n-beyond-the-cap", "variable-beyond-n", "not-utf8", *_UNBUILDABLE, "directory"]
 

@@ -55,6 +55,36 @@ def test_tribes_cap():
         tribes(0, 3)
 
 
+def test_random_read_k_rejects_n_beyond_the_cap_before_allocating():
+    # 10^15 occupancy counters would be a MemoryError
+    from dnf_fourier.boolfn import CapExceededError
+
+    with pytest.raises(CapExceededError, match=r"^n=1000000000000000 outside \[1, 24\]$"):
+        random_read_k(10**15, 3, 2, 2)
+    with pytest.raises(GenerationError, match=r"n=1000000000000000 outside \[1, 24\]$"):
+        GeneratorSpec("random_read_k", {"n": 10**15, "s": 3, "w": 2, "k": 2}).build()
+
+
+def test_gen_rejects_n_beyond_the_cap(capsys):
+    assert main(["gen", "random_read_k", "--n", str(10**15), "--s", "3", "--w", "2",
+                 "--k", "2"]) == 2
+    assert capsys.readouterr().err.endswith("n=1000000000000000 outside [1, 24]\n")
+
+
+def test_a_seed_lies_in_64_bits():
+    params = {"n": 6, "s": 3, "w": 2, "k": 2}
+    assert GeneratorSpec("random_read_k", params, (1 << 64) - 1).build()
+    for seed in (-1, 1 << 64):
+        with pytest.raises(GenerationError, match=r"^seed outside \[0, 2\^64\)$"):
+            GeneratorSpec("random_read_k", params, seed)
+
+
+def test_gen_rejects_a_seed_outside_64_bits(capsys):
+    for seed in (-1, 1 << 64):
+        assert main(["gen", "tribes", "--w", "2", "--t", "2", "--seed", str(seed)]) == 2
+        assert capsys.readouterr().err == "error: seed outside [0, 2^64)\n"
+
+
 def test_random_read_k_contract():
     d = random_read_k(8, 3, 2, 1, seed=0)
     s, w, k = d.metrics()
