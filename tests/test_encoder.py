@@ -44,7 +44,7 @@ from dnf_fourier.encoder import (
 )
 
 from conftest import encodings as record_encodings
-from conftest import make_bundle, small_dnfs
+from conftest import corpus_instances, make_bundle, small_dnfs
 
 
 def _tables(dnf):
@@ -777,17 +777,20 @@ def test_decode_records_rejects_a_record_of_mismatched_shape():
         decode_records(dnf, 1, x_sat, np.ones((2, 1), np.uint8), a[:1])
 
 
+_CORPUS_DNFS = [dnf for _, dnf in corpus_instances()]
+
+
 @st.composite
 def _dnf_and_encoding(draw):
-    """A small DNF and an ``Encoding`` that the constructor accepts: the
-    encoding of one of its full-depth pairs with each field kept or
-    redrawn, or every field drawn.  Drawn fields reach d beyond n,
-    positions beyond n (up to 2^62), x_sat negative or at least 2^32, and
-    now and then an n that is not the DNF's."""
-    dnf = draw(small_dnfs())
+    """A small DNF (random, or of the corpus) and an ``Encoding`` that the
+    constructor accepts: the encoding of one of its full-depth pairs with
+    |S| <= 3, each field kept or redrawn, or every field drawn.  Drawn fields reach
+    d beyond n, positions beyond n (up to 2^62), x_sat negative or at
+    least 2^32, and now and then an n that is not the DNF's."""
+    dnf = draw(st.one_of(small_dnfs(), st.sampled_from(_CORPUS_DNFS)))
     n = dnf.n
     tables = _tables(dnf)
-    pairs = list(valid_pairs(tables, n))
+    pairs = list(valid_pairs(tables, 3))
     e = encode(dnf, *draw(st.sampled_from(pairs)), tables)[0] if pairs else None
     keep = draw(st.sets(st.sampled_from(["x_sat", "sigma", "a"]))) if e else set()
     x_sat = e.x_sat if "x_sat" in keep else draw(st.one_of(
