@@ -143,7 +143,7 @@ _TERMS = st.integers(min_value=-1, max_value=50)
 
 
 @given(st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=75, deadline=None)
 def test_gen_and_covers_survive_any_size(tmp_path_factory, data):
     # gen with each param of a family drawn, then covers on the DNF it
     # wrote (or on tribes(2,2)) with --set as a mask or a list of variables

@@ -813,7 +813,7 @@ def _outcome(decoder, dnf, e):
 
 
 @given(_dnf_and_encoding())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_decode_matches_the_oracle_on_every_encoding(case):
     dnf, e = case
     assert _outcome(decode, dnf, e) == _outcome(oracle_decode, dnf, e)
