@@ -30,21 +30,27 @@ check that needs it, and counts nothing until a check asks: the round
 trip of ``dnf-fourier encdec-test`` reads no count.
 
 ``FamilyAnalysis`` also encodes the full-depth pairs: each pair with S
-nonempty once, through ``extract_cover``, which returns the encoder's
-plain row (no object per pair).  Per subset it keeps only what the checks
-read: a ``SubsetProfile`` for ``check_abs_fourier_u``, and the distinct
-covers, added to ``covers``, for ``cover_budget``.  The encodings stream:
-when a caller passes a ``consumer``, the pass of each subset S that has a
-full-depth pair ends by packing its rows into an ``EncodingRecord``
-(arrays in ``valid_pairs`` order) and calling ``consumer(S, xsbars,
-record)``, with ``xsbars`` the fixed-side assignments x_Sbar of S's pairs
-as n-bit masks (the tables' ``full_depth_xsbars``, read once).  The
-analysis keeps neither, so no record outlives its subset's pass.  The
-``roundtrip`` check of ``verify`` and ``dnf-fourier encdec-test`` are
-consumers; ``sweep`` passes none, and then no record is packed.  The
-record of S = {} is written without encoding: x_sat is every assignment
-(the ``xsbars`` of S = {}), with empty sigma and a read-only broadcast
-zero as a.  An encoder fault while it classifies, or a row that
+nonempty once, through ``extract_cover``, which returns the pair's cover
+id in the pass's ``CoverTable`` and its truth values (no object per
+pair).  Per subset it keeps only what the checks read: a
+``SubsetProfile`` for ``check_abs_fourier_u``, and the distinct covers,
+added to ``covers`` (a tuple built once per cover), for
+``cover_budget``.  For a subset below d_max it leaves the pairs' cover
+ids (and truth values, with a consumer) in the tables' cache entry,
+where the pairs of the next levels read their sub-pairs' results (see
+the encoder's module docstring).  The encodings stream: when a caller
+passes a ``consumer``, the pass of each subset S that has a full-depth
+pair ends by packing its rows into an ``EncodingRecord`` (arrays in
+``valid_pairs`` order; x_sat and sigma spelled once per distinct cover)
+and calling ``consumer(S, xsbars, record)``, with ``xsbars`` the
+fixed-side assignments x_Sbar of S's pairs as n-bit masks (the tables'
+``full_depth_xsbars``, read once).  The analysis keeps neither, so no
+record outlives its subset's pass.  The ``roundtrip`` check of
+``verify`` and ``dnf-fourier encdec-test`` are consumers; ``sweep``
+passes none, and then no record is packed.  The record of S = {} is
+written without encoding: x_sat is every assignment (the ``xsbars`` of
+S = {}), with empty sigma and a read-only broadcast zero as a.  An
+encoder fault while it classifies, or a row that
 ``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
 it.  The analysis walks the subsets in the tables' one pass
 (``RestrictionTables.visit``), which holds and drops the tables.
@@ -62,6 +68,7 @@ them again.
 """
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,6 +91,7 @@ from .dnf import Dnf
 from .dyadic import DyadicRational
 from .enclosures import RealEnclosure, decide_le, exp_enclosure, ln_enclosure
 from .encoder import (
+    CoverTable,
     EncodePreconditionError,
     EncodingInvariantError,
     EncodingRecord,
@@ -167,10 +175,11 @@ class FamilyAnalysis:
         return max(self.cover_counts(m).get(key.u, 0) for m in self.families[key].members)
 
     def _classify(self, tables: RestrictionTables, consumer: RecordConsumer | None) -> None:
+        covers = CoverTable(self.dnf)
         for s_mask in tables.visit(self.d_max):
-            self._classify_subset(s_mask, tables, consumer)
+            self._classify_subset(s_mask, tables, covers, consumer)
 
-    def _classify_subset(self, s_mask: int, tables: RestrictionTables,
+    def _classify_subset(self, s_mask: int, tables: RestrictionTables, covers: CoverTable,
                          consumer: RecordConsumer | None) -> None:
         n = self.dnf.n
         d = s_mask.bit_count()
@@ -188,32 +197,36 @@ class FamilyAnalysis:
             # encoding is x_sat = x with empty sigma and a: x_sat is the
             # masks, and a is one zero broadcast to every row
             witnesses = {0: int(xsbars.size)}
-            covers = {(0, ())}
+            distinct = {(0, ())}
             if consumer is not None:
                 consumer(0, xsbars, EncodingRecord(
                     n, xsbars, np.zeros((xsbars.size, 0), np.uint8),
                     np.broadcast_to(np.uint16(0), xsbars.shape)))
         else:
-            rows = []
+            ids = array("I")   # each pair's cover id, in valid_pairs order
+            truth_values = array("H") if consumer is not None else None
             for xsbar in xsbars.tolist():
                 try:
-                    rows.append(extract_cover(self.dnf, s_mask, xsbar, tables))
+                    cid, a = extract_cover(self.dnf, s_mask, xsbar, tables, covers)
                 except (EncodePreconditionError, EncodingInvariantError) as exc:
                     raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
-            # a row is (x_sat, sigma, a, cover, u)
-            witnesses = Counter(row[4] for row in rows)
-            covers = {(row[4], row[3]) for row in rows}
+                ids.append(cid)
+                if truth_values is not None:
+                    truth_values.append(a)
+            witnesses = Counter()
+            distinct = set()
+            for cid, count in Counter(ids).items():
+                u = covers.union[cid].bit_count()
+                witnesses[u] += count
+                distinct.add((u, covers.terms(cid)))
             if consumer is not None:
-                try:
-                    record = EncodingRecord.pack(n, d, rows)
-                except EncodingInvariantError as exc:
-                    raise EncodingInvariantError(
-                        f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
-                consumer(s_mask, xsbars, record)
+                consumer(s_mask, xsbars, _record(n, s_mask, xsbars, covers, ids, truth_values))
+            if d < self.d_max:   # the sub-pairs of the next levels read these
+                tables.hold(s_mask, (covers, ids, truth_values))
         self._pairs.update({(d, u): cnt for u, cnt in witnesses.items()})
         u = min(witnesses, key=lambda v: (-witnesses[v], v))
-        self.profiles[s_mask] = SubsetProfile(u, witnesses[u], sum(v == u for v, _ in covers))
-        self.covers.update(cover for _, cover in covers)
+        self.profiles[s_mask] = SubsetProfile(u, witnesses[u], sum(v == u for v, _ in distinct))
+        self.covers.update(cover for _, cover in distinct)
         stats = self.families.setdefault(FamilyKey(d, u), FamilyStats())
         stats.members.append(s_mask)
         stats.one_norm = stats.one_norm + abs(coeff)
@@ -243,6 +256,32 @@ class FamilyAnalysis:
         if u_cutoff < 0:
             raise ValueError(f"u_cutoff={u_cutoff} must be >= 0")
         return self.tails[min(u_cutoff, self.u_hi)]
+
+
+def _record(n: int, s_mask: int, xsbars: np.ndarray, covers: CoverTable, ids: array,
+            truth_values: array) -> EncodingRecord:
+    """The record of S's pairs from their cover ids and truth values: x_sat
+    and sigma are spelled once per distinct cover.  A failing row is
+    re-raised with its pair."""
+    d = s_mask.bit_count()
+    cids, rows = np.unique(np.frombuffer(ids, np.uint32), return_inverse=True)
+    sats, sigmas = [], []
+    for k, cid in enumerate(cids.tolist()):
+        try:
+            sat, sigma = covers.spell(s_mask, cid)
+        except EncodingInvariantError as exc:
+            first = int(np.argmax(rows == k))
+            raise EncodingInvariantError(f"at S={s_mask}, x={xsbars[first]}: {exc}") from exc
+        sats.append(sat)
+        sigmas.append(sigma)
+    a = np.frombuffer(truth_values, np.uint16)
+    a.setflags(write=False)
+    try:
+        return EncodingRecord.pack(
+            n, d, xsbars | np.array(sats, np.uint32)[rows],
+            np.array(sigmas, np.uint8).reshape(len(sats), d)[rows], a)
+    except EncodingInvariantError as exc:
+        raise EncodingInvariantError(f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
 
 
 # -- cover counting ----------------------------------------------------------

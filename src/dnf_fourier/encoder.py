@@ -27,41 +27,68 @@ Determinism choices (part of the data contract, relied on by golden tests):
   true;
 * sigma positions are 1-based.
 
-``encode_row`` is the per-pair encoder's core.  It builds no object per
-pair: it returns a plain row (x_sat, sigma as a list, a packed as bits
-with bit t the t-th truth value, the cover's term indices, the union
-size), and each check of the encoder runs in it, the union-size check as
-one integer compare at the end.  ``encode`` is a thin wrapper that builds
-the ``Encoding``, which is the row's (x_sat, sigma, a) as one row of an
-``EncodingRecord``, and the ``CoverRecord``.  In
-``verify`` each full-depth pair with S nonempty is encoded once:
-``FamilyAnalysis`` encodes it (through ``extract_cover``, which returns
-the row).  When the analysis has a consumer of the encodings (the
-``roundtrip`` check, ``encdec-test``), it packs the rows of each subset
-into an ``EncodingRecord`` of arrays, which checks the sigma positions of
-every row at once, and hands it over at the end of the subset's pass;
-``sweep`` has none and packs nothing.  The pairs with S empty are not
-encoded at all: their encoding is x_sat = x with empty sigma and a, and
-the analysis writes that record directly.
+A run is its first round followed by the run of a smaller pair.  Round 1
+of (S, x) takes the first alive term T, scanning from the first term,
+and the lexicographically first choice b on S_1 = T & S that keeps
+E_rest, rest = S - S_1.  Then the terms before T stay falsified and T
+has no free variable left, so the rest of the run is the run of the
+sub-pair (rest, x | b), whose subset is smaller.  Field by field: the
+cover is T followed by the sub-pair's cover; the union mask is T's
+variables OR the sub-pair's; x_sat is the sub-pair's with S_1 set to T's
+literals; a is b's values, then the sub-pair's a shifted up by |S_1|;
+and sigma, like S's bits of x_sat, is a function of S and the cover
+alone (``CoverTable.spell``).
 
-Each round scans the terms from the previous round's selected term on,
-that term included: every term before it was falsified in an earlier
-round, and an assigned bit never changes.  The scan from the first term,
-with an object built per pair, stays in the tests as ``oracle_encode``,
-the oracle of the core and of a future batched encoder.
+``extract_cover`` is the one encoder of a pair: it asks the
+precondition, runs round 1 (``_encode``) and takes the rest from the
+sub-pair.  Covers are interned in a ``CoverTable``, one id per distinct
+cover, so a pair's result is a cover id and a (no object per pair).
+During ``FamilyAnalysis``'s pass over ``RestrictionTables.visit``, each
+subset S with 0 < |S| < d_max leaves, in its tables' cache entry
+(``RestrictionTables.hold``), a uint32 cover id per pair in
+``valid_pairs`` order, a uint16 a per pair when the analysis has a
+consumer of the encodings, and a rank index of E_S, so that a pair of a
+larger subset reads its sub-pair's row at the rank of the table index
+that its accepted lookup just read.  Nothing is held for |S| = d_max,
+and everything goes with the tables when the pass ends.  Outside a pass
+(``encode_row``, ``encode``) nothing is held, and ``_encode`` recurses
+on the sub-pair instead, the precondition already answered.  Each check
+of the run is made on every pair: the precondition holds, the first
+alive term is not already satisfied, S_1 is not empty, a
+depth-preserving choice exists, T comes before the sub-pair's first
+term, the cover's union holds S and has at most width * |S| variables,
+and a fits in |S| bits; sigma has |S| positions.
+
+``encode_row`` returns a plain row (x_sat, sigma as a list, a packed as
+bits with bit t the t-th truth value, the cover's term indices, the
+union size).  ``encode`` is a thin wrapper that builds the ``Encoding``,
+which is the row's (x_sat, sigma, a) as one row of an
+``EncodingRecord``, and the ``CoverRecord``.  In ``verify`` each
+full-depth pair with S nonempty is encoded once: ``FamilyAnalysis``
+encodes it through ``extract_cover``.  When the analysis has a consumer
+of the encodings (the ``roundtrip`` check, ``encdec-test``), it spells
+x_sat and sigma once per distinct cover of each subset, packs the
+subset's rows into an ``EncodingRecord`` of arrays, which checks the
+sigma positions of every row at once, and hands it over at the end of
+the subset's pass; ``sweep`` has none and spells and packs nothing.  The
+pairs with S empty are not encoded at all: their encoding is x_sat = x
+with empty sigma and a, and the analysis writes that record directly.
 
 Each full-depth question is asked of the tables at most once per pair:
 one lookup for the precondition, then one per depth-preserving candidate
-tried.  The question at the top of a round is the one that the previous
-lookup (or, in round 1, the precondition) answered.  The last round,
-whose block is all of the remaining free set, asks nothing: E_{} is
-identically true, so its first candidate, every variable false, is
-taken.  On ``bench/instances/readk16.dnf`` at d_max 4 the 158,288 encodes
-ask 578,404 questions.  A round fetches its table's entry
-(``RestrictionTables.full_depth_entry``) once and indexes it inline for
-each candidate.  ``valid_pairs`` and the family analysis read each
-subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``, in
-the tables' pass (``RestrictionTables.visit``).
+tried.  In a pass that is all a pair asks: the precondition and round
+1's candidates (the question of the sub-pair's precondition is the
+accepted lookup).  A standalone ``encode`` asks the questions of every
+round of its recursion; the last round, whose block is all of the
+remaining free set, asks nothing: E_{} is identically true, so its first
+candidate, every variable false, is taken.  On
+``bench/instances/readk16.dnf`` at d_max 4 the pass's 158,288 encodes
+ask 389,752 questions, where a loop over every round asked 578,404.  That
+round loop stays in the tests as ``oracle_round_loop``, and the scan of
+every round from the first term, with an object built per pair, as
+``oracle_encode``; both are oracles of the encoder.  ``valid_pairs`` and
+the family analysis read each subset's x_Sbar masks from
+``RestrictionTables.full_depth_xsbars``, in the tables' pass.
 
 ``decode_records`` is the one decoder.  It inverts a whole batch of
 same-degree encodings with numpy, and the ``roundtrip`` check decodes
@@ -80,7 +107,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -211,19 +237,15 @@ class EncodingRecord:
     a: np.ndarray
 
     @classmethod
-    def pack(cls, n: int, d: int, rows: Sequence[Sequence]) -> "EncodingRecord":
-        """The record of pairs of degree d from rows that start with an
-        ``EncodedRow``'s (x_sat, sigma, a).
+    def pack(cls, n: int, d: int, x_sat: np.ndarray, sigma: np.ndarray,
+             a: np.ndarray) -> "EncodingRecord":
+        """The record of pairs of degree d with these columns (in the
+        record's dtypes).
 
         Each row's sigma positions must be distinct and 1-based and its
         truth values must fit in d bits, as ``Encoding`` requires of one
         pair; the first row that fails raises EncodingInvariantError with
         its index as ``row``."""
-        m = len(rows)
-        x_sat = np.fromiter((r[0] for r in rows), dtype=np.uint32, count=m)
-        sigma = np.fromiter(chain.from_iterable(r[1] for r in rows), dtype=np.uint8)
-        sigma = sigma.reshape(m, d)
-        a = np.fromiter((r[2] for r in rows), dtype=np.uint16, count=m)
         checks = _row_checks(d, np.sort(sigma, axis=1), a)
         failing = np.flatnonzero(np.logical_or.reduce([bad for _, bad in checks]))
         if failing.size:
@@ -263,6 +285,161 @@ def _lex_choices(mask: int) -> tuple[tuple[int, int], ...]:
     return tuple((pdep(v, mask), v) for v in packed)
 
 
+class CoverTable:
+    """The covers of one encoder pass, interned, so that each is stored once
+    however many pairs select it.
+
+    Cover id c > 0 is the term ``first[c]`` (0-based) followed by the
+    cover ``sub[c]``, and ``union[c]`` is the mask of the variables of its
+    terms; id 0 is the empty cover, whose ``first`` lies past every term.
+    ``sub_pairs`` keeps, per free set asked about, its lookup entry and
+    what the pass holds of its pairs for these covers (or None)."""
+
+    def __init__(self, dnf: Dnf):
+        self.term_masks = dnf.term_masks
+        self.first = [len(dnf.term_masks)]
+        self.sub = [0]
+        self.union = [0]
+        self._ids: dict[int, int] = {}   # term + sub * (number of terms) -> id
+        self.sub_pairs: dict[int, tuple] = {}
+        self._terms: dict[int, tuple[int, ...]] = {0: ()}
+
+    def intern(self, term: int, sub: int) -> int:
+        """The id of the term followed by the cover ``sub``."""
+        key = sub * len(self.term_masks) + term
+        cid = self._ids.get(key)
+        if cid is None:
+            cid = self._ids[key] = len(self.first)
+            self.first.append(term)
+            self.sub.append(sub)
+            self.union.append(self.term_masks[term][0] | self.union[sub])
+        return cid
+
+    def terms(self, cid: int) -> tuple[int, ...]:
+        """The cover's 1-based term indices, built once per id."""
+        cover = self._terms.get(cid)
+        if cover is None:
+            cover = self._terms[cid] = (self.first[cid] + 1, *self.terms(self.sub[cid]))
+        return cover
+
+    def spell(self, s_mask: int, cid: int) -> tuple[int, list[int]]:
+        """S's bits of x_sat, and sigma, of a pair of S with this cover: the
+        cover's terms take S's variables in turn (each those of S it has
+        that no term before it took) and set them to its literals, and its
+        variables enter c in order, each term's new ones ascending."""
+        rest, sat, in_c, len_c, sigma = s_mask, 0, 0, 0, []
+        while cid:
+            term_vars, term_pos = self.term_masks[self.first[cid]]
+            s_j = term_vars & rest
+            sat |= term_pos & s_j
+            rest ^= s_j
+            new = term_vars & ~in_c
+            if new & s_mask:
+                for b in _ascending_bits(new):
+                    len_c += 1
+                    if s_mask >> b & 1:
+                        sigma.append(len_c)
+            else:
+                len_c += new.bit_count()
+            in_c |= new
+            cid = self.sub[cid]
+        if len(sigma) != s_mask.bit_count():
+            raise EncodingInvariantError("sigma or a has wrong length")
+        return sat, sigma
+
+
+def _encode(
+    dnf: Dnf, s_mask: int, x: int, tables: RestrictionTables, covers: CoverTable
+) -> tuple[int, int | None]:
+    """(cover id, a) of the full-depth pair (S, x), S nonempty, whose
+    precondition is answered: round 1, and then the rest of the run, which
+    is the run of the sub-pair (S - S_1, x | b), read from what the pass
+    holds for S - S_1 if it holds it for ``covers``, and encoded here if
+    not.  ``a`` is None when the pass holds no truth values."""
+    if x & s_mask:
+        raise EncodingInvariantError("depth invariant lost between rounds")
+    # the first alive term: a satisfied term means the restriction is
+    # decided, contradicting full depth
+    assigned = ((1 << dnf.n) - 1) ^ s_mask
+    for idx, (term_vars, term_pos) in enumerate(dnf.term_masks):
+        seen = term_vars & assigned
+        if x & seen != term_pos & seen:
+            continue  # falsified
+        if seen == term_vars:
+            raise EncodingInvariantError(
+                f"term {idx + 1} already satisfied while free variables remain")
+        break
+    else:
+        raise EncodingInvariantError("no alive term although the restriction has full depth")
+    s_1 = term_vars & s_mask
+    if s_1 == 0:
+        raise EncodingInvariantError("alive term has no free variable")
+    rest = s_mask ^ s_1
+    if rest:
+        # the lexicographically first assignment b of S_1 that keeps E_rest
+        # (its existence is part of the correctness claim); its lookup asks
+        # the sub-pair's precondition
+        entry = covers.sub_pairs.get(rest)
+        if entry is None:
+            held = tables.held(rest)
+            entry = covers.sub_pairs[rest] = (
+                *tables.full_depth_entry(rest),
+                held if held is not None and held[2][0] is covers else None)
+        table, plan, held = entry
+        for dt_bits, values in _lex_choices(s_1):
+            y = x | dt_bits
+            i = 0
+            for shift, mask in plan:
+                i |= y >> shift & mask
+            if table[i >> 3] >> (i & 7) & 1:
+                break
+        else:
+            raise EncodingInvariantError("no depth-preserving assignment exists")
+        if held is None:
+            sub, sub_a = _encode(dnf, rest, y, tables, covers)
+        else:
+            words, prefix, (_, ids, truth_values) = held
+            row = prefix[i >> 6] + (words[i >> 6] & ((1 << (i & 63)) - 1)).bit_count()
+            sub, sub_a = ids[row], None if truth_values is None else truth_values[row]
+    else:
+        # E_{} is identically true, so the first candidate, every variable
+        # false, keeps it: nothing is asked
+        values = sub = sub_a = 0
+    # the sub-pair's terms are alive after round 1, so they come after T
+    if covers.first[sub] <= idx:
+        raise EncodingInvariantError("cover term indices not increasing")
+    return covers.intern(idx, sub), None if sub_a is None else values | sub_a << s_1.bit_count()
+
+
+def extract_cover(
+    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables, covers: CoverTable
+) -> tuple[int, int | None]:
+    """Encode the pair (S, x_Sbar) into its cover's id in ``covers`` and its
+    truth values ``a`` (None when the pass holds none; see ``_encode``).
+
+    It asks the precondition, runs round 1 and takes the rest from the
+    sub-pair, and checks the whole run: the cover's union holds S, and
+    has at most width * |S| variables, and ``a`` fits in |S| bits.  The
+    family analysis encodes each pair with S nonempty once, through this
+    name, which bench/spans.py counts by wrapping it.  The errors are
+    ``encode_row``'s.
+    """
+    d = s_mask.bit_count()
+    if not tables.full_depth_at(s_mask, xsbar_bits):
+        raise EncodePreconditionError(f"restriction lacks full decision-tree depth |S| = {d}")
+    if not s_mask:
+        return 0, 0
+    cid, a = _encode(dnf, s_mask, xsbar_bits, tables, covers)
+    union = covers.union[cid]
+    if s_mask & ~union:
+        raise EncodingInvariantError("variable string c misses part of S")
+    if union.bit_count() > dnf.width() * d:
+        raise EncodingInvariantError("variable string c longer than width * d")
+    if a is not None and a >> d:
+        raise EncodingInvariantError("sigma or a has wrong length")
+    return cid, a
+
+
 def encode_row(
     dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
 ) -> EncodedRow:
@@ -273,117 +450,18 @@ def encode_row(
     ``dnf``'s truth table.  Raises EncodePreconditionError when the
     restriction does not have decision-tree depth |S|, and
     EncodingInvariantError if any internal correctness invariant fails
-    (which would falsify the counting argument).
+    (which would falsify the counting argument).  Outside a pass it
+    encodes every sub-pair itself, with covers of its own.
     """
-    n = dnf.n
-    full = (1 << n) - 1
+    full = (1 << dnf.n) - 1
     if s_mask & ~full or xsbar_bits & ~full:
-        raise ValueError(f"mask beyond n={n} variables")
+        raise ValueError(f"mask beyond n={dnf.n} variables")
     if xsbar_bits & s_mask:
         raise ValueError("fixed assignment overlaps the free set")
-    d = s_mask.bit_count()
-    if not tables.full_depth_at(s_mask, xsbar_bits):
-        raise EncodePreconditionError(
-            f"restriction lacks full decision-tree depth |S| = {d}"
-        )
-
-    term_masks = dnf.term_masks
-    full_depth_entry = tables.full_depth_entry
-    s_prime = s_mask
-    x_sat = xsbar_bits
-    x_dt = xsbar_bits
-    a = 0  # truth values, bit t the t-th
-    t = 0  # number of truth values so far
-    sigma: list[int] = []  # positions in c of the variables of S
-    len_c = 0  # c, the variables in discovery order, is kept as its length
-    in_c = 0  # and the mask of its variables
-    cover: list[int] = []
-    union_of_sj = 0
-    idx = 0
-
-    while s_prime:
-        # loop invariant: the remaining free set S' still needs full depth,
-        # E_{S'}(x_dt).  Each question is asked once, so this is carried,
-        # not looked up: in round 1 it is the precondition's answer (same S,
-        # same x), and in a later round it is the lookup that accepted the
-        # previous round's choice, E_{S'}(x_dt | bits) with x_dt as it was
-        # before the round.  Both ask the same question as long as x_dt has
-        # no bits on S' before a round assigns them (a lookup ignores the
-        # bits on the free set), which is checked here.
-        if x_dt & s_prime:
-            raise EncodingInvariantError("depth invariant lost between rounds")
-        assigned = full ^ s_prime
-        # the first alive term, from the previous round's term on, that term
-        # included: the terms before it are falsified (an assigned bit never
-        # changes), and had the round's choice satisfied it, a scan starting
-        # after it would not notice.  A satisfied term means the restriction
-        # is decided, contradicting the full-depth invariant.
-        for idx in range(idx, len(term_masks)):
-            term_vars, term_pos = term_masks[idx]
-            seen = term_vars & assigned
-            if x_dt & seen != term_pos & seen:
-                continue  # falsified
-            if seen == term_vars:
-                raise EncodingInvariantError(
-                    f"term {idx + 1} already satisfied while free variables remain")
-            break
-        else:
-            raise EncodingInvariantError("no alive term although the restriction has full depth")
-        s_j = term_vars & s_prime
-        if s_j == 0:
-            raise EncodingInvariantError("alive term has no free variable")
-        rest = s_prime ^ s_j
-        if rest:
-            # the lexicographically first assignment of the block that keeps
-            # E_rest (its existence is part of the correctness claim)
-            table, plan = full_depth_entry(rest)
-            for dt_bits, values in _lex_choices(s_j):
-                x = x_dt | dt_bits
-                i = 0
-                for shift, mask in plan:
-                    i |= x >> shift & mask
-                if table[i >> 3] >> (i & 7) & 1:
-                    break
-            else:
-                raise EncodingInvariantError("no depth-preserving assignment exists")
-        else:
-            # E_{} is identically true, so the first candidate, every
-            # variable false, keeps it: nothing is asked
-            dt_bits = values = 0
-
-        x_sat = (x_sat & ~s_j) | (term_pos & s_j)
-        x_dt |= dt_bits
-        s_prime = rest
-        union_of_sj |= s_j
-        a |= values << t
-        t += s_j.bit_count()
-        # the term's variables not yet in c enter it in ascending order;
-        # those of S add their positions to sigma
-        new = term_vars & ~in_c
-        if new & s_mask:
-            for b in _ascending_bits(new):
-                len_c += 1
-                if s_mask >> b & 1:
-                    sigma.append(len_c)
-        else:
-            len_c += new.bit_count()
-        in_c |= new
-        if cover and idx + 1 <= cover[-1]:
-            raise EncodingInvariantError("cover term indices not increasing")
-        cover.append(idx + 1)
-
-    # final correctness assertions on the run as a whole
-    if union_of_sj != s_mask:
-        raise EncodingInvariantError("selected free blocks do not reassemble S")
-    if s_mask & ~in_c:
-        raise EncodingInvariantError("variable string c misses part of S")
-    if d > 0 and len_c > dnf.width() * d:
-        raise EncodingInvariantError("variable string c longer than width * d")
-    if len(sigma) != d or t != d:
-        raise EncodingInvariantError("sigma or a has wrong length")
-    if in_c.bit_count() != len_c:
-        raise EncodingInvariantError("union mask and union size disagree")
-    return x_sat, sigma, a, tuple(cover), len_c
+    covers = CoverTable(dnf)
+    cid, a = extract_cover(dnf, s_mask, xsbar_bits, tables, covers)
+    sat, sigma = covers.spell(s_mask, cid)
+    return xsbar_bits | sat, sigma, a, covers.terms(cid), covers.union[cid].bit_count()
 
 
 def encode(
@@ -403,13 +481,6 @@ def encode(
         Encoding(dnf.n, x_sat, tuple(sigma), a),
         CoverRecord(cover, union_size, union_mask),
     )
-
-
-#: ``encode_row`` under the name the family analysis calls it by: it encodes
-#: each pair with S nonempty once, through this name, and keeps both the
-#: encoding and the cover of the row.  The name stays because
-#: bench/spans.py counts the analysis's encodes by wrapping it.
-extract_cover = encode_row
 
 
 def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:

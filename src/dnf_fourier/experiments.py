@@ -7,9 +7,11 @@ report is held.  Any failed asserted check makes the report (and the CLI)
 signal failure; ``run_verify`` and ``run_concentration_sweep`` return the
 written report read back as a dict.  An instance that cannot be
 loaded or built is an ``error`` entry with no rows, in a verify or a sweep,
-and the other instances still run.  An encoder fault is a failed
-``roundtrip`` row in a verify and a ``fault`` entry in a sweep, and the
-other instances still run too.  The ``roundtrip`` check (``RoundTrip``)
+and the other instances still run.  So is an instance with a comparison
+that stays undecided at the enclosures' maximum precision, after the
+rows it wrote.  An encoder fault is a failed ``roundtrip`` row in a
+verify and a ``fault`` entry in a sweep, and the other instances still
+run too.  The ``roundtrip`` check (``RoundTrip``)
 is the family analysis's consumer: it decodes each subset's encodings
 during that subset's pass, so no record outlives it, and a decode fault
 fails only its row.  A sweep measures
@@ -67,7 +69,7 @@ from .covers import (
 )
 from .dnf import Dnf, load_dnf
 from .dyadic import DyadicRational
-from .enclosures import floor_scaled_log2
+from .enclosures import EnclosureUndecidedError, floor_scaled_log2
 from .encoder import (
     DECODE_ERRORS,
     DecodeError,
@@ -884,9 +886,15 @@ def _write_entry(mode: str, config: ExperimentConfig, csv_dir: str | None, index
         return entry.close({"label": source.label, "error": f"{type(exc).__name__}: {exc}",
                             "failures": 1})
     entry = EntryWriter(out, source.label, verify, jsonl, csv)
-    if verify:
-        return verify_instance(dnf, source.label, config, entry)
-    return entry.close(sweep_instance(dnf, source.label, config))
+    try:
+        if verify:
+            return verify_instance(dnf, source.label, config, entry)
+        return entry.close(sweep_instance(dnf, source.label, config))
+    except EnclosureUndecidedError as exc:
+        # a comparison that stays open at the maximum precision ends this
+        # instance's entry after the rows it wrote; the others still run
+        return entry.close({"label": source.label, "error": f"{type(exc).__name__}: {exc}",
+                            "failures": entry.failures + 1})
 
 
 def _render_entry(write, lines: bool, index: int,

@@ -31,6 +31,15 @@ class GenerationError(ValueError):
 
 _MASK64 = (1 << 64) - 1
 
+#: Most terms a family draws (``s``, ``n_terms``): each term is drawn one
+#: at a time, so a larger count is rejected before any draw.
+TERM_CAP = 4096
+
+
+def _check_terms(name: str, count: int) -> None:
+    if count > TERM_CAP:
+        raise GenerationError(f"{name}={count} beyond the term cap {TERM_CAP}")
+
 
 class SplitMix64:
     """The SplitMix64 mixer: state advances by a fixed odd constant and the
@@ -99,6 +108,7 @@ def random_read_k(
     if not (n >= 1 and s >= 0 and w >= 1 and k >= 1):
         raise GenerationError("need n, w, k >= 1 and s >= 0")
     _check_n(n)   # before the occupancy counters, one per variable
+    _check_terms("s", s)
     # a term fills at least one of the n*k variable slots (w with
     # exact_width, from w distinct variables): a shape beyond them would
     # spend the whole budget
@@ -142,6 +152,7 @@ def dense_pool(n_terms: int, term_width: int, pool_size: int, seed: int = 0) -> 
         )
     if not 1 <= pool_size <= N_CAP:
         raise GenerationError(f"pool size {pool_size} outside [1, {N_CAP}]")
+    _check_terms("n_terms", n_terms)
     rng = SplitMix64(seed)
     terms = []
     for _ in range(n_terms):
@@ -182,6 +193,19 @@ FAMILIES = {
 }
 
 
+def _int_param(name: str, value) -> int:
+    """A spec's integer param, read by ``as_int``; one with more digits
+    than a report can write (``sys.get_int_max_str_digits``) is rejected
+    here, by its name."""
+    number = as_int(value)
+    try:
+        str(number)
+    except ValueError:
+        raise ValueError(f"{name}={shown(value)} has more digits than a report can write") \
+            from None
+    return number
+
+
 def shown(value):
     """A param as a spec's echo shows it; its label prints ``str`` of this.
     A JSON float, read as a ``Decimal``, is a number when its double prints
@@ -217,7 +241,7 @@ class GeneratorSpec:
             unknown = sorted(set(self.params) - {*family.ints, *family.bools})
             if unknown:
                 raise ValueError(f"unknown parameters {unknown}")
-            kwargs = {name: as_int(self.params[name]) for name in family.ints}
+            kwargs = {name: _int_param(name, self.params[name]) for name in family.ints}
             for name in family.bools:
                 kwargs[name] = self.params.get(name, False)
                 if not isinstance(kwargs[name], bool):

@@ -38,7 +38,12 @@ full assignment x in E_S is x with the bits of S deleted: the OR of
 run of fixed variables (at most |S| + 1), where the encoder reads single
 entries.  Run backwards, the plan turns the indices where E_S holds into
 the x_Sbar masks of the full-depth pairs (``full_depth_xsbars``), which
-the family analysis and ``valid_pairs`` read.
+the family analysis and ``valid_pairs`` read.  A table's cache entry can
+also hold a result per full-depth pair (``hold``), with E_S's rank index:
+a uint32 count of set bits before each 64-bit word, so the row of the
+pair at table index i is that count plus the set bits of its word below
+i (``held``).  The family analysis holds its encodings there for the
+subsets below d_max, and they go with the entry.
 
 The textbook depth recursion, the oracle of the predicate, is in the tests.
 """
@@ -107,13 +112,14 @@ class RestrictionTables:
     One cache holds a table per mask: ``_by_sbar[S]`` is E_S and, made when
     the encoder first asks about S (``full_depth_entry``), a ``memoryview``
     of it (a view, not a copy) with S's compress plan (see the module
-    docstring).  ``release`` drops the entry, and keeps S's count.
+    docstring), and what ``hold`` keeps for S.  ``release`` drops the
+    entry, and keeps S's count.
     """
 
     def __init__(self, f: BooleanFunction):
         self.n = f.n
         self._f_packed = f.packed()
-        self._by_sbar: dict[int, list] = {}   # S -> [E_S, (view, plan) or None]
+        self._by_sbar: dict[int, list] = {}   # S -> [E_S, (view, plan) or None, held or None]
         self._counts: dict[int, int] = {}
 
     def visit(self, d_max: int) -> Iterator[int]:
@@ -151,11 +157,11 @@ class RestrictionTables:
                 if t:
                     table &= scratch
         table.setflags(write=False)
-        self._by_sbar[free_mask] = [table, None]
+        self._by_sbar[free_mask] = [table, None, None]
         return table
 
     def release(self, free_mask: int) -> None:
-        """Drop E_S and its lookup view, not its count."""
+        """Drop E_S, its lookup view and what it holds, not its count."""
         self._by_sbar.pop(free_mask, None)
 
     def dt_by_full(self, free_mask: int) -> np.ndarray:
@@ -205,6 +211,28 @@ class RestrictionTables:
         for shift, mask in plan:
             i |= x >> shift & mask
         return table[i >> 3] >> (i & 7) & 1
+
+    def hold(self, free_mask: int, held) -> None:
+        """Keep ``held``, a result per full-depth pair of S in
+        ``full_depth_xsbars`` order, in S's cache entry with E_S's rank
+        index (see ``held``), until the entry goes."""
+        table = self.dt_by_sbar(free_mask)
+        if table.size % 8:   # a table of fewer than 64 entries, in one word
+            table = np.concatenate([table, np.zeros(8 - table.size % 8, np.uint8)])
+        counts = np.unpackbits(table).reshape(-1, 64).sum(axis=1, dtype=np.uint32)
+        prefix = np.zeros(counts.size, np.uint32)
+        np.cumsum(counts[:-1], out=prefix[1:])
+        words = table.view("<u8").astype(np.uint64, copy=False)   # native, as memoryview reads
+        self._by_sbar[free_mask][2] = (memoryview(words), memoryview(prefix), held)
+
+    def held(self, free_mask: int) -> tuple | None:
+        """(words, prefix, held) as ``hold`` kept them for S, or None.
+        ``words`` is E_S as 64-bit words and ``prefix[k]`` counts the
+        set bits of the words before word k, so the pair at table index i
+        (which must hold) is entry prefix[i >> 6] + popcount(words[i >> 6]
+        & (2^(i & 63) - 1)) of ``held``: the rank of i among the set bits."""
+        entry = self._by_sbar.get(free_mask)
+        return None if entry is None else entry[2]
 
     def full_depth_xsbars(self, free_mask: int) -> np.ndarray:
         """The fixed-side assignments x_Sbar where E_S holds, as n-bit masks,

@@ -7,9 +7,10 @@ of the config's own keys given junk values.  It then runs one subcommand
 through ``cli.main``.  No exception may escape, the exit code is 0 or 2,
 a written report or spectrum is strict JSON, and a first instance that
 cannot be loaded leaves the second instance's entry in the report.
-A second property runs ``gen`` with sizes within the caps or far beyond
-them, then ``covers --set`` as a mask or a list of variables: each exits
-0 or 2 at once, with nothing allocated for a size beyond the cap.
+A second property runs ``gen`` with sizes and term counts within the caps
+or far beyond them, then ``covers --set`` as a mask or a list of
+variables: each exits 0 or 2 at once, with nothing allocated or drawn for
+a size beyond its cap.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from dnf_fourier.cli import main
 from dnf_fourier.experiments import CONFIG_FIELDS
-from dnf_fourier.generators import FAMILIES
+from dnf_fourier.generators import FAMILIES, TERM_CAP
 
 #: Number texts that ``json.dumps`` does not write, spliced in by ``_dumps``.
 _TOKENS = ("NaN", "Infinity", "-Infinity", "1e400", "-1e400", "2.00000000000000000001",
@@ -137,9 +138,10 @@ def test_the_command_line_survives_mutated_inputs(tmp_path_factory, data):
 #: A size small and within the caps, or beyond them by any amount.
 _SIZES = st.one_of(st.integers(min_value=-1, max_value=8),
                    st.integers(min_value=25, max_value=10**15))
-#: The number of terms (``s``, ``n_terms``), which no cap bounds: each term
-#: is drawn, so it stays small.
-_TERMS = st.integers(min_value=-1, max_value=50)
+#: The number of terms (``s``, ``n_terms``): each term is drawn, so it
+#: stays small within the term cap, or lies beyond it by any amount.
+_TERMS = st.one_of(st.integers(min_value=-1, max_value=50),
+                   st.integers(min_value=TERM_CAP + 1, max_value=10**15))
 
 
 @given(st.data())

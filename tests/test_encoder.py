@@ -2,9 +2,13 @@
 
 ``oracle_encode`` is the encoder as it was before its lean core: each
 round scans the terms from the first one, and each pair builds its
-``Encoding`` and ``CoverRecord``.  ``encode_row`` (through
-``extract_cover``), ``encode`` and the family analysis are checked
-against it.  ``oracle_decode`` is the decoder as a scalar round loop on
+``Encoding`` and ``CoverRecord``.  ``oracle_round_loop`` is the lean core
+as it was before an encoding was composed from its sub-pair's: every
+round of the run in one loop, each scanning the terms from the previous
+round's term.  ``encode_row``, ``encode`` and the family analysis (which
+encodes through ``extract_cover``) are checked against both, and the
+composition itself against ``oracle_encode``.  ``oracle_decode`` is the
+decoder as a scalar round loop on
 one ``Encoding``: ``decode_records``, and ``decode`` (a one-row
 ``decode_records``), are checked against it, and the round trips of the
 encoder use it, at a small fraction of ``decode``'s cost per call.
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 from dnf_fourier import (
     CoverRecord,
+    FamilyAnalysis,
     DecodeError,
     Dnf,
     EncodePreconditionError,
@@ -39,8 +44,8 @@ from dnf_fourier.bitops import bit_indices
 from dnf_fourier.covers import SubsetProfile
 from dnf_fourier.encoder import (
     BITS_BEYOND_N, DECODE_ERRORS, MORE_THAN_D, NO_NEW_VARIABLE, NO_PROGRESS, NO_SATISFIED_TERM,
-    SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, _lex_choices, _row_checks,
-    encode_row,
+    SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, CoverTable, _ascending_bits,
+    _lex_choices, _row_checks, encode_row,
 )
 
 from conftest import encodings as record_encodings
@@ -139,6 +144,120 @@ def oracle_encode(dnf, s_mask, xsbar_bits, tables):
         Encoding(n, x_sat, sigma, sum(v << t for t, v in enumerate(a))),
         CoverRecord(tuple(cover), len(c), in_c),
     )
+
+
+def oracle_round_loop(dnf, s_mask, xsbar_bits, tables):
+    """``encode_row``'s row, arguments and errors, with every round of the
+    run in one loop: the oracle of the composed encoder."""
+    n = dnf.n
+    full = (1 << n) - 1
+    if s_mask & ~full or xsbar_bits & ~full:
+        raise ValueError(f"mask beyond n={n} variables")
+    if xsbar_bits & s_mask:
+        raise ValueError("fixed assignment overlaps the free set")
+    d = s_mask.bit_count()
+    if not tables.full_depth_at(s_mask, xsbar_bits):
+        raise EncodePreconditionError(
+            f"restriction lacks full decision-tree depth |S| = {d}"
+        )
+
+    term_masks = dnf.term_masks
+    full_depth_entry = tables.full_depth_entry
+    s_prime = s_mask
+    x_sat = xsbar_bits
+    x_dt = xsbar_bits
+    a = 0  # truth values, bit t the t-th
+    t = 0  # number of truth values so far
+    sigma: list[int] = []  # positions in c of the variables of S
+    len_c = 0  # c, the variables in discovery order, is kept as its length
+    in_c = 0  # and the mask of its variables
+    cover: list[int] = []
+    union_of_sj = 0
+    idx = 0
+
+    while s_prime:
+        # loop invariant: the remaining free set S' still needs full depth,
+        # E_{S'}(x_dt).  Each question is asked once, so this is carried,
+        # not looked up: in round 1 it is the precondition's answer (same S,
+        # same x), and in a later round it is the lookup that accepted the
+        # previous round's choice, E_{S'}(x_dt | bits) with x_dt as it was
+        # before the round.  Both ask the same question as long as x_dt has
+        # no bits on S' before a round assigns them (a lookup ignores the
+        # bits on the free set), which is checked here.
+        if x_dt & s_prime:
+            raise EncodingInvariantError("depth invariant lost between rounds")
+        assigned = full ^ s_prime
+        # the first alive term, from the previous round's term on, that term
+        # included: the terms before it are falsified (an assigned bit never
+        # changes), and had the round's choice satisfied it, a scan starting
+        # after it would not notice.  A satisfied term means the restriction
+        # is decided, contradicting the full-depth invariant.
+        for idx in range(idx, len(term_masks)):
+            term_vars, term_pos = term_masks[idx]
+            seen = term_vars & assigned
+            if x_dt & seen != term_pos & seen:
+                continue  # falsified
+            if seen == term_vars:
+                raise EncodingInvariantError(
+                    f"term {idx + 1} already satisfied while free variables remain")
+            break
+        else:
+            raise EncodingInvariantError("no alive term although the restriction has full depth")
+        s_j = term_vars & s_prime
+        if s_j == 0:
+            raise EncodingInvariantError("alive term has no free variable")
+        rest = s_prime ^ s_j
+        if rest:
+            # the lexicographically first assignment of the block that keeps
+            # E_rest (its existence is part of the correctness claim)
+            table, plan = full_depth_entry(rest)
+            for dt_bits, values in _lex_choices(s_j):
+                x = x_dt | dt_bits
+                i = 0
+                for shift, mask in plan:
+                    i |= x >> shift & mask
+                if table[i >> 3] >> (i & 7) & 1:
+                    break
+            else:
+                raise EncodingInvariantError("no depth-preserving assignment exists")
+        else:
+            # E_{} is identically true, so the first candidate, every
+            # variable false, keeps it: nothing is asked
+            dt_bits = values = 0
+
+        x_sat = (x_sat & ~s_j) | (term_pos & s_j)
+        x_dt |= dt_bits
+        s_prime = rest
+        union_of_sj |= s_j
+        a |= values << t
+        t += s_j.bit_count()
+        # the term's variables not yet in c enter it in ascending order;
+        # those of S add their positions to sigma
+        new = term_vars & ~in_c
+        if new & s_mask:
+            for b in _ascending_bits(new):
+                len_c += 1
+                if s_mask >> b & 1:
+                    sigma.append(len_c)
+        else:
+            len_c += new.bit_count()
+        in_c |= new
+        if cover and idx + 1 <= cover[-1]:
+            raise EncodingInvariantError("cover term indices not increasing")
+        cover.append(idx + 1)
+
+    # final correctness assertions on the run as a whole
+    if union_of_sj != s_mask:
+        raise EncodingInvariantError("selected free blocks do not reassemble S")
+    if s_mask & ~in_c:
+        raise EncodingInvariantError("variable string c misses part of S")
+    if d > 0 and len_c > dnf.width() * d:
+        raise EncodingInvariantError("variable string c longer than width * d")
+    if len(sigma) != d or t != d:
+        raise EncodingInvariantError("sigma or a has wrong length")
+    if in_c.bit_count() != len_c:
+        raise EncodingInvariantError("union mask and union size disagree")
+    return x_sat, sigma, a, tuple(cover), len_c
 
 
 def oracle_decode(dnf, e):
@@ -240,13 +359,17 @@ def test_negated_literals_roundtrip():
 
 
 def test_extract_cover_matches_encode():
+    # the pass's per-pair call: the cover's id in the table that interned
+    # it, and the truth values; x_sat and sigma are spelled from the cover
     dnf = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
     tables = RestrictionTables(dnf.evaluate())
+    covers = CoverTable(dnf)
     for s_mask, xsbar in valid_pairs(tables, 3):
-        x_sat, sigma, a, cover, union_size = extract_cover(dnf, s_mask, xsbar, tables)
+        cid, a = extract_cover(dnf, s_mask, xsbar, tables, covers)
         e, cov = encode(dnf, s_mask, xsbar, tables)
-        assert (x_sat, tuple(sigma), a) == (e.x_sat, e.sigma, e.a)
-        assert (cover, union_size) == (cov.term_indices, cov.union_size)
+        assert (covers.terms(cid), covers.union[cid], a) == (cov.term_indices, cov.union_mask, e.a)
+        sat, sigma = covers.spell(s_mask, cid)
+        assert (xsbar | sat, tuple(sigma)) == (e.x_sat, e.sigma)
 
 
 def _alive(term, assigned_mask, x):
@@ -278,7 +401,7 @@ class _YesTables:
     """Stub tables that answer every full-depth question yes, so each round
     accepts its first candidate: every variable of the block false.  A
     lookup entry is a one-byte table of ones with an empty compress plan,
-    which maps every x to index 0."""
+    which maps every x to index 0, and nothing is held."""
 
     def full_depth_at(self, free_mask, x):
         return True
@@ -286,100 +409,158 @@ class _YesTables:
     def full_depth_entry(self, free_mask):
         return memoryview(b"\xff"), ()
 
+    def held(self, free_mask):
+        return None
+
 
 def test_a_choice_that_satisfies_the_selected_term_is_caught():
     # round 1 selects term 1 (not x1) and the stub accepts x1 false, which
-    # satisfies it.  Round 2's scan resumes at term 1, not after it, and
-    # finds it satisfied while x2 is free; a scan that skipped it would go
-    # on to term 2 and encode without error.  (The cover-index check cannot
-    # fire here: a round assigns every free variable of its term, so the
-    # term it selects is falsified or satisfied afterwards, never alive.)
+    # satisfies it.  The sub-pair's round 1 (round 2 of the loop) meets
+    # term 1 again, fully assigned and satisfied while x2 is free: a scan
+    # that skipped it would go on to term 2 and encode without error.
+    # (The cover-index check cannot fire here: a round assigns every free
+    # variable of its term, so the term it selects is falsified or
+    # satisfied afterwards, never alive.)
     dnf = Dnf.from_term_literals(2, [[-1], [2]])
-    for encoder in (encode_row, oracle_encode):
+    for encoder in (encode_row, oracle_round_loop, oracle_encode):
         with pytest.raises(EncodingInvariantError, match="^term 1 already satisfied"):
             encoder(dnf, 0b11, 0, _YesTables())
 
 
+class _HeldTables(_YesTables):
+    """Stub tables that answer yes, and hold for every free set one pair,
+    at table index 0, whose cover is ``sub`` in ``covers``."""
+
+    def __init__(self, covers, sub):
+        self.covers, self.sub = covers, sub
+
+    def held(self, free_mask):
+        return (memoryview(np.ones(1, np.uint64)), memoryview(np.zeros(1, np.uint32)),
+                (self.covers, [self.sub], None))
+
+
+def test_a_held_sub_pair_whose_cover_starts_too_early_is_caught():
+    # x1 false falsifies term 1, so round 1 of S = {x2, x3} selects term 2
+    # (x2), and the sub-pair of {x3} is held with the cover (1,): its first
+    # term does not come after term 2
+    dnf = Dnf.from_term_literals(3, [[1], [2], [3]])
+    covers = CoverTable(dnf)
+    tables = _HeldTables(covers, covers.intern(0, 0))
+    with pytest.raises(EncodingInvariantError, match="^cover term indices not increasing$"):
+        extract_cover(dnf, 0b110, 0b000, tables, covers)
+
+
+def test_the_union_is_checked_against_each_pair_not_each_cover():
+    # both pairs select term 1 (x1) and a held sub-pair with the cover (2,)
+    # (x2): one cover id, whose union {x1, x2} holds S = {x1, x2} but not
+    # S = {x1, x3}
+    dnf = Dnf.from_term_literals(3, [[1], [2], [3]])
+    covers = CoverTable(dnf)
+    tables = _HeldTables(covers, covers.intern(1, 0))
+    cid, _ = extract_cover(dnf, 0b011, 0, tables, covers)
+    assert covers.terms(cid) == (1, 2)
+    with pytest.raises(EncodingInvariantError, match="^variable string c misses part of S$"):
+        extract_cover(dnf, 0b101, 0, tables, covers)
+    assert len(covers.first) == 3   # the same cover id
+
+
 class _RecordingTerms(tuple):
-    """A DNF's term masks that record the index of every term read."""
+    """A DNF's term masks that record the index of every term a scan
+    reaches (iterating them, as a round does)."""
 
     def __new__(cls, masks, reads):
         obj = super().__new__(cls, masks)
         obj.reads = reads
         return obj
 
-    def __getitem__(self, idx):
-        self.reads.append(idx)
-        return super().__getitem__(idx)
+    def __iter__(self):
+        for idx, masks in enumerate(super().__iter__()):
+            self.reads.append(idx)
+            yield masks
 
 
-def test_each_round_scans_from_the_previous_rounds_term(bundles):
-    # round 1 reads the terms from the first one up to the one it selects,
-    # every later round from the term the round before it selected, that
-    # term included, up to its own
+def test_each_round_scans_from_the_first_term(bundles):
+    # a round is round 1 of its pair or of a sub-pair, and reads the terms
+    # from the first one up to the one it selects: a standalone encode runs
+    # one round per cover term, and the analysis one round per pair
     for b in bundles[::10]:
         reads = []
         dnf = copy.copy(b.dnf)
         object.__setattr__(dnf, "term_masks", _RecordingTerms(b.dnf.term_masks, reads))
+        firsts = 0
         for s_mask, xsbar in valid_pairs(b.tables, 4):
             reads.clear()
             cover = encode_row(dnf, s_mask, xsbar, b.tables)[3]
-            selected = [j - 1 for j in cover]
-            starts = [0, *selected][:len(cover)]
-            assert reads == [idx for start, end in zip(starts, selected)
-                             for idx in range(start, end + 1)], (b.label, s_mask, xsbar)
+            assert reads == [idx for j in cover for idx in range(j)], (b.label, s_mask, xsbar)
+            firsts += cover[0] if cover else 0
+        reads.clear()
+        analysis = FamilyAnalysis(dnf, 4, RestrictionTables(b.f), b.spec)
+        assert len(reads) == firsts, b.label
+        assert analysis.profiles == b.analysis.profiles
 
 
-_GOOD_ROW = (0b11, [1, 2], 0b01, (1, 2), 2)
+_GOOD_ROW = (0b11, [1, 2], 0b01)
+
+
+def _pack(n, d, rows):
+    """``EncodingRecord.pack`` of rows (x_sat, sigma, a), in its dtypes."""
+    m = len(rows)
+    return EncodingRecord.pack(
+        n, d, np.array([r[0] for r in rows], np.uint32),
+        np.array([r[1] for r in rows], np.uint8).reshape(m, d),
+        np.array([r[2] for r in rows], np.uint16))
 
 
 @pytest.mark.parametrize("sigma, message", [([0, 2], SIGMA_NOT_1_BASED),
                                             ([2, 2], SIGMA_NOT_DISTINCT),
                                             ([2, 0], SIGMA_NOT_1_BASED)])
 def test_pack_rejects_a_bad_sigma_naming_its_row(sigma, message):
-    rows = [_GOOD_ROW, _GOOD_ROW, (0b11, sigma, 0b01, (1, 2), 2), _GOOD_ROW]
+    rows = [_GOOD_ROW, _GOOD_ROW, (0b11, sigma, 0b01), _GOOD_ROW]
     with pytest.raises(EncodingInvariantError, match=f"^{message}$") as info:
-        EncodingRecord.pack(2, 2, rows)
+        _pack(2, 2, rows)
     assert info.value.row == 2
 
 
 def test_pack_rejects_truth_values_beyond_d():
-    rows = [_GOOD_ROW, (0b11, [1, 2], 0b100, (1, 2), 2)]
+    rows = [_GOOD_ROW, (0b11, [1, 2], 0b100)]
     with pytest.raises(EncodingInvariantError, match=TRUTH_VALUES_BEYOND_D) as info:
-        EncodingRecord.pack(2, 2, rows)
+        _pack(2, 2, rows)
     assert info.value.row == 1
 
 
 def test_pack_names_the_first_failing_row_whatever_its_check():
-    rows = [_GOOD_ROW, (0b11, [0, 1], 0b01, (1, 2), 2), (0b11, [1, 1], 0b01, (1, 2), 2)]
+    rows = [_GOOD_ROW, (0b11, [0, 1], 0b01), (0b11, [1, 1], 0b01)]
     with pytest.raises(EncodingInvariantError, match=SIGMA_NOT_1_BASED) as info:
-        EncodingRecord.pack(2, 2, rows)
+        _pack(2, 2, rows)
     assert info.value.row == 1
 
 
 @pytest.mark.parametrize("sigma, message", [([0, 2], SIGMA_NOT_1_BASED),
                                             ([1, 1], SIGMA_NOT_DISTINCT)])
 def test_analysis_names_the_pair_of_a_row_that_pack_rejects(monkeypatch, sigma, message):
-    from dnf_fourier import FamilyAnalysis, covers, fourier_transform
+    from dnf_fourier import fourier_transform
 
-    dnf = tribes(2, 2)
+    # S = {x1, x3} has the pairs x = 0, with cover (2,), and x = 0b010, with
+    # cover (1, 2), whose sigma is spelled wrong: the second pair is named
+    dnf = Dnf.from_term_literals(3, [[1, 2], [-1, 3]])
     f = dnf.evaluate()
     tables = RestrictionTables(f)
-    s_mask, xsbar = [pair for pair in valid_pairs(tables, 2) if pair[0] == 0b11][1]
-    extract = covers.extract_cover
+    s_mask, xsbar = 0b101, 0b010
+    assert [encode(dnf, s_mask, x, tables)[1].term_indices for x in (0, xsbar)] == [(2,), (1, 2)]
+    spell = CoverTable.spell
 
-    def corrupt_one_pair(dnf, s, x, tables):
-        row = extract(dnf, s, x, tables)
-        return (row[0], sigma, *row[2:]) if (s, x) == (s_mask, xsbar) else row
+    def corrupt_one_cover(self, s, cid):
+        sat, spelled = spell(self, s, cid)
+        return (sat, sigma) if (s, self.terms(cid)) == (s_mask, (1, 2)) else (sat, spelled)
 
-    monkeypatch.setattr(covers, "extract_cover", corrupt_one_pair)
+    monkeypatch.setattr(CoverTable, "spell", corrupt_one_cover)
     consumed = []
     with pytest.raises(EncodingInvariantError,
                        match=f"^at S={s_mask}, x={xsbar}: {message}$"):
         FamilyAnalysis(dnf, 2, tables, fourier_transform(f),
                        lambda s, xsbars, record: consumed.append(s))
     assert consumed == [m for m in range(s_mask) if tables.full_depth_count(m)]
-    # with no consumer no record is packed, so sigma is never read
+    # with no consumer no record is packed, so sigma is never spelled
     FamilyAnalysis(dnf, 2, RestrictionTables(f), fourier_transform(f))
 
 
@@ -434,7 +615,7 @@ def test_the_constructor_rejects_what_a_record_rejects(row):
         (msg for msg, bad in _row_checks(d, pos, np.array([a], np.int64)) if bad[0]), None)
     if min(sigma, default=0) >= 0 and a >= 0:
         try:
-            EncodingRecord.pack(3, d, [(0, sigma, a)])
+            _pack(3, d, [(0, sigma, a)])
             packed = None
         except EncodingInvariantError as exc:
             packed = str(exc)
@@ -529,15 +710,16 @@ def test_lex_candidates_match_the_product_order():
         assert _lex_choices(mask) == expected, mask
 
 
-def _expected_lookups(dnf, s_mask, e, cov):
+def _expected_lookups(dnf, s_mask, e, cov, rounds=None):
     """1 for the precondition, then, in each round that leaves part of S
     free, the candidates tried up to the accepted one: its rank in the
     lexicographic order plus 1.  The round's free block is its cover term's
     variables still in S, and its truth values in a are the accepted
     candidate, first variable first.  The last round asks nothing and takes
-    the first candidate, every variable false."""
+    the first candidate, every variable false.  Only the first ``rounds``
+    rounds count, if given."""
     total, rest, t = 1, s_mask, 0
-    for j in cov.term_indices:
+    for j in cov.term_indices[:rounds]:
         s_j = dnf.terms[j - 1].vars_mask & rest
         rank = 0
         for value in range(t, t + s_j.bit_count()):
@@ -607,14 +789,117 @@ class _QuestionCount:
         self.total += 1
 
 
-def test_the_analysis_of_readk16_asks_578404_questions(monkeypatch):
-    # the 158,288 encodes of random_read_k(n=16, s=10, w=3, k=2, seed=3)
-    # (bench/instances/readk16.dnf) at d_max 4: 736,692 questions with a
-    # lookup in each pair's last round, one per encoded pair fewer without
+@pytest.fixture(scope="module")
+def readk16_pass():
+    """The analysis of random_read_k(n=16, s=10, w=3, k=2, seed=3)
+    (bench/instances/readk16.dnf) at d_max 4 with a consumer, as verify
+    runs it: its DNF and tables, the questions it asked, each encoded pair
+    as (S, x_Sbar, cover, union size, a) and the records it handed over."""
+    from dnf_fourier import covers, fourier_transform
+
+    dnf = random_read_k(n=16, s=10, w=3, k=2, seed=3)
+    f = dnf.evaluate()
+    tables = RestrictionTables(f)
+    count, pairs, records = _QuestionCount(), [], {}
+    extract = covers.extract_cover
+
+    def keep(dnf, s_mask, xsbar, tables, table):
+        cid, a = extract(dnf, s_mask, xsbar, tables, table)
+        pairs.append((s_mask, xsbar, table.terms(cid), table.union[cid].bit_count(), a))
+        return cid, a
+
+    with pytest.MonkeyPatch.context() as mp:
+        _record_questions(mp, count)
+        mp.setattr(covers, "extract_cover", keep)
+        FamilyAnalysis(dnf, 4, tables, fourier_transform(f),
+                       lambda s_mask, xsbars, record: records.__setitem__(s_mask, record))
+    return dnf, tables, count.total, pairs, records
+
+
+def test_the_analysis_of_readk16_asks_389752_questions(readk16_pass):
+    # its 158,288 encodes ask one precondition and round 1's candidates
+    # each, as _expected_lookups restricted to round 1 counts them (the
+    # test below checks that count on the corpus); every round of the run,
+    # as the round loop asked them, came to 578,404
+    _, _, questions, pairs, _ = readk16_pass
+    assert (len(pairs), questions) == (158_288, 389_752)
+
+
+@pytest.mark.parametrize("d_max", [1, 3, 4])
+def test_the_pass_holds_the_levels_below_d_max_until_it_ends(monkeypatch, bundles, d_max):
+    # each nonempty S with a pair and |S| < d_max, and nothing else, and
+    # all of it goes with the tables when the pass ends
+    from dnf_fourier.bitops import subsets_up_to
+
+    held, hold = [], RestrictionTables.hold
+
+    def spy(self, free_mask, results):
+        held.append(free_mask)
+        hold(self, free_mask, results)
+
+    monkeypatch.setattr(RestrictionTables, "hold", spy)
+    for b in bundles[::20]:
+        held.clear()
+        tables = RestrictionTables(b.f)
+        FamilyAnalysis(b.dnf, d_max, tables, b.spec)
+        assert held == [m for m in subsets_up_to(b.dnf.n, d_max - 1)
+                        if m and tables.full_depth_count(m)], b.label
+        assert tables._by_sbar == {}
+
+
+def test_the_analysis_asks_one_round_per_pair_on_corpus(monkeypatch, bundles):
     count = _record_questions(monkeypatch, _QuestionCount())
-    b = make_bundle("readk16", random_read_k(n=16, s=10, w=3, k=2, seed=3))
-    encoded = sum(b.tables.full_depth_count(s_mask) for s_mask in b.analysis.profiles if s_mask)
-    assert (encoded, count.total) == (158_288, 578_404)
+    for b in bundles[::4]:
+        expected = sum(_expected_lookups(b.dnf, s, *oracle_encode(b.dnf, s, x, b.tables), 1)
+                       for s, x in valid_pairs(b.tables, b.analysis.d_max) if s)
+        count.total = 0
+        FamilyAnalysis(b.dnf, b.analysis.d_max, RestrictionTables(b.f), b.spec)
+        assert count.total == expected, b.label
+
+
+def test_the_analysis_of_readk16_matches_the_round_loop(readk16_pass):
+    # every pair's cover, union size and truth values, and its record row,
+    # are the round loop's, bit for bit
+    dnf, tables, _, pairs, records = readk16_pass
+    rows = {s_mask: zip(record.x_sat.tolist(), record.sigma.tolist())
+            for s_mask, record in records.items()}
+    for s_mask, xsbar, cover, union_size, a in pairs:
+        x_sat, sigma = next(rows[s_mask])
+        assert (x_sat, sigma, a, cover, union_size) == oracle_round_loop(
+            dnf, s_mask, xsbar, tables), (s_mask, xsbar)
+    assert all(next(left, None) is None for s_mask, left in rows.items() if s_mask)
+
+
+@given(small_dnfs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_run_is_its_first_round_and_the_sub_pairs_run(dnf, data):
+    # round 1 of (S, x) takes the first alive term T from term 0 and the
+    # lexicographically first b on S_1 = T & S that keeps E_rest, rest =
+    # S - S_1; the oracle's run on (S, x) is that round followed by its
+    # run on (rest, x | b), field by field
+    tables = _tables(dnf)
+    pairs = [pair for pair in valid_pairs(tables, 4) if pair[0]]
+    if not pairs:
+        return
+    for s_mask, xsbar in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8)):
+        e, cov = oracle_encode(dnf, s_mask, xsbar, tables)
+        term = next(j for j, t in enumerate(dnf.terms, 1)
+                    if _alive(t, ((1 << dnf.n) - 1) ^ s_mask, xsbar))
+        term_vars, term_pos = dnf.term_masks[term - 1]
+        s_1 = term_vars & s_mask
+        rest = s_mask ^ s_1
+        bits, values = next((bits, values) for bits, values in _lex_choices(s_1)
+                            if tables.full_depth_at(rest, xsbar | bits))
+        sub_e, sub_cov = oracle_encode(dnf, rest, xsbar | bits, tables)
+        assert cov.term_indices == (term, *sub_cov.term_indices)
+        assert cov.union_mask == term_vars | sub_cov.union_mask
+        assert e.x_sat == sub_e.x_sat & ~s_1 | term_pos & s_1
+        assert e.a == values | sub_e.a << s_1.bit_count()
+        # and sigma is a function of S and the cover alone
+        table, cid = CoverTable(dnf), 0
+        for j in reversed(cov.term_indices):
+            cid = table.intern(j - 1, cid)
+        assert e.sigma == tuple(table.spell(s_mask, cid)[1])
 
 
 def _assert_each_question_asked_once(asked, dnf, tables, d_max):
@@ -644,8 +929,8 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
     oracle encoder's on every pair of valid_pairs, entry by entry, and the
     record decodes back to that sequence.  That includes S = {}, whose record the analysis
     writes without encoding: x_sat is every assignment, with empty sigma
-    and a.  Per pair, ``extract_cover``'s row and ``encode``'s objects
-    equal the oracle's too."""
+    and a.  Per pair, ``encode``'s objects, and the rows of ``encode_row``
+    and of the round loop, equal the oracle's too."""
     by_subset: dict[int, list[tuple[int, int]]] = {}
     for s_mask, xsbar in valid_pairs(tables, analysis.d_max):
         by_subset.setdefault(s_mask, []).append((s_mask, xsbar))
@@ -682,7 +967,7 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
         every_cover.update(*covers_by_u.values())
         for (s, x), (e, cov) in zip(pairs, oracle):
             assert encode(dnf, s, x, tables) == (e, cov)
-            assert extract_cover(dnf, s, x, tables) == (
+            assert encode_row(dnf, s, x, tables) == oracle_round_loop(dnf, s, x, tables) == (
                 e.x_sat, list(e.sigma), e.a, cov.term_indices, cov.union_size)
     assert analysis.covers == every_cover
 
@@ -703,8 +988,7 @@ def _degree_records(b):
     """The encodings of every full-depth pair, as one record per degree:
     the analysis's records, and for S = {} the scalar encoder's."""
     n = b.dnf.n
-    out = {0: EncodingRecord.pack(n, 0, [
-        encode_row(b.dnf, 0, x, b.tables) for x in range(1 << n)])}
+    out = {0: _pack(n, 0, [encode_row(b.dnf, 0, x, b.tables) for x in range(1 << n)])}
     for d in range(1, b.analysis.d_max + 1):
         records = [r for s_mask, (_, r) in sorted(b.records.items()) if s_mask.bit_count() == d]
         if records:

@@ -480,6 +480,83 @@ def test_a_config_number_no_report_can_write_is_a_usage_error_naming_it(
     assert not out.exists()
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python writes an int of any length")
+def test_a_generator_param_no_report_can_write_is_an_error_entry_naming_it(tmp_path, capsys):
+    # the JSON number 1e5000, read as a Decimal: the instance's error names
+    # its param, and the instance before it keeps its rows
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}},'
+                   ' {"generator": {"family": "tribes", "params": {"w": 1e5000, "t": 1}}}],'
+                   ' "checks": ["evasive"]}')
+    out = tmp_path / "r.json"
+    assert main(["verify", str(cfg), "--out", str(out)]) == 2
+    good, bad = json.loads(out.read_text())["instances"]
+    assert good["checks"] and "error" not in good
+    assert bad["error"] == ("GenerationError: tribes is missing or has a bad parameter: "
+                            "w=1E+5000 has more digits than a report can write")
+    assert bad["label"] in capsys.readouterr().err
+
+
+def test_an_undecided_verify_comparison_is_an_error_entry(tmp_path, monkeypatch, capsys):
+    # the satisfied-mass bound of tribes(2,3), Pr[f] = 37/64, read from an
+    # enclosure of ln(64/27) that never separates: past the (lowered)
+    # maximum precision its instance ends as an error entry after the rows
+    # it wrote, exit 2, and the instance after it keeps its rows
+    from dnf_fourier import covers, enclosures
+    from dnf_fourier.enclosures import RealEnclosure
+
+    ln_enclosure = covers.ln_enclosure
+
+    def never_separates(q, prec):
+        if q == Fraction(64, 27):
+            return RealEnclosure(Fraction(-1), Fraction(10**6))
+        return ln_enclosure(q, prec)
+
+    monkeypatch.setattr(enclosures, "_MAX_PREC", 256)
+    monkeypatch.setattr(covers, "ln_enclosure", never_separates)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [_tribes_source(2, 3).to_dict(),
+                                             _tribes_source(2, 2).to_dict()],
+                               "checks": ["spectral_basics", "satisfied_mass"]}))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(cfg), "--out", str(out), "--rows-jsonl",
+                 str(tmp_path / "rows.jsonl")]) == 2
+    report = json.loads(out.read_text())
+    undecided, good = report["instances"]
+    assert [r["check"] for r in undecided["checks"]] == ["parseval", "reconstruction"]
+    assert undecided["error"].startswith("EnclosureUndecidedError: comparison of ")
+    assert undecided["failures"] == 1 and "n" not in undecided
+    assert [r["check"] for r in good["checks"]] == ["parseval", "reconstruction",
+                                                    "satisfied_mass"]
+    assert "error" not in good and report["summary"]["failures"] == 1
+    assert f"error: {undecided['label']}: EnclosureUndecidedError" in capsys.readouterr().err
+
+
+def test_an_undecided_sweep_cut_is_an_error_entry(tmp_path, monkeypatch, capsys):
+    # with eps = 1 the degree cut is floor(C w log2 3); a C that puts it
+    # within 2^-280 of the integer 3 at w = 2 leaves it undecided at 64 bits,
+    # the (lowered) maximum precision, while 4.5 at w = 3 is decided
+    from dnf_fourier import enclosures
+    from dnf_fourier.enclosures import ln_enclosure
+
+    log2_3 = ln_enclosure(Fraction(3), 300).low / ln_enclosure(Fraction(2), 300).high
+    c = Fraction(3) / (2 * log2_3)
+    monkeypatch.setattr(enclosures, "_MAX_PREC", 64)
+    config = {"instances": [_tribes_source(2, 2).to_dict(), _tribes_source(3, 2).to_dict()],
+              "eps": "1", "C": str(c)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+    undecided, good = json.loads(out.read_text())["instances"]
+    assert undecided == {"label": "tribes(t=2,w=2,seed=0)", "failures": 1,
+                         "error": undecided["error"]}
+    assert undecided["error"].startswith("EnclosureUndecidedError: floor of ")
+    assert good["label"] == "tribes(t=2,w=3,seed=0)" and good["degree_cutoff"] == 4
+    assert "error: tribes(t=2,w=2,seed=0): EnclosureUndecidedError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
 def test_a_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, seed):
     # SplitMix64 reads a seed mod 2^64, so such a seed would build the DNF
@@ -819,8 +896,8 @@ def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
 
     pack = covers.EncodingRecord.pack
 
-    def short_at_degree_two(n, d, rows):
-        return pack(n, d, rows[:-1] if d == 2 else rows)
+    def short_at_degree_two(n, d, *columns):
+        return pack(n, d, *(col[:-1] if d == 2 else col for col in columns))
 
     monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(short_at_degree_two))
     report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 2),),
@@ -1049,8 +1126,8 @@ def test_cli_verify_reports_a_bad_sigma_as_failed_roundtrip(tmp_path, monkeypatc
 
     pack = covers.EncodingRecord.pack
 
-    def corrupt_at_degree_two(n, d, rows):
-        record = pack(n, d, rows)
+    def corrupt_at_degree_two(n, d, *columns):
+        record = pack(n, d, *columns)
         if d == 2:
             record.sigma[0] = sigma
         return record
@@ -1135,9 +1212,9 @@ def test_verify_encodes_each_full_depth_pair_once(monkeypatch):
     calls = []
 
     def spy(fn):
-        def wrapper(dnf, s_mask, xsbar, tables):
+        def wrapper(dnf, s_mask, xsbar, *args):
             calls.append((s_mask, xsbar))
-            return fn(dnf, s_mask, xsbar, tables)
+            return fn(dnf, s_mask, xsbar, *args)
         return wrapper
 
     monkeypatch.setattr(covers, "extract_cover", spy(covers.extract_cover))
@@ -1286,9 +1363,9 @@ def test_only_a_consumer_gets_packed_records(tmp_path, monkeypatch, command):
     packed = []
     pack = covers.EncodingRecord.pack
 
-    def spy(n, d, rows):
+    def spy(n, d, *columns):
         packed.append(d)
-        return pack(n, d, rows)
+        return pack(n, d, *columns)
 
     monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(spy))
     config = ExperimentConfig(instances=(), d_max=4)
@@ -1565,6 +1642,9 @@ _UNBUILDABLE = {
     # rejected before the generator allocates anything per variable
     "generator-n-10^15": ("random_read_k", {"n": 10**15, "s": 3, "w": 2, "k": 2},
                           "n=1000000000000000 outside [1, 24]"),
+    # more digits than str() writes (4300 by default), named by its param
+    "generator-w-1e5000": ("tribes", {"w": "1e5000", "t": 1},
+                           "w=1e5000 has more digits than a report can write"),
 }
 _UNLOADABLE = ["n-beyond-the-cap", "variable-beyond-n", "not-utf8", *_UNBUILDABLE, "directory"]
 

@@ -71,6 +71,20 @@ def test_gen_rejects_n_beyond_the_cap(capsys):
     assert capsys.readouterr().err.endswith("n=1000000000000000 outside [1, 24]\n")
 
 
+def test_a_term_count_beyond_the_cap_is_rejected_before_any_draw(capsys):
+    # each term is drawn one at a time: 10^15 of them would never finish
+    from dnf_fourier.generators import TERM_CAP
+
+    assert len(dense_pool(TERM_CAP, 1, 2).terms) == TERM_CAP
+    with pytest.raises(GenerationError, match=r"^n_terms=4097 beyond the term cap 4096$"):
+        dense_pool(TERM_CAP + 1, 1, 2)
+    with pytest.raises(GenerationError, match=r"^s=1000000000000000 beyond the term cap 4096$"):
+        random_read_k(4, 10**15, 1, 10**15)
+    assert main(["gen", "dense_pool", "--n-terms", str(10**15), "--term-width", "1",
+                 "--pool-size", "2"]) == 2
+    assert capsys.readouterr().err == "error: n_terms=1000000000000000 beyond the term cap 4096\n"
+
+
 def test_a_seed_lies_in_64_bits():
     params = {"n": 6, "s": 3, "w": 2, "k": 2}
     assert GeneratorSpec("random_read_k", params, (1 << 64) - 1).build()
