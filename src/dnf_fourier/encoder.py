@@ -52,12 +52,16 @@ larger subset reads its sub-pair's row at the rank of the table index
 that its accepted lookup just read.  Nothing is held for |S| = d_max,
 and everything goes with the tables when the pass ends.  Outside a pass
 (``encode_row``, ``encode``) nothing is held, and ``_encode`` recurses
-on the sub-pair instead, the precondition already answered.  Each check
-of the run is made on every pair: the precondition holds, the first
-alive term is not already satisfied, S_1 is not empty, a
-depth-preserving choice exists, T comes before the sub-pair's first
-term, the cover's union holds S and has at most width * |S| variables,
-and a fits in |S| bits; sigma has |S| positions.
+on the sub-pair instead, the precondition already answered and its scan
+starting at T, as the next round of a loop would.  Each check of the run
+is made on every pair: the precondition holds, the first alive term is
+not already satisfied, S_1 is not empty, a depth-preserving choice
+exists, T comes before the sub-pair's first term, and the cover's union
+holds S and has at most width * |S| variables.  The union check is also
+the check that sigma has |S| positions, since each variable of the union
+enters c once and sigma lists where S's sit; ``spell`` counts them again
+when a consumer has a cover spelled.  a is checked to fit in |S| bits
+wherever it is formed; a pass with no consumer (``sweep``) forms no a.
 
 ``encode_row`` returns a plain row (x_sat, sigma as a list, a packed as
 bits with bit t the t-th truth value, the cover's term indices, the
@@ -291,9 +295,7 @@ class CoverTable:
 
     Cover id c > 0 is the term ``first[c]`` (0-based) followed by the
     cover ``sub[c]``, and ``union[c]`` is the mask of the variables of its
-    terms; id 0 is the empty cover, whose ``first`` lies past every term.
-    ``sub_pairs`` keeps, per free set asked about, its lookup entry and
-    what the pass holds of its pairs for these covers (or None)."""
+    terms; id 0 is the empty cover, whose ``first`` lies past every term."""
 
     def __init__(self, dnf: Dnf):
         self.term_masks = dnf.term_masks
@@ -301,7 +303,6 @@ class CoverTable:
         self.sub = [0]
         self.union = [0]
         self._ids: dict[int, int] = {}   # term + sub * (number of terms) -> id
-        self.sub_pairs: dict[int, tuple] = {}
         self._terms: dict[int, tuple[int, ...]] = {0: ()}
 
     def intern(self, term: int, sub: int) -> int:
@@ -349,19 +350,24 @@ class CoverTable:
 
 
 def _encode(
-    dnf: Dnf, s_mask: int, x: int, tables: RestrictionTables, covers: CoverTable
+    dnf: Dnf, s_mask: int, x: int, tables: RestrictionTables, covers: CoverTable,
+    start: int = 0,
 ) -> tuple[int, int | None]:
     """(cover id, a) of the full-depth pair (S, x), S nonempty, whose
     precondition is answered: round 1, and then the rest of the run, which
     is the run of the sub-pair (S - S_1, x | b), read from what the pass
     holds for S - S_1 if it holds it for ``covers``, and encoded here if
-    not.  ``a`` is None when the pass holds no truth values."""
+    not.  ``a`` is None when the pass holds no truth values.  Round 1
+    scans the terms from index ``start``, those before it being falsified:
+    the sub-pair's round scans from T, as the round loop did."""
     if x & s_mask:
         raise EncodingInvariantError("depth invariant lost between rounds")
     # the first alive term: a satisfied term means the restriction is
     # decided, contradicting full depth
     assigned = ((1 << dnf.n) - 1) ^ s_mask
-    for idx, (term_vars, term_pos) in enumerate(dnf.term_masks):
+    term_masks = dnf.term_masks
+    for idx in range(start, len(term_masks)):
+        term_vars, term_pos = term_masks[idx]
         seen = term_vars & assigned
         if x & seen != term_pos & seen:
             continue  # falsified
@@ -379,13 +385,7 @@ def _encode(
         # the lexicographically first assignment b of S_1 that keeps E_rest
         # (its existence is part of the correctness claim); its lookup asks
         # the sub-pair's precondition
-        entry = covers.sub_pairs.get(rest)
-        if entry is None:
-            held = tables.held(rest)
-            entry = covers.sub_pairs[rest] = (
-                *tables.full_depth_entry(rest),
-                held if held is not None and held[2][0] is covers else None)
-        table, plan, held = entry
+        table, plan = tables.full_depth_entry(rest)
         for dt_bits, values in _lex_choices(s_1):
             y = x | dt_bits
             i = 0
@@ -395,8 +395,9 @@ def _encode(
                 break
         else:
             raise EncodingInvariantError("no depth-preserving assignment exists")
-        if held is None:
-            sub, sub_a = _encode(dnf, rest, y, tables, covers)
+        held = tables.held(rest)
+        if held is None or held[2][0] is not covers:
+            sub, sub_a = _encode(dnf, rest, y, tables, covers, idx)
         else:
             words, prefix, (_, ids, truth_values) = held
             row = prefix[i >> 6] + (words[i >> 6] & ((1 << (i & 63)) - 1)).bit_count()
@@ -418,11 +419,11 @@ def extract_cover(
     truth values ``a`` (None when the pass holds none; see ``_encode``).
 
     It asks the precondition, runs round 1 and takes the rest from the
-    sub-pair, and checks the whole run: the cover's union holds S, and
-    has at most width * |S| variables, and ``a`` fits in |S| bits.  The
-    family analysis encodes each pair with S nonempty once, through this
-    name, which bench/spans.py counts by wrapping it.  The errors are
-    ``encode_row``'s.
+    sub-pair, and checks the whole run: the cover's union holds S (so
+    sigma has |S| positions), and has at most width * |S| variables, and
+    ``a``, when it is formed, fits in |S| bits.  The family analysis
+    encodes each pair with S nonempty once, through this name, which
+    bench/spans.py counts by wrapping it.  The errors are ``encode_row``'s.
     """
     d = s_mask.bit_count()
     if not tables.full_depth_at(s_mask, xsbar_bits):

@@ -465,38 +465,35 @@ def test_the_union_is_checked_against_each_pair_not_each_cover():
 
 
 class _RecordingTerms(tuple):
-    """A DNF's term masks that record the index of every term a scan
-    reaches (iterating them, as a round does)."""
+    """A DNF's term masks that record the index of every term read."""
 
     def __new__(cls, masks, reads):
         obj = super().__new__(cls, masks)
         obj.reads = reads
         return obj
 
-    def __iter__(self):
-        for idx, masks in enumerate(super().__iter__()):
-            self.reads.append(idx)
-            yield masks
+    def __getitem__(self, idx):
+        self.reads.append(idx)
+        return super().__getitem__(idx)
 
 
-def test_each_round_scans_from_the_first_term(bundles):
-    # a round is round 1 of its pair or of a sub-pair, and reads the terms
-    # from the first one up to the one it selects: a standalone encode runs
-    # one round per cover term, and the analysis one round per pair
+def test_each_round_scans_from_the_previous_rounds_term(bundles):
+    # round 1 reads the terms from the first one up to the one it selects,
+    # every later round (round 1 of a sub-pair) from the term the round
+    # before it selected, that term included, up to its own.  Then the
+    # cover table reads each cover term once as it interns the cover,
+    # innermost first, and once as it spells it.
     for b in bundles[::10]:
         reads = []
         dnf = copy.copy(b.dnf)
         object.__setattr__(dnf, "term_masks", _RecordingTerms(b.dnf.term_masks, reads))
-        firsts = 0
         for s_mask, xsbar in valid_pairs(b.tables, 4):
             reads.clear()
             cover = encode_row(dnf, s_mask, xsbar, b.tables)[3]
-            assert reads == [idx for j in cover for idx in range(j)], (b.label, s_mask, xsbar)
-            firsts += cover[0] if cover else 0
-        reads.clear()
-        analysis = FamilyAnalysis(dnf, 4, RestrictionTables(b.f), b.spec)
-        assert len(reads) == firsts, b.label
-        assert analysis.profiles == b.analysis.profiles
+            selected = [j - 1 for j in cover]
+            starts = [0, *selected][:len(cover)]
+            scans = [idx for start, end in zip(starts, selected) for idx in range(start, end + 1)]
+            assert reads == scans + selected[::-1] + selected, (b.label, s_mask, xsbar)
 
 
 _GOOD_ROW = (0b11, [1, 2], 0b01)

@@ -1,8 +1,7 @@
 """Mutation gate: each mutant below, applied to a copy of the repository,
 must make at least one of its killing tests fail.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py --only a-shifted-by-S
+    python tools/mutants.py
 
 A mutant replaces one text, which must occur exactly once in its file,
 by another.  For each mutant the repository is copied to a temporary
@@ -15,7 +14,6 @@ text still occurs exactly once, so the table follows the code.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -60,6 +58,10 @@ MUTANTS = (
            "    cid, a = _encode(dnf, s_mask, xsbar_bits, tables, covers)\n"
            "    union = covers.union[cid]\n    if cid >= known and s_mask & ~union:\n",
            ("tests/test_encoder.py::test_the_union_is_checked_against_each_pair_not_each_cover",)),
+    Mutant("sub-pair-scan-skips-T", _ENCODER,
+           "_encode(dnf, rest, y, tables, covers, idx)",
+           "_encode(dnf, rest, y, tables, covers, idx + 1)",
+           ("tests/test_encoder.py::test_a_choice_that_satisfies_the_selected_term_is_caught",)),
     Mutant("held-at-d-max", "src/dnf_fourier/covers.py",
            "if d < self.d_max:", "if d <= self.d_max:",
            ("tests/test_encoder.py::test_the_pass_holds_the_levels_below_d_max_until_it_ends",)),
@@ -87,13 +89,9 @@ def killed(mutant: Mutant) -> bool:
         return run.returncode == 1   # a test failed, not a usage or collection error
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", action="append", help="run only the mutant of this name")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
+def main() -> int:
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         verdict = killed(mutant)
         print(f"{mutant.name}: {'killed' if verdict else 'SURVIVED'}", flush=True)
         if not verdict:
