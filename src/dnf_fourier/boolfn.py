@@ -462,6 +462,13 @@ def one_norm_at_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
     return DyadicRational(spec._magnitude_sums[d], spec.n)
 
 
+def weight_at_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
+    """Sum of fhat(S)^2 over subsets of size exactly d."""
+    if not 0 <= d <= spec.n:
+        raise ValueError(f"degree {d} outside [0, {spec.n}]")
+    return DyadicRational(spec._square_sums[d], 2 * spec.n)
+
+
 def weight_above_degree(spec: FourierSpectrum, d: int) -> DyadicRational:
     """Sum of fhat(S)^2 over subsets of size strictly greater than d."""
     if not 0 <= d <= spec.n:

@@ -32,7 +32,12 @@ trip of ``dnf-fourier encdec-test`` reads no count.
 ``FamilyAnalysis`` also encodes the full-depth pairs: each pair with S
 nonempty once, through ``extract_cover``, which returns the pair's cover
 id in the pass's ``CoverTable`` and its truth values (no object per
-pair).  Per subset it keeps only what the checks read: a
+pair), with one ``SubsetRound`` per subset that checks the batch of its
+pairs' preconditions and goes when its pass ends.  A subset with no
+full-depth pair is skipped, its coefficient unread; that each such
+coefficient is 0 is checked once per degree after the pass, where the
+weight of the classified subsets must equal the spectrum's weight at
+that degree.  Per subset it keeps only what the checks read: a
 ``SubsetProfile`` for ``check_abs_fourier_u``, and the distinct covers,
 added to ``covers`` (a tuple built once per cover), for
 ``cover_budget``.  For a subset below d_max it leaves the pairs' cover
@@ -86,6 +91,7 @@ from .boolfn import (
     FourierSpectrum,
     fourier_transform,  # no caller here, but bench/spans.py wraps this name
     one_norm_at_degree,
+    weight_at_degree,
 )
 from .dnf import Dnf
 from .dyadic import DyadicRational
@@ -95,6 +101,7 @@ from .encoder import (
     EncodePreconditionError,
     EncodingInvariantError,
     EncodingRecord,
+    SubsetRound,
     extract_cover,
 )
 from .restrictions import DT_CAP, RestrictionTables
@@ -178,19 +185,27 @@ class FamilyAnalysis:
         covers = CoverTable(self.dnf)
         for s_mask in tables.visit(self.d_max):
             self._classify_subset(s_mask, tables, covers, consumer)
+        # a subset with no full-depth pair is not classified, and its
+        # coefficient must be 0: per degree, the classified subsets hold
+        # all of the spectrum's weight
+        weight = [DyadicRational(0)] * (self.d_max + 1)
+        for (d, _), stats in self.families.items():
+            weight[d] += stats.two_norm_sq
+        for d, classified in enumerate(weight):
+            if classified != weight_at_degree(self.spec, d):
+                raise AssertionError(
+                    f"nonzero coefficient without a full-depth witness at degree {d}: "
+                    f"the subsets with a pair hold {classified} of its weight "
+                    f"{weight_at_degree(self.spec, d)}")
 
     def _classify_subset(self, s_mask: int, tables: RestrictionTables, covers: CoverTable,
                          consumer: RecordConsumer | None) -> None:
+        if not tables.full_depth_count(s_mask):
+            return   # its coefficient is read by the check of its degree's weight
         n = self.dnf.n
         d = s_mask.bit_count()
         xsbars = tables.full_depth_xsbars(s_mask)
         coeff = self.spec.coeff(s_mask)
-        if xsbars.size == 0:
-            if coeff.numerator != 0:
-                raise AssertionError(
-                    f"nonzero coefficient without a full-depth witness: {s_mask:#x}"
-                )
-            return
         if s_mask == 0:
             # E_{} holds everywhere and the encoder selects no term, so
             # every assignment is a witness with the empty cover, and its
@@ -203,11 +218,13 @@ class FamilyAnalysis:
                     n, xsbars, np.zeros((xsbars.size, 0), np.uint8),
                     np.broadcast_to(np.uint16(0), xsbars.shape)))
         else:
+            r = SubsetRound(self.dnf, s_mask, tables, covers)
+            r.check(xsbars)
             ids = array("I")   # each pair's cover id, in valid_pairs order
             truth_values = array("H") if consumer is not None else None
             for xsbar in xsbars.tolist():
                 try:
-                    cid, a = extract_cover(self.dnf, s_mask, xsbar, tables, covers)
+                    cid, a = extract_cover(self.dnf, s_mask, xsbar, r)
                 except (EncodePreconditionError, EncodingInvariantError) as exc:
                     raise type(exc)(f"at S={s_mask}, x={xsbar}: {exc}") from exc
                 ids.append(cid)

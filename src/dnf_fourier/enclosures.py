@@ -104,17 +104,16 @@ def decide_le(lhs, make_enclosure) -> tuple[bool, RealEnclosure]:
     doubling prec until lhs is off the interval or at its low end (0 <= ln 1).
     k ln q (q != 1) and e^m (m != 0) are irrational, so this ends."""
     lhs = Fraction(lhs)
-    prec = 64
+    prec, against = 64, ""   # no enclosure is made when _MAX_PREC < 64
     while prec <= _MAX_PREC:
         enc = make_enclosure(prec)
         if lhs <= enc.low:
             return True, enc
         if lhs > enc.high:
             return False, enc
+        against = f" against [{float(enc.low)}, {float(enc.high)}]"
         prec *= 2
-    raise EnclosureUndecidedError(
-        f"comparison of {lhs} against [{float(enc.low)}, {float(enc.high)}] undecided"
-    )
+    raise EnclosureUndecidedError(f"comparison of {lhs}{against} undecided")
 
 
 def floor_scaled_log2(q: Fraction, scale: Fraction, cap: int | float, r: Fraction = 2) -> int:

@@ -39,29 +39,40 @@ literals; a is b's values, then the sub-pair's a shifted up by |S_1|;
 and sigma, like S's bits of x_sat, is a function of S and the cover
 alone (``CoverTable.spell``).
 
-``extract_cover`` is the one encoder of a pair: it asks the
-precondition, runs round 1 (``_encode``) and takes the rest from the
-sub-pair.  Covers are interned in a ``CoverTable``, one id per distinct
-cover, so a pair's result is a cover id and a (no object per pair).
-During ``FamilyAnalysis``'s pass over ``RestrictionTables.visit``, each
-subset S with 0 < |S| < d_max leaves, in its tables' cache entry
+``extract_cover`` is the one encoder of a pair: it runs round 1
+(``_encode``) and takes the rest from the sub-pair.  What round 1 of the
+pairs of one subset S shares is prepared once, in S's ``SubsetRound``:
+the assigned mask, the bound width * |S| on the cover's union and, per
+first alive term T, S_1, E_rest's lookup entry, the candidates on S_1
+compressed into E_rest's index (compressing is linear in OR, so a pair
+compresses x once and tries each candidate with one OR), and what is
+held for rest.  Covers are interned in a ``CoverTable``, one id per
+distinct cover, so a pair's result is a cover id and a (no object per
+pair).  During ``FamilyAnalysis``'s pass over ``RestrictionTables.visit``,
+each subset S with a pair gets its round when its pass starts, which
+checks S's precondition on the whole batch of its pairs with numpy
+(``SubsetRound.check``: E_S holds at x, and x has no bit on S, the first
+failing pair named), and drops it when the pass ends.  Each S with
+0 < |S| < d_max leaves, in its tables' cache entry
 (``RestrictionTables.hold``), a uint32 cover id per pair in
 ``valid_pairs`` order, a uint16 a per pair when the analysis has a
 consumer of the encodings, and a rank index of E_S, so that a pair of a
 larger subset reads its sub-pair's row at the rank of the table index
 that its accepted lookup just read.  Nothing is held for |S| = d_max,
 and everything goes with the tables when the pass ends.  Outside a pass
-(``encode_row``, ``encode``) nothing is held, and ``_encode`` recurses
-on the sub-pair instead, the precondition already answered and its scan
-starting at T, as the next round of a loop would.  Each check of the run
-is made on every pair: the precondition holds, the first alive term is
-not already satisfied, S_1 is not empty, a depth-preserving choice
-exists, T comes before the sub-pair's first term, and the cover's union
-holds S and has at most width * |S| variables.  The union check is also
-the check that sigma has |S| positions, since each variable of the union
-enters c once and sigma lists where S's sit; ``spell`` counts them again
-when a consumer has a cover spelled.  a is checked to fit in |S| bits
-wherever it is formed; a pass with no consumer (``sweep``) forms no a.
+(``encode_row``, ``encode``) nothing is held: ``encode_row`` asks the
+pair's precondition itself, and ``_encode`` recurses on the sub-pair
+with a round of its own, whose scan starts at T, as the next round of a
+loop would.  Each check of the run is made on every pair: the
+precondition holds, the first alive term is not already satisfied, a
+depth-preserving choice exists, T comes before the sub-pair's first
+term, and the cover's union holds S and has at most width * |S|
+variables; that S_1 is not empty is checked once per T and S, of which
+it is a function.  The union check is also the check that sigma has
+|S| positions, since each variable of the union enters c once and sigma
+lists where S's sit; ``spell`` counts them again when a consumer has a
+cover spelled.  a is checked to fit in |S| bits wherever it is formed; a
+pass with no consumer (``sweep``) forms no a.
 
 ``encode_row`` returns a plain row (x_sat, sigma as a list, a packed as
 bits with bit t the t-th truth value, the cover's term indices, the
@@ -78,21 +89,21 @@ the subset's pass; ``sweep`` has none and spells and packs nothing.  The
 pairs with S empty are not encoded at all: their encoding is x_sat = x
 with empty sigma and a, and the analysis writes that record directly.
 
-Each full-depth question is asked of the tables at most once per pair:
-one lookup for the precondition, then one per depth-preserving candidate
-tried.  In a pass that is all a pair asks: the precondition and round
-1's candidates (the question of the sub-pair's precondition is the
-accepted lookup).  A standalone ``encode`` asks the questions of every
-round of its recursion; the last round, whose block is all of the
-remaining free set, asks nothing: E_{} is identically true, so its first
-candidate, every variable false, is taken.  On
+Each full-depth question is asked of the tables at most once per pair.
+In a pass a pair asks round 1's candidates, the accepted one being the
+sub-pair's precondition, and its own precondition is asked in its
+subset's batch.  A standalone ``encode`` asks its precondition and the
+candidates of every round of its recursion; the last round, whose block
+is all of the remaining free set, asks nothing: E_{} is identically
+true, so its first candidate, every variable false, is taken.  On
 ``bench/instances/readk16.dnf`` at d_max 4 the pass's 158,288 encodes
-ask 389,752 questions, where a loop over every round asked 578,404.  That
-round loop stays in the tests as ``oracle_round_loop``, and the scan of
-every round from the first term, with an object built per pair, as
-``oracle_encode``; both are oracles of the encoder.  ``valid_pairs`` and
-the family analysis read each subset's x_Sbar masks from
-``RestrictionTables.full_depth_xsbars``, in the tables' pass.
+make 231,464 lookups and 793 batch checks, where a loop over every
+round asked 578,404 questions.  That round loop stays in the tests as
+``oracle_round_loop``, and the scan of every round from the first term,
+with an object built per pair, as ``oracle_encode``; both are oracles
+of the encoder.  ``valid_pairs`` and the family analysis read each
+subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``, in
+the tables' pass.
 
 ``decode_records`` is the one decoder.  It inverts a whole batch of
 same-degree encodings with numpy, and the ``roundtrip`` check decodes
@@ -117,7 +128,7 @@ import numpy as np
 
 from .bitops import bit_indices, pdep
 from .dnf import Dnf
-from .restrictions import RestrictionTables
+from .restrictions import RestrictionTables, compress
 
 
 class EncodePreconditionError(ValueError):
@@ -349,24 +360,80 @@ class CoverTable:
         return sat, sigma
 
 
-def _encode(
-    dnf: Dnf, s_mask: int, x: int, tables: RestrictionTables, covers: CoverTable,
-    start: int = 0,
-) -> tuple[int, int | None]:
-    """(cover id, a) of the full-depth pair (S, x), S nonempty, whose
+class SubsetRound:
+    """What round 1 of every pair of one subset S shares (see the module
+    docstring), with what depends on the first alive term T built the
+    first time a pair selects T (``group``).  Round 1 scans the terms from
+    index ``start``, those before it being falsified."""
+
+    __slots__ = ("dnf", "s_mask", "tables", "covers", "assigned", "bound", "start", "groups")
+
+    def __init__(self, dnf: Dnf, s_mask: int, tables: RestrictionTables, covers: CoverTable,
+                 start: int = 0):
+        self.dnf, self.s_mask, self.tables, self.covers = dnf, s_mask, tables, covers
+        self.assigned = ((1 << dnf.n) - 1) ^ s_mask
+        self.bound = dnf.width() * s_mask.bit_count()
+        self.start = start
+        self.groups: dict[int, tuple] = {}
+
+    def check(self, xsbars: np.ndarray) -> None:
+        """S's precondition on each pair (S, x) of the uint32 array
+        ``xsbars``: E_S holds at x, and x has no bit on S.  The first pair
+        that fails raises its error, naming the pair."""
+        s_mask = self.s_mask
+        holds = self.tables.full_depth_rows(s_mask, xsbars)
+        failing = np.flatnonzero(~holds | (xsbars & s_mask != 0))
+        if failing.size:
+            row = int(failing[0])
+            at = f"at S={s_mask}, x={int(xsbars[row])}: "
+            if not holds[row]:
+                raise EncodePreconditionError(
+                    f"{at}restriction lacks full decision-tree depth |S| = {s_mask.bit_count()}")
+            raise EncodingInvariantError(f"{at}depth invariant lost between rounds")
+
+    def group(self, idx: int, term_vars: int) -> tuple:
+        """(S_1, rest, E_rest's packed view, rest's compress plan, the
+        candidates as (index in E_rest, truth values), the held results as
+        words, prefix, cover ids and truth values, and the round of rest)
+        for the first alive term ``idx``, whose variable mask is
+        ``term_vars``.  What is held for rest is read when the pass holds it
+        for these covers; otherwise the held results are None and the
+        round of rest, which encodes the sub-pair, is made.
+
+        Compressing keeps the order of the variables outside rest, so the
+        candidates on S_1, compressed, are the lexicographic assignments on
+        S_1's compressed bits, in the same order and with the same truth
+        values."""
+        s_1 = term_vars & self.s_mask
+        if s_1 == 0:
+            raise EncodingInvariantError("alive term has no free variable")
+        rest = self.s_mask ^ s_1
+        table = plan = candidates = words = prefix = ids = truth_values = sub_round = None
+        if rest:
+            tables = self.tables
+            table, plan = tables.full_depth_entry(rest)
+            candidates = _lex_choices(compress(s_1, plan))
+            held = tables.held(rest)
+            if held is None or held[2][0] is not self.covers:
+                sub_round = SubsetRound(self.dnf, rest, tables, self.covers, idx)
+            else:
+                words, prefix, (_, ids, truth_values) = held
+        group = self.groups[idx] = (
+            s_1, rest, table, plan, candidates, words, prefix, ids, truth_values, sub_round)
+        return group
+
+
+def _encode(r: SubsetRound, x: int) -> tuple[int, int | None]:
+    """(cover id, a) of the full-depth pair (S, x) of r's subset S, whose
     precondition is answered: round 1, and then the rest of the run, which
     is the run of the sub-pair (S - S_1, x | b), read from what the pass
-    holds for S - S_1 if it holds it for ``covers``, and encoded here if
-    not.  ``a`` is None when the pass holds no truth values.  Round 1
-    scans the terms from index ``start``, those before it being falsified:
-    the sub-pair's round scans from T, as the round loop did."""
-    if x & s_mask:
-        raise EncodingInvariantError("depth invariant lost between rounds")
+    holds for S - S_1, and encoded here if nothing is held.  ``a`` is None
+    when the pass holds no truth values."""
     # the first alive term: a satisfied term means the restriction is
     # decided, contradicting full depth
-    assigned = ((1 << dnf.n) - 1) ^ s_mask
-    term_masks = dnf.term_masks
-    for idx in range(start, len(term_masks)):
+    assigned = r.assigned
+    term_masks = r.dnf.term_masks
+    for idx in range(r.start, len(term_masks)):
         term_vars, term_pos = term_masks[idx]
         seen = term_vars & assigned
         if x & seen != term_pos & seen:
@@ -377,35 +444,32 @@ def _encode(
         break
     else:
         raise EncodingInvariantError("no alive term although the restriction has full depth")
-    s_1 = term_vars & s_mask
-    if s_1 == 0:
-        raise EncodingInvariantError("alive term has no free variable")
-    rest = s_mask ^ s_1
+    group = r.groups.get(idx) or r.group(idx, term_vars)
+    s_1, rest, table, plan, candidates, words, prefix, ids, truth_values, sub_round = group
     if rest:
         # the lexicographically first assignment b of S_1 that keeps E_rest
-        # (its existence is part of the correctness claim); its lookup asks
-        # the sub-pair's precondition
-        table, plan = tables.full_depth_entry(rest)
-        for dt_bits, values in _lex_choices(s_1):
-            y = x | dt_bits
-            i = 0
-            for shift, mask in plan:
-                i |= y >> shift & mask
+        # (its existence is part of the correctness claim): x's index in
+        # E_rest OR each candidate's, since compressing is linear in OR.
+        # The accepted lookup asks the sub-pair's precondition
+        x_index = 0
+        for shift, mask in plan:
+            x_index |= x >> shift & mask
+        for index, values in candidates:
+            i = x_index | index
             if table[i >> 3] >> (i & 7) & 1:
                 break
         else:
             raise EncodingInvariantError("no depth-preserving assignment exists")
-        held = tables.held(rest)
-        if held is None or held[2][0] is not covers:
-            sub, sub_a = _encode(dnf, rest, y, tables, covers, idx)
+        if sub_round is not None:
+            sub, sub_a = _encode(sub_round, x | pdep(values, s_1))
         else:
-            words, prefix, (_, ids, truth_values) = held
             row = prefix[i >> 6] + (words[i >> 6] & ((1 << (i & 63)) - 1)).bit_count()
             sub, sub_a = ids[row], None if truth_values is None else truth_values[row]
     else:
         # E_{} is identically true, so the first candidate, every variable
         # false, keeps it: nothing is asked
         values = sub = sub_a = 0
+    covers = r.covers
     # the sub-pair's terms are alive after round 1, so they come after T
     if covers.first[sub] <= idx:
         raise EncodingInvariantError("cover term indices not increasing")
@@ -413,32 +477,50 @@ def _encode(
 
 
 def extract_cover(
-    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables, covers: CoverTable
+    dnf: Dnf, s_mask: int, xsbar_bits: int, r: SubsetRound
 ) -> tuple[int, int | None]:
-    """Encode the pair (S, x_Sbar) into its cover's id in ``covers`` and its
-    truth values ``a`` (None when the pass holds none; see ``_encode``).
+    """Encode the pair (S, x_Sbar), S nonempty, into its cover's id in
+    ``r.covers`` and its truth values ``a`` (None when the pass holds none;
+    see ``_encode``).  ``r`` is S's round, and the pair's precondition has
+    been answered: by ``r.check`` in a pass, by ``encode_row`` outside one.
 
-    It asks the precondition, runs round 1 and takes the rest from the
-    sub-pair, and checks the whole run: the cover's union holds S (so
-    sigma has |S| positions), and has at most width * |S| variables, and
-    ``a``, when it is formed, fits in |S| bits.  The family analysis
-    encodes each pair with S nonempty once, through this name, which
-    bench/spans.py counts by wrapping it.  The errors are ``encode_row``'s.
+    It runs round 1 and takes the rest from the sub-pair, and checks the
+    whole run: the cover's union holds S (so sigma has |S| positions), and
+    has at most width * |S| variables, and ``a``, when it is formed, fits
+    in |S| bits.  The family analysis encodes each pair with S nonempty
+    once, through this name, which bench/spans.py counts by wrapping it.
+    A failed check raises ``encode_row``'s EncodingInvariantError.
     """
-    d = s_mask.bit_count()
-    if not tables.full_depth_at(s_mask, xsbar_bits):
-        raise EncodePreconditionError(f"restriction lacks full decision-tree depth |S| = {d}")
-    if not s_mask:
-        return 0, 0
-    cid, a = _encode(dnf, s_mask, xsbar_bits, tables, covers)
-    union = covers.union[cid]
+    cid, a = _encode(r, xsbar_bits)
+    union = r.covers.union[cid]
     if s_mask & ~union:
         raise EncodingInvariantError("variable string c misses part of S")
-    if union.bit_count() > dnf.width() * d:
+    if union.bit_count() > r.bound:
         raise EncodingInvariantError("variable string c longer than width * d")
-    if a is not None and a >> d:
+    if a is not None and a >> s_mask.bit_count():
         raise EncodingInvariantError("sigma or a has wrong length")
     return cid, a
+
+
+def _encode_alone(
+    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
+) -> tuple[CoverTable | None, int, int]:
+    """``encode_row``'s checks of its arguments and its encoding of the pair
+    outside a pass: (a cover table of its own, the cover id, a), the
+    table None when S is empty."""
+    full = (1 << dnf.n) - 1
+    if s_mask & ~full or xsbar_bits & ~full:
+        raise ValueError(f"mask beyond n={dnf.n} variables")
+    if xsbar_bits & s_mask:
+        raise ValueError("fixed assignment overlaps the free set")
+    if not tables.full_depth_at(s_mask, xsbar_bits):
+        raise EncodePreconditionError(
+            f"restriction lacks full decision-tree depth |S| = {s_mask.bit_count()}")
+    if not s_mask:
+        return None, 0, 0
+    covers = CoverTable(dnf)
+    cid, a = extract_cover(dnf, s_mask, xsbar_bits, SubsetRound(dnf, s_mask, tables, covers))
+    return covers, cid, a
 
 
 def encode_row(
@@ -454,13 +536,9 @@ def encode_row(
     (which would falsify the counting argument).  Outside a pass it
     encodes every sub-pair itself, with covers of its own.
     """
-    full = (1 << dnf.n) - 1
-    if s_mask & ~full or xsbar_bits & ~full:
-        raise ValueError(f"mask beyond n={dnf.n} variables")
-    if xsbar_bits & s_mask:
-        raise ValueError("fixed assignment overlaps the free set")
-    covers = CoverTable(dnf)
-    cid, a = extract_cover(dnf, s_mask, xsbar_bits, tables, covers)
+    covers, cid, a = _encode_alone(dnf, s_mask, xsbar_bits, tables)
+    if covers is None:
+        return xsbar_bits, [], 0, (), 0
     sat, sigma = covers.spell(s_mask, cid)
     return xsbar_bits | sat, sigma, a, covers.terms(cid), covers.union[cid].bit_count()
 
@@ -474,13 +552,14 @@ def encode(
     (whose union mask is the union of the cover terms' variables); the
     arguments and the errors are ``encode_row``'s.
     """
-    x_sat, sigma, a, cover, union_size = encode_row(dnf, s_mask, xsbar_bits, tables)
-    union_mask = 0
-    for j in cover:
-        union_mask |= dnf.term_masks[j - 1][0]
+    covers, cid, a = _encode_alone(dnf, s_mask, xsbar_bits, tables)
+    if covers is None:
+        return Encoding(dnf.n, xsbar_bits, (), 0), CoverRecord((), 0, 0)
+    sat, sigma = covers.spell(s_mask, cid)
+    union = covers.union[cid]
     return (
-        Encoding(dnf.n, x_sat, tuple(sigma), a),
-        CoverRecord(cover, union_size, union_mask),
+        Encoding(dnf.n, xsbar_bits | sat, tuple(sigma), a),
+        CoverRecord(covers.terms(cid), union.bit_count(), union),
     )
 
 

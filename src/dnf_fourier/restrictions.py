@@ -32,11 +32,20 @@ moves past S, since an encoder round asks only about proper subsets of
 its own S (at d_max 4 that level holds over half of the table bytes),
 and every table when the pass ends.  Counts stay, for ``evasive``.
 
+The pass prunes by the zero-parent rule: if some parent E_{S-i} is all
+zero, the factor of i in the last rule above is zero everywhere, so E_S
+is all zero too.  Such an S is given count 0 before it is yielded, and
+no table, and so no x_Sbar, is built for it; it is still yielded in its
+place, so ``evasive`` writes its row.  Its parents come first, so their
+counts are known.  A function that ignores variable i has E_{i} all
+zero, so every larger S that holds i has count 0 and no table.
+
 The tables own every full-depth fact the package reads.  The index of a
 full assignment x in E_S is x with the bits of S deleted: the OR of
 (x >> shift) & mask over S's compress plan, one (shift, mask) pair per
-run of fixed variables (at most |S| + 1), where the encoder reads single
-entries.  Run backwards, the plan turns the indices where E_S holds into
+run of fixed variables (at most |S| + 1) (``compress``), where the
+encoder reads single entries; ``full_depth_rows`` reads a whole batch of
+x with numpy.  Run backwards, the plan turns the indices where E_S holds into
 the x_Sbar masks of the full-depth pairs (``full_depth_xsbars``), which
 the family analysis and ``valid_pairs`` read.  A table's cache entry can
 also hold a result per full-depth pair (``hold``), with E_S's rank index:
@@ -99,6 +108,16 @@ def _halves(packed: np.ndarray, p: int, op, out: np.ndarray) -> None:
         out |= high[p][packed[1::2]]
 
 
+def compress(x: int, plan: tuple) -> int:
+    """The index of the n-bit mask x in the table whose compress plan is
+    ``plan``: the OR of (x >> shift) & mask over the plan.  It is linear in
+    OR: compress(x | b) = compress(x) | compress(b)."""
+    i = 0
+    for shift, mask in plan:
+        i |= x >> shift & mask
+    return i
+
+
 class RestrictionTables:
     """Full-depth lookups for all restrictions of one function.
 
@@ -123,8 +142,13 @@ class RestrictionTables:
         self._counts: dict[int, int] = {}
 
     def visit(self, d_max: int) -> Iterator[int]:
-        """The subset pass (see the module docstring)."""
+        """The subset pass (see the module docstring).  An S with a parent
+        S - i of count 0 is given count 0 before it is yielded, and no
+        table."""
+        count = self.full_depth_count
         for s_mask in subsets_up_to(self.n, d_max):
+            if any(count(s_mask ^ 1 << i) == 0 for i in bit_indices(s_mask)):
+                self._counts[s_mask] = 0
             yield s_mask
             if s_mask.bit_count() == d_max:
                 self.release(s_mask)
@@ -212,6 +236,15 @@ class RestrictionTables:
             i |= x >> shift & mask
         return table[i >> 3] >> (i & 7) & 1
 
+    def full_depth_rows(self, free_mask: int, xs: np.ndarray) -> np.ndarray:
+        """``full_depth_at`` for each n-bit mask of the uint32 array ``xs``
+        at once, as a bool array."""
+        table = self.dt_by_sbar(free_mask)
+        index = np.zeros_like(xs)
+        for shift, mask in self.full_depth_entry(free_mask)[1]:
+            index |= xs >> shift & mask
+        return (table[index >> 3] >> (index & 7) & 1).astype(bool)
+
     def hold(self, free_mask: int, held) -> None:
         """Keep ``held``, a result per full-depth pair of S in
         ``full_depth_xsbars`` order, in S's cache entry with E_S's rank
@@ -240,11 +273,13 @@ class RestrictionTables:
         where the table holds, run back through S's compress plan (the OR
         of (i & mask) << shift), ``INDEX_CHUNK`` entries at a time, so no
         temporary is as large as the result.  For S = {} the indices are
-        the masks."""
-        packed = self.dt_by_sbar(free_mask)
-        out = np.empty(self.full_depth_count(free_mask), dtype=np.uint32)
+        the masks.  A subset of count 0 reads no table, so a pass builds
+        none for it."""
+        count = self.full_depth_count(free_mask)
+        out = np.empty(count, dtype=np.uint32)
+        packed = self.dt_by_sbar(free_mask) if count else np.empty(0, np.uint8)
         # S's cache entry keeps the plan for the encoder's questions on S
-        plan = self.full_depth_entry(free_mask)[1] if free_mask else ()
+        plan = self.full_depth_entry(free_mask)[1] if free_mask and count else ()
         filled, step = 0, INDEX_CHUNK >> 3
         for lo in range(0, packed.size, step):   # unused bits are zero
             index = np.flatnonzero(np.unpackbits(packed[lo:lo + step], bitorder="little"))

@@ -159,6 +159,18 @@ def test_decide_le_raises_when_the_enclosure_never_separates():
     assert asked[-1] == _MAX_PREC
 
 
+def test_a_maximum_precision_below_64_is_undecided_naming_the_lhs(monkeypatch):
+    # no round runs, so no enclosure is made: both raise the undecided
+    # error, decide_le's naming its lhs
+    from dnf_fourier import enclosures
+
+    monkeypatch.setattr(enclosures, "_MAX_PREC", 32)
+    with pytest.raises(EnclosureUndecidedError, match=r"^comparison of 3/7 undecided$"):
+        decide_le(Fraction(3, 7), lambda prec: ln_enclosure(Fraction(5), prec))
+    with pytest.raises(EnclosureUndecidedError, match=r"^floor of "):
+        floor_scaled_log2(Fraction(3), Fraction(1), math.inf)
+
+
 def test_enclosures_at_the_maximum_precision_take_seconds_at_most():
     q = Fraction(1 << 24, (1 << 24) - 16715804)   # the n = 24 rung's satisfied mass
     start = time.perf_counter()

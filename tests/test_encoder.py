@@ -14,6 +14,8 @@ one ``Encoding``: ``decode_records``, and ``decode`` (a one-row
 encoder use it, at a small fraction of ``decode``'s cost per call.
 """
 import copy
+import re
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -36,6 +38,7 @@ from dnf_fourier import (
     decode_records,
     encode,
     extract_cover,
+    fourier_transform,
     random_read_k,
     tribes,
     valid_pairs,
@@ -44,8 +47,8 @@ from dnf_fourier.bitops import bit_indices
 from dnf_fourier.covers import SubsetProfile
 from dnf_fourier.encoder import (
     BITS_BEYOND_N, DECODE_ERRORS, MORE_THAN_D, NO_NEW_VARIABLE, NO_PROGRESS, NO_SATISFIED_TERM,
-    SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, CoverTable, _ascending_bits,
-    _lex_choices, _row_checks, encode_row,
+    SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, CoverTable, SubsetRound,
+    _ascending_bits, _lex_choices, _row_checks, encode_row,
 )
 
 from conftest import encodings as record_encodings
@@ -359,13 +362,17 @@ def test_negated_literals_roundtrip():
 
 
 def test_extract_cover_matches_encode():
-    # the pass's per-pair call: the cover's id in the table that interned
-    # it, and the truth values; x_sat and sigma are spelled from the cover
+    # the pass's per-pair call, with one round per subset: the cover's id
+    # in the table that interned it, and the truth values; x_sat and sigma
+    # are spelled from the cover
     dnf = Dnf.from_term_literals(4, [[1, 2], [3, 4]])
     tables = RestrictionTables(dnf.evaluate())
-    covers = CoverTable(dnf)
+    covers, rounds = CoverTable(dnf), {}
     for s_mask, xsbar in valid_pairs(tables, 3):
-        cid, a = extract_cover(dnf, s_mask, xsbar, tables, covers)
+        if not s_mask:
+            continue
+        r = rounds.setdefault(s_mask, SubsetRound(dnf, s_mask, tables, covers))
+        cid, a = extract_cover(dnf, s_mask, xsbar, r)
         e, cov = encode(dnf, s_mask, xsbar, tables)
         assert (covers.terms(cid), covers.union[cid], a) == (cov.term_indices, cov.union_mask, e.a)
         sat, sigma = covers.spell(s_mask, cid)
@@ -447,7 +454,7 @@ def test_a_held_sub_pair_whose_cover_starts_too_early_is_caught():
     covers = CoverTable(dnf)
     tables = _HeldTables(covers, covers.intern(0, 0))
     with pytest.raises(EncodingInvariantError, match="^cover term indices not increasing$"):
-        extract_cover(dnf, 0b110, 0b000, tables, covers)
+        extract_cover(dnf, 0b110, 0b000, SubsetRound(dnf, 0b110, tables, covers))
 
 
 def test_the_union_is_checked_against_each_pair_not_each_cover():
@@ -457,10 +464,10 @@ def test_the_union_is_checked_against_each_pair_not_each_cover():
     dnf = Dnf.from_term_literals(3, [[1], [2], [3]])
     covers = CoverTable(dnf)
     tables = _HeldTables(covers, covers.intern(1, 0))
-    cid, _ = extract_cover(dnf, 0b011, 0, tables, covers)
+    cid, _ = extract_cover(dnf, 0b011, 0, SubsetRound(dnf, 0b011, tables, covers))
     assert covers.terms(cid) == (1, 2)
     with pytest.raises(EncodingInvariantError, match="^variable string c misses part of S$"):
-        extract_cover(dnf, 0b101, 0, tables, covers)
+        extract_cover(dnf, 0b101, 0, SubsetRound(dnf, 0b101, tables, covers))
     assert len(covers.first) == 3   # the same cover id
 
 
@@ -776,6 +783,20 @@ def asked(monkeypatch):
     return _record_questions(monkeypatch, [])
 
 
+def _record_batches(monkeypatch, batches):
+    """Append to ``batches`` (free set, number of rows) for each batch of
+    preconditions put to any RestrictionTables through
+    ``full_depth_rows``."""
+    full_depth_rows = RestrictionTables.full_depth_rows
+
+    def spy(self, free_mask, xs):
+        batches.append((free_mask, len(xs)))
+        return full_depth_rows(self, free_mask, xs)
+
+    monkeypatch.setattr(RestrictionTables, "full_depth_rows", spy)
+    return batches
+
+
 class _QuestionCount:
     """Counts the questions a ``_RecordingTable`` records, keeping none."""
 
@@ -790,36 +811,44 @@ class _QuestionCount:
 def readk16_pass():
     """The analysis of random_read_k(n=16, s=10, w=3, k=2, seed=3)
     (bench/instances/readk16.dnf) at d_max 4 with a consumer, as verify
-    runs it: its DNF and tables, the questions it asked, each encoded pair
-    as (S, x_Sbar, cover, union size, a) and the records it handed over."""
+    runs it: its DNF and tables, the lookups its pairs made, its batches
+    of preconditions, each encoded pair as (S, x_Sbar, cover, union size,
+    a) and the records it handed over."""
     from dnf_fourier import covers, fourier_transform
 
     dnf = random_read_k(n=16, s=10, w=3, k=2, seed=3)
     f = dnf.evaluate()
     tables = RestrictionTables(f)
-    count, pairs, records = _QuestionCount(), [], {}
+    count, batches, pairs, records = _QuestionCount(), [], [], {}
     extract = covers.extract_cover
 
-    def keep(dnf, s_mask, xsbar, tables, table):
-        cid, a = extract(dnf, s_mask, xsbar, tables, table)
-        pairs.append((s_mask, xsbar, table.terms(cid), table.union[cid].bit_count(), a))
+    def keep(dnf, s_mask, xsbar, r):
+        cid, a = extract(dnf, s_mask, xsbar, r)
+        pairs.append((s_mask, xsbar, r.covers.terms(cid), r.covers.union[cid].bit_count(), a))
         return cid, a
 
     with pytest.MonkeyPatch.context() as mp:
         _record_questions(mp, count)
+        _record_batches(mp, batches)
         mp.setattr(covers, "extract_cover", keep)
         FamilyAnalysis(dnf, 4, tables, fourier_transform(f),
                        lambda s_mask, xsbars, record: records.__setitem__(s_mask, record))
-    return dnf, tables, count.total, pairs, records
+    return dnf, tables, (count.total, batches), pairs, records
 
 
-def test_the_analysis_of_readk16_asks_389752_questions(readk16_pass):
-    # its 158,288 encodes ask one precondition and round 1's candidates
-    # each, as _expected_lookups restricted to round 1 counts them (the
-    # test below checks that count on the corpus); every round of the run,
-    # as the round loop asked them, came to 578,404
-    _, _, questions, pairs, _ = readk16_pass
-    assert (len(pairs), questions) == (158_288, 389_752)
+def test_the_analysis_of_readk16_asks_231464_lookups_and_one_batch_per_subset(readk16_pass):
+    # its 158,288 encodes try round 1's candidates, as _expected_lookups
+    # restricted to round 1 counts them less the precondition (the test
+    # below checks that count on the corpus): 231,464 lookups.  The
+    # preconditions are asked in one batch per nonempty subset with a
+    # pair, 793 of them, of all its pairs.  One question per pair for the
+    # precondition and every round of the run, as the round loop asked
+    # them, came to 578,404
+    _, _, (lookups, batches), pairs, _ = readk16_pass
+    assert (len(pairs), lookups) == (158_288, 231_464)
+    subsets = Counter(s_mask for s_mask, *_ in pairs)
+    assert sorted(batches) == sorted(subsets.items())
+    assert len(batches) == 793
 
 
 @pytest.mark.parametrize("d_max", [1, 3, 4])
@@ -844,14 +873,70 @@ def test_the_pass_holds_the_levels_below_d_max_until_it_ends(monkeypatch, bundle
         assert tables._by_sbar == {}
 
 
+@pytest.mark.parametrize("on_s, error, message", [
+    (False, EncodePreconditionError, "restriction lacks full decision-tree depth |S| = 2"),
+    (True, EncodingInvariantError, "depth invariant lost between rounds"),
+], ids=["no-full-depth", "bits-on-S"])
+def test_the_batch_checks_the_precondition_of_every_pair(monkeypatch, on_s, error, message):
+    # S = {x1, x2} of tribes(2, 2) has several pairs; its last pair's
+    # x_Sbar is replaced by one where E_S does not hold, or by itself with
+    # the bits of S set: the analysis names that pair, not the first
+    dnf = tribes(2, 2)
+    f = dnf.evaluate()
+    s_mask = 0b0011
+    xsbars = RestrictionTables(f).full_depth_xsbars(s_mask).tolist()
+    assert len(xsbars) > 1
+    if on_s:
+        wrong = xsbars[-1] | s_mask
+    else:
+        wrong = next(x for x in range(0, 16, 4) if x not in xsbars)
+    full_depth_xsbars = RestrictionTables.full_depth_xsbars
+
+    def last_one_wrong(self, free_mask):
+        out = full_depth_xsbars(self, free_mask)
+        return np.append(out[:-1], np.uint32(wrong)) if free_mask == s_mask else out
+
+    monkeypatch.setattr(RestrictionTables, "full_depth_xsbars", last_one_wrong)
+    with pytest.raises(error, match=f"^at S={s_mask}, x={wrong}: {re.escape(message)}$"):
+        FamilyAnalysis(dnf, 2, RestrictionTables(f), fourier_transform(f))
+
+
+def test_no_table_outlives_the_pass(monkeypatch, bundles):
+    # once the analysis's pass ends, nothing it keeps, no subset's round
+    # among it, holds a table: each one the pass built is gone
+    import gc
+    import weakref
+
+    refs, by_sbar = [], RestrictionTables.dt_by_sbar
+
+    def dt_by_sbar(self, free_mask):
+        table = by_sbar(self, free_mask)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(RestrictionTables, "dt_by_sbar", dt_by_sbar)
+    for b in bundles[::10]:
+        refs.clear()
+        analysis = FamilyAnalysis(b.dnf, b.analysis.d_max, RestrictionTables(b.f), b.spec)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs), b.label
+        assert analysis.profiles == b.analysis.profiles
+
+
 def test_the_analysis_asks_one_round_per_pair_on_corpus(monkeypatch, bundles):
+    # round 1's lookups per pair, and each pair's precondition once, in
+    # its subset's batch
     count = _record_questions(monkeypatch, _QuestionCount())
+    batches = _record_batches(monkeypatch, [])
     for b in bundles[::4]:
-        expected = sum(_expected_lookups(b.dnf, s, *oracle_encode(b.dnf, s, x, b.tables), 1)
-                       for s, x in valid_pairs(b.tables, b.analysis.d_max) if s)
+        pairs = [(s, x) for s, x in valid_pairs(b.tables, b.analysis.d_max) if s]
+        expected = sum(_expected_lookups(b.dnf, s, *oracle_encode(b.dnf, s, x, b.tables), 1) - 1
+                       for s, x in pairs)
         count.total = 0
+        batches.clear()
         FamilyAnalysis(b.dnf, b.analysis.d_max, RestrictionTables(b.f), b.spec)
         assert count.total == expected, b.label
+        assert sorted(batches) == sorted(Counter(s for s, _ in pairs).items()), b.label
 
 
 def test_the_analysis_of_readk16_matches_the_round_loop(readk16_pass):

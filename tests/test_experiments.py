@@ -8,15 +8,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnf_fourier import (
+    Dnf,
     DyadicRational,
     ExperimentConfig,
+    FamilyAnalysis,
     FourierSpectrum,
     GeneratorSpec,
     InstanceSource,
+    RestrictionTables,
     fourier_transform,
     run_concentration_sweep,
     run_verify,
@@ -36,7 +39,7 @@ from dnf_fourier.experiments import (
 )
 from dnf_fourier.restrictions import DT_CAP
 
-from conftest import bits_of, table_of
+from conftest import bits_of, small_dnfs, table_of
 
 
 def _tribes_source(w, t):
@@ -1254,10 +1257,15 @@ _RK8 = GeneratorSpec("random_read_k", {"n": 8, "s": 6, "w": 3, "k": 2}, seed=5)
 @pytest.mark.parametrize("mode", ["verify", "evasive", "sweep"])
 def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, mode):
     # an all-checks verify, an evasive-only verify (no analysis) and a sweep
-    # at d_max 4: every table with |S| <= 4 is built exactly once, and each
-    # table with |S| = 4 is released before the next one is built; after
-    # the analysis, neither the evasive loop nor the round trip builds one
+    # at d_max 4: the table of each S with |S| <= 4 and no parent S - i
+    # whose oracle table is all zero is built exactly once, no other table
+    # is built, and each table with |S| = 4 is released before the next one
+    # is built; after the analysis, neither the evasive loop nor the round
+    # trip builds one
     from dnf_fourier import experiments, restrictions
+    from dnf_fourier.bitops import bit_indices
+
+    from test_restrictions import oracle_tables
 
     d_max = 4
     built, held, phases = [], [], []
@@ -1294,11 +1302,68 @@ def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, m
         assert report["failures"] == 0
         assert len(phases) == 2 * len(subsets_up_to(8, d_max)) + 2 * (mode == "verify")
     subsets = subsets_up_to(8, d_max)
-    assert sorted(built) == subsets
+    oracle = oracle_tables(dnf.evaluate(), subsets)
+    no_zero_parent = [m for m in subsets if all(oracle[m ^ 1 << i].any() for i in bit_indices(m))]
+    assert sorted(built) == no_zero_parent
+    assert len(no_zero_parent) < len(subsets)
     assert max(held) == 1
     assert phases[0::2] == phases[1::2]     # no call builds a table
     if mode == "verify":                    # nor does the loop around it
-        assert set(phases) == {len(subsets)}
+        assert set(phases) == {len(no_zero_parent)}
+
+
+@st.composite
+def _dnfs_with_irrelevant_variables(draw):
+    """``small_dnfs`` on up to 3 more variables, which no term reads."""
+    dnf = draw(small_dnfs())
+    return Dnf(dnf.n + draw(st.integers(0, 3)), dnf.terms)
+
+
+def _pass_results(dnf, d_max: int) -> tuple:
+    """The counts, families and tails of the analysis at d_max, and the
+    all-checks verify entry and the sweep entry at d_max, as text."""
+    from dnf_fourier import experiments
+
+    f = dnf.evaluate()
+    tables = RestrictionTables(f)
+    analysis = FamilyAnalysis(dnf, d_max, tables, fourier_transform(f))
+    counts = [tables.full_depth_count(m) for m in subsets_up_to(dnf.n, d_max)]
+    config = ExperimentConfig(instances=(), d_max=d_max, checks=ALL_CHECKS)
+    out = io.StringIO()
+    verify_instance(dnf, "dnf", config, EntryWriter(out, "dnf", True))
+    sweep = json.dumps(experiments.sweep_instance(dnf, "dnf", config))
+    return counts, analysis.families, analysis.tails, out.getvalue(), sweep
+
+
+@example(Dnf.from_term_literals(2, [[1, 2]]), 2)   # E_{x1} has one pair, as E_{x1, x2} does
+@example(Dnf.from_term_literals(4, [[1, -2], [2, 3]]), 3)
+@given(_dnfs_with_irrelevant_variables(), st.integers(0, 4))
+@settings(max_examples=25, deadline=None)
+def test_the_pruned_pass_gives_the_unpruned_passs_counts_families_tails_and_reports(dnf, d_max):
+    # the zero-parent rule changes no count, family, tail or report byte:
+    # the unpruned pass is the tests' oracle_visit
+    from test_restrictions import oracle_visit
+
+    pruned = _pass_results(dnf, d_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RestrictionTables, "visit", oracle_visit)
+        assert pruned == _pass_results(dnf, d_max)
+
+
+@pytest.mark.parametrize("s_mask", [0b100, 0b101], ids=["zero-table", "zero-parent"])
+def test_a_nonzero_coefficient_of_a_subset_with_no_pair_fails_its_degrees_weight(s_mask):
+    # x3 is irrelevant: E_{x3} is all zero, and {x1, x3} has that zero
+    # parent, so the pass skips both.  A spectrum that gives either a
+    # nonzero coefficient fails the check of its degree's weight
+    dnf = Dnf.from_term_literals(3, [[1, 2]])
+    f = dnf.evaluate()
+    scaled = fourier_transform(f).scaled.copy()
+    assert scaled[s_mask] == 0
+    scaled[s_mask] = 2
+    stub = FourierSpectrum(3, scaled)
+    with pytest.raises(AssertionError, match=f"^nonzero coefficient without a full-depth "
+                                             f"witness at degree {s_mask.bit_count()}:"):
+        FamilyAnalysis(dnf, 3, RestrictionTables(f), stub)
 
 
 @pytest.mark.parametrize("command", ["verify", "encdec-test"])
@@ -1306,7 +1371,8 @@ def test_no_record_outlives_its_subsets_pass(tmp_path, monkeypatch, command):
     # a weak reference to each record the analysis packs, to its arrays and
     # to its subset's x_Sbar masks: all are gone once the next subset's
     # pass starts, with the round trip (and encdec-test's corpus writer)
-    # as the consumers
+    # as the consumers.  The analysis reads the x_Sbar masks of each
+    # subset with a full-depth pair
     import weakref
 
     from dnf_fourier import RestrictionTables, covers
@@ -1342,7 +1408,8 @@ def test_no_record_outlives_its_subsets_pass(tmp_path, monkeypatch, command):
         dnf_path.write_text(dnf.to_text())
         assert main(["encdec-test", str(dnf_path), "--corpus-out",
                      str(tmp_path / "cases.jsonl")]) == 0
-    assert passes == subsets_up_to(8, 4)
+    counts = RestrictionTables(dnf.evaluate()).full_depth_count
+    assert passes == [m for m in subsets_up_to(8, 4) if counts(m)]
     # the masks of every pass, and a record and two of its arrays per pass
     # with a pair: most passes have one
     assert len(refs) > 2 * len(passes)
@@ -2237,15 +2304,19 @@ def test_a_verify_that_raises_leaves_out_and_rows_as_they_were(tmp_path, monkeyp
 
 def test_verify_plans_each_subset_once(monkeypatch):
     # full_depth_xsbars keeps S's compress plan in S's lookup entry, which
-    # the encoder's questions on S read: one plan per nonempty subset
+    # the batch of S's preconditions and the encoder's questions on S
+    # read: one plan per nonempty subset with a full-depth pair, and none
+    # for a subset with no pair, whose x_Sbar masks are read from no table
     from dnf_fourier.restrictions import RestrictionTables
 
     planned, plan = [], RestrictionTables._plan
     monkeypatch.setattr(RestrictionTables, "_plan",
                         lambda self, m: planned.append(m) or plan(self, m))
-    report = _verify_entry(_RK8.build(), "rk8", ExperimentConfig(instances=(), d_max=4))
+    dnf = _RK8.build()
+    report = _verify_entry(dnf, "rk8", ExperimentConfig(instances=(), d_max=4))
     assert report["failures"] == 0
-    assert sorted(planned) == sorted(m for m in subsets_up_to(8, 4) if m)
+    counts = RestrictionTables(dnf.evaluate()).full_depth_count
+    assert sorted(planned) == [m for m in subsets_up_to(8, 4) if m and counts(m)]
 
 
 def test_a_zero_degree_cut_sweeps_degree_0():

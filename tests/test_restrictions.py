@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnf_fourier import (
@@ -138,6 +138,17 @@ def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
                 x |= 1 << b
         bits |= f.value(x) << xs
     return table_of(len(free), bits)
+
+
+def oracle_visit(self: RestrictionTables, d_max: int):
+    """``RestrictionTables.visit`` with no zero-parent rule: the pass
+    yields and releases as the package's does, and every reader builds
+    the table of every subset it asks about."""
+    for s_mask in subsets_up_to(self.n, d_max):
+        yield s_mask
+        if s_mask.bit_count() == d_max:
+            self.release(s_mask)
+    self._by_sbar.clear()
 
 
 def oracle_tables(f: BooleanFunction, masks) -> dict[int, np.ndarray]:
@@ -420,6 +431,30 @@ def test_the_pass_drops_each_top_level_table_as_it_moves_on_and_every_table_at_i
     for s_mask in visited:
         assert np.array_equal(tables.dt_by_sbar(s_mask), first[s_mask]), s_mask
         assert tables.full_depth_at(s_mask, 0b111111) == fresh.full_depth_at(s_mask, 0b111111)
+
+
+@example(Dnf.from_term_literals(3, [[2, 3]]), 2)   # {x1, x2}: only its parent {x1} is zero
+@given(small_dnfs(), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_the_pass_gives_a_subset_with_a_zero_parent_count_0_and_no_table(dnf, d_max):
+    # a subset with a parent S - i, any i in S, whose oracle table is all
+    # zero is counted 0 and its table is never built; every count is the
+    # oracle's
+    f = dnf.evaluate()
+    tables = RestrictionTables(f)
+    subsets = subsets_up_to(dnf.n, d_max)
+    oracle = oracle_tables(f, subsets)
+    built, by_sbar = [], RestrictionTables.dt_by_sbar
+
+    def spy(self, free_mask):
+        if free_mask not in self._by_sbar:
+            built.append(free_mask)
+        return by_sbar(self, free_mask)
+
+    with mock.patch.object(RestrictionTables, "dt_by_sbar", spy):
+        counts = {m: tables.full_depth_count(m) for m in tables.visit(d_max)}
+    assert counts == {m: int(oracle[m].sum()) for m in subsets}
+    assert built == [m for m in subsets if all(oracle[m ^ 1 << i].any() for i in bit_indices(m))]
 
 
 def test_a_released_tables_count_answers_without_the_table(monkeypatch):

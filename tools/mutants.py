@@ -34,13 +34,19 @@ class Mutant(NamedTuple):
 
 
 _ENCODER = "src/dnf_fourier/encoder.py"
+_COVERS = "src/dnf_fourier/covers.py"
+_RESTRICTIONS = "src/dnf_fourier/restrictions.py"
 _ROUND_LOOP = "tests/test_encoder.py::test_the_analysis_of_readk16_matches_the_round_loop"
 _CORPUS = "tests/test_encoder.py::test_analysis_record_matches_scalar_encoder_on_corpus"
+_PRUNED = ("tests/test_experiments.py::"
+           "test_the_pruned_pass_gives_the_unpruned_passs_counts_families_tails_and_reports")
 
-#: The mutants of the encoder that composes a run from its sub-pair's.
+#: The mutants of the encoder that composes a run from its sub-pair's, of
+#: the round that each subset's pairs share, and of the pass's zero-parent
+#: rule.
 MUTANTS = (
     Mutant("a-shifted-by-S", _ENCODER,
-           "values | sub_a << s_1.bit_count()", "values | sub_a << s_mask.bit_count()",
+           "values | sub_a << s_1.bit_count()", "values | sub_a << r.s_mask.bit_count()",
            (_CORPUS,)),
     Mutant("rank-prefix-of-the-next-word", _ENCODER,
            "row = prefix[i >> 6] + ", "row = prefix[(i >> 6) + 1] + ",
@@ -52,19 +58,38 @@ MUTANTS = (
            "    if covers.first[sub] <= idx:\n", "    if False:\n",
            ("tests/test_encoder.py::test_a_held_sub_pair_whose_cover_starts_too_early_is_caught",)),
     Mutant("union-checked-once-per-cover", _ENCODER,
-           "    cid, a = _encode(dnf, s_mask, xsbar_bits, tables, covers)\n"
-           "    union = covers.union[cid]\n    if s_mask & ~union:\n",
-           "    known = len(covers.first)\n"
-           "    cid, a = _encode(dnf, s_mask, xsbar_bits, tables, covers)\n"
-           "    union = covers.union[cid]\n    if cid >= known and s_mask & ~union:\n",
+           "    cid, a = _encode(r, xsbar_bits)\n"
+           "    union = r.covers.union[cid]\n    if s_mask & ~union:\n",
+           "    known = len(r.covers.first)\n"
+           "    cid, a = _encode(r, xsbar_bits)\n"
+           "    union = r.covers.union[cid]\n    if cid >= known and s_mask & ~union:\n",
            ("tests/test_encoder.py::test_the_union_is_checked_against_each_pair_not_each_cover",)),
     Mutant("sub-pair-scan-skips-T", _ENCODER,
-           "_encode(dnf, rest, y, tables, covers, idx)",
-           "_encode(dnf, rest, y, tables, covers, idx + 1)",
+           "SubsetRound(self.dnf, rest, tables, self.covers, idx)",
+           "SubsetRound(self.dnf, rest, tables, self.covers, idx + 1)",
            ("tests/test_encoder.py::test_a_choice_that_satisfies_the_selected_term_is_caught",)),
-    Mutant("held-at-d-max", "src/dnf_fourier/covers.py",
+    Mutant("held-at-d-max", _COVERS,
            "if d < self.d_max:", "if d <= self.d_max:",
            ("tests/test_encoder.py::test_the_pass_holds_the_levels_below_d_max_until_it_ends",)),
+    Mutant("candidates-compressed-with-S-plan", _ENCODER,
+           "_lex_choices(compress(s_1, plan))",
+           "_lex_choices(compress(s_1, tables.full_depth_entry(self.s_mask)[1]))",
+           (_CORPUS, _ROUND_LOOP)),
+    Mutant("batch-precondition-of-the-first-pair", _ENCODER,
+           "full_depth_rows(s_mask, xsbars)", "full_depth_rows(s_mask, xsbars[:1])",
+           ("tests/test_encoder.py::test_the_batch_checks_the_precondition_of_every_pair",)),
+    Mutant("round-kept-past-its-subset", _COVERS,
+           "            r = SubsetRound(self.dnf, s_mask, tables, covers)\n",
+           "            r = SubsetRound(self.dnf, s_mask, tables, covers)\n"
+           "            self.__dict__.setdefault(\"rounds\", []).append(r)\n",
+           ("tests/test_encoder.py::test_no_table_outlives_the_pass",)),
+    Mutant("prune-on-the-lowest-parent-only", _RESTRICTIONS,
+           "for i in bit_indices(s_mask)):", "for i in bit_indices(s_mask)[:1]):",
+           ("tests/test_restrictions.py::"
+            "test_the_pass_gives_a_subset_with_a_zero_parent_count_0_and_no_table",)),
+    Mutant("prune-on-a-count-of-1", _RESTRICTIONS,
+           "if any(count(s_mask ^ 1 << i) == 0 ", "if any(count(s_mask ^ 1 << i) <= 1 ",
+           (_PRUNED,)),
 )
 
 
