@@ -37,10 +37,12 @@ pairs' preconditions and goes when its pass ends.  A subset with no
 full-depth pair is skipped, its coefficient unread; that each such
 coefficient is 0 is checked once per degree after the pass, where the
 weight of the classified subsets must equal the spectrum's weight at
-that degree.  Per subset it keeps only what the checks read: a
-``SubsetProfile`` for ``check_abs_fourier_u``, and the distinct covers,
-added to ``covers`` (a tuple built once per cover), for
-``cover_budget``.  For a subset below d_max it leaves the pairs' cover
+that degree.  Per subset it keeps only a ``SubsetProfile``, which
+``check_abs_fourier_u`` reads; its distinct covers at u are counted by
+cover id, since the ``CoverTable`` gives each cover one id.  ``covers``,
+every distinct cover as a tuple of term indices, which ``cover_budget``
+reads, is built once, after the pass, from the pass's ``CoverTable``.
+For a subset below d_max it leaves the pairs' cover
 ids (and truth values, with a consumer) in the tables' cache entry,
 where the pairs of the next levels read their sub-pairs' results (see
 the encoder's module docstring).  The encodings stream: when a caller
@@ -58,7 +60,8 @@ S = {}), with empty sigma and a read-only broadcast zero as a.  An
 encoder fault while it classifies, or a row that
 ``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
 it.  The analysis walks the subsets in the tables' one pass
-(``RestrictionTables.visit``), which holds and drops the tables.
+(``RestrictionTables.visit``), which holds the tables and drops them
+when the pass ends, also when a fault ends it early.
 
 ``FamilyAnalysis`` takes every sum over (d, u) once, and its readers
 read them: the pairs per (d, u), counted as each subset is classified;
@@ -158,10 +161,12 @@ class FamilyAnalysis:
         self.spec = spec
         self.families: dict[FamilyKey, FamilyStats] = {}
         self.profiles: dict[int, SubsetProfile] = {}
-        self.covers: set[tuple[int, ...]] = set()   # every distinct cover
         self._pairs: Counter[tuple[int, int]] = Counter()   # pairs per (d, u)
         self._cover_counts: dict[int, dict[int, int]] = {}
-        self._classify(tables, consumer)
+        covers = self._classify(tables, consumer)
+        # every distinct cover: each id was interned by a pair of the pass,
+        # and id 0 is the empty cover of S = {}
+        self.covers = {covers.terms(cid) for cid in range(len(covers.first))}
         self.weight_at_u = [DyadicRational(0)] * (self.u_hi + 1)
         for (_, u), stats in self.families.items():
             self.weight_at_u[u] += stats.two_norm_sq
@@ -181,7 +186,8 @@ class FamilyAnalysis:
         family, from the kept counts."""
         return max(self.cover_counts(m).get(key.u, 0) for m in self.families[key].members)
 
-    def _classify(self, tables: RestrictionTables, consumer: RecordConsumer | None) -> None:
+    def _classify(self, tables: RestrictionTables,
+                  consumer: RecordConsumer | None) -> CoverTable:
         covers = CoverTable(self.dnf)
         for s_mask in tables.visit(self.d_max):
             self._classify_subset(s_mask, tables, covers, consumer)
@@ -197,6 +203,7 @@ class FamilyAnalysis:
                     f"nonzero coefficient without a full-depth witness at degree {d}: "
                     f"the subsets with a pair hold {classified} of its weight "
                     f"{weight_at_degree(self.spec, d)}")
+        return covers
 
     def _classify_subset(self, s_mask: int, tables: RestrictionTables, covers: CoverTable,
                          consumer: RecordConsumer | None) -> None:
@@ -211,8 +218,7 @@ class FamilyAnalysis:
             # every assignment is a witness with the empty cover, and its
             # encoding is x_sat = x with empty sigma and a: x_sat is the
             # masks, and a is one zero broadcast to every row
-            witnesses = {0: int(xsbars.size)}
-            distinct = {(0, ())}
+            witnesses, distinct = {0: int(xsbars.size)}, {0: 1}
             if consumer is not None:
                 consumer(0, xsbars, EncodingRecord(
                     n, xsbars, np.zeros((xsbars.size, 0), np.uint8),
@@ -230,20 +236,19 @@ class FamilyAnalysis:
                 ids.append(cid)
                 if truth_values is not None:
                     truth_values.append(a)
-            witnesses = Counter()
-            distinct = set()
+            # each cover has one id, so S's distinct covers at u are its ids
+            witnesses, distinct = Counter(), Counter()
             for cid, count in Counter(ids).items():
                 u = covers.union[cid].bit_count()
                 witnesses[u] += count
-                distinct.add((u, covers.terms(cid)))
+                distinct[u] += 1
             if consumer is not None:
                 consumer(s_mask, xsbars, _record(n, s_mask, xsbars, covers, ids, truth_values))
             if d < self.d_max:   # the sub-pairs of the next levels read these
                 tables.hold(s_mask, (covers, ids, truth_values))
         self._pairs.update({(d, u): cnt for u, cnt in witnesses.items()})
         u = min(witnesses, key=lambda v: (-witnesses[v], v))
-        self.profiles[s_mask] = SubsetProfile(u, witnesses[u], sum(v == u for v, _ in distinct))
-        self.covers.update(cover for _, cover in distinct)
+        self.profiles[s_mask] = SubsetProfile(u, witnesses[u], distinct[u])
         stats = self.families.setdefault(FamilyKey(d, u), FamilyStats())
         stats.members.append(s_mask)
         stats.one_norm = stats.one_norm + abs(coeff)

@@ -39,55 +39,53 @@ literals; a is b's values, then the sub-pair's a shifted up by |S_1|;
 and sigma, like S's bits of x_sat, is a function of S and the cover
 alone (``CoverTable.spell``).
 
-``extract_cover`` is the one encoder of a pair: it runs round 1
-(``_encode``) and takes the rest from the sub-pair.  What round 1 of the
-pairs of one subset S shares is prepared once, in S's ``SubsetRound``:
-the assigned mask, the bound width * |S| on the cover's union and, per
-first alive term T, S_1, E_rest's lookup entry, the candidates on S_1
-compressed into E_rest's index (compressing is linear in OR, so a pair
-compresses x once and tries each candidate with one OR), and what is
-held for rest.  Covers are interned in a ``CoverTable``, one id per
-distinct cover, so a pair's result is a cover id and a (no object per
-pair).  During ``FamilyAnalysis``'s pass over ``RestrictionTables.visit``,
-each subset S with a pair gets its round when its pass starts, which
-checks S's precondition on the whole batch of its pairs with numpy
+``extract_cover`` is the one encoder.  It runs round 1 of a pair,
+makes every check of the run and takes the rest of the run from the
+sub-pair.  What round 1 of the pairs of one subset S shares is prepared
+once, in S's ``SubsetRound``: the assigned mask, the bound width * |S|
+on the cover's union and, per first alive term T, S_1, E_rest's lookup
+entry, the candidates on S_1 compressed into E_rest's index
+(compressing is linear in OR, so a pair compresses x once and tries
+each candidate with one OR), and what is held for rest.  Covers are
+interned in a ``CoverTable``, one id per distinct cover, so a pair's
+result is a cover id and a (no object per pair).  In
+``FamilyAnalysis``'s pass over ``RestrictionTables.visit``, each subset
+S with a pair gets its round when its pass starts, which checks S's
+precondition on the whole batch of its pairs with numpy
 (``SubsetRound.check``: E_S holds at x, and x has no bit on S, the first
 failing pair named), and drops it when the pass ends.  Each S with
 0 < |S| < d_max leaves, in its tables' cache entry
 (``RestrictionTables.hold``), a uint32 cover id per pair in
 ``valid_pairs`` order, a uint16 a per pair when the analysis has a
-consumer of the encodings, and a rank index of E_S, so that a pair of a
-larger subset reads its sub-pair's row at the rank of the table index
+consumer of the encodings, and a rank index of E_S, so a pair of a
+larger subset reads its sub-pair's result at the rank of the table index
 that its accepted lookup just read.  Nothing is held for |S| = d_max,
 and everything goes with the tables when the pass ends.  Outside a pass
-(``encode_row``, ``encode``) nothing is held: ``encode_row`` asks the
-pair's precondition itself, and ``_encode`` recurses on the sub-pair
-with a round of its own, whose scan starts at T, as the next round of a
-loop would.  Each check of the run is made on every pair: the
-precondition holds, the first alive term is not already satisfied, a
-depth-preserving choice exists, T comes before the sub-pair's first
+nothing is held, and ``extract_cover`` calls itself on the sub-pair with
+the sub-pair's own round, whose scan starts at T.  ``encode`` is its
+one-pair call: it checks its arguments and the pair's precondition,
+makes one ``extract_cover`` with a cover table of its own, spells the
+cover, and returns the ``Encoding`` (one row of an ``EncodingRecord``)
+and the ``CoverRecord``.  Each check of the run is made on every pair:
+the precondition holds, the first alive term is not already satisfied,
+a depth-preserving choice exists, T comes before the sub-pair's first
 term, and the cover's union holds S and has at most width * |S|
 variables; that S_1 is not empty is checked once per T and S, of which
-it is a function.  The union check is also the check that sigma has
-|S| positions, since each variable of the union enters c once and sigma
-lists where S's sit; ``spell`` counts them again when a consumer has a
-cover spelled.  a is checked to fit in |S| bits wherever it is formed; a
-pass with no consumer (``sweep``) forms no a.
+it is a function.  The union check is also the check that sigma has |S|
+positions, since each variable of the union enters c once and sigma
+lists where S's sit; ``spell`` counts them again when a cover is
+spelled.  a is checked to fit in |S| bits wherever it is formed; a pass
+with no consumer (``sweep``) forms no a.
 
-``encode_row`` returns a plain row (x_sat, sigma as a list, a packed as
-bits with bit t the t-th truth value, the cover's term indices, the
-union size).  ``encode`` is a thin wrapper that builds the ``Encoding``,
-which is the row's (x_sat, sigma, a) as one row of an
-``EncodingRecord``, and the ``CoverRecord``.  In ``verify`` each
-full-depth pair with S nonempty is encoded once: ``FamilyAnalysis``
-encodes it through ``extract_cover``.  When the analysis has a consumer
-of the encodings (the ``roundtrip`` check, ``encdec-test``), it spells
-x_sat and sigma once per distinct cover of each subset, packs the
-subset's rows into an ``EncodingRecord`` of arrays, which checks the
-sigma positions of every row at once, and hands it over at the end of
-the subset's pass; ``sweep`` has none and spells and packs nothing.  The
-pairs with S empty are not encoded at all: their encoding is x_sat = x
-with empty sigma and a, and the analysis writes that record directly.
+In ``verify`` each full-depth pair with S nonempty is encoded once, by
+``FamilyAnalysis``.  When the analysis has a consumer of the encodings
+(the ``roundtrip`` check, ``encdec-test``), it spells x_sat and sigma
+once per distinct cover of each subset, packs the subset's rows into an
+``EncodingRecord`` of arrays, which checks the sigma positions of every
+row at once, and hands it over at the end of the subset's pass;
+``sweep`` has none and spells and packs nothing.  The pairs with S empty
+are not encoded at all: their encoding is x_sat = x with empty sigma
+and a, and the analysis writes that record directly.
 
 Each full-depth question is asked of the tables at most once per pair.
 In a pass a pair asks round 1's candidates, the accepted one being the
@@ -97,13 +95,12 @@ candidates of every round of its recursion; the last round, whose block
 is all of the remaining free set, asks nothing: E_{} is identically
 true, so its first candidate, every variable false, is taken.  On
 ``bench/instances/readk16.dnf`` at d_max 4 the pass's 158,288 encodes
-make 231,464 lookups and 793 batch checks, where a loop over every
-round asked 578,404 questions.  That round loop stays in the tests as
-``oracle_round_loop``, and the scan of every round from the first term,
-with an object built per pair, as ``oracle_encode``; both are oracles
-of the encoder.  ``valid_pairs`` and the family analysis read each
-subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``, in
-the tables' pass.
+make 231,464 lookups and 793 batch checks.  The tests keep two oracles
+of the encoder: ``oracle_round_loop``, every round of a run in one loop,
+and ``oracle_encode``, which scans every round from the first term and
+builds an object per pair.  ``valid_pairs`` and the family analysis read
+each subset's x_Sbar masks from ``RestrictionTables.full_depth_xsbars``,
+in the tables' pass.
 
 ``decode_records`` is the one decoder.  It inverts a whole batch of
 same-degree encodings with numpy, and the ``roundtrip`` check decodes
@@ -164,13 +161,6 @@ DECODE_ERRORS = (
     None, TRUTH_VALUES_BEYOND_D, SIGMA_NOT_DISTINCT, SIGMA_NOT_1_BASED, BITS_BEYOND_N,
     NO_PROGRESS, NO_SATISFIED_TERM, NO_NEW_VARIABLE, MORE_THAN_D,
 )
-
-
-#: One encoded pair as ``encode_row`` returns it: (x_sat, sigma, a, cover
-#: term indices, union size), where sigma lists the 1-based positions in c
-#: in ascending order, a packs the truth values (bit t is the t-th), and
-#: the cover's 1-based term indices strictly increase.
-EncodedRow = tuple[int, list[int], int, tuple[int, ...], int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,20 +413,31 @@ class SubsetRound:
         return group
 
 
-def _encode(r: SubsetRound, x: int) -> tuple[int, int | None]:
-    """(cover id, a) of the full-depth pair (S, x) of r's subset S, whose
-    precondition is answered: round 1, and then the rest of the run, which
-    is the run of the sub-pair (S - S_1, x | b), read from what the pass
-    holds for S - S_1, and encoded here if nothing is held.  ``a`` is None
-    when the pass holds no truth values."""
+def extract_cover(
+    dnf: Dnf, s_mask: int, xsbar_bits: int, r: SubsetRound
+) -> tuple[int, int | None]:
+    """Encode the pair (S, x_Sbar), S nonempty, into its cover's id in
+    ``r.covers`` and its truth values ``a``.  ``r`` is S's round, and the
+    pair's precondition has been answered: by ``r.check`` in a pass, by
+    ``encode`` outside one.
+
+    It runs round 1, takes the rest of the run from the sub-pair (S - S_1,
+    x | b), and checks the whole run (see the module docstring): in a
+    pass the sub-pair's result is read from what the pass holds for
+    S - S_1, and ``a`` is None when the pass holds no truth values;
+    outside a pass it encodes the sub-pair by calling itself on the
+    sub-pair's round.  The family analysis encodes each pair with S
+    nonempty once, through this name, which bench/spans.py counts by
+    wrapping it.  A failed check raises EncodingInvariantError.
+    """
     # the first alive term: a satisfied term means the restriction is
     # decided, contradicting full depth
     assigned = r.assigned
-    term_masks = r.dnf.term_masks
+    term_masks = dnf.term_masks
     for idx in range(r.start, len(term_masks)):
         term_vars, term_pos = term_masks[idx]
         seen = term_vars & assigned
-        if x & seen != term_pos & seen:
+        if xsbar_bits & seen != term_pos & seen:
             continue  # falsified
         if seen == term_vars:
             raise EncodingInvariantError(
@@ -450,21 +451,22 @@ def _encode(r: SubsetRound, x: int) -> tuple[int, int | None]:
         # the lexicographically first assignment b of S_1 that keeps E_rest
         # (its existence is part of the correctness claim): x's index in
         # E_rest OR each candidate's, since compressing is linear in OR.
-        # The accepted lookup asks the sub-pair's precondition
+        # The accepted lookup asks the sub-pair's precondition.  x is
+        # compressed inline, not by ``compress``: this runs once per pair
         x_index = 0
         for shift, mask in plan:
-            x_index |= x >> shift & mask
+            x_index |= xsbar_bits >> shift & mask
         for index, values in candidates:
             i = x_index | index
             if table[i >> 3] >> (i & 7) & 1:
                 break
         else:
             raise EncodingInvariantError("no depth-preserving assignment exists")
-        if sub_round is not None:
-            sub, sub_a = _encode(sub_round, x | pdep(values, s_1))
-        else:
+        if sub_round is None:
             row = prefix[i >> 6] + (words[i >> 6] & ((1 << (i & 63)) - 1)).bit_count()
             sub, sub_a = ids[row], None if truth_values is None else truth_values[row]
+        else:
+            sub, sub_a = extract_cover(dnf, rest, xsbar_bits | pdep(values, s_1), sub_round)
     else:
         # E_{} is identically true, so the first candidate, every variable
         # false, keeps it: nothing is asked
@@ -473,41 +475,33 @@ def _encode(r: SubsetRound, x: int) -> tuple[int, int | None]:
     # the sub-pair's terms are alive after round 1, so they come after T
     if covers.first[sub] <= idx:
         raise EncodingInvariantError("cover term indices not increasing")
-    return covers.intern(idx, sub), None if sub_a is None else values | sub_a << s_1.bit_count()
-
-
-def extract_cover(
-    dnf: Dnf, s_mask: int, xsbar_bits: int, r: SubsetRound
-) -> tuple[int, int | None]:
-    """Encode the pair (S, x_Sbar), S nonempty, into its cover's id in
-    ``r.covers`` and its truth values ``a`` (None when the pass holds none;
-    see ``_encode``).  ``r`` is S's round, and the pair's precondition has
-    been answered: by ``r.check`` in a pass, by ``encode_row`` outside one.
-
-    It runs round 1 and takes the rest from the sub-pair, and checks the
-    whole run: the cover's union holds S (so sigma has |S| positions), and
-    has at most width * |S| variables, and ``a``, when it is formed, fits
-    in |S| bits.  The family analysis encodes each pair with S nonempty
-    once, through this name, which bench/spans.py counts by wrapping it.
-    A failed check raises ``encode_row``'s EncodingInvariantError.
-    """
-    cid, a = _encode(r, xsbar_bits)
-    union = r.covers.union[cid]
+    cid = covers.intern(idx, sub)
+    union = covers.union[cid]
     if s_mask & ~union:
         raise EncodingInvariantError("variable string c misses part of S")
     if union.bit_count() > r.bound:
         raise EncodingInvariantError("variable string c longer than width * d")
+    a = None if sub_a is None else values | sub_a << s_1.bit_count()
     if a is not None and a >> s_mask.bit_count():
         raise EncodingInvariantError("sigma or a has wrong length")
     return cid, a
 
 
-def _encode_alone(
+def encode(
     dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
-) -> tuple[CoverTable | None, int, int]:
-    """``encode_row``'s checks of its arguments and its encoding of the pair
-    outside a pass: (a cover table of its own, the cover id, a), the
-    table None when S is empty."""
+) -> tuple[Encoding, CoverRecord]:
+    """Encode the full-depth pair (S, x_Sbar) into (x_sat, sigma, a), and
+    its cover as a ``CoverRecord`` (whose union mask is the union of the
+    cover terms' variables).
+
+    ``xsbar_bits`` is the fixed-side assignment as an n-bit mask (bits at
+    free positions must be zero); ``tables`` are the restriction tables of
+    ``dnf``'s truth table.  Raises EncodePreconditionError when the
+    restriction does not have decision-tree depth |S|, and
+    EncodingInvariantError if any internal correctness invariant fails
+    (which would falsify the counting argument).  It is one
+    ``extract_cover`` with a round and a cover table of its own.
+    """
     full = (1 << dnf.n) - 1
     if s_mask & ~full or xsbar_bits & ~full:
         raise ValueError(f"mask beyond n={dnf.n} variables")
@@ -517,44 +511,9 @@ def _encode_alone(
         raise EncodePreconditionError(
             f"restriction lacks full decision-tree depth |S| = {s_mask.bit_count()}")
     if not s_mask:
-        return None, 0, 0
+        return Encoding(dnf.n, xsbar_bits, (), 0), CoverRecord((), 0, 0)
     covers = CoverTable(dnf)
     cid, a = extract_cover(dnf, s_mask, xsbar_bits, SubsetRound(dnf, s_mask, tables, covers))
-    return covers, cid, a
-
-
-def encode_row(
-    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
-) -> EncodedRow:
-    """Encode the full-depth pair (S, x_Sbar) into an ``EncodedRow``.
-
-    ``xsbar_bits`` is the fixed-side assignment as an n-bit mask (bits at
-    free positions must be zero); ``tables`` are the restriction tables of
-    ``dnf``'s truth table.  Raises EncodePreconditionError when the
-    restriction does not have decision-tree depth |S|, and
-    EncodingInvariantError if any internal correctness invariant fails
-    (which would falsify the counting argument).  Outside a pass it
-    encodes every sub-pair itself, with covers of its own.
-    """
-    covers, cid, a = _encode_alone(dnf, s_mask, xsbar_bits, tables)
-    if covers is None:
-        return xsbar_bits, [], 0, (), 0
-    sat, sigma = covers.spell(s_mask, cid)
-    return xsbar_bits | sat, sigma, a, covers.terms(cid), covers.union[cid].bit_count()
-
-
-def encode(
-    dnf: Dnf, s_mask: int, xsbar_bits: int, tables: RestrictionTables
-) -> tuple[Encoding, CoverRecord]:
-    """Encode the full-depth pair (S, x_Sbar) into (x_sat, sigma, a).
-
-    ``encode_row``'s row as the ``Encoding`` and the ``CoverRecord``
-    (whose union mask is the union of the cover terms' variables); the
-    arguments and the errors are ``encode_row``'s.
-    """
-    covers, cid, a = _encode_alone(dnf, s_mask, xsbar_bits, tables)
-    if covers is None:
-        return Encoding(dnf.n, xsbar_bits, (), 0), CoverRecord((), 0, 0)
     sat, sigma = covers.spell(s_mask, cid)
     union = covers.union[cid]
     return (

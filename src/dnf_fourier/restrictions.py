@@ -30,7 +30,9 @@ each byte.  Every reader walks the subsets in one pass,
 parents come first.  E_S with |S| = d_max is dropped once the caller
 moves past S, since an encoder round asks only about proper subsets of
 its own S (at d_max 4 that level holds over half of the table bytes),
-and every table when the pass ends.  Counts stay, for ``evasive``.
+and every table when the pass ends, or is abandoned: a caller that
+raises mid-pass closes the pass, which keeps no table and nothing held.
+Counts stay, for ``evasive``.
 
 The pass prunes by the zero-parent rule: if some parent E_{S-i} is all
 zero, the factor of i in the last rule above is zero everywhere, so E_S
@@ -108,10 +110,11 @@ def _halves(packed: np.ndarray, p: int, op, out: np.ndarray) -> None:
         out |= high[p][packed[1::2]]
 
 
-def compress(x: int, plan: tuple) -> int:
-    """The index of the n-bit mask x in the table whose compress plan is
-    ``plan``: the OR of (x >> shift) & mask over the plan.  It is linear in
-    OR: compress(x | b) = compress(x) | compress(b)."""
+def compress(x, plan: tuple):
+    """The index of the n-bit mask x, an int or each entry of a uint32
+    array, in the table whose compress plan is ``plan``: the OR of
+    (x >> shift) & mask over the plan, 0 for an empty plan.  It is linear
+    in OR: compress(x | b) = compress(x) | compress(b)."""
     i = 0
     for shift, mask in plan:
         i |= x >> shift & mask
@@ -146,13 +149,15 @@ class RestrictionTables:
         S - i of count 0 is given count 0 before it is yielded, and no
         table."""
         count = self.full_depth_count
-        for s_mask in subsets_up_to(self.n, d_max):
-            if any(count(s_mask ^ 1 << i) == 0 for i in bit_indices(s_mask)):
-                self._counts[s_mask] = 0
-            yield s_mask
-            if s_mask.bit_count() == d_max:
-                self.release(s_mask)
-        self._by_sbar.clear()
+        try:
+            for s_mask in subsets_up_to(self.n, d_max):
+                if any(count(s_mask ^ 1 << i) == 0 for i in bit_indices(s_mask)):
+                    self._counts[s_mask] = 0
+                yield s_mask
+                if s_mask.bit_count() == d_max:
+                    self.release(s_mask)
+        finally:
+            self._by_sbar.clear()
 
     def dt_by_sbar(self, free_mask: int) -> np.ndarray:
         """Full-depth predicate E_S for every compressed fixed assignment x,
@@ -231,18 +236,16 @@ class RestrictionTables:
         """1 if the restriction to free_mask at (the fixed bits of) x has
         decision-tree depth exactly |S|, else 0."""
         table, plan = self.full_depth_entry(free_mask)
-        i = 0
-        for shift, mask in plan:
-            i |= x >> shift & mask
+        i = compress(x, plan)
         return table[i >> 3] >> (i & 7) & 1
 
     def full_depth_rows(self, free_mask: int, xs: np.ndarray) -> np.ndarray:
         """``full_depth_at`` for each n-bit mask of the uint32 array ``xs``
         at once, as a bool array."""
         table = self.dt_by_sbar(free_mask)
-        index = np.zeros_like(xs)
-        for shift, mask in self.full_depth_entry(free_mask)[1]:
-            index |= xs >> shift & mask
+        # from a zero array, so that an empty plan (S holds every variable)
+        # still gives an array
+        index = np.zeros_like(xs) | compress(xs, self.full_depth_entry(free_mask)[1])
         return (table[index >> 3] >> (index & 7) & 1).astype(bool)
 
     def hold(self, free_mask: int, held) -> None:

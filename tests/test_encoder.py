@@ -5,9 +5,10 @@ round scans the terms from the first one, and each pair builds its
 ``Encoding`` and ``CoverRecord``.  ``oracle_round_loop`` is the lean core
 as it was before an encoding was composed from its sub-pair's: every
 round of the run in one loop, each scanning the terms from the previous
-round's term.  ``encode_row``, ``encode`` and the family analysis (which
-encodes through ``extract_cover``) are checked against both, and the
-composition itself against ``oracle_encode``.  ``oracle_decode`` is the
+round's term; ``encode_row`` gives ``encode``'s result as the row that
+``oracle_round_loop`` returns.  ``encode`` and the family analysis (both
+encode through ``extract_cover``) are checked against both oracles, and
+the composition itself against ``oracle_encode``.  ``oracle_decode`` is the
 decoder as a scalar round loop on
 one ``Encoding``: ``decode_records``, and ``decode`` (a one-row
 ``decode_records``), are checked against it, and the round trips of the
@@ -21,7 +22,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnf_fourier import (
@@ -48,11 +49,11 @@ from dnf_fourier.covers import SubsetProfile
 from dnf_fourier.encoder import (
     BITS_BEYOND_N, DECODE_ERRORS, MORE_THAN_D, NO_NEW_VARIABLE, NO_PROGRESS, NO_SATISFIED_TERM,
     SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, CoverTable, SubsetRound,
-    _ascending_bits, _lex_choices, _row_checks, encode_row,
+    _ascending_bits, _lex_choices, _row_checks,
 )
 
 from conftest import encodings as record_encodings
-from conftest import corpus_instances, make_bundle, small_dnfs
+from conftest import CORPUS_D_MAX, corpus_instances, make_bundle, small_dnfs
 
 
 def _tables(dnf):
@@ -76,7 +77,7 @@ def _oracle_first_open_term(dnf, assigned, x):
 
 def oracle_encode(dnf, s_mask, xsbar_bits, tables):
     """The encoder with an object per pair and a scan from the first term in
-    every round: the oracle of ``encode_row`` and of a batched encoder."""
+    every round: the oracle of ``encode`` and of a batched encoder."""
     n = dnf.n
     full = (1 << n) - 1
     if s_mask & ~full or xsbar_bits & ~full:
@@ -149,9 +150,23 @@ def oracle_encode(dnf, s_mask, xsbar_bits, tables):
     )
 
 
-def oracle_round_loop(dnf, s_mask, xsbar_bits, tables):
-    """``encode_row``'s row, arguments and errors, with every round of the
-    run in one loop: the oracle of the composed encoder."""
+#: One encoded pair as a row: (x_sat, sigma, a, cover term indices, union
+#: size), where sigma lists the 1-based positions in c in ascending order,
+#: a packs the truth values (bit t is the t-th), and the cover's 1-based
+#: term indices strictly increase.
+EncodedRow = tuple[int, list[int], int, tuple[int, ...], int]
+
+
+def encode_row(dnf, s_mask, xsbar_bits, tables) -> EncodedRow:
+    """``encode``'s encoding and cover as one ``EncodedRow``."""
+    e, cov = encode(dnf, s_mask, xsbar_bits, tables)
+    return e.x_sat, list(e.sigma), e.a, cov.term_indices, cov.union_size
+
+
+def oracle_round_loop(dnf, s_mask, xsbar_bits, tables) -> EncodedRow:
+    """``encode``'s result as an ``EncodedRow``, with its arguments and
+    errors, from every round of the run in one loop: the oracle of the
+    composed encoder."""
     n = dnf.n
     full = (1 << n) - 1
     if s_mask & ~full or xsbar_bits & ~full:
@@ -601,6 +616,8 @@ def test_from_dict_reads_what_to_dict_writes():
         Encoding.from_dict(4, {"x_sat": 0, "sigma": [1, 2], "a": [1]})
 
 
+@example((2, [-1, 2], 0))     # a negative position, not 0
+@example((2, [1, 1], 0b100))  # truth values beyond d and repeated positions
 @given(st.integers(0, 5).flatmap(lambda d: st.tuples(
     st.just(d), st.lists(st.integers(-2, 6), min_size=d, max_size=d),
     st.integers(-1, (1 << (d + 1)) - 1))))
@@ -807,19 +824,34 @@ class _QuestionCount:
         self.total += 1
 
 
+def _record_groups(monkeypatch, groups):
+    """Append to ``groups`` each per-term group that a ``SubsetRound``
+    makes."""
+    group = SubsetRound.group
+
+    def spy(self, idx, term_vars):
+        out = group(self, idx, term_vars)
+        groups.append(out)
+        return out
+
+    monkeypatch.setattr(SubsetRound, "group", spy)
+    return groups
+
+
 @pytest.fixture(scope="module")
 def readk16_pass():
     """The analysis of random_read_k(n=16, s=10, w=3, k=2, seed=3)
     (bench/instances/readk16.dnf) at d_max 4 with a consumer, as verify
     runs it: its DNF and tables, the lookups its pairs made, its batches
     of preconditions, each encoded pair as (S, x_Sbar, cover, union size,
-    a) and the records it handed over."""
+    a), the records it handed over and the per-term groups its subsets'
+    rounds made."""
     from dnf_fourier import covers, fourier_transform
 
     dnf = random_read_k(n=16, s=10, w=3, k=2, seed=3)
     f = dnf.evaluate()
     tables = RestrictionTables(f)
-    count, batches, pairs, records = _QuestionCount(), [], [], {}
+    count, batches, pairs, records, groups = _QuestionCount(), [], [], {}, []
     extract = covers.extract_cover
 
     def keep(dnf, s_mask, xsbar, r):
@@ -831,9 +863,10 @@ def readk16_pass():
         _record_questions(mp, count)
         _record_batches(mp, batches)
         mp.setattr(covers, "extract_cover", keep)
+        _record_groups(mp, groups)
         FamilyAnalysis(dnf, 4, tables, fourier_transform(f),
                        lambda s_mask, xsbars, record: records.__setitem__(s_mask, record))
-    return dnf, tables, (count.total, batches), pairs, records
+    return dnf, tables, (count.total, batches), pairs, records, groups
 
 
 def test_the_analysis_of_readk16_asks_231464_lookups_and_one_batch_per_subset(readk16_pass):
@@ -844,7 +877,7 @@ def test_the_analysis_of_readk16_asks_231464_lookups_and_one_batch_per_subset(re
     # pair, 793 of them, of all its pairs.  One question per pair for the
     # precondition and every round of the run, as the round loop asked
     # them, came to 578,404
-    _, _, (lookups, batches), pairs, _ = readk16_pass
+    _, _, (lookups, batches), pairs, _, _ = readk16_pass
     assert (len(pairs), lookups) == (158_288, 231_464)
     subsets = Counter(s_mask for s_mask, *_ in pairs)
     assert sorted(batches) == sorted(subsets.items())
@@ -871,6 +904,44 @@ def test_the_pass_holds_the_levels_below_d_max_until_it_ends(monkeypatch, bundle
         assert held == [m for m in subsets_up_to(b.dnf.n, d_max - 1)
                         if m and tables.full_depth_count(m)], b.label
         assert tables._by_sbar == {}
+
+
+def test_an_abandoned_pass_keeps_no_table(monkeypatch, bundles):
+    # an encoder fault at the first pair of the top level with a pair ends
+    # the analysis while tables, some holding their results, are cached:
+    # the pass drops them all, and a new pass over the same tables gives
+    # the same counts
+    from dnf_fourier import covers
+
+    extract, cached = covers.extract_cover, []
+
+    def fault_at(top):
+        def extract_or_fail(dnf, s_mask, xsbar, r):
+            if s_mask.bit_count() == top:
+                entries = r.tables._by_sbar.values()
+                cached.append((len(entries), sum(entry[2] is not None for entry in entries)))
+                raise EncodingInvariantError("injected")
+            return extract(dnf, s_mask, xsbar, r)
+        return extract_or_fail
+
+    faults = 0
+    for b in bundles[::10]:
+        top = max(m.bit_count() for m in b.analysis.profiles)
+        if top < 2:
+            continue
+        faults += 1
+        cached.clear()
+        tables = RestrictionTables(b.f)
+        with monkeypatch.context() as mp:
+            mp.setattr(covers, "extract_cover", fault_at(top))
+            with pytest.raises(EncodingInvariantError, match="injected$"):
+                FamilyAnalysis(b.dnf, CORPUS_D_MAX, tables, b.spec)
+        assert cached[0][1] > 0, b.label   # the fault met held results
+        assert tables._by_sbar == {}, b.label
+        again = FamilyAnalysis(b.dnf, CORPUS_D_MAX, tables, b.spec)
+        assert (again.profiles, again._pairs, again.covers) == (
+            b.analysis.profiles, b.analysis._pairs, b.analysis.covers), b.label
+    assert faults > 5
 
 
 @pytest.mark.parametrize("on_s, error, message", [
@@ -939,10 +1010,30 @@ def test_the_analysis_asks_one_round_per_pair_on_corpus(monkeypatch, bundles):
         assert sorted(batches) == sorted(Counter(s for s, _ in pairs).items()), b.label
 
 
+def test_every_group_of_a_pass_reads_held_results(readk16_pass, monkeypatch, bundles):
+    # in a pass every sub-pair's result is held when its pair is encoded,
+    # so no group makes a round for the sub-pair: the encoder's recursion
+    # is off the pass's path
+    def assert_held(groups, label):
+        for s_1, rest, *_, words, prefix, ids, truth_values, sub_round in groups:
+            assert sub_round is None, (label, s_1, rest)
+            assert rest == 0 or words is not None, (label, s_1, rest)
+
+    assert len(readk16_pass[5]) > 1000
+    assert_held(readk16_pass[5], "readk16")
+    groups, made = _record_groups(monkeypatch, []), 0
+    for b in bundles[::4]:
+        groups.clear()
+        FamilyAnalysis(b.dnf, b.analysis.d_max, RestrictionTables(b.f), b.spec)
+        assert_held(groups, b.label)
+        made += len(groups)
+    assert made > 100
+
+
 def test_the_analysis_of_readk16_matches_the_round_loop(readk16_pass):
     # every pair's cover, union size and truth values, and its record row,
     # are the round loop's, bit for bit
-    dnf, tables, _, pairs, records = readk16_pass
+    dnf, tables, _, pairs, records, _ = readk16_pass
     rows = {s_mask: zip(record.x_sat.tolist(), record.sigma.tolist())
             for s_mask, record in records.items()}
     for s_mask, xsbar, cover, union_size, a in pairs:
@@ -1178,6 +1269,8 @@ def _outcome(decoder, dnf, e):
         return str(exc)
 
 
+@example((Dnf.from_term_literals(2, [[1], [2]]), Encoding(2, 1 << 70, (1,), 0)))
+@example((Dnf.from_term_literals(2, [[1], [2]]), Encoding(2, 0b01, (1 << 62,), 0)))
 @given(_dnf_and_encoding())
 @settings(max_examples=150, deadline=None)
 def test_decode_matches_the_oracle_on_every_encoding(case):

@@ -38,12 +38,15 @@ _COVERS = "src/dnf_fourier/covers.py"
 _RESTRICTIONS = "src/dnf_fourier/restrictions.py"
 _ROUND_LOOP = "tests/test_encoder.py::test_the_analysis_of_readk16_matches_the_round_loop"
 _CORPUS = "tests/test_encoder.py::test_analysis_record_matches_scalar_encoder_on_corpus"
+_DECODE_ORACLE = "tests/test_encoder.py::test_decode_matches_the_oracle_on_every_encoding"
+_CONSTRUCTOR = "tests/test_encoder.py::test_the_constructor_rejects_what_a_record_rejects"
 _PRUNED = ("tests/test_experiments.py::"
            "test_the_pruned_pass_gives_the_unpruned_passs_counts_families_tails_and_reports")
 
 #: The mutants of the encoder that composes a run from its sub-pair's, of
-#: the round that each subset's pairs share, and of the pass's zero-parent
-#: rule.
+#: the round that each subset's pairs share, of the family analysis's
+#: cover counts, of the pass's zero-parent rule and its drop, and of the
+#: decoder and the encoding's codec.
 MUTANTS = (
     Mutant("a-shifted-by-S", _ENCODER,
            "values | sub_a << s_1.bit_count()", "values | sub_a << r.s_mask.bit_count()",
@@ -58,12 +61,19 @@ MUTANTS = (
            "    if covers.first[sub] <= idx:\n", "    if False:\n",
            ("tests/test_encoder.py::test_a_held_sub_pair_whose_cover_starts_too_early_is_caught",)),
     Mutant("union-checked-once-per-cover", _ENCODER,
-           "    cid, a = _encode(r, xsbar_bits)\n"
-           "    union = r.covers.union[cid]\n    if s_mask & ~union:\n",
-           "    known = len(r.covers.first)\n"
-           "    cid, a = _encode(r, xsbar_bits)\n"
-           "    union = r.covers.union[cid]\n    if cid >= known and s_mask & ~union:\n",
+           "    cid = covers.intern(idx, sub)\n"
+           "    union = covers.union[cid]\n    if s_mask & ~union:\n",
+           "    known = len(covers.first)\n"
+           "    cid = covers.intern(idx, sub)\n"
+           "    union = covers.union[cid]\n    if cid >= known and s_mask & ~union:\n",
            ("tests/test_encoder.py::test_the_union_is_checked_against_each_pair_not_each_cover",)),
+    Mutant("sub-pair-checked-against-S", _ENCODER,
+           "extract_cover(dnf, rest, xsbar_bits | pdep(values, s_1), sub_round)",
+           "extract_cover(dnf, s_mask, xsbar_bits | pdep(values, s_1), sub_round)",
+           ("tests/test_encoder.py::test_two_singletons_golden_trace",)),
+    Mutant("distinct-covers-counted-per-pair", _COVERS,
+           "distinct[u] += 1", "distinct[u] += count",
+           (_CORPUS,)),
     Mutant("sub-pair-scan-skips-T", _ENCODER,
            "SubsetRound(self.dnf, rest, tables, self.covers, idx)",
            "SubsetRound(self.dnf, rest, tables, self.covers, idx + 1)",
@@ -90,6 +100,35 @@ MUTANTS = (
     Mutant("prune-on-a-count-of-1", _RESTRICTIONS,
            "if any(count(s_mask ^ 1 << i) == 0 ", "if any(count(s_mask ^ 1 << i) <= 1 ",
            (_PRUNED,)),
+    Mutant("drop-outside-finally", _RESTRICTIONS,
+           "        finally:\n            self._by_sbar.clear()\n",
+           "        except BaseException:\n            raise\n        self._by_sbar.clear()\n",
+           ("tests/test_encoder.py::test_an_abandoned_pass_keeps_no_table",)),
+    Mutant("decode-casts-a-huge-x-sat", _ENCODER,
+           "    if e.x_sat >> dnf.n:   # before the cast, which a huge x_sat would not survive\n"
+           "        raise DecodeError(BITS_BEYOND_N)\n",
+           "",
+           (_DECODE_ORACLE,)),
+    Mutant("row-checks-position-0-only", _ENCODER,
+           "(pos < 1).any(axis=1)", "(pos == 0).any(axis=1)",
+           (_CONSTRUCTOR,)),
+    Mutant("constructor-checks-distinct-first", _ENCODER,
+           "        if self.a >> len(self.sigma):\n"
+           "            raise ValueError(TRUTH_VALUES_BEYOND_D)\n"
+           "        if len(set(self.sigma)) != len(self.sigma):\n"
+           "            raise ValueError(SIGMA_NOT_DISTINCT)\n",
+           "        if len(set(self.sigma)) != len(self.sigma):\n"
+           "            raise ValueError(SIGMA_NOT_DISTINCT)\n"
+           "        if self.a >> len(self.sigma):\n"
+           "            raise ValueError(TRUTH_VALUES_BEYOND_D)\n",
+           (_CONSTRUCTOR,)),
+    Mutant("decode-casts-sigma-to-uint8", _ENCODER,
+           "np.array([e.sigma], np.int64)", "np.array([e.sigma], np.uint8)",
+           (_DECODE_ORACLE,)),
+    Mutant("truth-values-written-reversed", _ENCODER,
+           '"a": [a >> t & 1 for t in range(len(sigma))]',
+           '"a": [a >> t & 1 for t in reversed(range(len(sigma)))]',
+           ("tests/test_encoder.py::test_from_dict_reads_what_to_dict_writes",)),
 )
 
 
