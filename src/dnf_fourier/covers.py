@@ -39,12 +39,10 @@ coefficient is 0 is checked once per degree after the pass, where the
 weight of the classified subsets must equal the spectrum's weight at
 that degree.  Per subset it keeps only a ``SubsetProfile``, which
 ``check_abs_fourier_u`` reads; its distinct covers at u are counted by
-cover id, since the ``CoverTable`` gives each cover one id.  ``covers``,
-every distinct cover as a tuple of term indices, which ``cover_budget``
-reads, is built once, after the pass, from the pass's ``CoverTable``.
-For a subset below d_max it leaves the pairs' cover
-ids (and truth values, with a consumer) in the tables' cache entry,
-where the pairs of the next levels read their sub-pairs' results (see
+cover id, since the ``CoverTable`` gives each cover one id.  For a
+subset below d_max it leaves the pairs' cover ids (and truth values,
+with a consumer) in the tables' cache entry, where the pairs of the
+next levels read their sub-pairs' results (see
 the encoder's module docstring).  The encodings stream: when a caller
 passes a ``consumer``, the pass of each subset S that has a full-depth
 pair ends by packing its rows into an ``EncodingRecord`` (arrays in
@@ -163,10 +161,7 @@ class FamilyAnalysis:
         self.profiles: dict[int, SubsetProfile] = {}
         self._pairs: Counter[tuple[int, int]] = Counter()   # pairs per (d, u)
         self._cover_counts: dict[int, dict[int, int]] = {}
-        covers = self._classify(tables, consumer)
-        # every distinct cover: each id was interned by a pair of the pass,
-        # and id 0 is the empty cover of S = {}
-        self.covers = {covers.terms(cid) for cid in range(len(covers.first))}
+        self._classify(tables, consumer)
         self.weight_at_u = [DyadicRational(0)] * (self.u_hi + 1)
         for (_, u), stats in self.families.items():
             self.weight_at_u[u] += stats.two_norm_sq
@@ -186,8 +181,7 @@ class FamilyAnalysis:
         family, from the kept counts."""
         return max(self.cover_counts(m).get(key.u, 0) for m in self.families[key].members)
 
-    def _classify(self, tables: RestrictionTables,
-                  consumer: RecordConsumer | None) -> CoverTable:
+    def _classify(self, tables: RestrictionTables, consumer: RecordConsumer | None) -> None:
         covers = CoverTable(self.dnf)
         for s_mask in tables.visit(self.d_max):
             self._classify_subset(s_mask, tables, covers, consumer)
@@ -203,7 +197,6 @@ class FamilyAnalysis:
                     f"nonzero coefficient without a full-depth witness at degree {d}: "
                     f"the subsets with a pair hold {classified} of its weight "
                     f"{weight_at_degree(self.spec, d)}")
-        return covers
 
     def _classify_subset(self, s_mask: int, tables: RestrictionTables, covers: CoverTable,
                          consumer: RecordConsumer | None) -> None:

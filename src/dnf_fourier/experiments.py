@@ -17,7 +17,7 @@ during that subset's pass, so no record outlives it, and a decode fault
 fails only its row.  A sweep measures
 spectral sparsity and how much weight small-union-size families capture, without
 asserting theorem-level claims whose hypotheses do not hold at desk scale
-(those are emitted as report-only rows).
+(those go to each entry's ``report_only`` block).
 
 Reports are pure functions of the configuration and instance content:
 worker counts and output paths never appear in a report body, results are
@@ -52,9 +52,8 @@ from .boolfn import (
     weight_outside_masks,
 )
 from .covers import (
-    BudgetPreconditionError,
     FamilyAnalysis,
-    budget_lemma_bound,
+    budget_lemma_bound,  # no caller here, but bench/spans.py wraps this name
     check_abs_fourier_u,
     check_onenorm_u,
     check_twonorm_u,
@@ -123,7 +122,6 @@ CHECK_KINDS = {
     "read_chain": CheckKind(("read_cover_chain",), "analysis"),
     "exact_width_chain": CheckKind(("exact_width_chain",), "analysis"),
     "satisfied_mass": CheckKind(("satisfied_mass",)),
-    "cover_budget": CheckKind(("cover_budget",), "analysis"),
     # the round trip decodes the encodings the analysis hands it, one
     # subset at a time
     "roundtrip": CheckKind(("roundtrip",), "analysis"),
@@ -300,8 +298,8 @@ def _approx(value) -> float | None:
     return round(value, 12)
 
 
-def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) -> dict:
-    row = {
+def _row(check: str, context: dict, lhs, bound, holds: bool) -> dict:
+    return {
         "check": check,
         "context": context,
         "lhs": str(lhs),
@@ -310,9 +308,6 @@ def _row(check: str, context: dict, lhs, bound, holds: bool, report_only=False) 
         "bound_approx": _approx(bound),
         "holds": bool(holds),
     }
-    if report_only:
-        row["report_only"] = True
-    return row
 
 
 # -- report writing ----------------------------------------------------------------
@@ -375,7 +370,7 @@ class EntryWriter:
     def write(self, row: dict) -> None:
         self.out.write((",\n" if self.rows else "\n") + "        " + _dumps(row, 4))
         self.rows += 1
-        if not row["holds"] and not row.get("report_only"):
+        if not row["holds"]:
             self.failures += 1
         if self.jsonl is not None:
             line = {"label": self.label, "check": row["check"], "lhs": row["lhs"],
@@ -693,20 +688,6 @@ class _Battery:
         context = {"read": self.k, "pr_true": str(Fraction(self.f.ones, 1 << self.dnf.n)),
                    "vacuous": r.extras["vacuous"]}
         yield _row("satisfied_mass", context, r.lhs, bound, r.holds)
-
-    def cover_budget(self):
-        for cover in sorted(self.analysis.covers):
-            sizes = [self.dnf.terms[j - 1].width for j in cover]
-            v = sum(sizes)
-            mass = sum(Fraction(1, 2**sz) for sz in sizes)
-            ctx = {"cover": list(cover), "v": v, "F": str(mass)}
-            try:
-                r = budget_lemma_bound(sizes, v, mass)
-            except BudgetPreconditionError as exc:
-                yield _row("cover_budget", ctx | {"skipped": str(exc)},
-                           len(sizes), None, True, report_only=True)
-                continue
-            yield _row("cover_budget", ctx, *r)
 
     def roundtrip(self):
         if self.fault is None:

@@ -4,9 +4,12 @@ The corpus is 200 seeded random DNFs (n between 4 and 8, up to 6 terms,
 width at most 4, read unconstrained) plus the two smallest tribes
 instances.  Bundles carry the per-instance objects the heavier suites
 share: truth table, spectrum, restriction tables, the family analysis at
-d_max = 4, and the records the analysis handed its consumer (``records``:
-S mask to (x_Sbar masks, record)).  ``small_dnfs`` is the hypothesis strategy for random DNFs
-with duplicate terms, the empty term and negated literals.  ``table_of``
+d_max = 4, the records the analysis handed its consumer (``records``:
+S mask to (x_Sbar masks, record)), and every distinct cover its pass
+interned (``covers``, read by ``analyze`` from the pass's ``CoverTable``,
+which the analysis does not keep).  ``small_dnfs`` is the hypothesis
+strategy for random DNFs with duplicate terms, the empty term and negated
+literals.  ``table_of``
 and ``bits_of`` turn a truth table into and out of the int form (bit x is
 f(x)), which the tests keep as an oracle and a shorthand.  ``encodings``
 rebuilds a record's rows as ``Encoding`` objects for ``oracle_decode``
@@ -32,8 +35,9 @@ from dnf_fourier import (
     random_read_k,
     tribes,
 )
+from dnf_fourier import covers as covers_module
 from dnf_fourier.dnf import Term
-from dnf_fourier.encoder import DecodeError, Encoding, EncodingRecord
+from dnf_fourier.encoder import CoverTable, DecodeError, Encoding, EncodingRecord
 
 CORPUS_D_MAX = 4
 
@@ -101,6 +105,28 @@ class Bundle:
     tables: RestrictionTables
     analysis: FamilyAnalysis
     records: dict[int, tuple[np.ndarray, EncodingRecord]]
+    covers: set[tuple[int, ...]]
+
+
+def analyze(*args) -> tuple[FamilyAnalysis, set[tuple[int, ...]]]:
+    """``FamilyAnalysis(*args)``, and every distinct cover (1-based term
+    indices) of its pass: each id of the pass's ``CoverTable``, captured
+    by a recording subclass, was interned by a pair, and id 0 is the
+    empty cover of S = {}."""
+    made = []
+
+    class Recording(CoverTable):
+        def __init__(self, dnf):
+            super().__init__(dnf)
+            made.append(self)
+
+    original, covers_module.CoverTable = covers_module.CoverTable, Recording
+    try:
+        analysis = FamilyAnalysis(*args)
+    finally:
+        covers_module.CoverTable = original
+    (table,) = made
+    return analysis, {table.terms(cid) for cid in range(len(table.first))}
 
 
 def make_bundle(label: str, dnf: Dnf, d_max: int = CORPUS_D_MAX) -> Bundle:
@@ -114,8 +140,8 @@ def make_bundle(label: str, dnf: Dnf, d_max: int = CORPUS_D_MAX) -> Bundle:
     def keep(s_mask, xsbars, record):
         records[s_mask] = (xsbars, record)
 
-    analysis = FamilyAnalysis(dnf, d_max, tables, spec, keep)
-    return Bundle(label, dnf, f, spec, tables, analysis, records)
+    analysis, covers = analyze(dnf, d_max, tables, spec, keep)
+    return Bundle(label, dnf, f, spec, tables, analysis, records, covers)
 
 
 @functools.lru_cache(maxsize=1)

@@ -69,7 +69,7 @@ def test_the_all_checks_report_writes_the_declared_kinds_in_table_order(name):
     assert groups == sorted(groups, key=list(CHECK_KINDS).index)
     assert {row["check"] for row in rows} == set(_GROUP_OF)
     if name == "rk10":
-        assert len(rows) == 4625
+        assert len(rows) == 4575
 
 
 def _spy(monkeypatch, name: str) -> list:
@@ -150,12 +150,6 @@ def _outside_the_kept_masks(weight_outside_masks):
     return weight
 
 
-def _no_precondition(budget_lemma_bound):
-    # a cover that fails the lemma's precondition is a report-only row: fail
-    # every cover, so that every row of the kind is a failure
-    return lambda sizes, v, mass: CheckResult(len(sizes), 0, False)
-
-
 def _decode_error(decode_records):
     def decode(*args):
         raise DecodeError("injected fault")
@@ -187,7 +181,6 @@ _FAILS = {
     "read_cover_chain": _failing("read_cover_count_bound"),
     "exact_width_chain": _failing("exact_width_cover_bound"),
     "satisfied_mass": _failing("st_inequality_check"),
-    "cover_budget": _patch(experiments, "budget_lemma_bound", _no_precondition),
     "roundtrip": _patch(experiments, "decode_records", _decode_error),
 }
 
@@ -200,7 +193,7 @@ def test_every_row_kind_can_fail(tmp_path, monkeypatch, kind):
     rows = report["instances"][0]["checks"]
     failed = [row for row in rows if row["check"] == kind]
     assert code == 1 and failed
-    assert all(row["holds"] is False and "report_only" not in row for row in failed)
+    assert all(row["holds"] is False for row in failed)
     assert report["summary"]["failures"] == len(failed)
     assert ([row for row in rows if row["check"] != kind]
             == [row for row in clean if row["check"] != kind])
@@ -208,16 +201,27 @@ def test_every_row_kind_can_fail(tmp_path, monkeypatch, kind):
 
 def test_the_readme_table_names_every_group_and_row_kind():
     # one line per group, in table order: | `group` | `kind`, ... | reads |
-    # bound |, where the bound is exact but in the two groups whose bound
-    # is irrational
+    # bound |, where the bound is exact but in the group whose bound is
+    # irrational
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     lines = readme.split("| group | row kinds | reads | `bound` |\n", 1)[1].split("\n\n", 1)[0]
     table = [line.strip("| ").split(" | ") for line in lines.splitlines()[1:]]
-    enclosed = {"satisfied_mass", "cover_budget"}
+    enclosed = {"satisfied_mass"}
     assert table == [[f"`{group}`", ", ".join(f"`{kind}`" for kind in check.rows),
                       check.reads or "—",
                       "upper end of an enclosure" if group in enclosed else "exact"]
                      for group, check in CHECK_KINDS.items()]
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_a_config_that_names_cover_budget_is_a_usage_error(tmp_path, capsys, command):
+    # cover_budget, whose rows could not fail, is not a group of the table:
+    # a config that names it exits 2, naming it, and writes no report
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps(_config("tribes23", ["evasive", "cover_budget"])))
+    assert main([command, str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown checks: ['cover_budget']\n"
+    assert not out.exists()
 
 
 # -- the spectral row kinds at their bounds --------------------------------------
@@ -314,7 +318,6 @@ _BOUNDED_ELSEWHERE = {
     "pair_count_binom": "test_restrictions.py", "family_onenorm_count": "test_restrictions.py",
     "family_onenorm_binom": "test_restrictions.py", "family_twonorm": "test_restrictions.py",
     "family_cauchy": "test_restrictions.py", "family_abs_coeff": "test_restrictions.py",
-    "cover_budget": "cannot reach its bound: test_cover_budget_holds_strictly_in_its_hypotheses",
 }
 
 

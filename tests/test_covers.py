@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -50,10 +51,10 @@ from dnf_fourier.generators import SplitMix64, dense_pool, random_read_k
 from conftest import make_bundle, small_dnfs
 
 
-def oracle_cover_counts(dnf: Dnf, s_mask: int) -> dict[int, int]:
-    """All term subsets, unpruned, filtered on the cover definition."""
+def oracle_covers(dnf: Dnf, s_mask: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every cover of S, with its union size: all term subsets (0-based
+    indices), unpruned, filtered on the cover definition."""
     d = s_mask.bit_count()
-    counts: dict[int, int] = {}
     indices = range(len(dnf.terms))
     for subset in chain.from_iterable(
         combinations(indices, r) for r in range(len(dnf.terms) + 1)
@@ -67,9 +68,12 @@ def oracle_cover_counts(dnf: Dnf, s_mask: int) -> dict[int, int]:
             union |= dnf.terms[j].vars_mask
         if s_mask & ~union:
             continue
-        u = union.bit_count()
-        counts[u] = counts.get(u, 0) + 1
-    return counts
+        yield subset, union.bit_count()
+
+
+def oracle_cover_counts(dnf: Dnf, s_mask: int) -> dict[int, int]:
+    """num_covers(S, u) for every u, from the exhaustive enumeration."""
+    return dict(Counter(u for _, u in oracle_covers(dnf, s_mask)))
 
 
 # -- num_covers ---------------------------------------------------------------
@@ -464,9 +468,13 @@ def test_budget_random_sweep():
 
 
 def test_budget_on_realized_covers(bundles):
+    # every cover of every S up to d_max, which includes each cover the
+    # encoder selects
     for b in bundles[:60]:
-        for cover in b.analysis.covers:
-            sizes = [b.dnf.terms[j - 1].width for j in cover]
+        every_cover = {cover for s_mask in subsets_up_to(b.dnf.n, b.analysis.d_max)
+                       for cover, _ in oracle_covers(b.dnf, s_mask)}
+        for cover in every_cover:
+            sizes = [b.dnf.terms[j].width for j in cover]
             v = sum(sizes)
             mass = sum(Fraction(1, 2**s) for s in sizes)
             if v > mass:

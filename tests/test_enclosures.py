@@ -82,10 +82,12 @@ def test_exact_points_are_exact():
 def decided_arguments(dnf, ones: int, d_max: int = 4) -> set[tuple[str, Fraction]]:
     """A superset of the (function, argument) pairs that an all-checks
     verify at ``d_max`` decides for ``dnf``, whose truth table has ``ones``
-    ones: satisfied_mass's ln(1/(1 - Pr[f])), the read chain's e^|S|, the
-    exact-width chain's e^(ku/w), and cover_budget's ln 2 and ln(v/F) over
-    every multiset of at most d_max term widths (a cover takes one term per
-    encoder round, so at most |S| terms)."""
+    ones: satisfied_mass's ln(1/(1 - Pr[f])), the read chain's e^|S| and
+    the exact-width chain's e^(ku/w).  It also holds what
+    ``budget_lemma_bound``, which no verify calls, decides on the covers of
+    ``dnf``: ln 2 and ln(v/F) over every multiset of at most d_max term
+    widths (a cover takes one term per encoder round, so at most |S|
+    terms)."""
     n = dnf.n
     args = {("ln", Fraction(2))} | {("exp", Fraction(d)) for d in range(min(d_max, n) + 1)}
     if ones < 1 << n:
@@ -117,13 +119,11 @@ def test_decided_arguments_hold_every_argument_a_verify_decides(bundles):
     for b in bundles[::10] + bundles[-2:]:
         asked.clear()
         covers._le_exp.cache_clear()
-        covers._budget_high.cache_clear()
         with mock.patch.object(covers, "ln_enclosure", spy("ln")), \
                 mock.patch.object(covers, "exp_enclosure", spy("exp")):
             verify_instance(b.dnf, b.label, config, EntryWriter(io.StringIO(), b.label, True))
         assert asked and set(asked) <= decided_arguments(b.dnf, b.f.ones), b.label
     covers._le_exp.cache_clear()
-    covers._budget_high.cache_clear()
 
 
 def _workloads_and_rungs():

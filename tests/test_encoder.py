@@ -53,7 +53,7 @@ from dnf_fourier.encoder import (
 )
 
 from conftest import encodings as record_encodings
-from conftest import CORPUS_D_MAX, corpus_instances, make_bundle, small_dnfs
+from conftest import CORPUS_D_MAX, analyze, corpus_instances, make_bundle, small_dnfs
 
 
 def _tables(dnf):
@@ -938,9 +938,9 @@ def test_an_abandoned_pass_keeps_no_table(monkeypatch, bundles):
                 FamilyAnalysis(b.dnf, CORPUS_D_MAX, tables, b.spec)
         assert cached[0][1] > 0, b.label   # the fault met held results
         assert tables._by_sbar == {}, b.label
-        again = FamilyAnalysis(b.dnf, CORPUS_D_MAX, tables, b.spec)
-        assert (again.profiles, again._pairs, again.covers) == (
-            b.analysis.profiles, b.analysis._pairs, b.analysis.covers), b.label
+        again, every_cover = analyze(b.dnf, CORPUS_D_MAX, tables, b.spec)
+        assert (again.profiles, again._pairs, every_cover) == (
+            b.analysis.profiles, b.analysis._pairs, b.covers), b.label
     assert faults > 5
 
 
@@ -1095,15 +1095,17 @@ def test_encode_asks_each_question_once_on_corpus(asked, bundles):
         _assert_each_question_asked_once(asked, b.dnf, b.tables, b.analysis.d_max)
 
 
-def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
-    """The records the analysis handed its consumer, each subset's profile
-    (its most frequent union size u, ties to the smallest, and its witnesses
-    and distinct covers at u) and the set of every distinct cover equal the
-    oracle encoder's on every pair of valid_pairs, entry by entry, and the
-    record decodes back to that sequence.  That includes S = {}, whose record the analysis
-    writes without encoding: x_sat is every assignment, with empty sigma
-    and a.  Per pair, ``encode``'s objects, and the rows of ``encode_row``
+def _assert_record_matches_scalar_encoder(b):
+    """The records bundle ``b``'s analysis handed its consumer, each
+    subset's profile (its most frequent union size u, ties to the smallest,
+    and its witnesses and distinct covers at u) and the set of every
+    distinct cover of its pass's ``CoverTable`` equal the oracle encoder's
+    on every pair of valid_pairs, entry by entry, and the record decodes
+    back to that sequence.  That includes S = {}, whose record the
+    analysis writes without encoding: x_sat is every assignment, with
+    empty sigma and a.  Per pair, ``encode``'s objects, and the rows of ``encode_row``
     and of the round loop, equal the oracle's too."""
+    dnf, tables, analysis, records = b.dnf, b.tables, b.analysis, b.records
     by_subset: dict[int, list[tuple[int, int]]] = {}
     for s_mask, xsbar in valid_pairs(tables, analysis.d_max):
         by_subset.setdefault(s_mask, []).append((s_mask, xsbar))
@@ -1142,19 +1144,18 @@ def _assert_record_matches_scalar_encoder(dnf, tables, analysis, records):
             assert encode(dnf, s, x, tables) == (e, cov)
             assert encode_row(dnf, s, x, tables) == oracle_round_loop(dnf, s, x, tables) == (
                 e.x_sat, list(e.sigma), e.a, cov.term_indices, cov.union_size)
-    assert analysis.covers == every_cover
+    assert b.covers == every_cover
 
 
 def test_analysis_record_matches_scalar_encoder_on_corpus(bundles):
     for b in bundles:
-        _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis, b.records)
+        _assert_record_matches_scalar_encoder(b)
 
 
 @given(small_dnfs(), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_analysis_record_matches_scalar_encoder_on_random_dnfs(dnf, d_max):
-    b = make_bundle("random", dnf, d_max)
-    _assert_record_matches_scalar_encoder(b.dnf, b.tables, b.analysis, b.records)
+    _assert_record_matches_scalar_encoder(make_bundle("random", dnf, d_max))
 
 
 def _degree_records(b):

@@ -1,0 +1,46 @@
+"""The package against the closed forms of read-once DNFs (read_once.py),
+at sizes the other oracles do not reach."""
+from dnf_fourier import RestrictionTables, fourier_transform, random_read_k, tribes
+from dnf_fourier.bitops import subsets_up_to
+from dnf_fourier.covers import SubsetProfile
+
+import read_once
+from conftest import analyze
+
+
+def test_tribes_at_n24_matches_the_closed_forms_up_to_two_variables():
+    # every S with |S| <= 2, of the spectrum and of the tables' pass
+    dnf = tribes(4, 6)
+    f = dnf.evaluate()
+    spec = fourier_transform(f)
+    tables = RestrictionTables(f)
+    visited = 0
+    for s_mask in tables.visit(2):
+        assert spec.coeff(s_mask).as_fraction() == read_once.coefficient(dnf, s_mask), s_mask
+        assert tables.full_depth_count(s_mask) == read_once.full_depth_count(dnf, s_mask), s_mask
+        visited += 1
+    assert visited == 1 + 24 + 276
+
+
+def test_a_read_once_random_dnf_has_one_cover_per_subset():
+    # at d_max 4, with negated literals and two unused variables: the
+    # spectrum, and each subset with a full-depth pair has one distinct
+    # cover, the terms that meet S, at u(S), where it has its every pair,
+    # and num_covers(S, u(S)) = 1; the pass interns those covers and no other
+    dnf = random_read_k(n=16, s=6, w=3, k=1, seed=5)
+    assert dnf.read() == 1
+    f = dnf.evaluate()
+    spec = fourier_transform(f)
+    analysis, every_cover = analyze(dnf, 4, RestrictionTables(f), spec)
+    subsets = list(subsets_up_to(dnf.n, 4))
+    for s_mask in subsets:
+        assert spec.coeff(s_mask).as_fraction() == read_once.coefficient(dnf, s_mask), s_mask
+    covered = [m for m in subsets if read_once.full_depth_count(dnf, m)]
+    assert set(analysis.profiles) == set(covered)
+    for s_mask in covered:
+        u = read_once.union_size(dnf, s_mask)
+        witnesses = read_once.full_depth_count(dnf, s_mask)
+        assert analysis.profiles[s_mask] == SubsetProfile(u, witnesses, 1), s_mask
+        assert analysis.cover_counts(s_mask)[u] == 1, s_mask
+    assert {tuple(sorted(c)) for c in every_cover} == {
+        read_once.cover(dnf, m) for m in covered}

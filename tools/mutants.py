@@ -42,11 +42,20 @@ _DECODE_ORACLE = "tests/test_encoder.py::test_decode_matches_the_oracle_on_every
 _CONSTRUCTOR = "tests/test_encoder.py::test_the_constructor_rejects_what_a_record_rejects"
 _PRUNED = ("tests/test_experiments.py::"
            "test_the_pruned_pass_gives_the_unpruned_passs_counts_families_tails_and_reports")
+_EXPERIMENTS = "src/dnf_fourier/experiments.py"
+
+
+def _at_the_bound(kind: str) -> tuple[str]:
+    """The case of ``kind`` that puts its lhs at its bound, at n = 3."""
+    return (f"tests/test_check_kinds.py::test_check_holds_at_its_bound_and_fails_one_unit_past"
+            f"[3-{kind}]",)
+
 
 #: The mutants of the encoder that composes a run from its sub-pair's, of
 #: the round that each subset's pairs share, of the family analysis's
-#: cover counts, of the pass's zero-parent rule and its drop, and of the
-#: decoder and the encoding's codec.
+#: cover counts, of the pass's zero-parent rule and its drop, of the
+#: decoder and the encoding's codec, and a bound made strict in each row
+#: kind whose lhs a test puts at its bound.
 MUTANTS = (
     Mutant("a-shifted-by-S", _ENCODER,
            "values | sub_a << s_1.bit_count()", "values | sub_a << r.s_mask.bit_count()",
@@ -129,6 +138,21 @@ MUTANTS = (
            '"a": [a >> t & 1 for t in range(len(sigma))]',
            '"a": [a >> t & 1 for t in reversed(range(len(sigma)))]',
            ("tests/test_encoder.py::test_from_dict_reads_what_to_dict_writes",)),
+    Mutant("sparsity-bound-strict", _EXPERIMENTS,
+           "self.min_coeffs <= bound)", "self.min_coeffs < bound)",
+           _at_the_bound("sparsity_onenorm")),
+    Mutant("truncation-bound-strict", _EXPERIMENTS,
+           "dist, bound, dist <= bound)", "dist, bound, dist < bound)",
+           _at_the_bound("truncation_distance")),
+    Mutant("approx-transfer-bound-strict", _EXPERIMENTS,
+           "lhs, bound, lhs <= bound)", "lhs, bound, lhs < bound)",
+           _at_the_bound("approx_transfer")),
+    Mutant("read-cover-chain-bound-strict", _COVERS,
+           "count <= bound and chain1 and chain2", "count < bound and chain1 and chain2",
+           _at_the_bound("read_cover_chain")),
+    Mutant("exact-width-chain-bound-strict", _COVERS,
+           "    holds = count <= bound\n", "    holds = count < bound\n",
+           _at_the_bound("exact_width_chain")),
 )
 
 
