@@ -41,14 +41,14 @@ that degree.  Per subset it keeps only a ``SubsetProfile``, which
 ``check_abs_fourier_u`` reads; its distinct covers at u are counted by
 cover id, since the ``CoverTable`` gives each cover one id.  For a
 subset below d_max it leaves the pairs' cover ids (and truth values,
-with a consumer) in the tables' cache entry, where the pairs of the
-next levels read their sub-pairs' results (see
-the encoder's module docstring).  The encodings stream: when a caller
-passes a ``consumer``, the pass of each subset S that has a full-depth
-pair ends by packing its rows into an ``EncodingRecord`` (arrays in
-``valid_pairs`` order; x_sat and sigma spelled once per distinct cover)
-and calling ``consumer(S, xsbars, record)``, with ``xsbars`` the
-fixed-side assignments x_Sbar of S's pairs as n-bit masks (the tables'
+with a consumer) in the pass's ``CoverTable``, where the pairs of the
+next levels read their sub-pairs' results (see the encoder's module
+docstring).  The encodings stream: when a caller passes a ``consumer``,
+the pass of each subset S that has a full-depth pair ends by packing
+its rows into an ``EncodingRecord`` (arrays in ``valid_pairs`` order;
+x_sat and sigma spelled once per distinct cover) and calling
+``consumer(S, xsbars, record)``, with ``xsbars`` the fixed-side
+assignments x_Sbar of S's pairs as n-bit masks (the tables'
 ``full_depth_xsbars``, read once).  The analysis keeps neither, so no
 record outlives its subset's pass.  The ``roundtrip`` check of
 ``verify`` and ``dnf-fourier encdec-test`` are consumers; ``sweep``
@@ -59,7 +59,8 @@ encoder fault while it classifies, or a row that
 ``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
 it.  The analysis walks the subsets in the tables' one pass
 (``RestrictionTables.visit``), which holds the tables and drops them
-when the pass ends, also when a fault ends it early.
+when the pass ends, also when a fault ends it early; the cover table,
+and with it every held result, goes with the pass too.
 
 ``FamilyAnalysis`` takes every sum over (d, u) once, and its readers
 read them: the pairs per (d, u), counted as each subset is classified;
@@ -238,7 +239,7 @@ class FamilyAnalysis:
             if consumer is not None:
                 consumer(s_mask, xsbars, _record(n, s_mask, xsbars, covers, ids, truth_values))
             if d < self.d_max:   # the sub-pairs of the next levels read these
-                tables.hold(s_mask, (covers, ids, truth_values))
+                covers.hold(s_mask, tables.dt_by_sbar(s_mask), ids, truth_values)
         self._pairs.update({(d, u): cnt for u, cnt in witnesses.items()})
         u = min(witnesses, key=lambda v: (-witnesses[v], v))
         self.profiles[s_mask] = SubsetProfile(u, witnesses[u], distinct[u])

@@ -54,23 +54,24 @@ S with a pair gets its round when its pass starts, which checks S's
 precondition on the whole batch of its pairs with numpy
 (``SubsetRound.check``: E_S holds at x, and x has no bit on S, the first
 failing pair named), and drops it when the pass ends.  Each S with
-0 < |S| < d_max leaves, in its tables' cache entry
-(``RestrictionTables.hold``), a uint32 cover id per pair in
-``valid_pairs`` order, a uint16 a per pair when the analysis has a
-consumer of the encodings, and a rank index of E_S, so a pair of a
-larger subset reads its sub-pair's result at the rank of the table index
-that its accepted lookup just read.  Nothing is held for |S| = d_max,
-and everything goes with the tables when the pass ends.  Outside a pass
-nothing is held, and ``extract_cover`` calls itself on the sub-pair with
-the sub-pair's own round, whose scan starts at T.  ``encode`` is its
-one-pair call: it checks its arguments and the pair's precondition,
-makes one ``extract_cover`` with a cover table of its own, spells the
-cover, and returns the ``Encoding`` (one row of an ``EncodingRecord``)
-and the ``CoverRecord``.  Each check of the run is made on every pair:
-the precondition holds, the first alive term is not already satisfied,
-a depth-preserving choice exists, T comes before the sub-pair's first
-term, and the cover's union holds S and has at most width * |S|
-variables; that S_1 is not empty is checked once per T and S, of which
+0 < |S| < d_max leaves, in the pass's cover table (``CoverTable.hold``),
+a uint32 cover id per pair in ``valid_pairs`` order, a uint16 a per pair
+when the analysis has a consumer of the encodings, and a rank index of
+E_S, so a pair of a larger subset reads its sub-pair's result at the
+rank of the table index that its accepted lookup just read.  Nothing is
+held for |S| = d_max, and everything goes with the cover table when the
+pass ends; a held id is read only through the table that interned it.
+Where nothing is held for the sub-pair's subset, as outside a pass,
+``extract_cover`` calls itself on the sub-pair with the sub-pair's own
+round, whose scan starts at T.  ``encode`` is its one-pair call: it
+checks its arguments and the pair's precondition, makes one
+``extract_cover`` with a cover table of its own, which holds nothing,
+spells the cover, and returns the ``Encoding`` (one row of an
+``EncodingRecord``) and the ``CoverRecord``.  Each check of the run is
+made on every pair: the precondition holds, the first alive term is
+not already satisfied, a depth-preserving choice exists, T comes before
+the sub-pair's first term, and the cover's union holds S and has at
+most width * |S| variables; that S_1 is not empty is checked once per T and S, of which
 it is a function.  The union check is also the check that sigma has |S|
 positions, since each variable of the union enters c once and sigma
 lists where S's sit; ``spell`` counts them again when a cover is
@@ -296,7 +297,8 @@ class CoverTable:
 
     Cover id c > 0 is the term ``first[c]`` (0-based) followed by the
     cover ``sub[c]``, and ``union[c]`` is the mask of the variables of its
-    terms; id 0 is the empty cover, whose ``first`` lies past every term."""
+    terms; id 0 is the empty cover, whose ``first`` lies past every term.
+    ``held`` maps a subset to its pairs' results (``hold``)."""
 
     def __init__(self, dnf: Dnf):
         self.term_masks = dnf.term_masks
@@ -305,6 +307,24 @@ class CoverTable:
         self.union = [0]
         self._ids: dict[int, int] = {}   # term + sub * (number of terms) -> id
         self._terms: dict[int, tuple[int, ...]] = {0: ()}
+        self.held: dict[int, tuple] = {}   # S -> (words, prefix, ids, truth values)
+
+    def hold(self, s_mask: int, table: np.ndarray, ids: Sequence[int],
+             truth_values: Sequence[int] | None) -> None:
+        """Keep the cover id in this table and the truth values (or None)
+        of each full-depth pair of S, in ``full_depth_xsbars`` order, with
+        the rank index of S's packed table E_S: ``words`` is E_S as 64-bit
+        words and ``prefix[k]`` counts the set bits of the words before
+        word k, so the pair at table index i (which must hold) is row
+        prefix[i >> 6] + popcount(words[i >> 6] & (2^(i & 63) - 1)): the
+        rank of i among the set bits."""
+        if table.size % 8:   # a table of fewer than 64 entries, in one word
+            table = np.concatenate([table, np.zeros(8 - table.size % 8, np.uint8)])
+        counts = np.unpackbits(table).reshape(-1, 64).sum(axis=1, dtype=np.uint32)
+        prefix = np.zeros(counts.size, np.uint32)
+        np.cumsum(counts[:-1], out=prefix[1:])
+        words = table.view("<u8").astype(np.uint64, copy=False)   # native, as memoryview reads
+        self.held[s_mask] = (words, prefix, ids, truth_values)
 
     def intern(self, term: int, sub: int) -> int:
         """The id of the term followed by the cover ``sub``."""
@@ -384,10 +404,10 @@ class SubsetRound:
     def group(self, idx: int, term_vars: int) -> tuple:
         """(S_1, rest, E_rest's packed view, rest's compress plan, the
         candidates as (index in E_rest, truth values), the held results as
-        words, prefix, cover ids and truth values, and the round of rest)
-        for the first alive term ``idx``, whose variable mask is
-        ``term_vars``.  What is held for rest is read when the pass holds it
-        for these covers; otherwise the held results are None and the
+        views of words and prefix, cover ids and truth values, and the
+        round of rest) for the first alive term ``idx``, whose variable
+        mask is ``term_vars``.  What the cover table holds for rest is
+        read; when it holds nothing, the held results are None and the
         round of rest, which encodes the sub-pair, is made.
 
         Compressing keeps the order of the variables outside rest, so the
@@ -403,11 +423,12 @@ class SubsetRound:
             tables = self.tables
             table, plan = tables.full_depth_entry(rest)
             candidates = _lex_choices(compress(s_1, plan))
-            held = tables.held(rest)
-            if held is None or held[2][0] is not self.covers:
+            held = self.covers.held.get(rest)
+            if held is None:
                 sub_round = SubsetRound(self.dnf, rest, tables, self.covers, idx)
             else:
-                words, prefix, (_, ids, truth_values) = held
+                words, prefix, ids, truth_values = held
+                words, prefix = memoryview(words), memoryview(prefix)
         group = self.groups[idx] = (
             s_1, rest, table, plan, candidates, words, prefix, ids, truth_values, sub_round)
         return group

@@ -31,8 +31,8 @@ parents come first.  E_S with |S| = d_max is dropped once the caller
 moves past S, since an encoder round asks only about proper subsets of
 its own S (at d_max 4 that level holds over half of the table bytes),
 and every table when the pass ends, or is abandoned: a caller that
-raises mid-pass closes the pass, which keeps no table and nothing held.
-Counts stay, for ``evasive``.
+raises mid-pass closes the pass, which keeps no table.  Counts stay,
+for ``evasive``.
 
 The pass prunes by the zero-parent rule: if some parent E_{S-i} is all
 zero, the factor of i in the last rule above is zero everywhere, so E_S
@@ -44,17 +44,16 @@ zero, so every larger S that holds i has count 0 and no table.
 
 The tables own every full-depth fact the package reads.  The index of a
 full assignment x in E_S is x with the bits of S deleted: the OR of
-(x >> shift) & mask over S's compress plan, one (shift, mask) pair per
-run of fixed variables (at most |S| + 1) (``compress``), where the
-encoder reads single entries; ``full_depth_rows`` reads a whole batch of
-x with numpy.  Run backwards, the plan turns the indices where E_S holds into
-the x_Sbar masks of the full-depth pairs (``full_depth_xsbars``), which
-the family analysis and ``valid_pairs`` read.  A table's cache entry can
-also hold a result per full-depth pair (``hold``), with E_S's rank index:
-a uint32 count of set bits before each 64-bit word, so the row of the
-pair at table index i is that count plus the set bits of its word below
-i (``held``).  The family analysis holds its encodings there for the
-subsets below d_max, and they go with the entry.
+(x >> shift) & mask over S's compress plan (``compress_plan``), one
+(shift, mask) pair per run of fixed variables (at most |S| + 1)
+(``compress``).  The encoder reads single entries through
+``full_depth_entry``, which makes a view of E_S and its plan on each
+call and keeps neither; ``full_depth_rows`` reads a whole batch of x
+with numpy.  Run backwards, the plan turns the indices where E_S holds
+into the x_Sbar masks of the full-depth pairs (``full_depth_xsbars``),
+which the family analysis and ``valid_pairs`` read.  The cache holds
+tables only: what the family analysis keeps per pair, it keeps in its
+own pass's cover table (see the encoder's module docstring).
 
 The textbook depth recursion, the oracle of the predicate, is in the tests.
 """
@@ -121,6 +120,18 @@ def compress(x, plan: tuple):
     return i
 
 
+def compress_plan(n: int, free_mask: int) -> tuple:
+    """S's compress plan over n variables: one (shift, mask) pair per run of
+    fixed bits low..b-1, the run moved down by the number of bits of S
+    below it."""
+    plan, low = [], 0
+    for shift, b in enumerate(bit_indices(free_mask) + [n]):
+        if b > low:
+            plan.append((shift, ((1 << (b - low)) - 1) << (low - shift)))
+        low = b + 1
+    return tuple(plan)
+
+
 class RestrictionTables:
     """Full-depth lookups for all restrictions of one function.
 
@@ -131,17 +142,15 @@ class RestrictionTables:
     the shared workhorse behind the evasiveness checks, the encoder, and
     the family classification.
 
-    One cache holds a table per mask: ``_by_sbar[S]`` is E_S and, made when
-    the encoder first asks about S (``full_depth_entry``), a ``memoryview``
-    of it (a view, not a copy) with S's compress plan (see the module
-    docstring), and what ``hold`` keeps for S.  ``release`` drops the
-    entry, and keeps S's count.
+    One cache holds a table per mask: ``_by_sbar[S]`` is E_S, a read-only
+    packed array, and nothing else.  ``release`` drops it, and keeps S's
+    count.
     """
 
     def __init__(self, f: BooleanFunction):
         self.n = f.n
         self._f_packed = f.packed()
-        self._by_sbar: dict[int, list] = {}   # S -> [E_S, (view, plan) or None, held or None]
+        self._by_sbar: dict[int, np.ndarray] = {}   # S -> E_S
         self._counts: dict[int, int] = {}
 
     def visit(self, d_max: int) -> Iterator[int]:
@@ -166,7 +175,7 @@ class RestrictionTables:
         again."""
         cached = self._by_sbar.get(free_mask)
         if cached is not None:
-            return cached[0]
+            return cached
         n = self.n
         free = bit_indices(free_mask)
         table = np.empty(max(1, (1 << (n - len(free))) >> 3), dtype=np.uint8)
@@ -186,11 +195,11 @@ class RestrictionTables:
                 if t:
                     table &= scratch
         table.setflags(write=False)
-        self._by_sbar[free_mask] = [table, None, None]
+        self._by_sbar[free_mask] = table
         return table
 
     def release(self, free_mask: int) -> None:
-        """Drop E_S, its lookup view and what it holds, not its count."""
+        """Drop E_S, not its count."""
         self._by_sbar.pop(free_mask, None)
 
     def dt_by_full(self, free_mask: int) -> np.ndarray:
@@ -210,27 +219,13 @@ class RestrictionTables:
         out.setflags(write=False)
         return out
 
-    def _plan(self, free_mask: int) -> tuple:
-        """S's compress plan: one (shift, mask) pair per run of fixed bits
-        low..b-1, the run moved down by the number of bits of S below it."""
-        plan, low = [], 0
-        for shift, b in enumerate(bit_indices(free_mask) + [self.n]):
-            if b > low:
-                plan.append((shift, ((1 << (b - low)) - 1) << (low - shift)))
-            low = b + 1
-        return tuple(plan)
-
     def full_depth_entry(self, free_mask: int) -> tuple[memoryview, tuple]:
         """E_S as a ``memoryview`` of its packed table and S's compress plan:
         entry x of the table is bit i & 7 of byte i >> 3, with i the OR of
-        (x >> shift) & mask over the plan.  Built on first use and kept.
-        Reading the view yields a Python int, not a numpy scalar."""
-        cached = self._by_sbar.get(free_mask)
-        if cached is None or cached[1] is None:
-            table = self.dt_by_sbar(free_mask)
-            cached = self._by_sbar[free_mask]
-            cached[1] = (memoryview(table), self._plan(free_mask))
-        return cached[1]
+        (x >> shift) & mask over the plan.  Both are made on each call and
+        kept by the caller only.  Reading the view yields a Python int, not
+        a numpy scalar."""
+        return memoryview(self.dt_by_sbar(free_mask)), compress_plan(self.n, free_mask)
 
     def full_depth_at(self, free_mask: int, x: int) -> int:
         """1 if the restriction to free_mask at (the fixed bits of) x has
@@ -245,30 +240,8 @@ class RestrictionTables:
         table = self.dt_by_sbar(free_mask)
         # from a zero array, so that an empty plan (S holds every variable)
         # still gives an array
-        index = np.zeros_like(xs) | compress(xs, self.full_depth_entry(free_mask)[1])
+        index = np.zeros_like(xs) | compress(xs, compress_plan(self.n, free_mask))
         return (table[index >> 3] >> (index & 7) & 1).astype(bool)
-
-    def hold(self, free_mask: int, held) -> None:
-        """Keep ``held``, a result per full-depth pair of S in
-        ``full_depth_xsbars`` order, in S's cache entry with E_S's rank
-        index (see ``held``), until the entry goes."""
-        table = self.dt_by_sbar(free_mask)
-        if table.size % 8:   # a table of fewer than 64 entries, in one word
-            table = np.concatenate([table, np.zeros(8 - table.size % 8, np.uint8)])
-        counts = np.unpackbits(table).reshape(-1, 64).sum(axis=1, dtype=np.uint32)
-        prefix = np.zeros(counts.size, np.uint32)
-        np.cumsum(counts[:-1], out=prefix[1:])
-        words = table.view("<u8").astype(np.uint64, copy=False)   # native, as memoryview reads
-        self._by_sbar[free_mask][2] = (memoryview(words), memoryview(prefix), held)
-
-    def held(self, free_mask: int) -> tuple | None:
-        """(words, prefix, held) as ``hold`` kept them for S, or None.
-        ``words`` is E_S as 64-bit words and ``prefix[k]`` counts the
-        set bits of the words before word k, so the pair at table index i
-        (which must hold) is entry prefix[i >> 6] + popcount(words[i >> 6]
-        & (2^(i & 63) - 1)) of ``held``: the rank of i among the set bits."""
-        entry = self._by_sbar.get(free_mask)
-        return None if entry is None else entry[2]
 
     def full_depth_xsbars(self, free_mask: int) -> np.ndarray:
         """The fixed-side assignments x_Sbar where E_S holds, as n-bit masks,
@@ -281,8 +254,7 @@ class RestrictionTables:
         count = self.full_depth_count(free_mask)
         out = np.empty(count, dtype=np.uint32)
         packed = self.dt_by_sbar(free_mask) if count else np.empty(0, np.uint8)
-        # S's cache entry keeps the plan for the encoder's questions on S
-        plan = self.full_depth_entry(free_mask)[1] if free_mask and count else ()
+        plan = compress_plan(self.n, free_mask) if free_mask and count else ()
         filled, step = 0, INDEX_CHUNK >> 3
         for lo in range(0, packed.size, step):   # unused bits are zero
             index = np.flatnonzero(np.unpackbits(packed[lo:lo + step], bitorder="little"))

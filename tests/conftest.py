@@ -7,7 +7,8 @@ share: truth table, spectrum, restriction tables, the family analysis at
 d_max = 4, the records the analysis handed its consumer (``records``:
 S mask to (x_Sbar masks, record)), and every distinct cover its pass
 interned (``covers``, read by ``analyze`` from the pass's ``CoverTable``,
-which the analysis does not keep).  ``small_dnfs`` is the hypothesis
+which the analysis does not keep; ``analyze_with_table`` returns that
+table itself).  ``small_dnfs`` is the hypothesis
 strategy for random DNFs with duplicate terms, the empty term and negated
 literals.  ``table_of``
 and ``bits_of`` turn a truth table into and out of the int form (bit x is
@@ -108,11 +109,9 @@ class Bundle:
     covers: set[tuple[int, ...]]
 
 
-def analyze(*args) -> tuple[FamilyAnalysis, set[tuple[int, ...]]]:
-    """``FamilyAnalysis(*args)``, and every distinct cover (1-based term
-    indices) of its pass: each id of the pass's ``CoverTable``, captured
-    by a recording subclass, was interned by a pair, and id 0 is the
-    empty cover of S = {}."""
+def analyze_with_table(*args) -> tuple[FamilyAnalysis, CoverTable]:
+    """``FamilyAnalysis(*args)``, and its pass's ``CoverTable``, which the
+    analysis does not keep, captured by a recording subclass."""
     made = []
 
     class Recording(CoverTable):
@@ -126,6 +125,14 @@ def analyze(*args) -> tuple[FamilyAnalysis, set[tuple[int, ...]]]:
     finally:
         covers_module.CoverTable = original
     (table,) = made
+    return analysis, table
+
+
+def analyze(*args) -> tuple[FamilyAnalysis, set[tuple[int, ...]]]:
+    """``FamilyAnalysis(*args)``, and every distinct cover (1-based term
+    indices) of its pass: each id of the pass's ``CoverTable`` was
+    interned by a pair, and id 0 is the empty cover of S = {}."""
+    analysis, table = analyze_with_table(*args)
     return analysis, {table.terms(cid) for cid in range(len(table.first))}
 
 

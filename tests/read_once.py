@@ -16,6 +16,12 @@ width w_j.  Then f = 1 - prod_j g_j, and for every S:
 * Every pair of S selects the same cover: the terms that meet S.  So its
   union size u(S) is the sum of their widths, and num_covers(S, u(S)) = 1:
   a cover of S with that union holds every term that meets S.
+* The pairs with |S| = d and u(S) = u are 2^(n - |V|) times the
+  coefficient of y^d z^u in the product over the terms of
+  (2^w_j - 1) + z^w_j ((1 + y)^w_j - 1), for d >= 1: a term either misses
+  S, which multiplies the count, or meets it in some nonempty set of its
+  variables and adds its width to u.  At d = 0 they are the 2^n pairs of
+  S = {}, at u = 0.
 
 Only ``Dnf`` is read from the package, so no refactor of the package can
 share a fault with this oracle.  Arithmetic is exact (``Fraction``).
@@ -23,6 +29,7 @@ share a fault with this oracle.  Arithmetic is exact (``Fraction``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from dnf_fourier import Dnf
 
@@ -76,3 +83,22 @@ def cover(dnf: Dnf, s_mask: int) -> tuple[int, ...]:
 def union_size(dnf: Dnf, s_mask: int) -> int:
     """u(S), the sum of the widths of the terms that meet S."""
     return sum(dnf.terms[j - 1].width for j in cover(dnf, s_mask))
+
+
+def pair_count(dnf: Dnf, d: int, u: int) -> int:
+    """The sum of ``full_depth_count`` over the S with |S| = d and
+    u(S) = u, from the product over the terms (see the module docstring)."""
+    if d == 0:
+        return 1 << dnf.n if u == 0 else 0
+    poly = {(0, 0): 1 << (dnf.n - _union(dnf).bit_count())}   # (d, u) -> coefficient
+    for term in dnf.terms:
+        w = term.width
+        factor = {(0, 0): (1 << w) - 1}
+        factor.update({(i, w): comb(w, i) for i in range(1, w + 1)})
+        product: dict[tuple[int, int], int] = {}
+        for (d1, u1), c1 in poly.items():
+            for (d2, u2), c2 in factor.items():
+                key = (d1 + d2, u1 + u2)
+                product[key] = product.get(key, 0) + c1 * c2
+        poly = product
+    return poly.get((d, u), 0)

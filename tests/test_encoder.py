@@ -16,6 +16,7 @@ encoder use it, at a small fraction of ``decode``'s cost per call.
 """
 import copy
 import re
+from array import array
 from collections import Counter
 from itertools import product
 from math import comb
@@ -53,7 +54,9 @@ from dnf_fourier.encoder import (
 )
 
 from conftest import encodings as record_encodings
-from conftest import CORPUS_D_MAX, analyze, corpus_instances, make_bundle, small_dnfs
+from conftest import (
+    CORPUS_D_MAX, analyze, analyze_with_table, corpus_instances, make_bundle, small_dnfs,
+)
 
 
 def _tables(dnf):
@@ -423,16 +426,13 @@ class _YesTables:
     """Stub tables that answer every full-depth question yes, so each round
     accepts its first candidate: every variable of the block false.  A
     lookup entry is a one-byte table of ones with an empty compress plan,
-    which maps every x to index 0, and nothing is held."""
+    which maps every x to index 0."""
 
     def full_depth_at(self, free_mask, x):
         return True
 
     def full_depth_entry(self, free_mask):
         return memoryview(b"\xff"), ()
-
-    def held(self, free_mask):
-        return None
 
 
 def test_a_choice_that_satisfies_the_selected_term_is_caught():
@@ -449,16 +449,12 @@ def test_a_choice_that_satisfies_the_selected_term_is_caught():
             encoder(dnf, 0b11, 0, _YesTables())
 
 
-class _HeldTables(_YesTables):
-    """Stub tables that answer yes, and hold for every free set one pair,
-    at table index 0, whose cover is ``sub`` in ``covers``."""
-
-    def __init__(self, covers, sub):
-        self.covers, self.sub = covers, sub
-
-    def held(self, free_mask):
-        return (memoryview(np.ones(1, np.uint64)), memoryview(np.zeros(1, np.uint32)),
-                (self.covers, [self.sub], None))
+def _hold_one_pair(covers, free_masks, sub):
+    """Hold in ``covers``, for each of ``free_masks``, one pair, at table
+    index 0 (a one-byte table with bit 0 set), whose cover is ``sub``, as a
+    pass holds the results of a subset below d_max."""
+    for free_mask in free_masks:
+        covers.hold(free_mask, np.ones(1, np.uint8), array("I", [sub]), None)
 
 
 def test_a_held_sub_pair_whose_cover_starts_too_early_is_caught():
@@ -467,9 +463,9 @@ def test_a_held_sub_pair_whose_cover_starts_too_early_is_caught():
     # term does not come after term 2
     dnf = Dnf.from_term_literals(3, [[1], [2], [3]])
     covers = CoverTable(dnf)
-    tables = _HeldTables(covers, covers.intern(0, 0))
+    _hold_one_pair(covers, [0b100], covers.intern(0, 0))
     with pytest.raises(EncodingInvariantError, match="^cover term indices not increasing$"):
-        extract_cover(dnf, 0b110, 0b000, SubsetRound(dnf, 0b110, tables, covers))
+        extract_cover(dnf, 0b110, 0b000, SubsetRound(dnf, 0b110, _YesTables(), covers))
 
 
 def test_the_union_is_checked_against_each_pair_not_each_cover():
@@ -478,11 +474,11 @@ def test_the_union_is_checked_against_each_pair_not_each_cover():
     # S = {x1, x3}
     dnf = Dnf.from_term_literals(3, [[1], [2], [3]])
     covers = CoverTable(dnf)
-    tables = _HeldTables(covers, covers.intern(1, 0))
-    cid, _ = extract_cover(dnf, 0b011, 0, SubsetRound(dnf, 0b011, tables, covers))
+    _hold_one_pair(covers, [0b010, 0b100], covers.intern(1, 0))
+    cid, _ = extract_cover(dnf, 0b011, 0, SubsetRound(dnf, 0b011, _YesTables(), covers))
     assert covers.terms(cid) == (1, 2)
     with pytest.raises(EncodingInvariantError, match="^variable string c misses part of S$"):
-        extract_cover(dnf, 0b101, 0, SubsetRound(dnf, 0b101, tables, covers))
+        extract_cover(dnf, 0b101, 0, SubsetRound(dnf, 0b101, _YesTables(), covers))
     assert len(covers.first) == 3   # the same cover id
 
 
@@ -885,41 +881,51 @@ def test_the_analysis_of_readk16_asks_231464_lookups_and_one_batch_per_subset(re
 
 
 @pytest.mark.parametrize("d_max", [1, 3, 4])
-def test_the_pass_holds_the_levels_below_d_max_until_it_ends(monkeypatch, bundles, d_max):
-    # each nonempty S with a pair and |S| < d_max, and nothing else, and
-    # all of it goes with the tables when the pass ends
+def test_the_pass_holds_the_levels_below_d_max_until_it_ends(bundles, d_max):
+    # the pass's cover table holds each nonempty S with a pair and
+    # |S| < d_max, in pass order, and nothing else: a cover id per pair
+    # (and no truth values, with no consumer) and E_S's rank index.  The
+    # analysis keeps neither the cover table nor a table, so all of it
+    # goes when the pass ends
+    import gc
+    import weakref
+
     from dnf_fourier.bitops import subsets_up_to
 
-    held, hold = [], RestrictionTables.hold
-
-    def spy(self, free_mask, results):
-        held.append(free_mask)
-        hold(self, free_mask, results)
-
-    monkeypatch.setattr(RestrictionTables, "hold", spy)
     for b in bundles[::20]:
-        held.clear()
         tables = RestrictionTables(b.f)
-        FamilyAnalysis(b.dnf, d_max, tables, b.spec)
-        assert held == [m for m in subsets_up_to(b.dnf.n, d_max - 1)
-                        if m and tables.full_depth_count(m)], b.label
-        assert tables._by_sbar == {}
+        analysis, covers = analyze_with_table(b.dnf, d_max, tables, b.spec)
+        expected = [m for m in subsets_up_to(b.dnf.n, d_max - 1)
+                    if m and tables.full_depth_count(m)]
+        assert list(covers.held) == expected, b.label
+        for s_mask, (words, prefix, ids, truth_values) in covers.held.items():
+            assert (len(ids), truth_values) == (tables.full_depth_count(s_mask), None), b.label
+            assert prefix[-1] + int(words[-1]).bit_count() == len(ids), b.label
+        assert tables._by_sbar == {}, b.label
+        ref = weakref.ref(covers)
+        del covers
+        gc.collect()
+        assert ref() is None and analysis.d_max == min(d_max, b.dnf.n), b.label
 
 
 def test_an_abandoned_pass_keeps_no_table(monkeypatch, bundles):
     # an encoder fault at the first pair of the top level with a pair ends
-    # the analysis while tables, some holding their results, are cached:
-    # the pass drops them all, and a new pass over the same tables gives
-    # the same counts
+    # the analysis while tables are cached and the pass's cover table holds
+    # results: the pass drops every table, no held array is reachable once
+    # the fault is handled, and a new pass over the same tables gives the
+    # same counts
+    import gc
+    import weakref
+
     from dnf_fourier import covers
 
-    extract, cached = covers.extract_cover, []
+    extract, held = covers.extract_cover, []
 
     def fault_at(top):
         def extract_or_fail(dnf, s_mask, xsbar, r):
             if s_mask.bit_count() == top:
-                entries = r.tables._by_sbar.values()
-                cached.append((len(entries), sum(entry[2] is not None for entry in entries)))
+                held.extend(weakref.ref(a) for entry in r.covers.held.values()
+                            for a in entry if a is not None)
                 raise EncodingInvariantError("injected")
             return extract(dnf, s_mask, xsbar, r)
         return extract_or_fail
@@ -930,14 +936,16 @@ def test_an_abandoned_pass_keeps_no_table(monkeypatch, bundles):
         if top < 2:
             continue
         faults += 1
-        cached.clear()
+        held.clear()
         tables = RestrictionTables(b.f)
         with monkeypatch.context() as mp:
             mp.setattr(covers, "extract_cover", fault_at(top))
             with pytest.raises(EncodingInvariantError, match="injected$"):
                 FamilyAnalysis(b.dnf, CORPUS_D_MAX, tables, b.spec)
-        assert cached[0][1] > 0, b.label   # the fault met held results
+        assert held, b.label   # the fault met held results
         assert tables._by_sbar == {}, b.label
+        gc.collect()
+        assert all(ref() is None for ref in held), b.label
         again, every_cover = analyze(b.dnf, CORPUS_D_MAX, tables, b.spec)
         assert (again.profiles, again._pairs, every_cover) == (
             b.analysis.profiles, b.analysis._pairs, b.covers), b.label
@@ -992,6 +1000,27 @@ def test_no_table_outlives_the_pass(monkeypatch, bundles):
         gc.collect()
         assert refs and all(ref() is None for ref in refs), b.label
         assert analysis.profiles == b.analysis.profiles
+
+
+def test_encode_during_a_pass_reads_nothing_the_pass_holds():
+    # a consumer of a running analysis encodes up to 50 pairs of each
+    # subset it receives on the pass's own tables, while the pass's cover
+    # table holds the levels below d_max: encode's cover table is its own
+    # and holds nothing, so each result is the one fresh tables give
+    dnf = random_read_k(n=12, s=8, w=3, k=2, seed=3)
+    f = dnf.evaluate()
+    tables = RestrictionTables(f)
+    during = []
+
+    def consumer(s_mask, xsbars, record):
+        for xsbar in xsbars[:50].tolist():
+            during.append((s_mask, xsbar, encode(dnf, s_mask, xsbar, tables)))
+
+    FamilyAnalysis(dnf, 4, tables, fourier_transform(f), consumer)
+    assert (len({s for s, _, _ in during}), len(during)) == (775, 12_310)
+    fresh = RestrictionTables(f)
+    for s_mask, xsbar, result in during:
+        assert result == encode(dnf, s_mask, xsbar, fresh), (s_mask, xsbar)
 
 
 def test_the_analysis_asks_one_round_per_pair_on_corpus(monkeypatch, bundles):

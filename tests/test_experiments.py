@@ -2300,21 +2300,25 @@ def test_a_verify_that_raises_leaves_out_and_rows_as_they_were(tmp_path, monkeyp
         assert (out.read_text(), rows.read_text()) == ("an earlier report\n", "earlier rows\n")
 
 
-def test_verify_plans_each_subset_once(monkeypatch):
-    # full_depth_xsbars keeps S's compress plan in S's lookup entry, which
-    # the batch of S's preconditions and the encoder's questions on S
-    # read: one plan per nonempty subset with a full-depth pair, and none
-    # for a subset with no pair, whose x_Sbar masks are read from no table
-    from dnf_fourier.restrictions import RestrictionTables
+def test_verify_plans_per_batch_and_per_group(monkeypatch):
+    # a compress plan is made where it is read and kept by no table: once
+    # for S's x_Sbar masks and once for the batch of S's preconditions, per
+    # nonempty subset with a full-depth pair (98 on rk8), and once per
+    # per-term group of a round whose rest is nonempty (123), 319 plans.
+    # None is made for a subset with no pair, whose x_Sbar masks are read
+    # from no table
+    from dnf_fourier import restrictions
 
-    planned, plan = [], RestrictionTables._plan
-    monkeypatch.setattr(RestrictionTables, "_plan",
-                        lambda self, m: planned.append(m) or plan(self, m))
+    planned, plan = [], restrictions.compress_plan
+    monkeypatch.setattr(restrictions, "compress_plan",
+                        lambda n, m: planned.append(m) or plan(n, m))
     dnf = _RK8.build()
     report = _verify_entry(dnf, "rk8", ExperimentConfig(instances=(), d_max=4))
     assert report["failures"] == 0
-    counts = RestrictionTables(dnf.evaluate()).full_depth_count
-    assert sorted(planned) == [m for m in subsets_up_to(8, 4) if m and counts(m)]
+    counts = restrictions.RestrictionTables(dnf.evaluate()).full_depth_count
+    subsets = [m for m in subsets_up_to(8, 4) if m and counts(m)]
+    assert sorted(set(planned)) == subsets and len(subsets) == 98
+    assert len(planned) == 319
 
 
 def test_a_zero_degree_cut_sweeps_degree_0():

@@ -3,6 +3,7 @@ at sizes the other oracles do not reach."""
 from dnf_fourier import RestrictionTables, fourier_transform, random_read_k, tribes
 from dnf_fourier.bitops import subsets_up_to
 from dnf_fourier.covers import SubsetProfile
+from dnf_fourier.experiments import RoundTrip
 
 import read_once
 from conftest import analyze
@@ -26,12 +27,20 @@ def test_a_read_once_random_dnf_has_one_cover_per_subset():
     # at d_max 4, with negated literals and two unused variables: the
     # spectrum, and each subset with a full-depth pair has one distinct
     # cover, the terms that meet S, at u(S), where it has its every pair,
-    # and num_covers(S, u(S)) = 1; the pass interns those covers and no other
+    # and num_covers(S, u(S)) = 1; the pass interns those covers and no
+    # other, its pair count per (d, u) is the closed form's, and each of
+    # its 384,472 pairs, encoded from the truth values its cover table
+    # holds, decodes back
     dnf = random_read_k(n=16, s=6, w=3, k=1, seed=5)
     assert dnf.read() == 1
     f = dnf.evaluate()
     spec = fourier_transform(f)
-    analysis, every_cover = analyze(dnf, 4, RestrictionTables(f), spec)
+    roundtrip = RoundTrip(dnf)
+    analysis, every_cover = analyze(dnf, 4, RestrictionTables(f), spec, roundtrip)
+    assert roundtrip.result() == (384_472, None)
+    for d in range(5):
+        for u in range(dnf.n + 1):
+            assert analysis.pair_count(d, u) == read_once.pair_count(dnf, d, u), (d, u)
     subsets = list(subsets_up_to(dnf.n, 4))
     for s_mask in subsets:
         assert spec.coeff(s_mask).as_fraction() == read_once.coefficient(dnf, s_mask), s_mask

@@ -363,13 +363,13 @@ def test_the_empty_sets_masks_are_its_indices_with_no_plan_pass(monkeypatch):
     # for S = {} the indices where E_S holds are the x_Sbar masks: they are
     # returned as unpacked, and the compress plan is not run backwards
     planned = []
-    plan = RestrictionTables._plan
+    plan = restrictions.compress_plan
 
-    def spy(self, free_mask):
+    def spy(n, free_mask):
         planned.append(free_mask)
-        return plan(self, free_mask)
+        return plan(n, free_mask)
 
-    monkeypatch.setattr(RestrictionTables, "_plan", spy)
+    monkeypatch.setattr(restrictions, "compress_plan", spy)
     tables = RestrictionTables(random_read_k(10, 5, 3, k=2, seed=4).evaluate())
     xsbars = tables.full_depth_xsbars(0)
     assert xsbars.tolist() == list(range(1 << 10)) and planned == []
@@ -384,7 +384,8 @@ def test_compress_plan_deletes_the_bits_of_the_free_set():
         tables = RestrictionTables(BooleanFunction.constant(n, True))
         for s_mask in range(1 << n):
             table, plan = tables.full_depth_entry(s_mask)
-            assert isinstance(table, memoryview) and len(plan) <= s_mask.bit_count() + 1
+            assert isinstance(table, memoryview) and plan == restrictions.compress_plan(n, s_mask)
+            assert len(plan) <= s_mask.bit_count() + 1
             fixed = [b for b in range(n) if not s_mask >> b & 1]
             for x in range(1 << n):
                 index = 0
@@ -392,6 +393,24 @@ def test_compress_plan_deletes_the_bits_of_the_free_set():
                     index |= x >> shift & mask
                 assert index == sum((x >> b & 1) << t for t, b in enumerate(fixed)), (
                     n, s_mask, x)
+
+
+def test_a_cache_entry_is_its_table_and_an_entry_lookup_keeps_nothing():
+    # every value of the cache is the read-only packed array E_S itself,
+    # which dt_by_sbar returns; full_depth_entry makes a fresh view of it
+    # and its plan on each call, and adds nothing to the cache
+    f = random_read_k(6, 4, 3, k=4, seed=21).evaluate()
+    tables = RestrictionTables(f)
+    for s_mask in tables.visit(3):
+        table = tables.dt_by_sbar(s_mask)
+        before = {m: id(entry) for m, entry in tables._by_sbar.items()}
+        view, plan = tables.full_depth_entry(s_mask)
+        assert {m: id(entry) for m, entry in tables._by_sbar.items()} == before
+        assert tables._by_sbar[s_mask] is table
+        assert view.obj is table and tables.full_depth_entry(s_mask)[0] is not view
+        for entry in tables._by_sbar.values():
+            assert type(entry) is np.ndarray and entry.dtype == np.uint8, s_mask
+            assert not entry.flags.writeable, s_mask
 
 
 def test_a_released_table_is_dropped_and_built_again_on_request():

@@ -52,10 +52,11 @@ def _at_the_bound(kind: str) -> tuple[str]:
 
 
 #: The mutants of the encoder that composes a run from its sub-pair's, of
-#: the round that each subset's pairs share, of the family analysis's
-#: cover counts, of the pass's zero-parent rule and its drop, of the
-#: decoder and the encoding's codec, and a bound made strict in each row
-#: kind whose lhs a test puts at its bound.
+#: the round that each subset's pairs share and the rank index of what
+#: the pass holds, of the family analysis's cover counts, of the pass's
+#: zero-parent rule and its drop, of the decoder and the encoding's codec,
+#: a bound made strict in each row kind whose lhs a test puts at its
+#: bound, and the middle link of each cover-count chain made strict.
 MUTANTS = (
     Mutant("a-shifted-by-S", _ENCODER,
            "values | sub_a << s_1.bit_count()", "values | sub_a << r.s_mask.bit_count()",
@@ -66,6 +67,9 @@ MUTANTS = (
     Mutant("rank-counts-its-own-bit", _ENCODER,
            "(words[i >> 6] & ((1 << (i & 63)) - 1))", "(words[i >> 6] & ((2 << (i & 63)) - 1))",
            (_CORPUS, _ROUND_LOOP)),
+    Mutant("rank-prefix-counts-its-own-word", _ENCODER,
+           "np.cumsum(counts[:-1], out=prefix[1:])", "np.cumsum(counts, out=prefix)",
+           (_CORPUS,)),
     Mutant("increasing-cover-check-dropped", _ENCODER,
            "    if covers.first[sub] <= idx:\n", "    if False:\n",
            ("tests/test_encoder.py::test_a_held_sub_pair_whose_cover_starts_too_early_is_caught",)),
@@ -153,6 +157,12 @@ MUTANTS = (
     Mutant("exact-width-chain-bound-strict", _COVERS,
            "    holds = count <= bound\n", "    holds = count < bound\n",
            _at_the_bound("exact_width_chain")),
+    Mutant("read-cover-chain-middle-strict", _COVERS,
+           "chain1 = bound <= mid", "chain1 = bound < mid",
+           ("tests/test_covers.py::test_read_cover_count_examples",)),
+    Mutant("exact-width-chain-middle-strict", _COVERS,
+           "holds = holds and left <= mid and holds_top", "holds = holds and left < mid and holds_top",
+           ("tests/test_covers.py::test_exact_width_chain_on_random_instances",)),
 )
 
 
