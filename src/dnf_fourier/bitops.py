@@ -6,7 +6,7 @@ variable i, and in assignment masks a set bit means the variable is true.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from typing import Iterator
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -41,15 +41,19 @@ def pdep(x: int, mask: int) -> int:
     return out
 
 
-def subsets_up_to(n: int, d_max: int) -> list[int]:
-    """All subset masks of [n] with popcount <= d_max, ascending mask order."""
-    masks = [
-        sum(1 << b for b in combo)
-        for d in range(min(d_max, n) + 1)
-        for combo in combinations(range(n), d)
-    ]
-    masks.sort()
-    return masks
+def subsets_up_to(n: int, d_max: int) -> Iterator[int]:
+    """All subset masks of [n] with popcount <= d_max, ascending mask order.
+
+    A mask with too many bits steps by its lowest set bit: every mask
+    between keeps its higher bits, and so has as many set bits or more."""
+    if d_max < 0:
+        return
+    m, end = 0, 1 << n
+    while m < end:
+        yield m
+        m += 1
+        while m < end and m.bit_count() > d_max:
+            m += m & -m
 
 
 def as_int(value) -> int:

@@ -44,7 +44,7 @@ subset below d_max it leaves the pairs' cover ids (and truth values,
 with a consumer) in the pass's ``CoverTable``, where the pairs of the
 next levels read their sub-pairs' results (see the encoder's module
 docstring).  The encodings stream: when a caller passes a ``consumer``,
-the pass of each subset S that has a full-depth pair ends by packing
+the pass of each subset S that has a full-depth pair ends by gathering
 its rows into an ``EncodingRecord`` (arrays in ``valid_pairs`` order;
 x_sat and sigma spelled once per distinct cover) and calling
 ``consumer(S, xsbars, record)``, with ``xsbars`` the fixed-side
@@ -52,12 +52,13 @@ assignments x_Sbar of S's pairs as n-bit masks (the tables'
 ``full_depth_xsbars``, read once).  The analysis keeps neither, so no
 record outlives its subset's pass.  The ``roundtrip`` check of
 ``verify`` and ``dnf-fourier encdec-test`` are consumers; ``sweep``
-passes none, and then no record is packed.  The record of S = {} is
+passes none, and then no record is made.  The record of S = {} is
 written without encoding: x_sat is every assignment (the ``xsbars`` of
 S = {}), with empty sigma and a read-only broadcast zero as a.  An
-encoder fault while it classifies, or a row that
-``EncodingRecord.pack`` rejects, is re-raised with the pair that caused
-it.  The analysis walks the subsets in the tables' one pass
+encoder fault while it classifies, or a cover that spells a sigma of
+the wrong length, is re-raised with the pair that caused it; the record
+checks nothing else of its rows, whose shape the round trip's decoder
+checks.  The analysis walks the subsets in the tables' one pass
 (``RestrictionTables.visit``), which holds the tables and drops them
 when the pass ends, also when a fault ends it early; the cover table,
 and with it every held result, goes with the pass too.
@@ -277,8 +278,8 @@ class FamilyAnalysis:
 def _record(n: int, s_mask: int, xsbars: np.ndarray, covers: CoverTable, ids: array,
             truth_values: array) -> EncodingRecord:
     """The record of S's pairs from their cover ids and truth values: x_sat
-    and sigma are spelled once per distinct cover.  A failing row is
-    re-raised with its pair."""
+    and sigma are spelled once per distinct cover.  A cover that fails to
+    spell is re-raised with its first pair."""
     d = s_mask.bit_count()
     cids, rows = np.unique(np.frombuffer(ids, np.uint32), return_inverse=True)
     sats, sigmas = [], []
@@ -292,12 +293,8 @@ def _record(n: int, s_mask: int, xsbars: np.ndarray, covers: CoverTable, ids: ar
         sigmas.append(sigma)
     a = np.frombuffer(truth_values, np.uint16)
     a.setflags(write=False)
-    try:
-        return EncodingRecord.pack(
-            n, d, xsbars | np.array(sats, np.uint32)[rows],
-            np.array(sigmas, np.uint8).reshape(len(sats), d)[rows], a)
-    except EncodingInvariantError as exc:
-        raise EncodingInvariantError(f"at S={s_mask}, x={xsbars[exc.row]}: {exc}") from exc
+    return EncodingRecord(n, xsbars | np.array(sats, np.uint32)[rows],
+                          np.array(sigmas, np.uint8).reshape(len(sats), d)[rows], a)
 
 
 # -- cover counting ----------------------------------------------------------

@@ -81,12 +81,11 @@ with no consumer (``sweep``) forms no a.
 In ``verify`` each full-depth pair with S nonempty is encoded once, by
 ``FamilyAnalysis``.  When the analysis has a consumer of the encodings
 (the ``roundtrip`` check, ``encdec-test``), it spells x_sat and sigma
-once per distinct cover of each subset, packs the subset's rows into an
-``EncodingRecord`` of arrays, which checks the sigma positions of every
-row at once, and hands it over at the end of the subset's pass;
-``sweep`` has none and spells and packs nothing.  The pairs with S empty
-are not encoded at all: their encoding is x_sat = x with empty sigma
-and a, and the analysis writes that record directly.
+once per distinct cover of each subset, gathers the subset's rows into
+an ``EncodingRecord`` of arrays and hands it over at the end of the
+subset's pass; ``sweep`` has none and spells and gathers nothing.  The
+pairs with S empty are not encoded at all: their encoding is x_sat = x
+with empty sigma and a, and the analysis writes that record directly.
 
 Each full-depth question is asked of the tables at most once per pair.
 In a pass a pair asks round 1's candidates, the accepted one being the
@@ -107,7 +106,12 @@ in the tables' pass.
 same-degree encodings with numpy, and the ``roundtrip`` check decodes
 every pair through it, in chunks, as the analysis hands over each
 subset's record: a row that fails a check is reported by the index of
-its ``DecodeError`` message in ``DECODE_ERRORS``.  ``decode`` is one
+its ``DecodeError`` message in ``DECODE_ERRORS``.  Its checks of a row
+before the first round (a fits in d bits, sigma's positions are
+distinct and 1-based) are the only array check of an encoding's shape,
+and the ``Encoding`` constructor makes the same ones on one pair; a
+consumer of the records runs beside the round trip, so a mis-spelled
+row is a failed round trip that names its pair.  ``decode`` is one
 ``Encoding`` through it, as a one-row batch.  The scalar round loop stays
 in the tests as ``oracle_decode``, the oracle of both.
 ``dnf-fourier encdec-test`` runs ``verify``'s family analysis and batched
@@ -134,14 +138,7 @@ class EncodePreconditionError(ValueError):
 
 
 class EncodingInvariantError(RuntimeError):
-    """An internal encoder invariant failed: a fatal correctness bug.
-
-    ``row`` is the index of the failing pair when a check over a whole
-    record failed (``EncodingRecord.pack``), and None otherwise."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+    """An internal encoder invariant failed: a fatal correctness bug."""
 
 
 class DecodeError(ValueError):
@@ -154,13 +151,11 @@ TRUTH_VALUES_BEYOND_D = "truth values beyond the d positions"
 SIGMA_NOT_DISTINCT = "sigma positions must be distinct"
 SIGMA_NOT_1_BASED = "sigma positions are 1-based"
 BITS_BEYOND_N = "assignment has bits beyond n variables"
-NO_PROGRESS = "no progress after d rounds; not a valid encoding"
 NO_SATISFIED_TERM = "no satisfied term while variables remain"
 NO_NEW_VARIABLE = "a round recovered no new variables"
-MORE_THAN_D = "recovered more than d variables"
 DECODE_ERRORS = (
     None, TRUTH_VALUES_BEYOND_D, SIGMA_NOT_DISTINCT, SIGMA_NOT_1_BASED, BITS_BEYOND_N,
-    NO_PROGRESS, NO_SATISFIED_TERM, NO_NEW_VARIABLE, MORE_THAN_D,
+    NO_SATISFIED_TERM, NO_NEW_VARIABLE,
 )
 
 
@@ -173,7 +168,8 @@ class Encoding:
     1-based positions into the encoder's variable string c (ascending, as
     the encoder writes it); ``a`` packs the len(sigma) = |S| truth values,
     bit t the t-th (set: the variable is true).  The constructor rejects
-    what ``EncodingRecord.pack`` rejects of a row, with the same message.
+    what ``decode_records`` rejects of a row before its first round, with
+    the same message.
     """
 
     n: int
@@ -182,7 +178,7 @@ class Encoding:
     a: int
 
     def __post_init__(self):
-        # _row_checks on one row, in its order
+        # decode_records' checks of a row before its first round, in its order
         if self.a >> len(self.sigma):
             raise ValueError(TRUTH_VALUES_BEYOND_D)
         if len(set(self.sigma)) != len(self.sigma):
@@ -234,7 +230,9 @@ class EncodingRecord:
 
     ``x_sat`` is (m,) uint32 (n <= 24); ``sigma`` is (m, d) uint8, since a
     position indexes c, which holds at most n distinct variables; ``a`` is
-    (m,) uint16 with bit t the t-th truth value (d <= 12).
+    (m,) uint16 with bit t the t-th truth value (d <= 12).  The record
+    checks nothing of its rows: ``decode_records``, which the round trip
+    reads every row through, rejects a row that ``Encoding`` would.
     """
 
     n: int
@@ -242,36 +240,8 @@ class EncodingRecord:
     sigma: np.ndarray
     a: np.ndarray
 
-    @classmethod
-    def pack(cls, n: int, d: int, x_sat: np.ndarray, sigma: np.ndarray,
-             a: np.ndarray) -> "EncodingRecord":
-        """The record of pairs of degree d with these columns (in the
-        record's dtypes).
-
-        Each row's sigma positions must be distinct and 1-based and its
-        truth values must fit in d bits, as ``Encoding`` requires of one
-        pair; the first row that fails raises EncodingInvariantError with
-        its index as ``row``."""
-        checks = _row_checks(d, np.sort(sigma, axis=1), a)
-        failing = np.flatnonzero(np.logical_or.reduce([bad for _, bad in checks]))
-        if failing.size:
-            row = int(failing[0])
-            raise EncodingInvariantError(next(msg for msg, bad in checks if bad[row]), row)
-        return cls(n, x_sat, sigma, a)
-
     def __len__(self) -> int:
         return len(self.x_sat)
-
-
-def _row_checks(d: int, pos: np.ndarray, a: np.ndarray) -> tuple[tuple[str, np.ndarray], ...]:
-    """``Encoding``'s checks of one pair, in its order, on every row at once as
-    (message, failing rows): ``a`` fits in d bits, and the sigma positions
-    ``pos`` (sorted along each row) are distinct and 1-based."""
-    return (
-        (TRUTH_VALUES_BEYOND_D, a.astype(np.int64) >> d != 0),
-        (SIGMA_NOT_DISTINCT, (np.diff(pos, axis=1) == 0).any(axis=1)),
-        (SIGMA_NOT_1_BASED, (pos < 1).any(axis=1)),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -548,10 +518,9 @@ def decode(dnf: Dnf, e: Encoding) -> tuple[int, int]:
 
     Only triples produced by encode on the same DNF are valid inputs.
     Structural corruption is detected and raises DecodeError (no satisfied
-    term while variables remain, a round that makes no progress, index
-    bookkeeping running off the end); a foreign but well-formed triple may
-    instead decode to some pair, which is why validity is the caller's
-    contract.  The triple is decoded as a one-row ``decode_records``, in
+    term while variables remain, a round that recovers no new variable);
+    a foreign but well-formed triple may instead decode to some pair,
+    which is why validity is the caller's contract.  The triple is decoded as a one-row ``decode_records``, in
     int64 arrays, so that any d, any position and any ``a`` that fit in
     int64 pass unchanged (one that does not raises OverflowError); one
     call costs about 0.3 ms.
@@ -593,8 +562,9 @@ def decode_records(
         code[rows & (code == 0)] = DECODE_ERRORS.index(message)   # the first one stays
 
     pos = np.sort(sigma, axis=1)           # sigma is read in sorted order
-    for message, bad in _row_checks(d, pos, a):
-        fail(bad, message)
+    fail(a.astype(np.int64) >> d != 0, TRUTH_VALUES_BEYOND_D)
+    fail((np.diff(pos, axis=1) == 0).any(axis=1), SIGMA_NOT_DISTINCT)
+    fail((pos < 1).any(axis=1), SIGMA_NOT_1_BASED)
     x = x_sat.astype(np.uint32)
     fail(x >> dnf.n != 0, BITS_BEYOND_N)
 
@@ -624,15 +594,12 @@ def decode_records(
             len_c += has
         in_c |= new
         # positions are distinct and sorted, so those inside c are a
-        # prefix, and the first ``found`` of them were recovered before
+        # prefix of at most d, and the first ``found`` of them were
+        # recovered before; a round that does not fail raises ``found``,
+        # so every row that fails no check has found all d after d rounds
         inside = (pos <= len_c[:, None]).sum(axis=1, dtype=np.uint8)
         fail(active & (inside == found), NO_NEW_VARIABLE)
         active &= inside > found
-        # this check, and the one after the loop, cannot fire once the
-        # positions are distinct; they stay as the checks of the oracle's
-        # round loop (``oracle_decode`` in the tests)
-        fail(active & (inside > d), MORE_THAN_D)
-        active &= inside <= d
         for j in range(d):     # the j-th sorted position takes the j-th value
             take = active & (found <= j) & (j < inside)
             var = c[rows, np.clip(pos[:, j], 1, dnf.n) - 1]
@@ -640,7 +607,6 @@ def decode_records(
             x = np.where(a >> j & 1 != 0, x | bit, x & ~bit)
             s_mask |= bit
         found = np.where(active, inside, found)
-    fail(found < d, NO_PROGRESS)
     return s_mask, x & ~s_mask, code
 
 

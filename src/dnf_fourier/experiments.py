@@ -598,7 +598,7 @@ class _Battery:
                 self.fault = f"{type(exc).__name__} {exc}"
                 self.checks = {group for group in self.checks
                                if CHECK_KINDS[group].reads != "analysis"} | {"roundtrip"}
-        self.subsets = subsets_up_to(n, self.d_max)
+        self.subsets = list(subsets_up_to(n, self.d_max))
 
     def truncated_table(self, w_cut: int) -> BooleanFunction:
         g = self.dnf.truncate_width(w_cut)

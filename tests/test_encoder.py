@@ -48,10 +48,11 @@ from dnf_fourier import (
 from dnf_fourier.bitops import bit_indices
 from dnf_fourier.covers import SubsetProfile
 from dnf_fourier.encoder import (
-    BITS_BEYOND_N, DECODE_ERRORS, MORE_THAN_D, NO_NEW_VARIABLE, NO_PROGRESS, NO_SATISFIED_TERM,
-    SIGMA_NOT_1_BASED, SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, CoverTable, SubsetRound,
-    _ascending_bits, _lex_choices, _row_checks,
+    BITS_BEYOND_N, DECODE_ERRORS, NO_NEW_VARIABLE, NO_SATISFIED_TERM, SIGMA_NOT_1_BASED,
+    SIGMA_NOT_DISTINCT, TRUTH_VALUES_BEYOND_D, CoverTable, SubsetRound, _ascending_bits,
+    _lex_choices,
 )
+from dnf_fourier.experiments import RoundTrip
 
 from conftest import encodings as record_encodings
 from conftest import (
@@ -279,6 +280,12 @@ def oracle_round_loop(dnf, s_mask, xsbar_bits, tables) -> EncodedRow:
     if in_c.bit_count() != len_c:
         raise EncodingInvariantError("union mask and union size disagree")
     return x_sat, sigma, a, tuple(cover), len_c
+
+
+#: The oracle's two checks that ``decode_records`` does not make: once the
+#: sigma positions are distinct, which ``Encoding`` requires, neither fires.
+NO_PROGRESS = "no progress after d rounds; not a valid encoding"
+MORE_THAN_D = "recovered more than d variables"
 
 
 def oracle_decode(dnf, e):
@@ -514,45 +521,18 @@ def test_each_round_scans_from_the_previous_rounds_term(bundles):
             assert reads == scans + selected[::-1] + selected, (b.label, s_mask, xsbar)
 
 
-_GOOD_ROW = (0b11, [1, 2], 0b01)
-
-
-def _pack(n, d, rows):
-    """``EncodingRecord.pack`` of rows (x_sat, sigma, a), in its dtypes."""
+def _record(n, d, rows):
+    """The ``EncodingRecord`` of rows (x_sat, sigma, a), in its dtypes."""
     m = len(rows)
-    return EncodingRecord.pack(
-        n, d, np.array([r[0] for r in rows], np.uint32),
+    return EncodingRecord(
+        n, np.array([r[0] for r in rows], np.uint32),
         np.array([r[1] for r in rows], np.uint8).reshape(m, d),
         np.array([r[2] for r in rows], np.uint16))
 
 
 @pytest.mark.parametrize("sigma, message", [([0, 2], SIGMA_NOT_1_BASED),
-                                            ([2, 2], SIGMA_NOT_DISTINCT),
-                                            ([2, 0], SIGMA_NOT_1_BASED)])
-def test_pack_rejects_a_bad_sigma_naming_its_row(sigma, message):
-    rows = [_GOOD_ROW, _GOOD_ROW, (0b11, sigma, 0b01), _GOOD_ROW]
-    with pytest.raises(EncodingInvariantError, match=f"^{message}$") as info:
-        _pack(2, 2, rows)
-    assert info.value.row == 2
-
-
-def test_pack_rejects_truth_values_beyond_d():
-    rows = [_GOOD_ROW, (0b11, [1, 2], 0b100)]
-    with pytest.raises(EncodingInvariantError, match=TRUTH_VALUES_BEYOND_D) as info:
-        _pack(2, 2, rows)
-    assert info.value.row == 1
-
-
-def test_pack_names_the_first_failing_row_whatever_its_check():
-    rows = [_GOOD_ROW, (0b11, [0, 1], 0b01), (0b11, [1, 1], 0b01)]
-    with pytest.raises(EncodingInvariantError, match=SIGMA_NOT_1_BASED) as info:
-        _pack(2, 2, rows)
-    assert info.value.row == 1
-
-
-@pytest.mark.parametrize("sigma, message", [([0, 2], SIGMA_NOT_1_BASED),
                                             ([1, 1], SIGMA_NOT_DISTINCT)])
-def test_analysis_names_the_pair_of_a_row_that_pack_rejects(monkeypatch, sigma, message):
+def test_the_round_trip_names_the_pair_of_a_mis_spelled_row(monkeypatch, sigma, message):
     from dnf_fourier import fourier_transform
 
     # S = {x1, x3} has the pairs x = 0, with cover (2,), and x = 0b010, with
@@ -569,13 +549,14 @@ def test_analysis_names_the_pair_of_a_row_that_pack_rejects(monkeypatch, sigma, 
         return (sat, sigma) if (s, self.terms(cid)) == (s_mask, (1, 2)) else (sat, spelled)
 
     monkeypatch.setattr(CoverTable, "spell", corrupt_one_cover)
-    consumed = []
-    with pytest.raises(EncodingInvariantError,
-                       match=f"^at S={s_mask}, x={xsbar}: {message}$"):
-        FamilyAnalysis(dnf, 2, tables, fourier_transform(f),
-                       lambda s, xsbars, record: consumed.append(s))
-    assert consumed == [m for m in range(s_mask) if tables.full_depth_count(m)]
-    # with no consumer no record is packed, so sigma is never spelled
+    # the record is made as spelled, and the analysis completes; the round
+    # trip's decoder rejects the row and names its pair
+    round_trip = RoundTrip(dnf)
+    FamilyAnalysis(dnf, 2, tables, fourier_transform(f), round_trip)
+    position = list(valid_pairs(RestrictionTables(f), 2)).index((s_mask, xsbar))
+    assert round_trip.result() == (
+        position, (s_mask, xsbar, f"DecodeError at S={s_mask}, x={xsbar}: {message}"))
+    # with no consumer no record is made, so sigma is never spelled
     FamilyAnalysis(dnf, 2, RestrictionTables(f), fourier_transform(f))
 
 
@@ -612,31 +593,39 @@ def test_from_dict_reads_what_to_dict_writes():
         Encoding.from_dict(4, {"x_sat": 0, "sigma": [1, 2], "a": [1]})
 
 
+#: The DNF whose ``decode_records`` the constructor is compared with.
+_SHAPE_DNF = Dnf.from_term_literals(3, [[1], [-2, 3]])
+
+
 @example((2, [-1, 2], 0))     # a negative position, not 0
 @example((2, [1, 1], 0b100))  # truth values beyond d and repeated positions
+@example((2, [0, 0], 0))      # a repeated position below 1
 @given(st.integers(0, 5).flatmap(lambda d: st.tuples(
     st.just(d), st.lists(st.integers(-2, 6), min_size=d, max_size=d),
     st.integers(-1, (1 << (d + 1)) - 1))))
 @settings(max_examples=100, deadline=None)
 def test_the_constructor_rejects_what_a_record_rejects(row):
-    # the same message, the first check failed, for every row; pack reads
-    # the row in its record's dtypes, which hold no negative value
+    # the same message, the first check failed, for every row: the code
+    # that decode_records gives the row, if it is one of its checks before
+    # the first round, in int64 (as decode reads a row) and in its record's
+    # dtypes, which hold no negative value
     d, sigma, a = row
     try:
         Encoding(3, 0, tuple(sigma), a)
         expected = None
     except ValueError as exc:
         expected = str(exc)
-    pos = np.sort(np.array(sigma, np.int64).reshape(1, d), axis=1)
-    assert expected == next(
-        (msg for msg, bad in _row_checks(d, pos, np.array([a], np.int64)) if bad[0]), None)
+    shape_checks = {TRUTH_VALUES_BEYOND_D, SIGMA_NOT_DISTINCT, SIGMA_NOT_1_BASED}
+
+    def rejected(x_sat, sigma, a):
+        code = decode_records(_SHAPE_DNF, d, x_sat, sigma, a)[2]
+        return DECODE_ERRORS[code[0]] if DECODE_ERRORS[code[0]] in shape_checks else None
+
+    assert expected == rejected(np.zeros(1, np.int64), np.array(sigma, np.int64).reshape(1, d),
+                                np.array([a], np.int64))
     if min(sigma, default=0) >= 0 and a >= 0:
-        try:
-            _pack(3, d, [(0, sigma, a)])
-            packed = None
-        except EncodingInvariantError as exc:
-            packed = str(exc)
-        assert packed == expected
+        record = _record(3, d, [(0, sigma, a)])
+        assert rejected(record.x_sat, record.sigma, record.a) == expected
 
 
 def test_roundtrip_identity_exhaustive_on_corpus(bundles):
@@ -1191,7 +1180,7 @@ def _degree_records(b):
     """The encodings of every full-depth pair, as one record per degree:
     the analysis's records, and for S = {} the scalar encoder's."""
     n = b.dnf.n
-    out = {0: _pack(n, 0, [encode_row(b.dnf, 0, x, b.tables) for x in range(1 << n)])}
+    out = {0: _record(n, 0, [encode_row(b.dnf, 0, x, b.tables) for x in range(1 << n)])}
     for d in range(1, b.analysis.d_max + 1):
         records = [r for s_mask, (_, r) in sorted(b.records.items()) if s_mask.bit_count() == d]
         if records:
@@ -1250,9 +1239,8 @@ def test_decode_records_matches_scalar_path_on_corrupted_rows(bundles):
                 assert got == _scalar_path(b.dnf, int(x_sat[i]), sigma[i].tolist(),
                                            int(a[i])), (b.label, d, i)
                 outcomes.add(got if code[i] else "pair")
-    # the corpus reaches every error except the two that distinct sigma
-    # positions rule out
-    assert outcomes == set(DECODE_ERRORS[1:]) - {NO_PROGRESS, MORE_THAN_D} | {"pair"}
+    # the corpus reaches every error
+    assert outcomes == set(DECODE_ERRORS[1:]) | {"pair"}
 
 
 def test_decode_records_rejects_a_record_of_mismatched_shape():

@@ -896,12 +896,15 @@ def test_cli_verify_reports_analysis_encoder_fault_as_failed_roundtrip(tmp_path,
 def test_roundtrip_fails_on_a_record_of_the_wrong_length(monkeypatch):
     from dnf_fourier import covers
 
-    pack = covers.EncodingRecord.pack
+    record = covers._record
 
-    def short_at_degree_two(n, d, *columns):
-        return pack(n, d, *(col[:-1] if d == 2 else col for col in columns))
+    def short_at_degree_two(n, s_mask, *args):
+        r = record(n, s_mask, *args)
+        if s_mask.bit_count() != 2:
+            return r
+        return covers.EncodingRecord(n, r.x_sat[:-1], r.sigma[:-1], r.a[:-1])
 
-    monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(short_at_degree_two))
+    monkeypatch.setattr(covers, "_record", short_at_degree_two)
     report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 2),),
                                          checks=("roundtrip",)))
     (row,) = report["instances"][0]["checks"]
@@ -1126,15 +1129,15 @@ def test_cli_verify_reports_a_bad_sigma_as_failed_roundtrip(tmp_path, monkeypatc
                                                             sigma, message):
     from dnf_fourier import covers
 
-    pack = covers.EncodingRecord.pack
+    record = covers._record
 
-    def corrupt_at_degree_two(n, d, *columns):
-        record = pack(n, d, *columns)
-        if d == 2:
-            record.sigma[0] = sigma
-        return record
+    def corrupt_at_degree_two(n, s_mask, *args):
+        r = record(n, s_mask, *args)
+        if s_mask.bit_count() == 2:
+            r.sigma[0] = sigma
+        return r
 
-    monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(corrupt_at_degree_two))
+    monkeypatch.setattr(covers, "_record", corrupt_at_degree_two)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "instances": [{"generator": {"family": "tribes", "params": {"w": 2, "t": 2}}}],
@@ -1299,8 +1302,8 @@ def test_each_table_is_built_once_and_one_top_level_table_is_held(monkeypatch, m
     else:
         report = _verify_entry(dnf, "rk8", config)
         assert report["failures"] == 0
-        assert len(phases) == 2 * len(subsets_up_to(8, d_max)) + 2 * (mode == "verify")
-    subsets = subsets_up_to(8, d_max)
+        assert len(phases) == 2 * len(list(subsets_up_to(8, d_max))) + 2 * (mode == "verify")
+    subsets = list(subsets_up_to(8, d_max))
     oracle = oracle_tables(dnf.evaluate(), subsets)
     no_zero_parent = [m for m in subsets if all(oracle[m ^ 1 << i].any() for i in bit_indices(m))]
     assert sorted(built) == no_zero_parent
@@ -1417,9 +1420,9 @@ def test_no_record_outlives_its_subsets_pass(tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["verify", "verify-roundtrip", "sweep", "encdec-test"])
 def test_only_a_consumer_gets_packed_records(tmp_path, monkeypatch, command):
-    # sweep hands the encodings to no consumer, so it packs none; verify
-    # packs the record of every nonempty subset with a pair, once, only
-    # when roundtrip is configured; so does encdec-test
+    # sweep hands the encodings to no consumer, so it makes no record;
+    # verify makes the record of every nonempty subset with a pair, once,
+    # only when roundtrip is configured; so does encdec-test
     from dnf_fourier import covers, experiments
 
     from conftest import make_bundle
@@ -1427,13 +1430,13 @@ def test_only_a_consumer_gets_packed_records(tmp_path, monkeypatch, command):
     dnf = _RK8.build()
     nonempty = [m for m in make_bundle("rk8", dnf).analysis.profiles if m]
     packed = []
-    pack = covers.EncodingRecord.pack
+    record = covers._record
 
-    def spy(n, d, *columns):
-        packed.append(d)
-        return pack(n, d, *columns)
+    def spy(n, s_mask, *args):
+        packed.append(s_mask.bit_count())
+        return record(n, s_mask, *args)
 
-    monkeypatch.setattr(covers.EncodingRecord, "pack", staticmethod(spy))
+    monkeypatch.setattr(covers, "_record", spy)
     config = ExperimentConfig(instances=(), d_max=4)
     if command == "sweep":
         assert experiments.sweep_instance(dnf, "rk8", config)["degree_cutoff"] == 4
@@ -1583,7 +1586,7 @@ def test_evasive_only_verify_matches_the_all_checks_rows(monkeypatch):
         return [r for r in report["instances"][0]["checks"] if r["check"] == "evasive"]
 
     rows = evasive_rows(("evasive",))
-    assert len(rows) == len(subsets_up_to(8, 4))
+    assert len(rows) == len(list(subsets_up_to(8, 4)))
     built = _spy_tables(monkeypatch)
     assert rows == evasive_rows(ALL_CHECKS)
     (tables,) = built
@@ -1603,7 +1606,7 @@ def test_verify_counts_the_covers_of_each_subset_once(monkeypatch):
     monkeypatch.setattr(covers, "cover_counts_by_union", spy)
     report = run_verify(ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4))
     assert report["summary"]["ok"]
-    assert sorted(counted) == subsets_up_to(6, 4)
+    assert sorted(counted) == list(subsets_up_to(6, 4))
 
 
 def test_sweep_counts_the_covers_of_each_subset_once(monkeypatch):
@@ -2267,7 +2270,7 @@ def test_rows_are_written_while_the_battery_runs(monkeypatch):
     config = ExperimentConfig(instances=(_tribes_source(2, 3),), d_max=4,
                               checks=("spectral_basics", "evasive"))
     write_report("verify", config, out)
-    assert len(lengths) == len(subsets_up_to(6, 4))
+    assert len(lengths) == len(list(subsets_up_to(6, 4)))
     assert all(a < b for a, b in zip(lengths, lengths[1:]))
     assert 0 < lengths[0] and lengths[-1] < len(out.getvalue())
 

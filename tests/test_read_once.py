@@ -1,9 +1,13 @@
 """The package against the closed forms of read-once DNFs (read_once.py),
 at sizes the other oracles do not reach."""
-from dnf_fourier import RestrictionTables, fourier_transform, random_read_k, tribes
+from fractions import Fraction
+
+from dnf_fourier import (
+    GeneratorSpec, RestrictionTables, fourier_transform, random_read_k, tribes,
+)
 from dnf_fourier.bitops import subsets_up_to
 from dnf_fourier.covers import SubsetProfile
-from dnf_fourier.experiments import RoundTrip
+from dnf_fourier.experiments import ExperimentConfig, InstanceSource, RoundTrip, run_verify
 
 import read_once
 from conftest import analyze
@@ -53,3 +57,46 @@ def test_a_read_once_random_dnf_has_one_cover_per_subset():
         assert analysis.cover_counts(s_mask)[u] == 1, s_mask
     assert {tuple(sorted(c)) for c in every_cover} == {
         read_once.cover(dnf, m) for m in covered}
+
+
+def _dyadic(q: Fraction) -> str:
+    """q, whose denominator is a power of two, as a report writes it."""
+    e = q.denominator.bit_length() - 1
+    assert q.denominator == 1 << e, q
+    return str(q.numerator) if e == 0 else f"{q.numerator}/2^{e}"
+
+
+def test_the_evasive_and_family_rows_of_a_read_once_verify_match_the_closed_forms():
+    # every evasive row (|S| <= 4) and every family_abs_coeff row (each S
+    # with a full-depth pair) of an exact verify: the lhs is |fhat(S)|, the
+    # bound the share of E_S's witnesses, times w|S| + 1 for a family row,
+    # whose u is u(S)
+    params = {"n": 16, "s": 6, "w": 3, "k": 1}
+    spec = GeneratorSpec("random_read_k", params, seed=5)
+    dnf = spec.build()
+    assert dnf == random_read_k(**params, seed=5) and dnf.read() == 1
+    w, n = dnf.width(), dnf.n
+    report = run_verify(ExperimentConfig(instances=(InstanceSource("generator", spec=spec),),
+                                         d_max=4, checks=("evasive", "families")))
+    rows = report["instances"][0]["checks"]
+    assert report["summary"]["ok"]
+
+    def closed_forms(s_mask):
+        d = s_mask.bit_count()
+        share = Fraction(read_once.full_depth_count(dnf, s_mask), 1 << (n - d))
+        return _dyadic(abs(read_once.coefficient(dnf, s_mask))), share, d
+
+    evasive = [r for r in rows if r["check"] == "evasive"]
+    assert [r["context"]["S_mask"] for r in evasive] == list(subsets_up_to(n, 4))
+    for r in evasive:
+        lhs, share, _ = closed_forms(r["context"]["S_mask"])
+        assert (r["lhs"], r["bound"]) == (lhs, _dyadic(share)), r
+    family = [r for r in rows if r["check"] == "family_abs_coeff"]
+    assert [r["context"]["S_mask"] for r in family] == [
+        m for m in subsets_up_to(n, 4) if read_once.full_depth_count(dnf, m)]
+    for r in family:
+        s_mask = r["context"]["S_mask"]
+        lhs, share, d = closed_forms(s_mask)
+        assert r["context"]["u"] == read_once.union_size(dnf, s_mask), r
+        assert (r["lhs"], r["bound"]) == (lhs, _dyadic((w * d + 1) * share)), r
+    assert (len(evasive), len(family)) == (2517, 1471)

@@ -258,7 +258,7 @@ def _check_tables_against_oracle(f, d_max, every_x=True):
     n = f.n
     full = (1 << n) - 1
     tables = RestrictionTables(f)
-    masks = subsets_up_to(n, d_max)
+    masks = list(subsets_up_to(n, d_max))
     oracle = oracle_tables(f, masks)
     memo = {}
     for s_mask in masks:
@@ -442,7 +442,7 @@ def test_the_pass_drops_each_top_level_table_as_it_moves_on_and_every_table_at_i
         tables.full_depth_count(s_mask)
         assert s_mask in tables._by_sbar
         visited.append(s_mask)
-    assert visited == subsets_up_to(6, d_max)
+    assert visited == list(subsets_up_to(6, d_max))
     assert tables._by_sbar == {}
     for s_mask in visited:
         assert tables.full_depth_count(s_mask) == fresh.full_depth_count(s_mask), s_mask
@@ -461,7 +461,7 @@ def test_the_pass_gives_a_subset_with_a_zero_parent_count_0_and_no_table(dnf, d_
     # oracle's
     f = dnf.evaluate()
     tables = RestrictionTables(f)
-    subsets = subsets_up_to(dnf.n, d_max)
+    subsets = list(subsets_up_to(dnf.n, d_max))
     oracle = oracle_tables(f, subsets)
     built, by_sbar = [], RestrictionTables.dt_by_sbar
 
@@ -845,7 +845,7 @@ def test_cover_probability_counts_u_one_chunk_at_a_time(dnf, chunk):
     assert made == [(lo, size) for lo in range(0, 1 << dnf.n, size)]
     sat_union = oracle_satisfied_union_table(dnf)
     # the counts of the masks the checks read, |S| <= d_max, and no other
-    masks = subsets_up_to(dnf.n, d_max)
+    masks = list(subsets_up_to(dnf.n, d_max))
     assert [(m, c.tolist()) for m, c in seen] == [
         (masks, [oracle_union_superset_count(sat_union, s) for s in masks])]
 

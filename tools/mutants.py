@@ -43,6 +43,7 @@ _CONSTRUCTOR = "tests/test_encoder.py::test_the_constructor_rejects_what_a_recor
 _PRUNED = ("tests/test_experiments.py::"
            "test_the_pruned_pass_gives_the_unpruned_passs_counts_families_tails_and_reports")
 _EXPERIMENTS = "src/dnf_fourier/experiments.py"
+_BOOLFN = "src/dnf_fourier/boolfn.py"
 
 
 def _at_the_bound(kind: str) -> tuple[str]:
@@ -56,7 +57,8 @@ def _at_the_bound(kind: str) -> tuple[str]:
 #: the pass holds, of the family analysis's cover counts, of the pass's
 #: zero-parent rule and its drop, of the decoder and the encoding's codec,
 #: a bound made strict in each row kind whose lhs a test puts at its
-#: bound, and the middle link of each cover-count chain made strict.
+#: bound, the middle link of each cover-count chain made strict, and the
+#: kernels of the transform, the reconstruction check and the union table.
 MUTANTS = (
     Mutant("a-shifted-by-S", _ENCODER,
            "values | sub_a << s_1.bit_count()", "values | sub_a << r.s_mask.bit_count()",
@@ -125,6 +127,12 @@ MUTANTS = (
     Mutant("row-checks-position-0-only", _ENCODER,
            "(pos < 1).any(axis=1)", "(pos == 0).any(axis=1)",
            (_CONSTRUCTOR,)),
+    Mutant("row-checks-1-based-before-distinct", _ENCODER,
+           "    fail((np.diff(pos, axis=1) == 0).any(axis=1), SIGMA_NOT_DISTINCT)\n"
+           "    fail((pos < 1).any(axis=1), SIGMA_NOT_1_BASED)\n",
+           "    fail((pos < 1).any(axis=1), SIGMA_NOT_1_BASED)\n"
+           "    fail((np.diff(pos, axis=1) == 0).any(axis=1), SIGMA_NOT_DISTINCT)\n",
+           (_CONSTRUCTOR,)),
     Mutant("constructor-checks-distinct-first", _ENCODER,
            "        if self.a >> len(self.sigma):\n"
            "            raise ValueError(TRUTH_VALUES_BEYOND_D)\n"
@@ -163,6 +171,22 @@ MUTANTS = (
     Mutant("exact-width-chain-middle-strict", _COVERS,
            "holds = holds and left <= mid and holds_top", "holds = holds and left < mid and holds_top",
            ("tests/test_covers.py::test_exact_width_chain_on_random_instances",)),
+    Mutant("parseval-as-at-least", _EXPERIMENTS,
+           "self.total_weight == mean)", "self.total_weight >= mean)",
+           _at_the_bound("parseval")),
+    Mutant("lo-plus-hi-as-lo-minus-hi", _BOOLFN,
+           "np.add(low, high, out=sixteens[lo:lo + step, 0])",
+           "np.subtract(low, high, out=sixteens[lo:lo + step, 0])",
+           ("tests/test_boolfn.py::test_transform_matches_oracle_exhaustively_n4",)),
+    Mutant("union-table-high-bits-dropped", _RESTRICTIONS,
+           "& t.vars_mask & high == 0", "& t.vars_mask == 0",
+           ("tests/test_restrictions.py::"
+            "test_union_superset_counts_match_the_per_subset_count_in_small_chunks",)),
+    Mutant("gray-step-sign-swapped", _EXPERIMENTS,
+           "combine = np.subtract if (i & j).bit_count() & 1 else np.add",
+           "combine = np.add if (i & j).bit_count() & 1 else np.subtract",
+           ("tests/test_experiments.py::"
+            "test_reconstructs_every_small_function_and_no_wrong_spectrum",)),
 )
 
 
